@@ -15,6 +15,7 @@ world), and any object with ``now()``/``sleep(dt)`` works as the clock.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
@@ -315,22 +316,23 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
 
     Devices that delivered during the experiment go first (high tier,
     matrix order).  After every shutdown the server is polled over
-    ``recheck_window``; a previously silent device that now shows
-    packets is appended to the middle tier and flagged.  Whatever is
-    left forms the low tier.  A skipped device is retried once at the
-    end of its tier, then logged as an unconfirmed shutdown.
+    ``recheck_window``: one query per still-silent device, in matrix
+    order.  A previously silent device that now shows packets is
+    appended to the middle tier and flagged, and is not polled again.
+    Whatever is left forms the low tier.  A skipped device is retried
+    once at the end of its tier, then logged as an unconfirmed shutdown.
     """
-    high = [e.device_id for e in matrix if reports[e.device_id].delivered > 0]
+    high = deque(e.device_id for e in matrix if reports[e.device_id].delivered > 0)
     silent = [e.device_id for e in matrix if reports[e.device_id].delivered == 0]
     pending_silent = set(silent)
-    middle: list[str] = []
+    middle: deque[str] = deque()
     late: dict[str, str] = {}
     log: list[ShutdownRecord] = []
     retried: set[str] = set()
 
     def recheck(after_id: str, shutdown_at: float, middle_open: bool) -> None:
         clock.sleep(recheck_window)
-        for candidate in matrix.ids():
+        for candidate in silent:
             if candidate not in pending_silent:
                 continue
             try:
@@ -345,9 +347,9 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                 # once the low tier is formed, a late responder keeps
                 # its slot there; the flag still goes to the report
 
-    def drain(queue: list[str], priority: str, middle_open: bool) -> None:
+    def drain(queue: deque[str], priority: str, middle_open: bool) -> None:
         while queue:
-            device_id = queue.pop(0)
+            device_id = queue.popleft()
             confirmed = operator.prompt(TurnOff(device_id))
             if not confirmed and device_id not in retried:
                 retried.add(device_id)
@@ -360,8 +362,8 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
 
     drain(high, "high", middle_open=True)
     drain(middle, "middle", middle_open=True)
-    low = [d for d in matrix.ids() if not any(r.device_id == d for r in log)]
-    drain(low, "low", middle_open=False)
+    logged = {r.device_id for r in log}
+    drain(deque(d for d in matrix.ids() if d not in logged), "low", middle_open=False)
 
     for device_id, after_id in late.items():
         reports[device_id].flags.add(RespondedAfterShutdown(after_id))

@@ -11,15 +11,17 @@ JSON messages.  A connection must authenticate before querying:
 
 Any protocol violation is answered with {"type": "error", "reason": ...};
 violations before authentication and unparseable frames additionally
-close the connection.  Query windows are closed intervals and an
-unknown EUI yields an empty packet list.  Persistence is an append-only
-log file (the simulator's export format) replayed at startup.
+close the connection.  Query windows are closed intervals with finite
+bounds, and an unknown EUI yields an empty packet list.  Persistence is
+an append-only log file (the simulator's export format) replayed at
+startup.
 """
 
 from __future__ import annotations
 
 import hmac
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -35,7 +37,7 @@ class AuthError(ProtocolError):
     """Authentication was rejected by the server."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketRecord:
     """One stored uplink: device EUI, frame counter, receive time, SF."""
 
@@ -173,10 +175,17 @@ class _Handler(socketserver.StreamRequestHandler):
                 isinstance(lo, bool) or isinstance(hi, bool):
             _send(self.wfile, {"type": "error", "reason": "query needs numeric from/to"})
             return
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:
+            lo = hi = math.inf
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            _send(self.wfile, {"type": "error", "reason": "query needs finite from/to"})
+            return
         if lo > hi:
             _send(self.wfile, {"type": "error", "reason": "empty window (from > to)"})
             return
-        records = server.store.query(eui, float(lo), float(hi))
+        records = server.store.query(eui, lo, hi)
         _send(self.wfile, packets_message(eui, records))
 
 
@@ -213,7 +222,11 @@ class NetClient:
     def __init__(self, address: tuple[str, int], token: str, timeout: float = 10.0):
         self._sock = socket.create_connection(address, timeout=timeout)
         self._rfile = self._sock.makefile("rb")
-        self._auth(token)
+        try:
+            self._auth(token)
+        except BaseException:
+            self.close()
+            raise
 
     def _send(self, message: dict) -> None:
         self._sock.sendall((json.dumps(message) + "\n").encode("utf-8"))
@@ -222,7 +235,10 @@ class NetClient:
         raw = self._rfile.readline()
         if not raw:
             raise ProtocolError("connection closed by server")
-        msg = json.loads(raw.decode("utf-8"))
+        try:
+            msg = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ProtocolError(f"server sent an unparseable message: {exc}") from exc
         if not isinstance(msg, dict):
             raise ProtocolError("server sent a non-object message")
         return msg
@@ -241,17 +257,22 @@ class NetClient:
         reply = self._recv()
         if reply.get("type") == "error":
             raise ProtocolError(reply.get("reason", "server error"))
-        if reply.get("type") != "packets" or not isinstance(reply.get("packets"), list):
+        eui = reply.get("dev_eui")
+        if reply.get("type") != "packets" or not isinstance(reply.get("packets"), list) \
+                or not isinstance(eui, str):
             raise ProtocolError(f"unexpected query reply {reply!r}")
-        out = []
-        for p in reply["packets"]:
-            out.append(PacketRecord(
-                dev_eui=reply["dev_eui"],
-                fcnt=int(p["fcnt"]),
-                received_ts=float(p["ts"]),
-                sf=int(p["sf"]),
-            ))
-        return out
+        try:
+            return [
+                PacketRecord(
+                    dev_eui=eui,
+                    fcnt=int(p["fcnt"]),
+                    received_ts=float(p["ts"]),
+                    sf=int(p["sf"]),
+                )
+                for p in reply["packets"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed packet in query reply: {exc!r}") from exc
 
     def close(self) -> None:
         try:

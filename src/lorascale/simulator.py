@@ -146,17 +146,6 @@ def draw_phase(spec: DeviceSpec, seed: int) -> float:
     return float(spec.phase)
 
 
-def _attempt_times(spec: DeviceSpec, phase: float, duration: float) -> np.ndarray:
-    """Start times of the attempts fitting the device's active window."""
-    horizon = min(spec.active_until, duration)
-    first = spec.active_from + phase
-    last_allowed = horizon - spec.airtime
-    if first > last_allowed:
-        return np.empty(0, dtype=np.float64)
-    n = int(math.floor((last_allowed - first) / spec.period)) + 1
-    return first + spec.period * np.arange(n, dtype=np.float64)
-
-
 def _resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
              model: CollisionModel) -> np.ndarray:
     """Per-SF collision marking; arrays must be sorted by start."""
@@ -184,25 +173,31 @@ def run(devices: Iterable[DeviceSpec], duration: float,
     if len({d.device_id for d in devices}) != len(devices):
         raise ValueError("device ids must be unique within a run")
 
-    chunks_start, chunks_dev, chunks_fcnt, chunks_sf, chunks_air = [], [], [], [], []
-    for i, spec in enumerate(devices):
-        starts = _attempt_times(spec, draw_phase(spec, seed), duration)
-        chunks_start.append(starts)
-        chunks_dev.append(np.full(starts.shape, i, dtype=np.int64))
-        chunks_fcnt.append(np.arange(starts.shape[0], dtype=np.int64))
-        chunks_sf.append(np.full(starts.shape, spec.sf, dtype=np.int16))
-        chunks_air.append(np.full(starts.shape, spec.airtime, dtype=np.float64))
+    # attempts k = 0 .. n-1 start at first + period * k and must end
+    # by the horizon of the device's active window
+    period = np.array([d.period for d in devices], dtype=np.float64)
+    airtime = np.array([d.airtime for d in devices], dtype=np.float64)
+    first = np.array([d.active_from + draw_phase(d, seed) for d in devices], dtype=np.float64)
+    horizon = np.minimum(np.array([d.active_until for d in devices], dtype=np.float64),
+                         duration)
+    last_allowed = horizon - airtime
+    fits = first <= last_allowed
+    counts = np.zeros(len(devices), dtype=np.int64)
+    counts[fits] = np.floor((last_allowed[fits] - first[fits]) / period[fits]).astype(np.int64) + 1
 
-    start = np.concatenate(chunks_start)
-    dev = np.concatenate(chunks_dev)
-    fcnt = np.concatenate(chunks_fcnt)
-    sf = np.concatenate(chunks_sf)
-    end = start + np.concatenate(chunks_air)
+    dev = np.repeat(np.arange(len(devices), dtype=np.int64), counts)
+    fcnt = np.arange(dev.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    start = first[dev] + period[dev] * fcnt
 
     # global order (start, device id lexicographic) for determinism
     id_rank = np.argsort(np.argsort(np.array([d.device_id for d in devices])))
     order = np.lexsort((id_rank[dev], start))
-    start, end, sf, dev, fcnt = start[order], end[order], sf[order], dev[order], fcnt[order]
+    start = start[order]
+    dev = dev[order]
+    fcnt = fcnt[order]
+    del order
+    end = start + airtime[dev]
+    sf = np.array([d.sf for d in devices], dtype=np.int16)[dev]
 
     lost = _resolve(start, end, sf, model)
     return SimResult(
@@ -319,8 +314,9 @@ def export_packet_log(result: SimResult) -> Iterator[PacketRecord]:
     end time.
     """
     good = np.flatnonzero(result.delivered)
-    euis = np.array([d.dev_eui for d in result.devices])
-    order = np.lexsort((result.fcnt[good], euis[result.dev[good]], result.end[good]))
+    # EUIs are unique, so their ranks sort like the strings themselves
+    eui_rank = np.argsort(np.argsort(np.array([d.dev_eui for d in result.devices])))
+    order = np.lexsort((result.fcnt[good], eui_rank[result.dev[good]], result.end[good]))
     for i in good[order]:
         d = result.devices[result.dev[i]]
         yield PacketRecord(

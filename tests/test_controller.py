@@ -286,6 +286,64 @@ def test_turn_off_skip_retries_once_then_forces():
     assert [r.confirmed for r in log] == [True, True, False]
 
 
+def test_turn_off_polls_pending_silent_devices_in_matrix_order():
+    ids = [f"r{i:03d}" for i in range(300)]
+    matrix = DeviceMatrix([RosterEntry(d, f"{0xdd000 + i:016x}") for i, d in enumerate(ids)])
+    silent = ["r017", "r150", "r299"]
+    reports = make_reports(matrix, responded=set(ids) - set(silent))
+    eui_to_id = {e.dev_eui: e.device_id for e in matrix}
+
+    class RecordingClient:
+        def __init__(self):
+            self.awake = set()
+            self.calls = []
+
+        def query(self, dev_eui, from_ts, to_ts):
+            device_id = eui_to_id[dev_eui]
+            self.calls.append((device_id, from_ts, to_ts))
+            return [PacketRecord(dev_eui, 0, to_ts, 7)] if device_id in self.awake else []
+
+    client = RecordingClient()
+
+    class Operator:
+        """Declines r005 once and wakes r150 when r040 is shut down."""
+
+        def __init__(self):
+            self.declined = False
+
+        def prompt(self, action):
+            if action.device_id == "r005" and not self.declined:
+                self.declined = True
+                return False
+            if action.device_id == "r040":
+                client.awake.add("r150")
+            return True
+
+    window = 10.0
+    log, late = turn_off_sequence(matrix, reports, Operator(), client,
+                                  VirtualClock(0.0), window)
+
+    high = [d for d in ids if d not in silent and d != "r005"] + ["r005"]
+    assert [r.device_id for r in log] == high + ["r150", "r017", "r299"]
+    assert [r.priority for r in log] == ["high"] * 297 + ["middle", "low", "low"]
+    assert all(r.confirmed for r in log)
+    assert [r.at for r in log] == [window * k for k in range(300)]
+    assert late == {"r150": "r040"}
+    assert RespondedAfterShutdown("r040") in reports["r150"].flags
+    assert NeverResponded() in reports["r017"].flags
+    assert NeverResponded() in reports["r299"].flags
+
+    expected = []
+    pending = list(silent)
+    for record in log:
+        if record.device_id in pending:
+            pending.remove(record.device_id)
+        expected += [(d, record.at, record.at + window) for d in pending]
+        if record.device_id == "r040":
+            pending.remove("r150")
+    assert client.calls == expected
+
+
 priorities = {"high": 0, "middle": 1, "low": 2}
 
 

@@ -1,9 +1,11 @@
 import json
 import socket
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorascale.controller import DeviceMatrix, QueryFailed, RosterEntry, collect
 from lorascale.netserver import (
     AuthError,
     NetClient,
@@ -167,6 +169,22 @@ def test_semantic_errors_keep_connection(server):
     sock.close()
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_non_finite_window_errors_and_keeps_connection(server, bound):
+    srv, store = server
+    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    sock, rfile = raw_connection(srv)
+    send_json(sock, {"type": "auth", "token": TOKEN})
+    assert read_json(rfile)["type"] == "auth_ok"
+    for lo, hi in ((bound, 2.0), (0.0, bound), (bound, bound)):
+        send_json(sock, {"type": "query", "dev_eui": "00000000000000aa", "from": lo, "to": hi})
+        reply = read_json(rfile)
+        assert reply["type"] == "error" and "finite" in reply["reason"]
+    send_json(sock, {"type": "query", "dev_eui": "00000000000000aa", "from": 0, "to": 2})
+    assert read_json(rfile)["packets"] == [{"fcnt": 0, "ts": 1.0, "sf": 7}]
+    sock.close()
+
+
 def test_client_raises_protocol_error_on_bad_query(server):
     srv, _ = server
     with NetClient(srv.bound_address, TOKEN) as client:
@@ -174,6 +192,87 @@ def test_client_raises_protocol_error_on_bad_query(server):
             client.query("00000000000000aa", 5.0, 1.0)
         # connection survives for the next query
         assert client.query("00000000000000aa", 0.0, 1.0) == []
+
+
+class GarbageServer:
+    """Accepts one client, authenticates it, then answers each query with
+    the raw line configured for the queried EUI."""
+
+    def __init__(self, replies: dict[str, bytes], auth_reply: bytes = b'{"type": "auth_ok"}\n'):
+        self.replies, self.auth_reply = replies, auth_reply
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _ = self._listener.accept()
+        with conn, conn.makefile("rb") as rfile:
+            for raw in rfile:
+                msg = json.loads(raw)
+                conn.sendall(self.auth_reply if msg["type"] == "auth"
+                             else self.replies[msg["dev_eui"]])
+
+    def client_gone(self, timeout=5.0):
+        """True once the client has closed its end of the connection."""
+        self._thread.join(timeout)
+        return not self._thread.is_alive()
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+
+EUI_A, EUI_B = "00000000000000a1", "00000000000000a2"
+
+
+def packets_line(**fields) -> bytes:
+    return (json.dumps({"type": "packets", **fields}) + "\n").encode()
+
+
+MALFORMED_PACKETS = [
+    {"ts": 1.0, "sf": 7},
+    {"fcnt": 0, "sf": 7},
+    {"fcnt": 0, "ts": 1.0},
+    {"fcnt": "x", "ts": 1.0, "sf": 7},
+    {"fcnt": 0, "ts": None, "sf": 7},
+    {"fcnt": 0, "ts": 1.0, "sf": [7]},
+    "junk",
+]
+
+
+@pytest.mark.parametrize("reply", [
+    b"this is not json\n",
+    b"\xff\xfe garbage\n",
+    packets_line(packets=[]),
+    *(packets_line(dev_eui=EUI_A, packets=[p]) for p in MALFORMED_PACKETS),
+])
+def test_client_malformed_reply_flags_only_that_device(reply):
+    good = packets_line(dev_eui=EUI_B, packets=[{"fcnt": 4, "ts": 12.0, "sf": 7}])
+    fake = GarbageServer({EUI_A: reply, EUI_B: good})
+    try:
+        with NetClient(fake.address, TOKEN) as client:
+            with pytest.raises(ProtocolError):
+                client.query(EUI_A, 0.0, 20.0)
+            matrix = DeviceMatrix([RosterEntry("a", EUI_A), RosterEntry("b", EUI_B)])
+            packets, failures = collect(matrix, 0.0, 20.0, client)
+    finally:
+        fake.close()
+    assert set(failures) == {"a"} and isinstance(failures["a"], QueryFailed)
+    assert packets == {"a": [], "b": [PacketRecord(EUI_B, 4, 12.0, 7)]}
+
+
+@pytest.mark.parametrize("auth_reply", [b"not json\n", b"\xc3\x28\n"])
+def test_client_unparseable_auth_reply_is_protocol_error(auth_reply):
+    fake = GarbageServer({}, auth_reply=auth_reply)
+    try:
+        # the held exception keeps the failed client's frame alive, so its
+        # socket must have been closed explicitly
+        with pytest.raises(ProtocolError) as excinfo:
+            NetClient(fake.address, TOKEN)
+        assert fake.client_gone(), excinfo
+    finally:
+        fake.close()
 
 
 def test_concurrent_clients(server):

@@ -1,12 +1,17 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lorascale import kernels
 from lorascale.scaling import TrafficProfile, success_exact_periodic
 from lorascale.simulator import (
+    AnyOverlap,
     DeviceSpec,
     SfGroup,
     VulnerabilityWindow,
+    draw_phase,
     estimate_pdr,
     export_packet_log,
     run,
@@ -182,3 +187,94 @@ def test_estimator_validation():
         estimate_pdr([SfGroup(7, 2, 0.1), SfGroup(7, 3, 0.2)], 5.0, 100)
     with pytest.raises(ValueError):
         estimate_pdr([SfGroup(7, 2, 6.0)], 5.0, 100)
+
+
+# --- vectorized timeline build against a per-device reference -------------------
+
+def reference_run_arrays(devices, duration, model, seed):
+    """The timeline built one device at a time, one array per attempt list."""
+    starts_, devs, fcnts, sfs, airs = [], [], [], [], []
+    for i, spec in enumerate(devices):
+        horizon = min(spec.active_until, duration)
+        first = spec.active_from + draw_phase(spec, seed)
+        last_allowed = horizon - spec.airtime
+        n = 0 if first > last_allowed else int(math.floor((last_allowed - first) / spec.period)) + 1
+        starts = first + spec.period * np.arange(n, dtype=np.float64)
+        starts_.append(starts)
+        devs.append(np.full(n, i, dtype=np.int64))
+        fcnts.append(np.arange(n, dtype=np.int64))
+        sfs.append(np.full(n, spec.sf, dtype=np.int16))
+        airs.append(np.full(n, spec.airtime, dtype=np.float64))
+    start, dev, fcnt = np.concatenate(starts_), np.concatenate(devs), np.concatenate(fcnts)
+    sf, end = np.concatenate(sfs), start + np.concatenate(airs)
+    id_rank = np.argsort(np.argsort(np.array([d.device_id for d in devices])))
+    order = np.lexsort((id_rank[dev], start))
+    start, end, sf, dev, fcnt = start[order], end[order], sf[order], dev[order], fcnt[order]
+    lost = np.zeros(start.size, dtype=bool)
+    for value in np.unique(sf):
+        mask = sf == value
+        if isinstance(model, AnyOverlap):
+            lost[mask] = kernels.mark_any_overlap(start[mask], end[mask])
+        else:
+            lost[mask] = kernels.mark_window(start[mask], end[mask], model.factor)
+    return {"start": start, "end": end, "sf": sf, "dev": dev, "fcnt": fcnt, "delivered": ~lost}
+
+
+def assert_run_matches_reference(devices, duration, model, seed):
+    result = run(devices, duration, model=model, seed=seed)
+    for name, expected in reference_run_arrays(devices, duration, model, seed).items():
+        got = getattr(result, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
+def test_run_matches_reference_with_windows_and_silent_devices(kernel_backend):
+    devices = [
+        DeviceSpec("z-late", "00000000000000a1", 7, 5.0, 0.3, active_from=40.0),
+        DeviceSpec("a-fixed", "00000000000000a2", 7, 5.0, 0.3, phase=1.25),
+        DeviceSpec("m-window", "00000000000000a3", 8, 6.5, 0.4,
+                   active_from=3.0, active_until=31.0),
+        DeviceSpec("never", "00000000000000a4", 9, 7.0, 0.5, active_from=500.0),
+        DeviceSpec("too-short", "00000000000000a5", 7, 5.0, 0.3,
+                   phase=0.0, active_from=10.0, active_until=10.2),
+        DeviceSpec("b-random", "00000000000000a6", 8, 6.5, 0.4),
+    ]
+    result = run(devices, 100.0, seed=4)
+    sent = result.sent_counts()
+    assert sent["never"] == sent["too-short"] == 0 and sent["a-fixed"] > 0
+    for model in (AnyOverlap(), VulnerabilityWindow(1.0)):
+        assert_run_matches_reference(devices, 100.0, model, seed=4)
+
+
+@st.composite
+def device_sets(draw):
+    n = draw(st.integers(1, 12))
+    devices = []
+    for i in range(n):
+        period = draw(st.floats(1.0, 20.0))
+        airtime = period * draw(st.floats(0.001, 0.5))
+        if draw(st.booleans()):
+            phase = period * draw(st.floats(0.0, 0.999))
+        else:
+            phase = "random"
+        active_from = draw(st.sampled_from([0.0, draw(st.floats(0.0, 300.0))]))
+        if draw(st.booleans()):
+            active_until = active_from + draw(st.floats(0.01, 200.0))
+        else:
+            active_until = math.inf
+        devices.append(DeviceSpec(
+            f"dev{draw(st.integers(0, 10**6))}-{i}", f"{0xee00 + i:016x}",
+            draw(st.sampled_from([7, 8, 12])), period, airtime, phase, active_from, active_until,
+        ))
+    return devices
+
+
+@given(
+    devices=device_sets(),
+    duration=st.floats(0.5, 400.0),
+    model=st.sampled_from([AnyOverlap(), VulnerabilityWindow(1.0), VulnerabilityWindow(1.7)]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_matches_per_device_reference(devices, duration, model, seed):
+    assert_run_matches_reference(devices, duration, model, seed)
