@@ -2,9 +2,12 @@
 """Benchmark the compiled collision kernels against the NumPy fallback.
 
 Generates event sets at a realistic channel load and times both marking
-kernels on each built backend, plus a full simulator run for context.
+kernels on each built backend, plus a full simulator run for context and
+a live SimWorld series (41 devices, growing numbers of 7 s advances)
+whose time per advance stays flat when the world resolves incrementally.
 
     python benchmarks/bench_kernels.py [--sizes 10000 100000 500000]
+                                       [--advances 100 200 400 800]
 """
 
 import argparse
@@ -14,6 +17,7 @@ import numpy as np
 
 from lorascale import kernels
 from lorascale.simulator import DeviceSpec, run
+from lorascale.world import SimWorld
 
 
 def make_events(n_events: int, load: float = 0.687, seed: int = 0):
@@ -40,6 +44,7 @@ def main() -> None:
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[10_000, 100_000, 500_000])
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--advances", type=int, nargs="+", default=[100, 200, 400, 800])
     args = parser.parse_args()
 
     backends = kernels.available_backends()
@@ -78,6 +83,20 @@ def main() -> None:
         kernels.use_backend(backend)
         t = best_of(lambda: run(fleet, 70_000.0, seed=1), repeats=3)
         print(f"run(): 41 devices x 10,000 periods, {backend:>6} backend: {t * 1e3:7.1f} ms")
+
+    # live world: all 41 devices on, the clock moved one period at a time
+    print()
+    for n in args.advances:
+        def live():
+            world = SimWorld(fleet, seed=1)
+            for d in fleet:
+                world.set_active(d.device_id, True)
+            for _ in range(n):
+                world.advance(7.0)
+
+        t = best_of(live, repeats=3)
+        print(f"SimWorld: 41 devices, {n:>5} advances of 7 s: {t * 1e3:8.1f} ms"
+              f" ({t / n * 1e6:6.0f} us per advance)")
 
 
 if __name__ == "__main__":

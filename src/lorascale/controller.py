@@ -278,7 +278,7 @@ def collect(matrix: DeviceMatrix, start_ts: float, end_ts: float, client
     for entry in matrix:
         try:
             packets[entry.device_id] = client.query(entry.dev_eui, start_ts, end_ts)
-        except ProtocolError as exc:
+        except (ProtocolError, OSError) as exc:
             packets[entry.device_id] = []
             failures[entry.device_id] = QueryFailed(str(exc))
     return packets, failures
@@ -337,7 +337,7 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                 continue
             try:
                 fresh = client.query(matrix.eui_for(candidate), shutdown_at, clock.now())
-            except ProtocolError:
+            except (ProtocolError, OSError):
                 continue
             if fresh:
                 late[candidate] = after_id

@@ -15,8 +15,9 @@ def mark_any_overlap(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Flag every event whose [start, end) intersects another's.
 
     For sorted starts, event j > i overlaps i iff starts[j] < ends[i];
-    the backward direction is the same relation seen from j, marked via
-    a difference array over each event's forward overlap range.
+    the backward direction is the same relation seen from j: event i is
+    covered when some earlier event's forward overlap range reaches past
+    it, i.e. when the running maximum of that range end exceeds i.
     """
     n = starts.shape[0]
     if n < 2:
@@ -24,13 +25,8 @@ def mark_any_overlap(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     idx = np.arange(n)
     hi = np.searchsorted(starts, ends, side="left")
     lost = hi > idx + 1  # overlaps someone starting later
-    # someone starting earlier overlaps me: i sits in a range (j, hi_j)
-    bump = np.zeros(n + 1, dtype=np.int64)
-    src = idx[lost]
-    np.add.at(bump, src + 1, 1)
-    np.add.at(bump, hi[src], -1)
-    covered = np.cumsum(bump[:n]) > 0
-    return lost | covered
+    lost[1:] |= np.maximum.accumulate(hi)[:-1] > idx[1:]  # someone earlier overlaps me
+    return lost
 
 
 def mark_window(starts: np.ndarray, ends: np.ndarray, factor: float) -> np.ndarray:

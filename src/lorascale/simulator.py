@@ -146,7 +146,7 @@ def draw_phase(spec: DeviceSpec, seed: int) -> float:
     return float(spec.phase)
 
 
-def _resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
+def resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
              model: CollisionModel) -> np.ndarray:
     """Per-SF collision marking; arrays must be sorted by start."""
     lost = np.zeros(starts.shape[0], dtype=bool)
@@ -199,7 +199,7 @@ def run(devices: Iterable[DeviceSpec], duration: float,
     end = start + airtime[dev]
     sf = np.array([d.sf for d in devices], dtype=np.int16)[dev]
 
-    lost = _resolve(start, end, sf, model)
+    lost = resolve(start, end, sf, model)
     return SimResult(
         devices=devices,
         start=start,

@@ -7,33 +7,39 @@ lazily, and collision outcomes are finalized as soon as no future
 transmission can still touch them.  Delivered packets become queryable
 through the same interface the network-server client exposes, so a
 controller can be driven against the world directly.
+
+The world resolves only the open edge of its timeline.  An event is
+final once it has ended (``end <= now``): every later transmission
+starts after it is over.  A same-SF event can only be hit by events
+that start less than one airtime before it, under either collision
+model, so the event buffer keeps the events that are still open plus
+the final ones that start within a look-back of twice the longest
+airtime before the earliest open start (or before ``now``, when nothing
+is open); older events leave it.  Each event is recorded, once it is
+final, in a per-device history kept in time order, which queries and
+ground-truth counts bisect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netserver import PacketRecord
-from .simulator import AnyOverlap, CollisionModel, DeviceSpec, _resolve, device_rng
+from .netserver import PacketRecord, closed_window
+from .simulator import AnyOverlap, CollisionModel, DeviceSpec, device_rng, resolve
 
 
 @dataclass
 class _DeviceState:
     spec: DeviceSpec
     rng: np.random.Generator
-    active: bool = False
-    # start times are base + k * period (not accumulated) so long runs
-    # produce the same floats as the batch simulator
-    base: float | None = None
-    k: int = 0
-    next_fcnt: int = 0
-
-    def next_start(self) -> float | None:
-        if self.base is None:
-            return None
-        return self.base + self.k * self.spec.period
+    index: int
+    # finalized history, ascending in time
+    attempt_ends: list[float] = field(default_factory=list)
+    delivered: list[PacketRecord] = field(default_factory=list)
+    delivered_ts: list[float] = field(default_factory=list)
 
 
 class SimWorld:
@@ -52,19 +58,30 @@ class SimWorld:
         if len({d.dev_eui.lower() for d in devices}) != len(devices):
             raise ValueError("device EUIs must be unique")
         self._model = model
-        self._states: dict[str, _DeviceState] = {
-            d.device_id: _DeviceState(spec=d, rng=device_rng(seed, d.dev_eui))
-            for d in devices
-        }
+        self._order = [_DeviceState(spec=d, rng=device_rng(seed, d.dev_eui), index=i)
+                       for i, d in enumerate(devices)]
+        self._states = {s.spec.device_id: s for s in self._order}
+        self._by_eui = {s.spec.dev_eui: s for s in self._order}
+        self._lookback = 2.0 * max((d.airtime for d in devices), default=0.0)
         self._now = 0.0
-        # event buffers, parallel lists
-        self._start: list[float] = []
-        self._end: list[float] = []
-        self._sf: list[int] = []
-        self._dev: list[str] = []
-        self._fcnt: list[int] = []
-        self._emitted: list[bool] = []
-        self._delivered: list[PacketRecord] = []
+        # per device, in roster order; attempt k of an on-cycle starts at
+        # base + k * period (not accumulated, so long runs produce the
+        # same floats as the batch simulator), and base is NaN while off
+        self._period = np.array([d.period for d in devices], dtype=np.float64)
+        self._airtime = np.array([d.airtime for d in devices], dtype=np.float64)
+        self._device_sf = np.array([d.sf for d in devices], dtype=np.int16)
+        # position in device-id order, the tie-break between equal starts
+        self._device_rank = np.argsort(np.argsort(np.array([d.device_id for d in devices])))
+        self._base = np.full(len(devices), np.nan)
+        self._k = np.zeros(len(devices), dtype=np.int64)
+        self._next_fcnt = np.zeros(len(devices), dtype=np.int64)
+        # the open edge of the timeline, sorted by (start, device id):
+        # unfinished events plus the final ones that may still hit them
+        self._start = np.empty(0)
+        self._end = np.empty(0)
+        self._sf = np.empty(0, dtype=np.int16)
+        self._dev = np.empty(0, dtype=np.int64)
+        self._fcnt = np.empty(0, dtype=np.int64)
 
     @property
     def now(self) -> float:
@@ -73,89 +90,95 @@ class SimWorld:
     def set_active(self, device_id: str, active: bool) -> None:
         """Toggle a device at the current time; idempotent."""
         state = self._states[device_id]
-        if active == state.active:
+        i = state.index
+        if active == (not np.isnan(self._base[i])):
             return
-        state.active = active
         if active:
             spec = state.spec
             phase = spec.phase if spec.phase != "random" else float(
                 state.rng.uniform(0.0, spec.period)
             )
-            state.base = self._now + float(phase)
-            state.k = 0
+            self._base[i] = self._now + float(phase)
+            self._k[i] = 0
         else:
-            state.base = None
+            self._base[i] = np.nan
 
     def advance(self, dt: float) -> None:
         """Move the clock forward, generating and finalizing transmissions."""
         if dt < 0:
             raise ValueError("cannot advance backwards")
+        if not math.isfinite(dt):
+            raise ValueError("advance step must be finite")
         horizon = self._now + dt
-        for state in self._states.values():
-            while state.active and state.base is not None:
-                start = state.next_start()
-                if start >= horizon:
-                    break
-                spec = state.spec
-                self._start.append(start)
-                self._end.append(start + spec.airtime)
-                self._sf.append(spec.sf)
-                self._dev.append(spec.device_id)
-                self._fcnt.append(state.next_fcnt)
-                self._emitted.append(False)
-                state.next_fcnt += 1
-                state.k += 1
-        self._now = horizon
-        self._finalize()
+        on = np.flatnonzero(~np.isnan(self._base))
+        # candidate attempts k0 .. last - 1 per device cover every start
+        # before the horizon; the exact float test then cuts each run
+        k0 = self._k[on]
+        last = np.floor((horizon - self._base[on]) / self._period[on]).astype(np.int64) + 2
+        span = np.maximum(last - k0, 0)
+        dev = np.repeat(on, span)
+        k = np.arange(dev.size) - np.repeat(np.cumsum(span) - span - k0, span)
+        start = self._base[dev] + k * self._period[dev]
+        fits = start < horizon
+        if fits.any():
+            dev, k, start = dev[fits], k[fits], start[fits]
+            fcnt = self._next_fcnt[dev] + (k - self._k[dev])
+            made = np.bincount(dev, minlength=self._k.size)
+            self._k += made
+            self._next_fcnt += made
+            # every new event starts at or after the previous clock, past
+            # all buffered starts, so appending keeps the buffer sorted
+            order = np.lexsort((self._device_rank[dev], start))
+            dev, start = dev[order], start[order]
+            self._start = np.concatenate((self._start, start))
+            self._end = np.concatenate((self._end, start + self._airtime[dev]))
+            self._sf = np.concatenate((self._sf, self._device_sf[dev]))
+            self._dev = np.concatenate((self._dev, dev))
+            self._fcnt = np.concatenate((self._fcnt, fcnt[order]))
+        previous, self._now = self._now, horizon
+        self._finalize(previous)
 
-    def _finalize(self) -> None:
-        """Emit records for events that can no longer gain interferers.
-
-        An event ending at or before the current time is final: every
-        future transmission starts later than it ends, hence outside any
-        collision window.  Marking the whole buffer is idempotent, so
-        re-resolving on each advance is safe.
-        """
-        if not self._start:
-            return
-        start = np.asarray(self._start)
-        end = np.asarray(self._end)
-        sf = np.asarray(self._sf, dtype=np.int16)
-        order = np.lexsort((np.asarray(self._dev), start))
-        lost_sorted = _resolve(start[order], end[order], sf[order], self._model)
-        lost = np.empty_like(lost_sorted)
-        lost[order] = lost_sorted
-        for i in range(len(self._start)):
-            if self._emitted[i] or self._end[i] > self._now:
-                continue
-            self._emitted[i] = True
-            if not lost[i]:
-                spec = self._states[self._dev[i]].spec
-                self._delivered.append(PacketRecord(
-                    dev_eui=spec.dev_eui,
-                    fcnt=self._fcnt[i],
-                    received_ts=self._end[i],
-                    sf=spec.sf,
-                ))
+    def _finalize(self, previous: float) -> None:
+        """Record the events that ended since ``previous``, then drop the
+        final events that no open or future event can reach."""
+        fresh = np.flatnonzero((self._end > previous) & (self._end <= self._now))
+        if fresh.size:
+            lost = resolve(self._start, self._end, self._sf, self._model)[fresh]
+            for i, end, fcnt, lost_i in zip(self._dev[fresh].tolist(), self._end[fresh].tolist(),
+                                            self._fcnt[fresh].tolist(), lost.tolist()):
+                state = self._order[i]
+                state.attempt_ends.append(end)
+                if not lost_i:
+                    spec = state.spec
+                    state.delivered.append(PacketRecord(
+                        dev_eui=spec.dev_eui, fcnt=fcnt, received_ts=end, sf=spec.sf))
+                    state.delivered_ts.append(end)
+        open_starts = self._start[self._end > self._now]
+        edge = open_starts[0] if open_starts.size else self._now
+        keep = int(np.searchsorted(self._start, edge - self._lookback, side="left"))
+        if keep:
+            self._start = self._start[keep:]
+            self._end = self._end[keep:]
+            self._sf = self._sf[keep:]
+            self._dev = self._dev[keep:]
+            self._fcnt = self._fcnt[keep:]
 
     def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
         """Delivered packets of one device in the closed time window."""
         if from_ts > to_ts:
             raise ValueError("query window is empty (from > to)")
-        hits = [r for r in self._delivered
-                if r.dev_eui == dev_eui and from_ts <= r.received_ts <= to_ts]
-        return sorted(hits, key=lambda r: (r.received_ts, r.fcnt))
+        state = self._by_eui.get(dev_eui)
+        if state is None:
+            return []
+        return state.delivered[closed_window(state.delivered_ts, from_ts, to_ts)]
 
     def delivered_records(self) -> list[PacketRecord]:
-        return sorted(self._delivered, key=lambda r: (r.received_ts, r.dev_eui, r.fcnt))
+        return sorted((r for s in self._order for r in s.delivered),
+                      key=lambda r: (r.received_ts, r.dev_eui, r.fcnt))
 
     def attempt_counts(self) -> dict[str, int]:
         """Finalized attempts per device (collided ones included)."""
-        counts = {device_id: 0 for device_id in self._states}
-        for i, device_id in enumerate(self._dev):
-            if self._emitted[i]:
-                counts[device_id] += 1
-        return counts
+        return {device_id: len(s.attempt_ends) for device_id, s in self._states.items()}
 
     def ground_truth(self, from_ts: float, to_ts: float) -> dict[str, tuple[int, int]]:
         """(delivered, attempted) per device over a receive-time window.
@@ -164,15 +187,9 @@ class SimWorld:
         closed window; the delivered ones are exactly what
         :meth:`query` returns for that window.
         """
-        delivered_keys = {(r.dev_eui, r.fcnt) for r in self._delivered
-                          if from_ts <= r.received_ts <= to_ts}
-        truth = {device_id: (0, 0) for device_id in self._states}
-        for i, device_id in enumerate(self._dev):
-            if not self._emitted[i] or not from_ts <= self._end[i] <= to_ts:
-                continue
-            eui = self._states[device_id].spec.dev_eui
-            got, tried = truth[device_id]
-            if (eui, self._fcnt[i]) in delivered_keys:
-                got += 1
-            truth[device_id] = (got, tried + 1)
+        truth = {}
+        for device_id, s in self._states.items():
+            got = closed_window(s.delivered_ts, from_ts, to_ts)
+            tried = closed_window(s.attempt_ends, from_ts, to_ts)
+            truth[device_id] = (got.stop - got.start, tried.stop - tried.start)
         return truth

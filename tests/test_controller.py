@@ -479,3 +479,38 @@ def test_settings_validation():
         ExperimentSettings(name="bad name", duration=1.0, probe_window=0, recheck_window=0)
     with pytest.raises(ValueError):
         ExperimentSettings(name="x", duration=0.0, probe_window=0, recheck_window=0)
+
+
+# --- dropped connections ---------------------------------------------------------
+
+class ResetClient(FakeWakeClient):
+    """Drops the connection on every query for one EUI."""
+
+    def __init__(self, reset_eui, wake_ts_by_eui=None):
+        super().__init__(wake_ts_by_eui or {})
+        self.reset_eui = reset_eui
+
+    def query(self, dev_eui, from_ts, to_ts):
+        if dev_eui == self.reset_eui:
+            raise ConnectionResetError("connection reset by peer")
+        return super().query(dev_eui, from_ts, to_ts)
+
+
+def test_collect_connection_reset_flags_device_and_continues():
+    matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
+    client = ResetClient(EUIS["d1"], {EUIS["d0"]: [12.0], EUIS["d2"]: [13.0, 14.0]})
+    packets, failures = collect(matrix, 10.0, 20.0, client)
+    assert [len(packets[d]) for d in ("d0", "d1", "d2")] == [1, 0, 2]
+    assert failures == {"d1": QueryFailed("connection reset by peer")}
+
+
+def test_turn_off_recheck_skips_a_poll_whose_connection_drops():
+    matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
+    reports = make_reports(matrix, responded={"d0"})
+    client = ResetClient(EUIS["d1"], {EUIS["d2"]: [105.0]})
+    log, late = turn_off_sequence(matrix, reports, SimulatedOperator(), client,
+                                  VirtualClock(100.0), 10.0)
+    assert [(r.device_id, r.priority) for r in log] == [
+        ("d0", "high"), ("d2", "middle"), ("d1", "low")]
+    assert late == {"d2": "d0"}
+    assert NeverResponded() in reports["d1"].flags

@@ -111,6 +111,23 @@ def test_store_query_windowing_and_order():
         store.query("00000000000000aa", 5.0, 1.0)
 
 
+
+def test_store_two_out_of_order_batches_sorted_and_windowed():
+    a, b = "00000000000000aa", "00000000000000bb"
+    store = PacketStore()
+    store.ingest([PacketRecord(a, 5, 50.0, 7), PacketRecord(a, 1, 10.0, 7),
+                  PacketRecord(b, 0, 30.0, 8), PacketRecord(a, 3, 30.0, 7)])
+    # the second batch lands between, before and after the first one's records
+    store.ingest([PacketRecord(a, 4, 40.0, 7), PacketRecord(a, 0, 0.0, 7),
+                  PacketRecord(a, 6, 60.0, 7), PacketRecord(a, 2, 30.0, 7)])
+    assert [(r.fcnt, r.received_ts) for r in store.query(a, -1.0, 100.0)] == [
+        (0, 0.0), (1, 10.0), (2, 30.0), (3, 30.0), (4, 40.0), (5, 50.0), (6, 60.0)]
+    assert [r.fcnt for r in store.query(a, 30.0, 40.0)] == [2, 3, 4]
+    assert [r.fcnt for r in store.query(a, 30.5, 59.9)] == [4, 5]
+    assert store.query(a, 60.5, 70.0) == []
+    assert [r.fcnt for r in store.query(b, 0.0, 100.0)] == [0]
+
+
 # --- wire protocol ------------------------------------------------------------
 
 def test_auth_ok_then_query(server):

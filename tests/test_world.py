@@ -1,7 +1,12 @@
-import pytest
+import math
 
-from lorascale.simulator import DeviceSpec, run
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lorascale import kernels
+from lorascale.simulator import AnyOverlap, DeviceSpec, VulnerabilityWindow, run
 from lorascale.world import SimWorld
+from world_oracle import ReferenceWorld
 
 
 def specs(n, period=5.0, airtime=0.2, **kwargs):
@@ -108,3 +113,122 @@ def test_world_validation():
         world.advance(-1.0)
     with pytest.raises(KeyError):
         world.set_active("ghost", True)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_non_finite_advance_rejected(dt):
+    world = SimWorld(specs(1))
+    world.set_active("d0", True)
+    with pytest.raises(ValueError):
+        world.advance(dt)
+    assert world.now == 0.0
+
+
+# --- incremental resolution against the re-resolve-everything reference ------
+
+@st.composite
+def world_scenarios(draw):
+    n = draw(st.integers(1, 8))
+    devices = []
+    for i in range(n):
+        period = draw(st.floats(0.5, 5.0))
+        airtime = period * draw(st.floats(0.02, 0.5))
+        phase = period * draw(st.floats(0.0, 0.999)) if draw(st.booleans()) else "random"
+        devices.append(DeviceSpec(f"dev{draw(st.integers(0, 99))}-{i}", f"{0xfa00 + i:016x}",
+                                  draw(st.sampled_from([7, 7, 8])), period, airtime, phase))
+    longest = max(d.airtime for d in devices)
+    advance = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, longest),              # shorter than an airtime
+        st.floats(0.0, longest),
+        st.floats(0.0, 4.0 * longest),
+        st.floats(0.0, 20.0),                 # up to many periods
+    ).map(lambda dt: ("advance", dt))
+    toggle = st.tuples(st.just("toggle"), st.integers(0, n - 1), st.booleans())
+    initially_on = [("toggle", i, True) for i in range(n) if i == 0 or draw(st.booleans())]
+    steps = draw(st.lists(st.one_of(advance, advance, advance, toggle), min_size=1, max_size=80))
+    return devices, initially_on + steps
+
+
+def assert_worlds_agree(world, reference, devices):
+    assert world.now == reference.now
+    assert world.delivered_records() == reference.delivered_records()
+    assert world.attempt_counts() == reference.attempt_counts()
+    stamps = sorted({r.received_ts for r in reference.delivered_records()})
+    windows = [(0.0, reference.now), (-1.0, math.inf), (reference.now / 3, reference.now / 2)]
+    if stamps:
+        windows += [(stamps[0], stamps[-1]), (stamps[len(stamps) // 2], stamps[-1] + 1.0),
+                    (stamps[-1], stamps[-1])]
+    for lo, hi in windows:
+        assert world.ground_truth(lo, hi) == reference.ground_truth(lo, hi)
+        for d in devices:
+            assert world.query(d.dev_eui, lo, hi) == reference.query(d.dev_eui, lo, hi)
+
+
+@given(
+    scenario=world_scenarios(),
+    model=st.one_of(
+        st.sampled_from([AnyOverlap(), VulnerabilityWindow(0.3), VulnerabilityWindow(1.0),
+                         VulnerabilityWindow(2.0)]),
+        st.floats(0.05, 2.0).map(VulnerabilityWindow),
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_incremental_world_matches_reference(scenario, model, seed):
+    devices, steps = scenario
+    world = SimWorld(devices, model, seed=seed)
+    reference = ReferenceWorld(devices, model, seed=seed)
+    for step in steps:
+        if step[0] == "toggle":
+            _, i, active = step
+            world.set_active(devices[i].device_id, active)
+            reference.set_active(devices[i].device_id, active)
+        else:
+            world.advance(step[1])
+            reference.advance(step[1])
+            assert world.attempt_counts() == reference.attempt_counts()
+    assert_worlds_agree(world, reference, devices)
+
+
+@pytest.mark.parametrize("model, early, late, cut, survivors", [
+    # a long packet ends before the cut while a short one it overlaps is on the air
+    (AnyOverlap(), (1.0, 0.0), (0.1, 0.95), 1.02, []),
+    # a finished short packet starts inside a long packet's wide window
+    (VulnerabilityWindow(2.0), (0.1, 0.5), (1.0, 1.0), 1.5, ["early"]),
+])
+def test_finished_event_still_hits_one_on_the_air(model, early, late, cut, survivors):
+    # (airtime, phase) per device; at the cut, early is final and late is not
+    pair = [DeviceSpec("early", "00000000000000e1", 7, 10.0, *early),
+            DeviceSpec("late", "00000000000000e2", 7, 10.0, *late)]
+    worlds = SimWorld(pair, model), ReferenceWorld(pair, model)
+    for world in worlds:
+        world.set_active("early", True)
+        world.set_active("late", True)
+        world.advance(cut)
+        world.advance(5.0)
+    eui = {d.dev_eui: d.device_id for d in pair}
+    assert [eui[r.dev_eui] for r in worlds[0].delivered_records()] == survivors
+    assert worlds[0].delivered_records() == worlds[1].delivered_records()
+
+
+def test_advance_resolves_each_event_a_bounded_number_of_times(monkeypatch):
+    resolved = []
+    mark = kernels.mark_any_overlap
+
+    def counting(starts, ends):
+        resolved.append(len(starts))
+        return mark(starts, ends)
+
+    monkeypatch.setattr(kernels, "mark_any_overlap", counting)
+    fleet = [DeviceSpec(f"dev{i:02d}", f"{0xbb00 + i:016x}", 7,
+                        7.0 * (1.0 + 0.06 * (i / 40 - 0.5)), 0.11729)
+             for i in range(41)]
+    world = SimWorld(fleet, seed=3)
+    for d in fleet:
+        world.set_active(d.device_id, True)
+    for _ in range(400):
+        world.advance(7.0)
+    finalized = sum(world.attempt_counts().values())
+    assert finalized > 41 * 390
+    assert sum(resolved) < 3 * finalized
