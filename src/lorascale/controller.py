@@ -321,6 +321,7 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
     appended to the middle tier and flagged, and is not polled again.
     Whatever is left forms the low tier.  A skipped device is retried
     once at the end of its tier, then logged as an unconfirmed shutdown.
+    A poll that fails is skipped and flags its device ``QueryFailed``.
     """
     high = deque(e.device_id for e in matrix if reports[e.device_id].delivered > 0)
     silent = [e.device_id for e in matrix if reports[e.device_id].delivered == 0]
@@ -337,7 +338,9 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                 continue
             try:
                 fresh = client.query(matrix.eui_for(candidate), shutdown_at, clock.now())
-            except (ProtocolError, OSError):
+            except (ProtocolError, OSError) as exc:
+                # the poll is lost, not the run; the report keeps the reason
+                reports[candidate].flags.add(QueryFailed(f"turn-off recheck: {exc}"))
                 continue
             if fresh:
                 late[candidate] = after_id

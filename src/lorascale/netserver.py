@@ -25,7 +25,6 @@ import math
 import socket
 import socketserver
 import threading
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -66,13 +65,6 @@ def parse_log_line(line: str) -> PacketRecord:
     return PacketRecord(dev_eui=eui, fcnt=fcnt, received_ts=ts, sf=sf)
 
 
-def closed_window(ts: list[float], from_ts: float, to_ts: float) -> slice:
-    """Positions of the ascending ``ts`` that lie in [from_ts, to_ts]."""
-    if not from_ts <= to_ts:  # also catches NaN bounds
-        return slice(0, 0)
-    return slice(bisect_left(ts, from_ts), bisect_right(ts, to_ts))
-
-
 class PacketStore:
     """Thread-safe packet storage with duplicate suppression.
 
@@ -83,14 +75,11 @@ class PacketStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._by_eui: dict[str, list[PacketRecord]] = {}
-        # per bucket, the receive times in bucket order, for bisection
-        self._ts: dict[str, list[float]] = {}
         self._seen: set[tuple[str, int, float]] = set()
 
     def ingest(self, records: Iterable[PacketRecord]) -> int:
         """Store records; returns how many were new."""
         added = 0
-        touched: set[str] = set()
         with self._lock:
             for rec in records:
                 key = (rec.dev_eui, rec.fcnt, rec.received_ts)
@@ -98,12 +87,9 @@ class PacketStore:
                     continue
                 self._seen.add(key)
                 self._by_eui.setdefault(rec.dev_eui, []).append(rec)
-                touched.add(rec.dev_eui)
                 added += 1
-            for eui in touched:
-                bucket = self._by_eui[eui]
+            for bucket in self._by_eui.values():
                 bucket.sort(key=lambda r: (r.received_ts, r.fcnt))
-                self._ts[eui] = [r.received_ts for r in bucket]
         return added
 
     def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
@@ -128,10 +114,8 @@ class PacketStore:
         if from_ts > to_ts:
             raise ValueError("query window is empty (from > to)")
         with self._lock:
-            bucket = self._by_eui.get(dev_eui)
-            if bucket is None:
-                return []
-            return bucket[closed_window(self._ts[dev_eui], from_ts, to_ts)]
+            bucket = self._by_eui.get(dev_eui, [])
+            return [r for r in bucket if from_ts <= r.received_ts <= to_ts]
 
     def __len__(self) -> int:
         with self._lock:

@@ -146,8 +146,20 @@ def draw_phase(spec: DeviceSpec, seed: int) -> float:
     return float(spec.phase)
 
 
+def device_id_rank(devices: list[DeviceSpec]) -> np.ndarray:
+    """Each device's position in device-id order."""
+    return np.argsort(np.argsort(np.array([d.device_id for d in devices])))
+
+
+def timeline_order(start: np.ndarray, dev: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Indices that put events in timeline order: by start, equal starts
+    by device id.  ``dev`` indexes the roster whose
+    :func:`device_id_rank` is ``id_rank``."""
+    return np.lexsort((id_rank[dev], start))
+
+
 def resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
-             model: CollisionModel) -> np.ndarray:
+            model: CollisionModel) -> np.ndarray:
     """Per-SF collision marking; arrays must be sorted by start."""
     lost = np.zeros(starts.shape[0], dtype=bool)
     for sf in np.unique(sfs):
@@ -190,8 +202,7 @@ def run(devices: Iterable[DeviceSpec], duration: float,
     start = first[dev] + period[dev] * fcnt
 
     # global order (start, device id lexicographic) for determinism
-    id_rank = np.argsort(np.argsort(np.array([d.device_id for d in devices])))
-    order = np.lexsort((id_rank[dev], start))
+    order = timeline_order(start, dev, device_id_rank(devices))
     start = start[order]
     dev = dev[order]
     fcnt = fcnt[order]

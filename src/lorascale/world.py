@@ -23,23 +23,43 @@ ground-truth counts bisect.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netserver import PacketRecord, closed_window
-from .simulator import AnyOverlap, CollisionModel, DeviceSpec, device_rng, resolve
+from .netserver import PacketRecord
+from .simulator import (AnyOverlap, CollisionModel, DeviceSpec, device_id_rank, device_rng,
+                        resolve, timeline_order)
+
+
+def closed_window(ts: list[float], from_ts: float, to_ts: float) -> slice:
+    """Positions of the ascending ``ts`` that lie in [from_ts, to_ts]."""
+    if not from_ts <= to_ts:  # also catches NaN bounds
+        return slice(0, 0)
+    return slice(bisect_left(ts, from_ts), bisect_right(ts, to_ts))
 
 
 @dataclass
 class _DeviceState:
     spec: DeviceSpec
     rng: np.random.Generator
-    index: int
+    index: int  # roster position
+    active: bool = False
+    # start times are base + k * period (not accumulated) so long runs
+    # produce the same floats as the batch simulator
+    base: float | None = None
+    k: int = 0
+    next_fcnt: int = 0
     # finalized history, ascending in time
     attempt_ends: list[float] = field(default_factory=list)
     delivered: list[PacketRecord] = field(default_factory=list)
     delivered_ts: list[float] = field(default_factory=list)
+
+    def next_start(self) -> float | None:
+        if self.base is None:
+            return None
+        return self.base + self.k * self.spec.period
 
 
 class SimWorld:
@@ -62,21 +82,13 @@ class SimWorld:
                        for i, d in enumerate(devices)]
         self._states = {s.spec.device_id: s for s in self._order}
         self._by_eui = {s.spec.dev_eui: s for s in self._order}
-        self._lookback = 2.0 * max((d.airtime for d in devices), default=0.0)
-        self._now = 0.0
-        # per device, in roster order; attempt k of an on-cycle starts at
-        # base + k * period (not accumulated, so long runs produce the
-        # same floats as the batch simulator), and base is NaN while off
-        self._period = np.array([d.period for d in devices], dtype=np.float64)
+        self._id_rank = device_id_rank(devices)
         self._airtime = np.array([d.airtime for d in devices], dtype=np.float64)
         self._device_sf = np.array([d.sf for d in devices], dtype=np.int16)
-        # position in device-id order, the tie-break between equal starts
-        self._device_rank = np.argsort(np.argsort(np.array([d.device_id for d in devices])))
-        self._base = np.full(len(devices), np.nan)
-        self._k = np.zeros(len(devices), dtype=np.int64)
-        self._next_fcnt = np.zeros(len(devices), dtype=np.int64)
-        # the open edge of the timeline, sorted by (start, device id):
-        # unfinished events plus the final ones that may still hit them
+        self._lookback = 2.0 * max((d.airtime for d in devices), default=0.0)
+        self._now = 0.0
+        # the open edge of the timeline in timeline order: unfinished
+        # events plus the final ones that may still hit them
         self._start = np.empty(0)
         self._end = np.empty(0)
         self._sf = np.empty(0, dtype=np.int16)
@@ -90,18 +102,18 @@ class SimWorld:
     def set_active(self, device_id: str, active: bool) -> None:
         """Toggle a device at the current time; idempotent."""
         state = self._states[device_id]
-        i = state.index
-        if active == (not np.isnan(self._base[i])):
+        if active == state.active:
             return
+        state.active = active
         if active:
             spec = state.spec
             phase = spec.phase if spec.phase != "random" else float(
                 state.rng.uniform(0.0, spec.period)
             )
-            self._base[i] = self._now + float(phase)
-            self._k[i] = 0
+            state.base = self._now + float(phase)
+            state.k = 0
         else:
-            self._base[i] = np.nan
+            state.base = None
 
     def advance(self, dt: float) -> None:
         """Move the clock forward, generating and finalizing transmissions."""
@@ -110,31 +122,31 @@ class SimWorld:
         if not math.isfinite(dt):
             raise ValueError("advance step must be finite")
         horizon = self._now + dt
-        on = np.flatnonzero(~np.isnan(self._base))
-        # candidate attempts k0 .. last - 1 per device cover every start
-        # before the horizon; the exact float test then cuts each run
-        k0 = self._k[on]
-        last = np.floor((horizon - self._base[on]) / self._period[on]).astype(np.int64) + 2
-        span = np.maximum(last - k0, 0)
-        dev = np.repeat(on, span)
-        k = np.arange(dev.size) - np.repeat(np.cumsum(span) - span - k0, span)
-        start = self._base[dev] + k * self._period[dev]
-        fits = start < horizon
-        if fits.any():
-            dev, k, start = dev[fits], k[fits], start[fits]
-            fcnt = self._next_fcnt[dev] + (k - self._k[dev])
-            made = np.bincount(dev, minlength=self._k.size)
-            self._k += made
-            self._next_fcnt += made
+        starts: list[float] = []
+        devs: list[int] = []
+        fcnts: list[int] = []
+        for state in self._order:
+            while state.active and state.base is not None:
+                start = state.next_start()
+                if start >= horizon:
+                    break
+                starts.append(start)
+                devs.append(state.index)
+                fcnts.append(state.next_fcnt)
+                state.next_fcnt += 1
+                state.k += 1
+        if starts:
+            start = np.array(starts)
+            dev = np.array(devs, dtype=np.int64)
             # every new event starts at or after the previous clock, past
             # all buffered starts, so appending keeps the buffer sorted
-            order = np.lexsort((self._device_rank[dev], start))
-            dev, start = dev[order], start[order]
+            order = timeline_order(start, dev, self._id_rank)
+            start, dev = start[order], dev[order]
             self._start = np.concatenate((self._start, start))
             self._end = np.concatenate((self._end, start + self._airtime[dev]))
             self._sf = np.concatenate((self._sf, self._device_sf[dev]))
             self._dev = np.concatenate((self._dev, dev))
-            self._fcnt = np.concatenate((self._fcnt, fcnt[order]))
+            self._fcnt = np.concatenate((self._fcnt, np.array(fcnts, dtype=np.int64)[order]))
         previous, self._now = self._now, horizon
         self._finalize(previous)
 

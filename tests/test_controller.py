@@ -514,3 +514,5 @@ def test_turn_off_recheck_skips_a_poll_whose_connection_drops():
         ("d0", "high"), ("d2", "middle"), ("d1", "low")]
     assert late == {"d2": "d0"}
     assert NeverResponded() in reports["d1"].flags
+    assert QueryFailed("turn-off recheck: connection reset by peer") in reports["d1"].flags
+    assert not any(isinstance(f, QueryFailed) for d in ("d0", "d2") for f in reports[d].flags)
