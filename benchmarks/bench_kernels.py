@@ -2,9 +2,11 @@
 """Benchmark the compiled collision kernels against the NumPy fallback.
 
 Generates event sets at a realistic channel load and times both marking
-kernels on each built backend, plus a full simulator run for context and
-a live SimWorld series (41 devices, growing numbers of 7 s advances)
-whose time per advance stays flat when the world resolves incrementally.
+kernels on each built backend, plus a full simulator run for context, the
+paper's 100,000-round Monte-Carlo estimate under both collision models
+(CPU time and tracemalloc peak), and a live SimWorld series (41 devices,
+growing numbers of 7 s advances) whose time per advance stays flat when
+the world resolves incrementally.
 
     python benchmarks/bench_kernels.py [--sizes 10000 100000 500000]
                                        [--advances 100 200 400 800]
@@ -12,11 +14,13 @@ whose time per advance stays flat when the world resolves incrementally.
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
 from lorascale import kernels
-from lorascale.simulator import DeviceSpec, run
+from lorascale.simulator import (AnyOverlap, DeviceSpec, SfGroup, VulnerabilityWindow,
+                                 estimate_pdr, run)
 from lorascale.world import SimWorld
 
 
@@ -30,13 +34,23 @@ def make_events(n_events: int, load: float = 0.687, seed: int = 0):
     return starts, starts + airtime
 
 
-def best_of(fn, repeats: int = 5) -> float:
+def best_of(fn, repeats: int = 5, clock=time.perf_counter) -> float:
     times = []
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0 = clock()
         fn()
-        times.append(time.perf_counter() - t0)
+        times.append(clock() - t0)
     return min(times)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -83,6 +97,20 @@ def main() -> None:
         kernels.use_backend(backend)
         t = best_of(lambda: run(fleet, 70_000.0, seed=1), repeats=3)
         print(f"run(): 41 devices x 10,000 periods, {backend:>6} backend: {t * 1e3:7.1f} ms")
+
+    # Monte-Carlo estimate: the paper's 41 devices for 100,000 rounds
+    print()
+    groups = [SfGroup(7, 41, 0.11729)]
+    for backend in backends:
+        kernels.use_backend(backend)
+        for model in (AnyOverlap(), VulnerabilityWindow(1.0)):
+            def estimate():
+                estimate_pdr(groups, 7.0, 100_000, model=model, seed=1)
+
+            cpu = best_of(estimate, repeats=3, clock=time.process_time)
+            peak = traced_peak(estimate)
+            print(f"estimate_pdr: 41 devices x 100,000 rounds, {model!s:<33} {backend:>6}"
+                  f" backend: {cpu * 1e3:7.1f} ms CPU, {peak / 2**20:6.1f} MB peak")
 
     # live world: all 41 devices on, the clock moved one period at a time
     print()

@@ -10,6 +10,7 @@ live in a ``key = value`` config file; explicit flags win on conflict.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import airtime as airtime_mod
@@ -204,6 +205,8 @@ def _cmd_simulate(args) -> int:
     if devices is None or period is None or t_sf7 is None:
         raise ValueError("simulate needs --devices, --period and --airtime (or a config file)")
     duration = _setting(args, config, "duration", float, 10_000 * period)
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
     sf8_devices = _setting(args, config, "sf8_devices", int, 0)
     t_sf8 = _setting(args, config, "sf8_airtime", float)
     if sf8_devices and t_sf8 is None:

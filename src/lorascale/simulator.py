@@ -259,35 +259,61 @@ class PdrEstimate:
         return math.sqrt(p * (1.0 - p) / self.sent)
 
 
+# Events the Monte-Carlo estimator draws and marks at a time; its memory
+# is bounded by this, not by the number of rounds.
+_CHUNK_EVENTS = 1 << 16
+
+
 def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
                  model: CollisionModel, rng: np.random.Generator) -> int:
     """Lost-transmission count over ``rounds`` independent periods.
 
     Each round places every device's start uniformly on a circle of
     circumference ``period``, so successive periods are independent
-    samples and the closed-form no-collision law holds exactly.  Rounds
-    are unrolled onto one well-separated timeline, with events near the
-    period boundary duplicated one period later so wraparound collisions
-    are seen by the ordinary linear-time kernels.
+    samples and the closed-form no-collision law holds exactly.  Round
+    ``r`` starts at ``stride * r``, far enough from the next round that
+    none of its packets can reach it, so the rounds form one timeline
+    the ordinary linear-time kernels can mark.
+
+    Each round's phases are sorted on their own.  Phases below twice the
+    airtime, a prefix of the sorted round, get a ghost copy one period
+    later so collisions across the wraparound are seen.  Ghosts start
+    after every real start of their round, so a round is laid out as
+    its sorted real starts followed by its ghosts, and the timeline
+    needs no global sort.  A device's packet is lost when its real event
+    or its ghost is.
+
+    Rounds are drawn and marked in chunks of about ``_CHUNK_EVENTS``
+    events (at least one round each).  Consecutive draws continue one
+    stream, so the result does not depend on the chunking.
     """
-    phases = rng.uniform(0.0, period, size=(rounds, count))
     stride = period + 4.0 * airtime
-    starts = (stride * np.arange(rounds))[:, None] + phases
-    starts = starts.ravel()
-    key = np.arange(rounds * count)
-    ghost = phases.ravel() < 2.0 * airtime
-    all_starts = np.concatenate([starts, starts[ghost] + period])
-    all_key = np.concatenate([key, key[ghost]])
-    order = np.argsort(all_starts, kind="stable")
-    s = all_starts[order]
-    e = s + airtime
-    if isinstance(model, AnyOverlap):
-        lost = kernels.mark_any_overlap(s, e)
-    else:
-        lost = kernels.mark_window(s, e, model.factor)
-    agg = np.zeros(rounds * count, dtype=bool)
-    np.logical_or.at(agg, all_key[order], lost)
-    return int(np.count_nonzero(agg))
+    per_chunk = max(1, _CHUNK_EVENTS // count)
+    columns = np.arange(count)
+    lost = 0
+    for first in range(0, rounds, per_chunk):
+        n = min(per_chunk, rounds - first)
+        phases = np.sort(rng.uniform(0.0, period, size=(n, count)), axis=1)
+        starts = ((stride * np.arange(first, first + n))[:, None] + phases).ravel()
+        ghost = phases < 2.0 * airtime
+        # row r begins after r full rows and the ghosts of the rows before it
+        row_at = np.arange(n) * count
+        row_at[1:] += np.cumsum(np.count_nonzero(ghost, axis=1)[:-1])
+        real_at = (row_at[:, None] + columns).ravel()
+        ghost = ghost.ravel()
+        ghost_at = real_at[ghost] + count
+        s = np.empty(real_at.size + ghost_at.size)
+        s[real_at] = starts
+        s[ghost_at] = starts[ghost] + period
+        e = s + airtime
+        if isinstance(model, AnyOverlap):
+            flags = kernels.mark_any_overlap(s, e)
+        else:
+            flags = kernels.mark_window(s, e, model.factor)
+        hit = flags[real_at]
+        hit[ghost] |= flags[ghost_at]
+        lost += int(np.count_nonzero(hit))
+    return lost
 
 
 def estimate_pdr(groups: Iterable[SfGroup], period: float, rounds: int,
@@ -307,6 +333,8 @@ def estimate_pdr(groups: Iterable[SfGroup], period: float, rounds: int,
         raise ValueError("need at least one round")
     if len({g.sf for g in groups}) != len(groups):
         raise ValueError("one group per spreading factor")
+    if not math.isfinite(period):
+        raise ValueError(f"period must be finite, got {period}")
     for g in groups:
         if g.airtime >= period:
             raise ValueError("airtime must be shorter than the period")

@@ -101,6 +101,17 @@ def test_runtime_error_nonzero_exit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--period", "inf"), ("--period", "-inf"),
+                                         ("--duration", "inf")])
+def test_simulate_non_finite_setting_exits_cleanly(capsys, flag, value):
+    settings = {"--period": "7", "--duration": "70", flag: value}
+    rc = cli.main(["simulate", "--devices", "41", "--airtime", "0.11729",
+                   *[f"{key}={v}" for key, v in settings.items()]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_analyze_curve_endpoints_and_points(tmp_path, capsys):
     rc, out = run_cli(capsys, "analyze", "--total", "100", "--period", "600",
                       "--airtime-sf7", "0.04122", "--sf8-factor", "2.0",
@@ -221,3 +232,4 @@ def test_serve_subcommand_over_subprocess(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorascale import kernels
+from lorascale import kernels, simulator
 from lorascale.scaling import TrafficProfile, success_exact_periodic
 from lorascale.simulator import (
     AnyOverlap,
@@ -17,6 +18,7 @@ from lorascale.simulator import (
     run,
     write_packet_log,
 )
+from mc_oracle import reference_estimate_pdr
 
 
 def fleet(n, period=7.0, airtime=0.11729, sf=7, **kwargs):
@@ -278,3 +280,88 @@ def device_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_run_matches_per_device_reference(devices, duration, model, seed):
     assert_run_matches_reference(devices, duration, model, seed)
+
+
+# --- chunked Monte-Carlo estimator against the whole-timeline reference ----------
+
+CHUNK = simulator._CHUNK_EVENTS
+MODELS = [AnyOverlap(), VulnerabilityWindow(0.3), VulnerabilityWindow(1.0),
+          VulnerabilityWindow(2.0)]
+
+
+def assert_estimate_matches_reference(groups, period, rounds, model, seed):
+    est = estimate_pdr(groups, period, rounds, model=model, seed=seed)
+    assert (est.delivered, est.sent) == reference_estimate_pdr(groups, period, rounds,
+                                                               model, seed)
+
+
+@pytest.mark.parametrize("count, rounds", [
+    (1, CHUNK - 1), (1, CHUNK), (1, CHUNK + 1),  # one chunk boundary, one device
+    (41, 2 * (CHUNK // 41) - 1), (41, 2 * (CHUNK // 41)), (41, 2 * (CHUNK // 41) + 1),
+    (CHUNK + 3, 1), (CHUNK + 3, 2),  # rounds larger than a chunk: one per chunk
+])
+def test_estimator_matches_reference_at_chunk_boundaries(count, rounds):
+    groups = [SfGroup(7, count, 0.11729)]
+    for seed, model in enumerate(MODELS):
+        assert_estimate_matches_reference(groups, 7.0, rounds, model, seed)
+
+
+def test_estimator_matches_reference_when_every_phase_is_ghosted():
+    # airtime 0.95 x period: every phase lies within 2 x airtime of the boundary
+    groups = [SfGroup(7, 30, 9.5), SfGroup(9, 3, 0.2)]
+    for seed, model in enumerate(MODELS):
+        assert_estimate_matches_reference(groups, 10.0, 2500, model, seed)
+
+
+@st.composite
+def estimator_cases(draw):
+    """Groups, period and rounds, rounds often at a chunk boundary of one
+    group; at most about 300k events in all."""
+    max_events = 300_000
+    period = draw(st.floats(0.5, 20.0))
+    sfs = draw(st.lists(st.sampled_from([7, 8, 9, 12]), min_size=1, max_size=3, unique=True))
+    count = draw(st.one_of(st.just(1), st.integers(2, 3000),
+                           st.integers(CHUNK + 1, CHUNK + 50)))
+    if draw(st.booleans()):
+        per_chunk = max(1, CHUNK // count)
+        rounds = max(1, draw(st.integers(1, 2)) * per_chunk + draw(st.sampled_from([-1, 0, 1])))
+    else:
+        rounds = draw(st.integers(1, max(1, max_events // count)))
+    counts = [count] + [draw(st.integers(1, max(1, max_events // rounds // 4)))
+                        for _ in sfs[1:]]
+    groups = [SfGroup(sf, c, period * draw(st.floats(0.001, 0.95)))
+              for sf, c in zip(sfs, counts)]
+    return groups, period, rounds
+
+
+@given(
+    case=estimator_cases(),
+    model=st.one_of(st.sampled_from(MODELS),
+                    st.floats(0.01, 2.0).map(VulnerabilityWindow)),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_estimator_matches_whole_timeline_reference(case, model, seed):
+    groups, period, rounds = case
+    assert_estimate_matches_reference(groups, period, rounds, model, seed)
+
+
+def test_estimator_rejects_non_finite_period():
+    for period in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_pdr([SfGroup(7, 41, 0.11729)], period, 10)
+
+
+def traced_peak(rounds: int) -> int:
+    tracemalloc.start()
+    try:
+        estimate_pdr([SfGroup(7, 41, 0.11729)], 7.0, rounds, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimator_memory_does_not_grow_with_rounds():
+    small, large = traced_peak(20_000), traced_peak(200_000)
+    assert large < 32 * 2**20
+    assert large <= 2 * small
