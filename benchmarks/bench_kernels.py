@@ -2,13 +2,14 @@
 """Benchmark the compiled collision kernels against the NumPy fallback.
 
 Generates event sets at a realistic channel load and times both marking
-kernels on each built backend, plus a full simulator run for context, the
-paper's 100,000-round Monte-Carlo estimate under both collision models
-(CPU time and tracemalloc peak), and a live SimWorld series (41 devices,
-growing numbers of 7 s advances) whose time per advance stays flat when
-the world resolves incrementally.
+kernels on each built backend (best-of CPU time; 65,536 events is the
+Monte-Carlo estimator's chunk size), plus a full simulator run for
+context, the paper's 100,000-round Monte-Carlo estimate under both
+collision models (CPU time and tracemalloc peak), and a live SimWorld
+series (41 devices, growing numbers of 7 s advances) whose time per
+advance stays flat when the world resolves incrementally.
 
-    python benchmarks/bench_kernels.py [--sizes 10000 100000 500000]
+    python benchmarks/bench_kernels.py [--sizes 10000 65536 100000 500000]
                                        [--advances 100 200 400 800]
 """
 
@@ -56,7 +57,7 @@ def traced_peak(fn) -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[10_000, 100_000, 500_000])
+                        default=[10_000, 65_536, 100_000, 500_000])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--advances", type=int, nargs="+", default=[100, 200, 400, 800])
     args = parser.parse_args()
@@ -66,7 +67,7 @@ def main() -> None:
     if len(backends) < 2:
         print("note: compiled backend missing, timing the fallback only")
 
-    header = f"{'kernel':<14}{'events':>10}" + "".join(f"{b:>12}" for b in backends)
+    header = f"{'kernel (CPU)':<14}{'events':>10}" + "".join(f"{b:>12}" for b in backends)
     if len(backends) == 2:
         header += f"{'speedup':>10}"
     print(header)
@@ -81,7 +82,7 @@ def main() -> None:
             times = {}
             for backend in backends:
                 kernels.use_backend(backend)
-                times[backend] = best_of(call, args.repeats)
+                times[backend] = best_of(call, args.repeats, clock=time.process_time)
             row = f"{name:<14}{n:>10}" + "".join(
                 f"{times[b] * 1e3:>10.2f}ms" for b in backends
             )

@@ -204,6 +204,9 @@ def _cmd_simulate(args) -> int:
     t_sf7 = _setting(args, config, "airtime", float)
     if devices is None or period is None or t_sf7 is None:
         raise ValueError("simulate needs --devices, --period and --airtime (or a config file)")
+    # the default duration and the round count are derived from the period
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and positive, got {period}")
     duration = _setting(args, config, "duration", float, 10_000 * period)
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration}")

@@ -10,11 +10,11 @@ JSON messages.  A connection must authenticate before querying:
     server -> {"type": "packets", "dev_eui": "...", "packets": [...]}
 
 Any protocol violation is answered with {"type": "error", "reason": ...};
-violations before authentication and unparseable frames additionally
-close the connection.  Query windows are closed intervals with finite
-bounds, and an unknown EUI yields an empty packet list.  Persistence is
-an append-only log file (the simulator's export format) replayed at
-startup.
+violations before authentication, unparseable frames and lines longer
+than ``MAX_LINE_BYTES`` additionally close the connection.  Query
+windows are closed intervals with finite bounds, and an unknown EUI
+yields an empty packet list.  Persistence is an append-only log file
+(the simulator's export format) replayed at startup.
 """
 
 from __future__ import annotations
@@ -122,6 +122,12 @@ class PacketStore:
             return sum(len(b) for b in self._by_eui.values())
 
 
+# Longest request line, newline included, that the server reads; a query
+# is about 100 bytes, and a client that never sends a newline must not
+# grow the server's buffer without bound.
+MAX_LINE_BYTES = 64 * 1024
+
+
 def _send(wfile, message: dict) -> None:
     wfile.write((json.dumps(message) + "\n").encode("utf-8"))
     wfile.flush()
@@ -139,7 +145,11 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: PacketServer = self.server  # type: ignore[assignment]
         authed = False
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                _send(self.wfile, {"type": "error",
+                                   "reason": f"message longer than {MAX_LINE_BYTES} bytes"})
+                return
             try:
                 msg = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):

@@ -112,6 +112,15 @@ def test_simulate_non_finite_setting_exits_cleanly(capsys, flag, value):
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-7", "nan"])
+def test_simulate_rejects_bad_period_by_name(capsys, value):
+    rc = cli.main(["simulate", "--devices", "41", "--airtime", "0.11729",
+                   f"--period={value}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: period must be finite and positive")
+
+
 def test_analyze_curve_endpoints_and_points(tmp_path, capsys):
     rc, out = run_cli(capsys, "analyze", "--total", "100", "--period", "600",
                       "--airtime-sf7", "0.04122", "--sf8-factor", "2.0",

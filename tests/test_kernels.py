@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from kernel_oracle import reference_any_overlap, reference_window
 from lorascale import kernels
 
 # the backend fixture holds constant state for the whole test, so not
@@ -115,6 +116,60 @@ def test_touching_intervals_do_not_collide(kernel_backend):
     ends = np.array([1.0, 2.0])
     assert not kernels.mark_any_overlap(starts, ends).any()
     assert not kernels.mark_window(starts, ends, 2.0).any()
+
+
+# Timelines of up to a few thousand events on a coarse grid, so that
+# starts tie and ends land exactly on other starts (the open/closed
+# boundaries of both rules); numpy draws them from a hypothesis seed.
+timeline_params = dict(
+    n=st.integers(0, 3000),
+    grid=st.sampled_from([0.25, 0.1, 1.0]),
+    slots_per_event=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+    durations=st.sampled_from(["equal", "grid", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+factors = st.one_of(st.just(1.0), st.just(2.0),
+                    st.floats(0.0, 2.0, exclude_min=True, allow_nan=False))
+
+
+def grid_timeline(n, grid, slots_per_event, durations, seed):
+    rng = np.random.default_rng(seed)
+    slots = max(1, int(n * slots_per_event))
+    starts = np.sort(rng.integers(0, slots, n)) * grid
+    if durations == "equal":
+        length = np.full(n, grid * rng.integers(1, 4))
+    elif durations == "grid":
+        length = grid * rng.integers(1, 6, n)
+    else:
+        length = rng.uniform(0.01, 5.0, n)
+    return starts, starts + length
+
+
+@given(**timeline_params)
+@example(n=0, grid=0.25, slots_per_event=1.0, durations="equal", seed=0)
+@example(n=1, grid=0.25, slots_per_event=1.0, durations="equal", seed=0)
+@example(n=2, grid=0.25, slots_per_event=0.05, durations="equal", seed=0)
+@example(n=2, grid=0.25, slots_per_event=3.0, durations="mixed", seed=1)
+@settings(max_examples=300, deadline=None, suppress_health_check=fixture_ok)
+def test_any_overlap_matches_search_oracle(kernel_backend, n, grid, slots_per_event,
+                                           durations, seed):
+    starts, ends = grid_timeline(n, grid, slots_per_event, durations, seed)
+    assert np.array_equal(kernels.mark_any_overlap(starts, ends),
+                          reference_any_overlap(starts, ends))
+
+
+@given(**timeline_params, factor=factors)
+@example(n=0, grid=0.25, slots_per_event=1.0, durations="equal", seed=0, factor=1.0)
+@example(n=1, grid=0.25, slots_per_event=1.0, durations="equal", seed=0, factor=2.0)
+@example(n=2, grid=0.25, slots_per_event=0.05, durations="equal", seed=0, factor=1.0)
+@example(n=2, grid=0.25, slots_per_event=0.05, durations="equal", seed=0, factor=2.0)
+@example(n=2, grid=0.25, slots_per_event=3.0, durations="mixed", seed=1, factor=0.5)
+@settings(max_examples=300, deadline=None, suppress_health_check=fixture_ok)
+def test_window_matches_search_oracle(kernel_backend, n, grid, slots_per_event, durations,
+                                      seed, factor):
+    starts, ends = grid_timeline(n, grid, slots_per_event, durations, seed)
+    assert np.array_equal(kernels.mark_window(starts, ends, factor),
+                          reference_window(starts, ends, factor))
 
 
 def test_unknown_backend_rejected():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorascale.controller import DeviceMatrix, QueryFailed, RosterEntry, collect
 from lorascale.netserver import (
+    MAX_LINE_BYTES,
     AuthError,
     NetClient,
     PacketRecord,
@@ -164,6 +165,21 @@ def test_unparseable_json_errors_and_closes(server):
     sock, rfile = raw_connection(srv)
     send_raw(sock, b"this is not json\n")
     assert read_json(rfile)["type"] == "error"
+    assert rfile.readline() == b""
+    sock.close()
+
+
+def test_over_long_line_errors_and_closes(server):
+    srv, _ = server
+    sock, rfile = raw_connection(srv)
+    auth = json.dumps({"type": "auth", "token": TOKEN}).encode()
+    # a line of exactly the limit, newline included, is still read
+    send_raw(sock, auth + b" " * (MAX_LINE_BYTES - len(auth) - 1) + b"\n")
+    assert read_json(rfile)["type"] == "auth_ok"
+    # one byte more without a newline is refused before any is parsed
+    send_raw(sock, b"x" * (MAX_LINE_BYTES + 1))
+    reply = read_json(rfile)
+    assert reply["type"] == "error" and str(MAX_LINE_BYTES) in reply["reason"]
     assert rfile.readline() == b""
     sock.close()
 
