@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled collision kernels against the NumPy fallback.
+"""Benchmark the NumPy collision kernels and the simulators built on them.
 
 Generates event sets at a realistic channel load and times both marking
-kernels on each built backend (best-of CPU time; 65,536 events is the
-Monte-Carlo estimator's chunk size), plus a full simulator run for
-context, the paper's 100,000-round Monte-Carlo estimate under both
+kernels (best-of CPU time; 65,536 events is the Monte-Carlo estimator's
+chunk size), plus a full simulator run for context, the paper's 100,000-round Monte-Carlo estimate under both
 collision models (CPU time and tracemalloc peak), and a live SimWorld
 series (41 devices, growing numbers of 7 s advances) whose time per
 advance stays flat when the world resolves incrementally.
@@ -62,14 +61,7 @@ def main() -> None:
     parser.add_argument("--advances", type=int, nargs="+", default=[100, 200, 400, 800])
     args = parser.parse_args()
 
-    backends = kernels.available_backends()
-    print(f"built backends: {', '.join(backends)}")
-    if len(backends) < 2:
-        print("note: compiled backend missing, timing the fallback only")
-
-    header = f"{'kernel (CPU)':<14}{'events':>10}" + "".join(f"{b:>12}" for b in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>10}"
+    header = f"{'kernel (CPU)':<14}{'events':>10}{'time':>12}"
     print(header)
     print("-" * len(header))
 
@@ -79,39 +71,27 @@ def main() -> None:
             ("any-overlap", lambda: kernels.mark_any_overlap(starts, ends)),
             ("window(1.0)", lambda: kernels.mark_window(starts, ends, 1.0)),
         ):
-            times = {}
-            for backend in backends:
-                kernels.use_backend(backend)
-                times[backend] = best_of(call, args.repeats, clock=time.process_time)
-            row = f"{name:<14}{n:>10}" + "".join(
-                f"{times[b] * 1e3:>10.2f}ms" for b in backends
-            )
-            if len(backends) == 2:
-                row += f"{times['python'] / times['c']:>9.1f}x"
-            print(row)
+            t = best_of(call, args.repeats, clock=time.process_time)
+            print(f"{name:<14}{n:>10}{t * 1e3:>10.2f}ms")
 
     # whole-run context: 41 devices for 10,000 periods
     fleet = [DeviceSpec(f"dev{i:03d}", f"{i + 1:016x}", 7, 7.0, 0.11729)
              for i in range(41)]
     print()
-    for backend in backends:
-        kernels.use_backend(backend)
-        t = best_of(lambda: run(fleet, 70_000.0, seed=1), repeats=3)
-        print(f"run(): 41 devices x 10,000 periods, {backend:>6} backend: {t * 1e3:7.1f} ms")
+    t = best_of(lambda: run(fleet, 70_000.0, seed=1), repeats=3)
+    print(f"run(): 41 devices x 10,000 periods: {t * 1e3:7.1f} ms")
 
     # Monte-Carlo estimate: the paper's 41 devices for 100,000 rounds
     print()
     groups = [SfGroup(7, 41, 0.11729)]
-    for backend in backends:
-        kernels.use_backend(backend)
-        for model in (AnyOverlap(), VulnerabilityWindow(1.0)):
-            def estimate():
-                estimate_pdr(groups, 7.0, 100_000, model=model, seed=1)
+    for model in (AnyOverlap(), VulnerabilityWindow(1.0)):
+        def estimate():
+            estimate_pdr(groups, 7.0, 100_000, model=model, seed=1)
 
-            cpu = best_of(estimate, repeats=3, clock=time.process_time)
-            peak = traced_peak(estimate)
-            print(f"estimate_pdr: 41 devices x 100,000 rounds, {model!s:<33} {backend:>6}"
-                  f" backend: {cpu * 1e3:7.1f} ms CPU, {peak / 2**20:6.1f} MB peak")
+        cpu = best_of(estimate, repeats=3, clock=time.process_time)
+        peak = traced_peak(estimate)
+        print(f"estimate_pdr: 41 devices x 100,000 rounds, {model!s:<33}"
+              f" {cpu * 1e3:7.1f} ms CPU, {peak / 2**20:6.1f} MB peak")
 
     # live world: all 41 devices on, the clock moved one period at a time
     print()

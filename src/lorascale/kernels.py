@@ -1,10 +1,9 @@
-"""NumPy collision-marking kernels (fallback backend).
+"""NumPy collision-marking kernels.
 
-Both kernels take finite event start/end times, each end after its
-start, of a single non-interacting channel (one spreading factor),
-sorted ascending by start, and return a boolean array flagging the
-events destroyed by a collision.  Semantics match the Cython backend
-bit for bit.
+Both kernels take finite event start/end times as float64 arrays, each
+end after its start, of a single non-interacting channel (one spreading
+factor), sorted ascending by start, and return a boolean array flagging
+the events destroyed by a collision.
 
 Neither kernel counts the starts between two bounds with one search per
 bound.  On a sorted array, more than k starts lie below a bound iff
@@ -17,6 +16,15 @@ flags are therefore exactly those of the search-based forms kept in
 from __future__ import annotations
 
 import numpy as np
+
+
+# Constants kept because perfbench records them in its provenance.
+def active_backend() -> str:
+    return "python"
+
+
+def available_backends() -> tuple[str, ...]:
+    return ("python",)
 
 
 def mark_any_overlap(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

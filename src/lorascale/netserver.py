@@ -267,14 +267,15 @@ class NetClient:
         reply = self._recv()
         if reply.get("type") == "error":
             raise ProtocolError(reply.get("reason", "server error"))
-        eui = reply.get("dev_eui")
-        if reply.get("type") != "packets" or not isinstance(reply.get("packets"), list) \
-                or not isinstance(eui, str):
+        if reply.get("type") != "packets" or not isinstance(reply.get("packets"), list):
             raise ProtocolError(f"unexpected query reply {reply!r}")
+        if reply.get("dev_eui") != dev_eui:
+            raise ProtocolError(f"reply names device {reply.get('dev_eui')!r}, "
+                                f"not the {dev_eui!r} asked for")
         try:
             return [
                 PacketRecord(
-                    dev_eui=eui,
+                    dev_eui=dev_eui,
                     fcnt=int(p["fcnt"]),
                     received_ts=float(p["ts"]),
                     sf=int(p["sf"]),

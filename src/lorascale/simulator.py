@@ -28,6 +28,10 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 class AnyOverlap:
     """Both packets are lost whenever two same-SF packets overlap at all."""
 
+    def mark(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Lost flags for sorted same-channel events."""
+        return kernels.mark_any_overlap(starts, ends)
+
 
 @dataclass(frozen=True)
 class VulnerabilityWindow:
@@ -44,6 +48,10 @@ class VulnerabilityWindow:
     def __post_init__(self) -> None:
         if not 0.0 < self.factor <= 2.0:
             raise ValueError(f"window factor must be in (0, 2], got {self.factor}")
+
+    def mark(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Lost flags for sorted same-channel events."""
+        return kernels.mark_window(starts, ends, self.factor)
 
 
 CollisionModel = Union[AnyOverlap, VulnerabilityWindow]
@@ -69,8 +77,10 @@ class DeviceSpec:
             raise ValueError(f"device EUI must be 16 hex characters, got {self.dev_eui!r}")
         if not 7 <= self.sf <= 12:
             raise ValueError(f"spreading factor must be 7..12, got {self.sf}")
-        if self.period <= 0 or self.airtime <= 0:
-            raise ValueError("period and airtime must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be finite and positive, got {self.period}")
+        if not (math.isfinite(self.airtime) and self.airtime > 0):
+            raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
         if self.airtime >= self.period:
             raise ValueError("airtime must be shorter than the period")
         if self.phase != "random":
@@ -164,10 +174,7 @@ def resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
     lost = np.zeros(starts.shape[0], dtype=bool)
     for sf in np.unique(sfs):
         mask = sfs == sf
-        if isinstance(model, AnyOverlap):
-            lost[mask] = kernels.mark_any_overlap(starts[mask], ends[mask])
-        else:
-            lost[mask] = kernels.mark_window(starts[mask], ends[mask], model.factor)
+        lost[mask] = model.mark(starts[mask], ends[mask])
     return lost
 
 
@@ -236,8 +243,8 @@ class SfGroup:
             raise ValueError(f"spreading factor must be 7..12, got {self.sf}")
         if self.count < 0:
             raise ValueError("group device count cannot be negative")
-        if self.airtime <= 0:
-            raise ValueError("airtime must be positive")
+        if not (math.isfinite(self.airtime) and self.airtime > 0):
+            raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
 
 
 @dataclass(frozen=True)
@@ -305,11 +312,7 @@ def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
         s = np.empty(real_at.size + ghost_at.size)
         s[real_at] = starts
         s[ghost_at] = starts[ghost] + period
-        e = s + airtime
-        if isinstance(model, AnyOverlap):
-            flags = kernels.mark_any_overlap(s, e)
-        else:
-            flags = kernels.mark_window(s, e, model.factor)
+        flags = model.mark(s, s + airtime)
         hit = flags[real_at]
         hit[ghost] |= flags[ghost_at]
         lost += int(np.count_nonzero(hit))

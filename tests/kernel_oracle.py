@@ -1,6 +1,6 @@
 """Reference collision kernels that count starts with ``searchsorted``.
 
-The straightforward NumPy forms of :mod:`lorascale.kernels._pykernels`:
+The straightforward NumPy forms of :mod:`lorascale.kernels`:
 for every event, binary searches over the whole sorted start array count
 the starts below its end and, for the window rule, above its window's
 floor; the event is lost when a count leaves room for a foreign start.

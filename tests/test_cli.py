@@ -102,10 +102,12 @@ def test_runtime_error_nonzero_exit(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--period", "inf"), ("--period", "-inf"),
-                                         ("--duration", "inf")])
+                                         ("--duration", "inf"), ("--airtime", "nan"),
+                                         ("--sf8-airtime", "nan")])
 def test_simulate_non_finite_setting_exits_cleanly(capsys, flag, value):
-    settings = {"--period": "7", "--duration": "70", flag: value}
-    rc = cli.main(["simulate", "--devices", "41", "--airtime", "0.11729",
+    settings = {"--period": "7", "--duration": "70", "--airtime": "0.11729",
+                "--sf8-devices": "3", "--sf8-airtime": "0.20582", flag: value}
+    rc = cli.main(["simulate", "--devices", "41",
                    *[f"{key}={v}" for key, v in settings.items()]])
     assert rc == 1
     err = capsys.readouterr().err

@@ -1,13 +1,8 @@
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kernel_oracle import reference_any_overlap, reference_window
 from lorascale import kernels
-
-# the backend fixture holds constant state for the whole test, so not
-# resetting it between generated examples is fine
-fixture_ok = [HealthCheck.function_scoped_fixture]
 
 
 def brute_any_overlap(starts, ends):
@@ -49,47 +44,26 @@ def unpack(events):
 
 
 @given(events=event_sets)
-@settings(max_examples=200, suppress_health_check=fixture_ok)
-def test_any_overlap_matches_brute_force(kernel_backend, events):
+@settings(max_examples=200)
+def test_any_overlap_matches_brute_force(events):
     starts, ends = unpack(events)
     assert np.array_equal(kernels.mark_any_overlap(starts, ends), brute_any_overlap(starts, ends))
 
 
 @given(events=event_sets, factor=st.floats(0.05, 2.0))
-@settings(max_examples=200, suppress_health_check=fixture_ok)
-def test_window_matches_brute_force(kernel_backend, events, factor):
+@settings(max_examples=200)
+def test_window_matches_brute_force(events, factor):
     starts, ends = unpack(events)
     assert np.array_equal(
         kernels.mark_window(starts, ends, factor), brute_window(starts, ends, factor)
     )
 
 
-@given(events=event_sets, factor=st.floats(0.05, 2.0))
-@settings(max_examples=100)
-def test_backends_agree(events, factor):
-    if len(kernels.available_backends()) < 2:
-        pytest.skip("only one backend built")
-    starts, ends = unpack(events)
-    results = {}
-    for backend in kernels.available_backends():
-        kernels.use_backend(backend)
-        results[backend] = (
-            kernels.mark_any_overlap(starts, ends),
-            kernels.mark_window(starts, ends, factor),
-        )
-    (a1, w1), (a2, w2) = results.values()
-    assert np.array_equal(a1, a2)
-    assert np.array_equal(w1, w2)
-
-
 @given(
     starts=st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=0, max_size=40),
     airtime=st.floats(0.05, 2.0),
 )
-@settings(suppress_health_check=fixture_ok)
-def test_factor_two_window_equals_any_overlap_for_equal_airtimes(
-    kernel_backend, starts, airtime
-):
+def test_factor_two_window_equals_any_overlap_for_equal_airtimes(starts, airtime):
     starts = np.sort(np.asarray(starts, dtype=np.float64))
     # the equivalence holds in exact arithmetic; keep pairwise gaps away
     # from the open/closed boundary where float rounding can flip it
@@ -102,7 +76,7 @@ def test_factor_two_window_equals_any_overlap_for_equal_airtimes(
     )
 
 
-def test_empty_and_singleton(kernel_backend):
+def test_empty_and_singleton():
     empty = np.empty(0)
     assert kernels.mark_any_overlap(empty, empty).shape == (0,)
     one = np.array([1.0])
@@ -110,7 +84,7 @@ def test_empty_and_singleton(kernel_backend):
     assert not kernels.mark_window(one, one + 0.5, 2.0).any()
 
 
-def test_touching_intervals_do_not_collide(kernel_backend):
+def test_touching_intervals_do_not_collide():
     # half-open semantics: one packet may start exactly when another ends
     starts = np.array([0.0, 1.0])
     ends = np.array([1.0, 2.0])
@@ -150,9 +124,8 @@ def grid_timeline(n, grid, slots_per_event, durations, seed):
 @example(n=1, grid=0.25, slots_per_event=1.0, durations="equal", seed=0)
 @example(n=2, grid=0.25, slots_per_event=0.05, durations="equal", seed=0)
 @example(n=2, grid=0.25, slots_per_event=3.0, durations="mixed", seed=1)
-@settings(max_examples=300, deadline=None, suppress_health_check=fixture_ok)
-def test_any_overlap_matches_search_oracle(kernel_backend, n, grid, slots_per_event,
-                                           durations, seed):
+@settings(max_examples=300, deadline=None)
+def test_any_overlap_matches_search_oracle(n, grid, slots_per_event, durations, seed):
     starts, ends = grid_timeline(n, grid, slots_per_event, durations, seed)
     assert np.array_equal(kernels.mark_any_overlap(starts, ends),
                           reference_any_overlap(starts, ends))
@@ -164,14 +137,9 @@ def test_any_overlap_matches_search_oracle(kernel_backend, n, grid, slots_per_ev
 @example(n=2, grid=0.25, slots_per_event=0.05, durations="equal", seed=0, factor=1.0)
 @example(n=2, grid=0.25, slots_per_event=0.05, durations="equal", seed=0, factor=2.0)
 @example(n=2, grid=0.25, slots_per_event=3.0, durations="mixed", seed=1, factor=0.5)
-@settings(max_examples=300, deadline=None, suppress_health_check=fixture_ok)
-def test_window_matches_search_oracle(kernel_backend, n, grid, slots_per_event, durations,
-                                      seed, factor):
+@settings(max_examples=300, deadline=None)
+def test_window_matches_search_oracle(n, grid, slots_per_event, durations, seed, factor):
     starts, ends = grid_timeline(n, grid, slots_per_event, durations, seed)
     assert np.array_equal(kernels.mark_window(starts, ends, factor),
                           reference_window(starts, ends, factor))
 
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")

@@ -279,6 +279,7 @@ MALFORMED_PACKETS = [
     b"\xff\xfe garbage\n",
     packets_line(packets=[]),
     *(packets_line(dev_eui=EUI_A, packets=[p]) for p in MALFORMED_PACKETS),
+    packets_line(dev_eui=EUI_B, packets=[{"fcnt": 0, "ts": 1.0, "sf": 7}]),
 ])
 def test_client_malformed_reply_flags_only_that_device(reply):
     good = packets_line(dev_eui=EUI_B, packets=[{"fcnt": 4, "ts": 12.0, "sf": 7}])

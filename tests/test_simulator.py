@@ -28,13 +28,13 @@ def fleet(n, period=7.0, airtime=0.11729, sf=7, **kwargs):
     ]
 
 
-def test_single_device_delivers_everything(kernel_backend):
+def test_single_device_delivers_everything():
     result = run(fleet(1), duration=700.0, seed=3)
     assert result.network_pdr == 1.0
     assert result.sent_counts()["dev000"] == result.delivered_counts()["dev000"] == 100
 
 
-def test_constructed_overlap_and_clearance(kernel_backend):
+def test_constructed_overlap_and_clearance():
     t = 0.5
     period = 10.0
     colliding = [
@@ -52,7 +52,7 @@ def test_constructed_overlap_and_clearance(kernel_backend):
     assert result.network_pdr == 1.0
 
 
-def test_frame_counters_count_attempts_consecutively(kernel_backend):
+def test_frame_counters_count_attempts_consecutively():
     result = run(fleet(3), duration=70.0, seed=5)
     per_device = {}
     for ev in result.events():
@@ -68,7 +68,7 @@ def test_attempt_count_matches_active_window():
     assert abs(result.sent_counts()["dev000"] - expected) <= 1
 
 
-def test_conservation_and_event_log_length(kernel_backend):
+def test_conservation_and_event_log_length():
     result = run(fleet(10), duration=700.0, seed=11)
     sent = result.sent_counts()
     delivered = result.delivered_counts()
@@ -80,7 +80,7 @@ def test_conservation_and_event_log_length(kernel_backend):
         assert delivered[device_id] <= sent[device_id]
 
 
-def test_seed_determinism_byte_identical_logs(tmp_path, kernel_backend):
+def test_seed_determinism_byte_identical_logs(tmp_path):
     a, b, c = tmp_path / "a.log", tmp_path / "b.log", tmp_path / "c.log"
     write_packet_log(run(fleet(8), 700.0, seed=42), a)
     write_packet_log(run(fleet(8), 700.0, seed=42), b)
@@ -103,13 +103,13 @@ def test_sf_orthogonality_groups_do_not_interact():
     assert joint.sent_counts() == {**alone7.sent_counts(), **alone8.sent_counts()}
 
 
-def test_events_sorted_by_start_then_id(kernel_backend):
+def test_events_sorted_by_start_then_id():
     result = run(fleet(5), duration=70.0, seed=2)
     keys = [(e.start, e.device_id) for e in result.events()]
     assert keys == sorted(keys)
 
 
-def test_export_only_delivered_ordered_by_receive_time(kernel_backend):
+def test_export_only_delivered_ordered_by_receive_time():
     result = run(fleet(6), duration=350.0, seed=23)
     records = list(export_packet_log(result))
     assert len(records) == sum(result.delivered_counts().values())
@@ -134,6 +134,13 @@ def test_spec_validation_errors():
         DeviceSpec("x", "00000000000000aa", 7, 7.0, 0.1, phase=7.0)
     with pytest.raises(ValueError):
         DeviceSpec("x", "00000000000000aa", 7, 7.0, 0.1, active_from=5.0, active_until=1.0)
+    for period, airtime in [(math.nan, 0.1), (math.inf, 0.1), (7.0, math.nan), (7.0, math.inf),
+                            (7.0, -math.inf)]:
+        with pytest.raises(ValueError, match="finite and positive"):
+            DeviceSpec("x", "00000000000000aa", 7, period, airtime)
+    for airtime in [0.0, math.nan, math.inf]:
+        with pytest.raises(ValueError, match="finite and positive"):
+            SfGroup(7, 41, airtime)
     with pytest.raises(ValueError):
         VulnerabilityWindow(0.0)
     with pytest.raises(ValueError):
@@ -154,7 +161,7 @@ def test_run_validation_errors():
 
 
 @pytest.mark.parametrize("n", [2, 5, 41])
-def test_estimator_matches_exact_law_any_overlap(kernel_backend, n):
+def test_estimator_matches_exact_law_any_overlap(n):
     period, airtime = 7.0, 0.11729
     est = estimate_pdr([SfGroup(7, n, airtime)], period, rounds=4000, seed=100 + n)
     expected = success_exact_periodic(TrafficProfile(n, period, airtime))
@@ -162,7 +169,7 @@ def test_estimator_matches_exact_law_any_overlap(kernel_backend, n):
 
 
 @pytest.mark.parametrize("n", [2, 5, 41])
-def test_estimator_matches_exact_law_window_one(kernel_backend, n):
+def test_estimator_matches_exact_law_window_one(n):
     period, airtime = 7.0, 0.11729
     est = estimate_pdr(
         [SfGroup(7, n, airtime)], period, rounds=4000,
@@ -230,7 +237,7 @@ def assert_run_matches_reference(devices, duration, model, seed):
         assert np.array_equal(got, expected), name
 
 
-def test_run_matches_reference_with_windows_and_silent_devices(kernel_backend):
+def test_run_matches_reference_with_windows_and_silent_devices():
     devices = [
         DeviceSpec("z-late", "00000000000000a1", 7, 5.0, 0.3, active_from=40.0),
         DeviceSpec("a-fixed", "00000000000000a2", 7, 5.0, 0.3, phase=1.25),
