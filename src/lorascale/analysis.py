@@ -34,12 +34,12 @@ class SfMixConfig:
             raise ValueError("device counts cannot be negative")
         if self.n_sf7 + self.n_sf8 < 1:
             raise ValueError("mix needs at least one device")
-        if self.airtime_sf7 <= 0 or self.airtime_sf8 <= 0:
-            raise ValueError("airtimes must be positive")
+        for name in ("period", "airtime_sf7", "airtime_sf8"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.airtime_sf8 <= self.airtime_sf7:
             raise ValueError("SF8 airtime must exceed SF7 airtime")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
 
 
 @dataclass(frozen=True)

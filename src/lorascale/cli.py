@@ -55,6 +55,15 @@ def _setting(args, config: dict[str, str], key: str, cast, default=None):
     return default
 
 
+def _required(args, config: dict[str, str], key: str, cast):
+    """Flag value if given, else config value; an error if neither is."""
+    value = _setting(args, config, key, cast)
+    if value in (None, ""):
+        where = f"--{key.replace('_', '-')}" if hasattr(args, key) else f"'{key}' in the config"
+        raise ValueError(f"{args.command} needs {where}")
+    return value
+
+
 class InteractiveOperator:
     """Terminal prompt loop; one y/n answer per device toggle."""
 
@@ -131,21 +140,6 @@ def _model_from(args, config: dict[str, str]):
     raise ValueError(f"unknown collision model {model!r}")
 
 
-def _synthetic_fleet(n_sf7: int, period: float, airtime_sf7: float, sf7: int,
-                     n_sf8: int, airtime_sf8: float | None) -> list[simulator.DeviceSpec]:
-    specs = []
-    for i in range(n_sf7 + n_sf8):
-        on_sf8 = i >= n_sf7
-        specs.append(simulator.DeviceSpec(
-            device_id=f"dev{i + 1:03d}",
-            dev_eui=f"{i + 1:016x}",
-            sf=8 if on_sf8 else sf7,
-            period=period,
-            airtime=airtime_sf8 if on_sf8 else airtime_sf7,
-        ))
-    return specs
-
-
 def device_period(base: float, index: int, total: int, spread: float) -> float:
     """Per-device period with a deterministic linear spread.
 
@@ -159,31 +153,61 @@ def device_period(base: float, index: int, total: int, spread: float) -> float:
     return base * (1.0 + spread * (index / (total - 1) - 0.5))
 
 
-def _scheduled_fleet(config: dict[str, str], seed: int):
-    """Roster-driven fleet with staggered activations, from a config file."""
-    matrix = load_roster(config["roster"], config["mapping"])
-    period = float(config["period"])
-    spread = float(config.get("period_spread", "0"))
-    airtime_sf7 = float(config["airtime_sf7"])
-    sf8_count = int(config.get("sf8_count", "0"))
-    airtime_sf8 = float(config["airtime_sf8"]) if sf8_count else None
-    step = float(config.get("turnon_step", "1"))
-    probe = float(config.get("probe_window", str(3 * period)))
-    duration = float(config["duration"])
-    n = len(matrix)
-    horizon = n * step + probe + duration
+def _fleet(entries, period: float, spread: float, step: float, horizon: float, sf: int,
+           airtime_sf7: float, sf8_count: int, airtime_sf8: float | None):
+    """One device per roster entry, switched on ``step`` seconds apart
+    and off at ``horizon``; the last ``sf8_count`` devices use SF8."""
+    n = len(entries)
     specs = []
-    for k, entry in enumerate(matrix):
+    for k, entry in enumerate(entries):
         on_sf8 = k >= n - sf8_count
         specs.append(simulator.DeviceSpec(
             device_id=entry.device_id,
             dev_eui=entry.dev_eui,
-            sf=8 if on_sf8 else 7,
+            sf=8 if on_sf8 else sf,
             period=device_period(period, k, n, spread),
             airtime=airtime_sf8 if on_sf8 else airtime_sf7,
             active_from=k * step,
             active_until=horizon,
         ))
+    return specs
+
+
+def _experiment(args, config: dict[str, str]):
+    """Device matrix and settings of the roster experiment that flags and
+    config define; ``simulate --out`` and ``run-experiment`` both read
+    it here, so the traffic simulated is the traffic orchestrated."""
+    matrix = load_roster(_required(args, config, "roster", str),
+                         _required(args, config, "mapping", str))
+    duration = _required(args, config, "duration", float)
+    period = _setting(args, config, "period", float)
+    default_window = 3 * period if period else 0.0
+    settings = ExperimentSettings(
+        name=_setting(args, config, "name", str, "experiment"),
+        duration=duration,
+        probe_window=_setting(args, config, "probe_window", float, default_window),
+        recheck_window=_setting(args, config, "recheck_window", float, default_window),
+        turnon_step=_setting(args, config, "turnon_step", float, 0.0),
+    )
+    return matrix, settings
+
+
+def _roster_fleet(args, config: dict[str, str]):
+    """Fleet and horizon of a roster experiment: every device from its
+    turn-on through the probe and experiment windows."""
+    for flag, key in (("devices", "roster"), ("airtime", "airtime_sf7"),
+                      ("sf8_devices", "sf8_count"), ("sf8_airtime", "airtime_sf8")):
+        if getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to a roster "
+                             f"experiment; set '{key}' in the config")
+    matrix, settings = _experiment(args, config)
+    step = settings.turnon_step
+    horizon = len(matrix) * step + settings.probe_window + settings.duration
+    sf8_count = _setting(args, config, "sf8_count", int, 0)
+    airtime_sf8 = _required(args, config, "airtime_sf8", float) if sf8_count else None
+    specs = _fleet(matrix, _required(args, config, "period", float),
+                   _setting(args, config, "period_spread", float, 0.0), step, horizon, args.sf,
+                   _required(args, config, "airtime_sf7", float), sf8_count, airtime_sf8)
     return specs, horizon
 
 
@@ -192,46 +216,42 @@ def _cmd_simulate(args) -> int:
     seed = _setting(args, config, "seed", int, 0)
     model = _model_from(args, config)
 
-    if args.out and config.get("roster"):
-        specs, horizon = _scheduled_fleet(config, seed)
-        result = simulator.run(specs, horizon, model=model, seed=seed)
-        n = simulator.write_packet_log(result, args.out)
-        print(f"wrote {n} packet records to {args.out}")
-        return 0
+    roster = args.out and _setting(args, config, "roster", str)
+    if roster:
+        specs, horizon = _roster_fleet(args, config)
+    else:
+        devices = _required(args, config, "devices", int)
+        period = _required(args, config, "period", float)
+        t_sf7 = _required(args, config, "airtime", float)
+        # the default duration and the round count are derived from the period
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError(f"period must be finite and positive, got {period}")
+        duration = _setting(args, config, "duration", float, 10_000 * period)
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"duration must be finite and positive, got {duration}")
+        sf8_devices = _setting(args, config, "sf8_devices", int, 0)
+        t_sf8 = _required(args, config, "sf8_airtime", float) if sf8_devices else None
 
-    devices = _setting(args, config, "devices", int)
-    period = _setting(args, config, "period", float)
-    t_sf7 = _setting(args, config, "airtime", float)
-    if devices is None or period is None or t_sf7 is None:
-        raise ValueError("simulate needs --devices, --period and --airtime (or a config file)")
-    # the default duration and the round count are derived from the period
-    if not (math.isfinite(period) and period > 0):
-        raise ValueError(f"period must be finite and positive, got {period}")
-    duration = _setting(args, config, "duration", float, 10_000 * period)
-    if not math.isfinite(duration):
-        raise ValueError(f"duration must be finite, got {duration}")
-    sf8_devices = _setting(args, config, "sf8_devices", int, 0)
-    t_sf8 = _setting(args, config, "sf8_airtime", float)
-    if sf8_devices and t_sf8 is None:
-        raise ValueError("--sf8-devices needs --sf8-airtime")
+        if not args.out:
+            rounds = max(1, int(duration / period))
+            groups = [simulator.SfGroup(args.sf, devices - sf8_devices, t_sf7)]
+            if sf8_devices:
+                groups.append(simulator.SfGroup(8, sf8_devices, t_sf8))
+            estimate = simulator.estimate_pdr(groups, period, rounds, model=model, seed=seed)
+            print(f"pdr {estimate.pdr:.6f}")
+            print(f"stderr {estimate.stderr:.6f}")
+            print(f"sent {estimate.sent} delivered {estimate.delivered}")
+            return 0
+        entries = [controller.RosterEntry(f"dev{i:03d}", f"{i:016x}")
+                   for i in range(1, devices + 1)]
+        specs, horizon = _fleet(entries, period, 0.0, 0.0, duration, args.sf, t_sf7,
+                                sf8_devices, t_sf8), duration
 
-    if args.out:
-        specs = _synthetic_fleet(devices - sf8_devices, period, t_sf7, args.sf,
-                                 sf8_devices, t_sf8)
-        result = simulator.run(specs, duration, model=model, seed=seed)
-        n = simulator.write_packet_log(result, args.out)
-        print(f"wrote {n} packet records to {args.out}")
+    result = simulator.run(specs, horizon, model=model, seed=seed)
+    n = simulator.write_packet_log(result, args.out)
+    print(f"wrote {n} packet records to {args.out}")
+    if not roster:
         print(f"pdr {result.network_pdr:.6f}")
-        return 0
-
-    rounds = max(1, int(duration / period))
-    groups = [simulator.SfGroup(args.sf, devices - sf8_devices, t_sf7)]
-    if sf8_devices:
-        groups.append(simulator.SfGroup(8, sf8_devices, t_sf8))
-    estimate = simulator.estimate_pdr(groups, period, rounds, model=model, seed=seed)
-    print(f"pdr {estimate.pdr:.6f}")
-    print(f"stderr {estimate.stderr:.6f}")
-    print(f"sent {estimate.sent} delivered {estimate.delivered}")
     return 0
 
 
@@ -254,24 +274,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_run_experiment(args) -> int:
     config = load_config(args.config) if args.config else {}
-    roster = _setting(args, config, "roster", str)
-    mapping = _setting(args, config, "mapping", str)
-    if not roster or not mapping:
-        raise ValueError("run-experiment needs --roster and --mapping (or a config file)")
-    matrix = load_roster(roster, mapping)
-
-    period = _setting(args, config, "period", float)
-    duration = _setting(args, config, "duration", float)
-    if duration is None:
-        raise ValueError("run-experiment needs --duration")
-    default_window = 3 * period if period else 0.0
-    settings = ExperimentSettings(
-        name=_setting(args, config, "name", str, "experiment"),
-        duration=duration,
-        probe_window=_setting(args, config, "probe_window", float, default_window),
-        recheck_window=_setting(args, config, "recheck_window", float, default_window),
-        turnon_step=_setting(args, config, "turnon_step", float, 0.0),
-    )
+    matrix, settings = _experiment(args, config)
 
     operator: Operator
     auto = _setting(args, config, "auto_operator", str)
@@ -285,10 +288,8 @@ def _cmd_run_experiment(args) -> int:
         operator = ScriptedOperator(load_operator_script(auto))
         clock = VirtualClock(0.0)
 
-    server_addr = _setting(args, config, "server", str)
-    token = _setting(args, config, "token", str)
-    if not server_addr or not token:
-        raise ValueError("run-experiment needs --server and --token")
+    server_addr = _required(args, config, "server", str)
+    token = _required(args, config, "token", str)
     host, _, port = server_addr.rpartition(":")
 
     report_path = _setting(args, config, "report", str, "report.txt")

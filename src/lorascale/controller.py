@@ -14,6 +14,7 @@ world), and any object with ``now()``/``sleep(dt)`` works as the clock.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -486,10 +487,11 @@ class ExperimentSettings:
     def __post_init__(self) -> None:
         if not self.name or any(c.isspace() for c in self.name):
             raise ValueError("experiment name must be a single non-empty token")
-        if self.duration <= 0:
-            raise ValueError("experiment duration must be positive")
-        if self.probe_window < 0 or self.recheck_window < 0 or self.turnon_step < 0:
-            raise ValueError("windows cannot be negative")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("experiment duration must be finite and positive")
+        if not all(0 <= w < math.inf
+                   for w in (self.probe_window, self.recheck_window, self.turnon_step)):
+            raise ValueError("windows must be finite and non-negative")
 
 
 def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Clock,

@@ -47,6 +47,11 @@ class PacketRecord:
     sf: int
 
 
+def format_log_line(record: PacketRecord) -> str:
+    """One packet log line: ts, EUI, frame counter and SF, tab separated."""
+    return f"{record.received_ts:.6f}\t{record.dev_eui}\t{record.fcnt}\t{record.sf}"
+
+
 def parse_log_line(line: str) -> PacketRecord:
     """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line."""
     fields = line.rstrip("\n").split("\t")

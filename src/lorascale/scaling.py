@@ -30,10 +30,10 @@ class TrafficProfile:
     def __post_init__(self) -> None:
         if self.num_devices < 1:
             raise ValueError("profile needs at least one device")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.airtime <= 0:
-            raise ValueError("airtime must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be finite and positive, got {self.period}")
+        if not (math.isfinite(self.airtime) and self.airtime > 0):
+            raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
         if self.airtime >= self.period:
             raise ValueError("airtime must be shorter than the period")
 
@@ -103,10 +103,10 @@ def derive_equivalent(
     smaller device count: N_exp = round(L * T_exp / t_exp).  Relative
     load mismatch after rounding is at most ~1/(2 * N_exp).
     """
-    if experiment_airtime <= 0:
-        raise ValueError("experiment airtime must be positive")
-    if experiment_period <= experiment_airtime:
-        raise ValueError("experiment period must exceed the airtime")
+    if not (math.isfinite(experiment_airtime) and experiment_airtime > 0):
+        raise ValueError("experiment airtime must be finite and positive")
+    if not experiment_airtime < experiment_period < math.inf:
+        raise ValueError("experiment period must be finite and exceed the airtime")
     load = channel_load(real).load
     exact = load * experiment_period / experiment_airtime
     n_exp = round(exact)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from . import kernels
-from .netserver import PacketRecord
+from .netserver import PacketRecord, format_log_line
 
 _EUI_RE = re.compile(r"^[0-9a-fA-F]{16}$")
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -282,13 +282,17 @@ def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
     none of its packets can reach it, so the rounds form one timeline
     the ordinary linear-time kernels can mark.
 
-    Each round's phases are sorted on their own.  Phases below twice the
-    airtime, a prefix of the sorted round, get a ghost copy one period
-    later so collisions across the wraparound are seen.  Ghosts start
-    after every real start of their round, so a round is laid out as
-    its sorted real starts followed by its ghosts, and the timeline
-    needs no global sort.  A device's packet is lost when its real event
-    or its ghost is.
+    Each round's phases are sorted on their own and laid out as a row:
+    the real starts, then a ghost of each one period later, so that
+    collisions across the wraparound are seen.  Only ghosts of phases
+    below one airtime are kept.  Under both models two events meet only
+    if their starts lie less than one airtime apart (a window of
+    ``factor <= 2`` airtimes ends one airtime after its packet's start,
+    so it opens at most one airtime before that start), and the
+    ghost of phase ``p`` starts more than ``p`` after every real start
+    of its round; two ghosts repeat what their real events show.  Kept
+    events of a row are in order, so the timeline needs no global sort.
+    A device's packet is lost when its real event or its ghost is.
 
     Rounds are drawn and marked in chunks of about ``_CHUNK_EVENTS``
     events (at least one round each).  Consecutive draws continue one
@@ -296,26 +300,16 @@ def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
     """
     stride = period + 4.0 * airtime
     per_chunk = max(1, _CHUNK_EVENTS // count)
-    columns = np.arange(count)
     lost = 0
     for first in range(0, rounds, per_chunk):
         n = min(per_chunk, rounds - first)
         phases = np.sort(rng.uniform(0.0, period, size=(n, count)), axis=1)
-        starts = ((stride * np.arange(first, first + n))[:, None] + phases).ravel()
-        ghost = phases < 2.0 * airtime
-        # row r begins after r full rows and the ghosts of the rows before it
-        row_at = np.arange(n) * count
-        row_at[1:] += np.cumsum(np.count_nonzero(ghost, axis=1)[:-1])
-        real_at = (row_at[:, None] + columns).ravel()
-        ghost = ghost.ravel()
-        ghost_at = real_at[ghost] + count
-        s = np.empty(real_at.size + ghost_at.size)
-        s[real_at] = starts
-        s[ghost_at] = starts[ghost] + period
-        flags = model.mark(s, s + airtime)
-        hit = flags[real_at]
-        hit[ghost] |= flags[ghost_at]
-        lost += int(np.count_nonzero(hit))
+        real = (stride * np.arange(first, first + n))[:, None] + phases
+        keep = np.hstack((np.ones_like(phases, dtype=bool), phases < airtime))
+        s = np.hstack((real, real + period))[keep]
+        flags = np.zeros(keep.shape, dtype=bool)
+        flags[keep] = model.mark(s, s + airtime)
+        lost += int(np.count_nonzero(flags[:, :count] | flags[:, count:]))
     return lost
 
 
@@ -367,11 +361,6 @@ def export_packet_log(result: SimResult) -> Iterator[PacketRecord]:
             received_ts=float(result.end[i]),
             sf=int(result.sf[i]),
         )
-
-
-def format_log_line(record: PacketRecord) -> str:
-    """One packet log line: ts, EUI, frame counter and SF, tab separated."""
-    return f"{record.received_ts:.6f}\t{record.dev_eui}\t{record.fcnt}\t{record.sf}"
 
 
 def write_packet_log(result: SimResult, path) -> int:

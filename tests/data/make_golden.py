@@ -45,7 +45,7 @@ def candidate(seed: int):
     config = dict(CONFIG)
     config["roster"] = str(DATA / "roster8.csv")
     config["mapping"] = str(DATA / "mapping8.csv")
-    specs, horizon = cli._scheduled_fleet(config, seed)
+    specs, horizon = cli._roster_fleet(cli.build_parser().parse_args(["simulate"]), config)
     result = simulator.run(specs, horizon, seed=seed)
     n = len(specs)
     w0 = n * 1.0 + 15.0

@@ -81,6 +81,10 @@ def test_mix_validation():
         SfMixConfig(1, 1, PERIOD, T8, T7)  # SF8 airtime must exceed SF7
     with pytest.raises(ValueError):
         BoundsCurve([(0, 0.9, 0.5)])
+    for period, t7, t8 in [(math.nan, T7, T8), (math.inf, T7, T8), (PERIOD, T7, math.nan),
+                           (PERIOD, math.inf, T8), (PERIOD, T7, math.inf)]:
+        with pytest.raises(ValueError, match="finite and positive"):
+            SfMixConfig(1, 1, period, t7, t8)
 
 
 def test_scale_mix_published_columns():

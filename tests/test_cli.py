@@ -101,14 +101,28 @@ def test_runtime_error_nonzero_exit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--period", "inf"), ("--period", "-inf"),
-                                         ("--duration", "inf"), ("--airtime", "nan"),
-                                         ("--sf8-airtime", "nan")])
-def test_simulate_non_finite_setting_exits_cleanly(capsys, flag, value):
-    settings = {"--period": "7", "--duration": "70", "--airtime": "0.11729",
-                "--sf8-devices": "3", "--sf8-airtime": "0.20582", flag: value}
-    rc = cli.main(["simulate", "--devices", "41",
-                   *[f"{key}={v}" for key, v in settings.items()]])
+NON_FINITE_BASE = {
+    "simulate": {"--devices": "41", "--period": "7", "--duration": "70",
+                 "--airtime": "0.11729", "--sf8-devices": "3", "--sf8-airtime": "0.20582"},
+    "analyze": {"--total": "10", "--period": "7", "--airtime-sf7": "0.04",
+                "--airtime-sf8": "0.08"},
+    "scale": {"--real-n": "10000", "--real-period": "600", "--real-airtime": "0.04122",
+              "--exp-period": "7", "--exp-airtime": "0.11729"},
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--period", "inf"), ("simulate", "--period", "-inf"),
+    ("simulate", "--duration", "inf"), ("simulate", "--airtime", "nan"),
+    ("simulate", "--sf8-airtime", "nan"),
+    ("analyze", "--period", "nan"), ("analyze", "--period", "inf"),
+    ("analyze", "--airtime-sf7", "inf"), ("analyze", "--airtime-sf8", "nan"),
+    ("scale", "--real-period", "nan"), ("scale", "--real-airtime", "nan"),
+    ("scale", "--exp-period", "nan"), ("scale", "--exp-period", "inf"),
+])
+def test_non_finite_setting_exits_cleanly(capsys, command, flag, value):
+    settings = {**NON_FINITE_BASE[command], flag: value}
+    rc = cli.main([command, *[f"{key}={v}" for key, v in settings.items()]])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
@@ -121,6 +135,76 @@ def test_simulate_rejects_bad_period_by_name(capsys, value):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: period must be finite and positive")
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_simulate_rejects_non_positive_duration(tmp_path, capsys, out):
+    rc = cli.main(["simulate", "--devices", "3", "--period", "5", "--airtime", "0.05",
+                   "--duration", "-5", *(["--out", str(tmp_path / "x.log")] if out else [])])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: duration must be finite and positive")
+
+
+def roster_config(tmp_path, name="experiment.cfg", drop=(), **values):
+    """The golden run definition with absolute roster paths, some keys
+    dropped and some replaced."""
+    config = cli.load_config(DATA / "golden.cfg")
+    config.update(roster=str(DATA / "roster8.csv"), mapping=str(DATA / "mapping8.csv"))
+    config.update(values)
+    path = tmp_path / name
+    path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()
+                            if key not in drop))
+    return path
+
+
+def simulate_log(tmp_path, config, *flags):
+    log = tmp_path / f"{config.stem}{''.join(flags)}.log"
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(log), *flags])
+    assert rc == 0
+    return log.read_bytes()
+
+
+def test_roster_simulate_reproduces_golden_log(tmp_path, capsys):
+    assert simulate_log(tmp_path, roster_config(tmp_path)) == (DATA / "golden.log").read_bytes()
+    assert capsys.readouterr().out == "wrote 307 packet records to " \
+        f"{tmp_path / 'experiment.log'}\n"
+
+
+def test_roster_simulate_flags_win_over_config(tmp_path):
+    flagged = simulate_log(tmp_path, roster_config(tmp_path), "--period", "6")
+    assert flagged == simulate_log(tmp_path, roster_config(tmp_path, "p6.cfg", period=6))
+    assert flagged != (DATA / "golden.log").read_bytes()
+
+
+def test_roster_turnon_step_defaults_to_zero_in_simulate(tmp_path):
+    unset = simulate_log(tmp_path, roster_config(tmp_path, "unset.cfg", drop=("turnon_step",)))
+    assert unset == simulate_log(tmp_path, roster_config(tmp_path, "zero.cfg", turnon_step=0))
+
+
+@pytest.mark.parametrize("key, message, flag", [
+    ("duration", "simulate needs --duration", ("--duration", "200")),
+    ("period", "simulate needs --period", ("--period", "5")),
+    ("airtime_sf7", "simulate needs 'airtime_sf7' in the config", ()),
+])
+def test_roster_simulate_missing_setting_is_an_error(tmp_path, capsys, key, message, flag):
+    config = roster_config(tmp_path, drop=(key,))
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.log")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if flag:  # the flag supplies what the config lacks
+        assert simulate_log(tmp_path, config, *flag) == (DATA / "golden.log").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--devices", "8", "roster"), ("--airtime", "0.05", "airtime_sf7"),
+    ("--sf8-devices", "1", "sf8_count"), ("--sf8-airtime", "0.1", "airtime_sf8"),
+])
+def test_roster_simulate_rejects_synthetic_fleet_flags(tmp_path, capsys, flag, value, key):
+    rc = cli.main(["simulate", "--config", str(roster_config(tmp_path)),
+                   "--out", str(tmp_path / "x.log"), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and f"'{key}'" in err
 
 
 def test_analyze_curve_endpoints_and_points(tmp_path, capsys):

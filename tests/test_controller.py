@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -479,6 +481,11 @@ def test_settings_validation():
         ExperimentSettings(name="bad name", duration=1.0, probe_window=0, recheck_window=0)
     with pytest.raises(ValueError):
         ExperimentSettings(name="x", duration=0.0, probe_window=0, recheck_window=0)
+    for duration, probe, recheck, step in [(math.nan, 0, 0, 0), (math.inf, 0, 0, 0),
+                                           (1.0, math.nan, 0, 0), (1.0, 0, math.inf, 0),
+                                           (1.0, 0, 0, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSettings("x", duration, probe, recheck, step)
 
 
 # --- dropped connections ---------------------------------------------------------

@@ -13,6 +13,7 @@ from lorascale.netserver import (
     PacketRecord,
     PacketStore,
     ProtocolError,
+    format_log_line,
     packets_message,
     parse_log_line,
     start_server,
@@ -54,6 +55,19 @@ def read_json(rfile):
 def test_parse_log_line_roundtrip():
     rec = parse_log_line("12.500000\t00000000000000aa\t3\t7\n")
     assert rec == PacketRecord("00000000000000aa", 3, 12.5, 7)
+
+
+@given(
+    dev_eui=st.from_regex(r"[0-9a-fA-F]{16}", fullmatch=True),
+    fcnt=st.integers(0, 2**32),
+    micros=st.integers(0, 10**14),
+    sf=st.integers(7, 12),
+)
+def test_log_line_format_parse_roundtrip(dev_eui, fcnt, micros, sf):
+    # timestamps already at the log's 6 fractional digits survive exactly
+    ts = float(f"{micros // 10**6}.{micros % 10**6:06d}")
+    record = PacketRecord(dev_eui, fcnt, ts, sf)
+    assert parse_log_line(format_log_line(record)) == record
 
 
 @pytest.mark.parametrize(

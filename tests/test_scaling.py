@@ -37,6 +37,9 @@ def test_profile_validation():
         TrafficProfile(10, 1.0, 1.0)  # airtime not shorter than period
     with pytest.raises(ValueError):
         ChannelLoad(-0.1)
+    for period, airtime in [(math.nan, 0.04), (math.inf, 0.04), (600.0, math.nan)]:
+        with pytest.raises(ValueError, match="finite and positive"):
+            TrafficProfile(10, period, airtime)
 
 
 def test_success_bounds_reference_values():

@@ -359,6 +359,29 @@ def test_estimator_rejects_non_finite_period():
             estimate_pdr([SfGroup(7, 41, 0.11729)], period, 10)
 
 
+class FixedPhases:
+    """Stands in for the generator: every draw returns the given phases."""
+
+    def __init__(self, phases):
+        self.phases = np.array(phases, dtype=np.float64)
+
+    def uniform(self, low, high, size):
+        assert size == self.phases.shape
+        return self.phases.copy()
+
+
+@pytest.mark.parametrize("model, lost", [(AnyOverlap(), 6), (VulnerabilityWindow(1.0), 3)])
+def test_loss_rounds_ghosts_every_phase_below_one_airtime(model, lost):
+    # period 10, airtime 1; each round's two packets overlap once, which
+    # loses both under any-overlap and one under a window of one airtime:
+    # - phase 0.995 (just below one airtime) meets the start at 9.999
+    #   only across the wraparound;
+    # - phase 0.5 meets the start at 9.6 across the wraparound;
+    # - phases 3.0 and 3.5 overlap inside the round.
+    rounds = [[0.995, 9.999], [9.6, 0.5], [3.0, 3.5]]
+    assert simulator._loss_rounds(2, 10.0, 1.0, 3, model, FixedPhases(rounds)) == lost
+
+
 def traced_peak(rounds: int) -> int:
     tracemalloc.start()
     try:
