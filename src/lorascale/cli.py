@@ -204,6 +204,9 @@ def _roster_fleet(args, config: dict[str, str]):
     step = settings.turnon_step
     horizon = len(matrix) * step + settings.probe_window + settings.duration
     sf8_count = _setting(args, config, "sf8_count", int, 0)
+    if not 0 <= sf8_count <= len(matrix):
+        raise ValueError(f"sf8_count must lie between 0 and the roster size {len(matrix)}, "
+                         f"got {sf8_count}")
     airtime_sf8 = _required(args, config, "airtime_sf8", float) if sf8_count else None
     specs = _fleet(matrix, _required(args, config, "period", float),
                    _setting(args, config, "period_spread", float, 0.0), step, horizon, args.sf,
@@ -230,6 +233,9 @@ def _cmd_simulate(args) -> int:
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"duration must be finite and positive, got {duration}")
         sf8_devices = _setting(args, config, "sf8_devices", int, 0)
+        if not 0 <= sf8_devices <= devices:
+            raise ValueError(f"sf8_devices must lie between 0 and devices ({devices}), "
+                             f"got {sf8_devices}")
         t_sf8 = _required(args, config, "sf8_airtime", float) if sf8_devices else None
 
         if not args.out:
@@ -322,10 +328,16 @@ def _cmd_analyze(args) -> int:
 
     empirical: dict[int, float] = {}
     for spec in args.point or []:
-        moved_s, _, path = spec.partition(":")
+        moved_s, colon, path = spec.partition(":")
+        try:
+            n_moved = int(moved_s)
+        except ValueError:
+            n_moved = None
+        if n_moved is None or not colon or not path:
+            raise ValueError(f"--point takes N_MOVED:REPORT, got {spec!r}")
         parsed = controller.parse_report(path)
         network, _ = analysis.pdr_aggregate(parsed.reports.values())
-        empirical[int(moved_s)] = network
+        empirical[n_moved] = network
 
     for n_moved, lower, upper in curve.points:
         line = f"{n_moved} {lower:.6f} {upper:.6f}"

@@ -22,11 +22,16 @@ from __future__ import annotations
 import hmac
 import json
 import math
+import re
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
+
+# A device EUI: 16 hex digits, matched with ``fullmatch``.
+EUI_PATTERN = re.compile(r"[0-9a-fA-F]{16}")
 
 
 class ProtocolError(Exception):
@@ -47,13 +52,9 @@ class PacketRecord:
     sf: int
 
 
-def format_log_line(record: PacketRecord) -> str:
-    """One packet log line: ts, EUI, frame counter and SF, tab separated."""
-    return f"{record.received_ts:.6f}\t{record.dev_eui}\t{record.fcnt}\t{record.sf}"
-
-
 def parse_log_line(line: str) -> PacketRecord:
-    """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line."""
+    """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line; the timestamp
+    must be finite."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 4:
         raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
@@ -61,7 +62,9 @@ def parse_log_line(line: str) -> PacketRecord:
     ts = float(ts_s)
     fcnt = int(fcnt_s)
     sf = int(sf_s)
-    if len(eui) != 16 or any(c not in "0123456789abcdefABCDEF" for c in eui):
+    if not math.isfinite(ts):
+        raise ValueError(f"non-finite timestamp {ts_s!r}")
+    if not EUI_PATTERN.fullmatch(eui):
         raise ValueError(f"bad EUI {eui!r}")
     if fcnt < 0:
         raise ValueError("negative frame counter")
@@ -74,7 +77,8 @@ class PacketStore:
     """Thread-safe packet storage with duplicate suppression.
 
     Exact duplicates (same EUI, counter, timestamp) are ingested once;
-    queries see a consistent snapshot under a single-writer lock.
+    queries see a consistent snapshot under a single-writer lock.  Every
+    stored timestamp is finite.
     """
 
     def __init__(self) -> None:
@@ -83,7 +87,18 @@ class PacketStore:
         self._seen: set[tuple[str, int, float]] = set()
 
     def ingest(self, records: Iterable[PacketRecord]) -> int:
-        """Store records; returns how many were new."""
+        """Store records; returns how many were new.
+
+        A record with a non-finite timestamp is a ``ValueError``, and
+        then none of the batch is stored.
+        """
+        records = list(records)
+        for rec in records:
+            if not math.isfinite(rec.received_ts):
+                raise ValueError(f"non-finite timestamp in {rec!r}")
+        return self._add(records)
+
+    def _add(self, records: list[PacketRecord]) -> int:
         added = 0
         with self._lock:
             for rec in records:
@@ -108,7 +123,7 @@ class PacketStore:
                 good.append(parse_log_line(line))
             except ValueError:
                 skipped += 1
-        return self.ingest(good), skipped
+        return self._add(good), skipped  # parsed timestamps are finite
 
     def ingest_file(self, path) -> tuple[int, int]:
         with open(path, "r", encoding="ascii") as fh:
@@ -138,12 +153,42 @@ def _send(wfile, message: dict) -> None:
     wfile.flush()
 
 
-def packets_message(dev_eui: str, records: list[PacketRecord]) -> dict:
-    return {
-        "type": "packets",
-        "dev_eui": dev_eui,
-        "packets": [{"fcnt": r.fcnt, "ts": r.received_ts, "sf": r.sf} for r in records],
-    }
+def encode_packets(dev_eui: str, records: list[PacketRecord]) -> bytes:
+    """The ``packets`` reply line, byte for byte as ``json.dumps`` writes it.
+
+    Frame counters and SFs are ints and timestamps finite floats (the
+    store holds no others), which JSON writes as their ``repr``; the EUI
+    goes through JSON's own string encoder.
+    """
+    packets = ", ".join([f'{{"fcnt": {r.fcnt!r}, "ts": {r.received_ts!r}, "sf": {r.sf!r}}}'
+                         for r in records])
+    return (f'{{"type": "packets", "dev_eui": {encode_basestring_ascii(dev_eui)}, '
+            f'"packets": [{packets}]}}\n').encode("ascii")
+
+
+def _json_bound(value) -> str:
+    """JSON text of a query bound, which must be a finite int or float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if finite:
+            return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
+    raise ProtocolError("query needs finite numeric from/to")
+
+
+def encode_query(dev_eui: str, from_ts: float, to_ts: float) -> bytes:
+    """The ``query`` request line, byte for byte as ``json.dumps`` writes it.
+
+    Raises :class:`ProtocolError` for a request the server would refuse
+    for its types: a non-string EUI, or a bound that is not a finite int
+    or float (a ``bool``, NaN, an infinity, an int too large for a float).
+    """
+    if not isinstance(dev_eui, str):
+        raise ProtocolError("query needs a string dev_eui")
+    return (f'{{"type": "query", "dev_eui": {encode_basestring_ascii(dev_eui)}, '
+            f'"from": {_json_bound(from_ts)}, "to": {_json_bound(to_ts)}}}\n').encode("ascii")
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -200,8 +245,8 @@ class _Handler(socketserver.StreamRequestHandler):
         if lo > hi:
             _send(self.wfile, {"type": "error", "reason": "empty window (from > to)"})
             return
-        records = server.store.query(eui, lo, hi)
-        _send(self.wfile, packets_message(eui, records))
+        self.wfile.write(encode_packets(eui, server.store.query(eui, lo, hi)))
+        self.wfile.flush()
 
 
 class PacketServer(socketserver.ThreadingTCPServer):
@@ -268,7 +313,9 @@ class NetClient:
         raise ProtocolError(f"unexpected auth reply {reply!r}")
 
     def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
-        self._send({"type": "query", "dev_eui": dev_eui, "from": from_ts, "to": to_ts})
+        """Records of one device in the closed window; a bad bound or EUI
+        raises :class:`ProtocolError` before anything is sent."""
+        self._sock.sendall(encode_query(dev_eui, from_ts, to_ts))
         reply = self._recv()
         if reply.get("type") == "error":
             raise ProtocolError(reply.get("reason", "server error"))

@@ -11,16 +11,14 @@ devices share the run unless they share a spreading factor.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from . import kernels
-from .netserver import PacketRecord, format_log_line
+from .netserver import EUI_PATTERN
 
-_EUI_RE = re.compile(r"^[0-9a-fA-F]{16}$")
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -73,7 +71,7 @@ class DeviceSpec:
     def __post_init__(self) -> None:
         if not self.device_id:
             raise ValueError("device id must be non-empty")
-        if not _EUI_RE.match(self.dev_eui):
+        if not EUI_PATTERN.fullmatch(self.dev_eui):
             raise ValueError(f"device EUI must be 16 hex characters, got {self.dev_eui!r}")
         if not 7 <= self.sf <= 12:
             raise ValueError(f"spreading factor must be 7..12, got {self.sf}")
@@ -343,31 +341,31 @@ def estimate_pdr(groups: Iterable[SfGroup], period: float, rounds: int,
     return PdrEstimate(delivered=sent - lost, sent=sent)
 
 
-def export_packet_log(result: SimResult) -> Iterator[PacketRecord]:
-    """Packet records for the delivered events, ordered by receive time.
-
-    Lost events produce no record; the receive timestamp is the event
-    end time.
-    """
-    good = np.flatnonzero(result.delivered)
-    # EUIs are unique, so their ranks sort like the strings themselves
-    eui_rank = np.argsort(np.argsort(np.array([d.dev_eui for d in result.devices])))
-    order = np.lexsort((result.fcnt[good], eui_rank[result.dev[good]], result.end[good]))
-    for i in good[order]:
-        d = result.devices[result.dev[i]]
-        yield PacketRecord(
-            dev_eui=d.dev_eui,
-            fcnt=int(result.fcnt[i]),
-            received_ts=float(result.end[i]),
-            sf=int(result.sf[i]),
-        )
+# Packet-log records formatted and written at a time; the writer's
+# memory is bounded by this, not by the length of the log.
+_LOG_CHUNK = 1 << 14
 
 
 def write_packet_log(result: SimResult, path) -> int:
-    """Write the delivered-packet log; returns the record count."""
-    n = 0
+    """Write the delivered-packet log; returns the record count.
+
+    One ``ts<TAB>eui<TAB>fcnt<TAB>sf`` line per delivered event, with the
+    event end as the receive time to six decimals; lost events produce
+    no line.  Lines are ordered by receive time, then EUI, then frame
+    counter, and formatted from the result's columns ``_LOG_CHUNK`` at a
+    time.
+    """
+    euis = [d.dev_eui for d in result.devices]
+    good = np.flatnonzero(result.delivered)
+    # EUIs are unique, so their ranks sort like the strings themselves
+    eui_rank = np.argsort(np.argsort(np.array(euis)))
+    rows = good[np.lexsort((result.fcnt[good], eui_rank[result.dev[good]], result.end[good]))]
     with open(path, "w", encoding="ascii") as fh:
-        for record in export_packet_log(result):
-            fh.write(format_log_line(record) + "\n")
-            n += 1
-    return n
+        for lo in range(0, rows.size, _LOG_CHUNK):
+            chunk = rows[lo:lo + _LOG_CHUNK]
+            fh.write("".join([
+                f"{ts:.6f}\t{euis[d]}\t{fcnt}\t{sf}\n"
+                for ts, d, fcnt, sf in zip(result.end[chunk].tolist(), result.dev[chunk].tolist(),
+                                           result.fcnt[chunk].tolist(), result.sf[chunk].tolist())
+            ]))
+    return int(rows.size)

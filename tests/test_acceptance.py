@@ -40,6 +40,7 @@ from lorascale.scaling import (
     success_exact_periodic,
 )
 from lorascale.simulator import AnyOverlap, SfGroup, VulnerabilityWindow, estimate_pdr
+from record_oracle import packets_message
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -331,11 +332,11 @@ def test_c9_protocol_conformance():
             msg = {"type": "query", "dev_eui": rnd.choice(euis),
                    "from": rnd.uniform(-1e9, 1e9), "to": rnd.uniform(-1e9, 1e9)}
         elif kind == "packets":
-            msg = netserver.packets_message(rnd.choice(euis), [
-                PacketRecord(euis[0], rnd.randrange(1000),
-                             rnd.uniform(0, 1e6), rnd.randrange(7, 13))
-                for _ in range(rnd.randrange(5))
-            ])
+            eui = rnd.choice(euis)
+            recs = [PacketRecord(eui, rnd.randrange(1000), rnd.uniform(0, 1e6),
+                                 rnd.randrange(7, 13)) for _ in range(rnd.randrange(5))]
+            msg = packets_message(eui, recs)
+            assert netserver.encode_packets(eui, recs) == (json.dumps(msg) + "\n").encode()
         else:
             msg = {"type": "error", "reason": "x" * rnd.randrange(30)}
         assert json.loads(json.dumps(msg)) == msg

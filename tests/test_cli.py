@@ -207,6 +207,39 @@ def test_roster_simulate_rejects_synthetic_fleet_flags(tmp_path, capsys, flag, v
     assert err.startswith("error:") and flag in err and f"'{key}'" in err
 
 
+@pytest.mark.parametrize("count", ["-1", "9", "20"])
+def test_roster_simulate_rejects_sf8_count_outside_roster(tmp_path, capsys, count):
+    log = tmp_path / "x.log"
+    config = roster_config(tmp_path, sf8_count=count, airtime_sf8=0.09)
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(log)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sf8_count") and count in err
+    assert not log.exists()
+    # the whole roster of 8 may move to SF8
+    simulate_log(tmp_path, roster_config(tmp_path, "all8.cfg", sf8_count=8, airtime_sf8=0.09))
+
+
+@pytest.mark.parametrize("count", ["-1", "4"])
+@pytest.mark.parametrize("out", [False, True])
+def test_simulate_rejects_sf8_devices_outside_fleet(tmp_path, capsys, count, out):
+    rc = cli.main(["simulate", "--devices", "3", "--period", "5", "--airtime", "0.05",
+                   "--duration", "50", "--sf8-devices", count, "--sf8-airtime", "0.09",
+                   *(["--out", str(tmp_path / "x.log")] if out else [])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sf8_devices") and count in err
+
+
+@pytest.mark.parametrize("point", ["foo", "x:report.txt", "1.5:report.txt", ":report.txt", "3:"])
+def test_analyze_rejects_bad_point_syntax(capsys, point):
+    rc = cli.main(["analyze", "--total", "10", "--period", "7", "--airtime-sf7", "0.04",
+                   "--point", point])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --point") and repr(point) in err
+
+
 def test_analyze_curve_endpoints_and_points(tmp_path, capsys):
     rc, out = run_cli(capsys, "analyze", "--total", "100", "--period", "600",
                       "--airtime-sf7", "0.04122", "--sf8-factor", "2.0",

@@ -1,4 +1,5 @@
 import json
+import math
 import socket
 import threading
 
@@ -13,11 +14,12 @@ from lorascale.netserver import (
     PacketRecord,
     PacketStore,
     ProtocolError,
-    format_log_line,
-    packets_message,
+    encode_packets,
+    encode_query,
     parse_log_line,
     start_server,
 )
+from record_oracle import format_log_line, reference_packets_line, reference_query_line
 
 TOKEN = "secret-token"
 
@@ -79,6 +81,10 @@ def test_log_line_format_parse_roundtrip(dev_eui, fcnt, micros, sf):
         "12.5\tnot-an-eui\t3\t7",
         "12.5\t00000000000000aa\t-1\t7",
         "12.5\t00000000000000aa\t3\t13",
+        "12.5\t00000000000000aa\n\t3\t7",
+        "nan\t00000000000000aa\t3\t7",
+        "-inf\t00000000000000aa\t3\t7",
+        "1e400\t00000000000000aa\t3\t7",
     ],
 )
 def test_parse_log_line_rejects_malformed(line):
@@ -107,6 +113,21 @@ def test_store_ingest_dedupe_and_skip_counting():
     ingested, _ = store.ingest_lines(lines[:2])
     assert ingested == 0
     assert len(store) == 2
+
+
+def test_store_holds_only_finite_timestamps():
+    eui = "00000000000000aa"
+    store = PacketStore()
+    lines = [f"{ts}\t{eui}\t{fcnt}\t7" for fcnt, ts in enumerate(
+        ["10.0", "nan", "30.0", "inf", "20.0"])]
+    lines.append(f"nan\t{eui}\t1\t7")  # a duplicate of the NaN line
+    assert store.ingest_lines(lines) == (3, 3)
+    assert [(r.fcnt, r.received_ts) for r in store.query(eui, -1e300, 1e300)] == [
+        (0, 10.0), (4, 20.0), (2, 30.0)]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            store.ingest([PacketRecord(eui, 9, 1.0, 7), PacketRecord(eui, 8, bad, 7)])
+    assert len(store) == 3  # a rejected batch stores nothing
 
 
 def test_store_query_windowing_and_order():
@@ -310,6 +331,27 @@ def test_client_malformed_reply_flags_only_that_device(reply):
     assert packets == {"a": [], "b": [PacketRecord(EUI_B, 4, 12.0, 7)]}
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="10**400"),
+                                   pytest.param(-(2**1024), id="-2**1024"),
+                                   True, False, None, "1", [1.0]])
+def test_client_rejects_bad_bound_before_sending(bound):
+    good = packets_line(dev_eui=EUI_A, packets=[{"fcnt": 4, "ts": 12.0, "sf": 7}])
+    # the fake server has no reply for EUI_B: a query for it that reached
+    # the wire would stop the fake, and the next query would fail
+    fake = GarbageServer({EUI_A: good})
+    try:
+        with NetClient(fake.address, TOKEN, timeout=5.0) as client:
+            for lo, hi in ((bound, 20.0), (0.0, bound)):
+                with pytest.raises(ProtocolError):
+                    client.query(EUI_B, lo, hi)
+            with pytest.raises(ProtocolError):
+                client.query(int(EUI_B, 16), 0.0, 20.0)
+            assert client.query(EUI_A, 0.0, 20.0) == [PacketRecord(EUI_A, 4, 12.0, 7)]
+    finally:
+        fake.close()
+
+
 @pytest.mark.parametrize("auth_reply", [b"not json\n", b"\xc3\x28\n"])
 def test_client_unparseable_auth_reply_is_protocol_error(auth_reply):
     fake = GarbageServer({}, auth_reply=auth_reply)
@@ -395,10 +437,41 @@ def test_serialize_parse_identity(message):
 )
 def test_packets_message_roundtrip(eui, packets):
     records = [PacketRecord(eui, f, t, s) for f, t, s in packets]
-    msg = packets_message(eui, records)
-    back = json.loads(json.dumps(msg))
-    assert back == msg
+    back = json.loads(encode_packets(eui, records))
+    assert back["type"] == "packets" and back["dev_eui"] == eui
     rebuilt = [
         PacketRecord(back["dev_eui"], p["fcnt"], p["ts"], p["sf"]) for p in back["packets"]
     ]
     assert rebuilt == records
+
+
+# --- encoders against the json.dumps reference -----------------------------------
+
+any_eui_st = st.one_of(st.from_regex(r"[0-9a-fA-F]{16}", fullmatch=True), st.text(max_size=20))
+
+
+@given(
+    eui=any_eui_st,
+    packets=st.lists(
+        st.tuples(st.integers(0, 2**32), ts_st, st.integers(7, 12)),
+        max_size=20,
+    ),
+)
+@settings(max_examples=300)
+def test_packets_reply_bytes_match_json_dumps(eui, packets):
+    records = [PacketRecord(eui, f, t, s) for f, t, s in packets]
+    assert encode_packets(eui, records) == reference_packets_line(eui, records)
+
+
+bound_st = st.one_of(
+    ts_st,
+    st.integers(),
+    st.integers(-(2**1000), 2**1000),
+    st.sampled_from([0, -0.0, 5e-324, 1.7976931348623157e308, 2**1023, -(2**1023)]),
+)
+
+
+@given(eui=any_eui_st, lo=bound_st, hi=bound_st)
+@settings(max_examples=300)
+def test_query_request_bytes_match_json_dumps(eui, lo, hi):
+    assert encode_query(eui, lo, hi) == reference_query_line(eui, lo, hi)

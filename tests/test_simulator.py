@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from lorascale.simulator import (
     VulnerabilityWindow,
     draw_phase,
     estimate_pdr,
-    export_packet_log,
     run,
     write_packet_log,
 )
 from mc_oracle import reference_estimate_pdr
+from record_oracle import export_packet_log, reference_write_packet_log
 
 
 def fleet(n, period=7.0, airtime=0.11729, sf=7, **kwargs):
@@ -123,9 +124,62 @@ def test_export_only_delivered_ordered_by_receive_time():
         assert r.received_ts == ends_by_dev[(r.dev_eui, r.fcnt)]
 
 
+def assert_log_matches_reference(result, directory) -> int:
+    fast, ref = directory / "fast.log", directory / "ref.log"
+    n = write_packet_log(result, fast)
+    assert n == reference_write_packet_log(result, ref)
+    assert fast.read_bytes() == ref.read_bytes()
+    return n
+
+
+# multiples of half a microsecond put receive times where six decimals round
+HALF_US = 5e-7
+
+
+@st.composite
+def log_runs(draw):
+    n = draw(st.integers(1, 6))
+    euis = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n, unique=True))
+    specs = []
+    for i, eui in enumerate(euis):
+        period = draw(st.sampled_from([0.05, 0.3, 1.0, 2.5, 7.0]))
+        airtime = draw(st.integers(1, int(0.9 * period / HALF_US))) * HALF_US
+        phase = draw(st.one_of(st.just("random"), st.integers(0, int(period / HALF_US) - 1)
+                               .map(lambda k: k * HALF_US)))
+        eui_s = f"{eui:016x}"
+        specs.append(DeviceSpec(f"d{i}", eui_s.upper() if draw(st.booleans()) else eui_s,
+                                draw(st.integers(7, 12)), period, airtime, phase=phase))
+    duration = draw(st.floats(0.01, 30.0))
+    model = draw(st.sampled_from([AnyOverlap(), VulnerabilityWindow(1.0)]))
+    return run(specs, duration, model=model, seed=draw(st.integers(0, 2**32)))
+
+
+@given(result=log_runs(), chunk=st.integers(1, 64))
+@settings(max_examples=150, deadline=None)
+def test_packet_log_bytes_match_reference(tmp_path_factory, result, chunk):
+    with mock.patch.object(simulator, "_LOG_CHUNK", chunk):
+        assert_log_matches_reference(result, tmp_path_factory.getbasetemp())
+
+
+@pytest.mark.parametrize("records", [0, 1, simulator._LOG_CHUNK - 1, simulator._LOG_CHUNK,
+                                     simulator._LOG_CHUNK + 1])
+def test_packet_log_bytes_match_reference_at_chunk_edges(tmp_path, records):
+    # two non-interfering SFs that deliver every attempt, about half each;
+    # a device active until k - 0.5 sends k times, one active until 0.1 none
+    specs = [
+        DeviceSpec(f"d{i}", f"{0xa0 + i:016X}", 7 + i, 1.0, 0.25, phase=(2 * i + 1) * HALF_US,
+                   active_until=k - 0.5 if k else 0.1)
+        for i, k in enumerate(((records + 1) // 2, records // 2))
+    ]
+    result = run(specs, records + 2.0, seed=0)
+    assert assert_log_matches_reference(result, tmp_path) == records
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         DeviceSpec("x", "zz00000000000000", 7, 7.0, 0.1)  # bad EUI
+    with pytest.raises(ValueError):
+        DeviceSpec("x", "00000000000000aa\n", 7, 7.0, 0.1)  # EUI with a newline
     with pytest.raises(ValueError):
         DeviceSpec("x", "00000000000000aa", 6, 7.0, 0.1)  # bad SF
     with pytest.raises(ValueError):
