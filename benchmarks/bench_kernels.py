@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the NumPy collision kernels and the simulators built on them.
+"""Benchmark the NumPy collision kernels, the simulators built on them and
+the packet server's layers.
 
 Generates event sets at a realistic channel load and times both marking
 kernels (best-of CPU time; 65,536 events is the Monte-Carlo estimator's
@@ -8,19 +9,30 @@ collision models (CPU time and tracemalloc peak), and a live SimWorld
 series (41 devices, growing numbers of 7 s advances) whose time per
 advance stays flat when the world resolves incrementally.
 
+The server rows use the fleet10k log: 10,000 devices, period 600 s with
+a 6% spread, airtime 0.04122 s, switched on 1 s apart, about 144k
+delivered records.  They time ``PacketStore.ingest_file`` of that log,
+``PacketStore.query`` on the loaded 10k-EUI store, and ``NetClient.query``
+round trips over local TCP to a server thread in the same process (CPU
+of both ends) in the pipeline's mix of queries, each as best-of CPU time.
+
     python benchmarks/bench_kernels.py [--sizes 10000 65536 100000 500000]
                                        [--advances 100 200 400 800]
 """
 
 import argparse
+import random
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
-from lorascale import kernels
+from lorascale import kernels, netserver
+from lorascale.cli import device_period
 from lorascale.simulator import (AnyOverlap, DeviceSpec, SfGroup, VulnerabilityWindow,
-                                 estimate_pdr, run)
+                                 estimate_pdr, run, write_packet_log)
 from lorascale.world import SimWorld
 
 
@@ -51,6 +63,71 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def fleet_log(path: Path, n: int = 10_000) -> list[str]:
+    """Write the fleet10k packet log to ``path``; returns the EUIs."""
+    period, spread, airtime, step = 600.0, 0.06, 0.04122, 1.0
+    horizon = n * step + 1_800.0 + 40 * period
+    euis = [f"{0x1000_0000 + 7919 * k:016x}" for k in range(n)]
+    fleet = [DeviceSpec(f"dev{k:05d}", euis[k], 7, device_period(period, k, n, spread), airtime,
+                        active_from=k * step, active_until=horizon)
+             for k in range(n)]
+    write_packet_log(run(fleet, horizon, seed=1), path)
+    return euis
+
+
+def server_rows(repeats: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "packets.log"
+        euis = fleet_log(log)
+        with log.open() as fh:
+            lines = sum(1 for _ in fh)
+        store = netserver.PacketStore()
+
+        def ingest():
+            nonlocal store
+            store = netserver.PacketStore()
+            store.ingest_file(log)
+
+        t = best_of(ingest, repeats=3, clock=time.process_time)
+        print(f"PacketStore.ingest_file: {lines:,} lines: {t * 1e3:7.1f} ms CPU"
+              f" ({t / lines * 1e6:4.2f} us per line)")
+
+    # the fleet pipeline's queries at a tenth of their count: 1,000 collect
+    # windows (24,000 s) and 1,000 probe windows (1,800 s) of known EUIs, and
+    # 5,000 polls (1,800 s) of 5 devices that never transmitted
+    rnd = random.Random(1)
+    data = []
+    for width in (24_000.0, 1_800.0):
+        for _ in range(1_000):
+            lo = rnd.uniform(0.0, 11_800.0)
+            data.append((rnd.choice(euis), lo, lo + width))
+    mix = data + [(f"{k % 5:016x}", lo, lo + 1_800.0)
+                  for k, lo in enumerate(rnd.uniform(0.0, 11_800.0) for _ in range(5_000))]
+
+    def queries():
+        for eui, lo, hi in data:
+            store.query(eui, lo, hi)
+
+    t = best_of(queries, repeats, clock=time.process_time)
+    print(f"PacketStore.query: 10k-EUI store, {len(data):,} windows of a known EUI: "
+          f"{t / len(data) * 1e6:5.2f} us CPU per query")
+
+    server, thread = netserver.start_server(store, "bench")
+    try:
+        with netserver.NetClient(server.bound_address, "bench") as client:
+            def round_trips():
+                for eui, lo, hi in mix:
+                    client.query(eui, lo, hi)
+
+            t = best_of(round_trips, repeats, clock=time.process_time)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    print(f"NetClient.query: {len(mix):,} round trips in the pipeline's mix over local TCP, "
+          f"both ends in one process: {t / len(mix) * 1e6:5.1f} us CPU each")
 
 
 def main() -> None:
@@ -106,6 +183,9 @@ def main() -> None:
         t = best_of(live, repeats=3)
         print(f"SimWorld: 41 devices, {n:>5} advances of 7 s: {t * 1e3:8.1f} ms"
               f" ({t / n * 1e6:6.0f} us per advance)")
+
+    print()
+    server_rows(args.repeats)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ Subcommands: ``airtime`` (time-on-air), ``scale`` (experiment sizing),
 (mock network server), ``run-experiment`` (orchestration) and
 ``analyze`` (SF-mix bounds curve).  Long experiment definitions can
 live in a ``key = value`` config file; explicit flags win on conflict.
+The simulator, and with it NumPy, is imported only by the subcommands
+that simulate, so ``serve`` starts without it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import sys
 
 from . import airtime as airtime_mod
-from . import analysis, controller, netserver, scaling, simulator
+from . import analysis, controller, netserver, scaling
 from .controller import (
     ExperimentSettings,
     OrchestrationError,
@@ -131,6 +133,8 @@ def _cmd_scale(args) -> int:
 
 
 def _model_from(args, config: dict[str, str]):
+    from . import simulator
+
     model = _setting(args, config, "model", str, "any")
     if model in ("any", "any-overlap"):
         return simulator.AnyOverlap()
@@ -157,6 +161,8 @@ def _fleet(entries, period: float, spread: float, step: float, horizon: float, s
            airtime_sf7: float, sf8_count: int, airtime_sf8: float | None):
     """One device per roster entry, switched on ``step`` seconds apart
     and off at ``horizon``; the last ``sf8_count`` devices use SF8."""
+    from . import simulator
+
     n = len(entries)
     specs = []
     for k, entry in enumerate(entries):
@@ -215,6 +221,8 @@ def _roster_fleet(args, config: dict[str, str]):
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulator
+
     config = load_config(args.config) if args.config else {}
     seed = _setting(args, config, "seed", int, 0)
     model = _model_from(args, config)

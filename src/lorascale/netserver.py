@@ -26,12 +26,26 @@ import re
 import socket
 import socketserver
 import threading
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable
 
 # A device EUI: 16 hex digits, matched with ``fullmatch``.
 EUI_PATTERN = re.compile(r"[0-9a-fA-F]{16}")
+
+# One packet-log line, matched with ``fullmatch``: the receive time (an
+# optional minus, digits and an optional fraction), the EUI, the frame
+# counter and the SF (7-12), tab separated, with an optional line end.
+# This is exactly what ``simulator.write_packet_log`` writes; signs,
+# spaces, underscores, exponents, NaN and infinities are malformed.
+LOG_LINE = re.compile(r"(-?[0-9]+(?:\.[0-9]+)?)\t(" + EUI_PATTERN.pattern
+                      + r")\t([0-9]+)\t([7-9]|1[0-2])\r?\n?")
+
+_INF = math.inf
+_decode = json.JSONDecoder().decode  # what json.loads runs for a str
 
 
 class ProtocolError(Exception):
@@ -53,38 +67,36 @@ class PacketRecord:
 
 
 def parse_log_line(line: str) -> PacketRecord:
-    """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line; the timestamp
-    must be finite."""
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != 4:
-        raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
-    ts_s, eui, fcnt_s, sf_s = fields
+    """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line (:data:`LOG_LINE`);
+    a timestamp whose digits overflow to infinity is malformed too."""
+    match = LOG_LINE.fullmatch(line)
+    if match is None:
+        raise ValueError(f"not a packet-log line: {line!r}")
+    ts_s, eui, fcnt, sf = match.groups()
     ts = float(ts_s)
-    fcnt = int(fcnt_s)
-    sf = int(sf_s)
-    if not math.isfinite(ts):
-        raise ValueError(f"non-finite timestamp {ts_s!r}")
-    if not EUI_PATTERN.fullmatch(eui):
-        raise ValueError(f"bad EUI {eui!r}")
-    if fcnt < 0:
-        raise ValueError("negative frame counter")
-    if not 7 <= sf <= 12:
-        raise ValueError(f"bad SF {sf}")
-    return PacketRecord(dev_eui=eui, fcnt=fcnt, received_ts=ts, sf=sf)
+    if not -_INF < ts < _INF:
+        raise ValueError(f"timestamp {ts_s!r} overflows")
+    return PacketRecord(eui, int(fcnt), ts, int(sf))
+
+
+# Bucket order: by receive time, then frame counter.
+_ORDER = attrgetter("received_ts", "fcnt")
 
 
 class PacketStore:
     """Thread-safe packet storage with duplicate suppression.
 
     Exact duplicates (same EUI, counter, timestamp) are ingested once;
-    queries see a consistent snapshot under a single-writer lock.  Every
-    stored timestamp is finite.
+    queries see a consistent snapshot under a single-writer lock.  Each
+    EUI's records are kept time-ordered next to a list of their
+    timestamps, so a query is two bisections and a slice.  Every stored
+    timestamp is finite.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._by_eui: dict[str, list[PacketRecord]] = {}
-        self._seen: set[tuple[str, int, float]] = set()
+        # EUI -> (records, their timestamps), both in _ORDER
+        self._by_eui: dict[str, tuple[list[PacketRecord], list[float]]] = {}
 
     def ingest(self, records: Iterable[PacketRecord]) -> int:
         """Store records; returns how many were new.
@@ -99,47 +111,65 @@ class PacketStore:
         return self._add(records)
 
     def _add(self, records: list[PacketRecord]) -> int:
+        batches: defaultdict[str, list[PacketRecord]] = defaultdict(list)
+        for rec in records:
+            batches[rec.dev_eui].append(rec)
         added = 0
         with self._lock:
-            for rec in records:
-                key = (rec.dev_eui, rec.fcnt, rec.received_ts)
-                if key in self._seen:
-                    continue
-                self._seen.add(key)
-                self._by_eui.setdefault(rec.dev_eui, []).append(rec)
-                added += 1
-            for bucket in self._by_eui.values():
-                bucket.sort(key=lambda r: (r.received_ts, r.fcnt))
+            for eui, batch in batches.items():
+                old, _ = self._by_eui.get(eui, ((), ()))
+                bucket = [*old, *batch]
+                # stable: of two duplicates, now neighbours, the one stored first leads
+                bucket.sort(key=_ORDER)
+                kept: list[PacketRecord] = []
+                times: list[float] = []
+                for rec in bucket:
+                    if times and rec.received_ts == times[-1] and rec.fcnt == kept[-1].fcnt:
+                        continue
+                    kept.append(rec)
+                    times.append(rec.received_ts)
+                self._by_eui[eui] = (kept, times)
+                added += len(kept) - len(old)
         return added
 
     def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
-        """Parse and store log lines; returns (ingested, skipped)."""
+        """Parse and store log lines; returns (ingested, skipped).
+
+        Blank lines are ignored; every other line that
+        :func:`parse_log_line` refuses is skipped.
+        """
         good: list[PacketRecord] = []
         skipped = 0
         for line in lines:
-            if not line.strip():
-                continue
             try:
                 good.append(parse_log_line(line))
             except ValueError:
-                skipped += 1
+                if line and not line.isspace():
+                    skipped += 1
         return self._add(good), skipped  # parsed timestamps are finite
 
     def ingest_file(self, path) -> tuple[int, int]:
-        with open(path, "r", encoding="ascii") as fh:
+        # a byte outside ASCII becomes U+FFFD, which no log line holds, so
+        # it costs its line and not the whole file
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
             return self.ingest_lines(fh)
 
     def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
         """Records of one device with from_ts <= ts <= to_ts, time-ordered."""
-        if from_ts > to_ts:
-            raise ValueError("query window is empty (from > to)")
+        if not from_ts <= to_ts:
+            if from_ts > to_ts:
+                raise ValueError("query window is empty (from > to)")
+            return []  # a NaN bound, which no timestamp lies within
         with self._lock:
-            bucket = self._by_eui.get(dev_eui, [])
-            return [r for r in bucket if from_ts <= r.received_ts <= to_ts]
+            entry = self._by_eui.get(dev_eui)
+            if entry is None:
+                return []
+            records, times = entry
+            return records[bisect_left(times, from_ts):bisect_right(times, to_ts)]
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(b) for b in self._by_eui.values())
+            return sum(len(records) for records, _ in self._by_eui.values())
 
 
 # Longest request line, newline included, that the server reads; a query
@@ -148,9 +178,9 @@ class PacketStore:
 MAX_LINE_BYTES = 64 * 1024
 
 
-def _send(wfile, message: dict) -> None:
-    wfile.write((json.dumps(message) + "\n").encode("utf-8"))
-    wfile.flush()
+def _line(message: dict) -> bytes:
+    """One wire message as the line ``json.dumps`` writes."""
+    return (json.dumps(message) + "\n").encode("utf-8")
 
 
 def encode_packets(dev_eui: str, records: list[PacketRecord]) -> bytes:
@@ -168,6 +198,8 @@ def encode_packets(dev_eui: str, records: list[PacketRecord]) -> bytes:
 
 def _json_bound(value) -> str:
     """JSON text of a query bound, which must be a finite int or float."""
+    if type(value) is float and -_INF < value < _INF:
+        return float.__repr__(value)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             finite = math.isfinite(value)
@@ -191,62 +223,64 @@ def encode_query(dev_eui: str, from_ts: float, to_ts: float) -> bytes:
             f'"from": {_json_bound(from_ts)}, "to": {_json_bound(to_ts)}}}\n').encode("ascii")
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        server: PacketServer = self.server  # type: ignore[assignment]
-        authed = False
-        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-            if len(raw) > MAX_LINE_BYTES:
-                _send(self.wfile, {"type": "error",
-                                   "reason": f"message longer than {MAX_LINE_BYTES} bytes"})
-                return
-            try:
-                msg = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                _send(self.wfile, {"type": "error", "reason": "unparseable message"})
-                return
-            if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
-                _send(self.wfile, {"type": "error", "reason": "message must be an object with a type"})
-                return
-            kind = msg["type"]
-            if kind == "auth":
-                token = msg.get("token")
-                if isinstance(token, str) and hmac.compare_digest(token, server.token):
-                    authed = True
-                    _send(self.wfile, {"type": "auth_ok"})
-                else:
-                    _send(self.wfile, {"type": "auth_fail", "reason": "bad token"})
-                    return
-            elif not authed:
-                _send(self.wfile, {"type": "error", "reason": "authentication required"})
-                return
-            elif kind == "query":
-                self._handle_query(server, msg)
-            else:
-                _send(self.wfile, {"type": "error", "reason": f"unknown message type {kind!r}"})
-
-    def _handle_query(self, server: PacketServer, msg: dict) -> None:
-        eui = msg.get("dev_eui")
-        lo, hi = msg.get("from"), msg.get("to")
-        if not isinstance(eui, str):
-            _send(self.wfile, {"type": "error", "reason": "query needs a string dev_eui"})
-            return
-        if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)) or \
-                isinstance(lo, bool) or isinstance(hi, bool):
-            _send(self.wfile, {"type": "error", "reason": "query needs numeric from/to"})
-            return
+def _answer(store: PacketStore, msg: dict) -> bytes:
+    """The reply line to one query: its packets, or why it is refused."""
+    eui, lo, hi = msg.get("dev_eui"), msg.get("from"), msg.get("to")
+    if type(eui) is not str:
+        return _error("query needs a string dev_eui")
+    # JSON numbers decode to exact ints and floats; a bool is no number
+    if type(lo) is not float or type(hi) is not float:
+        if type(lo) not in (int, float) or type(hi) not in (int, float):
+            return _error("query needs numeric from/to")
         try:
             lo, hi = float(lo), float(hi)
         except OverflowError:
-            lo = hi = math.inf
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            _send(self.wfile, {"type": "error", "reason": "query needs finite from/to"})
-            return
-        if lo > hi:
-            _send(self.wfile, {"type": "error", "reason": "empty window (from > to)"})
-            return
-        self.wfile.write(encode_packets(eui, server.store.query(eui, lo, hi)))
-        self.wfile.flush()
+            lo = hi = _INF
+    if not (-_INF < lo < _INF and -_INF < hi < _INF):
+        return _error("query needs finite from/to")
+    if lo > hi:
+        return _error("empty window (from > to)")
+    return encode_packets(eui, store.query(eui, lo, hi))
+
+
+def _error(reason: str) -> bytes:
+    return _line({"type": "error", "reason": reason})
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    def handle(self) -> None:
+        server: PacketServer = self.server  # type: ignore[assignment]
+        send = self.request.sendall
+        authed = False
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                send(_error(f"message longer than {MAX_LINE_BYTES} bytes"))
+                return
+            try:
+                msg = _decode(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                send(_error("unparseable message"))
+                return
+            # json.loads makes plain dicts, lists, strs, ints, floats, bools
+            kind = msg.get("type") if type(msg) is dict else None
+            if type(kind) is not str:
+                send(_error("message must be an object with a type"))
+                return
+            if kind == "query" and authed:
+                send(_answer(server.store, msg))
+            elif kind == "auth":
+                token = msg.get("token")
+                if type(token) is str and hmac.compare_digest(token, server.token):
+                    authed = True
+                    send(_line({"type": "auth_ok"}))
+                else:
+                    send(_line({"type": "auth_fail", "reason": "bad token"}))
+                    return
+            elif not authed:
+                send(_error("authentication required"))
+                return
+            else:
+                send(_error(f"unknown message type {kind!r}"))
 
 
 class PacketServer(socketserver.ThreadingTCPServer):
@@ -288,23 +322,20 @@ class NetClient:
             self.close()
             raise
 
-    def _send(self, message: dict) -> None:
-        self._sock.sendall((json.dumps(message) + "\n").encode("utf-8"))
-
     def _recv(self) -> dict:
         raw = self._rfile.readline()
         if not raw:
             raise ProtocolError("connection closed by server")
         try:
-            msg = json.loads(raw.decode("utf-8"))
+            msg = _decode(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"server sent an unparseable message: {exc}") from exc
-        if not isinstance(msg, dict):
+        if type(msg) is not dict:
             raise ProtocolError("server sent a non-object message")
         return msg
 
     def _auth(self, token: str) -> None:
-        self._send({"type": "auth", "token": token})
+        self._sock.sendall(_line({"type": "auth", "token": token}))
         reply = self._recv()
         if reply.get("type") == "auth_ok":
             return
@@ -317,23 +348,17 @@ class NetClient:
         raises :class:`ProtocolError` before anything is sent."""
         self._sock.sendall(encode_query(dev_eui, from_ts, to_ts))
         reply = self._recv()
-        if reply.get("type") == "error":
-            raise ProtocolError(reply.get("reason", "server error"))
-        if reply.get("type") != "packets" or not isinstance(reply.get("packets"), list):
+        kind, packets = reply.get("type"), reply.get("packets")
+        if kind != "packets" or type(packets) is not list:
+            if kind == "error":
+                raise ProtocolError(reply.get("reason", "server error"))
             raise ProtocolError(f"unexpected query reply {reply!r}")
-        if reply.get("dev_eui") != dev_eui:
-            raise ProtocolError(f"reply names device {reply.get('dev_eui')!r}, "
-                                f"not the {dev_eui!r} asked for")
+        named = reply.get("dev_eui")
+        if named != dev_eui:
+            raise ProtocolError(f"reply names device {named!r}, not the {dev_eui!r} asked for")
         try:
-            return [
-                PacketRecord(
-                    dev_eui=dev_eui,
-                    fcnt=int(p["fcnt"]),
-                    received_ts=float(p["ts"]),
-                    sf=int(p["sf"]),
-                )
-                for p in reply["packets"]
-            ]
+            return [PacketRecord(dev_eui, int(p["fcnt"]), float(p["ts"]), int(p["sf"]))
+                    for p in packets]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed packet in query reply: {exc!r}") from exc
 

@@ -328,6 +328,15 @@ def test_scripted_replay_equals_simulated_operator(tmp_path):
     assert via_sim == (DATA / "golden_report.txt").read_bytes()
 
 
+def test_cli_imports_no_numpy():
+    # the server process runs only the CLI and netserver; NumPy would cost
+    # it start-up time and memory for nothing
+    code = ("import sys; from lorascale import cli; cli.build_parser(); "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_serve_subcommand_over_subprocess(tmp_path):
     import socket
     import time as time_mod

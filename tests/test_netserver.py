@@ -20,6 +20,7 @@ from lorascale.netserver import (
     start_server,
 )
 from record_oracle import format_log_line, reference_packets_line, reference_query_line
+from store_oracle import ReferenceStore, reference_parse_log_line, written_form
 
 TOKEN = "secret-token"
 
@@ -54,6 +55,35 @@ def read_json(rfile):
 
 # --- log parsing and store ---------------------------------------------------
 
+# Lines that ``float`` and ``int`` would read but that write_packet_log
+# never writes: signs, spaces, underscores, exponents, non-finite names,
+# bare or trailing points, non-ASCII digits, a zero-padded SF.
+LENIENT_LINES = [
+    "1_0.5\t00000000000000aa\t3_0\t+7",
+    "+12.5\t00000000000000aa\t3\t7",
+    "12.5\t00000000000000aa\t+3\t7",
+    "12.5\t00000000000000aa\t3\t+7",
+    " 12.5\t00000000000000aa\t3\t7",
+    "12.5 \t00000000000000aa\t3\t7",
+    "12.5\t00000000000000aa\t 3\t7",
+    "12.5\t00000000000000aa\t3 \t7",
+    "12.5\t00000000000000aa\t3\t7 \n",
+    "1e3\t00000000000000aa\t3\t7",
+    "1.5E2\t00000000000000aa\t3\t7",
+    "inf\t00000000000000aa\t3\t7",
+    "Infinity\t00000000000000aa\t3\t7",
+    "NaN\t00000000000000aa\t3\t7",
+    ".5\t00000000000000aa\t3\t7",
+    "5.\t00000000000000aa\t3\t7",
+    "\uff11\uff12.5\t00000000000000aa\t3\t7",
+    "12.5\t00000000000000aa\t\u0663\t7",
+    "12.5\t00000000000000aa\t3\t07",
+    "12.5\t00000000000000aa\t3\t7\n\n",
+]
+# Digits only, but beyond the float range: they read as an infinity.
+OVERFLOW_LINE = "1" + "0" * 400 + "\t00000000000000aa\t3\t7"
+
+
 def test_parse_log_line_roundtrip():
     rec = parse_log_line("12.500000\t00000000000000aa\t3\t7\n")
     assert rec == PacketRecord("00000000000000aa", 3, 12.5, 7)
@@ -85,11 +115,42 @@ def test_log_line_format_parse_roundtrip(dev_eui, fcnt, micros, sf):
         "nan\t00000000000000aa\t3\t7",
         "-inf\t00000000000000aa\t3\t7",
         "1e400\t00000000000000aa\t3\t7",
+        OVERFLOW_LINE,
+        *LENIENT_LINES,
     ],
 )
 def test_parse_log_line_rejects_malformed(line):
     with pytest.raises(ValueError):
         parse_log_line(line)
+
+
+@pytest.mark.parametrize("line", [
+    "0\t00000000000000aa\t0\t12",
+    "-0.5\t00000000000000AA\t0003\t10",
+    "12.500000\t00000000000000aa\t3\t7\r\n",
+    "1" + "0" * 300 + ".25\t00000000000000aa\t3\t7",
+])
+def test_parse_log_line_accepts_written_forms(line):
+    assert parse_log_line(line) == reference_parse_log_line(line)
+
+
+def test_ingest_skips_lenient_lines():
+    good = "12.500000\t00000000000000aa\t3\t7\n"
+    store = PacketStore()
+    lines = [good, *LENIENT_LINES, "\n", "  \r\n", OVERFLOW_LINE]
+    assert store.ingest_lines(lines) == (1, len(LENIENT_LINES) + 1)
+    assert store.query("00000000000000aa", -1e300, 1e300) == [
+        PacketRecord("00000000000000aa", 3, 12.5, 7)]
+
+
+def test_ingest_file_skips_only_the_line_with_a_non_ascii_byte(tmp_path):
+    log = tmp_path / "packets.log"
+    log.write_bytes(b"1.000000\t00000000000000aa\t0\t7\n"
+                    b"2.0\xff\t00000000000000aa\t1\t7\n"
+                    b"3.000000\t00000000000000aa\t2\t7\n")
+    store = PacketStore()
+    assert store.ingest_file(log) == (2, 1)
+    assert [r.fcnt for r in store.query("00000000000000aa", 0.0, 5.0)] == [0, 2]
 
 
 def test_store_ingest_empty_stream():
@@ -162,6 +223,107 @@ def test_store_two_out_of_order_batches_sorted_and_windowed():
     assert [r.fcnt for r in store.query(a, 30.5, 59.9)] == [4, 5]
     assert store.query(a, 60.5, 70.0) == []
     assert [r.fcnt for r in store.query(b, 0.0, 100.0)] == [0]
+
+
+def test_store_query_nan_bound_matches_nothing():
+    eui = "00000000000000aa"
+    store = PacketStore()
+    store.ingest([PacketRecord(eui, 0, 1.0, 7), PacketRecord(eui, 1, 2.0, 7)])
+    for lo, hi in ((math.nan, 5.0), (0.0, math.nan), (math.nan, math.nan)):
+        assert store.query(eui, lo, hi) == []
+    with pytest.raises(ValueError):
+        store.query(eui, 2.0, 1.0)
+    assert [r.fcnt for r in store.query(eui, -math.inf, math.inf)] == [0, 1]
+
+
+def test_store_later_batch_keeps_timestamps_in_step():
+    eui = "00000000000000aa"
+    store = PacketStore()
+    assert store.ingest([PacketRecord(eui, 4, 4.0, 7), PacketRecord(eui, 2, 2.0, 7)]) == 2
+    # a later batch with a duplicate, a tie and records on both sides
+    assert store.ingest([PacketRecord(eui, 2, 2.0, 8), PacketRecord(eui, 1, 2.0, 7),
+                         PacketRecord(eui, 5, 5.0, 7), PacketRecord(eui, 0, 0.5, 7)]) == 3
+    assert store.query(eui, 2.0, 2.0) == [PacketRecord(eui, 1, 2.0, 7),
+                                          PacketRecord(eui, 2, 2.0, 7)]  # first copy kept
+    assert [r.fcnt for r in store.query(eui, 0.5, 4.0)] == [0, 1, 2, 4]
+    assert [r.fcnt for r in store.query(eui, 4.5, 5.0)] == [5]
+    assert len(store) == 5
+
+
+# a few EUIs and coarse timestamps, so that batches collide, tie and interleave
+store_eui_st = st.sampled_from(["00000000000000aa", "00000000000000bb", "00000000000000CC"])
+record_st = st.builds(PacketRecord, store_eui_st, st.integers(0, 6),
+                      st.sampled_from([-1.5, 0.0, -0.0, 0.5, 1.0, 2.0, 2.5, 7.0]),
+                      st.integers(7, 12))
+bound_or_nan_st = st.one_of(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 2.0, 2.5, 7.0, 9.0, math.nan]),
+                            st.floats(-3.0, 9.0))
+
+
+@given(batches=st.lists(st.lists(record_st, max_size=12), max_size=4),
+       windows=st.lists(st.tuples(store_eui_st, bound_or_nan_st, bound_or_nan_st), max_size=10))
+@settings(max_examples=300)
+def test_store_matches_linear_scan_reference(batches, windows):
+    store, reference = PacketStore(), ReferenceStore()
+    for batch in batches:
+        assert store.ingest(batch) == reference.ingest(batch)
+        assert len(store) == len(reference)
+    for eui, lo, hi in windows:
+        if lo > hi:
+            with pytest.raises(ValueError):
+                store.query(eui, lo, hi)
+            continue
+        got, want = store.query(eui, lo, hi), reference.query(eui, lo, hi)
+        assert got == want
+        # -0.0 and 0.0 are one key: the same copy must be kept
+        assert [math.copysign(1.0, r.received_ts) for r in got] == \
+            [math.copysign(1.0, r.received_ts) for r in want]
+
+
+# Fragments a corrupted line is made from: what float and int would read
+# and what they would not.
+CORRUPTION_ST = st.sampled_from(["_", "+", "-", " ", "e", "E", ".", "\t", "\n", "\r", "x",
+                                 "0", "9", "\u0663", "\x1c", "nan", "inf", "1e5"])
+ENDING_ST = st.sampled_from(["", "\n", "\r\n"])
+
+
+@st.composite
+def log_line_st(draw):
+    kind = draw(st.sampled_from(["written", "written", "short", "blank", "corrupt"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "\n", "  \n", "\t\r\n", "\r"]))
+    rec = draw(record_st)
+    if kind == "short":  # the other number forms write_packet_log's grammar allows
+        ts = draw(st.sampled_from(["2", "-1.5", "0.50", "007.0", "-0"]))
+        line = f"{ts}\t{rec.dev_eui}\t{rec.fcnt}\t{rec.sf}"
+    else:
+        line = format_log_line(rec)
+    if kind == "corrupt":
+        at = draw(st.integers(0, len(line)))
+        cut = draw(st.integers(0, 2))
+        line = line[:at] + draw(CORRUPTION_ST) + line[at + cut:]
+    return line + draw(ENDING_ST)
+
+
+@given(lines=st.lists(log_line_st(), max_size=30), again=st.lists(log_line_st(), max_size=8))
+@settings(max_examples=400)
+def test_ingest_lines_matches_reference_parser(lines, again):
+    store, reference = PacketStore(), ReferenceStore()
+    for batch in (lines, lines[:3] + again):  # the second batch repeats lines
+        # the reference reads some lines the log grammar rejects on purpose
+        lenient = []
+        for line in batch:
+            try:
+                reference_parse_log_line(line)
+            except ValueError:
+                continue
+            if not written_form(line):
+                lenient.append(line)
+        kept = [line for line in batch if line not in lenient]
+        ingested, skipped = reference.ingest_lines(kept)
+        assert store.ingest_lines(batch) == (ingested, skipped + len(lenient))
+    for eui in ("00000000000000aa", "00000000000000bb", "00000000000000CC", "00000000000000cc"):
+        assert store.query(eui, -10.0, 10.0) == reference.query(eui, -10.0, 10.0)
+        assert store.query(eui, 0.0, 2.0) == reference.query(eui, 0.0, 2.0)
 
 
 # --- wire protocol ------------------------------------------------------------
