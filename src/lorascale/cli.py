@@ -321,6 +321,8 @@ def _cmd_run_experiment(args) -> int:
               f"({total_delivered}/{total_sent})")
     else:
         print("network pdr undefined (no packets)")
+    if result.query_failures:
+        print(f"query failed for {len(result.query_failures)} devices (see report)")
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from .netserver import PacketRecord, ProtocolError
@@ -198,22 +198,7 @@ def load_roster(experiment_table, mapping_table) -> DeviceMatrix:
     return DeviceMatrix(entries)
 
 
-# --- report flags and records ----------------------------------------------
-
-@dataclass(frozen=True)
-class TurnOnFailed:
-    pass
-
-
-@dataclass(frozen=True)
-class NeverResponded:
-    pass
-
-
-@dataclass(frozen=True)
-class RespondedAfterShutdown:
-    after_id: str
-
+# --- report records ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class QueryFailed:
@@ -225,7 +210,6 @@ class DeviceReport:
     device_id: str
     delivered: int = 0
     sent: int = 0
-    flags: set = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if not 0 <= self.delivered <= self.sent:
@@ -242,6 +226,25 @@ class ShutdownRecord:
 
 # --- phases ----------------------------------------------------------------
 
+def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
+          ) -> tuple[dict[str, list[PacketRecord]], dict[str, QueryFailed]]:
+    """One window query per entry, in order, over one window.
+
+    The only place the controller asks the server.  A query that fails
+    leaves its device with no packets and a ``QueryFailed`` reason; what
+    that means is the caller's decision.
+    """
+    packets: dict[str, list[PacketRecord]] = {}
+    failures: dict[str, QueryFailed] = {}
+    for entry in entries:
+        try:
+            packets[entry.device_id] = client.query(entry.dev_eui, from_ts, to_ts)
+        except (ProtocolError, OSError) as exc:
+            packets[entry.device_id] = []
+            failures[entry.device_id] = QueryFailed(str(exc))
+    return packets, failures
+
+
 def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Clock,
                      probe_window: float, step: float = 0.0) -> set[str]:
     """Prompt devices on in matrix order, then probe for silent ones.
@@ -249,7 +252,8 @@ def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Cl
     After the prompts, ``probe_window`` seconds pass and every device
     without a single packet since the sequence began is flagged as a
     failed turn-on.  The server's data is the authority: a skipped or
-    dead device shows up the same way, as silence.
+    dead device shows up the same way, as silence.  A failed probe
+    query aborts the run, naming the first reason.
     """
     began = clock.now()
     for entry in matrix:
@@ -258,15 +262,11 @@ def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Cl
             clock.sleep(step)
     if probe_window > 0:
         clock.sleep(probe_window)
-    failed = set()
-    for entry in matrix:
-        try:
-            packets = client.query(entry.dev_eui, began, clock.now())
-        except (ProtocolError, OSError) as exc:
-            raise OrchestrationError(f"server unreachable during turn-on probe: {exc}")
-        if not packets:
-            failed.add(entry.device_id)
-    return failed
+    packets, failures = _poll(matrix, began, clock.now(), client)
+    if failures:
+        first = next(iter(failures.values()))
+        raise OrchestrationError(f"server unreachable during turn-on probe: {first.reason}")
+    return {device_id for device_id, got in packets.items() if not got}
 
 
 def collect(matrix: DeviceMatrix, start_ts: float, end_ts: float, client
@@ -274,15 +274,7 @@ def collect(matrix: DeviceMatrix, start_ts: float, end_ts: float, client
     """One window query per device; a failing query flags the device."""
     if end_ts <= start_ts:
         raise ValueError("experiment window is empty")
-    packets: dict[str, list[PacketRecord]] = {}
-    failures: dict[str, QueryFailed] = {}
-    for entry in matrix:
-        try:
-            packets[entry.device_id] = client.query(entry.dev_eui, start_ts, end_ts)
-        except (ProtocolError, OSError) as exc:
-            packets[entry.device_id] = []
-            failures[entry.device_id] = QueryFailed(str(exc))
-    return packets, failures
+    return _poll(matrix, start_ts, end_ts, client)
 
 
 def compute_counts(packets: list[PacketRecord]) -> tuple[int, int]:
@@ -312,44 +304,42 @@ def compute_counts(packets: list[PacketRecord]) -> tuple[int, int]:
 def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                       operator: Operator, client, clock: Clock,
                       recheck_window: float
-                      ) -> tuple[list[ShutdownRecord], dict[str, str]]:
+                      ) -> tuple[list[ShutdownRecord], dict[str, str], dict[str, QueryFailed]]:
     """Three-priority shutdown with late-responder detection.
 
     Devices that delivered during the experiment go first (high tier,
     matrix order).  After every shutdown the server is polled over
     ``recheck_window``: one query per still-silent device, in matrix
     order.  A previously silent device that now shows packets is
-    appended to the middle tier and flagged, and is not polled again.
-    Whatever is left forms the low tier.  A skipped device is retried
-    once at the end of its tier, then logged as an unconfirmed shutdown.
-    A poll that fails is skipped and flags its device ``QueryFailed``.
+    appended to the middle tier as a late responder and is not polled
+    again.  Whatever is left forms the low tier.  A skipped device is
+    retried once at the end of its tier, then logged as an unconfirmed
+    shutdown.  A failed poll is skipped; each device's first reason is
+    returned with the log and the late responders (detection order).
     """
     high = deque(e.device_id for e in matrix if reports[e.device_id].delivered > 0)
-    silent = [e.device_id for e in matrix if reports[e.device_id].delivered == 0]
-    pending_silent = set(silent)
+    # still-silent devices not yet shut down, in matrix order
+    pending = {e.device_id: e for e in matrix if reports[e.device_id].delivered == 0}
     middle: deque[str] = deque()
     late: dict[str, str] = {}
+    failures: dict[str, QueryFailed] = {}
     log: list[ShutdownRecord] = []
     retried: set[str] = set()
 
     def recheck(after_id: str, shutdown_at: float, middle_open: bool) -> None:
         clock.sleep(recheck_window)
-        for candidate in silent:
-            if candidate not in pending_silent:
-                continue
-            try:
-                fresh = client.query(matrix.eui_for(candidate), shutdown_at, clock.now())
-            except (ProtocolError, OSError) as exc:
-                # the poll is lost, not the run; the report keeps the reason
-                reports[candidate].flags.add(QueryFailed(f"turn-off recheck: {exc}"))
-                continue
-            if fresh:
-                late[candidate] = after_id
-                pending_silent.discard(candidate)
+        fresh, lost = _poll(pending.values(), shutdown_at, clock.now(), client)
+        for device_id, failure in lost.items():
+            # the poll is lost, not the run; the report keeps the reason
+            failures.setdefault(device_id, QueryFailed(f"turn-off recheck: {failure.reason}"))
+        for device_id, packets in fresh.items():
+            if packets:
+                late[device_id] = after_id
+                del pending[device_id]
                 if middle_open:
-                    middle.append(candidate)
+                    middle.append(device_id)
                 # once the low tier is formed, a late responder keeps
-                # its slot there; the flag still goes to the report
+                # its slot there; the report still names it
 
     def drain(queue: deque[str], priority: str, middle_open: bool) -> None:
         while queue:
@@ -359,7 +349,7 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                 retried.add(device_id)
                 queue.append(device_id)
                 continue
-            pending_silent.discard(device_id)
+            pending.pop(device_id, None)
             shutdown_at = clock.now()
             log.append(ShutdownRecord(device_id, shutdown_at, confirmed, priority))
             recheck(device_id, shutdown_at, middle_open)
@@ -368,24 +358,24 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
     drain(middle, "middle", middle_open=True)
     logged = {r.device_id for r in log}
     drain(deque(d for d in matrix.ids() if d not in logged), "low", middle_open=False)
-
-    for device_id, after_id in late.items():
-        reports[device_id].flags.add(RespondedAfterShutdown(after_id))
-    for report in reports.values():
-        if report.delivered == 0 and report.device_id not in late:
-            report.flags.add(NeverResponded())
-    return log, late
+    return log, late, failures
 
 
 # --- output files ----------------------------------------------------------
 
 @dataclass
 class ExperimentResult:
+    """Each device's outcome lives in one record: its counts in
+    ``reports``, and its id in ``turn_on_failures``, ``late_responders``
+    or ``query_failures``.  A device that delivered nothing and is no
+    late responder never responded."""
+
     name: str
     matrix: DeviceMatrix
     reports: dict[str, DeviceReport]
     turn_on_failures: set[str]
     late_responders: dict[str, str]
+    query_failures: dict[str, QueryFailed]
     shutdown_log: list[ShutdownRecord]
     start_ts: float
     end_ts: float
@@ -396,9 +386,12 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
     """Write the main report and the auxiliary timestamp file.
 
     Report layout: experiment header, one line per failed turn-on, one
-    ``id delivered sent`` line per roster device in matrix order, then
-    one trailer line per late responder.  The timestamp file lists
-    every collected packet as ``eui fcnt ts``, ascending in time.
+    ``id delivered sent`` line per roster device in matrix order, one
+    trailer line per late responder, then ``# query-failed id reason``
+    per failed device in matrix order, each whitespace run of the
+    outside reason written as one space so the record stays one line.
+    The timestamp file lists every collected packet as ``eui fcnt ts``,
+    ascending in time.
     """
     duration = result.end_ts - result.start_ts
     lines = [
@@ -413,6 +406,10 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
         lines.append(f"{device_id} {report.delivered} {report.sent}")
     for device_id, after_id in result.late_responders.items():
         lines.append(f"# late-responder {device_id} after {after_id}")
+    for device_id in result.matrix.ids():
+        if device_id in result.query_failures:
+            reason = result.query_failures[device_id].reason.split()
+            lines.append(" ".join(["# query-failed", device_id, *reason]))
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -436,6 +433,7 @@ class ParsedReport:
     reports: dict[str, DeviceReport]
     turn_on_failures: set[str]
     late_responders: dict[str, str]
+    query_failures: dict[str, QueryFailed]
 
 
 def parse_report(path) -> ParsedReport:
@@ -444,6 +442,7 @@ def parse_report(path) -> ParsedReport:
     reports: dict[str, DeviceReport] = {}
     failures: set[str] = set()
     late: dict[str, str] = {}
+    query_failures: dict[str, QueryFailed] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -460,18 +459,16 @@ def parse_report(path) -> ParsedReport:
             elif line.startswith("# late-responder "):
                 parts = line.split()
                 late[parts[2]] = parts[4]
+            elif line.startswith("# query-failed "):
+                _, _, device_id, *reason = line.split(maxsplit=3)
+                query_failures[device_id] = QueryFailed("".join(reason))
             elif line.startswith("#"):
                 continue
             else:
                 device_id, delivered, sent = line.split()
                 reports[device_id] = DeviceReport(device_id, int(delivered), int(sent))
-    for device_id in failures:
-        if device_id in reports:
-            reports[device_id].flags.add(TurnOnFailed())
-    for device_id, after_id in late.items():
-        if device_id in reports:
-            reports[device_id].flags.add(RespondedAfterShutdown(after_id))
-    return ParsedReport(name, start_ts, end_ts, duration, reports, failures, late)
+    return ParsedReport(name, start_ts, end_ts, duration, reports, failures, late,
+                        query_failures)
 
 
 # --- full workflow ----------------------------------------------------------
@@ -497,33 +494,26 @@ class ExperimentSettings:
 def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Clock,
                    settings: ExperimentSettings) -> ExperimentResult:
     """Execute every phase in order and return the assembled result."""
-    failures = turn_on_sequence(
+    turn_on_failures = turn_on_sequence(
         matrix, operator, client, clock, settings.probe_window, settings.turnon_step
     )
     start_ts = clock.now()
     clock.sleep(settings.duration)
     end_ts = clock.now()
-    packets, query_failures = collect(matrix, start_ts, end_ts, client)
-
-    reports: dict[str, DeviceReport] = {}
-    for entry in matrix:
-        delivered, sent = compute_counts(packets[entry.device_id])
-        flags: set = set()
-        if entry.device_id in failures:
-            flags.add(TurnOnFailed())
-        if entry.device_id in query_failures:
-            flags.add(query_failures[entry.device_id])
-        reports[entry.device_id] = DeviceReport(entry.device_id, delivered, sent, flags)
-
-    shutdown_log, late = turn_off_sequence(
+    packets, collect_failures = collect(matrix, start_ts, end_ts, client)
+    reports = {device_id: DeviceReport(device_id, *compute_counts(got))
+               for device_id, got in packets.items()}
+    shutdown_log, late, recheck_failures = turn_off_sequence(
         matrix, reports, operator, client, clock, settings.recheck_window
     )
     return ExperimentResult(
         name=settings.name,
         matrix=matrix,
         reports=reports,
-        turn_on_failures=failures,
+        turn_on_failures=turn_on_failures,
         late_responders=late,
+        # a device whose collect query failed keeps that reason
+        query_failures={**recheck_failures, **collect_failures},
         shutdown_log=shutdown_log,
         start_ts=start_ts,
         end_ts=end_ts,

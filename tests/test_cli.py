@@ -293,14 +293,13 @@ def test_operator_script_parsing(tmp_path):
         cli.load_operator_script(script)
 
 
-def golden_pipeline(tmp_path, operator_arg, report_name):
+def run_golden(report, operator_arg="sim"):
     store = netserver.PacketStore()
     store.ingest_file(DATA / "golden.log")
     server, thread = netserver.start_server(store, "golden-token")
     host, port = server.bound_address
-    report = tmp_path / report_name
     try:
-        rc = cli.main([
+        return cli.main([
             "run-experiment",
             "--config", str(DATA / "golden.cfg"),
             "--roster", str(DATA / "roster8.csv"),
@@ -309,23 +308,68 @@ def golden_pipeline(tmp_path, operator_arg, report_name):
             "--token", "golden-token",
             "--auto-operator", operator_arg,
             "--report", str(report),
-            "--timestamps", str(tmp_path / (report_name + ".ts")),
+            "--timestamps", str(report) + ".ts",
         ])
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
-    assert rc == 0
+
+
+def golden_pipeline(tmp_path, operator_arg, report_name):
+    report = tmp_path / report_name
+    assert run_golden(report, operator_arg) == 0
     return report.read_bytes()
 
 
-def test_scripted_replay_equals_simulated_operator(tmp_path):
+def test_scripted_replay_equals_simulated_operator(tmp_path, capsys):
     script = tmp_path / "all_yes.txt"
     script.write_text("y\n" * 16)  # 8 turn-on + 8 turn-off prompts
     via_sim = golden_pipeline(tmp_path, "sim", "sim.txt")
+    assert capsys.readouterr().out.splitlines()[-1].startswith("network pdr ")
     via_script = golden_pipeline(tmp_path, str(script), "script.txt")
     assert via_sim == via_script
     assert via_sim == (DATA / "golden_report.txt").read_bytes()
+
+
+GOLDEN_EUI_G03 = "00000000feed0003"
+
+
+def fail_query(monkeypatch, dev_eui, answered):
+    """Make ``NetClient.query`` raise for ``dev_eui`` once its first
+    ``answered`` queries have been served."""
+    original = netserver.NetClient.query
+    served = []
+
+    def query(self, eui, from_ts, to_ts):
+        if eui == dev_eui:
+            served.append(eui)
+            if len(served) > answered:
+                raise netserver.ProtocolError("no such window")
+        return original(self, eui, from_ts, to_ts)
+
+    monkeypatch.setattr(netserver.NetClient, "query", query)
+
+
+def test_run_experiment_probe_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    fail_query(monkeypatch, GOLDEN_EUI_G03, answered=0)
+    report = tmp_path / "report.txt"
+    assert run_golden(report) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: server unreachable during turn-on probe: "
+                            "no such window\n")
+    assert not report.exists()
+
+
+def test_run_experiment_summary_counts_failed_queries(tmp_path, capsys, monkeypatch):
+    fail_query(monkeypatch, GOLDEN_EUI_G03, answered=1)  # the probe only
+    report = tmp_path / "report.txt"
+    assert run_golden(report) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("network pdr ")
+    assert lines[-1] == "query failed for 1 devices (see report)"
+    assert report.read_text().splitlines()[-1] == "# query-failed g03 no such window"
+    assert "\ng03 0 0\n" in report.read_text()
 
 
 def test_cli_imports_no_numpy():

@@ -7,16 +7,13 @@ from lorascale.controller import (
     DeviceMatrix,
     DeviceReport,
     ExperimentSettings,
-    NeverResponded,
     OrchestrationError,
     QueryFailed,
-    RespondedAfterShutdown,
     RosterEntry,
     ScriptedOperator,
     SimulatedOperator,
     TurnOff,
     TurnOn,
-    TurnOnFailed,
     VirtualClock,
     WorldClock,
     collect,
@@ -226,23 +223,23 @@ def make_reports(matrix, responded):
 def test_turn_off_all_responded_single_high_queue_matrix_order():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(4)])
     reports = make_reports(matrix, responded={"d0", "d1", "d2", "d3"})
-    log, late = turn_off_sequence(matrix, reports, SimulatedOperator(),
-                                  FakeWakeClient({}), VirtualClock(100.0), 10.0)
+    log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(),
+                                            FakeWakeClient({}), VirtualClock(100.0), 10.0)
     assert [r.device_id for r in log] == ["d0", "d1", "d2", "d3"]
     assert all(r.priority == "high" for r in log)
     assert late == {}
-    assert all(not reports[d].flags for d in reports)
+    assert failures == {}
 
 
 def test_turn_off_no_device_ever_responds():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(4)])
     reports = make_reports(matrix, responded=set())
-    log, late = turn_off_sequence(matrix, reports, SimulatedOperator(),
-                                  FakeWakeClient({}), VirtualClock(100.0), 10.0)
+    log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(),
+                                            FakeWakeClient({}), VirtualClock(100.0), 10.0)
     assert [r.device_id for r in log] == ["d0", "d1", "d2", "d3"]
     assert all(r.priority == "low" for r in log)
-    assert late == {}
-    assert all(NeverResponded() in reports[d].flags for d in reports)
+    assert late == {}  # every device delivered nothing and is no late responder
+    assert failures == {}
 
 
 def test_turn_off_late_responder_moves_to_middle_with_flag():
@@ -265,13 +262,13 @@ def test_turn_off_late_responder_moves_to_middle_with_flag():
         did: DeviceReport(did, *compute_counts(world.query(EUIS[did], 0.0, 50.0)))
         for did in matrix.ids()
     }
-    log, late = turn_off_sequence(matrix, reports, operator, world, clock, 15.0)
+    log, late, failures = turn_off_sequence(matrix, reports, operator, world, clock, 15.0)
     ids = [r.device_id for r in log]
     assert sorted(ids) == sorted(matrix.ids())
     assert ids[:4] == ["d0", "d1", "d2", "d3"]          # high tier, matrix order
     assert ids[4] == "d4" and log[4].priority == "middle"
     assert late == {"d4": "d1"}
-    assert RespondedAfterShutdown("d1") in reports["d4"].flags
+    assert failures == {}
 
 
 def test_turn_off_skip_retries_once_then_forces():
@@ -282,8 +279,8 @@ def test_turn_off_skip_retries_once_then_forces():
         def prompt(self, action):
             return action.device_id != "d1"  # never confirms d1
 
-    log, _ = turn_off_sequence(matrix, reports, Stubborn(),
-                               FakeWakeClient({}), VirtualClock(0.0), 5.0)
+    log, _, _ = turn_off_sequence(matrix, reports, Stubborn(),
+                                  FakeWakeClient({}), VirtualClock(0.0), 5.0)
     assert [r.device_id for r in log] == ["d0", "d2", "d1"]  # retried at queue end
     assert [r.confirmed for r in log] == [True, True, False]
 
@@ -322,18 +319,16 @@ def test_turn_off_polls_pending_silent_devices_in_matrix_order():
             return True
 
     window = 10.0
-    log, late = turn_off_sequence(matrix, reports, Operator(), client,
-                                  VirtualClock(0.0), window)
+    log, late, failures = turn_off_sequence(matrix, reports, Operator(), client,
+                                            VirtualClock(0.0), window)
 
     high = [d for d in ids if d not in silent and d != "r005"] + ["r005"]
     assert [r.device_id for r in log] == high + ["r150", "r017", "r299"]
     assert [r.priority for r in log] == ["high"] * 297 + ["middle", "low", "low"]
     assert all(r.confirmed for r in log)
     assert [r.at for r in log] == [window * k for k in range(300)]
-    assert late == {"r150": "r040"}
-    assert RespondedAfterShutdown("r040") in reports["r150"].flags
-    assert NeverResponded() in reports["r017"].flags
-    assert NeverResponded() in reports["r299"].flags
+    assert late == {"r150": "r040"}  # r017 and r299 never responded
+    assert failures == {}
 
     expected = []
     pending = list(silent)
@@ -385,8 +380,8 @@ def test_turn_off_ordering_property(n, responded_bits, wake_rules, skips):
                 return False
             return True
 
-    log, late = turn_off_sequence(matrix, reports, SkipSome(),
-                                  FakeWakeClient(wake), VirtualClock(0.0), recheck)
+    log, late, _ = turn_off_sequence(matrix, reports, SkipSome(),
+                                     FakeWakeClient(wake), VirtualClock(0.0), recheck)
 
     assert sorted(r.device_id for r in log) == sorted(ids)  # permutation
     ranks = [priorities[r.priority] for r in log]
@@ -394,10 +389,7 @@ def test_turn_off_ordering_property(n, responded_bits, wake_rules, skips):
     position = {r.device_id: i for i, r in enumerate(log)}
     for r in log:
         if r.priority == "middle":
-            flags = [f for f in reports[r.device_id].flags
-                     if isinstance(f, RespondedAfterShutdown)]
-            assert len(flags) == 1
-            assert position[flags[0].after_id] < position[r.device_id]
+            assert position[late[r.device_id]] < position[r.device_id]
     # a device skipped twice is logged unconfirmed
     for i, device_id in enumerate(ids):
         rec = next(r for r in log if r.device_id == device_id)
@@ -406,12 +398,14 @@ def test_turn_off_ordering_property(n, responded_bits, wake_rules, skips):
 
 # --- output files ------------------------------------------------------------------
 
+LIVE = ExperimentSettings(name="live", duration=100.0, probe_window=15.0,
+                          recheck_window=15.0, turnon_step=1.0)
+
+
 def sample_result():
     world, matrix = live_fixture()
     operator = SimulatedOperator(world)
-    settings_ = ExperimentSettings(name="live", duration=100.0, probe_window=15.0,
-                                   recheck_window=15.0, turnon_step=1.0)
-    return world, run_experiment(matrix, operator, world, WorldClock(world), settings_)
+    return world, run_experiment(matrix, operator, world, WorldClock(world), LIVE)
 
 
 def test_run_experiment_matches_world_ground_truth_exactly():
@@ -425,8 +419,51 @@ def test_run_experiment_matches_world_ground_truth_exactly():
     assert [r.priority for r in result.shutdown_log] == ["high"] * 5
 
 
+class FailAfter:
+    """Answers queries from the world; an EUI in ``errors`` maps to
+    ``(answered, exc)`` and raises ``exc`` once its first ``answered``
+    queries have been served."""
+
+    def __init__(self, world, errors):
+        self.world, self.errors, self.served = world, errors, {}
+
+    def query(self, dev_eui, from_ts, to_ts):
+        served = self.served[dev_eui] = self.served.get(dev_eui, 0) + 1
+        if dev_eui in self.errors and served > self.errors[dev_eui][0]:
+            raise self.errors[dev_eui][1]
+        return self.world.query(dev_eui, from_ts, to_ts)
+
+
+def every_outcome_result():
+    """A run with each kind of per-device record: d2 is skipped at
+    turn-on and wakes when d0 is shut down; d3's collect query and its
+    rechecks fail; d4 is confirmed but dead, and its rechecks fail."""
+    world, matrix = live_fixture()
+
+    class Operator:
+        def prompt(self, action):
+            on = isinstance(action, TurnOn)
+            if on and action.device_id == "d2":
+                return False
+            if action.device_id != "d4":
+                world.set_active(action.device_id, on)
+            if not on and action.device_id == "d0":
+                world.set_active("d2", True)
+            return True
+
+    from lorascale.netserver import ProtocolError
+    # one probe query per device, then one collect query, then rechecks
+    client = FailAfter(world, {EUIS["d3"]: (1, ProtocolError("boom")),
+                               EUIS["d4"]: (2, ConnectionResetError("reset"))})
+    return run_experiment(matrix, Operator(), client, WorldClock(world), LIVE)
+
+
 def test_write_output_and_parse_report_roundtrip(tmp_path):
-    world, result = sample_result()
+    result = every_outcome_result()
+    assert result.turn_on_failures == {"d2", "d4"}
+    assert result.late_responders == {"d2": "d0"}
+    assert result.query_failures == {  # collect's reason wins over the rechecks'
+        "d3": QueryFailed("boom"), "d4": QueryFailed("turn-off recheck: reset")}
     report_path = tmp_path / "report.txt"
     ts_path = tmp_path / "ts.txt"
     write_output(result, report_path, ts_path)
@@ -436,7 +473,8 @@ def test_write_output_and_parse_report_roundtrip(tmp_path):
     assert parsed.start_ts == result.start_ts
     assert parsed.end_ts == result.end_ts
     assert parsed.turn_on_failures == result.turn_on_failures
-    assert parsed.late_responders == result.late_responders
+    assert list(parsed.late_responders.items()) == list(result.late_responders.items())
+    assert parsed.query_failures == result.query_failures
     for device_id, report in result.reports.items():
         assert (parsed.reports[device_id].delivered,
                 parsed.reports[device_id].sent) == (report.delivered, report.sent)
@@ -455,17 +493,36 @@ def test_write_output_and_parse_report_roundtrip(tmp_path):
 def test_write_output_failed_device_gets_zero_line_and_flag(tmp_path):
     matrix = DeviceMatrix([RosterEntry("d1", EUIS["d1"])])
     from lorascale.controller import ExperimentResult
-    result = ExperimentResult(
-        name="x", matrix=matrix,
-        reports={"d1": DeviceReport("d1", 0, 0, {TurnOnFailed()})},
-        turn_on_failures={"d1"}, late_responders={}, shutdown_log=[],
-        start_ts=1.0, end_ts=2.0, packets={"d1": []},
-    )
-    report_path = tmp_path / "r.txt"
-    write_output(result, report_path, tmp_path / "t.txt")
-    text = report_path.read_text()
-    assert "# turn-on-failed d1\n" in text
-    assert "\nd1 0 0\n" in text
+    # the second reason comes from outside and must not start a record of its own
+    for case, reason in enumerate([None, "x\n# late-responder d0 after d1"]):
+        failures = {} if reason is None else {"d1": QueryFailed(reason)}
+        result = ExperimentResult(
+            name="x", matrix=matrix, reports={"d1": DeviceReport("d1", 0, 0)},
+            turn_on_failures={"d1"}, late_responders={}, query_failures=failures,
+            shutdown_log=[], start_ts=1.0, end_ts=2.0, packets={"d1": []},
+        )
+        report_path = tmp_path / f"r{case}.txt"
+        write_output(result, report_path, tmp_path / f"t{case}.txt")
+        text = report_path.read_text()
+        assert "# turn-on-failed d1\n" in text
+        assert "\nd1 0 0\n" in text
+        failed_lines = [l for l in text.splitlines() if l.startswith("# query-failed")]
+        parsed = parse_report(report_path)
+        assert parsed.late_responders == {}
+        if reason is None:
+            assert failed_lines == [] and parsed.query_failures == {}
+        else:
+            assert failed_lines == ["# query-failed d1 x # late-responder d0 after d1"]
+            assert parsed.query_failures == {
+                "d1": QueryFailed("x # late-responder d0 after d1")}
+
+
+def test_probe_failure_aborts_after_one_query_per_device():
+    world, matrix = live_fixture()
+    client = FailAfter(world, {EUIS["d2"]: (0, ConnectionResetError("connection reset"))})
+    with pytest.raises(OrchestrationError, match="turn-on probe: connection reset$"):
+        run_experiment(matrix, SimulatedOperator(world), client, WorldClock(world), LIVE)
+    assert client.served == {e.dev_eui: 1 for e in matrix}
 
 
 def test_scripted_operator_replay_and_exhaustion():
@@ -515,11 +572,9 @@ def test_turn_off_recheck_skips_a_poll_whose_connection_drops():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
     reports = make_reports(matrix, responded={"d0"})
     client = ResetClient(EUIS["d1"], {EUIS["d2"]: [105.0]})
-    log, late = turn_off_sequence(matrix, reports, SimulatedOperator(), client,
-                                  VirtualClock(100.0), 10.0)
+    log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(), client,
+                                            VirtualClock(100.0), 10.0)
     assert [(r.device_id, r.priority) for r in log] == [
         ("d0", "high"), ("d2", "middle"), ("d1", "low")]
     assert late == {"d2": "d0"}
-    assert NeverResponded() in reports["d1"].flags
-    assert QueryFailed("turn-off recheck: connection reset by peer") in reports["d1"].flags
-    assert not any(isinstance(f, QueryFailed) for d in ("d0", "d2") for f in reports[d].flags)
+    assert failures == {"d1": QueryFailed("turn-off recheck: connection reset by peer")}
