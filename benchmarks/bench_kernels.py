@@ -12,9 +12,10 @@ advance stays flat when the world resolves incrementally.
 The server rows use the fleet10k log: 10,000 devices, period 600 s with
 a 6% spread, airtime 0.04122 s, switched on 1 s apart, about 144k
 delivered records.  They time ``PacketStore.ingest_file`` of that log,
-``PacketStore.query`` on the loaded 10k-EUI store, and ``NetClient.query``
-round trips over local TCP to a server thread in the same process (CPU
-of both ends) in the pipeline's mix of queries, each as best-of CPU time.
+``PacketStore.query`` on the loaded 10k-EUI store, and batch
+``NetClient.query`` round trips over local TCP to a server thread in the
+same process (CPU of both ends) in the pipeline's three kinds of poll,
+each as best-of CPU time per round trip and per device.
 
     python benchmarks/bench_kernels.py [--sizes 10000 65536 100000 500000]
                                        [--advances 100 200 400 800]
@@ -94,40 +95,48 @@ def server_rows(repeats: int) -> None:
         print(f"PacketStore.ingest_file: {lines:,} lines: {t * 1e3:7.1f} ms CPU"
               f" ({t / lines * 1e6:4.2f} us per line)")
 
-    # the fleet pipeline's queries at a tenth of their count: 1,000 collect
-    # windows (24,000 s) and 1,000 probe windows (1,800 s) of known EUIs, and
-    # 5,000 polls (1,800 s) of 5 devices that never transmitted
+    # the fleet pipeline's polls at a tenth of their count: one collect batch
+    # of 1,000 known EUIs (24,000 s), one probe batch of 1,000 known EUIs
+    # (1,800 s), and 1,000 recheck batches (1,800 s) of the 5 devices that
+    # never transmitted
     rnd = random.Random(1)
-    data = []
-    for width in (24_000.0, 1_800.0):
-        for _ in range(1_000):
-            lo = rnd.uniform(0.0, 11_800.0)
-            data.append((rnd.choice(euis), lo, lo + width))
-    mix = data + [(f"{k % 5:016x}", lo, lo + 1_800.0)
-                  for k, lo in enumerate(rnd.uniform(0.0, 11_800.0) for _ in range(5_000))]
+    lo = rnd.uniform(0.0, 11_800.0)
+    collect = (rnd.sample(euis, 1_000), lo, lo + 24_000.0)
+    lo = rnd.uniform(0.0, 11_800.0)
+    probe = (rnd.sample(euis, 1_000), lo, lo + 1_800.0)
+    dead = [f"{k:016x}" for k in range(5)]
+    rechecks = [(dead, lo, lo + 1_800.0)
+                for lo in (rnd.uniform(0.0, 11_800.0) for _ in range(1_000))]
 
     def queries():
-        for eui, lo, hi in data:
-            store.query(eui, lo, hi)
+        for batch, lo, hi in (collect, probe):
+            for eui in batch:
+                store.query(eui, lo, hi)
 
     t = best_of(queries, repeats, clock=time.process_time)
-    print(f"PacketStore.query: 10k-EUI store, {len(data):,} windows of a known EUI: "
-          f"{t / len(data) * 1e6:5.2f} us CPU per query")
+    print(f"PacketStore.query: 10k-EUI store, the collect and probe batches' 2,000 windows"
+          f" of a known EUI: {t / 2_000 * 1e6:5.2f} us CPU per query")
 
     server, thread = netserver.start_server(store, "bench")
     try:
         with netserver.NetClient(server.bound_address, "bench") as client:
-            def round_trips():
-                for eui, lo, hi in mix:
-                    client.query(eui, lo, hi)
+            for name, polls in (("collect", [collect]), ("probe", [probe]),
+                                ("recheck", rechecks)):
+                def round_trips():
+                    for batch, lo, hi in polls:
+                        client.query(batch, lo, hi)
 
-            t = best_of(round_trips, repeats, clock=time.process_time)
+                t = best_of(round_trips, repeats, clock=time.process_time)
+                devices = sum(len(batch) for batch, _, _ in polls)
+                batches = f"{len(polls):,} batch" + ("es" if len(polls) > 1 else "")
+                print(f"NetClient.query {name}: {batches} of {len(polls[0][0]):,} EUIs"
+                      f" over local TCP, both ends in one process:"
+                      f" {t / len(polls) * 1e6:8.1f} us CPU per round trip,"
+                      f" {t / devices * 1e6:5.2f} us per device")
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
-    print(f"NetClient.query: {len(mix):,} round trips in the pipeline's mix over local TCP, "
-          f"both ends in one process: {t / len(mix) * 1e6:5.1f} us CPU each")
 
 
 def main() -> None:

@@ -6,10 +6,13 @@ collect per-device packets from the network server, turn delivered and
 sent counts out of the frame-counter sequence, shut devices down in
 three priority tiers, and write the report files.
 
-The controller is transport-agnostic: any object with a
-``query(dev_eui, from_ts, to_ts) -> list[PacketRecord]`` method works
-as the server client (TCP client, in-process store, or a simulated
-world), and any object with ``now()``/``sleep(dt)`` works as the clock.
+The controller is transport-agnostic: any object with a batch
+``query(dev_euis, from_ts, to_ts)`` method works as the server client
+(TCP client or a simulated world).  It returns one entry per EUI, in
+request order, over the one closed window: the device's
+``list[PacketRecord]``, or the ``ProtocolError``/``OSError`` that failed
+that device alone; raising fails every device of the call.  Any object
+with ``now()``/``sleep(dt)`` works as the clock.
 """
 
 from __future__ import annotations
@@ -228,20 +231,28 @@ class ShutdownRecord:
 
 def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
           ) -> tuple[dict[str, list[PacketRecord]], dict[str, QueryFailed]]:
-    """One window query per entry, in order, over one window.
+    """One batch query for every entry, in order, over one window.
 
-    The only place the controller asks the server.  A query that fails
-    leaves its device with no packets and a ``QueryFailed`` reason; what
-    that means is the caller's decision.
+    The only place the controller asks the server; with no entries it
+    asks nothing.  A failed entry leaves its device with no packets and a
+    ``QueryFailed`` reason, and a failed call does so for every device;
+    what that means is the caller's decision.
     """
+    entries = list(entries)
     packets: dict[str, list[PacketRecord]] = {}
     failures: dict[str, QueryFailed] = {}
-    for entry in entries:
-        try:
-            packets[entry.device_id] = client.query(entry.dev_eui, from_ts, to_ts)
-        except (ProtocolError, OSError) as exc:
+    if not entries:
+        return packets, failures
+    try:
+        answers = client.query([e.dev_eui for e in entries], from_ts, to_ts)
+    except (ProtocolError, OSError) as exc:
+        answers = [exc] * len(entries)
+    for entry, got in zip(entries, answers, strict=True):
+        if isinstance(got, list):
+            packets[entry.device_id] = got
+        else:  # the exception that failed this device
             packets[entry.device_id] = []
-            failures[entry.device_id] = QueryFailed(str(exc))
+            failures[entry.device_id] = QueryFailed(str(got))
     return packets, failures
 
 
@@ -271,7 +282,7 @@ def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Cl
 
 def collect(matrix: DeviceMatrix, start_ts: float, end_ts: float, client
             ) -> tuple[dict[str, list[PacketRecord]], dict[str, QueryFailed]]:
-    """One window query per device; a failing query flags the device."""
+    """Every device's packets over the window; a failed query flags the device."""
     if end_ts <= start_ts:
         raise ValueError("experiment window is empty")
     return _poll(matrix, start_ts, end_ts, client)
@@ -303,23 +314,27 @@ def compute_counts(packets: list[PacketRecord]) -> tuple[int, int]:
 
 def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                       operator: Operator, client, clock: Clock,
-                      recheck_window: float
+                      recheck_window: float, collect_failures: Iterable[str] = ()
                       ) -> tuple[list[ShutdownRecord], dict[str, str], dict[str, QueryFailed]]:
     """Three-priority shutdown with late-responder detection.
 
     Devices that delivered during the experiment go first (high tier,
     matrix order).  After every shutdown the server is polled over
-    ``recheck_window``: one query per still-silent device, in matrix
-    order.  A previously silent device that now shows packets is
-    appended to the middle tier as a late responder and is not polled
-    again.  Whatever is left forms the low tier.  A skipped device is
+    ``recheck_window`` for every still-silent device, in matrix order.
+    A previously silent device that now shows packets is appended to the
+    middle tier as a late responder and is not polled again.  A device
+    in ``collect_failures`` delivered nothing only because its collect
+    query failed, which is no evidence of silence, so it is never
+    rechecked.  Whatever is left forms the low tier.  A skipped device is
     retried once at the end of its tier, then logged as an unconfirmed
     shutdown.  A failed poll is skipped; each device's first reason is
     returned with the log and the late responders (detection order).
     """
     high = deque(e.device_id for e in matrix if reports[e.device_id].delivered > 0)
     # still-silent devices not yet shut down, in matrix order
-    pending = {e.device_id: e for e in matrix if reports[e.device_id].delivered == 0}
+    unknown = set(collect_failures)
+    pending = {e.device_id: e for e in matrix
+               if reports[e.device_id].delivered == 0 and e.device_id not in unknown}
     middle: deque[str] = deque()
     late: dict[str, str] = {}
     failures: dict[str, QueryFailed] = {}
@@ -504,7 +519,7 @@ def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Cloc
     reports = {device_id: DeviceReport(device_id, *compute_counts(got))
                for device_id, got in packets.items()}
     shutdown_log, late, recheck_failures = turn_off_sequence(
-        matrix, reports, operator, client, clock, settings.recheck_window
+        matrix, reports, operator, client, clock, settings.recheck_window, collect_failures
     )
     return ExperimentResult(
         name=settings.name,
@@ -512,7 +527,7 @@ def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Cloc
         reports=reports,
         turn_on_failures=turn_on_failures,
         late_responders=late,
-        # a device whose collect query failed keeps that reason
+        # a device whose collect query failed is never rechecked
         query_failures={**recheck_failures, **collect_failures},
         shutdown_log=shutdown_log,
         start_ts=start_ts,

@@ -1,20 +1,26 @@
 """Mock LoRaWAN network server.
 
-Stores uplink packet records and answers per-device, time-windowed
-queries over a persistent TCP connection carrying newline-delimited
-JSON messages.  A connection must authenticate before querying:
+Stores uplink packet records and answers time-windowed queries for a
+batch of devices over a persistent TCP connection carrying
+newline-delimited JSON messages.  A connection must authenticate before
+querying:
 
     client -> {"type": "auth", "token": "..."}
     server -> {"type": "auth_ok"} | {"type": "auth_fail", "reason": "..."}
-    client -> {"type": "query", "dev_eui": "...", "from": t0, "to": t1}
-    server -> {"type": "packets", "dev_eui": "...", "packets": [...]}
+    client -> {"type": "query", "dev_euis": ["...", ...], "from": t0, "to": t1}
+    server -> {"type": "packets", "devices": [entry, ...]}
+    entry  =  {"dev_eui": "...", "packets": [...]} | {"dev_eui": ..., "error": "..."}
 
-Any protocol violation is answered with {"type": "error", "reason": ...};
-violations before authentication, unparseable frames and lines longer
-than ``MAX_LINE_BYTES`` additionally close the connection.  Query
-windows are closed intervals with finite bounds, and an unknown EUI
-yields an empty packet list.  Persistence is an append-only log file
-(the simulator's export format) replayed at startup.
+A reply holds one entry per requested EUI, in request order, all over
+the one window; an entry with an ``error`` (a non-string EUI) fails only
+that device.  Any protocol violation is answered with
+{"type": "error", "reason": ...}: a missing or empty ``dev_euis`` list
+and a bad window refuse the whole request.  Violations before
+authentication, unparseable frames and lines longer than
+``MAX_LINE_BYTES`` additionally close the connection.  Query windows are
+closed intervals with finite bounds, and an unknown EUI yields an empty
+packet list.  Persistence is an append-only log file (the simulator's
+export format) replayed at startup.
 """
 
 from __future__ import annotations
@@ -173,8 +179,9 @@ class PacketStore:
 
 
 # Longest request line, newline included, that the server reads; a query
-# is about 100 bytes, and a client that never sends a newline must not
-# grow the server's buffer without bound.
+# costs about 20 bytes per EUI, and a client that never sends a newline
+# must not grow the server's buffer without bound.  The client splits a
+# batch into requests that stay within it.
 MAX_LINE_BYTES = 64 * 1024
 
 
@@ -183,17 +190,26 @@ def _line(message: dict) -> bytes:
     return (json.dumps(message) + "\n").encode("utf-8")
 
 
-def encode_packets(dev_eui: str, records: list[PacketRecord]) -> bytes:
+def _device_entry(dev_eui, got: list[PacketRecord] | str) -> str:
+    name = encode_basestring_ascii(dev_eui) if type(dev_eui) is str else json.dumps(dev_eui)
+    if type(got) is str:
+        return f'{{"dev_eui": {name}, "error": {encode_basestring_ascii(got)}}}'
+    packets = ", ".join([f'{{"fcnt": {r.fcnt!r}, "ts": {r.received_ts!r}, "sf": {r.sf!r}}}'
+                         for r in got])
+    return f'{{"dev_eui": {name}, "packets": [{packets}]}}'
+
+
+def encode_packets(devices: Iterable[tuple[object, list[PacketRecord] | str]]) -> bytes:
     """The ``packets`` reply line, byte for byte as ``json.dumps`` writes it.
 
-    Frame counters and SFs are ints and timestamps finite floats (the
-    store holds no others), which JSON writes as their ``repr``; the EUI
-    goes through JSON's own string encoder.
+    ``devices`` holds one ``(dev_eui, got)`` pair per requested EUI: ``got``
+    is the device's records, or a string that makes the entry an
+    ``error``.  Frame counters and SFs are ints and timestamps finite
+    floats (the store holds no others), which JSON writes as their
+    ``repr``; strings go through JSON's own string encoder.
     """
-    packets = ", ".join([f'{{"fcnt": {r.fcnt!r}, "ts": {r.received_ts!r}, "sf": {r.sf!r}}}'
-                         for r in records])
-    return (f'{{"type": "packets", "dev_eui": {encode_basestring_ascii(dev_eui)}, '
-            f'"packets": [{packets}]}}\n').encode("ascii")
+    entries = ", ".join([_device_entry(eui, got) for eui, got in devices])
+    return f'{{"type": "packets", "devices": [{entries}]}}\n'.encode("ascii")
 
 
 def _json_bound(value) -> str:
@@ -210,24 +226,32 @@ def _json_bound(value) -> str:
     raise ProtocolError("query needs finite numeric from/to")
 
 
-def encode_query(dev_eui: str, from_ts: float, to_ts: float) -> bytes:
+_QUERY_HEAD = '{"type": "query", "dev_euis": ['
+
+
+def _query_tail(from_ts: float, to_ts: float) -> str:
+    """What follows the EUIs in a ``query`` line; checks both bounds."""
+    return f'], "from": {_json_bound(from_ts)}, "to": {_json_bound(to_ts)}}}\n'
+
+
+def encode_query(dev_euis: list[str], from_ts: float, to_ts: float) -> bytes:
     """The ``query`` request line, byte for byte as ``json.dumps`` writes it.
 
     Raises :class:`ProtocolError` for a request the server would refuse
     for its types: a non-string EUI, or a bound that is not a finite int
     or float (a ``bool``, NaN, an infinity, an int too large for a float).
     """
-    if not isinstance(dev_eui, str):
+    if not all(isinstance(eui, str) for eui in dev_euis):
         raise ProtocolError("query needs a string dev_eui")
-    return (f'{{"type": "query", "dev_eui": {encode_basestring_ascii(dev_eui)}, '
-            f'"from": {_json_bound(from_ts)}, "to": {_json_bound(to_ts)}}}\n').encode("ascii")
+    names = ", ".join(map(encode_basestring_ascii, dev_euis))
+    return f"{_QUERY_HEAD}{names}{_query_tail(from_ts, to_ts)}".encode("ascii")
 
 
 def _answer(store: PacketStore, msg: dict) -> bytes:
-    """The reply line to one query: its packets, or why it is refused."""
-    eui, lo, hi = msg.get("dev_eui"), msg.get("from"), msg.get("to")
-    if type(eui) is not str:
-        return _error("query needs a string dev_eui")
+    """The reply line to one query: an entry per EUI, or why it is refused."""
+    euis, lo, hi = msg.get("dev_euis"), msg.get("from"), msg.get("to")
+    if type(euis) is not list or not euis:
+        return _error("query needs a non-empty dev_euis list")
     # JSON numbers decode to exact ints and floats; a bool is no number
     if type(lo) is not float or type(hi) is not float:
         if type(lo) not in (int, float) or type(hi) not in (int, float):
@@ -240,7 +264,9 @@ def _answer(store: PacketStore, msg: dict) -> bytes:
         return _error("query needs finite from/to")
     if lo > hi:
         return _error("empty window (from > to)")
-    return encode_packets(eui, store.query(eui, lo, hi))
+    query = store.query
+    return encode_packets([(eui, query(eui, lo, hi)) if type(eui) is str
+                           else (eui, "query needs a string dev_eui") for eui in euis])
 
 
 def _error(reason: str) -> bytes:
@@ -310,6 +336,34 @@ def start_server(store: PacketStore, token: str,
     return server, thread
 
 
+def _message(raw: bytes) -> dict:
+    """One received line as a JSON object, or :class:`ProtocolError`."""
+    try:
+        msg = _decode(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"server sent an unparseable message: {exc}") from exc
+    if type(msg) is not dict:
+        raise ProtocolError("server sent a non-object message")
+    return msg
+
+
+def _device_reply(item, dev_eui: str) -> list[PacketRecord] | ProtocolError:
+    """One reply entry as the device's records, or why it fails."""
+    named = item.get("dev_eui") if type(item) is dict else None
+    if named != dev_eui:
+        return ProtocolError(f"reply names device {named!r}, not the {dev_eui!r} asked for")
+    if "error" in item:
+        return ProtocolError(str(item["error"]))
+    packets = item.get("packets")
+    if type(packets) is not list:
+        return ProtocolError(f"reply entry for {dev_eui!r} holds no packets list")
+    try:
+        return [PacketRecord(dev_eui, int(p["fcnt"]), float(p["ts"]), int(p["sf"]))
+                for p in packets]
+    except (KeyError, TypeError, ValueError) as exc:
+        return ProtocolError(f"malformed packet in query reply: {exc!r}")
+
+
 class NetClient:
     """Client side of the query protocol; usable as a context manager."""
 
@@ -322,45 +376,73 @@ class NetClient:
             self.close()
             raise
 
-    def _recv(self) -> dict:
+    def _readline(self) -> bytes:
         raw = self._rfile.readline()
         if not raw:
             raise ProtocolError("connection closed by server")
-        try:
-            msg = _decode(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"server sent an unparseable message: {exc}") from exc
-        if type(msg) is not dict:
-            raise ProtocolError("server sent a non-object message")
-        return msg
+        return raw
 
     def _auth(self, token: str) -> None:
         self._sock.sendall(_line({"type": "auth", "token": token}))
-        reply = self._recv()
+        reply = _message(self._readline())
         if reply.get("type") == "auth_ok":
             return
         if reply.get("type") == "auth_fail":
             raise AuthError(reply.get("reason", "authentication failed"))
         raise ProtocolError(f"unexpected auth reply {reply!r}")
 
-    def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
-        """Records of one device in the closed window; a bad bound or EUI
-        raises :class:`ProtocolError` before anything is sent."""
-        self._sock.sendall(encode_query(dev_eui, from_ts, to_ts))
-        reply = self._recv()
-        kind, packets = reply.get("type"), reply.get("packets")
-        if kind != "packets" or type(packets) is not list:
-            if kind == "error":
-                raise ProtocolError(reply.get("reason", "server error"))
-            raise ProtocolError(f"unexpected query reply {reply!r}")
-        named = reply.get("dev_eui")
-        if named != dev_eui:
-            raise ProtocolError(f"reply names device {named!r}, not the {dev_eui!r} asked for")
+    def query(self, dev_euis: list[str], from_ts: float, to_ts: float
+              ) -> list[list[PacketRecord] | ProtocolError]:
+        """One entry per EUI, in order: the device's records in the closed
+        window, or the :class:`ProtocolError` that fails that device alone.
+
+        A bad bound raises before anything is sent.  A non-string EUI, or
+        one too long to fit a request alone, is an error entry and is not
+        sent; the rest go in as few requests as fit ``MAX_LINE_BYTES``.
+        A reply that is no list of one entry per EUI fails each EUI of
+        its request.  A closed connection, a socket error or a server
+        ``error`` reply raises and so fails the whole call.
+        """
+        # the bounds are checked here, before anything is sent
+        room = MAX_LINE_BYTES - len(_QUERY_HEAD) - len(_query_tail(from_ts, to_ts))
+        entries: list = [None] * len(dev_euis)
+        requests: list[list[int]] = []  # positions of the EUIs each request names
+        used = 0  # bytes the last request's EUIs take, separators included
+        for i, eui in enumerate(dev_euis):
+            if not isinstance(eui, str):
+                entries[i] = ProtocolError("query needs a string dev_eui")
+                continue
+            size = len(encode_basestring_ascii(eui))
+            if size > room:
+                entries[i] = ProtocolError(f"dev_eui does not fit a {MAX_LINE_BYTES}-byte query")
+            elif requests and used + 2 + size <= room:  # 2: the ", " before it
+                requests[-1].append(i)
+                used += 2 + size
+            else:
+                requests.append([i])
+                used = size
+        for index in requests:
+            got = self._request([dev_euis[i] for i in index], from_ts, to_ts)
+            for i, entry in zip(index, got):
+                entries[i] = entry
+        return entries
+
+    def _request(self, euis: list[str], from_ts: float, to_ts: float
+                 ) -> list[list[PacketRecord] | ProtocolError]:
+        """Send one query line and read its reply, one entry per EUI."""
+        self._sock.sendall(encode_query(euis, from_ts, to_ts))
+        raw = self._readline()
         try:
-            return [PacketRecord(dev_eui, int(p["fcnt"]), float(p["ts"]), int(p["sf"]))
-                    for p in packets]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed packet in query reply: {exc!r}") from exc
+            reply = _message(raw)
+        except ProtocolError as exc:
+            return [exc] * len(euis)
+        kind, devices = reply.get("type"), reply.get("devices")
+        if kind == "error":
+            raise ProtocolError(str(reply.get("reason", "server error")))
+        if kind != "packets" or type(devices) is not list or len(devices) != len(euis):
+            return [ProtocolError(f"query reply holds no list of {len(euis)} device entries")
+                    ] * len(euis)
+        return list(map(_device_reply, devices, euis))
 
     def close(self) -> None:
         try:

@@ -175,14 +175,18 @@ class SimWorld:
             self._dev = self._dev[keep:]
             self._fcnt = self._fcnt[keep:]
 
-    def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
-        """Delivered packets of one device in the closed time window."""
+    def query(self, dev_euis: list[str], from_ts: float, to_ts: float
+              ) -> list[list[PacketRecord]]:
+        """Delivered packets of each device in the closed time window,
+        one list per EUI in order, as the network-server client answers."""
         if from_ts > to_ts:
             raise ValueError("query window is empty (from > to)")
-        state = self._by_eui.get(dev_eui)
-        if state is None:
-            return []
-        return state.delivered[closed_window(state.delivered_ts, from_ts, to_ts)]
+        out = []
+        for eui in dev_euis:
+            state = self._by_eui.get(eui)
+            out.append([] if state is None
+                       else state.delivered[closed_window(state.delivered_ts, from_ts, to_ts)])
+        return out
 
     def delivered_records(self) -> list[PacketRecord]:
         return sorted((r for s in self._order for r in s.delivered),

@@ -57,18 +57,24 @@ def reference_write_packet_log(result: SimResult, path) -> int:
     return n
 
 
-def packets_message(dev_eui: str, records: list[PacketRecord]) -> dict:
+def packets_message(devices: list[tuple[str, list[PacketRecord] | str]]) -> dict:
+    """The ``packets`` reply: one entry per ``(dev_eui, got)`` pair, with
+    the records of ``got``, or ``got`` as the entry's error."""
     return {
         "type": "packets",
-        "dev_eui": dev_eui,
-        "packets": [{"fcnt": r.fcnt, "ts": r.received_ts, "sf": r.sf} for r in records],
+        "devices": [
+            {"dev_eui": eui, "error": got} if isinstance(got, str) else
+            {"dev_eui": eui,
+             "packets": [{"fcnt": r.fcnt, "ts": r.received_ts, "sf": r.sf} for r in got]}
+            for eui, got in devices
+        ],
     }
 
 
-def reference_packets_line(dev_eui: str, records: list[PacketRecord]) -> bytes:
-    return (json.dumps(packets_message(dev_eui, records)) + "\n").encode("utf-8")
+def reference_packets_line(devices: list[tuple[str, list[PacketRecord] | str]]) -> bytes:
+    return (json.dumps(packets_message(devices)) + "\n").encode("utf-8")
 
 
-def reference_query_line(dev_eui: str, from_ts, to_ts) -> bytes:
-    message = {"type": "query", "dev_eui": dev_eui, "from": from_ts, "to": to_ts}
+def reference_query_line(dev_euis: list[str], from_ts, to_ts) -> bytes:
+    message = {"type": "query", "dev_euis": dev_euis, "from": from_ts, "to": to_ts}
     return (json.dumps(message) + "\n").encode("utf-8")

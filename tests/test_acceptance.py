@@ -30,6 +30,7 @@ from lorascale.controller import (
     turn_off_sequence,
 )
 from lorascale.netserver import NetClient, PacketRecord, PacketStore, start_server
+from batch_adapter import Batched
 from lorascale.scaling import (
     TrafficProfile,
     channel_load,
@@ -206,7 +207,7 @@ def test_c6_turn_off_ordering_property(n, responded_bits, wake_rules):
             wake.setdefault(ACC_EUIS[ids[i]], []).append((k + frac) * recheck)
 
     log, late, _ = turn_off_sequence(matrix, reports, SimulatedOperator(),
-                                     _WakeClient(wake), VirtualClock(0.0), recheck)
+                                     Batched(_WakeClient(wake)), VirtualClock(0.0), recheck)
 
     assert sorted(r.device_id for r in log) == sorted(ids)
     ranks = [PRIORITY_RANK[r.priority] for r in log]
@@ -291,7 +292,7 @@ def test_c9_protocol_conformance():
         sock = socket.create_connection(server.bound_address, timeout=5)
         rfile = sock.makefile("rb")
         sock.sendall((json.dumps(
-            {"type": "query", "dev_eui": euis[0], "from": 0, "to": 1}) + "\n").encode())
+            {"type": "query", "dev_euis": [euis[0]], "from": 0, "to": 1}) + "\n").encode())
         reply = json.loads(rfile.readline())
         assert reply["type"] == "error"
         assert rfile.readline() == b""
@@ -300,16 +301,19 @@ def test_c9_protocol_conformance():
         with pytest.raises(netserver.AuthError):
             NetClient(server.bound_address, "wrong-token")
 
-        # windowing against the linear-scan oracle
+        # windowing against the linear-scan oracle, one EUI and a whole
+        # batch (with an unknown EUI) per window
+        def oracle(eui, a, b):
+            return sorted((r for r in stored if r.dev_eui == eui and a <= r.received_ts <= b),
+                          key=lambda r: (r.received_ts, r.fcnt))
+
+        batch = [*euis, "00000000000000ff"]
         with NetClient(server.bound_address, "acceptance-token") as client:
             for _ in range(60):
                 eui = rnd.choice(euis)
                 a, b = sorted((rnd.uniform(0, 100), rnd.uniform(0, 100)))
-                expected = sorted(
-                    (r for r in stored if r.dev_eui == eui and a <= r.received_ts <= b),
-                    key=lambda r: (r.received_ts, r.fcnt),
-                )
-                assert client.query(eui, a, b) == expected
+                assert client.query([eui], a, b) == [oracle(eui, a, b)]
+                assert client.query(batch, a, b) == [oracle(e, a, b) for e in batch]
     finally:
         server.shutdown()
         server.server_close()
@@ -325,17 +329,18 @@ def test_c9_protocol_conformance():
         elif kind == "auth_fail":
             msg = {"type": "auth_fail", "reason": "r" * rnd.randrange(20)}
         elif kind == "query":
-            msg = {"type": "query", "dev_eui": rnd.choice(euis),
+            msg = {"type": "query", "dev_euis": rnd.sample(euis, rnd.randrange(1, 9)),
                    "from": rnd.uniform(-1e9, 1e9), "to": rnd.uniform(-1e9, 1e9)}
         elif kind == "packets":
-            eui = rnd.choice(euis)
-            recs = [PacketRecord(eui, rnd.randrange(1000), rnd.uniform(0, 1e6),
-                                 rnd.randrange(7, 13)) for _ in range(rnd.randrange(5))]
-            msg = packets_message(eui, recs)
-            assert netserver.encode_packets(eui, recs) == (json.dumps(msg) + "\n").encode()
+            devices = [(eui, [PacketRecord(eui, rnd.randrange(1000), rnd.uniform(0, 1e6),
+                                           rnd.randrange(7, 13)) for _ in range(rnd.randrange(5))])
+                       for eui in rnd.sample(euis, rnd.randrange(1, 9))]
+            msg = packets_message(devices)
+            assert netserver.encode_packets(devices) == (json.dumps(msg) + "\n").encode()
         else:
             msg = {"type": "error", "reason": "x" * rnd.randrange(30)}
         assert json.loads(json.dumps(msg)) == msg
     ok("9 protocol-conformance",
-       "auth gate enforced; 60 windows match oracle over 1000 records; "
+       "auth gate enforced; 60 windows match oracle over 1000 records, "
+       "as one-EUI and 9-EUI batches; "
        "300 message round-trips")

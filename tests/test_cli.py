@@ -6,6 +6,7 @@ import pytest
 
 from lorascale import cli, netserver
 from lorascale.controller import OrchestrationError, TurnOff, TurnOn
+from batch_adapter import batch_query
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -336,7 +337,7 @@ GOLDEN_EUI_G03 = "00000000feed0003"
 
 
 def fail_query(monkeypatch, dev_eui, answered):
-    """Make ``NetClient.query`` raise for ``dev_eui`` once its first
+    """Make ``NetClient.query`` fail ``dev_eui`` once its first
     ``answered`` queries have been served."""
     original = netserver.NetClient.query
     served = []
@@ -346,9 +347,10 @@ def fail_query(monkeypatch, dev_eui, answered):
             served.append(eui)
             if len(served) > answered:
                 raise netserver.ProtocolError("no such window")
-        return original(self, eui, from_ts, to_ts)
+        got, = original(self, [eui], from_ts, to_ts)
+        return got
 
-    monkeypatch.setattr(netserver.NetClient, "query", query)
+    monkeypatch.setattr(netserver.NetClient, "query", batch_query(query))
 
 
 def test_run_experiment_probe_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
@@ -407,7 +409,7 @@ def test_serve_subcommand_over_subprocess(tmp_path):
             except OSError:
                 time_mod.sleep(0.1)
         assert client is not None, "server did not come up"
-        records = client.query(f"{0xfeed0001:016x}", 0.0, 1e9)
+        records, = client.query([f"{0xfeed0001:016x}"], 0.0, 1e9)
         client.close()
         assert len(records) > 0
     finally:

@@ -25,9 +25,10 @@ from lorascale.controller import (
     turn_on_sequence,
     write_output,
 )
-from lorascale.netserver import PacketRecord, PacketStore
+from lorascale.netserver import PacketRecord, PacketStore, ProtocolError
 from lorascale.simulator import DeviceSpec
 from lorascale.world import SimWorld
+from batch_adapter import Batched
 
 EUIS = {f"d{i}": f"{0xcc00 + i:016x}" for i in range(10)}
 
@@ -174,7 +175,7 @@ def test_collect_window_closed_and_all_devices_present():
         PacketRecord(eui1, 3, 20.5, 7),   # outside
     ])
     matrix = DeviceMatrix([RosterEntry("a", eui1), RosterEntry("b", eui2)])
-    packets, failures = collect(matrix, 10.0, 20.0, StoreClient(store))
+    packets, failures = collect(matrix, 10.0, 20.0, Batched(StoreClient(store)))
     assert [p.fcnt for p in packets["a"]] == [0, 1, 2]
     assert packets["b"] == []
     assert failures == {}
@@ -191,7 +192,7 @@ def test_collect_protocol_error_flags_device_and_continues():
             return [PacketRecord(eui2, 0, 12.0, 7)]
 
     matrix = DeviceMatrix([RosterEntry("a", eui1), RosterEntry("b", eui2)])
-    packets, failures = collect(matrix, 10.0, 20.0, Flaky())
+    packets, failures = collect(matrix, 10.0, 20.0, Batched(Flaky()))
     assert packets["a"] == [] and len(packets["b"]) == 1
     assert failures == {"a": QueryFailed("boom")}
 
@@ -224,7 +225,7 @@ def test_turn_off_all_responded_single_high_queue_matrix_order():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(4)])
     reports = make_reports(matrix, responded={"d0", "d1", "d2", "d3"})
     log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(),
-                                            FakeWakeClient({}), VirtualClock(100.0), 10.0)
+                                            Batched(FakeWakeClient({})), VirtualClock(100.0), 10.0)
     assert [r.device_id for r in log] == ["d0", "d1", "d2", "d3"]
     assert all(r.priority == "high" for r in log)
     assert late == {}
@@ -235,7 +236,7 @@ def test_turn_off_no_device_ever_responds():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(4)])
     reports = make_reports(matrix, responded=set())
     log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(),
-                                            FakeWakeClient({}), VirtualClock(100.0), 10.0)
+                                            Batched(FakeWakeClient({})), VirtualClock(100.0), 10.0)
     assert [r.device_id for r in log] == ["d0", "d1", "d2", "d3"]
     assert all(r.priority == "low" for r in log)
     assert late == {}  # every device delivered nothing and is no late responder
@@ -259,7 +260,7 @@ def test_turn_off_late_responder_moves_to_middle_with_flag():
         world.set_active(did, True)
     world.advance(50.0)
     reports = {
-        did: DeviceReport(did, *compute_counts(world.query(EUIS[did], 0.0, 50.0)))
+        did: DeviceReport(did, *compute_counts(world.query([EUIS[did]], 0.0, 50.0)[0]))
         for did in matrix.ids()
     }
     log, late, failures = turn_off_sequence(matrix, reports, operator, world, clock, 15.0)
@@ -280,7 +281,7 @@ def test_turn_off_skip_retries_once_then_forces():
             return action.device_id != "d1"  # never confirms d1
 
     log, _, _ = turn_off_sequence(matrix, reports, Stubborn(),
-                                  FakeWakeClient({}), VirtualClock(0.0), 5.0)
+                                  Batched(FakeWakeClient({})), VirtualClock(0.0), 5.0)
     assert [r.device_id for r in log] == ["d0", "d2", "d1"]  # retried at queue end
     assert [r.confirmed for r in log] == [True, True, False]
 
@@ -302,7 +303,7 @@ def test_turn_off_polls_pending_silent_devices_in_matrix_order():
             self.calls.append((device_id, from_ts, to_ts))
             return [PacketRecord(dev_eui, 0, to_ts, 7)] if device_id in self.awake else []
 
-    client = RecordingClient()
+    client = Batched(RecordingClient())
 
     class Operator:
         """Declines r005 once and wakes r150 when r040 is shut down."""
@@ -381,7 +382,7 @@ def test_turn_off_ordering_property(n, responded_bits, wake_rules, skips):
             return True
 
     log, late, _ = turn_off_sequence(matrix, reports, SkipSome(),
-                                     FakeWakeClient(wake), VirtualClock(0.0), recheck)
+                                     Batched(FakeWakeClient(wake)), VirtualClock(0.0), recheck)
 
     assert sorted(r.device_id for r in log) == sorted(ids)  # permutation
     ranks = [priorities[r.priority] for r in log]
@@ -431,13 +432,14 @@ class FailAfter:
         served = self.served[dev_eui] = self.served.get(dev_eui, 0) + 1
         if dev_eui in self.errors and served > self.errors[dev_eui][0]:
             raise self.errors[dev_eui][1]
-        return self.world.query(dev_eui, from_ts, to_ts)
+        return self.world.query([dev_eui], from_ts, to_ts)[0]
 
 
 def every_outcome_result():
     """A run with each kind of per-device record: d2 is skipped at
-    turn-on and wakes when d0 is shut down; d3's collect query and its
-    rechecks fail; d4 is confirmed but dead, and its rechecks fail."""
+    turn-on and wakes when d0 is shut down; d3's collect query fails, so
+    it is never rechecked; d4 is confirmed but dead, and its rechecks
+    supply the recheck failure."""
     world, matrix = live_fixture()
 
     class Operator:
@@ -453,8 +455,8 @@ def every_outcome_result():
 
     from lorascale.netserver import ProtocolError
     # one probe query per device, then one collect query, then rechecks
-    client = FailAfter(world, {EUIS["d3"]: (1, ProtocolError("boom")),
-                               EUIS["d4"]: (2, ConnectionResetError("reset"))})
+    client = Batched(FailAfter(world, {EUIS["d3"]: (1, ProtocolError("boom")),
+                                       EUIS["d4"]: (2, ConnectionResetError("reset"))}))
     return run_experiment(matrix, Operator(), client, WorldClock(world), LIVE)
 
 
@@ -462,7 +464,7 @@ def test_write_output_and_parse_report_roundtrip(tmp_path):
     result = every_outcome_result()
     assert result.turn_on_failures == {"d2", "d4"}
     assert result.late_responders == {"d2": "d0"}
-    assert result.query_failures == {  # collect's reason wins over the rechecks'
+    assert result.query_failures == {
         "d3": QueryFailed("boom"), "d4": QueryFailed("turn-off recheck: reset")}
     report_path = tmp_path / "report.txt"
     ts_path = tmp_path / "ts.txt"
@@ -488,6 +490,29 @@ def test_write_output_and_parse_report_roundtrip(tmp_path):
     times = [float(l.split()[2]) for l in ts_lines]
     assert times == sorted(times)
     assert len(ts_lines) == sum(r.delivered for r in result.reports.values())
+
+
+def test_failed_collect_is_not_silent():
+    """A live device whose collect query failed gets no recheck, so it
+    is no late responder; it is shut down in the low tier and keeps its
+    collect reason."""
+    world, matrix = live_fixture()
+
+    class FailCollect(FailAfter):
+        """Fails only the second query of d3: its collect query."""
+
+        def query(self, dev_eui, from_ts, to_ts):
+            if dev_eui == EUIS["d3"] and self.served.get(dev_eui) == 1:
+                self.served[dev_eui] = 2
+                raise ProtocolError("boom")
+            return super().query(dev_eui, from_ts, to_ts)
+
+    client = Batched(FailCollect(world, {}))
+    result = run_experiment(matrix, SimulatedOperator(world), client, WorldClock(world), LIVE)
+    assert result.query_failures == {"d3": QueryFailed("boom")}
+    assert result.late_responders == {}
+    assert [(r.device_id, r.priority) for r in result.shutdown_log] == [
+        ("d0", "high"), ("d1", "high"), ("d2", "high"), ("d4", "high"), ("d3", "low")]
 
 
 def test_write_output_failed_device_gets_zero_line_and_flag(tmp_path):
@@ -519,7 +544,7 @@ def test_write_output_failed_device_gets_zero_line_and_flag(tmp_path):
 
 def test_probe_failure_aborts_after_one_query_per_device():
     world, matrix = live_fixture()
-    client = FailAfter(world, {EUIS["d2"]: (0, ConnectionResetError("connection reset"))})
+    client = Batched(FailAfter(world, {EUIS["d2"]: (0, ConnectionResetError("connection reset"))}))
     with pytest.raises(OrchestrationError, match="turn-on probe: connection reset$"):
         run_experiment(matrix, SimulatedOperator(world), client, WorldClock(world), LIVE)
     assert client.served == {e.dev_eui: 1 for e in matrix}
@@ -562,16 +587,43 @@ class ResetClient(FakeWakeClient):
 
 def test_collect_connection_reset_flags_device_and_continues():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
-    client = ResetClient(EUIS["d1"], {EUIS["d0"]: [12.0], EUIS["d2"]: [13.0, 14.0]})
+    client = Batched(ResetClient(EUIS["d1"], {EUIS["d0"]: [12.0], EUIS["d2"]: [13.0, 14.0]}))
     packets, failures = collect(matrix, 10.0, 20.0, client)
     assert [len(packets[d]) for d in ("d0", "d1", "d2")] == [1, 0, 2]
     assert failures == {"d1": QueryFailed("connection reset by peer")}
 
 
+class DownClient:
+    """Fails every call as a whole, as a dropped connection does."""
+
+    def __init__(self):
+        self.calls = []
+
+    def query(self, dev_euis, from_ts, to_ts):
+        self.calls.append(list(dev_euis))
+        raise ConnectionResetError("connection reset by peer")
+
+
+def test_failed_call_flags_every_device_and_empty_polls_are_not_sent():
+    matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
+    client = DownClient()
+    packets, failures = collect(matrix, 10.0, 20.0, client)
+    assert packets == {"d0": [], "d1": [], "d2": []}
+    assert failures == {d: QueryFailed("connection reset by peer") for d in ("d0", "d1", "d2")}
+    assert client.calls == [[EUIS["d0"], EUIS["d1"], EUIS["d2"]]]
+    # with every device delivered, no recheck has a device to ask about
+    client.calls.clear()
+    log, late, failures = turn_off_sequence(
+        matrix, make_reports(matrix, responded={"d0", "d1", "d2"}), SimulatedOperator(),
+        client, VirtualClock(0.0), 10.0)
+    assert [r.priority for r in log] == ["high"] * 3
+    assert client.calls == [] and late == {} and failures == {}
+
+
 def test_turn_off_recheck_skips_a_poll_whose_connection_drops():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
     reports = make_reports(matrix, responded={"d0"})
-    client = ResetClient(EUIS["d1"], {EUIS["d2"]: [105.0]})
+    client = Batched(ResetClient(EUIS["d1"], {EUIS["d2"]: [105.0]}))
     log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(), client,
                                             VirtualClock(100.0), 10.0)
     assert [(r.device_id, r.priority) for r in log] == [

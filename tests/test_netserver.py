@@ -2,10 +2,12 @@ import json
 import math
 import socket
 import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorascale import netserver
 from lorascale.controller import DeviceMatrix, QueryFailed, RosterEntry, collect
 from lorascale.netserver import (
     MAX_LINE_BYTES,
@@ -25,14 +27,22 @@ from store_oracle import ReferenceStore, reference_parse_log_line, written_form
 TOKEN = "secret-token"
 
 
+@contextmanager
+def serving(store):
+    srv, thread = start_server(store, TOKEN)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
 @pytest.fixture()
 def server():
     store = PacketStore()
-    srv, thread = start_server(store, TOKEN)
-    yield srv, store
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    with serving(store) as srv:
+        yield srv, store
 
 
 def raw_connection(srv):
@@ -332,8 +342,8 @@ def test_auth_ok_then_query(server):
     srv, store = server
     store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
     with NetClient(srv.bound_address, TOKEN) as client:
-        records = client.query("00000000000000aa", 0.0, 2.0)
-    assert records == [PacketRecord("00000000000000aa", 0, 1.0, 7)]
+        entries = client.query(["00000000000000aa", "00000000000000bb"], 0.0, 2.0)
+    assert entries == [[PacketRecord("00000000000000aa", 0, 1.0, 7)], []]
 
 
 def test_bad_token_rejected_and_closed(server):
@@ -350,7 +360,7 @@ def test_bad_token_rejected_and_closed(server):
 def test_query_before_auth_errors_and_closes(server):
     srv, _ = server
     sock, rfile = raw_connection(srv)
-    send_json(sock, {"type": "query", "dev_eui": "00000000000000aa", "from": 0, "to": 1})
+    send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": 0, "to": 1})
     reply = read_json(rfile)
     assert reply["type"] == "error"
     assert rfile.readline() == b""
@@ -381,21 +391,61 @@ def test_over_long_line_errors_and_closes(server):
     sock.close()
 
 
-def test_semantic_errors_keep_connection(server):
-    srv, store = server
-    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+def authed_connection(srv):
     sock, rfile = raw_connection(srv)
     send_json(sock, {"type": "auth", "token": TOKEN})
     assert read_json(rfile)["type"] == "auth_ok"
-    send_json(sock, {"type": "query", "dev_eui": "00000000000000aa", "from": 2, "to": 1})
+    return sock, rfile
+
+
+AA_ENTRY = {"dev_eui": "00000000000000aa", "packets": [{"fcnt": 0, "ts": 1.0, "sf": 7}]}
+
+
+def test_semantic_errors_keep_connection(server):
+    srv, store = server
+    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    sock, rfile = authed_connection(srv)
+    send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": 2, "to": 1})
     assert read_json(rfile)["type"] == "error"
     send_json(sock, {"type": "bogus"})
     assert read_json(rfile)["type"] == "error"
     # still usable afterwards
-    send_json(sock, {"type": "query", "dev_eui": "00000000000000aa", "from": 0, "to": 2})
+    send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": 0, "to": 2})
+    reply = read_json(rfile)
+    assert reply == {"type": "packets", "devices": [AA_ENTRY]}
+    sock.close()
+
+
+def test_server_refuses_request_without_eui_list_and_keeps_connection(server):
+    srv, store = server
+    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    sock, rfile = authed_connection(srv)
+    for fields in ({"dev_eui": "00000000000000aa"},  # the single-device form is gone
+                   {"dev_euis": "00000000000000aa"},  # not a list
+                   {"dev_euis": {"00000000000000aa": 1}},
+                   {"dev_euis": []},
+                   {}):
+        send_json(sock, {"type": "query", **fields, "from": 0, "to": 2})
+        reply = read_json(rfile)
+        assert reply["type"] == "error" and "dev_euis" in reply["reason"], fields
+        send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa", "00000000000000bb"],
+                         "from": 0, "to": 2})
+        assert read_json(rfile) == {"type": "packets", "devices": [
+            AA_ENTRY, {"dev_eui": "00000000000000bb", "packets": []}]}
+    sock.close()
+
+
+def test_server_non_string_eui_is_an_error_entry(server):
+    srv, store = server
+    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    sock, rfile = authed_connection(srv)
+    send_json(sock, {"type": "query", "dev_euis": [170, "00000000000000aa", None],
+                     "from": 0, "to": 2})
     reply = read_json(rfile)
     assert reply["type"] == "packets"
-    assert reply["packets"] == [{"fcnt": 0, "ts": 1.0, "sf": 7}]
+    assert [e["dev_eui"] for e in reply["devices"]] == [170, "00000000000000aa", None]
+    assert reply["devices"][1] == AA_ENTRY
+    assert all("error" in reply["devices"][k] for k in (0, 2))
     sock.close()
 
 
@@ -403,15 +453,13 @@ def test_semantic_errors_keep_connection(server):
 def test_non_finite_window_errors_and_keeps_connection(server, bound):
     srv, store = server
     store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
-    sock, rfile = raw_connection(srv)
-    send_json(sock, {"type": "auth", "token": TOKEN})
-    assert read_json(rfile)["type"] == "auth_ok"
+    sock, rfile = authed_connection(srv)
     for lo, hi in ((bound, 2.0), (0.0, bound), (bound, bound)):
-        send_json(sock, {"type": "query", "dev_eui": "00000000000000aa", "from": lo, "to": hi})
+        send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": lo, "to": hi})
         reply = read_json(rfile)
         assert reply["type"] == "error" and "finite" in reply["reason"]
-    send_json(sock, {"type": "query", "dev_eui": "00000000000000aa", "from": 0, "to": 2})
-    assert read_json(rfile)["packets"] == [{"fcnt": 0, "ts": 1.0, "sf": 7}]
+    send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": 0, "to": 2})
+    assert read_json(rfile)["devices"] == [AA_ENTRY]
     sock.close()
 
 
@@ -419,16 +467,18 @@ def test_client_raises_protocol_error_on_bad_query(server):
     srv, _ = server
     with NetClient(srv.bound_address, TOKEN) as client:
         with pytest.raises(ProtocolError):
-            client.query("00000000000000aa", 5.0, 1.0)
+            client.query(["00000000000000aa"], 5.0, 1.0)
         # connection survives for the next query
-        assert client.query("00000000000000aa", 0.0, 1.0) == []
+        assert client.query(["00000000000000aa"], 0.0, 1.0) == [[]]
 
 
 class GarbageServer:
     """Accepts one client, authenticates it, then answers each query with
-    the raw line configured for the queried EUI."""
+    the raw line configured for the tuple of EUIs it names.  A request
+    with no configured reply stops the fake, so the client's next query
+    fails."""
 
-    def __init__(self, replies: dict[str, bytes], auth_reply: bytes = b'{"type": "auth_ok"}\n'):
+    def __init__(self, replies: dict[tuple, bytes], auth_reply: bytes = b'{"type": "auth_ok"}\n'):
         self.replies, self.auth_reply = replies, auth_reply
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address = self._listener.getsockname()[:2]
@@ -440,8 +490,12 @@ class GarbageServer:
         with conn, conn.makefile("rb") as rfile:
             for raw in rfile:
                 msg = json.loads(raw)
-                conn.sendall(self.auth_reply if msg["type"] == "auth"
-                             else self.replies[msg["dev_eui"]])
+                if msg["type"] == "auth":
+                    conn.sendall(self.auth_reply)
+                elif tuple(msg["dev_euis"]) in self.replies:
+                    conn.sendall(self.replies[tuple(msg["dev_euis"])])
+                else:
+                    return
 
     def client_gone(self, timeout=5.0):
         """True once the client has closed its end of the connection."""
@@ -454,6 +508,7 @@ class GarbageServer:
 
 
 EUI_A, EUI_B = "00000000000000a1", "00000000000000a2"
+GOOD_B = {"dev_eui": EUI_B, "packets": [{"fcnt": 4, "ts": 12.0, "sf": 7}]}
 
 
 def packets_line(**fields) -> bytes:
@@ -471,26 +526,52 @@ MALFORMED_PACKETS = [
 ]
 
 
-@pytest.mark.parametrize("reply", [
-    b"this is not json\n",
-    b"\xff\xfe garbage\n",
-    packets_line(packets=[]),
-    *(packets_line(dev_eui=EUI_A, packets=[p]) for p in MALFORMED_PACKETS),
-    packets_line(dev_eui=EUI_B, packets=[{"fcnt": 0, "ts": 1.0, "sf": 7}]),
-])
-def test_client_malformed_reply_flags_only_that_device(reply):
-    good = packets_line(dev_eui=EUI_B, packets=[{"fcnt": 4, "ts": 12.0, "sf": 7}])
-    fake = GarbageServer({EUI_A: reply, EUI_B: good})
+def collect_a_and_b(reply: bytes):
+    """Query a and b, first straight and then through ``collect``, from a
+    fake that answers the pair with ``reply``."""
+    fake = GarbageServer({(EUI_A, EUI_B): reply})
     try:
         with NetClient(fake.address, TOKEN) as client:
-            with pytest.raises(ProtocolError):
-                client.query(EUI_A, 0.0, 20.0)
+            entries = client.query([EUI_A, EUI_B], 0.0, 20.0)
             matrix = DeviceMatrix([RosterEntry("a", EUI_A), RosterEntry("b", EUI_B)])
             packets, failures = collect(matrix, 0.0, 20.0, client)
     finally:
         fake.close()
+    return entries, packets, failures
+
+
+@pytest.mark.parametrize("entry_a", [
+    *({"dev_eui": EUI_A, "packets": [p]} for p in MALFORMED_PACKETS),
+    {"dev_eui": EUI_A},
+    {"dev_eui": EUI_A, "packets": "none"},
+    {"dev_eui": EUI_A, "error": "no such device"},
+    {"dev_eui": EUI_B, "packets": [{"fcnt": 0, "ts": 1.0, "sf": 7}]},
+    "junk",
+])
+def test_client_malformed_reply_flags_only_that_device(entry_a):
+    entries, packets, failures = collect_a_and_b(packets_line(devices=[entry_a, GOOD_B]))
+    assert isinstance(entries[0], ProtocolError)
+    assert entries[1] == [PacketRecord(EUI_B, 4, 12.0, 7)]
     assert set(failures) == {"a"} and isinstance(failures["a"], QueryFailed)
     assert packets == {"a": [], "b": [PacketRecord(EUI_B, 4, 12.0, 7)]}
+
+
+@pytest.mark.parametrize("reply", [
+    b"this is not json\n",
+    b"\xff\xfe garbage\n",
+    b"[1, 2]\n",
+    packets_line(packets=[]),
+    packets_line(devices=[GOOD_B]),
+    packets_line(devices=[GOOD_B, GOOD_B, GOOD_B]),
+    packets_line(devices={"a": 1, "b": 2}),
+    (json.dumps({"type": "nonsense", "devices": [GOOD_B, GOOD_B]}) + "\n").encode(),
+], ids=["json", "utf-8", "non-object", "no-devices", "short", "long", "object", "type"])
+def test_client_unreadable_reply_flags_every_device_of_its_request(reply):
+    entries, packets, failures = collect_a_and_b(reply)
+    assert [type(e) for e in entries] == [ProtocolError, ProtocolError]
+    assert set(failures) == {"a", "b"}
+    assert all(isinstance(f, QueryFailed) for f in failures.values())
+    assert packets == {"a": [], "b": []}
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf,
@@ -498,18 +579,34 @@ def test_client_malformed_reply_flags_only_that_device(reply):
                                    pytest.param(-(2**1024), id="-2**1024"),
                                    True, False, None, "1", [1.0]])
 def test_client_rejects_bad_bound_before_sending(bound):
-    good = packets_line(dev_eui=EUI_A, packets=[{"fcnt": 4, "ts": 12.0, "sf": 7}])
+    good = packets_line(devices=[{"dev_eui": EUI_A, "packets": [{"fcnt": 4, "ts": 12.0, "sf": 7}]}])
     # the fake server has no reply for EUI_B: a query for it that reached
     # the wire would stop the fake, and the next query would fail
-    fake = GarbageServer({EUI_A: good})
+    fake = GarbageServer({(EUI_A,): good})
     try:
         with NetClient(fake.address, TOKEN, timeout=5.0) as client:
             for lo, hi in ((bound, 20.0), (0.0, bound)):
                 with pytest.raises(ProtocolError):
-                    client.query(EUI_B, lo, hi)
-            with pytest.raises(ProtocolError):
-                client.query(int(EUI_B, 16), 0.0, 20.0)
-            assert client.query(EUI_A, 0.0, 20.0) == [PacketRecord(EUI_A, 4, 12.0, 7)]
+                    client.query([EUI_B], lo, hi)
+            assert client.query([EUI_A], 0.0, 20.0) == [[PacketRecord(EUI_A, 4, 12.0, 7)]]
+    finally:
+        fake.close()
+
+
+def test_client_non_string_eui_is_an_error_entry_and_never_sent():
+    good = packets_line(devices=[{"dev_eui": EUI_A, "packets": [{"fcnt": 4, "ts": 12.0, "sf": 7}]}])
+    # only the request naming EUI_A alone has a reply: had a non-string
+    # EUI reached the wire, the fake would stop and the query would raise
+    fake = GarbageServer({(EUI_A,): good})
+    try:
+        with NetClient(fake.address, TOKEN, timeout=5.0) as client:
+            bad = [int(EUI_B, 16), None, b"00000000000000a2", [EUI_B]]
+            entries = client.query([bad[0], EUI_A, *bad[1:]], 0.0, 20.0)
+            assert entries[1] == [PacketRecord(EUI_A, 4, 12.0, 7)]
+            assert all(isinstance(entries[k], ProtocolError) for k in (0, 2, 3, 4))
+            # no request at all when nothing is left to send
+            assert [type(e) for e in client.query(bad, 0.0, 20.0)] == [ProtocolError] * 4
+            assert client.query([EUI_A], 0.0, 20.0) == [[PacketRecord(EUI_A, 4, 12.0, 7)]]
     finally:
         fake.close()
 
@@ -533,7 +630,8 @@ def test_concurrent_clients(server):
     clients = [NetClient(srv.bound_address, TOKEN) for _ in range(5)]
     try:
         for i, client in enumerate(clients):
-            assert len(client.query("00000000000000aa", 0.0, float(i))) == i + 1
+            got, = client.query(["00000000000000aa"], 0.0, float(i))
+            assert len(got) == i + 1
     finally:
         for client in clients:
             client.close()
@@ -565,7 +663,109 @@ def test_windowing_matches_linear_scan_oracle(server):
                 (r for r in stored if r.dev_eui == eui and a <= r.received_ts <= b),
                 key=lambda r: (r.received_ts, r.fcnt),
             )
-            assert client.query(eui, a, b) == expected
+            assert client.query([eui], a, b) == [expected]
+
+
+# --- batches split across requests ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def shared_server():
+    """One server for several tests; each test or example gives it its own store."""
+    with serving(PacketStore()) as srv:
+        yield srv
+
+
+def recorded_requests(monkeypatch):
+    """The EUI lists of the queries the server answers, in order."""
+    seen = []
+    answer = netserver._answer
+
+    def recording(store, msg):
+        seen.append(msg["dev_euis"])
+        return answer(store, msg)
+
+    monkeypatch.setattr(netserver, "_answer", recording)
+    return seen
+
+
+def split_store():
+    store = PacketStore()
+    store.ingest([PacketRecord(f"{k:016x}", f, 10.0 * k + f, 7)
+                  for k in range(0, 8, 2) for f in range(3)])
+    return store
+
+
+def test_client_splits_a_batch_at_the_line_limit(shared_server, monkeypatch):
+    srv = shared_server
+    srv.store = store = split_store()
+    euis = [f"{k:016x}" for k in range(7)]
+    lo, hi = 0.0, 61.0
+    # a request of three EUIs is exactly the limit, newline included
+    limit = len(encode_query(euis[:3], lo, hi))
+    monkeypatch.setattr(netserver, "MAX_LINE_BYTES", limit)
+    seen = recorded_requests(monkeypatch)
+    with NetClient(srv.bound_address, TOKEN) as client:
+        assert client.query(euis, lo, hi) == [store.query(e, lo, hi) for e in euis]
+        assert seen == [euis[0:3], euis[3:6], euis[6:]]
+        # one byte less and two fit
+        monkeypatch.setattr(netserver, "MAX_LINE_BYTES", limit - 1)
+        seen.clear()
+        assert client.query(euis, lo, hi) == [store.query(e, lo, hi) for e in euis]
+        assert seen == [euis[0:2], euis[2:4], euis[4:6], euis[6:]]
+
+
+def test_client_eui_too_long_for_a_request_fails_alone(shared_server, monkeypatch):
+    srv = shared_server
+    srv.store = store = split_store()
+    lo, hi = 0.0, 61.0
+    limit = len(encode_query([f"{0:016x}"] * 2, lo, hi))
+    monkeypatch.setattr(netserver, "MAX_LINE_BYTES", limit)
+    seen = recorded_requests(monkeypatch)
+    fits = "x" * (16 + 20)  # the longest EUI a request can hold alone
+    assert len(encode_query([fits], lo, hi)) == limit
+    long = fits + "x"
+    batch = [f"{0:016x}", long, f"{2:016x}", fits, f"{4:016x}"]
+    with NetClient(srv.bound_address, TOKEN) as client:
+        entries = client.query(batch, lo, hi)
+    assert isinstance(entries[1], ProtocolError)
+    assert entries[:1] + entries[2:] == [store.query(e, lo, hi) for e in batch if e != long]
+    assert entries[0] and entries[2] and entries[4]
+    assert seen == [[batch[0], batch[2]], [fits], [batch[4]]]
+
+
+eui_pool_st = st.lists(st.from_regex(r"[0-9a-f]{16}", fullmatch=True), min_size=1, max_size=6,
+                       unique=True)
+
+
+@given(
+    known=eui_pool_st,
+    stamps=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 50), st.floats(-1e3, 1e3),
+                              st.integers(7, 12)), max_size=60),
+    picks=st.lists(st.integers(0, 9), min_size=6, max_size=20),
+    window=st.lists(st.floats(-2e3, 2e3) | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=2).map(sorted),
+)
+@settings(max_examples=60, deadline=None)
+def test_client_batch_agrees_with_store(shared_server, known, stamps, picks, window):
+    """For any store, window and batch of known and unknown EUIs that
+    spans several requests, the client gets what the store answers per
+    EUI."""
+    store = PacketStore()
+    store.ingest([PacketRecord(known[k % len(known)], f, ts, sf) for k, f, ts, sf in stamps])
+    euis = known + [f"{0xffff0000 + k:016x}" for k in range(10 - len(known))]
+    batch = [euis[k] for k in picks]
+    lo, hi = window
+    srv = shared_server
+    srv.store = store
+    with pytest.MonkeyPatch.context() as mp:
+        # a little over two EUIs per request, whatever the bounds' length
+        mp.setattr(netserver, "MAX_LINE_BYTES", len(encode_query(batch[:2], lo, hi)) + 10)
+        seen = []
+        answer = netserver._answer
+        mp.setattr(netserver, "_answer", lambda s, msg: seen.append(msg) or answer(s, msg))
+        with NetClient(srv.bound_address, TOKEN) as client:
+            assert client.query(batch, lo, hi) == [store.query(e, lo, hi) for e in batch]
+    assert len(seen) >= 3
 
 
 # --- message round-trips -------------------------------------------------------
@@ -578,7 +778,8 @@ message_st = st.one_of(
     st.fixed_dictionaries({"type": st.just("auth_ok")}),
     st.fixed_dictionaries({"type": st.just("auth_fail"), "reason": st.text(max_size=50)}),
     st.fixed_dictionaries(
-        {"type": st.just("query"), "dev_eui": eui_st, "from": ts_st, "to": ts_st}
+        {"type": st.just("query"), "dev_euis": st.lists(eui_st, min_size=1, max_size=5),
+         "from": ts_st, "to": ts_st}
     ),
     st.fixed_dictionaries({"type": st.just("error"), "reason": st.text(max_size=80)}),
 )
@@ -590,21 +791,18 @@ def test_serialize_parse_identity(message):
     assert json.loads(json.dumps(message)) == message
 
 
-@given(
-    eui=eui_st,
-    packets=st.lists(
-        st.tuples(st.integers(0, 2**32), st.floats(0, 1e9), st.integers(7, 12)),
-        max_size=20,
-    ),
-)
-def test_packets_message_roundtrip(eui, packets):
-    records = [PacketRecord(eui, f, t, s) for f, t, s in packets]
-    back = json.loads(encode_packets(eui, records))
-    assert back["type"] == "packets" and back["dev_eui"] == eui
-    rebuilt = [
-        PacketRecord(back["dev_eui"], p["fcnt"], p["ts"], p["sf"]) for p in back["packets"]
-    ]
-    assert rebuilt == records
+packet_tuples_st = st.lists(
+    st.tuples(st.integers(0, 2**32), st.floats(0, 1e9), st.integers(7, 12)), max_size=20)
+
+
+@given(devices=st.lists(st.tuples(eui_st, packet_tuples_st), min_size=1, max_size=4))
+def test_packets_message_roundtrip(devices):
+    got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in packets]) for eui, packets in devices]
+    back = json.loads(encode_packets(got))
+    assert back["type"] == "packets"
+    rebuilt = [(e["dev_eui"], [PacketRecord(e["dev_eui"], p["fcnt"], p["ts"], p["sf"])
+                               for p in e["packets"]]) for e in back["devices"]]
+    assert rebuilt == got
 
 
 # --- encoders against the json.dumps reference -----------------------------------
@@ -613,16 +811,30 @@ any_eui_st = st.one_of(st.from_regex(r"[0-9a-fA-F]{16}", fullmatch=True), st.tex
 
 
 @given(
-    eui=any_eui_st,
-    packets=st.lists(
-        st.tuples(st.integers(0, 2**32), ts_st, st.integers(7, 12)),
-        max_size=20,
+    devices=st.lists(
+        st.tuples(
+            any_eui_st,
+            st.one_of(
+                st.lists(st.tuples(st.integers(0, 2**32), ts_st, st.integers(7, 12)),
+                         max_size=20),
+                st.text(max_size=30),
+            ),
+        ),
+        max_size=5,
     ),
 )
 @settings(max_examples=300)
-def test_packets_reply_bytes_match_json_dumps(eui, packets):
-    records = [PacketRecord(eui, f, t, s) for f, t, s in packets]
-    assert encode_packets(eui, records) == reference_packets_line(eui, records)
+def test_packets_reply_bytes_match_json_dumps(devices):
+    got = [(eui, entry if isinstance(entry, str)
+            else [PacketRecord(eui, f, t, s) for f, t, s in entry]) for eui, entry in devices]
+    assert encode_packets(got) == reference_packets_line(got)
+
+
+def test_packets_reply_names_a_non_string_eui_as_json_does():
+    got = [(170, "bad"), (None, "bad"), (["x"], "bad"), (1.5, [])]
+    assert encode_packets(got) == (json.dumps({"type": "packets", "devices": [
+        {"dev_eui": 170, "error": "bad"}, {"dev_eui": None, "error": "bad"},
+        {"dev_eui": ["x"], "error": "bad"}, {"dev_eui": 1.5, "packets": []}]}) + "\n").encode()
 
 
 bound_st = st.one_of(
@@ -633,7 +845,7 @@ bound_st = st.one_of(
 )
 
 
-@given(eui=any_eui_st, lo=bound_st, hi=bound_st)
+@given(euis=st.lists(any_eui_st, max_size=5), lo=bound_st, hi=bound_st)
 @settings(max_examples=300)
-def test_query_request_bytes_match_json_dumps(eui, lo, hi):
-    assert encode_query(eui, lo, hi) == reference_query_line(eui, lo, hi)
+def test_query_request_bytes_match_json_dumps(euis, lo, hi):
+    assert encode_query(euis, lo, hi) == reference_query_line(euis, lo, hi)

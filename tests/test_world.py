@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorascale import kernels
+from lorascale.netserver import PacketStore
 from lorascale.simulator import AnyOverlap, DeviceSpec, VulnerabilityWindow, run
 from lorascale.world import SimWorld
 from world_oracle import ReferenceWorld
@@ -99,10 +100,10 @@ def test_query_window_closed_and_sorted():
     world.set_active("d0", True)
     world.advance(100.0)
     eui = "000000000000aa00"
-    records = world.query(eui, 1.5, 6.5)
+    records, = world.query([eui], 1.5, 6.5)
     assert [r.received_ts for r in records] == [1.5, 6.5]
     with pytest.raises(ValueError):
-        world.query(eui, 5.0, 1.0)
+        world.query([eui], 5.0, 1.0)
 
 
 def test_world_validation():
@@ -161,8 +162,8 @@ def assert_worlds_agree(world, reference, devices):
                     (stamps[-1], stamps[-1])]
     for lo, hi in windows:
         assert world.ground_truth(lo, hi) == reference.ground_truth(lo, hi)
-        for d in devices:
-            assert world.query(d.dev_eui, lo, hi) == reference.query(d.dev_eui, lo, hi)
+        assert world.query([d.dev_eui for d in devices], lo, hi) == [
+            reference.query(d.dev_eui, lo, hi) for d in devices]
 
 
 @given(
@@ -189,6 +190,31 @@ def test_incremental_world_matches_reference(scenario, model, seed):
             reference.advance(step[1])
             assert world.attempt_counts() == reference.attempt_counts()
     assert_worlds_agree(world, reference, devices)
+
+
+@given(
+    scenario=world_scenarios(),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=12),
+    window=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2).map(sorted),
+)
+@settings(max_examples=100, deadline=None)
+def test_world_batch_query_matches_store(scenario, seed, picks, window):
+    """A batch of known and unknown EUIs, repeats included, gets from the
+    world what a store holding the world's records answers per EUI."""
+    devices, steps = scenario
+    world = SimWorld(devices, seed=seed)
+    for step in steps:
+        if step[0] == "toggle":
+            world.set_active(devices[step[1]].device_id, step[2])
+        else:
+            world.advance(step[1])
+    store = PacketStore()
+    store.ingest(world.delivered_records())
+    euis = [d.dev_eui for d in devices] + ["00000000000000ff", "unknown"]
+    batch = [euis[k % len(euis)] for k in picks]
+    lo, hi = window
+    assert world.query(batch, lo, hi) == [store.query(eui, lo, hi) for eui in batch]
 
 
 @pytest.mark.parametrize("model, early, late, cut, survivors", [
