@@ -124,9 +124,9 @@ def _cmd_scale(args) -> int:
     exp_load = scaling.channel_load(experiment)
     ratio = scaling.device_ratio_per_thousand(real, experiment)
     lower, upper = scaling.success_bounds(load)
-    print(f"real load = {load.load:.6f}")
+    print(f"real load = {load:.6f}")
     print(f"experiment devices = {experiment.num_devices}")
-    print(f"experiment load = {exp_load.load:.6f}")
+    print(f"experiment load = {exp_load:.6f}")
     print(f"device ratio = {ratio:.1f} per 1000")
     print(f"success bounds lower = {lower:.6f} upper = {upper:.6f}")
     return 0

@@ -97,6 +97,13 @@ class PacketStore:
     EUI's records are kept time-ordered next to a list of their
     timestamps, so a query is two bisections and a slice.  Every stored
     timestamp is finite.
+
+    A batch is sorted per EUI.  When its first (timestamp, counter) key
+    lies strictly past the last one stored for that EUI, as it does on
+    every advance of a live world, it is appended in place and only its
+    own duplicates are dropped, at a cost that grows with the batch and
+    not with the history.  Any other batch is sorted together with the
+    EUI's stored records.
     """
 
     def __init__(self) -> None:
@@ -123,19 +130,23 @@ class PacketStore:
         added = 0
         with self._lock:
             for eui, batch in batches.items():
-                old, _ = self._by_eui.get(eui, ((), ()))
-                bucket = [*old, *batch]
-                # stable: of two duplicates, now neighbours, the one stored first leads
-                bucket.sort(key=_ORDER)
-                kept: list[PacketRecord] = []
-                times: list[float] = []
-                for rec in bucket:
+                batch.sort(key=_ORDER)
+                if eui not in self._by_eui:
+                    self._by_eui[eui] = ([], [])
+                kept, times = self._by_eui[eui]
+                stored = len(kept)
+                if kept and _ORDER(batch[0]) <= _ORDER(kept[-1]):
+                    # the batch reaches back into the bucket: sort the two together;
+                    # stable, so of two duplicates, now neighbours, the stored one leads
+                    batch = sorted([*kept, *batch], key=_ORDER)
+                    kept.clear()
+                    times.clear()
+                for rec in batch:
                     if times and rec.received_ts == times[-1] and rec.fcnt == kept[-1].fcnt:
                         continue
                     kept.append(rec)
                     times.append(rec.received_ts)
-                self._by_eui[eui] = (kept, times)
-                added += len(kept) - len(old)
+                added += len(kept) - stored
         return added
 
     def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
@@ -327,11 +338,16 @@ class PacketServer(socketserver.ThreadingTCPServer):
         return self.socket.getsockname()[:2]
 
 
+# How often, in seconds, a server thread from ``start_server`` checks for a
+# shutdown request; ``PacketServer.shutdown`` waits up to this long.
+_SHUTDOWN_POLL_S = 0.05
+
+
 def start_server(store: PacketStore, token: str,
                  address: tuple[str, int] = ("127.0.0.1", 0)) -> tuple[PacketServer, threading.Thread]:
     """Start a server on a background thread; caller shuts it down."""
     server = PacketServer(address, store, token)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(_SHUTDOWN_POLL_S,), daemon=True)
     thread.start()
     return server, thread
 

@@ -38,26 +38,12 @@ class TrafficProfile:
             raise ValueError("airtime must be shorter than the period")
 
 
-@dataclass(frozen=True)
-class ChannelLoad:
-    """Dimensionless offered traffic N * airtime / period."""
-
-    load: float
-
-    def __post_init__(self) -> None:
-        if self.load < 0:
-            raise ValueError("channel load cannot be negative")
-
-    def __float__(self) -> float:
-        return self.load
-
-
-def channel_load(profile: TrafficProfile) -> ChannelLoad:
+def channel_load(profile: TrafficProfile) -> float:
     """Offered load of a profile: num_devices * airtime / period."""
-    return ChannelLoad(profile.num_devices * profile.airtime / profile.period)
+    return profile.num_devices * profile.airtime / profile.period
 
 
-def success_bounds(load: ChannelLoad | float) -> tuple[float, float]:
+def success_bounds(load: float) -> tuple[float, float]:
     """Analytic (lower, upper) bounds on per-packet delivery probability.
 
     Lower bound exp(-2L) treats any overlap between two packets as fatal
@@ -65,10 +51,9 @@ def success_bounds(load: ChannelLoad | float) -> tuple[float, float]:
     exp(-L) loses a packet only when another one starts during it
     (window equal to the packet duration).
     """
-    value = float(load)
-    if value < 0:
+    if load < 0:
         raise ValueError("channel load cannot be negative")
-    return math.exp(-2.0 * value), math.exp(-value)
+    return math.exp(-2.0 * load), math.exp(-load)
 
 
 def success_exact_periodic(profile: TrafficProfile, window_factor: float = 2.0) -> float:
@@ -107,7 +92,7 @@ def derive_equivalent(
         raise ValueError("experiment airtime must be finite and positive")
     if not experiment_airtime < experiment_period < math.inf:
         raise ValueError("experiment period must be finite and exceed the airtime")
-    load = channel_load(real).load
+    load = channel_load(real)
     exact = load * experiment_period / experiment_airtime
     n_exp = round(exact)
     if n_exp < 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -89,23 +89,11 @@ class DeviceSpec:
             raise ValueError("device on/off window is empty")
 
 
-@dataclass(frozen=True)
-class TransmissionEvent:
-    device_id: str
-    fcnt: int
-    start: float
-    end: float
-    sf: int
-    delivered: bool
-
-
 @dataclass
 class SimResult:
-    """Outcome of one run: the collision-resolved packet timeline.
-
-    Events are stored as parallel arrays sorted by (start, device id)
-    and materialized into :class:`TransmissionEvent` objects on demand.
-    """
+    """Outcome of one run: the collision-resolved packet timeline, as
+    parallel arrays sorted by (start, device id); ``dev`` indexes
+    ``devices``."""
 
     devices: list[DeviceSpec]
     start: np.ndarray
@@ -116,31 +104,11 @@ class SimResult:
     delivered: np.ndarray
     duration: float
 
-    def sent_counts(self) -> dict[str, int]:
-        sent = np.bincount(self.dev, minlength=len(self.devices))
-        return {d.device_id: int(sent[i]) for i, d in enumerate(self.devices)}
-
-    def delivered_counts(self) -> dict[str, int]:
-        good = np.bincount(self.dev[self.delivered], minlength=len(self.devices))
-        return {d.device_id: int(good[i]) for i, d in enumerate(self.devices)}
-
     @property
     def network_pdr(self) -> float:
         if self.dev.size == 0:
             raise ValueError("no transmissions in this run")
         return float(np.count_nonzero(self.delivered)) / self.dev.size
-
-    def events(self) -> Iterator[TransmissionEvent]:
-        for i in range(self.dev.size):
-            d = self.devices[self.dev[i]]
-            yield TransmissionEvent(
-                device_id=d.device_id,
-                fcnt=int(self.fcnt[i]),
-                start=float(self.start[i]),
-                end=float(self.end[i]),
-                sf=int(self.sf[i]),
-                delivered=bool(self.delivered[i]),
-            )
 
 
 def device_rng(seed: int, dev_eui: str) -> np.random.Generator:

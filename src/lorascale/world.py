@@ -15,29 +15,22 @@ that start less than one airtime before it, under either collision
 model, so the event buffer keeps the events that are still open plus
 the final ones that start within a look-back of twice the longest
 airtime before the earliest open start (or before ``now``, when nothing
-is open); older events leave it.  Each event is recorded, once it is
-final, in a per-device history kept in time order, which queries and
-ground-truth counts bisect.
+is open); older events leave it.  Once final, an event's end time and
+device join the world's attempt arrays, one chunk per advance, and a
+delivered event becomes a record in a :class:`PacketStore`, so the world
+answers a query exactly as the network server's store does.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .netserver import PacketRecord
+from .netserver import PacketRecord, PacketStore
 from .simulator import (AnyOverlap, CollisionModel, DeviceSpec, device_id_rank, device_rng,
                         resolve, timeline_order)
-
-
-def closed_window(ts: list[float], from_ts: float, to_ts: float) -> slice:
-    """Positions of the ascending ``ts`` that lie in [from_ts, to_ts]."""
-    if not from_ts <= to_ts:  # also catches NaN bounds
-        return slice(0, 0)
-    return slice(bisect_left(ts, from_ts), bisect_right(ts, to_ts))
 
 
 @dataclass
@@ -51,10 +44,6 @@ class _DeviceState:
     base: float | None = None
     k: int = 0
     next_fcnt: int = 0
-    # finalized history, ascending in time
-    attempt_ends: list[float] = field(default_factory=list)
-    delivered: list[PacketRecord] = field(default_factory=list)
-    delivered_ts: list[float] = field(default_factory=list)
 
     def next_start(self) -> float | None:
         if self.base is None:
@@ -81,7 +70,8 @@ class SimWorld:
         self._order = [_DeviceState(spec=d, rng=device_rng(seed, d.dev_eui), index=i)
                        for i, d in enumerate(devices)]
         self._states = {s.spec.device_id: s for s in self._order}
-        self._by_eui = {s.spec.dev_eui: s for s in self._order}
+        self._euis = [d.dev_eui for d in devices]
+        self._sfs = [d.sf for d in devices]
         self._id_rank = device_id_rank(devices)
         self._airtime = np.array([d.airtime for d in devices], dtype=np.float64)
         self._device_sf = np.array([d.sf for d in devices], dtype=np.int16)
@@ -94,6 +84,11 @@ class SimWorld:
         self._sf = np.empty(0, dtype=np.int16)
         self._dev = np.empty(0, dtype=np.int64)
         self._fcnt = np.empty(0, dtype=np.int64)
+        # finalized attempts: end times and roster positions, one chunk
+        # per advance; the delivered ones are records in the store
+        self._attempt_end = [np.empty(0)]
+        self._attempt_dev = [np.empty(0, dtype=np.int64)]
+        self._store = PacketStore()
 
     @property
     def now(self) -> float:
@@ -156,15 +151,15 @@ class SimWorld:
         fresh = np.flatnonzero((self._end > previous) & (self._end <= self._now))
         if fresh.size:
             lost = resolve(self._start, self._end, self._sf, self._model)[fresh]
-            for i, end, fcnt, lost_i in zip(self._dev[fresh].tolist(), self._end[fresh].tolist(),
-                                            self._fcnt[fresh].tolist(), lost.tolist()):
-                state = self._order[i]
-                state.attempt_ends.append(end)
-                if not lost_i:
-                    spec = state.spec
-                    state.delivered.append(PacketRecord(
-                        dev_eui=spec.dev_eui, fcnt=fcnt, received_ts=end, sf=spec.sf))
-                    state.delivered_ts.append(end)
+            self._attempt_end.append(self._end[fresh])
+            self._attempt_dev.append(self._dev[fresh])
+            good = fresh[~lost]
+            euis, sfs = self._euis, self._sfs
+            self._store.ingest([
+                PacketRecord(euis[i], fcnt, end, sfs[i])
+                for i, fcnt, end in zip(self._dev[good].tolist(), self._fcnt[good].tolist(),
+                                        self._end[good].tolist())
+            ])
         open_starts = self._start[self._end > self._now]
         edge = open_starts[0] if open_starts.size else self._now
         keep = int(np.searchsorted(self._start, edge - self._lookback, side="left"))
@@ -181,31 +176,32 @@ class SimWorld:
         one list per EUI in order, as the network-server client answers."""
         if from_ts > to_ts:
             raise ValueError("query window is empty (from > to)")
-        out = []
-        for eui in dev_euis:
-            state = self._by_eui.get(eui)
-            out.append([] if state is None
-                       else state.delivered[closed_window(state.delivered_ts, from_ts, to_ts)])
-        return out
+        return [self._store.query(eui, from_ts, to_ts) for eui in dev_euis]
 
-    def delivered_records(self) -> list[PacketRecord]:
-        return sorted((r for s in self._order for r in s.delivered),
-                      key=lambda r: (r.received_ts, r.dev_eui, r.fcnt))
+    def _attempts(self) -> tuple[np.ndarray, np.ndarray]:
+        """End times and roster positions of all finalized attempts."""
+        if len(self._attempt_end) > 1:
+            self._attempt_end = [np.concatenate(self._attempt_end)]
+            self._attempt_dev = [np.concatenate(self._attempt_dev)]
+        return self._attempt_end[0], self._attempt_dev[0]
 
     def attempt_counts(self) -> dict[str, int]:
         """Finalized attempts per device (collided ones included)."""
-        return {device_id: len(s.attempt_ends) for device_id, s in self._states.items()}
+        _, dev = self._attempts()
+        tried = np.bincount(dev, minlength=len(self._order)).tolist()
+        return {s.spec.device_id: n for s, n in zip(self._order, tried)}
 
     def ground_truth(self, from_ts: float, to_ts: float) -> dict[str, tuple[int, int]]:
         """(delivered, attempted) per device over a receive-time window.
 
         Counts finalized transmissions whose end time falls inside the
         closed window; the delivered ones are exactly what
-        :meth:`query` returns for that window.
+        :meth:`query` returns for that window, and ``from_ts > to_ts``
+        raises as it does there.
         """
-        truth = {}
-        for device_id, s in self._states.items():
-            got = closed_window(s.delivered_ts, from_ts, to_ts)
-            tried = closed_window(s.attempt_ends, from_ts, to_ts)
-            truth[device_id] = (got.stop - got.start, tried.stop - tried.start)
-        return truth
+        end, dev = self._attempts()
+        inside = (end >= from_ts) & (end <= to_ts)
+        tried = np.bincount(dev[inside], minlength=len(self._order)).tolist()
+        got = self.query(self._euis, from_ts, to_ts)
+        return {s.spec.device_id: (len(records), n)
+                for s, records, n in zip(self._order, got, tried)}

@@ -52,7 +52,7 @@ def ok(criterion: str, detail: str) -> None:
 def test_c1_scaling_reproduction():
     """Published real system maps to a 41-device experiment, 4.1 per 1000."""
     real = TrafficProfile(10_000, 600.0, 0.04122)
-    assert channel_load(real).load == pytest.approx(0.687, abs=1e-12)
+    assert channel_load(real) == pytest.approx(0.687, abs=1e-12)
     experiment = derive_equivalent(real, 7.0, 0.11729)
     assert experiment.num_devices == 41
     ratio = device_ratio_per_thousand(real, experiment)

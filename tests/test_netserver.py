@@ -3,6 +3,7 @@ import math
 import socket
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,7 +262,8 @@ def test_store_later_batch_keeps_timestamps_in_step():
 
 
 # a few EUIs and coarse timestamps, so that batches collide, tie and interleave
-store_eui_st = st.sampled_from(["00000000000000aa", "00000000000000bb", "00000000000000CC"])
+STORE_EUIS = ["00000000000000aa", "00000000000000bb", "00000000000000CC"]
+store_eui_st = st.sampled_from(STORE_EUIS)
 record_st = st.builds(PacketRecord, store_eui_st, st.integers(0, 6),
                       st.sampled_from([-1.5, 0.0, -0.0, 0.5, 1.0, 2.0, 2.5, 7.0]),
                       st.integers(7, 12))
@@ -269,15 +271,36 @@ bound_or_nan_st = st.one_of(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 2.0, 2.5, 7.0,
                             st.floats(-3.0, 9.0))
 
 
-@given(batches=st.lists(st.lists(record_st, max_size=12), max_size=4),
+def placed(place, batch, reference):
+    """The batch as drawn, or with each EUI's timestamps moved relative to
+    the last record the reference holds for it: wholly past it, around it
+    (ties and boundary duplicates), or past it behind a copy of that
+    record with another SF, which the store must not keep."""
+    if place == "as drawn":
+        return batch
+    last = {eui: records[-1] for eui in {r.dev_eui for r in batch}
+            if (records := reference.query(eui, -math.inf, math.inf))}
+    offset = 0.0 if place == "around the end" else 10.0
+    moved = [replace(r, received_ts=r.received_ts + offset
+                     + (last[r.dev_eui].received_ts if r.dev_eui in last else 0.0))
+             for r in batch]
+    if place == "behind a copy of the end":
+        moved += [replace(rec, sf=7 if rec.sf != 7 else 8) for rec in last.values()]
+    return moved
+
+
+@given(batches=st.lists(st.tuples(st.sampled_from(["as drawn", "past the end", "around the end",
+                                                   "behind a copy of the end"]),
+                                  st.lists(record_st, max_size=12)), max_size=6),
        windows=st.lists(st.tuples(store_eui_st, bound_or_nan_st, bound_or_nan_st), max_size=10))
 @settings(max_examples=300)
 def test_store_matches_linear_scan_reference(batches, windows):
     store, reference = PacketStore(), ReferenceStore()
-    for batch in batches:
+    for place, batch in batches:
+        batch = placed(place, batch, reference)
         assert store.ingest(batch) == reference.ingest(batch)
         assert len(store) == len(reference)
-    for eui, lo, hi in windows:
+    for eui, lo, hi in [*windows, *((eui, -math.inf, math.inf) for eui in STORE_EUIS)]:
         if lo > hi:
             with pytest.raises(ValueError):
                 store.query(eui, lo, hi)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from lorascale.scaling import (
-    ChannelLoad,
     TrafficProfile,
     channel_load,
     derive_equivalent,
@@ -19,13 +18,13 @@ EXPERIMENT_AIRTIME = 0.11729
 
 
 def test_channel_load_published_values():
-    assert channel_load(REAL).load == pytest.approx(0.687, abs=1e-12)
+    assert channel_load(REAL) == pytest.approx(0.687, abs=1e-12)
     exp = TrafficProfile(41, EXPERIMENT_PERIOD, EXPERIMENT_AIRTIME)
-    assert channel_load(exp).load == pytest.approx(0.687, abs=1e-4)
+    assert channel_load(exp) == pytest.approx(0.687, abs=1e-4)
 
 
 def test_channel_load_vanishes_with_airtime():
-    assert channel_load(TrafficProfile(1, 100.0, 1e-12)).load == pytest.approx(0.0, abs=1e-13)
+    assert channel_load(TrafficProfile(1, 100.0, 1e-12)) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_profile_validation():
@@ -36,15 +35,15 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         TrafficProfile(10, 1.0, 1.0)  # airtime not shorter than period
     with pytest.raises(ValueError):
-        ChannelLoad(-0.1)
+        success_bounds(-0.1)
     for period, airtime in [(math.nan, 0.04), (math.inf, 0.04), (600.0, math.nan)]:
         with pytest.raises(ValueError, match="finite and positive"):
             TrafficProfile(10, period, airtime)
 
 
 def test_success_bounds_reference_values():
-    assert success_bounds(ChannelLoad(0.0)) == (1.0, 1.0)
-    lower, upper = success_bounds(ChannelLoad(0.687))
+    assert success_bounds(0.0) == (1.0, 1.0)
+    lower, upper = success_bounds(0.687)
     assert lower == pytest.approx(0.2531, abs=5e-5)
     assert upper == pytest.approx(0.5031, abs=5e-5)
 
@@ -142,11 +141,11 @@ def test_derive_equivalent_load_mismatch_within_rounding(
 ):
     real = TrafficProfile(n, period, rel_airtime * period)
     exp_airtime = rel_exp_airtime * exp_period
-    load = channel_load(real).load
+    load = channel_load(real)
     ideal = load * exp_period / exp_airtime
     assume(ideal >= 0.5)
     # stay away from exact .5 rounding boundaries of the ideal count
     assume(abs(ideal - round(ideal)) not in (0.5,))
     experiment = derive_equivalent(real, exp_period, exp_airtime)
-    mismatch = abs(channel_load(experiment).load - load) / load
+    mismatch = abs(channel_load(experiment) - load) / load
     assert mismatch <= 0.5 / (experiment.num_devices - 0.5) + 1e-12

@@ -29,10 +29,16 @@ def fleet(n, period=7.0, airtime=0.11729, sf=7, **kwargs):
     ]
 
 
+def counts(result, picked=slice(None)):
+    """Events per device id, of those ``picked`` selects."""
+    per_device = np.bincount(result.dev[picked], minlength=len(result.devices))
+    return {d.device_id: int(n) for d, n in zip(result.devices, per_device)}
+
+
 def test_single_device_delivers_everything():
     result = run(fleet(1), duration=700.0, seed=3)
     assert result.network_pdr == 1.0
-    assert result.sent_counts()["dev000"] == result.delivered_counts()["dev000"] == 100
+    assert counts(result)["dev000"] == counts(result, result.delivered)["dev000"] == 100
 
 
 def test_constructed_overlap_and_clearance():
@@ -55,10 +61,8 @@ def test_constructed_overlap_and_clearance():
 
 def test_frame_counters_count_attempts_consecutively():
     result = run(fleet(3), duration=70.0, seed=5)
-    per_device = {}
-    for ev in result.events():
-        per_device.setdefault(ev.device_id, []).append(ev.fcnt)
-    for fcnts in per_device.values():
+    for i in range(len(result.devices)):
+        fcnts = result.fcnt[result.dev == i].tolist()
         assert fcnts == list(range(len(fcnts)))
 
 
@@ -66,17 +70,19 @@ def test_attempt_count_matches_active_window():
     specs = fleet(1, period=5.0, airtime=0.25)
     result = run(specs, duration=103.0, seed=9)
     expected = math.floor(103.0 / 5.0)
-    assert abs(result.sent_counts()["dev000"] - expected) <= 1
+    assert abs(counts(result)["dev000"] - expected) <= 1
 
 
 def test_conservation_and_event_log_length():
     result = run(fleet(10), duration=700.0, seed=11)
-    sent = result.sent_counts()
-    delivered = result.delivered_counts()
-    events = list(result.events())
-    assert sum(sent.values()) == len(events)
-    lost = sum(1 for e in events if not e.delivered)
-    assert sum(delivered.values()) + lost == len(events)
+    sent = counts(result)
+    delivered = counts(result, result.delivered)
+    events = result.dev.size
+    assert {col.size for col in (result.start, result.end, result.sf, result.fcnt,
+                                 result.delivered)} == {events}
+    assert sum(sent.values()) == events
+    lost = np.count_nonzero(~result.delivered)
+    assert sum(delivered.values()) + lost == events
     for device_id in sent:
         assert delivered[device_id] <= sent[device_id]
 
@@ -99,21 +105,22 @@ def test_sf_orthogonality_groups_do_not_interact():
     joint = run(sf7 + sf8, duration=700.0, seed=17)
     alone7 = run(sf7, duration=700.0, seed=17)
     alone8 = run(sf8, duration=700.0, seed=17)
-    combined = {**alone7.delivered_counts(), **alone8.delivered_counts()}
-    assert joint.delivered_counts() == combined
-    assert joint.sent_counts() == {**alone7.sent_counts(), **alone8.sent_counts()}
+    combined = {**counts(alone7, alone7.delivered), **counts(alone8, alone8.delivered)}
+    assert counts(joint, joint.delivered) == combined
+    assert counts(joint) == {**counts(alone7), **counts(alone8)}
 
 
 def test_events_sorted_by_start_then_id():
     result = run(fleet(5), duration=70.0, seed=2)
-    keys = [(e.start, e.device_id) for e in result.events()]
+    keys = [(start, result.devices[i].device_id)
+            for start, i in zip(result.start.tolist(), result.dev.tolist())]
     assert keys == sorted(keys)
 
 
 def test_export_only_delivered_ordered_by_receive_time():
     result = run(fleet(6), duration=350.0, seed=23)
     records = list(export_packet_log(result))
-    assert len(records) == sum(result.delivered_counts().values())
+    assert len(records) == np.count_nonzero(result.delivered)
     ts = [r.received_ts for r in records]
     assert ts == sorted(ts)
     ends_by_dev = {
@@ -303,7 +310,7 @@ def test_run_matches_reference_with_windows_and_silent_devices():
         DeviceSpec("b-random", "00000000000000a6", 8, 6.5, 0.4),
     ]
     result = run(devices, 100.0, seed=4)
-    sent = result.sent_counts()
+    sent = counts(result)
     assert sent["never"] == sent["too-short"] == 0 and sent["a-fixed"] > 0
     for model in (AnyOverlap(), VulnerabilityWindow(1.0)):
         assert_run_matches_reference(devices, 100.0, model, seed=4)

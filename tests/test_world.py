@@ -1,11 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorascale import kernels
-from lorascale.netserver import PacketStore
-from lorascale.simulator import AnyOverlap, DeviceSpec, VulnerabilityWindow, run
+from lorascale.netserver import PacketRecord, PacketStore
+from lorascale.simulator import AnyOverlap, DeviceSpec, VulnerabilityWindow, run, write_packet_log
 from lorascale.world import SimWorld
 from world_oracle import ReferenceWorld
 
@@ -17,25 +20,35 @@ def specs(n, period=5.0, airtime=0.2, **kwargs):
     ]
 
 
+def delivered(world, devices):
+    """Every record the world delivered, in ReferenceWorld.delivered_records order."""
+    per_device = world.query([d.dev_eui for d in devices], -math.inf, math.inf)
+    return sorted((r for records in per_device for r in records),
+                  key=lambda r: (r.received_ts, r.dev_eui, r.fcnt))
+
+
 def test_inactive_devices_stay_silent():
-    world = SimWorld(specs(3), seed=1)
+    fleet = specs(3)
+    world = SimWorld(fleet, seed=1)
     world.advance(100.0)
-    assert world.delivered_records() == []
+    assert delivered(world, fleet) == []
     assert world.attempt_counts() == {"d0": 0, "d1": 0, "d2": 0}
 
 
 def test_activation_produces_periodic_attempts():
-    world = SimWorld(specs(1, period=5.0, airtime=0.2), seed=1)
+    fleet = specs(1, period=5.0, airtime=0.2)
+    world = SimWorld(fleet, seed=1)
     world.set_active("d0", True)
     world.advance(50.4)
     counts = world.attempt_counts()
     assert counts["d0"] in (9, 10)
-    records = world.delivered_records()
+    records = delivered(world, fleet)
     assert [r.fcnt for r in records] == list(range(counts["d0"]))
 
 
 def test_deactivation_stops_future_attempts_and_fcnt_continues():
-    world = SimWorld(specs(1, phase=1.0), seed=0)
+    fleet = specs(1, phase=1.0)
+    world = SimWorld(fleet, seed=0)
     world.set_active("d0", True)
     world.advance(11.0)  # attempts at 1.0 and 6.0
     world.set_active("d0", False)
@@ -44,7 +57,7 @@ def test_deactivation_stops_future_attempts_and_fcnt_continues():
     assert n_before == 2
     world.set_active("d0", True)
     world.advance(20.0)
-    records = world.delivered_records()
+    records = delivered(world, fleet)
     fcnts = [r.fcnt for r in records]
     assert fcnts == sorted(fcnts)
     assert fcnts == list(range(len(fcnts)))  # counters never reset
@@ -52,12 +65,13 @@ def test_deactivation_stops_future_attempts_and_fcnt_continues():
 
 
 def test_pending_transmission_finalizes_only_after_it_ends():
-    world = SimWorld(specs(1, phase=0.5, airtime=0.4), seed=0)
+    fleet = specs(1, phase=0.5, airtime=0.4)
+    world = SimWorld(fleet, seed=0)
     world.set_active("d0", True)
     world.advance(0.6)  # attempt started at 0.5, still on the air
-    assert world.delivered_records() == []
+    assert delivered(world, fleet) == []
     world.advance(0.4)
-    assert len(world.delivered_records()) == 1
+    assert len(delivered(world, fleet)) == 1
 
 
 def test_cross_advance_collisions_detected():
@@ -71,28 +85,7 @@ def test_cross_advance_collisions_detected():
     world.set_active("b", True)
     world.advance(1.0)  # a started at 0.8; b not yet
     world.advance(9.0)
-    assert world.delivered_records() == []  # both packets of each period collide
-
-
-def test_world_matches_batch_run_for_static_activity():
-    # compare below a horizon that both sides have fully resolved
-    fleet = specs(6, period=5.0, airtime=0.3)
-    world = SimWorld(fleet, seed=21)
-    for d in fleet:
-        world.set_active(d.device_id, True)
-    for _ in range(10):
-        world.advance(26.0)
-    batch = run(fleet, duration=260.0, seed=21)
-    world_records = {
-        (r.dev_eui, r.fcnt, r.received_ts)
-        for r in world.delivered_records() if r.received_ts <= 250.0
-    }
-    batch_records = set()
-    for ev in batch.events():
-        if ev.delivered and ev.end <= 250.0:
-            eui = next(d.dev_eui for d in fleet if d.device_id == ev.device_id)
-            batch_records.add((eui, ev.fcnt, ev.end))
-    assert world_records == batch_records
+    assert delivered(world, pair) == []  # both packets of each period collide
 
 
 def test_query_window_closed_and_sorted():
@@ -153,7 +146,7 @@ def world_scenarios(draw):
 
 def assert_worlds_agree(world, reference, devices):
     assert world.now == reference.now
-    assert world.delivered_records() == reference.delivered_records()
+    assert delivered(world, devices) == reference.delivered_records()
     assert world.attempt_counts() == reference.attempt_counts()
     stamps = sorted({r.received_ts for r in reference.delivered_records()})
     windows = [(0.0, reference.now), (-1.0, math.inf), (reference.now / 3, reference.now / 2)]
@@ -192,29 +185,89 @@ def test_incremental_world_matches_reference(scenario, model, seed):
     assert_worlds_agree(world, reference, devices)
 
 
+# --- the batch run, the live world and the server's log agree ---------------
+
+@st.composite
+def switched_fleets(draw):
+    """Devices with random phases, each on for one stretch of the run.
+
+    On and off times lie on a quarter-second grid, which the world's
+    clock reaches exactly.  ``off`` is when the world switches a device
+    off: an attempt the world starts before it ends after it, so the
+    device's ``active_until`` for :func:`run` is one airtime later.
+    """
+    n = draw(st.integers(1, 8))
+    devices, offs = [], []
+    for i in range(n):
+        period = draw(st.floats(0.5, 5.0))
+        airtime = period * draw(st.floats(0.02, 0.5))
+        on = draw(st.integers(0, 80)) / 4
+        off = on + draw(st.integers(0, 80)) / 4
+        devices.append(DeviceSpec(f"dev{draw(st.integers(0, 99))}-{i}", f"{0xfa00 + i:016x}",
+                                  draw(st.sampled_from([7, 7, 8])), period, airtime,
+                                  active_from=on, active_until=off + airtime))
+        offs.append(off)
+    return devices, offs, max(offs) + 4.0  # every active_until lies before the end
+
+
 @given(
-    scenario=world_scenarios(),
-    seed=st.integers(0, 2**32 - 1),
+    fleet=switched_fleets(),
+    model=st.one_of(st.sampled_from([AnyOverlap(), VulnerabilityWindow(1.0)]),
+                    st.floats(0.05, 2.0).map(VulnerabilityWindow)),
+    seed=st.integers(0, 2**64 - 1),
     picks=st.lists(st.integers(0, 11), min_size=1, max_size=12),
     window=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2).map(sorted),
 )
 @settings(max_examples=100, deadline=None)
-def test_world_batch_query_matches_store(scenario, seed, picks, window):
-    """A batch of known and unknown EUIs, repeats included, gets from the
-    world what a store holding the world's records answers per EUI."""
-    devices, steps = scenario
-    world = SimWorld(devices, seed=seed)
-    for step in steps:
-        if step[0] == "toggle":
-            world.set_active(devices[step[1]].device_id, step[2])
-        else:
-            world.advance(step[1])
+def test_run_world_and_packet_log_agree(fleet, model, seed, picks, window):
+    """run, a SimWorld switched at the same times, and a store loaded from
+    the run's packet log hold the same records (the log's to six
+    decimals), for batches of known, unknown and repeated EUIs."""
+    devices, offs, duration = fleet
+    result = run(devices, duration, model, seed=seed)
+    expected: dict[str, list[PacketRecord]] = {}
+    for k in np.flatnonzero(result.delivered):
+        spec = devices[result.dev[k]]
+        expected.setdefault(spec.dev_eui, []).append(
+            PacketRecord(spec.dev_eui, int(result.fcnt[k]), float(result.end[k]), spec.sf))
+    for records in expected.values():
+        records.sort(key=lambda r: (r.received_ts, r.fcnt))
+    logged = {eui: [PacketRecord(eui, r.fcnt, float(f"{r.received_ts:.6f}"), r.sf)
+                    for r in records] for eui, records in expected.items()}
+
+    world = SimWorld(devices, model, seed=seed)
+    switches = sorted({(d.active_from, 0, d.device_id) for d in devices}
+                      | {(off, 1, d.device_id) for d, off in zip(devices, offs)})
+    for at, switch_off, device_id in switches:  # a device goes on before it goes off
+        world.advance(at - world.now)
+        assert world.now == at
+        world.set_active(device_id, not switch_off)
+    world.advance(duration - world.now)
+
     store = PacketStore()
-    store.ingest(world.delivered_records())
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "packets.log"
+        write_packet_log(result, log)
+        store.ingest_file(log)
+
     euis = [d.dev_eui for d in devices] + ["00000000000000ff", "unknown"]
     batch = [euis[k % len(euis)] for k in picks]
-    lo, hi = window
-    assert world.query(batch, lo, hi) == [store.query(eui, lo, hi) for eui in batch]
+    windows = [(-math.inf, math.inf), tuple(window)]
+    if result.end.size:  # closed bounds that sit on attempts' end times
+        ends = np.sort(result.end).tolist()
+        windows += [(ends[0], ends[-1]), (ends[len(ends) // 2], ends[len(ends) // 2])]
+    for lo, hi in windows:
+        def inside(records):
+            return [r for r in records if lo <= r.received_ts <= hi]
+
+        assert world.query(batch, lo, hi) == [inside(expected.get(eui, [])) for eui in batch]
+        assert [store.query(eui, lo, hi) for eui in batch] == [
+            inside(logged.get(eui, [])) for eui in batch]
+        tried = np.bincount(result.dev[(result.end >= lo) & (result.end <= hi)],
+                            minlength=len(devices))
+        assert world.ground_truth(lo, hi) == {
+            d.device_id: (len(inside(expected.get(d.dev_eui, []))), int(tried[i]))
+            for i, d in enumerate(devices)}
 
 
 @pytest.mark.parametrize("model, early, late, cut, survivors", [
@@ -234,8 +287,8 @@ def test_finished_event_still_hits_one_on_the_air(model, early, late, cut, survi
         world.advance(cut)
         world.advance(5.0)
     eui = {d.dev_eui: d.device_id for d in pair}
-    assert [eui[r.dev_eui] for r in worlds[0].delivered_records()] == survivors
-    assert worlds[0].delivered_records() == worlds[1].delivered_records()
+    assert [eui[r.dev_eui] for r in delivered(worlds[0], pair)] == survivors
+    assert delivered(worlds[0], pair) == worlds[1].delivered_records()
 
 
 def test_advance_resolves_each_event_a_bounded_number_of_times(monkeypatch):
