@@ -88,6 +88,28 @@ def test_cross_advance_collisions_detected():
     assert delivered(world, pair) == []  # both packets of each period collide
 
 
+def test_world_matches_batch_run_for_static_activity():
+    # compare below a horizon that both sides have fully resolved
+    fleet = specs(6, period=5.0, airtime=0.3)
+    world = SimWorld(fleet, seed=21)
+    for d in fleet:
+        world.set_active(d.device_id, True)
+    for _ in range(10):
+        world.advance(26.0)
+    batch = run(fleet, duration=260.0, seed=21)
+    world_records = {
+        (r.dev_eui, r.fcnt, r.received_ts)
+        for r in delivered(world, fleet) if r.received_ts <= 250.0
+    }
+    batch_records = {
+        (fleet[dev].dev_eui, fcnt, end)
+        for dev, fcnt, end, ok in zip(batch.dev.tolist(), batch.fcnt.tolist(),
+                                      batch.end.tolist(), batch.delivered.tolist())
+        if ok and end <= 250.0
+    }
+    assert world_records == batch_records
+
+
 def test_query_window_closed_and_sorted():
     world = SimWorld(specs(1, phase=1.0, airtime=0.5), seed=0)
     world.set_active("d0", True)
@@ -183,6 +205,31 @@ def test_incremental_world_matches_reference(scenario, model, seed):
             reference.advance(step[1])
             assert world.attempt_counts() == reference.attempt_counts()
     assert_worlds_agree(world, reference, devices)
+
+
+@given(
+    scenario=world_scenarios(),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=12),
+    window=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2).map(sorted),
+)
+@settings(max_examples=100, deadline=None)
+def test_world_batch_query_matches_store(scenario, seed, picks, window):
+    """A batch of known and unknown EUIs, repeats included, gets from the
+    world what a store holding the world's records answers per EUI."""
+    devices, steps = scenario
+    world = SimWorld(devices, seed=seed)
+    for step in steps:
+        if step[0] == "toggle":
+            world.set_active(devices[step[1]].device_id, step[2])
+        else:
+            world.advance(step[1])
+    store = PacketStore()
+    store.ingest(delivered(world, devices))
+    euis = [d.dev_eui for d in devices] + ["00000000000000ff", "unknown"]
+    batch = [euis[k % len(euis)] for k in picks]
+    lo, hi = window
+    assert world.query(batch, lo, hi) == [store.query(eui, lo, hi) for eui in batch]
 
 
 # --- the batch run, the live world and the server's log agree ---------------
