@@ -345,8 +345,7 @@ def _cmd_analyze(args) -> int:
             n_moved = None
         if n_moved is None or not colon or not path:
             raise ValueError(f"--point takes N_MOVED:REPORT, got {spec!r}")
-        parsed = controller.parse_report(path)
-        network, _ = analysis.pdr_aggregate(parsed.reports.values())
+        network, _ = analysis.pdr_aggregate(controller.parse_report(path).values())
         empirical[n_moved] = network
 
     for n_moved, lower, upper in curve.points:

@@ -11,19 +11,21 @@ The controller is transport-agnostic: any object with a batch
 (TCP client or a simulated world).  It returns one entry per EUI, in
 request order, over the one closed window: the device's
 ``list[PacketRecord]``, or the ``ProtocolError``/``OSError`` that failed
-that device alone; raising fails every device of the call.  Any object
-with ``now()``/``sleep(dt)`` works as the clock.
+that device alone; raising fails every device of the call.  A failed
+device's reason is a string from there to the report.  Any object with
+``now()``/``sleep(dt)`` works as the clock.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from .netserver import PacketRecord, ProtocolError
+from .netserver import EUI_PATTERN, PacketRecord, ProtocolError
 
 
 class OrchestrationError(Exception):
@@ -95,7 +97,6 @@ class ScriptedOperator:
     def __init__(self, replies: Iterable[bool]):
         self._replies = list(replies)
         self._i = 0
-        self.transcript: list[tuple[TurnOn | TurnOff, bool]] = []
 
     def prompt(self, action: TurnOn | TurnOff) -> bool:
         if self._i >= len(self._replies):
@@ -105,7 +106,6 @@ class ScriptedOperator:
             )
         reply = self._replies[self._i]
         self._i += 1
-        self.transcript.append((action, reply))
         return reply
 
 
@@ -134,20 +134,29 @@ class RosterEntry:
     dev_eui: str
 
 
+# A device id is one token, so the report's ``id delivered sent`` line splits in three.
+_DEVICE_ID = re.compile(r"\S+")
+
+
 class DeviceMatrix:
-    """Ordered id <-> EUI mapping for the experiment's devices."""
+    """Ordered id <-> EUI mapping for the experiment's devices; ids and
+    EUIs (case-blind) are unique, and each EUI is 16 hex digits."""
 
     def __init__(self, entries: Iterable[RosterEntry]):
         self.entries = list(entries)
         if not self.entries:
             raise OrchestrationError("device matrix is empty")
-        ids = [e.device_id for e in self.entries]
-        euis = [e.dev_eui.lower() for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise OrchestrationError("duplicate device id in matrix")
-        if len(set(euis)) != len(euis):
-            raise OrchestrationError("duplicate device EUI in matrix")
+        for e in self.entries:
+            if not _DEVICE_ID.fullmatch(e.device_id):
+                raise OrchestrationError(f"device {e.device_id!r}: id is empty or holds whitespace")
+            if not EUI_PATTERN.fullmatch(e.dev_eui):
+                raise OrchestrationError(
+                    f"device {e.device_id!r}: EUI {e.dev_eui!r} is not 16 hex digits")
         self._eui_by_id = {e.device_id: e.dev_eui for e in self.entries}
+        if len(self._eui_by_id) != len(self.entries):
+            raise OrchestrationError("duplicate device id in matrix")
+        if len({e.dev_eui.lower() for e in self.entries}) != len(self.entries):
+            raise OrchestrationError("duplicate device EUI in matrix")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -183,8 +192,6 @@ def load_roster(experiment_table, mapping_table) -> DeviceMatrix:
     wanted = [row[0] for row in _data_lines(experiment_table)]
     if not wanted:
         raise OrchestrationError(f"experiment table {experiment_table} lists no devices")
-    if len(set(wanted)) != len(wanted):
-        raise OrchestrationError("duplicate device id in experiment table")
     mapping: dict[str, str] = {}
     for row in _data_lines(mapping_table):
         if len(row) != 2:
@@ -202,11 +209,6 @@ def load_roster(experiment_table, mapping_table) -> DeviceMatrix:
 
 
 # --- report records ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class QueryFailed:
-    reason: str
-
 
 @dataclass
 class DeviceReport:
@@ -230,17 +232,17 @@ class ShutdownRecord:
 # --- phases ----------------------------------------------------------------
 
 def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
-          ) -> tuple[dict[str, list[PacketRecord]], dict[str, QueryFailed]]:
+          ) -> tuple[dict[str, list[PacketRecord]], dict[str, str]]:
     """One batch query for every entry, in order, over one window.
 
     The only place the controller asks the server; with no entries it
-    asks nothing.  A failed entry leaves its device with no packets and a
-    ``QueryFailed`` reason, and a failed call does so for every device;
-    what that means is the caller's decision.
+    asks nothing.  A failed entry leaves its device with no packets and
+    the failure's text as its reason, and a failed call does so for
+    every device; what that means is the caller's decision.
     """
     entries = list(entries)
     packets: dict[str, list[PacketRecord]] = {}
-    failures: dict[str, QueryFailed] = {}
+    failures: dict[str, str] = {}
     if not entries:
         return packets, failures
     try:
@@ -252,7 +254,7 @@ def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
             packets[entry.device_id] = got
         else:  # the exception that failed this device
             packets[entry.device_id] = []
-            failures[entry.device_id] = QueryFailed(str(got))
+            failures[entry.device_id] = str(got)
     return packets, failures
 
 
@@ -276,12 +278,12 @@ def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Cl
     packets, failures = _poll(matrix, began, clock.now(), client)
     if failures:
         first = next(iter(failures.values()))
-        raise OrchestrationError(f"server unreachable during turn-on probe: {first.reason}")
+        raise OrchestrationError(f"server unreachable during turn-on probe: {first}")
     return {device_id for device_id, got in packets.items() if not got}
 
 
 def collect(matrix: DeviceMatrix, start_ts: float, end_ts: float, client
-            ) -> tuple[dict[str, list[PacketRecord]], dict[str, QueryFailed]]:
+            ) -> tuple[dict[str, list[PacketRecord]], dict[str, str]]:
     """Every device's packets over the window; a failed query flags the device."""
     if end_ts <= start_ts:
         raise ValueError("experiment window is empty")
@@ -315,7 +317,7 @@ def compute_counts(packets: list[PacketRecord]) -> tuple[int, int]:
 def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                       operator: Operator, client, clock: Clock,
                       recheck_window: float, collect_failures: Iterable[str] = ()
-                      ) -> tuple[list[ShutdownRecord], dict[str, str], dict[str, QueryFailed]]:
+                      ) -> tuple[list[ShutdownRecord], dict[str, str], dict[str, str]]:
     """Three-priority shutdown with late-responder detection.
 
     Devices that delivered during the experiment go first (high tier,
@@ -337,16 +339,16 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                if reports[e.device_id].delivered == 0 and e.device_id not in unknown}
     middle: deque[str] = deque()
     late: dict[str, str] = {}
-    failures: dict[str, QueryFailed] = {}
+    failures: dict[str, str] = {}
     log: list[ShutdownRecord] = []
     retried: set[str] = set()
 
     def recheck(after_id: str, shutdown_at: float, middle_open: bool) -> None:
         clock.sleep(recheck_window)
         fresh, lost = _poll(pending.values(), shutdown_at, clock.now(), client)
-        for device_id, failure in lost.items():
+        for device_id, reason in lost.items():
             # the poll is lost, not the run; the report keeps the reason
-            failures.setdefault(device_id, QueryFailed(f"turn-off recheck: {failure.reason}"))
+            failures.setdefault(device_id, f"turn-off recheck: {reason}")
         for device_id, packets in fresh.items():
             if packets:
                 late[device_id] = after_id
@@ -382,15 +384,15 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
 class ExperimentResult:
     """Each device's outcome lives in one record: its counts in
     ``reports``, and its id in ``turn_on_failures``, ``late_responders``
-    or ``query_failures``.  A device that delivered nothing and is no
-    late responder never responded."""
+    or ``query_failures`` (id -> reason).  A device that delivered
+    nothing and is no late responder never responded."""
 
     name: str
     matrix: DeviceMatrix
     reports: dict[str, DeviceReport]
     turn_on_failures: set[str]
     late_responders: dict[str, str]
-    query_failures: dict[str, QueryFailed]
+    query_failures: dict[str, str]
     shutdown_log: list[ShutdownRecord]
     start_ts: float
     end_ts: float
@@ -423,7 +425,7 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
         lines.append(f"# late-responder {device_id} after {after_id}")
     for device_id in result.matrix.ids():
         if device_id in result.query_failures:
-            reason = result.query_failures[device_id].reason.split()
+            reason = result.query_failures[device_id].split()
             lines.append(" ".join(["# query-failed", device_id, *reason]))
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -439,51 +441,22 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
             fh.write(f"{eui} {fcnt} {ts:.6f}\n")
 
 
-@dataclass
-class ParsedReport:
-    name: str
-    start_ts: float
-    end_ts: float
-    duration: float
-    reports: dict[str, DeviceReport]
-    turn_on_failures: set[str]
-    late_responders: dict[str, str]
-    query_failures: dict[str, QueryFailed]
-
-
-def parse_report(path) -> ParsedReport:
-    """Read a report file back; inverse of :func:`write_output`."""
-    name, start_ts, end_ts, duration = "", 0.0, 0.0, 0.0
+def parse_report(path) -> dict[str, DeviceReport]:
+    """The counts of a :func:`write_output` report, by device id; the
+    ``#`` lines are skipped.  A line that is no ``id delivered sent``
+    record is a ``ValueError`` that names it as ``path:line``."""
     reports: dict[str, DeviceReport] = {}
-    failures: set[str] = set()
-    late: dict[str, str] = {}
-    query_failures: dict[str, QueryFailed] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
+            if not line or line.startswith("#"):
                 continue
-            if line.startswith("# experiment "):
-                parts = line.split()
-                name = parts[2]
-                start_ts = float(parts[parts.index("start") + 1])
-                end_ts = float(parts[parts.index("end") + 1])
-                duration = float(parts[parts.index("duration") + 1])
-            elif line.startswith("# turn-on-failed "):
-                failures.add(line.split()[-1])
-            elif line.startswith("# late-responder "):
-                parts = line.split()
-                late[parts[2]] = parts[4]
-            elif line.startswith("# query-failed "):
-                _, _, device_id, *reason = line.split(maxsplit=3)
-                query_failures[device_id] = QueryFailed("".join(reason))
-            elif line.startswith("#"):
-                continue
-            else:
+            try:
                 device_id, delivered, sent = line.split()
                 reports[device_id] = DeviceReport(device_id, int(delivered), int(sent))
-    return ParsedReport(name, start_ts, end_ts, duration, reports, failures, late,
-                        query_failures)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: not an 'id delivered sent' line: {exc}")
+    return reports
 
 
 # --- full workflow ----------------------------------------------------------
@@ -509,7 +482,7 @@ class ExperimentSettings:
 def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Clock,
                    settings: ExperimentSettings) -> ExperimentResult:
     """Execute every phase in order and return the assembled result."""
-    turn_on_failures = turn_on_sequence(
+    probe_silent = turn_on_sequence(
         matrix, operator, client, clock, settings.probe_window, settings.turnon_step
     )
     start_ts = clock.now()
@@ -525,7 +498,8 @@ def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Cloc
         name=settings.name,
         matrix=matrix,
         reports=reports,
-        turn_on_failures=turn_on_failures,
+        # a live device can lose a whole probe to collisions, but not the experiment
+        turn_on_failures={d for d in probe_silent if reports[d].delivered == 0},
         late_responders=late,
         # a device whose collect query failed is never rechecked
         query_failures={**recheck_failures, **collect_failures},

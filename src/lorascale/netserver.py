@@ -9,15 +9,14 @@ querying:
     server -> {"type": "auth_ok"} | {"type": "auth_fail", "reason": "..."}
     client -> {"type": "query", "dev_euis": ["...", ...], "from": t0, "to": t1}
     server -> {"type": "packets", "devices": [entry, ...]}
-    entry  =  {"dev_eui": "...", "packets": [...]} | {"dev_eui": ..., "error": "..."}
+    entry  =  {"dev_eui": "...", "packets": [...]}
 
 A reply holds one entry per requested EUI, in request order, all over
-the one window; an entry with an ``error`` (a non-string EUI) fails only
-that device.  Any protocol violation is answered with
-{"type": "error", "reason": ...}: a missing or empty ``dev_euis`` list
-and a bad window refuse the whole request.  Violations before
-authentication, unparseable frames and lines longer than
-``MAX_LINE_BYTES`` additionally close the connection.  Query windows are
+the one window.  Any protocol violation is answered with
+{"type": "error", "reason": ...}: a ``dev_euis`` that is not a
+non-empty list of strings and a bad window refuse the whole request.
+Violations before authentication, unparseable frames and lines longer
+than ``MAX_LINE_BYTES`` additionally close the connection.  Query windows are
 closed intervals with finite bounds, and an unknown EUI yields an empty
 packet list.  Persistence is an append-only log file (the simulator's
 export format) replayed at startup.
@@ -99,10 +98,10 @@ class PacketStore:
     timestamp is finite.
 
     A batch is sorted per EUI.  When its first (timestamp, counter) key
-    lies strictly past the last one stored for that EUI, as it does on
-    every advance of a live world, it is appended in place and only its
-    own duplicates are dropped, at a cost that grows with the batch and
-    not with the history.  Any other batch is sorted together with the
+    lies no earlier than the last one stored for that EUI, as it does on
+    every advance of a live world, it is appended in place and only
+    duplicates are dropped, at a cost that grows with the batch and not
+    with the history.  Any other batch is sorted together with the
     EUI's stored records.
     """
 
@@ -117,15 +116,10 @@ class PacketStore:
         A record with a non-finite timestamp is a ``ValueError``, and
         then none of the batch is stored.
         """
-        records = list(records)
-        for rec in records:
-            if not math.isfinite(rec.received_ts):
-                raise ValueError(f"non-finite timestamp in {rec!r}")
-        return self._add(records)
-
-    def _add(self, records: list[PacketRecord]) -> int:
         batches: defaultdict[str, list[PacketRecord]] = defaultdict(list)
         for rec in records:
+            if not -_INF < rec.received_ts < _INF:
+                raise ValueError(f"non-finite timestamp in {rec!r}")
             batches[rec.dev_eui].append(rec)
         added = 0
         with self._lock:
@@ -135,7 +129,7 @@ class PacketStore:
                     self._by_eui[eui] = ([], [])
                 kept, times = self._by_eui[eui]
                 stored = len(kept)
-                if kept and _ORDER(batch[0]) <= _ORDER(kept[-1]):
+                if kept and _ORDER(batch[0]) < _ORDER(kept[-1]):
                     # the batch reaches back into the bucket: sort the two together;
                     # stable, so of two duplicates, now neighbours, the stored one leads
                     batch = sorted([*kept, *batch], key=_ORDER)
@@ -163,7 +157,7 @@ class PacketStore:
             except ValueError:
                 if line and not line.isspace():
                     skipped += 1
-        return self._add(good), skipped  # parsed timestamps are finite
+        return self.ingest(good), skipped
 
     def ingest_file(self, path) -> tuple[int, int]:
         # a byte outside ASCII becomes U+FFFD, which no log line holds, so
@@ -201,23 +195,19 @@ def _line(message: dict) -> bytes:
     return (json.dumps(message) + "\n").encode("utf-8")
 
 
-def _device_entry(dev_eui, got: list[PacketRecord] | str) -> str:
-    name = encode_basestring_ascii(dev_eui) if type(dev_eui) is str else json.dumps(dev_eui)
-    if type(got) is str:
-        return f'{{"dev_eui": {name}, "error": {encode_basestring_ascii(got)}}}'
+def _device_entry(dev_eui: str, got: list[PacketRecord]) -> str:
     packets = ", ".join([f'{{"fcnt": {r.fcnt!r}, "ts": {r.received_ts!r}, "sf": {r.sf!r}}}'
                          for r in got])
-    return f'{{"dev_eui": {name}, "packets": [{packets}]}}'
+    return f'{{"dev_eui": {encode_basestring_ascii(dev_eui)}, "packets": [{packets}]}}'
 
 
-def encode_packets(devices: Iterable[tuple[object, list[PacketRecord] | str]]) -> bytes:
+def encode_packets(devices: Iterable[tuple[str, list[PacketRecord]]]) -> bytes:
     """The ``packets`` reply line, byte for byte as ``json.dumps`` writes it.
 
-    ``devices`` holds one ``(dev_eui, got)`` pair per requested EUI: ``got``
-    is the device's records, or a string that makes the entry an
-    ``error``.  Frame counters and SFs are ints and timestamps finite
-    floats (the store holds no others), which JSON writes as their
-    ``repr``; strings go through JSON's own string encoder.
+    ``devices`` holds one ``(dev_eui, records)`` pair per requested EUI.
+    Frame counters and SFs are ints and timestamps finite floats (the
+    store holds no others), which JSON writes as their ``repr``; EUIs go
+    through JSON's own string encoder.
     """
     entries = ", ".join([_device_entry(eui, got) for eui, got in devices])
     return f'{{"type": "packets", "devices": [{entries}]}}\n'.encode("ascii")
@@ -261,8 +251,8 @@ def encode_query(dev_euis: list[str], from_ts: float, to_ts: float) -> bytes:
 def _answer(store: PacketStore, msg: dict) -> bytes:
     """The reply line to one query: an entry per EUI, or why it is refused."""
     euis, lo, hi = msg.get("dev_euis"), msg.get("from"), msg.get("to")
-    if type(euis) is not list or not euis:
-        return _error("query needs a non-empty dev_euis list")
+    if type(euis) is not list or not euis or not all(type(e) is str for e in euis):
+        return _error("query needs a non-empty dev_euis list of strings")
     # JSON numbers decode to exact ints and floats; a bool is no number
     if type(lo) is not float or type(hi) is not float:
         if type(lo) not in (int, float) or type(hi) not in (int, float):
@@ -276,8 +266,7 @@ def _answer(store: PacketStore, msg: dict) -> bytes:
     if lo > hi:
         return _error("empty window (from > to)")
     query = store.query
-    return encode_packets([(eui, query(eui, lo, hi)) if type(eui) is str
-                           else (eui, "query needs a string dev_eui") for eui in euis])
+    return encode_packets([(eui, query(eui, lo, hi)) for eui in euis])
 
 
 def _error(reason: str) -> bytes:
@@ -368,8 +357,6 @@ def _device_reply(item, dev_eui: str) -> list[PacketRecord] | ProtocolError:
     named = item.get("dev_eui") if type(item) is dict else None
     if named != dev_eui:
         return ProtocolError(f"reply names device {named!r}, not the {dev_eui!r} asked for")
-    if "error" in item:
-        return ProtocolError(str(item["error"]))
     packets = item.get("packets")
     if type(packets) is not list:
         return ProtocolError(f"reply entry for {dev_eui!r} holds no packets list")
@@ -413,10 +400,11 @@ class NetClient:
         window, or the :class:`ProtocolError` that fails that device alone.
 
         A bad bound raises before anything is sent.  A non-string EUI, or
-        one too long to fit a request alone, is an error entry and is not
-        sent; the rest go in as few requests as fit ``MAX_LINE_BYTES``.
-        A reply that is no list of one entry per EUI fails each EUI of
-        its request.  A closed connection, a socket error or a server
+        one too long to fit a request alone, gets a ``ProtocolError`` entry
+        and is not sent; the rest go in as few requests as fit
+        ``MAX_LINE_BYTES``.  An entry without a packets list fails its
+        device; a reply that is no list of one entry per EUI fails each
+        EUI of its request.  A closed connection, a socket error or a server
         ``error`` reply raises and so fails the whole call.
         """
         # the bounds are checked here, before anything is sent

@@ -102,7 +102,6 @@ class SimResult:
     dev: np.ndarray
     fcnt: np.ndarray
     delivered: np.ndarray
-    duration: float
 
     @property
     def network_pdr(self) -> float:
@@ -192,7 +191,6 @@ def run(devices: Iterable[DeviceSpec], duration: float,
         dev=dev,
         fcnt=fcnt,
         delivered=~lost,
-        duration=duration,
     )
 
 

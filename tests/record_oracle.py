@@ -57,13 +57,11 @@ def reference_write_packet_log(result: SimResult, path) -> int:
     return n
 
 
-def packets_message(devices: list[tuple[str, list[PacketRecord] | str]]) -> dict:
-    """The ``packets`` reply: one entry per ``(dev_eui, got)`` pair, with
-    the records of ``got``, or ``got`` as the entry's error."""
+def packets_message(devices: list[tuple[str, list[PacketRecord]]]) -> dict:
+    """The ``packets`` reply: one entry per ``(dev_eui, records)`` pair."""
     return {
         "type": "packets",
         "devices": [
-            {"dev_eui": eui, "error": got} if isinstance(got, str) else
             {"dev_eui": eui,
              "packets": [{"fcnt": r.fcnt, "ts": r.received_ts, "sf": r.sf} for r in got]}
             for eui, got in devices
@@ -71,7 +69,7 @@ def packets_message(devices: list[tuple[str, list[PacketRecord] | str]]) -> dict
     }
 
 
-def reference_packets_line(devices: list[tuple[str, list[PacketRecord] | str]]) -> bytes:
+def reference_packets_line(devices: list[tuple[str, list[PacketRecord]]]) -> bytes:
     return (json.dumps(packets_message(devices)) + "\n").encode("utf-8")
 
 

@@ -146,7 +146,7 @@ def test_c4_end_to_end_pipeline_exactness(tmp_path):
     from lorascale.controller import parse_report
     parsed = parse_report(report_path)
     for device_id, (delivered, sent) in truth.items():
-        got = parsed.reports[device_id]
+        got = parsed[device_id]
         assert (got.delivered, got.sent) == (delivered, sent), device_id
     losses = sum(s - d for d, s in truth.values())
     assert losses > 0  # the run really exercises counter gaps

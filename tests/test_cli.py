@@ -262,6 +262,16 @@ def test_analyze_curve_endpoints_and_points(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(279 / 320, abs=1e-6)
 
 
+@pytest.mark.parametrize("line", ["d1 5", "d 1 5 6", "d1 x 5", "d1 6 5"])
+def test_analyze_names_a_malformed_report_line(tmp_path, capsys, line):
+    report = tmp_path / "report.txt"
+    report.write_text(f"# experiment x start 0 end 1 duration 1\nd0 1 2\n{line}\n")
+    rc = cli.main(["analyze", "--total", "10", "--period", "7", "--airtime-sf7", "0.04",
+                   "--point", f"0:{report}"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {report}:3: ")
+
+
 def test_analyze_default_sf8_airtime(capsys):
     rc, out = run_cli(capsys, "analyze", "--total", "10", "--period", "600",
                       "--airtime-sf7", "0.04122", "--step", "5")

@@ -1,14 +1,16 @@
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lorascale import controller
+from lorascale.cli import device_period
 from lorascale.controller import (
     DeviceMatrix,
     DeviceReport,
     ExperimentSettings,
     OrchestrationError,
-    QueryFailed,
     RosterEntry,
     ScriptedOperator,
     SimulatedOperator,
@@ -26,7 +28,7 @@ from lorascale.controller import (
     write_output,
 )
 from lorascale.netserver import PacketRecord, PacketStore, ProtocolError
-from lorascale.simulator import DeviceSpec
+from lorascale.simulator import AnyOverlap, DeviceSpec
 from lorascale.world import SimWorld
 from batch_adapter import Batched
 
@@ -88,6 +90,23 @@ def test_load_roster_rejects_duplicates(tmp_path):
     exp.write_text("d1\nd2\n")
     mapping.write_text("d1,00000000000000a1\nd2,00000000000000A1\n")
     with pytest.raises(OrchestrationError, match="duplicate"):
+        load_roster(exp, mapping)
+
+
+@pytest.mark.parametrize("device_id, eui, fault", [
+    ("", "00000000000000a1", "empty"),
+    ("d 1", "00000000000000a1", "whitespace"),  # would split the report line
+    ("d\u00a01", "00000000000000a1", "whitespace"),
+    ("d1", "00000000000000g1", "16 hex digits"),
+    ("d1", "0000000000000a1", "16 hex digits"),
+    ("d1", "0x000000000000a1", "16 hex digits"),
+])
+def test_load_roster_refuses_an_id_or_eui_the_run_cannot_use(tmp_path, device_id, eui, fault):
+    exp = tmp_path / "exp.csv"
+    mapping = tmp_path / "map.csv"
+    exp.write_text(f"d0\n{device_id},\n", encoding="utf-8")
+    mapping.write_text(f"d0,00000000000000a0\n{device_id},{eui}\n", encoding="utf-8")
+    with pytest.raises(OrchestrationError, match=f"device {re.escape(repr(device_id))}: .*{fault}"):
         load_roster(exp, mapping)
 
 
@@ -194,7 +213,7 @@ def test_collect_protocol_error_flags_device_and_continues():
     matrix = DeviceMatrix([RosterEntry("a", eui1), RosterEntry("b", eui2)])
     packets, failures = collect(matrix, 10.0, 20.0, Batched(Flaky()))
     assert packets["a"] == [] and len(packets["b"]) == 1
-    assert failures == {"a": QueryFailed("boom")}
+    assert failures == {"a": "boom"}
 
 
 # --- turn-off ----------------------------------------------------------------------
@@ -465,26 +484,27 @@ def test_write_output_and_parse_report_roundtrip(tmp_path):
     assert result.turn_on_failures == {"d2", "d4"}
     assert result.late_responders == {"d2": "d0"}
     assert result.query_failures == {
-        "d3": QueryFailed("boom"), "d4": QueryFailed("turn-off recheck: reset")}
+        "d3": "boom", "d4": "turn-off recheck: reset"}
     report_path = tmp_path / "report.txt"
     ts_path = tmp_path / "ts.txt"
     write_output(result, report_path, ts_path)
 
     parsed = parse_report(report_path)
-    assert parsed.name == "live"
-    assert parsed.start_ts == result.start_ts
-    assert parsed.end_ts == result.end_ts
-    assert parsed.turn_on_failures == result.turn_on_failures
-    assert list(parsed.late_responders.items()) == list(result.late_responders.items())
-    assert parsed.query_failures == result.query_failures
     for device_id, report in result.reports.items():
-        assert (parsed.reports[device_id].delivered,
-                parsed.reports[device_id].sent) == (report.delivered, report.sent)
+        assert (parsed[device_id].delivered,
+                parsed[device_id].sent) == (report.delivered, report.sent)
 
-    body = [l for l in report_path.read_text().splitlines() if not l.startswith("#")]
-    assert len(body) == len(result.matrix)  # each device exactly once
-    header = report_path.read_text().splitlines()[0]
-    assert header.startswith("# experiment live start ")
+    text = report_path.read_text().splitlines()
+    body = [l for l in text if not l.startswith("#")]
+    assert len(body) == len(result.matrix) == len(parsed)  # each device exactly once
+    assert text[0] == (f"# experiment live start {result.start_ts:.6f} end {result.end_ts:.6f} "
+                       f"duration {result.end_ts - result.start_ts:.6f}")
+    assert [l for l in text if l.startswith("# turn-on-failed ")] == [
+        "# turn-on-failed d2", "# turn-on-failed d4"]
+    assert [l for l in text if l.startswith("# late-responder ")] == [
+        "# late-responder d2 after d0"]
+    assert [l for l in text if l.startswith("# query-failed ")] == [
+        "# query-failed d3 boom", "# query-failed d4 turn-off recheck: reset"]
 
     ts_lines = ts_path.read_text().splitlines()
     times = [float(l.split()[2]) for l in ts_lines]
@@ -509,7 +529,7 @@ def test_failed_collect_is_not_silent():
 
     client = Batched(FailCollect(world, {}))
     result = run_experiment(matrix, SimulatedOperator(world), client, WorldClock(world), LIVE)
-    assert result.query_failures == {"d3": QueryFailed("boom")}
+    assert result.query_failures == {"d3": "boom"}
     assert result.late_responders == {}
     assert [(r.device_id, r.priority) for r in result.shutdown_log] == [
         ("d0", "high"), ("d1", "high"), ("d2", "high"), ("d4", "high"), ("d3", "low")]
@@ -520,7 +540,7 @@ def test_write_output_failed_device_gets_zero_line_and_flag(tmp_path):
     from lorascale.controller import ExperimentResult
     # the second reason comes from outside and must not start a record of its own
     for case, reason in enumerate([None, "x\n# late-responder d0 after d1"]):
-        failures = {} if reason is None else {"d1": QueryFailed(reason)}
+        failures = {} if reason is None else {"d1": reason}
         result = ExperimentResult(
             name="x", matrix=matrix, reports={"d1": DeviceReport("d1", 0, 0)},
             turn_on_failures={"d1"}, late_responders={}, query_failures=failures,
@@ -532,14 +552,50 @@ def test_write_output_failed_device_gets_zero_line_and_flag(tmp_path):
         assert "# turn-on-failed d1\n" in text
         assert "\nd1 0 0\n" in text
         failed_lines = [l for l in text.splitlines() if l.startswith("# query-failed")]
-        parsed = parse_report(report_path)
-        assert parsed.late_responders == {}
+        assert parse_report(report_path) == {"d1": DeviceReport("d1", 0, 0)}
+        assert [l for l in text.splitlines() if l.startswith("# late-responder")] == []
         if reason is None:
-            assert failed_lines == [] and parsed.query_failures == {}
+            assert failed_lines == []
         else:
             assert failed_lines == ["# query-failed d1 x # late-responder d0 after d1"]
-            assert parsed.query_failures == {
-                "d1": QueryFailed("x # late-responder d0 after d1")}
+
+
+PAPER41 = ExperimentSettings(name="paper41", duration=700.0, probe_window=21.0,
+                             recheck_window=21.0, turnon_step=1.0)
+
+
+def test_turn_on_failures_are_the_devices_never_switched_on(monkeypatch):
+    """On the paper's 41-device setup a live device can lose every packet
+    of the probe window to collisions; it is no turn-on failure, because
+    it delivers in the experiment window.  Every declined device is one."""
+    ids = [f"p{k:02d}" for k in range(41)]
+    fleet = [DeviceSpec(ids[k], f"{0xee00 + k:016x}", 7, device_period(7.0, k, 41, 0.06),
+                        0.11729) for k in range(41)]
+    matrix = DeviceMatrix([RosterEntry(d.device_id, d.dev_eui) for d in fleet])
+    probe_silent: list[set[str]] = []
+
+    def probe(*args, **kwargs):
+        probe_silent.append(turn_on_sequence(*args, **kwargs))
+        return probe_silent[-1]
+
+    monkeypatch.setattr(controller, "turn_on_sequence", probe)
+    missed_live = 0
+    for seed in range(9100, 9112):
+        world = SimWorld(fleet, AnyOverlap(), seed=seed)
+        declined = {ids[seed % 41], ids[seed * 7 % 41]}
+
+        class Declining:
+            def prompt(self, action):
+                on = isinstance(action, TurnOn)
+                if on and action.device_id in declined:
+                    return False
+                world.set_active(action.device_id, on)
+                return True
+
+        result = run_experiment(matrix, Declining(), world, WorldClock(world), PAPER41)
+        assert result.turn_on_failures == declined, seed
+        missed_live += len(probe_silent[-1] - declined)
+    assert missed_live > 0  # the probe did miss live devices
 
 
 def test_probe_failure_aborts_after_one_query_per_device():
@@ -590,7 +646,7 @@ def test_collect_connection_reset_flags_device_and_continues():
     client = Batched(ResetClient(EUIS["d1"], {EUIS["d0"]: [12.0], EUIS["d2"]: [13.0, 14.0]}))
     packets, failures = collect(matrix, 10.0, 20.0, client)
     assert [len(packets[d]) for d in ("d0", "d1", "d2")] == [1, 0, 2]
-    assert failures == {"d1": QueryFailed("connection reset by peer")}
+    assert failures == {"d1": "connection reset by peer"}
 
 
 class DownClient:
@@ -609,7 +665,7 @@ def test_failed_call_flags_every_device_and_empty_polls_are_not_sent():
     client = DownClient()
     packets, failures = collect(matrix, 10.0, 20.0, client)
     assert packets == {"d0": [], "d1": [], "d2": []}
-    assert failures == {d: QueryFailed("connection reset by peer") for d in ("d0", "d1", "d2")}
+    assert failures == {d: "connection reset by peer" for d in ("d0", "d1", "d2")}
     assert client.calls == [[EUIS["d0"], EUIS["d1"], EUIS["d2"]]]
     # with every device delivered, no recheck has a device to ask about
     client.calls.clear()
@@ -629,4 +685,4 @@ def test_turn_off_recheck_skips_a_poll_whose_connection_drops():
     assert [(r.device_id, r.priority) for r in log] == [
         ("d0", "high"), ("d2", "middle"), ("d1", "low")]
     assert late == {"d2": "d0"}
-    assert failures == {"d1": QueryFailed("turn-off recheck: connection reset by peer")}
+    assert failures == {"d1": "turn-off recheck: connection reset by peer"}
