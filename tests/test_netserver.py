@@ -447,19 +447,31 @@ def test_server_refuses_request_without_eui_list_and_keeps_connection(server):
                    {"dev_euis": "00000000000000aa"},  # not a list
                    {"dev_euis": {"00000000000000aa": 1}},
                    {"dev_euis": []},
-                   {},
-                   # a non-string EUI anywhere in the list refuses the request
-                   {"dev_euis": [170, "00000000000000aa", None]},
-                   {"dev_euis": ["00000000000000aa", ["x"]]},
-                   {"dev_euis": [1.5, True]}):
-        send_json(sock, {"type": "query", **fields, "from": 0, "to": 2})
-        reply = read_json(rfile)
-        assert reply["type"] == "error" and "dev_euis" in reply["reason"], fields
-        send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa", "00000000000000bb"],
-                         "from": 0, "to": 2})
-        assert read_json(rfile) == {"type": "packets", "devices": [
-            AA_ENTRY, {"dev_eui": "00000000000000bb", "packets": []}]}
+                   {}):
+        assert_refused_then_usable(sock, rfile, fields)
     sock.close()
+
+
+def test_server_refuses_a_non_string_eui_and_keeps_connection(server):
+    srv, store = server
+    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    sock, rfile = authed_connection(srv)
+    # a non-string EUI anywhere in the list refuses the whole request
+    for euis in ([170, "00000000000000aa", None],
+                 ["00000000000000aa", ["x"]],
+                 [1.5, True]):
+        assert_refused_then_usable(sock, rfile, {"dev_euis": euis})
+    sock.close()
+
+
+def assert_refused_then_usable(sock, rfile, fields):
+    send_json(sock, {"type": "query", **fields, "from": 0, "to": 2})
+    reply = read_json(rfile)
+    assert reply["type"] == "error" and "dev_euis" in reply["reason"], fields
+    send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa", "00000000000000bb"],
+                     "from": 0, "to": 2})
+    assert read_json(rfile) == {"type": "packets", "devices": [
+        AA_ENTRY, {"dev_eui": "00000000000000bb", "packets": []}]}
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf"), 10**400])
