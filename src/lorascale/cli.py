@@ -327,12 +327,8 @@ def _cmd_run_experiment(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    t_sf7 = args.airtime_sf7
-    if args.airtime_sf8 is not None:
-        t_sf8 = args.airtime_sf8
-    elif args.sf8_factor is not None:
-        t_sf8 = args.sf8_factor * t_sf7
-    else:
+    t_sf7, t_sf8 = args.airtime_sf7, args.airtime_sf8
+    if t_sf8 is None:
         t_sf8 = analysis.sf8_airtime_for(t_sf7)
     curve = analysis.bounds_curve(args.total, args.period, t_sf7, t_sf8, args.step)
 
@@ -433,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=float, required=True)
     p.add_argument("--airtime-sf7", type=float, dest="airtime_sf7", required=True)
     p.add_argument("--airtime-sf8", type=float, dest="airtime_sf8")
-    p.add_argument("--sf8-factor", type=float, dest="sf8_factor",
-                   help="idealized airtime scaling, e.g. 2.0")
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--point", action="append", metavar="N_MOVED:REPORT",
                    help="overlay an experiment report as an empirical point")

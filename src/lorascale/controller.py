@@ -444,7 +444,8 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
 def parse_report(path) -> dict[str, DeviceReport]:
     """The counts of a :func:`write_output` report, by device id; the
     ``#`` lines are skipped.  A line that is no ``id delivered sent``
-    record is a ``ValueError`` that names it as ``path:line``."""
+    record, or that repeats an earlier line's id, is a ``ValueError``
+    that names it as ``path:line``."""
     reports: dict[str, DeviceReport] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for number, raw in enumerate(fh, 1):
@@ -453,9 +454,12 @@ def parse_report(path) -> dict[str, DeviceReport]:
                 continue
             try:
                 device_id, delivered, sent = line.split()
-                reports[device_id] = DeviceReport(device_id, int(delivered), int(sent))
+                report = DeviceReport(device_id, int(delivered), int(sent))
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: not an 'id delivered sent' line: {exc}")
+            if device_id in reports:
+                raise ValueError(f"{path}:{number}: device {device_id} is listed twice")
+            reports[device_id] = report
     return reports
 
 

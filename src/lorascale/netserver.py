@@ -12,14 +12,16 @@ querying:
     entry  =  {"dev_eui": "...", "packets": [...]}
 
 A reply holds one entry per requested EUI, in request order, all over
-the one window.  Any protocol violation is answered with
-{"type": "error", "reason": ...}: a ``dev_euis`` that is not a
-non-empty list of strings and a bad window refuse the whole request.
-Violations before authentication, unparseable frames and lines longer
-than ``MAX_LINE_BYTES`` additionally close the connection.  Query windows are
-closed intervals with finite bounds, and an unknown EUI yields an empty
-packet list.  Persistence is an append-only log file (the simulator's
-export format) replayed at startup.
+the one window.  The client writes each request with ``json.dumps``, a
+fixed number of EUIs at a time, and leaves judging it to the server.
+Any protocol violation is answered with {"type": "error", "reason": ...}:
+a ``dev_euis`` that is not a non-empty list of strings and a bad window
+refuse the whole request.  Violations before authentication, unparseable
+frames and lines longer than ``MAX_LINE_BYTES`` additionally close the
+connection.  Query windows are closed intervals with finite bounds, and
+an unknown EUI yields an empty packet list.  Persistence is an
+append-only log file (the simulator's export format) replayed at
+startup.
 """
 
 from __future__ import annotations
@@ -183,11 +185,15 @@ class PacketStore:
             return sum(len(records) for records, _ in self._by_eui.values())
 
 
-# Longest request line, newline included, that the server reads; a query
-# costs about 20 bytes per EUI, and a client that never sends a newline
-# must not grow the server's buffer without bound.  The client splits a
-# batch into requests that stay within it.
+# Longest request line, newline included, that the server reads; a client
+# that never sends a newline must not grow the server's buffer without bound.
 MAX_LINE_BYTES = 64 * 1024
+
+# EUIs in one client request: 1 KiB of the line holds the head, the
+# bounds and the newline (at most 672 bytes, for two 310-character ints the
+# server accepts), and a 16-hex-digit EUI takes 20 bytes with its quotes
+# and the ", " after it.  Only longer EUIs can overflow the line.
+_EUIS_PER_REQUEST = (MAX_LINE_BYTES - 1024) // 20
 
 
 def _line(message: dict) -> bytes:
@@ -211,41 +217,6 @@ def encode_packets(devices: Iterable[tuple[str, list[PacketRecord]]]) -> bytes:
     """
     entries = ", ".join([_device_entry(eui, got) for eui, got in devices])
     return f'{{"type": "packets", "devices": [{entries}]}}\n'.encode("ascii")
-
-
-def _json_bound(value) -> str:
-    """JSON text of a query bound, which must be a finite int or float."""
-    if type(value) is float and -_INF < value < _INF:
-        return float.__repr__(value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if finite:
-            return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
-    raise ProtocolError("query needs finite numeric from/to")
-
-
-_QUERY_HEAD = '{"type": "query", "dev_euis": ['
-
-
-def _query_tail(from_ts: float, to_ts: float) -> str:
-    """What follows the EUIs in a ``query`` line; checks both bounds."""
-    return f'], "from": {_json_bound(from_ts)}, "to": {_json_bound(to_ts)}}}\n'
-
-
-def encode_query(dev_euis: list[str], from_ts: float, to_ts: float) -> bytes:
-    """The ``query`` request line, byte for byte as ``json.dumps`` writes it.
-
-    Raises :class:`ProtocolError` for a request the server would refuse
-    for its types: a non-string EUI, or a bound that is not a finite int
-    or float (a ``bool``, NaN, an infinity, an int too large for a float).
-    """
-    if not all(isinstance(eui, str) for eui in dev_euis):
-        raise ProtocolError("query needs a string dev_eui")
-    names = ", ".join(map(encode_basestring_ascii, dev_euis))
-    return f"{_QUERY_HEAD}{names}{_query_tail(from_ts, to_ts)}".encode("ascii")
 
 
 def _answer(store: PacketStore, msg: dict) -> bytes:
@@ -399,42 +370,28 @@ class NetClient:
         """One entry per EUI, in order: the device's records in the closed
         window, or the :class:`ProtocolError` that fails that device alone.
 
-        A bad bound raises before anything is sent.  A non-string EUI, or
-        one too long to fit a request alone, gets a ``ProtocolError`` entry
-        and is not sent; the rest go in as few requests as fit
-        ``MAX_LINE_BYTES``.  An entry without a packets list fails its
-        device; a reply that is no list of one entry per EUI fails each
-        EUI of its request.  A closed connection, a socket error or a server
-        ``error`` reply raises and so fails the whole call.
+        The EUIs go in requests of ``_EUIS_PER_REQUEST`` each, which fit
+        the server's line limit when every EUI is 16 hex digits.  An entry
+        without a packets list fails its device; a reply that is no list of
+        one entry per EUI fails each EUI of its request.  The server alone
+        judges a request: a bad bound, a non-string EUI or an over-long line
+        gets its ``error`` reply, which raises (the last also closes the
+        connection).  A value JSON cannot write, a closed connection and a
+        socket error raise too; each fails the whole call.
         """
-        # the bounds are checked here, before anything is sent
-        room = MAX_LINE_BYTES - len(_QUERY_HEAD) - len(_query_tail(from_ts, to_ts))
-        entries: list = [None] * len(dev_euis)
-        requests: list[list[int]] = []  # positions of the EUIs each request names
-        used = 0  # bytes the last request's EUIs take, separators included
-        for i, eui in enumerate(dev_euis):
-            if not isinstance(eui, str):
-                entries[i] = ProtocolError("query needs a string dev_eui")
-                continue
-            size = len(encode_basestring_ascii(eui))
-            if size > room:
-                entries[i] = ProtocolError(f"dev_eui does not fit a {MAX_LINE_BYTES}-byte query")
-            elif requests and used + 2 + size <= room:  # 2: the ", " before it
-                requests[-1].append(i)
-                used += 2 + size
-            else:
-                requests.append([i])
-                used = size
-        for index in requests:
-            got = self._request([dev_euis[i] for i in index], from_ts, to_ts)
-            for i, entry in zip(index, got):
-                entries[i] = entry
+        entries: list[list[PacketRecord] | ProtocolError] = []
+        for start in range(0, len(dev_euis), _EUIS_PER_REQUEST):
+            entries += self._request(dev_euis[start:start + _EUIS_PER_REQUEST], from_ts, to_ts)
         return entries
 
     def _request(self, euis: list[str], from_ts: float, to_ts: float
                  ) -> list[list[PacketRecord] | ProtocolError]:
         """Send one query line and read its reply, one entry per EUI."""
-        self._sock.sendall(encode_query(euis, from_ts, to_ts))
+        try:
+            line = _line({"type": "query", "dev_euis": euis, "from": from_ts, "to": to_ts})
+        except TypeError as exc:  # such as a bytes EUI
+            raise ProtocolError(f"query is not JSON: {exc}") from exc
+        self._sock.sendall(line)
         raw = self._readline()
         try:
             reply = _message(raw)

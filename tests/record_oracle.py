@@ -5,9 +5,8 @@ The straightforward forms of the record path:
 each delivered event and formats it with :func:`format_log_line`, and
 the wire lines are ``json.dumps`` of the message dicts.  They cost an
 object and a generic encoder call per record, but each step is easy to
-check by eye, so :func:`lorascale.simulator.write_packet_log`,
-:func:`lorascale.netserver.encode_packets` and
-:func:`lorascale.netserver.encode_query` are tested against them byte
+check by eye, so :func:`lorascale.simulator.write_packet_log` and
+:func:`lorascale.netserver.encode_packets` are tested against them byte
 for byte.
 """
 
@@ -72,7 +71,3 @@ def packets_message(devices: list[tuple[str, list[PacketRecord]]]) -> dict:
 def reference_packets_line(devices: list[tuple[str, list[PacketRecord]]]) -> bytes:
     return (json.dumps(packets_message(devices)) + "\n").encode("utf-8")
 
-
-def reference_query_line(dev_euis: list[str], from_ts, to_ts) -> bytes:
-    message = {"type": "query", "dev_euis": dev_euis, "from": from_ts, "to": to_ts}
-    return (json.dumps(message) + "\n").encode("utf-8")

@@ -243,7 +243,7 @@ def test_analyze_rejects_bad_point_syntax(capsys, point):
 
 def test_analyze_curve_endpoints_and_points(tmp_path, capsys):
     rc, out = run_cli(capsys, "analyze", "--total", "100", "--period", "600",
-                      "--airtime-sf7", "0.04122", "--sf8-factor", "2.0",
+                      "--airtime-sf7", "0.04122", "--airtime-sf8", "0.08244",
                       "--step", "25")
     assert rc == 0
     rows = [line.split() for line in out.splitlines()]
@@ -254,7 +254,7 @@ def test_analyze_curve_endpoints_and_points(tmp_path, capsys):
     assert float(rows[0][2]) == pytest.approx(up, abs=1e-6)
 
     rc, out = run_cli(capsys, "analyze", "--total", "8", "--period", "5",
-                      "--airtime-sf7", "0.05", "--sf8-factor", "2.0", "--step", "4",
+                      "--airtime-sf7", "0.05", "--airtime-sf8", "0.1", "--step", "4",
                       "--point", f"0:{DATA / 'golden_report.txt'}")
     assert rc == 0
     first = out.splitlines()[0].split()
@@ -262,7 +262,7 @@ def test_analyze_curve_endpoints_and_points(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(279 / 320, abs=1e-6)
 
 
-@pytest.mark.parametrize("line", ["d1 5", "d 1 5 6", "d1 x 5", "d1 6 5"])
+@pytest.mark.parametrize("line", ["d1 5", "d 1 5 6", "d1 x 5", "d1 6 5", "d0 4 4"])
 def test_analyze_names_a_malformed_report_line(tmp_path, capsys, line):
     report = tmp_path / "report.txt"
     report.write_text(f"# experiment x start 0 end 1 duration 1\nd0 1 2\n{line}\n")

@@ -18,11 +18,10 @@ from lorascale.netserver import (
     PacketStore,
     ProtocolError,
     encode_packets,
-    encode_query,
     parse_log_line,
     start_server,
 )
-from record_oracle import format_log_line, reference_packets_line, reference_query_line
+from record_oracle import format_log_line, reference_packets_line
 from store_oracle import ReferenceStore, reference_parse_log_line, written_form
 
 TOKEN = "secret-token"
@@ -488,13 +487,40 @@ def test_non_finite_window_errors_and_keeps_connection(server, bound):
     sock.close()
 
 
+AA = "00000000000000aa"
+BAD_BOUNDS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
+              "-2**1024": -(2**1024), "True": True, "False": False, "None": None,
+              "str": "1", "list": [1.0]}
+BAD_EUIS = {"int": int(AA, 16), "None": None, "bytes": AA.encode(), "list": [AA]}
+# each bad query as (dev_euis, from, to, a word of the reason it raises);
+# a bytes EUI is no JSON value, so only that query never reaches the server
+BAD_QUERIES = {
+    "empty-window": ([AA], 5.0, 1.0, "window"),
+    **{f"from={k}": ([AA], v, 1.0, "from/to") for k, v in BAD_BOUNDS.items()},
+    **{f"to={k}": ([AA], 0.0, v, "from/to") for k, v in BAD_BOUNDS.items()},
+    **{f"eui={k}": ([AA, v], 0.0, 1.0, "JSON" if k == "bytes" else "dev_euis")
+       for k, v in BAD_EUIS.items()},
+    "all-euis-bad": (list(BAD_EUIS.values()), 0.0, 1.0, "JSON"),
+}
+
+
 def test_client_raises_protocol_error_on_bad_query(server):
+    """The server judges each bad query; the client raises its reason and
+    the connection survives for the next query."""
+    srv, store = server
+    store.ingest([PacketRecord(AA, 0, 0.5, 7)])
+    with NetClient(srv.bound_address, TOKEN) as client:
+        for name, (euis, lo, hi, word) in BAD_QUERIES.items():
+            with pytest.raises(ProtocolError, match=word):
+                client.query(euis, lo, hi)
+            assert client.query([AA], 0.0, 1.0) == [[PacketRecord(AA, 0, 0.5, 7)]], name
+
+
+def test_client_over_long_request_raises(server):
     srv, _ = server
     with NetClient(srv.bound_address, TOKEN) as client:
-        with pytest.raises(ProtocolError):
-            client.query(["00000000000000aa"], 5.0, 1.0)
-        # connection survives for the next query
-        assert client.query(["00000000000000aa"], 0.0, 1.0) == [[]]
+        with pytest.raises(ProtocolError, match=str(MAX_LINE_BYTES)):
+            client.query(["x" * MAX_LINE_BYTES], 0.0, 1.0)
 
 
 class GarbageServer:
@@ -599,43 +625,6 @@ def test_client_unreadable_reply_flags_every_device_of_its_request(reply):
     assert packets == {"a": [], "b": []}
 
 
-@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf,
-                                   pytest.param(10**400, id="10**400"),
-                                   pytest.param(-(2**1024), id="-2**1024"),
-                                   True, False, None, "1", [1.0]])
-def test_client_rejects_bad_bound_before_sending(bound):
-    good = packets_line(devices=[{"dev_eui": EUI_A, "packets": [{"fcnt": 4, "ts": 12.0, "sf": 7}]}])
-    # the fake server has no reply for EUI_B: a query for it that reached
-    # the wire would stop the fake, and the next query would fail
-    fake = GarbageServer({(EUI_A,): good})
-    try:
-        with NetClient(fake.address, TOKEN, timeout=5.0) as client:
-            for lo, hi in ((bound, 20.0), (0.0, bound)):
-                with pytest.raises(ProtocolError):
-                    client.query([EUI_B], lo, hi)
-            assert client.query([EUI_A], 0.0, 20.0) == [[PacketRecord(EUI_A, 4, 12.0, 7)]]
-    finally:
-        fake.close()
-
-
-def test_client_non_string_eui_is_an_error_entry_and_never_sent():
-    good = packets_line(devices=[{"dev_eui": EUI_A, "packets": [{"fcnt": 4, "ts": 12.0, "sf": 7}]}])
-    # only the request naming EUI_A alone has a reply: had a non-string
-    # EUI reached the wire, the fake would stop and the query would raise
-    fake = GarbageServer({(EUI_A,): good})
-    try:
-        with NetClient(fake.address, TOKEN, timeout=5.0) as client:
-            bad = [int(EUI_B, 16), None, b"00000000000000a2", [EUI_B]]
-            entries = client.query([bad[0], EUI_A, *bad[1:]], 0.0, 20.0)
-            assert entries[1] == [PacketRecord(EUI_A, 4, 12.0, 7)]
-            assert all(isinstance(entries[k], ProtocolError) for k in (0, 2, 3, 4))
-            # no request at all when nothing is left to send
-            assert [type(e) for e in client.query(bad, 0.0, 20.0)] == [ProtocolError] * 4
-            assert client.query([EUI_A], 0.0, 20.0) == [[PacketRecord(EUI_A, 4, 12.0, 7)]]
-    finally:
-        fake.close()
-
-
 @pytest.mark.parametrize("auth_reply", [b"not json\n", b"\xc3\x28\n"])
 def test_client_unparseable_auth_reply_is_protocol_error(auth_reply):
     fake = GarbageServer({}, auth_reply=auth_reply)
@@ -725,37 +714,34 @@ def test_client_splits_a_batch_at_the_line_limit(shared_server, monkeypatch):
     srv.store = store = split_store()
     euis = [f"{k:016x}" for k in range(7)]
     lo, hi = 0.0, 61.0
-    # a request of three EUIs is exactly the limit, newline included
-    limit = len(encode_query(euis[:3], lo, hi))
-    monkeypatch.setattr(netserver, "MAX_LINE_BYTES", limit)
+    monkeypatch.setattr(netserver, "_EUIS_PER_REQUEST", 3)
     seen = recorded_requests(monkeypatch)
     with NetClient(srv.bound_address, TOKEN) as client:
         assert client.query(euis, lo, hi) == [store.query(e, lo, hi) for e in euis]
         assert seen == [euis[0:3], euis[3:6], euis[6:]]
-        # one byte less and two fit
-        monkeypatch.setattr(netserver, "MAX_LINE_BYTES", limit - 1)
+        monkeypatch.setattr(netserver, "_EUIS_PER_REQUEST", 2)
         seen.clear()
         assert client.query(euis, lo, hi) == [store.query(e, lo, hi) for e in euis]
         assert seen == [euis[0:2], euis[2:4], euis[4:6], euis[6:]]
 
 
-def test_client_eui_too_long_for_a_request_fails_alone(shared_server, monkeypatch):
+@pytest.mark.parametrize("lo, hi", [(-1.7976931348623157e308, -(10**308)),
+                                    (-(2**1024 - 2**970 - 1), -(10**308))],
+                         ids=["float-int", "int-int"])
+def test_client_full_request_with_the_longest_bounds_fits_the_line(shared_server, monkeypatch,
+                                                                   lo, hi):
+    """A request of ``_EUIS_PER_REQUEST`` 16-hex EUIs goes out whole and is
+    answered, even with the longest bounds the server accepts (the second
+    pair is two 310-character ints that round to finite floats)."""
     srv = shared_server
-    srv.store = store = split_store()
-    lo, hi = 0.0, 61.0
-    limit = len(encode_query([f"{0:016x}"] * 2, lo, hi))
-    monkeypatch.setattr(netserver, "MAX_LINE_BYTES", limit)
+    srv.store = store = PacketStore()
+    euis = [f"{k:016x}" for k in range(netserver._EUIS_PER_REQUEST)]
+    store.ingest([PacketRecord(euis[-1], 0, -1.5e308, 7)])
     seen = recorded_requests(monkeypatch)
-    fits = "x" * (16 + 20)  # the longest EUI a request can hold alone
-    assert len(encode_query([fits], lo, hi)) == limit
-    long = fits + "x"
-    batch = [f"{0:016x}", long, f"{2:016x}", fits, f"{4:016x}"]
     with NetClient(srv.bound_address, TOKEN) as client:
-        entries = client.query(batch, lo, hi)
-    assert isinstance(entries[1], ProtocolError)
-    assert entries[:1] + entries[2:] == [store.query(e, lo, hi) for e in batch if e != long]
-    assert entries[0] and entries[2] and entries[4]
-    assert seen == [[batch[0], batch[2]], [fits], [batch[4]]]
+        entries = client.query(euis, lo, hi)
+    assert seen == [euis]
+    assert entries == [[]] * (len(euis) - 1) + [[PacketRecord(euis[-1], 0, -1.5e308, 7)]]
 
 
 eui_pool_st = st.lists(st.from_regex(r"[0-9a-f]{16}", fullmatch=True), min_size=1, max_size=6,
@@ -783,8 +769,7 @@ def test_client_batch_agrees_with_store(shared_server, known, stamps, picks, win
     srv = shared_server
     srv.store = store
     with pytest.MonkeyPatch.context() as mp:
-        # a little over two EUIs per request, whatever the bounds' length
-        mp.setattr(netserver, "MAX_LINE_BYTES", len(encode_query(batch[:2], lo, hi)) + 10)
+        mp.setattr(netserver, "_EUIS_PER_REQUEST", 2)
         seen = []
         answer = netserver._answer
         mp.setattr(netserver, "_answer", lambda s, msg: seen.append(msg) or answer(s, msg))
@@ -849,16 +834,3 @@ def test_packets_reply_bytes_match_json_dumps(devices):
     got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in entry]) for eui, entry in devices]
     assert encode_packets(got) == reference_packets_line(got)
 
-
-bound_st = st.one_of(
-    ts_st,
-    st.integers(),
-    st.integers(-(2**1000), 2**1000),
-    st.sampled_from([0, -0.0, 5e-324, 1.7976931348623157e308, 2**1023, -(2**1023)]),
-)
-
-
-@given(euis=st.lists(any_eui_st, max_size=5), lo=bound_st, hi=bound_st)
-@settings(max_examples=300)
-def test_query_request_bytes_match_json_dumps(euis, lo, hi):
-    assert encode_query(euis, lo, hi) == reference_query_line(euis, lo, hi)
