@@ -488,32 +488,45 @@ def test_non_finite_window_errors_and_keeps_connection(server, bound):
 
 
 AA = "00000000000000aa"
-BAD_BOUNDS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
-              "-2**1024": -(2**1024), "True": True, "False": False, "None": None,
-              "str": "1", "list": [1.0]}
-BAD_EUIS = {"int": int(AA, 16), "None": None, "bytes": AA.encode(), "list": [AA]}
-# each bad query as (dev_euis, from, to, a word of the reason it raises);
-# a bytes EUI is no JSON value, so only that query never reaches the server
-BAD_QUERIES = {
-    "empty-window": ([AA], 5.0, 1.0, "window"),
-    **{f"from={k}": ([AA], v, 1.0, "from/to") for k, v in BAD_BOUNDS.items()},
-    **{f"to={k}": ([AA], 0.0, v, "from/to") for k, v in BAD_BOUNDS.items()},
-    **{f"eui={k}": ([AA, v], 0.0, 1.0, "JSON" if k == "bytes" else "dev_euis")
-       for k, v in BAD_EUIS.items()},
-    "all-euis-bad": (list(BAD_EUIS.values()), 0.0, 1.0, "JSON"),
-}
 
 
-def test_client_raises_protocol_error_on_bad_query(server):
-    """The server judges each bad query; the client raises its reason and
-    the connection survives for the next query."""
+def assert_refused_then_answered(server, queries):
+    """Each of ``queries``, as (dev_euis, from, to, a word of the reason),
+    raises ``ProtocolError`` with that reason, and the next good query on
+    the same client still answers."""
     srv, store = server
     store.ingest([PacketRecord(AA, 0, 0.5, 7)])
     with NetClient(srv.bound_address, TOKEN) as client:
-        for name, (euis, lo, hi, word) in BAD_QUERIES.items():
+        for euis, lo, hi, word in queries:
             with pytest.raises(ProtocolError, match=word):
                 client.query(euis, lo, hi)
-            assert client.query([AA], 0.0, 1.0) == [[PacketRecord(AA, 0, 0.5, 7)]], name
+            assert client.query([AA], 0.0, 1.0) == [[PacketRecord(AA, 0, 0.5, 7)]], (euis, lo, hi)
+
+
+def test_client_raises_protocol_error_on_bad_query(server):
+    assert_refused_then_answered(server, [([AA], 5.0, 1.0, "window")])
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="10**400"),
+                                   pytest.param(-(2**1024), id="-2**1024"),
+                                   True, False, None, "1", [1.0]])
+def test_client_rejects_bad_bound_before_sending(server, bound):
+    """The server refuses a bad bound before it sends any packets; the
+    client raises the server's reason."""
+    assert_refused_then_answered(server, [([AA], bound, 1.0, "from/to"),
+                                          ([AA], 0.0, bound, "from/to")])
+
+
+def test_client_non_string_eui_fails_the_whole_call(server):
+    """The server refuses a query naming a non-string EUI, so the whole
+    call raises.  A bytes EUI is no JSON value, so only that query never
+    reaches the server."""
+    bad = {"int": int(AA, 16), "None": None, "bytes": AA.encode(), "list": [AA]}
+    assert_refused_then_answered(server, [
+        *(([AA, v], 0.0, 1.0, "JSON" if k == "bytes" else "dev_euis") for k, v in bad.items()),
+        (list(bad.values()), 0.0, 1.0, "JSON"),
+    ])
 
 
 def test_client_over_long_request_raises(server):
