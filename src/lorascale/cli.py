@@ -276,7 +276,8 @@ def _cmd_serve(args) -> int:
         ingested, skipped = store.ingest_file(args.log)
         print(f"ingested {ingested} records from {args.log} ({skipped} malformed lines skipped)")
     server = netserver.PacketServer((host or "127.0.0.1", int(port)), store, args.token)
-    print(f"serving on {server.bound_address[0]}:{server.bound_address[1]}")
+    # flushed, so a script that reads the port from a pipe or file sees it
+    print(f"serving on {server.bound_address[0]}:{server.bound_address[1]}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -323,6 +324,9 @@ def _cmd_run_experiment(args) -> int:
         print("network pdr undefined (no packets)")
     if result.query_failures:
         print(f"query failed for {len(result.query_failures)} devices (see report)")
+    unconfirmed = sum(1 for r in result.shutdown_log if not r.confirmed)
+    if unconfirmed:
+        print(f"{unconfirmed} devices not confirmed off (see report)")
     return 0
 
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 import math
 import re
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Protocol
 
 from .netserver import EUI_PATTERN, PacketRecord, ProtocolError
@@ -314,6 +316,11 @@ def compute_counts(packets: list[PacketRecord]) -> tuple[int, int]:
     return delivered, sent
 
 
+# Recheck windows that wait for one settling poll at most.  The cap bounds
+# a settle's reply to this many windows of traffic for each late responder.
+_SETTLE_WINDOWS = 64
+
+
 def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
                       operator: Operator, client, clock: Clock,
                       recheck_window: float, collect_failures: Iterable[str] = ()
@@ -321,16 +328,29 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
     """Three-priority shutdown with late-responder detection.
 
     Devices that delivered during the experiment go first (high tier,
-    matrix order).  After every shutdown the server is polled over
-    ``recheck_window`` for every still-silent device, in matrix order.
-    A previously silent device that now shows packets is appended to the
-    middle tier as a late responder and is not polled again.  A device
-    in ``collect_failures`` delivered nothing only because its collect
-    query failed, which is no evidence of silence, so it is never
+    matrix order).  After every shutdown ``recheck_window`` seconds pass,
+    and that span is the shutdown's recheck window.  The waiting windows
+    are settled by one poll of every still-silent device, in matrix
+    order, over the span from the first window's start to the last one's
+    end.  A device's earliest packet inside a window names that window,
+    and a packet between windows is skipped.  A previously silent device
+    so found is a late responder: it is appended to the middle tier, in
+    (window, matrix) order, and is not polled again.  Windows are
+    settled before a tier's queue runs dry, before a declined device is
+    queued again, before a still-silent device is shut down, before a
+    window that starts before the last one ends (the clock stepped back)
+    and once ``_SETTLE_WINDOWS`` wait.  So the prompts, the log and the
+    late responders are those that a poll right after each window would
+    find.  A window whose clock stepped back past its start holds no
+    packet and is not asked about.
+
+    A device in ``collect_failures`` delivered nothing only because its
+    collect query failed, which is no evidence of silence, so it is never
     rechecked.  Whatever is left forms the low tier.  A skipped device is
     retried once at the end of its tier, then logged as an unconfirmed
-    shutdown.  A failed poll is skipped; each device's first reason is
-    returned with the log and the late responders (detection order).
+    shutdown.  A failed settle is skipped and its windows are not asked
+    about again; each device's first reason is returned with the log and
+    the late responders (detection order).
     """
     high = deque(e.device_id for e in matrix if reports[e.device_id].delivered > 0)
     # still-silent devices not yet shut down, in matrix order
@@ -342,34 +362,63 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
     failures: dict[str, str] = {}
     log: list[ShutdownRecord] = []
     retried: set[str] = set()
+    # the waiting (device shut down, start, end) windows in time order,
+    # each starting where or after the last one ends
+    windows: list[tuple[str, float, float]] = []
 
-    def recheck(after_id: str, shutdown_at: float, middle_open: bool) -> None:
-        clock.sleep(recheck_window)
-        fresh, lost = _poll(pending.values(), shutdown_at, clock.now(), client)
+    def window_of(ts: float) -> int:
+        """Index of the waiting window that holds ``ts``; ``len(windows)`` if none does."""
+        i = bisect_left(windows, ts, key=itemgetter(2))
+        return i if i < len(windows) and windows[i][1] <= ts else len(windows)
+
+    def settle(middle_open: bool) -> None:
+        if not windows:
+            return
+        fresh, lost = _poll(pending.values(), windows[0][1], windows[-1][2], client)
         for device_id, reason in lost.items():
             # the poll is lost, not the run; the report keeps the reason
             failures.setdefault(device_id, f"turn-off recheck: {reason}")
+        found = []
         for device_id, packets in fresh.items():
-            if packets:
-                late[device_id] = after_id
-                del pending[device_id]
-                if middle_open:
-                    middle.append(device_id)
-                # once the low tier is formed, a late responder keeps
-                # its slot there; the report still names it
+            first = min((window_of(p.received_ts) for p in packets), default=len(windows))
+            if first < len(windows):
+                found.append((first, device_id))
+        found.sort(key=itemgetter(0))  # stable: matrix order within a window
+        for i, device_id in found:
+            late[device_id] = windows[i][0]
+            del pending[device_id]
+            if middle_open:
+                middle.append(device_id)
+            # once the low tier is formed, a late responder keeps
+            # its slot there; the report still names it
+        windows.clear()
 
     def drain(queue: deque[str], priority: str, middle_open: bool) -> None:
-        while queue:
+        while True:
+            if not queue:
+                settle(middle_open)  # may refill the middle tier
+                if not queue:
+                    return
             device_id = queue.popleft()
             confirmed = operator.prompt(TurnOff(device_id))
             if not confirmed and device_id not in retried:
                 retried.add(device_id)
+                settle(middle_open)  # late responders found so far queue first
                 queue.append(device_id)
                 continue
-            pending.pop(device_id, None)
+            if device_id in pending:
+                settle(middle_open)  # it was still silent in every waiting window
+                pending.pop(device_id, None)
             shutdown_at = clock.now()
+            if windows and shutdown_at < windows[-1][2]:
+                settle(middle_open)  # the clock stepped back: windows stay apart
             log.append(ShutdownRecord(device_id, shutdown_at, confirmed, priority))
-            recheck(device_id, shutdown_at, middle_open)
+            clock.sleep(recheck_window)
+            window_end = clock.now()
+            if shutdown_at <= window_end:
+                windows.append((device_id, shutdown_at, window_end))
+            if len(windows) >= _SETTLE_WINDOWS:
+                settle(middle_open)
 
     drain(high, "high", middle_open=True)
     drain(middle, "middle", middle_open=True)
@@ -406,7 +455,9 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
     ``id delivered sent`` line per roster device in matrix order, one
     trailer line per late responder, then ``# query-failed id reason``
     per failed device in matrix order, each whitespace run of the
-    outside reason written as one space so the record stays one line.
+    outside reason written as one space so the record stays one line,
+    then ``# shutdown-unconfirmed id`` per device whose shutdown the
+    operator never confirmed, in matrix order.
     The timestamp file lists every collected packet as ``eui fcnt ts``,
     ascending in time.
     """
@@ -427,6 +478,10 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
         if device_id in result.query_failures:
             reason = result.query_failures[device_id].split()
             lines.append(" ".join(["# query-failed", device_id, *reason]))
+    unconfirmed = {r.device_id for r in result.shutdown_log if not r.confirmed}
+    for device_id in result.matrix.ids():
+        if device_id in unconfirmed:
+            lines.append(f"# shutdown-unconfirmed {device_id}")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

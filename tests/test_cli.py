@@ -343,6 +343,19 @@ def test_scripted_replay_equals_simulated_operator(tmp_path, capsys):
     assert via_sim == (DATA / "golden_report.txt").read_bytes()
 
 
+def test_run_experiment_reports_unconfirmed_shutdowns(tmp_path, capsys):
+    script = tmp_path / "decline_g03_off.txt"
+    # 8 turn-on prompts, then g01..g08 off with g03 declined, then g03 again
+    script.write_text("y\n" * 10 + "n\n" + "y\n" * 5 + "n\n")
+    report = tmp_path / "report.txt"
+    assert run_golden(report, str(script)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("network pdr ")
+    assert lines[-1] == "1 devices not confirmed off (see report)"
+    golden = (DATA / "golden_report.txt").read_text().splitlines()
+    assert report.read_text().splitlines() == golden + ["# shutdown-unconfirmed g03"]
+
+
 GOLDEN_EUI_G03 = "00000000feed0003"
 
 

@@ -1,8 +1,9 @@
 import math
 import re
+from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lorascale import controller
 from lorascale.cli import device_period
@@ -30,7 +31,8 @@ from lorascale.controller import (
 from lorascale.netserver import PacketRecord, PacketStore, ProtocolError
 from lorascale.simulator import AnyOverlap, DeviceSpec
 from lorascale.world import SimWorld
-from batch_adapter import Batched
+from batch_adapter import Batched, batch_query
+from turnoff_oracle import reference_turn_off_sequence
 
 EUIS = {f"d{i}": f"{0xcc00 + i:016x}" for i in range(10)}
 
@@ -312,20 +314,22 @@ def test_turn_off_polls_pending_silent_devices_in_matrix_order():
     reports = make_reports(matrix, responded=set(ids) - set(silent))
     eui_to_id = {e.dev_eui: e.device_id for e in matrix}
 
-    class RecordingClient:
+    class RecordingClient(FakeWakeClient):
+        """Records every device asked about; r150 sends one packet, inside
+        r040's recheck window [380, 390]."""
+
         def __init__(self):
-            self.awake = set()
+            super().__init__({matrix.eui_for("r150"): [385.0]})
             self.calls = []
 
         def query(self, dev_eui, from_ts, to_ts):
-            device_id = eui_to_id[dev_eui]
-            self.calls.append((device_id, from_ts, to_ts))
-            return [PacketRecord(dev_eui, 0, to_ts, 7)] if device_id in self.awake else []
+            self.calls.append((eui_to_id[dev_eui], from_ts, to_ts))
+            return super().query(dev_eui, from_ts, to_ts)
 
     client = Batched(RecordingClient())
 
     class Operator:
-        """Declines r005 once and wakes r150 when r040 is shut down."""
+        """Declines r005 once."""
 
         def __init__(self):
             self.declined = False
@@ -334,8 +338,6 @@ def test_turn_off_polls_pending_silent_devices_in_matrix_order():
             if action.device_id == "r005" and not self.declined:
                 self.declined = True
                 return False
-            if action.device_id == "r040":
-                client.awake.add("r150")
             return True
 
     window = 10.0
@@ -350,14 +352,14 @@ def test_turn_off_polls_pending_silent_devices_in_matrix_order():
     assert late == {"r150": "r040"}  # r017 and r299 never responded
     assert failures == {}
 
-    expected = []
-    pending = list(silent)
-    for record in log:
-        if record.device_id in pending:
-            pending.remove(record.device_id)
-        expected += [(d, record.at, record.at + window) for d in pending]
-        if record.device_id == "r040":
-            pending.remove("r150")
+    # One call per settle, over the windows of log entries first..last:
+    # when r005 is declined, every 64 windows, when the high and middle
+    # queues run dry, and before the still-silent r299 is shut down.
+    settles = [(0, 4, silent), (5, 68, silent)]
+    settles += [(k, k + 63, ["r017", "r299"]) for k in (69, 133, 197)]
+    settles += [(261, 296, ["r017", "r299"]), (297, 297, ["r017", "r299"]), (298, 298, ["r299"])]
+    expected = [(d, log[first].at, log[last].at + window)
+                for first, last, pending in settles for d in pending]
     assert client.calls == expected
 
 
@@ -414,6 +416,212 @@ def test_turn_off_ordering_property(n, responded_bits, wake_rules, skips):
     for i, device_id in enumerate(ids):
         rec = next(r for r in log if r.device_id == device_id)
         assert rec.confirmed == (skips[i] < 2)
+
+
+# --- settled rechecks ---------------------------------------------------------------
+
+ORACLE_IDS = [f"o{i}" for i in range(8)]
+ORACLE_MATRIX = DeviceMatrix([RosterEntry(d, f"{0xab00 + i:016x}")
+                              for i, d in enumerate(ORACLE_IDS)])
+
+
+class TimedOperator:
+    """Spends ``think`` seconds of clock time on every prompt and declines
+    each device's first ``declines[id]`` TurnOff prompts."""
+
+    def __init__(self, clock, declines, think):
+        self.clock, self.left, self.think = clock, dict(declines), think
+
+    def prompt(self, action):
+        self.clock.sleep(self.think)
+        if self.left.get(action.device_id, 0) > 0:
+            self.left[action.device_id] -= 1
+            return False
+        return True
+
+
+class WakeOrFailClient(FakeWakeClient):
+    """Serves wake-up packets; every query for an EUI in ``failing`` fails."""
+
+    def __init__(self, wake_ts_by_eui, failing):
+        super().__init__(wake_ts_by_eui)
+        self.failing = failing
+
+    def query(self, dev_eui, from_ts, to_ts):
+        if dev_eui in self.failing:
+            raise ProtocolError("no such window")
+        return super().query(dev_eui, from_ts, to_ts)
+
+
+class SteppingClock:
+    """Steps back by ``steps[i]`` seconds after its i-th sleep, as a wall
+    clock can."""
+
+    def __init__(self, start, steps):
+        self.t = start
+        self._steps = iter(steps)
+
+    def now(self):
+        return self.t
+
+    def sleep(self, seconds):
+        self.t += seconds - next(self._steps, 0.0)
+
+
+def settled_and_reference(n, statuses, wake, declines, think, cap, make_clock, make_client):
+    """The settled and the per-window turn-off of the first ``n`` oracle
+    devices, each run on a fresh clock and operator; the settled one asks
+    through ``make_client(fake)``.  A status is delivered, silent,
+    collect-failed or failing (every recheck fails); ``wake`` lists
+    (device index, timestamp) packets."""
+    matrix = DeviceMatrix(list(ORACLE_MATRIX)[:n])
+    ids = matrix.ids()
+    reports = make_reports(matrix, {d for d, s in zip(ids, statuses) if s == "delivered"})
+    collect_failed = [d for d, s in zip(ids, statuses) if s == "collect-failed"]
+    failing = {matrix.eui_for(d) for d, s in zip(ids, statuses) if s == "failing"}
+    wake_ts: dict[str, list[float]] = {}
+    for i, ts in wake:
+        if i < n:
+            wake_ts.setdefault(matrix.eui_for(ids[i]), []).append(ts)
+    results = []
+    for turn_off, wrap in ((turn_off_sequence, make_client),
+                           (reference_turn_off_sequence, Batched)):
+        clock = make_clock()
+        operator = TimedOperator(clock, dict(zip(ids, declines)), think)
+        client = wrap(WakeOrFailClient(wake_ts, failing))
+        with patch.object(controller, "_SETTLE_WINDOWS", cap):
+            results.append(turn_off(matrix, reports, operator, client, clock, 10.0,
+                                    collect_failed))
+    return results
+
+
+def assert_same_turn_off(got, want):
+    log, late, failures = got
+    assert log == want[0]
+    assert list(late.items()) == list(want[1].items())  # detection order too
+    assert list(failures.items()) == list(want[2].items())
+
+
+statuses_st = st.lists(
+    st.sampled_from(["delivered", "delivered", "silent", "silent", "silent",
+                     "collect-failed", "failing"]),
+    min_size=8, max_size=8)
+# on a half-second grid around the windows, or exactly on a window edge of
+# a run without operator time
+wake_st = st.lists(
+    st.tuples(st.integers(0, 7),
+              st.one_of(st.integers(-20, 200).map(lambda k: 100.0 + k / 2),
+                        st.integers(0, 10).map(lambda j: 100.0 + 10.0 * j))),
+    min_size=1, max_size=16)
+declines_st = st.lists(st.integers(0, 2), min_size=8, max_size=8)
+
+
+NO_DECLINES = [0] * 8
+
+
+@given(n=st.integers(1, 8), statuses=statuses_st, wake=wake_st, declines=declines_st,
+       think=st.sampled_from([0.0, 0.5, 2.5]), cap=st.sampled_from([1, 2, 3, 64]))
+@example(n=4, statuses=["delivered", "delivered", "silent", "silent"] + ["delivered"] * 4,
+         wake=[(2, 115.0), (3, 105.0)], declines=NO_DECLINES, think=0.0, cap=64
+         ).via("window order before matrix order")
+@example(n=3, statuses=["delivered", "delivered", "silent"] + ["delivered"] * 5,
+         wake=[(2, 113.0)], declines=NO_DECLINES, think=2.5, cap=64
+         ).via("a packet between windows")
+@example(n=4, statuses=["delivered", "silent", "silent", "silent"] + ["delivered"] * 4,
+         wake=[(1, 105.0), (2, 106.0), (3, 112.0)], declines=[0, 0, 1] + [0] * 5, think=0.0,
+         cap=64).via("a late responder queues before a declined one")
+@settings(max_examples=300, deadline=None)
+def test_settled_turn_off_matches_per_window_reference(n, statuses, wake, declines, think, cap):
+    got, want = settled_and_reference(n, statuses, wake, declines, think, cap,
+                                      lambda: VirtualClock(100.0), Batched)
+    assert_same_turn_off(got, want)
+
+
+class ForwardWindowsOnly:
+    """A batch client over a per-EUI fake that fails the test on an
+    inverted window, which the server would refuse."""
+
+    def __init__(self, fake):
+        self._query = batch_query(fake.query)
+
+    def query(self, dev_euis, from_ts, to_ts):
+        assert from_ts <= to_ts, (from_ts, to_ts)
+        return self._query(dev_euis, from_ts, to_ts)
+
+
+# no failing device: a window that is not asked about cannot fail it
+@given(n=st.integers(1, 8), statuses=st.lists(st.sampled_from(["delivered", "silent",
+                                                               "silent", "collect-failed"]),
+                                              min_size=8, max_size=8),
+       wake=wake_st, declines=declines_st,
+       think=st.sampled_from([0.0, 2.5]), cap=st.sampled_from([2, 64]),
+       steps=st.lists(st.sampled_from([0.0, 0.0, 3.0, 12.0]), max_size=30))
+@example(n=3, statuses=["delivered", "delivered", "silent"] + ["delivered"] * 5,
+         wake=[(2, 99.0)], declines=NO_DECLINES, think=0.0, cap=64, steps=[0.0, 0.0, 12.0]
+         ).via("a window that ends before the last one")
+@settings(max_examples=150, deadline=None)
+def test_clock_stepping_back_sends_no_inverted_window(n, statuses, wake, declines, think, cap,
+                                                       steps):
+    """A recheck window whose end the clock put before its start holds no
+    packet and is not asked about; one that starts before the last ends
+    is settled apart from it.  The reference asks about every window."""
+    got, want = settled_and_reference(n, statuses, wake, declines, think, cap,
+                                      lambda: SteppingClock(100.0, steps), ForwardWindowsOnly)
+    assert_same_turn_off(got, want)
+
+
+def test_turn_off_settles_many_windows_per_call():
+    ids = [f"c{i:03d}" for i in range(300)]
+    matrix = DeviceMatrix([RosterEntry(d, f"{0xee000 + i:016x}") for i, d in enumerate(ids)])
+    silent = {"c010", "c150", "c299"}
+    reports = make_reports(matrix, responded=set(ids) - silent)
+
+    class CountingClient:
+        calls = 0
+
+        def query(self, dev_euis, from_ts, to_ts):
+            self.calls += 1
+            return [[] for _ in dev_euis]
+
+    client = CountingClient()
+    log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(), client,
+                                            VirtualClock(0.0), 10.0)
+    assert [r.priority for r in log] == ["high"] * 297 + ["low"] * 3
+    assert late == {} and failures == {}
+    assert 0 < client.calls <= math.ceil(297 / 64) + 3 + 1
+
+
+def test_failed_settle_gives_every_pending_device_its_reason(monkeypatch):
+    """The second settle, over d2's window, fails as a whole: d3, d4 and
+    d5 get its reason, and d4's packet in that window is never asked
+    about again.  A later settle still finds d5 in d3's window."""
+    monkeypatch.setattr(controller, "_SETTLE_WINDOWS", 2)
+    matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(6)])
+    reports = make_reports(matrix, responded={"d0", "d1", "d2"})
+    wake = Batched(FakeWakeClient({EUIS["d4"]: [125.0], EUIS["d5"]: [135.0]}))
+
+    class FailSecondCall:
+        def __init__(self):
+            self.calls = []
+
+        def query(self, dev_euis, from_ts, to_ts):
+            self.calls.append((list(dev_euis), from_ts, to_ts))
+            if len(self.calls) == 2:
+                raise ConnectionResetError("connection reset by peer")
+            return wake.query(dev_euis, from_ts, to_ts)
+
+    client = FailSecondCall()
+    log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(), client,
+                                            VirtualClock(100.0), 10.0)
+    assert [(r.device_id, r.priority) for r in log] == [
+        ("d0", "high"), ("d1", "high"), ("d2", "high"),
+        ("d3", "low"), ("d4", "low"), ("d5", "low")]
+    assert late == {"d5": "d3"}
+    assert list(failures.items()) == [
+        (d, "turn-off recheck: connection reset by peer") for d in ("d3", "d4", "d5")]
+    silent = [EUIS[d] for d in ("d3", "d4", "d5")]
+    assert client.calls == [(silent, 100.0, 120.0), (silent, 120.0, 130.0),
+                            (silent[1:], 130.0, 140.0)]
 
 
 # --- output files ------------------------------------------------------------------
@@ -558,6 +766,24 @@ def test_write_output_failed_device_gets_zero_line_and_flag(tmp_path):
             assert failed_lines == []
         else:
             assert failed_lines == ["# query-failed d1 x # late-responder d0 after d1"]
+
+
+def test_write_output_lists_unconfirmed_shutdowns_last_in_matrix_order(tmp_path):
+    from lorascale.controller import ExperimentResult, ShutdownRecord
+    matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
+    result = ExperimentResult(
+        name="x", matrix=matrix, reports={d: DeviceReport(d, 0, 0) for d in matrix.ids()},
+        turn_on_failures=set(), late_responders={}, query_failures={"d1": "boom"},
+        shutdown_log=[ShutdownRecord("d0", 3.0, True, "low"),
+                      ShutdownRecord("d2", 4.0, False, "low"),
+                      ShutdownRecord("d1", 5.0, False, "low")],
+        start_ts=1.0, end_ts=2.0, packets={},
+    )
+    report_path = tmp_path / "r.txt"
+    write_output(result, report_path, tmp_path / "t.txt")
+    assert report_path.read_text().splitlines()[-3:] == [
+        "# query-failed d1 boom", "# shutdown-unconfirmed d1", "# shutdown-unconfirmed d2"]
+    assert parse_report(report_path) == result.reports
 
 
 PAPER41 = ExperimentSettings(name="paper41", duration=700.0, probe_window=21.0,
