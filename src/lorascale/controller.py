@@ -268,7 +268,10 @@ def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Cl
     without a single packet since the sequence began is flagged as a
     failed turn-on.  The server's data is the authority: a skipped or
     dead device shows up the same way, as silence.  A failed probe
-    query aborts the run, naming the first reason.
+    query aborts the run, naming the first reason.  When the clock has
+    stepped back past the sequence's start, no inverted window is sent
+    and every device counts as silent, so the turn-on verdict rests on
+    the experiment window alone; the turn-off skips such a window too.
     """
     began = clock.now()
     for entry in matrix:
@@ -277,7 +280,10 @@ def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Cl
             clock.sleep(step)
     if probe_window > 0:
         clock.sleep(probe_window)
-    packets, failures = _poll(matrix, began, clock.now(), client)
+    ended = clock.now()
+    if ended < began:
+        return set(matrix.ids())
+    packets, failures = _poll(matrix, began, ended, client)
     if failures:
         first = next(iter(failures.values()))
         raise OrchestrationError(f"server unreachable during turn-on probe: {first}")

@@ -101,7 +101,7 @@ class PacketStore:
 
     A batch is sorted per EUI.  When its first (timestamp, counter) key
     lies no earlier than the last one stored for that EUI, as it does on
-    every advance of a live world, it is appended in place and only
+    every resolution of a live world, it is appended in place and only
     duplicates are dropped, at a cost that grows with the batch and not
     with the history.  Any other batch is sorted together with the
     EUI's stored records.

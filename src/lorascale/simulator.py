@@ -133,6 +133,27 @@ def timeline_order(start: np.ndarray, dev: np.ndarray, id_rank: np.ndarray) -> n
     return np.lexsort((id_rank[dev], start))
 
 
+def attempts(base, period, k0, limit):
+    """How many lattice starts ``base + k * period`` with ``k >= k0`` lie
+    below ``limit``; elementwise over arrays.
+
+    The start is that float expression, the one both simulators
+    evaluate, and it never decreases as ``k`` grows, so the starts below
+    the limit are ``k0 .. k0 + count - 1``.  One ``ceil`` of
+    ``(limit - base) / period`` estimates the first ``k`` at or past the
+    limit; rounding can put that off by one (by more when ``period`` is
+    near the float spacing at ``base``), so the estimate is stepped until
+    the start of ``k`` is not below the limit and that of ``k - 1`` is.
+    """
+    k = np.maximum(np.ceil((limit - base) / period), k0).astype(np.int64)
+    while True:
+        short = base + k * period < limit
+        over = (k > k0) & (base + (k - 1) * period >= limit)
+        if not (short.any() or over.any()):
+            return k - k0
+        k = k + short - over
+
+
 def resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
             model: CollisionModel) -> np.ndarray:
     """Per-SF collision marking; arrays must be sorted by start."""

@@ -1,54 +1,41 @@
 """Live co-simulated radio environment for orchestration runs.
 
 Where :func:`lorascale.simulator.run` resolves a fixed schedule in one
-shot, :class:`SimWorld` advances a virtual clock interactively: devices
-are switched on and off while time passes, transmissions are generated
-lazily, and collision outcomes are finalized as soon as no future
-transmission can still touch them.  Delivered packets become queryable
-through the same interface the network-server client exposes, so a
-controller can be driven against the world directly.
+shot, :class:`SimWorld` follows a virtual clock interactively: devices
+are switched on and off while time passes, and delivered packets become
+queryable through the same interface the network-server client exposes,
+so a controller can be driven against the world directly.
 
-The world resolves only the open edge of its timeline.  An event is
-final once it has ended (``end <= now``): every later transmission
+Moving the clock does no work.  The world keeps each device's on-interval
+(the lattice ``base + k * period`` of its attempt starts, the first
+attempt not yet generated and the time it was switched off, if it was)
+and resolves the timeline on demand: :meth:`SimWorld.query`,
+:meth:`SimWorld.ground_truth` and :meth:`SimWorld.attempt_counts` first
+generate every attempt that starts before ``now`` and has not been
+generated yet, all devices at once, then finalize the batch.  An event
+is final once it has ended (``end <= now``): every later transmission
 starts after it is over.  A same-SF event can only be hit by events
 that start less than one airtime before it, under either collision
 model, so the event buffer keeps the events that are still open plus
 the final ones that start within a look-back of twice the longest
 airtime before the earliest open start (or before ``now``, when nothing
 is open); older events leave it.  Once final, an event's end time and
-device join the world's attempt arrays, one chunk per advance, and a
+device join the world's attempt arrays, one chunk per resolution, and a
 delivered event becomes a record in a :class:`PacketStore`, so the world
-answers a query exactly as the network server's store does.
+answers a query exactly as the network server's store does.  However the
+clock was moved between two resolutions, the attempts, their floats and
+their collision outcomes are those of resolving after every step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .netserver import PacketRecord, PacketStore
-from .simulator import (AnyOverlap, CollisionModel, DeviceSpec, device_id_rank, device_rng,
+from .simulator import (AnyOverlap, CollisionModel, attempts, device_id_rank, device_rng,
                         resolve, timeline_order)
-
-
-@dataclass
-class _DeviceState:
-    spec: DeviceSpec
-    rng: np.random.Generator
-    index: int  # roster position
-    active: bool = False
-    # start times are base + k * period (not accumulated) so long runs
-    # produce the same floats as the batch simulator
-    base: float | None = None
-    k: int = 0
-    next_fcnt: int = 0
-
-    def next_start(self) -> float | None:
-        if self.base is None:
-            return None
-        return self.base + self.k * self.spec.period
 
 
 class SimWorld:
@@ -67,16 +54,30 @@ class SimWorld:
         if len({d.dev_eui.lower() for d in devices}) != len(devices):
             raise ValueError("device EUIs must be unique")
         self._model = model
-        self._order = [_DeviceState(spec=d, rng=device_rng(seed, d.dev_eui), index=i)
-                       for i, d in enumerate(devices)]
-        self._states = {s.spec.device_id: s for s in self._order}
+        self._devices = devices
+        self._index = {d.device_id: i for i, d in enumerate(devices)}
+        self._rngs = [device_rng(seed, d.dev_eui) for d in devices]
         self._euis = [d.dev_eui for d in devices]
         self._sfs = [d.sf for d in devices]
         self._id_rank = device_id_rank(devices)
+        self._period = np.array([d.period for d in devices], dtype=np.float64)
         self._airtime = np.array([d.airtime for d in devices], dtype=np.float64)
         self._device_sf = np.array([d.sf for d in devices], dtype=np.int16)
         self._lookback = 2.0 * max((d.airtime for d in devices), default=0.0)
         self._now = 0.0
+        # each device's current on-interval: attempt k starts at base + k *
+        # period (not an accumulated sum, so long runs produce the batch
+        # simulator's floats); the attempts below k are generated
+        self._on = np.zeros(len(devices), dtype=bool)
+        self._base = np.zeros(len(devices))
+        self._k = np.zeros(len(devices), dtype=np.int64)
+        # switched-off intervals not generated to their end, in switch-off
+        # order: (device, base, first k left, off time)
+        self._closed: list[tuple[int, float, int, float]] = []
+        # frame counter of attempt 0 in each device's earliest interval
+        # not yet counted: its first one in _closed, else its current one
+        self._fcnt0 = np.zeros(len(devices), dtype=np.int64)
+        self._resolved = 0.0  # the clock at the last resolution
         # the open edge of the timeline in timeline order: unfinished
         # events plus the final ones that may still hit them
         self._start = np.empty(0)
@@ -85,7 +86,7 @@ class SimWorld:
         self._dev = np.empty(0, dtype=np.int64)
         self._fcnt = np.empty(0, dtype=np.int64)
         # finalized attempts: end times and roster positions, one chunk
-        # per advance; the delivered ones are records in the store
+        # per resolution; the delivered ones are records in the store
         self._attempt_end = [np.empty(0)]
         self._attempt_dev = [np.empty(0, dtype=np.int64)]
         self._store = PacketStore()
@@ -96,53 +97,65 @@ class SimWorld:
 
     def set_active(self, device_id: str, active: bool) -> None:
         """Toggle a device at the current time; idempotent."""
-        state = self._states[device_id]
-        if active == state.active:
+        i = self._index[device_id]
+        if active == self._on[i]:
             return
-        state.active = active
+        self._on[i] = active
         if active:
-            spec = state.spec
+            spec = self._devices[i]
             phase = spec.phase if spec.phase != "random" else float(
-                state.rng.uniform(0.0, spec.period)
+                self._rngs[i].uniform(0.0, spec.period)
             )
-            state.base = self._now + float(phase)
-            state.k = 0
+            self._base[i] = self._now + float(phase)
+            self._k[i] = 0
         else:
-            state.base = None
+            self._closed.append((i, float(self._base[i]), int(self._k[i]), self._now))
 
     def advance(self, dt: float) -> None:
-        """Move the clock forward, generating and finalizing transmissions."""
+        """Move the clock forward; the timeline is resolved when asked."""
         if dt < 0:
             raise ValueError("cannot advance backwards")
         if not math.isfinite(dt):
             raise ValueError("advance step must be finite")
-        horizon = self._now + dt
-        starts: list[float] = []
-        devs: list[int] = []
-        fcnts: list[int] = []
-        for state in self._order:
-            while state.active and state.base is not None:
-                start = state.next_start()
-                if start >= horizon:
-                    break
-                starts.append(start)
-                devs.append(state.index)
-                fcnts.append(state.next_fcnt)
-                state.next_fcnt += 1
-                state.k += 1
-        if starts:
-            start = np.array(starts)
-            dev = np.array(devs, dtype=np.int64)
-            # every new event starts at or after the previous clock, past
-            # all buffered starts, so appending keeps the buffer sorted
-            order = timeline_order(start, dev, self._id_rank)
-            start, dev = start[order], dev[order]
-            self._start = np.concatenate((self._start, start))
-            self._end = np.concatenate((self._end, start + self._airtime[dev]))
-            self._sf = np.concatenate((self._sf, self._device_sf[dev]))
-            self._dev = np.concatenate((self._dev, dev))
-            self._fcnt = np.concatenate((self._fcnt, np.array(fcnts, dtype=np.int64)[order]))
-        previous, self._now = self._now, horizon
+        self._now += dt
+
+    def _catch_up(self) -> None:
+        """Generate every attempt that starts before ``now`` and is not
+        generated yet, then finalize the events that ended since the
+        last resolution."""
+        if self._resolved == self._now:
+            return
+        on = np.flatnonzero(self._on)
+        c_dev, c_base, c_lo, c_off = zip(*self._closed) if self._closed else ((),) * 4
+        self._closed.clear()
+        dev = np.concatenate((np.array(c_dev, dtype=np.int64), on))
+        base = np.concatenate((c_base, self._base[on]))
+        lo = np.concatenate((np.array(c_lo, dtype=np.int64), self._k[on]))
+        limit = np.concatenate((c_off, np.full(on.size, self._now)))
+        hi = lo + attempts(base, self._period[dev], lo, limit)
+        self._k[on] = hi[len(c_dev):]
+        # a device's frame counters run on from one interval to the next
+        c_fcnt0 = []
+        for i, stop in zip(c_dev, hi.tolist()):
+            c_fcnt0.append(self._fcnt0[i])
+            self._fcnt0[i] += stop
+        fcnt0 = np.concatenate((np.array(c_fcnt0, dtype=np.int64), self._fcnt0[on]))
+        counts = hi - lo
+        interval = np.repeat(np.arange(dev.size), counts)
+        k = lo[interval] + np.arange(interval.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        dev = dev[interval]
+        start = base[interval] + k * self._period[dev]
+        fcnt = fcnt0[interval] + k
+        # every new event starts at or after the last resolution, past
+        # all buffered starts, so appending keeps the buffer sorted
+        order = timeline_order(start, dev, self._id_rank)
+        start, dev = start[order], dev[order]
+        self._start = np.concatenate((self._start, start))
+        self._end = np.concatenate((self._end, start + self._airtime[dev]))
+        self._sf = np.concatenate((self._sf, self._device_sf[dev]))
+        self._dev = np.concatenate((self._dev, dev))
+        self._fcnt = np.concatenate((self._fcnt, fcnt[order]))
+        previous, self._resolved = self._resolved, self._now
         self._finalize(previous)
 
     def _finalize(self, previous: float) -> None:
@@ -176,10 +189,12 @@ class SimWorld:
         one list per EUI in order, as the network-server client answers."""
         if from_ts > to_ts:
             raise ValueError("query window is empty (from > to)")
+        self._catch_up()
         return [self._store.query(eui, from_ts, to_ts) for eui in dev_euis]
 
     def _attempts(self) -> tuple[np.ndarray, np.ndarray]:
         """End times and roster positions of all finalized attempts."""
+        self._catch_up()
         if len(self._attempt_end) > 1:
             self._attempt_end = [np.concatenate(self._attempt_end)]
             self._attempt_dev = [np.concatenate(self._attempt_dev)]
@@ -188,8 +203,8 @@ class SimWorld:
     def attempt_counts(self) -> dict[str, int]:
         """Finalized attempts per device (collided ones included)."""
         _, dev = self._attempts()
-        tried = np.bincount(dev, minlength=len(self._order)).tolist()
-        return {s.spec.device_id: n for s, n in zip(self._order, tried)}
+        tried = np.bincount(dev, minlength=len(self._devices)).tolist()
+        return {d.device_id: n for d, n in zip(self._devices, tried)}
 
     def ground_truth(self, from_ts: float, to_ts: float) -> dict[str, tuple[int, int]]:
         """(delivered, attempted) per device over a receive-time window.
@@ -201,7 +216,7 @@ class SimWorld:
         """
         end, dev = self._attempts()
         inside = (end >= from_ts) & (end <= to_ts)
-        tried = np.bincount(dev[inside], minlength=len(self._order)).tolist()
+        tried = np.bincount(dev[inside], minlength=len(self._devices)).tolist()
         got = self.query(self._euis, from_ts, to_ts)
-        return {s.spec.device_id: (len(records), n)
-                for s, records, n in zip(self._order, got, tried)}
+        return {d.device_id: (len(records), n)
+                for d, records, n in zip(self._devices, got, tried)}

@@ -184,6 +184,64 @@ def test_turn_on_muted_device_flagged():
     assert failed == {"d3"}
 
 
+class SteppedWorldClock(WorldClock):
+    """A wall clock over the world's time that steps back ``back`` seconds
+    at its ``at``-th sleep."""
+
+    def __init__(self, world, at, back):
+        super().__init__(world)
+        self._at, self._back, self._sleeps, self._offset = at, back, 0, 0.0
+
+    def now(self):
+        return super().now() - self._offset
+
+    def sleep(self, seconds):
+        super().sleep(seconds)
+        self._sleeps += 1
+        if self._sleeps == self._at:
+            self._offset = self._back
+
+
+class WindowLog:
+    """Answers from the world and keeps every window asked about."""
+
+    def __init__(self, world):
+        self.world, self.windows = world, []
+
+    def query(self, dev_euis, from_ts, to_ts):
+        self.windows.append((from_ts, to_ts))
+        return self.world.query(dev_euis, from_ts, to_ts)
+
+
+def test_clock_stepping_back_during_turn_on_sends_no_probe_window():
+    """The clock steps back 30 s at the second prompt's step, so the
+    probe would end before it began: no window is sent, every device is
+    probe-silent, and the turn-on failures are the devices silent in the
+    experiment window, here the one the operator declined."""
+    world, matrix = live_fixture()
+    client = WindowLog(world)
+    failed = turn_on_sequence(matrix, SimulatedOperator(world), client,
+                              SteppedWorldClock(world, 2, 30.0), probe_window=15.0, step=1.0)
+    assert failed == set(matrix.ids())
+    assert client.windows == []
+
+    world, matrix = live_fixture()
+    client = WindowLog(world)
+
+    class SkipD2:
+        def prompt(self, action):
+            on = isinstance(action, TurnOn)
+            if not (on and action.device_id == "d2"):
+                world.set_active(action.device_id, on)
+            return True
+
+    result = run_experiment(matrix, SkipD2(), client, SteppedWorldClock(world, 2, 30.0), LIVE)
+    assert result.turn_on_failures == {"d2"}
+    assert result.end_ts - result.start_ts == LIVE.duration
+    assert client.windows[0] == (result.start_ts, result.end_ts)  # the collect, no probe
+    assert all(lo <= hi for lo, hi in client.windows)
+
+
 # --- collect ----------------------------------------------------------------------
 
 def test_collect_window_closed_and_all_devices_present():

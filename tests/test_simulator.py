@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lorascale import kernels, simulator
 from lorascale.scaling import TrafficProfile, success_exact_periodic
@@ -13,6 +13,7 @@ from lorascale.simulator import (
     DeviceSpec,
     SfGroup,
     VulnerabilityWindow,
+    attempts,
     draw_phase,
     estimate_pdr,
     run,
@@ -456,3 +457,47 @@ def test_estimator_memory_does_not_grow_with_rounds():
     small, large = traced_peak(20_000), traced_peak(200_000)
     assert large < 32 * 2**20
     assert large <= 2 * small
+
+
+# --- the attempt lattice -------------------------------------------------------
+
+def brute_attempts(base, period, k0, limit):
+    k = k0
+    while base + k * period < limit:
+        k += 1
+    return k - k0
+
+
+@st.composite
+def lattices(draw):
+    """(base, period, k0, limit): the limit on a lattice start, a float
+    or two off one, or anywhere within a period of one; small and
+    large (1e9 s) bases."""
+    base = draw(st.one_of(st.floats(-1e3, 1e3), st.floats(1e8, 1e9),
+                          st.sampled_from([0.0, 1e9, 1e9 + 0.123, 123456789.987])))
+    period = draw(st.one_of(st.floats(1e-3, 700.0),
+                            st.sampled_from([1e-3, 0.1, 0.3, 0.7, 7.0, 618.0])))
+    j = draw(st.integers(-3, 60))
+    limit = base + j * period
+    shift = draw(st.sampled_from(["on", "up", "down", "near"]))
+    if shift == "up":
+        limit = math.nextafter(limit, math.inf)
+    elif shift == "down":
+        limit = math.nextafter(limit, -math.inf)
+    elif shift == "near":
+        limit += period * draw(st.floats(-1.0, 1.0))
+    return base, period, draw(st.integers(0, 60)), limit
+
+
+@given(cases=st.lists(lattices(), min_size=1, max_size=8))
+@example(cases=[(1e9, 0.3, 0, 1e9 + 7 * 0.3)])  # a bare ceil counts 8 here
+@example(cases=[(3.3, 0.7, 0, 3.3 + 0.7), (3.3, 0.7, 5, 3.3 + 0.7)])
+@settings(max_examples=400, deadline=None)
+def test_attempts_counts_lattice_starts_below_the_limit(cases):
+    """The lattice count, per case and as arrays, is the number of starts
+    ``base + k * period`` with ``k >= k0`` that a loop finds below the
+    limit."""
+    expected = [brute_attempts(*case) for case in cases]
+    assert [int(attempts(*case)) for case in cases] == expected
+    base, period, k0, limit = (np.array(column) for column in zip(*cases))
+    assert attempts(base, period, k0, limit).tolist() == expected

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorascale import kernels
+from lorascale import kernels, world as world_module
 from lorascale.netserver import PacketRecord, PacketStore
 from lorascale.simulator import AnyOverlap, DeviceSpec, VulnerabilityWindow, run, write_packet_log
 from lorascale.world import SimWorld
@@ -358,3 +358,70 @@ def test_advance_resolves_each_event_a_bounded_number_of_times(monkeypatch):
     finalized = sum(world.attempt_counts().values())
     assert finalized > 41 * 390
     assert sum(resolved) < 3 * finalized
+
+
+def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
+    """Moving the clock and switching devices call neither the lattice
+    count, the collision kernels nor the store; the first query makes
+    one resolution, and asking again at the same time makes none."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in [(kernels, "mark_any_overlap"), (kernels, "mark_window"),
+                         (world_module, "attempts"), (PacketStore, "ingest")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    fleet = [DeviceSpec(f"dev{i:02d}", f"{0xbb00 + i:016x}", 7 + i % 2,
+                        7.0 * (1.0 + 0.06 * (i / 40 - 0.5)), 0.11729) for i in range(41)]
+    for model, kernel in [(AnyOverlap(), "mark_any_overlap"),
+                          (VulnerabilityWindow(1.0), "mark_window")]:
+        world = SimWorld(fleet, model, seed=5)
+        for step in range(300):
+            world.set_active(fleet[step * 7 % 41].device_id, step % 5 != 4)
+            world.advance(1.0)
+        assert calls == []
+        eui = fleet[0].dev_eui
+        assert world.query([eui], 0.0, world.now) != [[]]
+        assert sorted(calls) == sorted(["attempts", kernel, kernel, "ingest"])  # one per SF
+        calls.clear()
+        world.query([eui], 0.0, world.now)
+        world.attempt_counts()
+        world.ground_truth(0.0, world.now)
+        assert calls == []
+        world.advance(20.0)
+        world.set_active(fleet[0].device_id, False)
+        assert calls == []
+        world.attempt_counts()
+        assert "attempts" in calls and "ingest" in calls
+        calls.clear()
+
+
+@given(
+    scenario=world_scenarios(),
+    model=st.sampled_from([AnyOverlap(), VulnerabilityWindow(0.3), VulnerabilityWindow(2.0)]),
+    seed=st.integers(0, 2**64 - 1),
+    asks=st.lists(st.booleans(), min_size=80, max_size=80),
+)
+@settings(max_examples=150, deadline=None)
+def test_world_asked_now_and_then_matches_reference(scenario, model, seed, asks):
+    """A world asked only after some steps, so that one resolution covers
+    many advances and switches, matches the reference that resolves on
+    every advance."""
+    devices, steps = scenario
+    world = SimWorld(devices, model, seed=seed)
+    reference = ReferenceWorld(devices, model, seed=seed)
+    for step, ask in zip(steps, asks + [False] * len(steps)):
+        if step[0] == "toggle":
+            _, i, active = step
+            world.set_active(devices[i].device_id, active)
+            reference.set_active(devices[i].device_id, active)
+        else:
+            world.advance(step[1])
+            reference.advance(step[1])
+        if ask:
+            assert delivered(world, devices) == reference.delivered_records()
+    assert_worlds_agree(world, reference, devices)
