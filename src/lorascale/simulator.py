@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -85,6 +85,8 @@ class DeviceSpec:
             p = float(self.phase)
             if not 0.0 <= p < self.period:
                 raise ValueError("fixed phase must lie in [0, period)")
+        if not math.isfinite(self.active_from):
+            raise ValueError(f"active_from must be finite, got {self.active_from}")
         if not self.active_from < self.active_until:
             raise ValueError("device on/off window is empty")
 
@@ -121,16 +123,27 @@ def draw_phase(spec: DeviceSpec, seed: int) -> float:
     return float(spec.phase)
 
 
-def device_id_rank(devices: list[DeviceSpec]) -> np.ndarray:
-    """Each device's position in device-id order."""
-    return np.argsort(np.argsort(np.array([d.device_id for d in devices])))
+class Roster(NamedTuple):
+    """Per-device columns: period, airtime, SF (int16) and each device's
+    position in device-id order."""
+
+    period: np.ndarray
+    airtime: np.ndarray
+    sf: np.ndarray
+    id_rank: np.ndarray
 
 
-def timeline_order(start: np.ndarray, dev: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
-    """Indices that put events in timeline order: by start, equal starts
-    by device id.  ``dev`` indexes the roster whose
-    :func:`device_id_rank` is ``id_rank``."""
-    return np.lexsort((id_rank[dev], start))
+def roster(devices: list[DeviceSpec]) -> Roster:
+    """The columns of ``devices``; their ids must be unique, and so must
+    their EUIs whatever their case."""
+    if len({d.device_id for d in devices}) != len(devices):
+        raise ValueError("device ids must be unique")
+    if len({d.dev_eui.lower() for d in devices}) != len(devices):
+        raise ValueError("device EUIs must be unique")
+    return Roster(np.array([d.period for d in devices], dtype=np.float64),
+                  np.array([d.airtime for d in devices], dtype=np.float64),
+                  np.array([d.sf for d in devices], dtype=np.int16),
+                  np.argsort(np.argsort(np.array([d.device_id for d in devices]))))
 
 
 def attempts(base, period, k0, limit):
@@ -144,14 +157,40 @@ def attempts(base, period, k0, limit):
     limit; rounding can put that off by one (by more when ``period`` is
     near the float spacing at ``base``), so the estimate is stepped until
     the start of ``k`` is not below the limit and that of ``k - 1`` is.
+    An estimate that is not finite or does not fit an int64 raises
+    ``ValueError``.
     """
-    k = np.maximum(np.ceil((limit - base) / period), k0).astype(np.int64)
+    k = np.maximum(np.ceil((limit - base) / period), k0)
+    if not np.all(k < 2.0 ** 63):
+        raise ValueError("attempt count is not finite or exceeds the int64 range")
+    k = k.astype(np.int64)
     while True:
         short = base + k * period < limit
         over = (k > k0) & (base + (k - 1) * period >= limit)
         if not (short.any() or over.any()):
             return k - k0
         k = k + short - over
+
+
+def lattice_events(columns: Roster, dev: np.ndarray, base: np.ndarray, k0: np.ndarray,
+                   counts: np.ndarray, fcnt0: np.ndarray):
+    """The events of lattice intervals as timeline-ordered ``start, end,
+    sf, dev, fcnt`` arrays: by start, equal starts by device id.
+
+    Interval ``j`` holds attempts ``k = k0[j] .. k0[j] + counts[j] - 1``
+    of device ``dev[j]``; attempt ``k`` starts at ``base[j] + k * period``
+    with the device's period and carries frame counter ``fcnt0[j] + k``.
+    """
+    interval = np.repeat(np.arange(dev.size), counts)
+    k = k0[interval] + np.arange(interval.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    dev = dev[interval]
+    start = base[interval] + k * columns.period[dev]
+    fcnt = fcnt0[interval] + k
+    del interval, k  # bounds the peak memory of a large run
+    order = np.lexsort((columns.id_rank[dev], start))
+    start, dev, fcnt = start[order], dev[order], fcnt[order]
+    del order
+    return start, start + columns.airtime[dev], columns.sf[dev], dev, fcnt
 
 
 def resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
@@ -166,53 +205,28 @@ def resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
 
 def run(devices: Iterable[DeviceSpec], duration: float,
         model: CollisionModel = AnyOverlap(), seed: int = 0) -> SimResult:
-    """Simulate all devices for ``duration`` seconds of channel time."""
+    """Simulate all devices for ``duration`` seconds of channel time.
+
+    Attempt ``k`` of a device starts at ``active_from + phase + k * period``
+    and is made if it starts no later than ``horizon - airtime``, where the
+    horizon is the earlier of ``duration`` and ``active_until``; counted
+    and expanded as :class:`lorascale.world.SimWorld` does.
+    """
     devices = list(devices)
     if not devices:
         raise ValueError("device set must be non-empty")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    euis = [d.dev_eui.lower() for d in devices]
-    if len(set(euis)) != len(euis):
-        raise ValueError("device EUIs must be unique within a run")
-    if len({d.device_id for d in devices}) != len(devices):
-        raise ValueError("device ids must be unique within a run")
-
-    # attempts k = 0 .. n-1 start at first + period * k and must end
-    # by the horizon of the device's active window
-    period = np.array([d.period for d in devices], dtype=np.float64)
-    airtime = np.array([d.airtime for d in devices], dtype=np.float64)
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
+    columns = roster(devices)
     first = np.array([d.active_from + draw_phase(d, seed) for d in devices], dtype=np.float64)
     horizon = np.minimum(np.array([d.active_until for d in devices], dtype=np.float64),
                          duration)
-    last_allowed = horizon - airtime
-    fits = first <= last_allowed
-    counts = np.zeros(len(devices), dtype=np.int64)
-    counts[fits] = np.floor((last_allowed[fits] - first[fits]) / period[fits]).astype(np.int64) + 1
-
-    dev = np.repeat(np.arange(len(devices), dtype=np.int64), counts)
-    fcnt = np.arange(dev.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    start = first[dev] + period[dev] * fcnt
-
-    # global order (start, device id lexicographic) for determinism
-    order = timeline_order(start, dev, device_id_rank(devices))
-    start = start[order]
-    dev = dev[order]
-    fcnt = fcnt[order]
-    del order
-    end = start + airtime[dev]
-    sf = np.array([d.sf for d in devices], dtype=np.int16)[dev]
-
-    lost = resolve(start, end, sf, model)
-    return SimResult(
-        devices=devices,
-        start=start,
-        end=end,
-        sf=sf,
-        dev=dev,
-        fcnt=fcnt,
-        delivered=~lost,
-    )
+    # a float start no later than x is one below the next float after x
+    counts = attempts(first, columns.period, 0, np.nextafter(horizon - columns.airtime, np.inf))
+    zeros = np.zeros(len(devices), dtype=np.int64)
+    start, end, sf, dev, fcnt = lattice_events(columns, np.arange(len(devices)), first, zeros,
+                                               counts, zeros)
+    return SimResult(devices, start, end, sf, dev, fcnt, ~resolve(start, end, sf, model))
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,24 @@ attempt not yet generated and the time it was switched off, if it was)
 and resolves the timeline on demand: :meth:`SimWorld.query`,
 :meth:`SimWorld.ground_truth` and :meth:`SimWorld.attempt_counts` first
 generate every attempt that starts before ``now`` and has not been
-generated yet, all devices at once, then finalize the batch.  An event
-is final once it has ended (``end <= now``): every later transmission
-starts after it is over.  A same-SF event can only be hit by events
-that start less than one airtime before it, under either collision
-model, so the event buffer keeps the events that are still open plus
-the final ones that start within a look-back of twice the longest
-airtime before the earliest open start (or before ``now``, when nothing
-is open); older events leave it.  Once final, an event's end time and
-device join the world's attempt arrays, one chunk per resolution, and a
-delivered event becomes a record in a :class:`PacketStore`, so the world
-answers a query exactly as the network server's store does.  However the
-clock was moved between two resolutions, the attempts, their floats and
-their collision outcomes are those of resolving after every step.
+generated yet, all devices at once, then finalize the batch.  The
+attempts are counted by :func:`lorascale.simulator.attempts` and
+expanded by :func:`lorascale.simulator.lattice_events`, as in
+:func:`lorascale.simulator.run`.  A count too large for an int64 raises
+``ValueError``; a resolution that fails before it stores its events
+leaves the world as it was.  An event is final once it has ended
+(``end <= now``): every later transmission starts after it is over.
+A same-SF event can only be hit by events that start less than one
+airtime before it, under either collision model, so the event buffer
+keeps the events that are still open plus the final ones that start
+within a look-back of twice the longest airtime before the earliest
+open start (or before ``now``, when nothing is open); older events
+leave it.  Once final, an event's end time and device join the world's
+attempt arrays, one chunk per resolution, and a delivered event becomes
+a record in a :class:`PacketStore`, so the world answers a query exactly
+as the network server's store does.  However the clock was moved
+between two resolutions, the attempts, their floats and their collision
+outcomes are those of resolving after every step.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ import math
 import numpy as np
 
 from .netserver import PacketRecord, PacketStore
-from .simulator import (AnyOverlap, CollisionModel, attempts, device_id_rank, device_rng,
-                        resolve, timeline_order)
+from .simulator import (AnyOverlap, CollisionModel, attempts, device_rng, lattice_events,
+                        resolve, roster)
 
 
 class SimWorld:
@@ -49,20 +54,13 @@ class SimWorld:
 
     def __init__(self, devices, model: CollisionModel = AnyOverlap(), seed: int = 0):
         devices = list(devices)
-        if len({d.device_id for d in devices}) != len(devices):
-            raise ValueError("device ids must be unique")
-        if len({d.dev_eui.lower() for d in devices}) != len(devices):
-            raise ValueError("device EUIs must be unique")
+        self._columns = roster(devices)
         self._model = model
         self._devices = devices
         self._index = {d.device_id: i for i, d in enumerate(devices)}
         self._rngs = [device_rng(seed, d.dev_eui) for d in devices]
         self._euis = [d.dev_eui for d in devices]
         self._sfs = [d.sf for d in devices]
-        self._id_rank = device_id_rank(devices)
-        self._period = np.array([d.period for d in devices], dtype=np.float64)
-        self._airtime = np.array([d.airtime for d in devices], dtype=np.float64)
-        self._device_sf = np.array([d.sf for d in devices], dtype=np.int16)
         self._lookback = 2.0 * max((d.airtime for d in devices), default=0.0)
         self._now = 0.0
         # each device's current on-interval: attempt k starts at base + k *
@@ -78,13 +76,10 @@ class SimWorld:
         # not yet counted: its first one in _closed, else its current one
         self._fcnt0 = np.zeros(len(devices), dtype=np.int64)
         self._resolved = 0.0  # the clock at the last resolution
-        # the open edge of the timeline in timeline order: unfinished
-        # events plus the final ones that may still hit them
-        self._start = np.empty(0)
-        self._end = np.empty(0)
-        self._sf = np.empty(0, dtype=np.int16)
-        self._dev = np.empty(0, dtype=np.int64)
-        self._fcnt = np.empty(0, dtype=np.int64)
+        # the open edge of the timeline: unfinished events plus the final
+        # ones that may still hit them, as lattice_events columns
+        none = np.empty(0, dtype=np.int64)
+        self._edge = lattice_events(self._columns, none, none, none, none, none)
         # finalized attempts: end times and roster positions, one chunk
         # per resolution; the delivered ones are records in the store
         self._attempt_end = [np.empty(0)]
@@ -127,61 +122,51 @@ class SimWorld:
             return
         on = np.flatnonzero(self._on)
         c_dev, c_base, c_lo, c_off = zip(*self._closed) if self._closed else ((),) * 4
-        self._closed.clear()
         dev = np.concatenate((np.array(c_dev, dtype=np.int64), on))
         base = np.concatenate((c_base, self._base[on]))
         lo = np.concatenate((np.array(c_lo, dtype=np.int64), self._k[on]))
         limit = np.concatenate((c_off, np.full(on.size, self._now)))
-        hi = lo + attempts(base, self._period[dev], lo, limit)
-        self._k[on] = hi[len(c_dev):]
+        counts = attempts(base, self._columns.period[dev], lo, limit)
+        hi = lo + counts
         # a device's frame counters run on from one interval to the next
+        fcnt0_next = self._fcnt0.copy()
         c_fcnt0 = []
         for i, stop in zip(c_dev, hi.tolist()):
-            c_fcnt0.append(self._fcnt0[i])
-            self._fcnt0[i] += stop
-        fcnt0 = np.concatenate((np.array(c_fcnt0, dtype=np.int64), self._fcnt0[on]))
-        counts = hi - lo
-        interval = np.repeat(np.arange(dev.size), counts)
-        k = lo[interval] + np.arange(interval.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        dev = dev[interval]
-        start = base[interval] + k * self._period[dev]
-        fcnt = fcnt0[interval] + k
-        # every new event starts at or after the last resolution, past
-        # all buffered starts, so appending keeps the buffer sorted
-        order = timeline_order(start, dev, self._id_rank)
-        start, dev = start[order], dev[order]
-        self._start = np.concatenate((self._start, start))
-        self._end = np.concatenate((self._end, start + self._airtime[dev]))
-        self._sf = np.concatenate((self._sf, self._device_sf[dev]))
-        self._dev = np.concatenate((self._dev, dev))
-        self._fcnt = np.concatenate((self._fcnt, fcnt[order]))
+            c_fcnt0.append(fcnt0_next[i])
+            fcnt0_next[i] += stop
+        fcnt0 = np.concatenate((np.array(c_fcnt0, dtype=np.int64), fcnt0_next[on]))
+        events = lattice_events(self._columns, dev, base, lo, counts, fcnt0)
+        # the world changes only from here on, so a refused count or a
+        # failed expansion leaves it as it was; every new event starts at
+        # or after the last resolution, past all buffered starts, so
+        # appending keeps the buffer sorted
+        self._closed.clear()
+        self._k[on] = hi[len(c_dev):]
+        self._fcnt0 = fcnt0_next
+        self._edge = tuple(map(np.concatenate, zip(self._edge, events)))
         previous, self._resolved = self._resolved, self._now
         self._finalize(previous)
 
     def _finalize(self, previous: float) -> None:
         """Record the events that ended since ``previous``, then drop the
         final events that no open or future event can reach."""
-        fresh = np.flatnonzero((self._end > previous) & (self._end <= self._now))
+        start, end, sf, dev, fcnt = self._edge
+        fresh = np.flatnonzero((end > previous) & (end <= self._now))
         if fresh.size:
-            lost = resolve(self._start, self._end, self._sf, self._model)[fresh]
-            self._attempt_end.append(self._end[fresh])
-            self._attempt_dev.append(self._dev[fresh])
+            lost = resolve(start, end, sf, self._model)[fresh]
+            self._attempt_end.append(end[fresh])
+            self._attempt_dev.append(dev[fresh])
             good = fresh[~lost]
             euis, sfs = self._euis, self._sfs
             self._store.ingest([
-                PacketRecord(euis[i], fcnt, end, sfs[i])
-                for i, fcnt, end in zip(self._dev[good].tolist(), self._fcnt[good].tolist(),
-                                        self._end[good].tolist())
+                PacketRecord(euis[i], n, ts, sfs[i])
+                for i, n, ts in zip(dev[good].tolist(), fcnt[good].tolist(), end[good].tolist())
             ])
-        open_starts = self._start[self._end > self._now]
+        open_starts = start[end > self._now]
         edge = open_starts[0] if open_starts.size else self._now
-        keep = int(np.searchsorted(self._start, edge - self._lookback, side="left"))
+        keep = int(np.searchsorted(start, edge - self._lookback, side="left"))
         if keep:
-            self._start = self._start[keep:]
-            self._end = self._end[keep:]
-            self._sf = self._sf[keep:]
-            self._dev = self._dev[keep:]
-            self._fcnt = self._fcnt[keep:]
+            self._edge = tuple(column[keep:] for column in self._edge)
 
     def query(self, dev_euis: list[str], from_ts: float, to_ts: float
               ) -> list[list[PacketRecord]]:

@@ -196,6 +196,9 @@ def test_spec_validation_errors():
         DeviceSpec("x", "00000000000000aa", 7, 7.0, 0.1, phase=7.0)
     with pytest.raises(ValueError):
         DeviceSpec("x", "00000000000000aa", 7, 7.0, 0.1, active_from=5.0, active_until=1.0)
+    for active_from in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            DeviceSpec("x", "00000000000000aa", 7, 7.0, 0.1, active_from=active_from)
     for period, airtime in [(math.nan, 0.1), (math.inf, 0.1), (7.0, math.nan), (7.0, math.inf),
                             (7.0, -math.inf)]:
         with pytest.raises(ValueError, match="finite and positive"):
@@ -220,6 +223,18 @@ def test_run_validation_errors():
         run(twins, 100.0)
     with pytest.raises(ValueError):
         run(fleet(2), 0.0)
+    for duration in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            run(fleet(2), duration)
+    with pytest.raises(ValueError, match="int64"):
+        run(fleet(2), 1e300)
+
+
+def test_run_keeps_an_attempt_that_starts_at_horizon_minus_airtime():
+    spec = DeviceSpec("a", "00000000000000aa", 7, 0.7, 0.05, phase=0.4325483294741568)
+    result = run([spec], 20.782548329474153)
+    assert result.fcnt.tolist() == list(range(30))
+    assert result.start[-1] == 20.782548329474153 - 0.05
 
 
 @pytest.mark.parametrize("n", [2, 5, 41])
@@ -269,7 +284,9 @@ def reference_run_arrays(devices, duration, model, seed):
         horizon = min(spec.active_until, duration)
         first = spec.active_from + draw_phase(spec, seed)
         last_allowed = horizon - spec.airtime
-        n = 0 if first > last_allowed else int(math.floor((last_allowed - first) / spec.period)) + 1
+        n = 0
+        while first + n * spec.period <= last_allowed:
+            n += 1
         starts = first + spec.period * np.arange(n, dtype=np.float64)
         starts_.append(starts)
         devs.append(np.full(n, i, dtype=np.int64))
@@ -347,6 +364,9 @@ def device_sets(draw):
     seed=st.integers(0, 2**64 - 1),
 )
 @settings(max_examples=150, deadline=None)
+# the last start equals horizon - airtime, which a bare floor count drops
+@example(devices=[DeviceSpec("a", "00000000000000aa", 7, 0.7, 0.05, phase=0.4325483294741568)],
+         duration=20.782548329474153, model=AnyOverlap(), seed=0)
 def test_run_matches_per_device_reference(devices, duration, model, seed):
     assert_run_matches_reference(devices, duration, model, seed)
 
@@ -501,3 +521,11 @@ def test_attempts_counts_lattice_starts_below_the_limit(cases):
     assert [int(attempts(*case)) for case in cases] == expected
     base, period, k0, limit = (np.array(column) for column in zip(*cases))
     assert attempts(base, period, k0, limit).tolist() == expected
+
+
+def test_attempts_refuses_a_count_beyond_int64():
+    for limit in (1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="int64"):
+            attempts(0.0, 7.0, 0, limit)
+        with pytest.raises(ValueError, match="int64"):
+            attempts(np.array([0.0, 0.0]), np.array([7.0, 7.0]), 0, np.array([70.0, limit]))

@@ -140,6 +140,47 @@ def test_non_finite_advance_rejected(dt):
     assert world.now == 0.0
 
 
+def test_attempt_count_beyond_int64_is_refused():
+    """A resolution whose lattice count does not fit an int64 raises, and
+    asking again raises the same way instead of looping."""
+    world = SimWorld(specs(2))
+    world.set_active("d1", True)
+    world.advance(10.0)
+    world.set_active("d1", False)
+    world.advance(1e300)
+    world.set_active("d0", True)
+    world.advance(1e300)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="int64"):
+            world.attempt_counts()
+
+
+def test_failed_expansion_leaves_the_world_as_it_was(monkeypatch):
+    """A resolution that fails after counting changes nothing: asked again,
+    the world matches the reference."""
+    devices = specs(3)
+    world, reference = SimWorld(devices, seed=2), ReferenceWorld(devices, AnyOverlap(), seed=2)
+    for w in (world, reference):
+        w.set_active("d0", True)
+        w.set_active("d2", True)
+        w.advance(12.0)
+        w.set_active("d0", False)
+        w.advance(3.0)
+    expand = world_module.lattice_events
+
+    def failing(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(world_module, "lattice_events", failing)
+    with pytest.raises(MemoryError):
+        world.attempt_counts()
+    monkeypatch.setattr(world_module, "lattice_events", expand)
+    for w in (world, reference):
+        w.set_active("d0", True)
+        w.advance(20.0)
+    assert_worlds_agree(world, reference, devices)
+
+
 # --- incremental resolution against the re-resolve-everything reference ------
 
 @st.composite
