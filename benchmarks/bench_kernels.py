@@ -15,10 +15,13 @@ linear in the attempts it finalizes.
 The server rows use the fleet10k log: 10,000 devices, period 600 s with
 a 6% spread, airtime 0.04122 s, switched on 1 s apart, about 144k
 delivered records.  They time ``PacketStore.ingest_file`` of that log,
-``PacketStore.query`` on the loaded 10k-EUI store, and batch
-``NetClient.query`` round trips over local TCP to a server thread in the
-same process (CPU of both ends) in the pipeline's three kinds of poll,
-each as best-of CPU time per round trip and per device.
+give the bytes the loaded store holds per record (tracemalloc), time
+``PacketStore.query`` (records) and ``PacketStore.window`` (column
+slices, as the server's replies use) on the loaded 10k-EUI store, and
+time batch ``NetClient.query`` round trips over local TCP to a server
+thread in the same process (CPU of both ends) in the pipeline's three
+kinds of poll, each as best-of CPU time per round trip and per device,
+every sample timing as many polls as take at least 0.2 s.
 
     python benchmarks/bench_kernels.py [--sizes 10000 65536 100000 500000]
                                        [--advances 100 200 400 800]
@@ -69,6 +72,25 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def traced_size(fn) -> int:
+    """Bytes that ``fn`` allocated and still holds when it returns."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def per_call(fn, repeats: int, min_s: float = 0.2) -> float:
+    """Best-of-``repeats`` CPU time of one ``fn()`` call, each sample timing
+    as many calls as take at least ``min_s`` (found by doubling)."""
+    calls = 1
+    while best_of(lambda: [fn() for _ in range(calls)], 1, time.process_time) < min_s:
+        calls *= 2
+    return best_of(lambda: [fn() for _ in range(calls)], repeats, time.process_time) / calls
+
+
 def fleet_log(path: Path, n: int = 10_000) -> list[str]:
     """Write the fleet10k packet log to ``path``; returns the EUIs."""
     period, spread, airtime, step = 600.0, 0.06, 0.04122, 1.0
@@ -97,6 +119,9 @@ def server_rows(repeats: int) -> None:
         t = best_of(ingest, repeats=3, clock=time.process_time)
         print(f"PacketStore.ingest_file: {lines:,} lines: {t * 1e3:7.1f} ms CPU"
               f" ({t / lines * 1e6:4.2f} us per line)")
+        held = traced_size(ingest)
+        print(f"PacketStore: {len(store):,} records held in {held / 2**20:5.1f} MB"
+              f" ({held / len(store):5.1f} bytes per record, tracemalloc)")
 
     # the fleet pipeline's polls at a tenth of their count: one collect batch
     # of 1,000 known EUIs (24,000 s), one probe batch of 1,000 known EUIs
@@ -111,14 +136,18 @@ def server_rows(repeats: int) -> None:
     rechecks = [(dead, lo, lo + 1_800.0)
                 for lo in (rnd.uniform(0.0, 11_800.0) for _ in range(1_000))]
 
-    def queries():
-        for batch, lo, hi in (collect, probe):
-            for eui in batch:
-                store.query(eui, lo, hi)
+    # query builds a record per packet; window, which the server's replies
+    # use, returns the column slices
+    for name in ("query", "window"):
+        def queries():
+            ask = getattr(store, name)
+            for batch, lo, hi in (collect, probe):
+                for eui in batch:
+                    ask(eui, lo, hi)
 
-    t = best_of(queries, repeats, clock=time.process_time)
-    print(f"PacketStore.query: 10k-EUI store, the collect and probe batches' 2,000 windows"
-          f" of a known EUI: {t / 2_000 * 1e6:5.2f} us CPU per query")
+        t = best_of(queries, repeats, clock=time.process_time)
+        print(f"PacketStore.{name}: 10k-EUI store, the collect and probe batches' 2,000"
+              f" windows of a known EUI: {t / 2_000 * 1e6:5.2f} us CPU per call")
 
     server, thread = netserver.start_server(store, "bench")
     try:
@@ -129,7 +158,7 @@ def server_rows(repeats: int) -> None:
                     for batch, lo, hi in polls:
                         client.query(batch, lo, hi)
 
-                t = best_of(round_trips, repeats, clock=time.process_time)
+                t = per_call(round_trips, repeats)
                 devices = sum(len(batch) for batch, _, _ in polls)
                 batches = f"{len(polls):,} batch" + ("es" if len(polls) > 1 else "")
                 print(f"NetClient.query {name}: {batches} of {len(polls[0][0]):,} EUIs"

@@ -1,7 +1,8 @@
 """Mock LoRaWAN network server.
 
-Stores uplink packet records and answers time-windowed queries for a
-batch of devices over a persistent TCP connection carrying
+Stores uplink packets, each device's as columns (see
+:class:`PacketStore`), and answers time-windowed queries for a batch of
+devices over a persistent TCP connection carrying
 newline-delimited JSON messages.  A connection must authenticate before
 querying:
 
@@ -19,9 +20,10 @@ a ``dev_euis`` that is not a non-empty list of strings and a bad window
 refuse the whole request.  Violations before authentication, unparseable
 frames and lines longer than ``MAX_LINE_BYTES`` additionally close the
 connection.  Query windows are closed intervals with finite bounds, and
-an unknown EUI yields an empty packet list.  Persistence is an
-append-only log file (the simulator's export format) replayed at
-startup.
+an unknown EUI yields an empty packet list.  A reply is formatted
+straight from the store's column slices; no record object is built for
+it.  Persistence is an append-only log file (the simulator's export
+format) replayed at startup, parsed straight into columns.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ import re
 import socket
 import socketserver
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import Iterable
+from math import isfinite
+from operator import itemgetter, lt
+from typing import Iterable, Sequence
 
 # A device EUI: 16 hex digits, matched with ``fullmatch``.
 EUI_PATTERN = re.compile(r"[0-9a-fA-F]{16}")
@@ -52,6 +56,8 @@ LOG_LINE = re.compile(r"(-?[0-9]+(?:\.[0-9]+)?)\t(" + EUI_PATTERN.pattern
                       + r")\t([0-9]+)\t([7-9]|1[0-2])\r?\n?")
 
 _INF = math.inf
+# A stored row's key, (timestamp, frame counter): each EUI's rows rise in it.
+_KEY = itemgetter(0, 1)
 _decode = json.JSONDecoder().decode  # what json.loads runs for a str
 
 
@@ -73,77 +79,137 @@ class PacketRecord:
     sf: int
 
 
-def parse_log_line(line: str) -> PacketRecord:
-    """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line (:data:`LOG_LINE`);
-    a timestamp whose digits overflow to infinity is malformed too."""
+# Largest frame counter a counter column (int64) holds.
+_FCNT_MAX = 2**63 - 1
+
+
+def _log_fields(line: str) -> tuple[str, float, int, int]:
+    """The EUI, timestamp, frame counter and SF of one log line."""
     match = LOG_LINE.fullmatch(line)
     if match is None:
         raise ValueError(f"not a packet-log line: {line!r}")
-    ts_s, eui, fcnt, sf = match.groups()
-    ts = float(ts_s)
+    ts_s, eui, fcnt_s, sf = match.groups()
+    ts, fcnt = float(ts_s), int(fcnt_s)
     if not -_INF < ts < _INF:
         raise ValueError(f"timestamp {ts_s!r} overflows")
-    return PacketRecord(eui, int(fcnt), ts, int(sf))
+    if fcnt > _FCNT_MAX:
+        raise ValueError(f"frame counter {fcnt_s!r} does not fit an int64")
+    return eui, ts, fcnt, int(sf)
 
 
-# Bucket order: by receive time, then frame counter.
-_ORDER = attrgetter("received_ts", "fcnt")
+def parse_log_line(line: str) -> PacketRecord:
+    """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line (:data:`LOG_LINE`);
+    a timestamp whose digits overflow to infinity, and a frame counter
+    beyond an int64, are malformed too."""
+    eui, ts, fcnt, sf = _log_fields(line)
+    return PacketRecord(eui, fcnt, ts, sf)
+
+
+# One EUI's packets: receive times, frame counters and SFs, row by row.
+Columns = tuple[Sequence[float], Sequence[int], Sequence[int]]
+
+_NO_ROWS: Columns = ((), (), ())
+
+
+def _grouped(rows: Iterable[tuple[str, float, int, int]]
+             ) -> list[tuple[str, array, array, bytearray]]:
+    """``(dev_eui, ts, fcnt, sf)`` rows as per-EUI typed columns, each in
+    the rows' order; a row the columns cannot hold is a ``ValueError``."""
+    by_eui: dict[str, tuple[array, array, bytearray]] = {}
+    for row in rows:
+        eui, ts, fcnt, sf = row
+        columns = by_eui.get(eui)
+        if columns is None:
+            by_eui[eui] = columns = (array("d"), array("q"), bytearray())
+        try:
+            columns[0].append(ts)
+            columns[1].append(fcnt)
+            columns[2].append(sf)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{row!r} does not fit the store's columns: {exc}") from None
+    return [(eui, *columns) for eui, columns in by_eui.items()]
 
 
 class PacketStore:
     """Thread-safe packet storage with duplicate suppression.
 
-    Exact duplicates (same EUI, counter, timestamp) are ingested once;
-    queries see a consistent snapshot under a single-writer lock.  Each
-    EUI's records are kept time-ordered next to a list of their
-    timestamps, so a query is two bisections and a slice.  Every stored
-    timestamp is finite.
+    Each EUI's packets are kept as three columns in (timestamp, counter)
+    order: an ``array('d')`` of receive times, an ``array('q')`` of frame
+    counters and a ``bytearray`` of SFs, with the EUI stored once as the
+    key, about 17 bytes per packet.  A query is two bisections of the
+    timestamp column and a slice; :meth:`query` builds records only for
+    the slice it returns, and the server formats its replies straight
+    from :meth:`window`'s slices.  Queries see a consistent snapshot
+    under a single-writer lock.
 
-    A batch is sorted per EUI.  When its first (timestamp, counter) key
-    lies no earlier than the last one stored for that EUI, as it does on
-    every resolution of a live world, it is appended in place and only
-    duplicates are dropped, at a cost that grows with the batch and not
-    with the history.  Any other batch is sorted together with the
-    EUI's stored records.
+    Every batch goes in through :meth:`ingest_columns`, one EUI's columns
+    at a time.  A batch whose timestamps rise strictly, starting after the
+    last one stored for its EUI (as on every resolution of a live world,
+    and for each EUI of a log ``write_packet_log`` wrote), is appended in
+    place, at a cost that grows with the batch and not with the history.
+    Any other batch is sorted together with the EUI's stored rows by
+    (timestamp, counter), stably, so of two exact duplicates (same EUI,
+    timestamp and counter) the one stored first is kept.
+
+    The columns pin what a packet may hold: a finite timestamp (an ``int``
+    one is stored, and returned, as the float ``float()`` gives), a frame
+    counter that fits an int64 and an SF that fits a byte.  A batch with
+    any other value is a ``ValueError``, and then none of it is stored.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # EUI -> (records, their timestamps), both in _ORDER
-        self._by_eui: dict[str, tuple[list[PacketRecord], list[float]]] = {}
+        self._by_eui: dict[str, tuple[array, array, bytearray]] = {}
 
-    def ingest(self, records: Iterable[PacketRecord]) -> int:
-        """Store records; returns how many were new.
-
-        A record with a non-finite timestamp is a ``ValueError``, and
-        then none of the batch is stored.
-        """
-        batches: defaultdict[str, list[PacketRecord]] = defaultdict(list)
-        for rec in records:
-            if not -_INF < rec.received_ts < _INF:
-                raise ValueError(f"non-finite timestamp in {rec!r}")
-            batches[rec.dev_eui].append(rec)
+    def ingest_columns(self, batches: Iterable[tuple[str, Sequence[float], Sequence[int],
+                                                     Sequence[int]]]) -> int:
+        """Store ``(dev_eui, timestamps, counters, SFs)`` batches, one row
+        per packet; returns how many packets were new."""
+        typed = []
+        for eui, ts, fcnt, sf in batches:
+            try:
+                ts, fcnt, sf = array("d", ts), array("q", fcnt), bytearray(sf)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"packets of {eui!r} do not fit the store's columns: {exc}"
+                                 ) from None
+            if not len(ts) == len(fcnt) == len(sf):
+                raise ValueError(f"columns of {eui!r} differ in length")
+            if not all(map(isfinite, ts)):
+                raise ValueError(f"non-finite timestamp among the packets of {eui!r}")
+            if ts:
+                typed.append((eui, ts, fcnt, sf))
         added = 0
         with self._lock:
-            for eui, batch in batches.items():
-                batch.sort(key=_ORDER)
-                if eui not in self._by_eui:
-                    self._by_eui[eui] = ([], [])
-                kept, times = self._by_eui[eui]
-                stored = len(kept)
-                if kept and _ORDER(batch[0]) < _ORDER(kept[-1]):
-                    # the batch reaches back into the bucket: sort the two together;
-                    # stable, so of two duplicates, now neighbours, the stored one leads
-                    batch = sorted([*kept, *batch], key=_ORDER)
-                    kept.clear()
-                    times.clear()
-                for rec in batch:
-                    if times and rec.received_ts == times[-1] and rec.fcnt == kept[-1].fcnt:
-                        continue
-                    kept.append(rec)
-                    times.append(rec.received_ts)
-                added += len(kept) - stored
+            for batch in typed:
+                added += self._put(*batch)
         return added
+
+    def _put(self, eui: str, ts: array, fcnt: array, sf: bytearray) -> int:
+        stored = self._by_eui.get(eui)
+        # timestamps that rise strictly past the stored ones leave every key
+        # new and in order
+        if (stored is None or stored[0][-1] < ts[0]) and all(map(lt, ts, ts[1:])):
+            if stored is None:
+                self._by_eui[eui] = ts, fcnt, sf
+            else:
+                stored[0].extend(ts)
+                stored[1].extend(fcnt)
+                stored[2].extend(sf)
+            return len(ts)
+        # sort the batch into the stored rows; stable, so of two duplicates,
+        # now neighbours, the stored one (or the earlier in the batch) leads
+        stored = stored or _NO_ROWS
+        rows = sorted(chain(zip(*stored), zip(ts, fcnt, sf)), key=_KEY)
+        rows = [row for prev, row in zip([(None, None), *rows], rows) if _KEY(prev) != _KEY(row)]
+        ts, fcnt, sf = zip(*rows)
+        self._by_eui[eui] = array("d", ts), array("q", fcnt), bytearray(sf)
+        return len(rows) - len(stored[0])
+
+    def ingest(self, records: Iterable[PacketRecord]) -> int:
+        """Store records, grouped into per-EUI columns; returns how many
+        were new."""
+        return self.ingest_columns(_grouped(
+            (rec.dev_eui, rec.received_ts, rec.fcnt, rec.sf) for rec in records))
 
     def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
         """Parse and store log lines; returns (ingested, skipped).
@@ -151,15 +217,19 @@ class PacketStore:
         Blank lines are ignored; every other line that
         :func:`parse_log_line` refuses is skipped.
         """
-        good: list[PacketRecord] = []
         skipped = 0
-        for line in lines:
-            try:
-                good.append(parse_log_line(line))
-            except ValueError:
-                if line and not line.isspace():
-                    skipped += 1
-        return self.ingest(good), skipped
+
+        def rows():
+            nonlocal skipped
+            for line in lines:
+                try:
+                    yield _log_fields(line)
+                except ValueError:
+                    if line and not line.isspace():
+                        skipped += 1
+
+        batches = _grouped(rows())
+        return self.ingest_columns(batches), skipped
 
     def ingest_file(self, path) -> tuple[int, int]:
         # a byte outside ASCII becomes U+FFFD, which no log line holds, so
@@ -167,22 +237,30 @@ class PacketStore:
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             return self.ingest_lines(fh)
 
-    def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
-        """Records of one device with from_ts <= ts <= to_ts, time-ordered."""
+    def window(self, dev_eui: str, from_ts: float, to_ts: float) -> Columns:
+        """Columns of one device's rows with from_ts <= ts <= to_ts, in
+        time order: copies of the slices of its timestamps, counters and
+        SFs."""
         if not from_ts <= to_ts:
             if from_ts > to_ts:
                 raise ValueError("query window is empty (from > to)")
-            return []  # a NaN bound, which no timestamp lies within
+            return _NO_ROWS  # a NaN bound, which no timestamp lies within
         with self._lock:
-            entry = self._by_eui.get(dev_eui)
-            if entry is None:
-                return []
-            records, times = entry
-            return records[bisect_left(times, from_ts):bisect_right(times, to_ts)]
+            stored = self._by_eui.get(dev_eui)
+            if stored is None:
+                return _NO_ROWS
+            ts, fcnt, sf = stored
+            lo, hi = bisect_left(ts, from_ts), bisect_right(ts, to_ts)
+            return ts[lo:hi], fcnt[lo:hi], sf[lo:hi]
+
+    def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
+        """Records of one device with from_ts <= ts <= to_ts, time-ordered."""
+        ts, fcnt, sf = self.window(dev_eui, from_ts, to_ts)
+        return list(map(PacketRecord, repeat(dev_eui), fcnt, ts, sf))
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(records) for records, _ in self._by_eui.values())
+            return sum(len(ts) for ts, _, _ in self._by_eui.values())
 
 
 # Longest request line, newline included, that the server reads; a client
@@ -201,10 +279,15 @@ def _line(message: dict) -> bytes:
     return (json.dumps(message) + "\n").encode("utf-8")
 
 
-def _device_entry(dev_eui: str, got: list[PacketRecord]) -> str:
-    packets = ", ".join([f'{{"fcnt": {r.fcnt!r}, "ts": {r.received_ts!r}, "sf": {r.sf!r}}}'
-                         for r in got])
+def _entry(dev_eui: str, ts: Iterable[float], fcnt: Iterable[int], sf: Iterable[int]) -> str:
+    """One reply entry, as ``json.dumps`` writes it, from the device's columns."""
+    packets = ", ".join([f'{{"fcnt": {f!r}, "ts": {t!r}, "sf": {s!r}}}'
+                         for t, f, s in zip(ts, fcnt, sf)])
     return f'{{"dev_eui": {encode_basestring_ascii(dev_eui)}, "packets": [{packets}]}}'
+
+
+def _packets_line(entries: list[str]) -> bytes:
+    return f'{{"type": "packets", "devices": [{", ".join(entries)}]}}\n'.encode("ascii")
 
 
 def encode_packets(devices: Iterable[tuple[str, list[PacketRecord]]]) -> bytes:
@@ -213,10 +296,11 @@ def encode_packets(devices: Iterable[tuple[str, list[PacketRecord]]]) -> bytes:
     ``devices`` holds one ``(dev_eui, records)`` pair per requested EUI.
     Frame counters and SFs are ints and timestamps finite floats (the
     store holds no others), which JSON writes as their ``repr``; EUIs go
-    through JSON's own string encoder.
+    through JSON's own string encoder.  The server writes its replies
+    with the same entry formatter, straight from the store's columns.
     """
-    entries = ", ".join([_device_entry(eui, got) for eui, got in devices])
-    return f'{{"type": "packets", "devices": [{entries}]}}\n'.encode("ascii")
+    return _packets_line([_entry(eui, [r.received_ts for r in got], [r.fcnt for r in got],
+                                 [r.sf for r in got]) for eui, got in devices])
 
 
 def _answer(store: PacketStore, msg: dict) -> bytes:
@@ -236,8 +320,8 @@ def _answer(store: PacketStore, msg: dict) -> bytes:
         return _error("query needs finite from/to")
     if lo > hi:
         return _error("empty window (from > to)")
-    query = store.query
-    return encode_packets([(eui, query(eui, lo, hi)) for eui in euis])
+    window = store.window
+    return _packets_line([_entry(eui, *window(eui, lo, hi)) for eui in euis])
 
 
 def _error(reason: str) -> bytes:

@@ -25,9 +25,12 @@ keeps the events that are still open plus the final ones that start
 within a look-back of twice the longest airtime before the earliest
 open start (or before ``now``, when nothing is open); older events
 leave it.  Once final, an event's end time and device join the world's
-attempt arrays, one chunk per resolution, and a delivered event becomes
-a record in a :class:`PacketStore`, so the world answers a query exactly
-as the network server's store does.  However the clock was moved
+attempt arrays, one chunk per resolution, and the delivered events,
+grouped by device with NumPy, go into a :class:`PacketStore` as column
+lists, with no record object per packet.  The world thus answers a query
+exactly as the network server's store does, and
+:meth:`SimWorld.ground_truth` counts each device's deliveries with one
+bisection of its timestamp column.  However the clock was moved
 between two resolutions, the attempts, their floats and their collision
 outcomes are those of resolving after every step.
 """
@@ -60,7 +63,6 @@ class SimWorld:
         self._index = {d.device_id: i for i, d in enumerate(devices)}
         self._rngs = [device_rng(seed, d.dev_eui) for d in devices]
         self._euis = [d.dev_eui for d in devices]
-        self._sfs = [d.sf for d in devices]
         self._lookback = 2.0 * max((d.airtime for d in devices), default=0.0)
         self._now = 0.0
         # each device's current on-interval: attempt k starts at base + k *
@@ -156,11 +158,16 @@ class SimWorld:
             lost = resolve(start, end, sf, self._model)[fresh]
             self._attempt_end.append(end[fresh])
             self._attempt_dev.append(dev[fresh])
+            # the delivered events as per-device columns, each in start order
             good = fresh[~lost]
-            euis, sfs = self._euis, self._sfs
-            self._store.ingest([
-                PacketRecord(euis[i], n, ts, sfs[i])
-                for i, n, ts in zip(dev[good].tolist(), fcnt[good].tolist(), end[good].tolist())
+            good = good[np.argsort(dev[good], kind="stable")]
+            owner = dev[good]
+            firsts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+            ts, counters, sfs = end[good].tolist(), fcnt[good].tolist(), sf[good].tolist()
+            euis = self._euis
+            self._store.ingest_columns([
+                (euis[i], ts[a:b], counters[a:b], sfs[a:b])
+                for i, a, b in zip(owner[firsts].tolist(), firsts, [*firsts[1:], good.size])
             ])
         open_starts = start[end > self._now]
         edge = open_starts[0] if open_starts.size else self._now
@@ -199,9 +206,11 @@ class SimWorld:
         :meth:`query` returns for that window, and ``from_ts > to_ts``
         raises as it does there.
         """
+        if from_ts > to_ts:
+            raise ValueError("query window is empty (from > to)")
         end, dev = self._attempts()
         inside = (end >= from_ts) & (end <= to_ts)
         tried = np.bincount(dev[inside], minlength=len(self._devices)).tolist()
-        got = self.query(self._euis, from_ts, to_ts)
-        return {d.device_id: (len(records), n)
-                for d, records, n in zip(self._devices, got, tried)}
+        window = self._store.window
+        return {d.device_id: (len(window(d.dev_eui, from_ts, to_ts)[0]), n)
+                for d, n in zip(self._devices, tried)}

@@ -2,6 +2,7 @@ import json
 import math
 import socket
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorascale import netserver
 from lorascale.controller import DeviceMatrix, RosterEntry, collect
+from lorascale.simulator import DeviceSpec, run, write_packet_log
 from lorascale.netserver import (
     MAX_LINE_BYTES,
     AuthError,
@@ -260,6 +262,99 @@ def test_store_later_batch_keeps_timestamps_in_step():
     assert len(store) == 5
 
 
+# --- the value domain of the store's columns ----------------------------------
+
+AA, BB = "00000000000000aa", "00000000000000bb"
+
+
+def test_log_line_counter_beyond_int64_is_malformed():
+    top = f"1.000000\t{AA}\t{2**63 - 1}\t7"
+    over = f"2.000000\t{AA}\t{2**63}\t7"
+    assert parse_log_line(top) == PacketRecord(AA, 2**63 - 1, 1.0, 7)
+    with pytest.raises(ValueError):
+        parse_log_line(over)
+    store = PacketStore()
+    assert store.ingest_lines([top, over, f"3.000000\t{AA}\t{10**40}\t7"]) == (1, 2)
+    assert store.query(AA, 0.0, 5.0) == [PacketRecord(AA, 2**63 - 1, 1.0, 7)]
+
+
+@pytest.mark.parametrize("bad", [
+    PacketRecord(AA, 2**63, 3.0, 7),
+    PacketRecord(AA, -(2**63) - 1, 3.0, 7),
+    PacketRecord(AA, 3, 3.0, 256),
+    PacketRecord(AA, 3, 3.0, -1),
+    PacketRecord(AA, 3, 10**400, 7),
+    PacketRecord(AA, 3.0, 3.0, 7),
+    PacketRecord(AA, 3, "3.0", 7),
+    PacketRecord(AA, 3, 3.0, None),
+], ids=["fcnt-over-int64", "fcnt-under-int64", "sf-over-byte", "negative-sf",
+        "int-ts-over-float", "float-fcnt", "str-ts", "no-sf"])
+def test_store_refuses_a_batch_with_a_value_no_column_holds(bad):
+    store = PacketStore()
+    store.ingest([PacketRecord(AA, 0, 0.0, 7)])
+    with pytest.raises(ValueError):
+        store.ingest([PacketRecord(AA, 1, 1.0, 7), PacketRecord(BB, 0, 1.0, 7), bad])
+    with pytest.raises(ValueError):
+        store.ingest_columns([(BB, [1.0], [0], [7]),
+                              (bad.dev_eui, [bad.received_ts], [bad.fcnt], [bad.sf])])
+    assert store.query(AA, -1e300, 1e300) == [PacketRecord(AA, 0, 0.0, 7)]
+    assert len(store) == 1  # none of either batch was stored
+
+
+def test_store_refuses_columns_of_unequal_length():
+    store = PacketStore()
+    with pytest.raises(ValueError):
+        store.ingest_columns([(AA, [1.0, 2.0], [0, 1], [7])])
+    assert len(store) == 0
+
+
+def test_store_holds_the_ends_of_each_column_domain():
+    """The largest and smallest counters and SFs the columns hold come back
+    exactly, and the server writes them as ``json.dumps`` does."""
+    records = [PacketRecord(AA, -(2**63), -1.5e308, 0), PacketRecord(AA, 2**63 - 1, 1.5e308, 255),
+               PacketRecord(AA, 0, -0.0, 12), PacketRecord(AA, 1, 5e-324, 7)]
+    store = PacketStore()
+    assert store.ingest(records) == 4
+    got = store.query(AA, -math.inf, math.inf)
+    assert got == sorted(records, key=lambda r: (r.received_ts, r.fcnt))
+    assert math.copysign(1.0, got[1].received_ts) == -1.0
+    msg = {"type": "query", "dev_euis": [AA], "from": -1.7e308, "to": 1.7e308}
+    assert netserver._answer(store, msg) == reference_packets_line([(AA, got)])
+
+
+def test_store_keeps_int_timestamps_as_floats():
+    store = PacketStore()
+    assert store.ingest([PacketRecord(AA, 0, 5, 7), PacketRecord(AA, 1, -(2**53), 7)]) == 2
+    got = store.query(AA, -math.inf, math.inf)
+    assert got == [PacketRecord(AA, 1, -9007199254740992.0, 7), PacketRecord(AA, 0, 5.0, 7)]
+    assert [type(r.received_ts) for r in got] == [float, float]
+    # a later float copy of an int-stamped packet is its duplicate
+    assert store.ingest([PacketRecord(AA, 0, 5.0, 8)]) == 0
+    msg = {"type": "query", "dev_euis": [AA], "from": 0, "to": 10}
+    assert netserver._answer(store, msg) == (
+        b'{"type": "packets", "devices": [{"dev_eui": "00000000000000aa", "packets": '
+        b'[{"fcnt": 0, "ts": 5.0, "sf": 7}]}]}\n')
+
+
+def test_store_holds_at_most_50_bytes_per_record(tmp_path):
+    """The columns hold about 17 bytes per packet plus a few hundred per
+    EUI; one PacketRecord per packet took about 186."""
+    log = tmp_path / "packets.log"
+    fleet = [DeviceSpec(f"dev{k:03d}", f"{0x1000_0000 + 7919 * k:016x}", 7,
+                        600.0 * (1.0 + 0.06 * (k / 599 - 0.5)), 0.04122) for k in range(600)]
+    written = write_packet_log(run(fleet, 24_000.0, seed=3), log)
+    assert written >= 20_000
+    tracemalloc.start()
+    try:
+        store = PacketStore()
+        ingested, skipped = store.ingest_file(log)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (ingested, skipped) == (written, 0)
+    assert held / ingested <= 50
+
+
 # a few EUIs and coarse timestamps, so that batches collide, tie and interleave
 STORE_EUIS = ["00000000000000aa", "00000000000000bb", "00000000000000CC"]
 store_eui_st = st.sampled_from(STORE_EUIS)
@@ -485,9 +580,6 @@ def test_non_finite_window_errors_and_keeps_connection(server, bound):
     send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": 0, "to": 2})
     assert read_json(rfile)["devices"] == [AA_ENTRY]
     sock.close()
-
-
-AA = "00000000000000aa"
 
 
 def assert_refused_then_answered(server, queries):
@@ -847,3 +939,20 @@ def test_packets_reply_bytes_match_json_dumps(devices):
     got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in entry]) for eui, entry in devices]
     assert encode_packets(got) == reference_packets_line(got)
 
+
+
+@given(records=st.lists(record_st, max_size=30),
+       euis=st.lists(st.one_of(store_eui_st, any_eui_st), min_size=1, max_size=5),
+       window=st.lists(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 2.0, 7.0, 9.0]) | ts_st,
+                       min_size=2, max_size=2).map(sorted))
+@settings(max_examples=200)
+def test_server_reply_bytes_match_json_dumps_of_the_store_records(records, euis, window):
+    """The server formats its reply from the store's columns, without
+    records; its bytes are ``json.dumps`` of the records the store's own
+    query returns."""
+    store = PacketStore()
+    store.ingest(records)
+    lo, hi = window
+    msg = {"type": "query", "dev_euis": euis, "from": lo, "to": hi}
+    assert netserver._answer(store, msg) == reference_packets_line(
+        [(eui, store.query(eui, lo, hi)) for eui in euis])

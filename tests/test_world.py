@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorascale import kernels, world as world_module
+from lorascale import kernels, netserver, world as world_module
 from lorascale.netserver import PacketRecord, PacketStore
 from lorascale.simulator import AnyOverlap, DeviceSpec, VulnerabilityWindow, run, write_packet_log
 from lorascale.world import SimWorld
@@ -401,6 +401,30 @@ def test_advance_resolves_each_event_a_bounded_number_of_times(monkeypatch):
     assert sum(resolved) < 3 * finalized
 
 
+def test_ground_truth_builds_no_records(monkeypatch):
+    """Ground truth counts each device's deliveries in the store's columns;
+    only a query builds records, one per packet it returns."""
+    built = []
+    record = netserver.PacketRecord
+
+    def counting(*args):
+        built.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(netserver, "PacketRecord", counting)
+    fleet = specs(12, period=5.0, airtime=0.3)
+    world = SimWorld(fleet, seed=4)
+    for d in fleet:
+        world.set_active(d.device_id, True)
+        world.advance(0.4)
+    world.advance(200.0)
+    truth = world.ground_truth(10.0, 150.0)
+    assert built == []
+    got = world.query([d.dev_eui for d in fleet], 10.0, 150.0)
+    assert [len(records) for records in got] == [truth[d.device_id][0] for d in fleet]
+    assert len(built) == sum(len(records) for records in got) > 0
+
+
 def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
     """Moving the clock and switching devices call neither the lattice
     count, the collision kernels nor the store; the first query makes
@@ -414,7 +438,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         return wrapped
 
     for module, name in [(kernels, "mark_any_overlap"), (kernels, "mark_window"),
-                         (world_module, "attempts"), (PacketStore, "ingest")]:
+                         (world_module, "attempts"), (PacketStore, "ingest_columns")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     fleet = [DeviceSpec(f"dev{i:02d}", f"{0xbb00 + i:016x}", 7 + i % 2,
                         7.0 * (1.0 + 0.06 * (i / 40 - 0.5)), 0.11729) for i in range(41)]
@@ -427,7 +451,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         assert calls == []
         eui = fleet[0].dev_eui
         assert world.query([eui], 0.0, world.now) != [[]]
-        assert sorted(calls) == sorted(["attempts", kernel, kernel, "ingest"])  # one per SF
+        assert sorted(calls) == sorted(["attempts", kernel, kernel, "ingest_columns"])  # one per SF
         calls.clear()
         world.query([eui], 0.0, world.now)
         world.attempt_counts()
@@ -437,7 +461,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         world.set_active(fleet[0].device_id, False)
         assert calls == []
         world.attempt_counts()
-        assert "attempts" in calls and "ingest" in calls
+        assert "attempts" in calls and "ingest_columns" in calls
         calls.clear()
 
 
