@@ -9,11 +9,15 @@ three priority tiers, and write the report files.
 The controller is transport-agnostic: any object with a batch
 ``query(dev_euis, from_ts, to_ts)`` method works as the server client
 (TCP client or a simulated world).  It returns one entry per EUI, in
-request order, over the one closed window: the device's
-``list[PacketRecord]``, or the ``ProtocolError``/``OSError`` that failed
-that device alone; raising fails every device of the call.  A failed
-device's reason is a string from there to the report.  Any object with
-``now()``/``sleep(dt)`` works as the clock.
+request order, over the one closed window: the device's packets as
+:data:`~lorascale.netserver.Columns`, a ``(timestamps, counters, SFs)``
+triple of equal-length sequences in time order, or the
+``ProtocolError``/``OSError`` that failed that device alone; raising
+fails every device of the call.  The triples go through to the report
+as they came: a failed device gets an empty one, and its reason is a
+string from there to the report.  The controller reads only the
+timestamps and the counters.  Any object with ``now()``/``sleep(dt)``
+works as the clock.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Protocol
 
-from .netserver import EUI_PATTERN, PacketRecord, ProtocolError
+from .netserver import EUI_PATTERN, Columns, ProtocolError
 
 
 class OrchestrationError(Exception):
@@ -233,8 +238,12 @@ class ShutdownRecord:
 
 # --- phases ----------------------------------------------------------------
 
+# The packets of a device whose query failed.
+_NO_PACKETS: Columns = ((), (), ())
+
+
 def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
-          ) -> tuple[dict[str, list[PacketRecord]], dict[str, str]]:
+          ) -> tuple[dict[str, Columns], dict[str, str]]:
     """One batch query for every entry, in order, over one window.
 
     The only place the controller asks the server; with no entries it
@@ -243,7 +252,7 @@ def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
     every device; what that means is the caller's decision.
     """
     entries = list(entries)
-    packets: dict[str, list[PacketRecord]] = {}
+    packets: dict[str, Columns] = {}
     failures: dict[str, str] = {}
     if not entries:
         return packets, failures
@@ -252,11 +261,11 @@ def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
     except (ProtocolError, OSError) as exc:
         answers = [exc] * len(entries)
     for entry, got in zip(entries, answers, strict=True):
-        if isinstance(got, list):
-            packets[entry.device_id] = got
-        else:  # the exception that failed this device
-            packets[entry.device_id] = []
+        if isinstance(got, Exception):  # the exception that failed this device
+            packets[entry.device_id] = _NO_PACKETS
             failures[entry.device_id] = str(got)
+        else:
+            packets[entry.device_id] = got
     return packets, failures
 
 
@@ -287,28 +296,30 @@ def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Cl
     if failures:
         first = next(iter(failures.values()))
         raise OrchestrationError(f"server unreachable during turn-on probe: {first}")
-    return {device_id for device_id, got in packets.items() if not got}
+    # a triple is never empty: silence is an empty timestamp column
+    return {device_id for device_id, (ts, _, _) in packets.items() if not len(ts)}
 
 
 def collect(matrix: DeviceMatrix, start_ts: float, end_ts: float, client
-            ) -> tuple[dict[str, list[PacketRecord]], dict[str, str]]:
+            ) -> tuple[dict[str, Columns], dict[str, str]]:
     """Every device's packets over the window; a failed query flags the device."""
     if end_ts <= start_ts:
         raise ValueError("experiment window is empty")
     return _poll(matrix, start_ts, end_ts, client)
 
 
-def compute_counts(packets: list[PacketRecord]) -> tuple[int, int]:
-    """(delivered, sent) from one device's frame-counter sequence.
+def compute_counts(packets: Columns) -> tuple[int, int]:
+    """(delivered, sent) from one device's frame-counter sequence, the
+    counter column of its packets.
 
     Delivered is the number of distinct counter values seen.  Sent sums
     ``max - min + 1`` over monotone counter segments: counters only
     ever increase, so a decrease means the device restarted counting
     and must not produce a negative gap.
     """
-    if not packets:
+    fcnts = packets[1]
+    if not len(fcnts):
         return 0, 0
-    fcnts = [p.fcnt for p in packets]
     delivered = len(set(fcnts))
     sent = 0
     seg_min = seg_max = fcnts[0]
@@ -385,8 +396,8 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
             # the poll is lost, not the run; the report keeps the reason
             failures.setdefault(device_id, f"turn-off recheck: {reason}")
         found = []
-        for device_id, packets in fresh.items():
-            first = min((window_of(p.received_ts) for p in packets), default=len(windows))
+        for device_id, (ts, _, _) in fresh.items():
+            first = min(map(window_of, ts), default=len(windows))
             if first < len(windows):
                 found.append((first, device_id))
         found.sort(key=itemgetter(0))  # stable: matrix order within a window
@@ -440,7 +451,9 @@ class ExperimentResult:
     """Each device's outcome lives in one record: its counts in
     ``reports``, and its id in ``turn_on_failures``, ``late_responders``
     or ``query_failures`` (id -> reason).  A device that delivered
-    nothing and is no late responder never responded."""
+    nothing and is no late responder never responded.  ``packets`` holds
+    each device's collected packets as the client's columns, an empty
+    triple for a failed query."""
 
     name: str
     matrix: DeviceMatrix
@@ -451,7 +464,7 @@ class ExperimentResult:
     shutdown_log: list[ShutdownRecord]
     start_ts: float
     end_ts: float
-    packets: dict[str, list[PacketRecord]]
+    packets: dict[str, Columns]
 
 
 def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
@@ -493,9 +506,8 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
 
     stamped = []
     for device_id in result.matrix.ids():
-        eui = result.matrix.eui_for(device_id)
-        for p in result.packets.get(device_id, []):
-            stamped.append((p.received_ts, eui, p.fcnt))
+        ts, fcnt, _ = result.packets.get(device_id, _NO_PACKETS)
+        stamped += zip(ts, repeat(result.matrix.eui_for(device_id)), fcnt)
     stamped.sort()
     with open(timestamp_path, "w", encoding="utf-8") as fh:
         for ts, eui, fcnt in stamped:

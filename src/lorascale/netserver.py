@@ -21,9 +21,10 @@ refuse the whole request.  Violations before authentication, unparseable
 frames and lines longer than ``MAX_LINE_BYTES`` additionally close the
 connection.  Query windows are closed intervals with finite bounds, and
 an unknown EUI yields an empty packet list.  A reply is formatted
-straight from the store's column slices; no record object is built for
-it.  Persistence is an append-only log file (the simulator's export
-format) replayed at startup, parsed straight into columns.
+straight from the store's column slices, and the client decodes each
+entry straight into columns of the same types; no record object is built
+on either side.  Persistence is an append-only log file (the simulator's
+export format) replayed at startup, parsed straight into columns.
 """
 
 from __future__ import annotations
@@ -97,18 +98,27 @@ def _log_fields(line: str) -> tuple[str, float, int, int]:
     return eui, ts, fcnt, int(sf)
 
 
-def parse_log_line(line: str) -> PacketRecord:
-    """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line (:data:`LOG_LINE`);
-    a timestamp whose digits overflow to infinity, and a frame counter
-    beyond an int64, are malformed too."""
-    eui, ts, fcnt, sf = _log_fields(line)
-    return PacketRecord(eui, fcnt, ts, sf)
-
-
 # One EUI's packets: receive times, frame counters and SFs, row by row.
 Columns = tuple[Sequence[float], Sequence[int], Sequence[int]]
 
 _NO_ROWS: Columns = ((), (), ())
+
+
+def _typed_columns(eui: str, ts: Iterable[float], fcnt: Iterable[int], sf: Iterable[int]
+                   ) -> tuple[array, array, bytearray]:
+    """One EUI's packets as the store's columns: an ``array('d')`` of
+    finite timestamps, an ``array('q')`` of counters and a ``bytearray``
+    of SFs.  A value no column holds, a non-finite timestamp and columns
+    of unequal length are each a ``ValueError``."""
+    try:
+        typed = array("d", ts), array("q", fcnt), bytearray(sf)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"packets of {eui!r} do not fit the store's columns: {exc}") from None
+    if not len(typed[0]) == len(typed[1]) == len(typed[2]):
+        raise ValueError(f"columns of {eui!r} differ in length")
+    if not all(map(isfinite, typed[0])):
+        raise ValueError(f"non-finite timestamp among the packets of {eui!r}")
+    return typed
 
 
 def _grouped(rows: Iterable[tuple[str, float, int, int]]
@@ -137,10 +147,11 @@ class PacketStore:
     order: an ``array('d')`` of receive times, an ``array('q')`` of frame
     counters and a ``bytearray`` of SFs, with the EUI stored once as the
     key, about 17 bytes per packet.  A query is two bisections of the
-    timestamp column and a slice; :meth:`query` builds records only for
-    the slice it returns, and the server formats its replies straight
-    from :meth:`window`'s slices.  Queries see a consistent snapshot
-    under a single-writer lock.
+    timestamp column and a slice: :meth:`window` returns the slices, which
+    the server formats its replies from and the live world answers with.
+    :meth:`query` builds one record per packet of the slice; no product
+    path calls it.  Queries see a consistent snapshot under a
+    single-writer lock.
 
     Every batch goes in through :meth:`ingest_columns`, one EUI's columns
     at a time.  A batch whose timestamps rise strictly, starting after the
@@ -155,6 +166,7 @@ class PacketStore:
     one is stored, and returned, as the float ``float()`` gives), a frame
     counter that fits an int64 and an SF that fits a byte.  A batch with
     any other value is a ``ValueError``, and then none of it is stored.
+    The client holds each reply entry to the same domain.
     """
 
     def __init__(self) -> None:
@@ -167,15 +179,7 @@ class PacketStore:
         per packet; returns how many packets were new."""
         typed = []
         for eui, ts, fcnt, sf in batches:
-            try:
-                ts, fcnt, sf = array("d", ts), array("q", fcnt), bytearray(sf)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"packets of {eui!r} do not fit the store's columns: {exc}"
-                                 ) from None
-            if not len(ts) == len(fcnt) == len(sf):
-                raise ValueError(f"columns of {eui!r} differ in length")
-            if not all(map(isfinite, ts)):
-                raise ValueError(f"non-finite timestamp among the packets of {eui!r}")
+            ts, fcnt, sf = _typed_columns(eui, ts, fcnt, sf)
             if ts:
                 typed.append((eui, ts, fcnt, sf))
         added = 0
@@ -205,17 +209,12 @@ class PacketStore:
         self._by_eui[eui] = array("d", ts), array("q", fcnt), bytearray(sf)
         return len(rows) - len(stored[0])
 
-    def ingest(self, records: Iterable[PacketRecord]) -> int:
-        """Store records, grouped into per-EUI columns; returns how many
-        were new."""
-        return self.ingest_columns(_grouped(
-            (rec.dev_eui, rec.received_ts, rec.fcnt, rec.sf) for rec in records))
-
     def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
         """Parse and store log lines; returns (ingested, skipped).
 
-        Blank lines are ignored; every other line that
-        :func:`parse_log_line` refuses is skipped.
+        Blank lines are ignored; every other line that is no
+        :data:`LOG_LINE`, or whose timestamp digits overflow to infinity or
+        whose frame counter does not fit an int64, is skipped.
         """
         skipped = 0
 
@@ -254,7 +253,8 @@ class PacketStore:
             return ts[lo:hi], fcnt[lo:hi], sf[lo:hi]
 
     def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
-        """Records of one device with from_ts <= ts <= to_ts, time-ordered."""
+        """Records of one device with from_ts <= ts <= to_ts, time-ordered:
+        :meth:`window`'s rows, one record object each."""
         ts, fcnt, sf = self.window(dev_eui, from_ts, to_ts)
         return list(map(PacketRecord, repeat(dev_eui), fcnt, ts, sf))
 
@@ -290,21 +290,14 @@ def _packets_line(entries: list[str]) -> bytes:
     return f'{{"type": "packets", "devices": [{", ".join(entries)}]}}\n'.encode("ascii")
 
 
-def encode_packets(devices: Iterable[tuple[str, list[PacketRecord]]]) -> bytes:
-    """The ``packets`` reply line, byte for byte as ``json.dumps`` writes it.
-
-    ``devices`` holds one ``(dev_eui, records)`` pair per requested EUI.
-    Frame counters and SFs are ints and timestamps finite floats (the
-    store holds no others), which JSON writes as their ``repr``; EUIs go
-    through JSON's own string encoder.  The server writes its replies
-    with the same entry formatter, straight from the store's columns.
-    """
-    return _packets_line([_entry(eui, [r.received_ts for r in got], [r.fcnt for r in got],
-                                 [r.sf for r in got]) for eui, got in devices])
-
-
 def _answer(store: PacketStore, msg: dict) -> bytes:
-    """The reply line to one query: an entry per EUI, or why it is refused."""
+    """The reply line to one query: an entry per EUI, or why it is refused.
+
+    The ``packets`` line is byte for byte what ``json.dumps`` writes:
+    frame counters and SFs are ints and timestamps finite floats (the
+    store holds no others), which JSON writes as their ``repr``, and EUIs
+    go through JSON's own string encoder.
+    """
     euis, lo, hi = msg.get("dev_euis"), msg.get("from"), msg.get("to")
     if type(euis) is not list or not euis or not all(type(e) is str for e in euis):
         return _error("query needs a non-empty dev_euis list of strings")
@@ -407,8 +400,10 @@ def _message(raw: bytes) -> dict:
     return msg
 
 
-def _device_reply(item, dev_eui: str) -> list[PacketRecord] | ProtocolError:
-    """One reply entry as the device's records, or why it fails."""
+def _device_reply(item, dev_eui: str) -> Columns | ProtocolError:
+    """One reply entry as the device's columns, of the store's types and
+    value domain, or why it fails.  JSON's ``true`` and ``false`` are no
+    numbers, though the columns would take them as 1 and 0."""
     named = item.get("dev_eui") if type(item) is dict else None
     if named != dev_eui:
         return ProtocolError(f"reply names device {named!r}, not the {dev_eui!r} asked for")
@@ -416,8 +411,10 @@ def _device_reply(item, dev_eui: str) -> list[PacketRecord] | ProtocolError:
     if type(packets) is not list:
         return ProtocolError(f"reply entry for {dev_eui!r} holds no packets list")
     try:
-        return [PacketRecord(dev_eui, int(p["fcnt"]), float(p["ts"]), int(p["sf"]))
-                for p in packets]
+        ts, fcnt, sf = ([p[key] for p in packets] for key in ("ts", "fcnt", "sf"))
+        if bool in set(map(type, chain(ts, fcnt, sf))):
+            raise TypeError("a packet value is a bool")
+        return _typed_columns(dev_eui, ts, fcnt, sf)
     except (KeyError, TypeError, ValueError) as exc:
         return ProtocolError(f"malformed packet in query reply: {exc!r}")
 
@@ -450,26 +447,29 @@ class NetClient:
         raise ProtocolError(f"unexpected auth reply {reply!r}")
 
     def query(self, dev_euis: list[str], from_ts: float, to_ts: float
-              ) -> list[list[PacketRecord] | ProtocolError]:
-        """One entry per EUI, in order: the device's records in the closed
-        window, or the :class:`ProtocolError` that fails that device alone.
+              ) -> list[Columns | ProtocolError]:
+        """One entry per EUI, in order: the device's columns in the closed
+        window, an ``array('d')``, an ``array('q')`` and a ``bytearray``
+        holding the rows of the server store's :meth:`PacketStore.window`,
+        or the :class:`ProtocolError` that fails that device alone.
 
         The EUIs go in requests of ``_EUIS_PER_REQUEST`` each, which fit
         the server's line limit when every EUI is 16 hex digits.  An entry
-        without a packets list fails its device; a reply that is no list of
+        without a packets list, or with a packet the store's columns could
+        not hold, fails its device; a reply that is no list of
         one entry per EUI fails each EUI of its request.  The server alone
         judges a request: a bad bound, a non-string EUI or an over-long line
         gets its ``error`` reply, which raises (the last also closes the
         connection).  A value JSON cannot write, a closed connection and a
         socket error raise too; each fails the whole call.
         """
-        entries: list[list[PacketRecord] | ProtocolError] = []
+        entries: list[Columns | ProtocolError] = []
         for start in range(0, len(dev_euis), _EUIS_PER_REQUEST):
             entries += self._request(dev_euis[start:start + _EUIS_PER_REQUEST], from_ts, to_ts)
         return entries
 
     def _request(self, euis: list[str], from_ts: float, to_ts: float
-                 ) -> list[list[PacketRecord] | ProtocolError]:
+                 ) -> list[Columns | ProtocolError]:
         """Send one query line and read its reply, one entry per EUI."""
         try:
             line = _line({"type": "query", "dev_euis": euis, "from": from_ts, "to": to_ts})

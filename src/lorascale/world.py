@@ -28,11 +28,12 @@ leave it.  Once final, an event's end time and device join the world's
 attempt arrays, one chunk per resolution, and the delivered events,
 grouped by device with NumPy, go into a :class:`PacketStore` as column
 lists, with no record object per packet.  The world thus answers a query
-exactly as the network server's store does, and
-:meth:`SimWorld.ground_truth` counts each device's deliveries with one
-bisection of its timestamp column.  However the clock was moved
-between two resolutions, the attempts, their floats and their collision
-outcomes are those of resolving after every step.
+exactly as the network server's store does, with its
+:meth:`~lorascale.netserver.PacketStore.window` slices, the columns the
+network-server client decodes; :meth:`SimWorld.ground_truth` counts each
+device's deliveries with one bisection of its timestamp column.  However
+the clock was moved between two resolutions, the attempts, their floats
+and their collision outcomes are those of resolving after every step.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 
 import numpy as np
 
-from .netserver import PacketRecord, PacketStore
+from .netserver import Columns, PacketStore
 from .simulator import (AnyOverlap, CollisionModel, attempts, device_rng, lattice_events,
                         resolve, roster)
 
@@ -83,7 +84,7 @@ class SimWorld:
         none = np.empty(0, dtype=np.int64)
         self._edge = lattice_events(self._columns, none, none, none, none, none)
         # finalized attempts: end times and roster positions, one chunk
-        # per resolution; the delivered ones are records in the store
+        # per resolution; the delivered ones are rows in the store
         self._attempt_end = [np.empty(0)]
         self._attempt_dev = [np.empty(0, dtype=np.int64)]
         self._store = PacketStore()
@@ -175,14 +176,15 @@ class SimWorld:
         if keep:
             self._edge = tuple(column[keep:] for column in self._edge)
 
-    def query(self, dev_euis: list[str], from_ts: float, to_ts: float
-              ) -> list[list[PacketRecord]]:
-        """Delivered packets of each device in the closed time window,
-        one list per EUI in order, as the network-server client answers."""
+    def query(self, dev_euis: list[str], from_ts: float, to_ts: float) -> list[Columns]:
+        """Delivered packets of each device in the closed time window, one
+        ``(timestamps, counters, SFs)`` triple per EUI in order, as the
+        network-server client answers."""
         if from_ts > to_ts:
             raise ValueError("query window is empty (from > to)")
         self._catch_up()
-        return [self._store.query(eui, from_ts, to_ts) for eui in dev_euis]
+        window = self._store.window
+        return [window(eui, from_ts, to_ts) for eui in dev_euis]
 
     def _attempts(self) -> tuple[np.ndarray, np.ndarray]:
         """End times and roster positions of all finalized attempts."""

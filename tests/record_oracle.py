@@ -1,23 +1,33 @@
-"""Reference packet-record encoders that go through one object per record.
+"""Reference packet-record encoders that go through one object per record,
+and the record helpers of the tests.
 
 The straightforward forms of the record path:
 :func:`reference_write_packet_log` builds a :class:`PacketRecord` for
 each delivered event and formats it with :func:`format_log_line`, and
 the wire lines are ``json.dumps`` of the message dicts.  They cost an
 object and a generic encoder call per record, but each step is easy to
-check by eye, so :func:`lorascale.simulator.write_packet_log` and
-:func:`lorascale.netserver.encode_packets` are tested against them byte
-for byte.
+check by eye, so :func:`lorascale.simulator.write_packet_log` and the
+server's replies (:func:`served_line`) are tested against them byte for
+byte.
+
+The product passes packets as columns, ``(timestamps, counters, SFs)``
+triples; :func:`columns`, :func:`as_lists` and :func:`records_of` turn
+records and triples into one another, :func:`ingest_records` stores
+records through :meth:`PacketStore.ingest_columns`, and
+:func:`parse_log_line` reads one log line as a record.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator
+import sys
+from itertools import repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from lorascale.netserver import PacketRecord
+from lorascale import netserver
+from lorascale.netserver import PacketRecord, PacketStore
 from lorascale.simulator import SimResult
 
 
@@ -71,3 +81,50 @@ def packets_message(devices: list[tuple[str, list[PacketRecord]]]) -> dict:
 def reference_packets_line(devices: list[tuple[str, list[PacketRecord]]]) -> bytes:
     return (json.dumps(packets_message(devices)) + "\n").encode("utf-8")
 
+
+def parse_log_line(line: str) -> PacketRecord:
+    """The record of one packet-log line as the store's log parser reads
+    it; a line it would skip is a ``ValueError``."""
+    dev_eui, ts, fcnt, sf = netserver._log_fields(line)
+    return PacketRecord(dev_eui, fcnt, ts, sf)
+
+
+def columns(records: Iterable[PacketRecord]) -> tuple[list[float], list[int], list[int]]:
+    """The timestamp, counter and SF columns of records, in their order."""
+    records = list(records)
+    return ([r.received_ts for r in records], [r.fcnt for r in records],
+            [r.sf for r in records])
+
+
+def as_lists(packets) -> tuple[list, ...]:
+    """A columns triple as three lists, so that triples compare value for
+    value whatever sequence types hold them."""
+    return tuple(map(list, packets))
+
+
+def records_of(dev_eui: str, packets) -> list[PacketRecord]:
+    """One record per row of a device's columns."""
+    ts, fcnt, sf = packets
+    return list(map(PacketRecord, repeat(dev_eui), fcnt, ts, sf))
+
+
+def ingest_records(store: PacketStore, records: Iterable[PacketRecord]) -> int:
+    """Store records through ``ingest_columns``, one batch per EUI in the
+    order the EUIs first appear, each in the records' order; returns how
+    many were new."""
+    by_eui: dict[str, list[PacketRecord]] = {}
+    for rec in records:
+        by_eui.setdefault(rec.dev_eui, []).append(rec)
+    return store.ingest_columns([(eui, *columns(got)) for eui, got in by_eui.items()])
+
+
+def served_line(devices: list[tuple[str, list[PacketRecord]]]) -> bytes:
+    """The server's reply line to a query for the EUIs of ``devices``, in
+    order, over the widest finite window, from a store that holds their
+    records.  With distinct EUIs, and each EUI's records in store order
+    (by time, then counter) and free of duplicates, it is the reply that
+    lists exactly ``devices``."""
+    store = PacketStore()
+    ingest_records(store, [r for _, got in devices for r in got])
+    return netserver._answer(store, {"type": "query", "dev_euis": [eui for eui, _ in devices],
+                                     "from": -sys.float_info.max, "to": sys.float_info.max})

@@ -40,7 +40,7 @@ from lorascale.scaling import (
     success_exact_periodic,
 )
 from lorascale.simulator import AnyOverlap, SfGroup, VulnerabilityWindow, estimate_pdr
-from record_oracle import packets_message
+from record_oracle import columns, ingest_records, packets_message, records_of, served_line
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -160,8 +160,8 @@ def test_c4_end_to_end_pipeline_exactness(tmp_path):
 def test_c5_counter_gap_arithmetic():
     """The three reference counter sequences resolve exactly."""
     def recs(fcnts):
-        return [PacketRecord("00000000000000aa", f, float(i), 7)
-                for i, f in enumerate(fcnts)]
+        return columns(PacketRecord("00000000000000aa", f, float(i), 7)
+                       for i, f in enumerate(fcnts))
 
     assert compute_counts(recs([0, 1, 2, 3])) == (4, 4)
     assert compute_counts(recs([5, 6, 9, 10])) == (4, 6)
@@ -178,8 +178,8 @@ class _WakeClient:
         self.wake = wake
 
     def query(self, dev_eui, lo, hi):
-        return [PacketRecord(dev_eui, 0, ts, 7)
-                for ts in self.wake.get(dev_eui, []) if lo <= ts <= hi]
+        return columns(PacketRecord(dev_eui, 0, ts, 7)
+                       for ts in self.wake.get(dev_eui, []) if lo <= ts <= hi)
 
 
 @given(
@@ -277,7 +277,7 @@ def test_c9_protocol_conformance():
                      round(rnd.uniform(0.0, 100.0), 6), rnd.randrange(7, 13))
         for _ in range(1000)
     ]
-    store.ingest(records)
+    ingest_records(store, records)
     stored, seen = [], set()
     for rec in records:
         key = (rec.dev_eui, rec.fcnt, rec.received_ts)
@@ -312,8 +312,10 @@ def test_c9_protocol_conformance():
             for _ in range(60):
                 eui = rnd.choice(euis)
                 a, b = sorted((rnd.uniform(0, 100), rnd.uniform(0, 100)))
-                assert client.query([eui], a, b) == [oracle(eui, a, b)]
-                assert client.query(batch, a, b) == [oracle(e, a, b) for e in batch]
+                assert [records_of(eui, got) for got in client.query([eui], a, b)] == [
+                    oracle(eui, a, b)]
+                assert [records_of(e, got) for e, got in zip(batch, client.query(batch, a, b))
+                        ] == [oracle(e, a, b) for e in batch]
     finally:
         server.shutdown()
         server.server_close()
@@ -332,11 +334,14 @@ def test_c9_protocol_conformance():
             msg = {"type": "query", "dev_euis": rnd.sample(euis, rnd.randrange(1, 9)),
                    "from": rnd.uniform(-1e9, 1e9), "to": rnd.uniform(-1e9, 1e9)}
         elif kind == "packets":
-            devices = [(eui, [PacketRecord(eui, rnd.randrange(1000), rnd.uniform(0, 1e6),
-                                           rnd.randrange(7, 13)) for _ in range(rnd.randrange(5))])
+            # each device's records in the order the store keeps them
+            devices = [(eui, sorted([PacketRecord(eui, rnd.randrange(1000), rnd.uniform(0, 1e6),
+                                                  rnd.randrange(7, 13))
+                                     for _ in range(rnd.randrange(5))],
+                                    key=lambda r: (r.received_ts, r.fcnt)))
                        for eui in rnd.sample(euis, rnd.randrange(1, 9))]
             msg = packets_message(devices)
-            assert netserver.encode_packets(devices) == (json.dumps(msg) + "\n").encode()
+            assert served_line(devices) == (json.dumps(msg) + "\n").encode()
         else:
             msg = {"type": "error", "reason": "x" * rnd.randrange(30)}
         assert json.loads(json.dumps(msg)) == msg

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+from array import array
 from unittest.mock import patch
 
 import pytest
@@ -32,9 +34,12 @@ from lorascale.netserver import PacketRecord, PacketStore, ProtocolError
 from lorascale.simulator import AnyOverlap, DeviceSpec
 from lorascale.world import SimWorld
 from batch_adapter import Batched, batch_query
+from record_oracle import as_lists, columns, ingest_records
 from turnoff_oracle import reference_turn_off_sequence
 
 EUIS = {f"d{i}": f"{0xcc00 + i:016x}" for i in range(10)}
+# the packets the controller gives a device whose query failed
+NO_PACKETS = ((), (), ())
 
 
 def spread_period(base, k, n, spread=0.06):
@@ -58,7 +63,7 @@ class StoreClient:
         self.store = store
 
     def query(self, dev_eui, from_ts, to_ts):
-        return self.store.query(dev_eui, from_ts, to_ts)
+        return self.store.window(dev_eui, from_ts, to_ts)
 
 
 # --- roster -------------------------------------------------------------------
@@ -122,14 +127,14 @@ def test_load_roster_41_entry_fixture():
 # --- counter arithmetic ---------------------------------------------------------
 
 def records(fcnts):
-    return [PacketRecord("00000000000000aa", f, float(i), 7) for i, f in enumerate(fcnts)]
+    return columns(PacketRecord("00000000000000aa", f, float(i), 7) for i, f in enumerate(fcnts))
 
 
 def test_compute_counts_reference_cases():
     assert compute_counts(records([0, 1, 2, 3])) == (4, 4)
     assert compute_counts(records([5, 6, 9, 10])) == (4, 6)
     assert compute_counts(records([10, 11, 0, 1])) == (4, 4)  # counter reset
-    assert compute_counts([]) == (0, 0)
+    assert compute_counts(records([])) == (0, 0)
 
 
 def test_compute_counts_duplicates_count_once():
@@ -144,7 +149,34 @@ def test_compute_counts_delivered_never_exceeds_sent(fcnts):
     assert delivered == len(set(fcnts))
 
 
+@given(fcnts=st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 20), max_size=40))
+def test_compute_counts_same_on_list_and_typed_columns(fcnts):
+    """The counts read the counter column alone, whether it is a list or
+    the ``array('q')`` the store and the client hand out."""
+    ts = [float(i) for i in range(len(fcnts))]
+    typed = (array("d", ts), array("q", fcnts), bytearray([7] * len(fcnts)))
+    assert compute_counts(typed) == compute_counts(records(fcnts))
+
+
 # --- turn-on ---------------------------------------------------------------------
+
+def test_turn_on_flags_devices_with_empty_columns():
+    """A device whose reply holds no packet is probe-silent, whether its
+    columns are empty tuples or empty typed arrays: a triple is never
+    empty itself."""
+    matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
+    replies = {EUIS["d0"]: (array("d", [1.0]), array("q", [0]), bytearray([7])),
+               EUIS["d1"]: ((), (), ()),
+               EUIS["d2"]: (array("d"), array("q"), bytearray())}
+
+    class Replies:
+        def query(self, dev_euis, from_ts, to_ts):
+            return [replies[eui] for eui in dev_euis]
+
+    failed = turn_on_sequence(matrix, SimulatedOperator(), Replies(), VirtualClock(0.0),
+                              probe_window=5.0)
+    assert failed == {"d1", "d2"}
+
 
 def test_turn_on_all_respond_no_failures():
     world, matrix = live_fixture()
@@ -247,7 +279,7 @@ def test_clock_stepping_back_during_turn_on_sends_no_probe_window():
 def test_collect_window_closed_and_all_devices_present():
     store = PacketStore()
     eui1, eui2 = "00000000000000a1", "00000000000000a2"
-    store.ingest([
+    ingest_records(store, [
         PacketRecord(eui1, 0, 10.0, 7),   # exactly at start: included
         PacketRecord(eui1, 1, 15.0, 7),
         PacketRecord(eui1, 2, 20.0, 7),   # exactly at end: included
@@ -255,8 +287,8 @@ def test_collect_window_closed_and_all_devices_present():
     ])
     matrix = DeviceMatrix([RosterEntry("a", eui1), RosterEntry("b", eui2)])
     packets, failures = collect(matrix, 10.0, 20.0, Batched(StoreClient(store)))
-    assert [p.fcnt for p in packets["a"]] == [0, 1, 2]
-    assert packets["b"] == []
+    assert list(packets["a"][1]) == [0, 1, 2]
+    assert as_lists(packets["b"]) == columns([])
     assert failures == {}
 
 
@@ -268,11 +300,11 @@ def test_collect_protocol_error_flags_device_and_continues():
             from lorascale.netserver import ProtocolError
             if dev_eui == eui1:
                 raise ProtocolError("boom")
-            return [PacketRecord(eui2, 0, 12.0, 7)]
+            return columns([PacketRecord(eui2, 0, 12.0, 7)])
 
     matrix = DeviceMatrix([RosterEntry("a", eui1), RosterEntry("b", eui2)])
     packets, failures = collect(matrix, 10.0, 20.0, Batched(Flaky()))
-    assert packets["a"] == [] and len(packets["b"]) == 1
+    assert packets["a"] == NO_PACKETS and len(packets["b"][0]) == 1
     assert failures == {"a": "boom"}
 
 
@@ -285,11 +317,11 @@ class FakeWakeClient:
         self.wake = wake_ts_by_eui
 
     def query(self, dev_eui, from_ts, to_ts):
-        return [
+        return columns(
             PacketRecord(dev_eui, 0, ts, 7)
             for ts in self.wake.get(dev_eui, [])
             if from_ts <= ts <= to_ts
-        ]
+        )
 
 
 def make_reports(matrix, responded):
@@ -639,7 +671,7 @@ def test_turn_off_settles_many_windows_per_call():
 
         def query(self, dev_euis, from_ts, to_ts):
             self.calls += 1
-            return [[] for _ in dev_euis]
+            return [NO_PACKETS for _ in dev_euis]
 
     client = CountingClient()
     log, late, failures = turn_off_sequence(matrix, reports, SimulatedOperator(), client,
@@ -810,7 +842,7 @@ def test_write_output_failed_device_gets_zero_line_and_flag(tmp_path):
         result = ExperimentResult(
             name="x", matrix=matrix, reports={"d1": DeviceReport("d1", 0, 0)},
             turn_on_failures={"d1"}, late_responders={}, query_failures=failures,
-            shutdown_log=[], start_ts=1.0, end_ts=2.0, packets={"d1": []},
+            shutdown_log=[], start_ts=1.0, end_ts=2.0, packets={"d1": NO_PACKETS},
         )
         report_path = tmp_path / f"r{case}.txt"
         write_output(result, report_path, tmp_path / f"t{case}.txt")
@@ -846,16 +878,32 @@ def test_write_output_lists_unconfirmed_shutdowns_last_in_matrix_order(tmp_path)
 
 PAPER41 = ExperimentSettings(name="paper41", duration=700.0, probe_window=21.0,
                              recheck_window=21.0, turnon_step=1.0)
+PAPER41_IDS = [f"p{k:02d}" for k in range(41)]
+PAPER41_FLEET = [DeviceSpec(PAPER41_IDS[k], f"{0xee00 + k:016x}", 7,
+                            device_period(7.0, k, 41, 0.06), 0.11729) for k in range(41)]
+PAPER41_MATRIX = DeviceMatrix([RosterEntry(d.device_id, d.dev_eui) for d in PAPER41_FLEET])
+
+
+def run_paper41(world, declined):
+    """The paper's 41-device experiment against ``world``, with an operator
+    that declines to switch on the ``declined`` devices."""
+
+    class Declining:
+        def prompt(self, action):
+            on = isinstance(action, TurnOn)
+            if on and action.device_id in declined:
+                return False
+            world.set_active(action.device_id, on)
+            return True
+
+    return run_experiment(PAPER41_MATRIX, Declining(), world, WorldClock(world), PAPER41)
 
 
 def test_turn_on_failures_are_the_devices_never_switched_on(monkeypatch):
     """On the paper's 41-device setup a live device can lose every packet
     of the probe window to collisions; it is no turn-on failure, because
     it delivers in the experiment window.  Every declined device is one."""
-    ids = [f"p{k:02d}" for k in range(41)]
-    fleet = [DeviceSpec(ids[k], f"{0xee00 + k:016x}", 7, device_period(7.0, k, 41, 0.06),
-                        0.11729) for k in range(41)]
-    matrix = DeviceMatrix([RosterEntry(d.device_id, d.dev_eui) for d in fleet])
+    ids, fleet = PAPER41_IDS, PAPER41_FLEET
     probe_silent: list[set[str]] = []
 
     def probe(*args, **kwargs):
@@ -867,19 +915,24 @@ def test_turn_on_failures_are_the_devices_never_switched_on(monkeypatch):
     for seed in range(9100, 9112):
         world = SimWorld(fleet, AnyOverlap(), seed=seed)
         declined = {ids[seed % 41], ids[seed * 7 % 41]}
-
-        class Declining:
-            def prompt(self, action):
-                on = isinstance(action, TurnOn)
-                if on and action.device_id in declined:
-                    return False
-                world.set_active(action.device_id, on)
-                return True
-
-        result = run_experiment(matrix, Declining(), world, WorldClock(world), PAPER41)
+        result = run_paper41(world, declined)
         assert result.turn_on_failures == declined, seed
         missed_live += len(probe_silent[-1] - declined)
     assert missed_live > 0  # the probe did miss live devices
+
+
+def test_live_world_report_and_timestamps_are_pinned(tmp_path):
+    """The report and timestamp files of one paper41 run against the live
+    world, with two devices declined, hash to the digests recorded when
+    this test was added: the golden files pin only the TCP path."""
+    world = SimWorld(PAPER41_FLEET, AnyOverlap(), seed=4141)
+    result = run_paper41(world, {"p11", "p31"})
+    report, stamps = tmp_path / "report.txt", tmp_path / "timestamps.txt"
+    write_output(result, report, stamps)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "4dfc0869b120a0002e2f29a447fbc13e42b24ac3446f889b3c5fb73e3fe475ca")
+    assert hashlib.sha256(stamps.read_bytes()).hexdigest() == (
+        "821b406c59d7ab7a8ad10755ff4e3379f469c5485b56f2e036eab005c8f22b33")
 
 
 def test_probe_failure_aborts_after_one_query_per_device():
@@ -929,7 +982,7 @@ def test_collect_connection_reset_flags_device_and_continues():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
     client = Batched(ResetClient(EUIS["d1"], {EUIS["d0"]: [12.0], EUIS["d2"]: [13.0, 14.0]}))
     packets, failures = collect(matrix, 10.0, 20.0, client)
-    assert [len(packets[d]) for d in ("d0", "d1", "d2")] == [1, 0, 2]
+    assert [len(packets[d][0]) for d in ("d0", "d1", "d2")] == [1, 0, 2]
     assert failures == {"d1": "connection reset by peer"}
 
 
@@ -948,7 +1001,7 @@ def test_failed_call_flags_every_device_and_empty_polls_are_not_sent():
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
     client = DownClient()
     packets, failures = collect(matrix, 10.0, 20.0, client)
-    assert packets == {"d0": [], "d1": [], "d2": []}
+    assert packets == {"d0": NO_PACKETS, "d1": NO_PACKETS, "d2": NO_PACKETS}
     assert failures == {d: "connection reset by peer" for d in ("d0", "d1", "d2")}
     assert client.calls == [[EUIS["d0"], EUIS["d1"], EUIS["d2"]]]
     # with every device delivered, no recheck has a device to ask about

@@ -1,8 +1,10 @@
 import json
 import math
 import socket
+import sys
 import threading
 import tracemalloc
+from array import array
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -19,11 +21,10 @@ from lorascale.netserver import (
     PacketRecord,
     PacketStore,
     ProtocolError,
-    encode_packets,
-    parse_log_line,
     start_server,
 )
-from record_oracle import format_log_line, reference_packets_line
+from record_oracle import (as_lists, columns, format_log_line, ingest_records, parse_log_line,
+                           records_of, reference_packets_line, served_line)
 from store_oracle import ReferenceStore, reference_parse_log_line, written_form
 
 TOKEN = "secret-token"
@@ -167,7 +168,7 @@ def test_ingest_file_skips_only_the_line_with_a_non_ascii_byte(tmp_path):
 
 def test_store_ingest_empty_stream():
     store = PacketStore()
-    assert store.ingest([]) == 0
+    assert ingest_records(store, []) == 0
     assert store.ingest_lines([]) == (0, 0)
     assert len(store) == 0
 
@@ -199,7 +200,7 @@ def test_store_holds_only_finite_timestamps():
         (0, 10.0), (4, 20.0), (2, 30.0)]
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            store.ingest([PacketRecord(eui, 9, 1.0, 7), PacketRecord(eui, 8, bad, 7)])
+            ingest_records(store, [PacketRecord(eui, 9, 1.0, 7), PacketRecord(eui, 8, bad, 7)])
     assert len(store) == 3  # a rejected batch stores nothing
 
 
@@ -211,7 +212,7 @@ def test_store_query_windowing_and_order():
         PacketRecord("00000000000000aa", 0, 1.0, 7),
         PacketRecord("00000000000000bb", 0, 5.0, 7),
     ]
-    store.ingest(recs)
+    ingest_records(store, recs)
     hits = store.query("00000000000000aa", 1.0, 5.0)  # closed on both ends
     assert [(r.fcnt, r.received_ts) for r in hits] == [(0, 1.0), (1, 5.0), (2, 5.0)]
     assert store.query("00000000000000aa", 1.5, 4.9) == []
@@ -224,11 +225,11 @@ def test_store_query_windowing_and_order():
 def test_store_two_out_of_order_batches_sorted_and_windowed():
     a, b = "00000000000000aa", "00000000000000bb"
     store = PacketStore()
-    store.ingest([PacketRecord(a, 5, 50.0, 7), PacketRecord(a, 1, 10.0, 7),
-                  PacketRecord(b, 0, 30.0, 8), PacketRecord(a, 3, 30.0, 7)])
+    ingest_records(store, [PacketRecord(a, 5, 50.0, 7), PacketRecord(a, 1, 10.0, 7),
+                           PacketRecord(b, 0, 30.0, 8), PacketRecord(a, 3, 30.0, 7)])
     # the second batch lands between, before and after the first one's records
-    store.ingest([PacketRecord(a, 4, 40.0, 7), PacketRecord(a, 0, 0.0, 7),
-                  PacketRecord(a, 6, 60.0, 7), PacketRecord(a, 2, 30.0, 7)])
+    ingest_records(store, [PacketRecord(a, 4, 40.0, 7), PacketRecord(a, 0, 0.0, 7),
+                           PacketRecord(a, 6, 60.0, 7), PacketRecord(a, 2, 30.0, 7)])
     assert [(r.fcnt, r.received_ts) for r in store.query(a, -1.0, 100.0)] == [
         (0, 0.0), (1, 10.0), (2, 30.0), (3, 30.0), (4, 40.0), (5, 50.0), (6, 60.0)]
     assert [r.fcnt for r in store.query(a, 30.0, 40.0)] == [2, 3, 4]
@@ -240,7 +241,7 @@ def test_store_two_out_of_order_batches_sorted_and_windowed():
 def test_store_query_nan_bound_matches_nothing():
     eui = "00000000000000aa"
     store = PacketStore()
-    store.ingest([PacketRecord(eui, 0, 1.0, 7), PacketRecord(eui, 1, 2.0, 7)])
+    ingest_records(store, [PacketRecord(eui, 0, 1.0, 7), PacketRecord(eui, 1, 2.0, 7)])
     for lo, hi in ((math.nan, 5.0), (0.0, math.nan), (math.nan, math.nan)):
         assert store.query(eui, lo, hi) == []
     with pytest.raises(ValueError):
@@ -251,10 +252,10 @@ def test_store_query_nan_bound_matches_nothing():
 def test_store_later_batch_keeps_timestamps_in_step():
     eui = "00000000000000aa"
     store = PacketStore()
-    assert store.ingest([PacketRecord(eui, 4, 4.0, 7), PacketRecord(eui, 2, 2.0, 7)]) == 2
+    assert ingest_records(store, [PacketRecord(eui, 4, 4.0, 7), PacketRecord(eui, 2, 2.0, 7)]) == 2
     # a later batch with a duplicate, a tie and records on both sides
-    assert store.ingest([PacketRecord(eui, 2, 2.0, 8), PacketRecord(eui, 1, 2.0, 7),
-                         PacketRecord(eui, 5, 5.0, 7), PacketRecord(eui, 0, 0.5, 7)]) == 3
+    assert ingest_records(store, [PacketRecord(eui, 2, 2.0, 8), PacketRecord(eui, 1, 2.0, 7),
+                                  PacketRecord(eui, 5, 5.0, 7), PacketRecord(eui, 0, 0.5, 7)]) == 3
     assert store.query(eui, 2.0, 2.0) == [PacketRecord(eui, 1, 2.0, 7),
                                           PacketRecord(eui, 2, 2.0, 7)]  # first copy kept
     assert [r.fcnt for r in store.query(eui, 0.5, 4.0)] == [0, 1, 2, 4]
@@ -291,9 +292,9 @@ def test_log_line_counter_beyond_int64_is_malformed():
         "int-ts-over-float", "float-fcnt", "str-ts", "no-sf"])
 def test_store_refuses_a_batch_with_a_value_no_column_holds(bad):
     store = PacketStore()
-    store.ingest([PacketRecord(AA, 0, 0.0, 7)])
+    ingest_records(store, [PacketRecord(AA, 0, 0.0, 7)])
     with pytest.raises(ValueError):
-        store.ingest([PacketRecord(AA, 1, 1.0, 7), PacketRecord(BB, 0, 1.0, 7), bad])
+        ingest_records(store, [PacketRecord(AA, 1, 1.0, 7), PacketRecord(BB, 0, 1.0, 7), bad])
     with pytest.raises(ValueError):
         store.ingest_columns([(BB, [1.0], [0], [7]),
                               (bad.dev_eui, [bad.received_ts], [bad.fcnt], [bad.sf])])
@@ -314,7 +315,7 @@ def test_store_holds_the_ends_of_each_column_domain():
     records = [PacketRecord(AA, -(2**63), -1.5e308, 0), PacketRecord(AA, 2**63 - 1, 1.5e308, 255),
                PacketRecord(AA, 0, -0.0, 12), PacketRecord(AA, 1, 5e-324, 7)]
     store = PacketStore()
-    assert store.ingest(records) == 4
+    assert ingest_records(store, records) == 4
     got = store.query(AA, -math.inf, math.inf)
     assert got == sorted(records, key=lambda r: (r.received_ts, r.fcnt))
     assert math.copysign(1.0, got[1].received_ts) == -1.0
@@ -324,12 +325,13 @@ def test_store_holds_the_ends_of_each_column_domain():
 
 def test_store_keeps_int_timestamps_as_floats():
     store = PacketStore()
-    assert store.ingest([PacketRecord(AA, 0, 5, 7), PacketRecord(AA, 1, -(2**53), 7)]) == 2
+    assert ingest_records(store, [PacketRecord(AA, 0, 5, 7),
+                                  PacketRecord(AA, 1, -(2**53), 7)]) == 2
     got = store.query(AA, -math.inf, math.inf)
     assert got == [PacketRecord(AA, 1, -9007199254740992.0, 7), PacketRecord(AA, 0, 5.0, 7)]
     assert [type(r.received_ts) for r in got] == [float, float]
     # a later float copy of an int-stamped packet is its duplicate
-    assert store.ingest([PacketRecord(AA, 0, 5.0, 8)]) == 0
+    assert ingest_records(store, [PacketRecord(AA, 0, 5.0, 8)]) == 0
     msg = {"type": "query", "dev_euis": [AA], "from": 0, "to": 10}
     assert netserver._answer(store, msg) == (
         b'{"type": "packets", "devices": [{"dev_eui": "00000000000000aa", "packets": '
@@ -392,7 +394,7 @@ def test_store_matches_linear_scan_reference(batches, windows):
     store, reference = PacketStore(), ReferenceStore()
     for place, batch in batches:
         batch = placed(place, batch, reference)
-        assert store.ingest(batch) == reference.ingest(batch)
+        assert ingest_records(store, batch) == reference.ingest(batch)
         assert len(store) == len(reference)
     for eui, lo, hi in [*windows, *((eui, -math.inf, math.inf) for eui in STORE_EUIS)]:
         if lo > hi:
@@ -457,10 +459,11 @@ def test_ingest_lines_matches_reference_parser(lines, again):
 
 def test_auth_ok_then_query(server):
     srv, store = server
-    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
     with NetClient(srv.bound_address, TOKEN) as client:
         entries = client.query(["00000000000000aa", "00000000000000bb"], 0.0, 2.0)
-    assert entries == [[PacketRecord("00000000000000aa", 0, 1.0, 7)], []]
+    assert list(map(as_lists, entries)) == [columns([PacketRecord("00000000000000aa", 0, 1.0, 7)]),
+                                            columns([])]
 
 
 def test_bad_token_rejected_and_closed(server):
@@ -520,7 +523,7 @@ AA_ENTRY = {"dev_eui": "00000000000000aa", "packets": [{"fcnt": 0, "ts": 1.0, "s
 
 def test_semantic_errors_keep_connection(server):
     srv, store = server
-    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
     sock, rfile = authed_connection(srv)
     send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": 2, "to": 1})
     assert read_json(rfile)["type"] == "error"
@@ -535,7 +538,7 @@ def test_semantic_errors_keep_connection(server):
 
 def test_server_refuses_request_without_eui_list_and_keeps_connection(server):
     srv, store = server
-    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
     sock, rfile = authed_connection(srv)
     for fields in ({"dev_eui": "00000000000000aa"},  # the single-device form is gone
                    {"dev_euis": "00000000000000aa"},  # not a list
@@ -548,7 +551,7 @@ def test_server_refuses_request_without_eui_list_and_keeps_connection(server):
 
 def test_server_refuses_a_non_string_eui_and_keeps_connection(server):
     srv, store = server
-    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
     sock, rfile = authed_connection(srv)
     # a non-string EUI anywhere in the list refuses the whole request
     for euis in ([170, "00000000000000aa", None],
@@ -571,7 +574,7 @@ def assert_refused_then_usable(sock, rfile, fields):
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf"), 10**400])
 def test_non_finite_window_errors_and_keeps_connection(server, bound):
     srv, store = server
-    store.ingest([PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
     sock, rfile = authed_connection(srv)
     for lo, hi in ((bound, 2.0), (0.0, bound), (bound, bound)):
         send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": lo, "to": hi})
@@ -587,12 +590,13 @@ def assert_refused_then_answered(server, queries):
     raises ``ProtocolError`` with that reason, and the next good query on
     the same client still answers."""
     srv, store = server
-    store.ingest([PacketRecord(AA, 0, 0.5, 7)])
+    ingest_records(store, [PacketRecord(AA, 0, 0.5, 7)])
     with NetClient(srv.bound_address, TOKEN) as client:
         for euis, lo, hi, word in queries:
             with pytest.raises(ProtocolError, match=word):
                 client.query(euis, lo, hi)
-            assert client.query([AA], 0.0, 1.0) == [[PacketRecord(AA, 0, 0.5, 7)]], (euis, lo, hi)
+            assert list(map(as_lists, client.query([AA], 0.0, 1.0))) == [
+                columns([PacketRecord(AA, 0, 0.5, 7)])], (euis, lo, hi)
 
 
 def test_client_raises_protocol_error_on_bad_query(server):
@@ -707,9 +711,10 @@ def collect_a_and_b(reply: bytes):
 def test_client_malformed_reply_flags_only_that_device(entry_a):
     entries, packets, failures = collect_a_and_b(packets_line(devices=[entry_a, GOOD_B]))
     assert isinstance(entries[0], ProtocolError)
-    assert entries[1] == [PacketRecord(EUI_B, 4, 12.0, 7)]
+    assert as_lists(entries[1]) == columns([PacketRecord(EUI_B, 4, 12.0, 7)])
     assert set(failures) == {"a"} and isinstance(failures["a"], str)
-    assert packets == {"a": [], "b": [PacketRecord(EUI_B, 4, 12.0, 7)]}
+    assert {d: as_lists(got) for d, got in packets.items()} == {
+        "a": columns([]), "b": columns([PacketRecord(EUI_B, 4, 12.0, 7)])}
 
 
 @pytest.mark.parametrize("reply", [
@@ -727,7 +732,59 @@ def test_client_unreadable_reply_flags_every_device_of_its_request(reply):
     assert [type(e) for e in entries] == [ProtocolError, ProtocolError]
     assert set(failures) == {"a", "b"}
     assert all(isinstance(f, str) for f in failures.values())
-    assert packets == {"a": [], "b": []}
+    assert {d: as_lists(got) for d, got in packets.items()} == {"a": columns([]), "b": columns([])}
+
+
+# One packet each whose value the store's columns do not hold: JSON's
+# bools, a fractional or quoted or int64-overflowing counter, non-finite
+# or quoted timestamps, SFs beyond a byte.
+OUT_OF_DOMAIN = {
+    "true-fcnt": '{"fcnt": true, "ts": 1.0, "sf": 7}',
+    "fractional-fcnt": '{"fcnt": 2.9, "ts": 1.0, "sf": 7}',
+    "quoted-fcnt": '{"fcnt": "12", "ts": 1.0, "sf": 7}',
+    "fcnt-over-int64": '{"fcnt": 9223372036854775808, "ts": 1.0, "sf": 7}',
+    "nan-ts": '{"fcnt": 1, "ts": NaN, "sf": 7}',
+    "infinite-ts": '{"fcnt": 1, "ts": Infinity, "sf": 7}',
+    "negative-infinite-ts": '{"fcnt": 1, "ts": -Infinity, "sf": 7}',
+    "overflowing-ts": '{"fcnt": 1, "ts": 1e400, "sf": 7}',
+    "quoted-ts": '{"fcnt": 1, "ts": "1e400", "sf": 7}',
+    "true-ts": '{"fcnt": 1, "ts": true, "sf": 7}',
+    "sf-over-byte": '{"fcnt": 1, "ts": 1.0, "sf": 99999}',
+    "negative-sf": '{"fcnt": 1, "ts": 1.0, "sf": -1}',
+    "false-sf": '{"fcnt": 1, "ts": 1.0, "sf": false}',
+}
+
+
+def decoded(entry_a: str) -> list:
+    """The client's entries for a and b from one hand-made reply line, in
+    which b's entry is ``GOOD_B``."""
+    line = (f'{{"type": "packets", "devices": [{entry_a}, {json.dumps(GOOD_B)}]}}\n').encode()
+    msg = netserver._message(line)
+    return list(map(netserver._device_reply, msg["devices"], [EUI_A, EUI_B]))
+
+
+@pytest.mark.parametrize("packet", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN.keys())
+def test_client_refuses_a_packet_value_no_store_column_holds(packet):
+    """A reply packet is decoded through the store's own column conversion:
+    a value outside the store's domain fails its device alone."""
+    a, b = decoded(f'{{"dev_eui": "{EUI_A}", "packets": [{{"fcnt": 0, "ts": 0.5, "sf": 7}}, '
+                   f'{packet}]}}')
+    assert isinstance(a, ProtocolError)
+    assert as_lists(b) == columns([PacketRecord(EUI_B, 4, 12.0, 7)])
+
+
+def test_client_decodes_the_ends_of_each_column_domain():
+    """The extreme values the store holds decode into the store's column
+    types, bit for bit; an int timestamp becomes its float."""
+    packets = [{"fcnt": -(2**63), "ts": -1.5e308, "sf": 0},
+               {"fcnt": 2**63 - 1, "ts": -0.0, "sf": 255},
+               {"fcnt": 0, "ts": 5, "sf": 12}]
+    (ts, fcnt, sf), _ = decoded(json.dumps({"dev_eui": EUI_A, "packets": packets}))
+    assert (type(ts), type(fcnt), type(sf)) == (array, array, bytearray)
+    assert ts.tobytes() == array("d", [-1.5e308, -0.0, 5.0]).tobytes()
+    assert list(fcnt) == [-(2**63), 2**63 - 1, 0] and list(sf) == [0, 255, 12]
+    empty, _ = decoded(json.dumps({"dev_eui": EUI_A, "packets": []}))
+    assert empty == (array("d"), array("q"), bytearray())
 
 
 @pytest.mark.parametrize("auth_reply", [b"not json\n", b"\xc3\x28\n"])
@@ -745,11 +802,11 @@ def test_client_unparseable_auth_reply_is_protocol_error(auth_reply):
 
 def test_concurrent_clients(server):
     srv, store = server
-    store.ingest([PacketRecord("00000000000000aa", i, float(i), 7) for i in range(10)])
+    ingest_records(store, [PacketRecord("00000000000000aa", i, float(i), 7) for i in range(10)])
     clients = [NetClient(srv.bound_address, TOKEN) for _ in range(5)]
     try:
         for i, client in enumerate(clients):
-            got, = client.query(["00000000000000aa"], 0.0, float(i))
+            (got, _, _), = client.query(["00000000000000aa"], 0.0, float(i))
             assert len(got) == i + 1
     finally:
         for client in clients:
@@ -766,7 +823,7 @@ def test_windowing_matches_linear_scan_oracle(server):
         PacketRecord(rnd.choice(euis), rnd.randrange(500), round(rnd.uniform(0, 100), 6), 7)
         for _ in range(1000)
     ]
-    store.ingest(records)
+    ingest_records(store, records)
     stored = []  # replicate dedupe for the oracle
     seen = set()
     for rec in records:
@@ -782,7 +839,7 @@ def test_windowing_matches_linear_scan_oracle(server):
                 (r for r in stored if r.dev_eui == eui and a <= r.received_ts <= b),
                 key=lambda r: (r.received_ts, r.fcnt),
             )
-            assert client.query([eui], a, b) == [expected]
+            assert [records_of(eui, got) for got in client.query([eui], a, b)] == [expected]
 
 
 # --- batches split across requests ----------------------------------------------
@@ -809,8 +866,8 @@ def recorded_requests(monkeypatch):
 
 def split_store():
     store = PacketStore()
-    store.ingest([PacketRecord(f"{k:016x}", f, 10.0 * k + f, 7)
-                  for k in range(0, 8, 2) for f in range(3)])
+    ingest_records(store, [PacketRecord(f"{k:016x}", f, 10.0 * k + f, 7)
+                           for k in range(0, 8, 2) for f in range(3)])
     return store
 
 
@@ -822,11 +879,13 @@ def test_client_splits_a_batch_at_the_line_limit(shared_server, monkeypatch):
     monkeypatch.setattr(netserver, "_EUIS_PER_REQUEST", 3)
     seen = recorded_requests(monkeypatch)
     with NetClient(srv.bound_address, TOKEN) as client:
-        assert client.query(euis, lo, hi) == [store.query(e, lo, hi) for e in euis]
+        assert list(map(as_lists, client.query(euis, lo, hi))) == [
+            as_lists(store.window(e, lo, hi)) for e in euis]
         assert seen == [euis[0:3], euis[3:6], euis[6:]]
         monkeypatch.setattr(netserver, "_EUIS_PER_REQUEST", 2)
         seen.clear()
-        assert client.query(euis, lo, hi) == [store.query(e, lo, hi) for e in euis]
+        assert list(map(as_lists, client.query(euis, lo, hi))) == [
+            as_lists(store.window(e, lo, hi)) for e in euis]
         assert seen == [euis[0:2], euis[2:4], euis[4:6], euis[6:]]
 
 
@@ -841,12 +900,13 @@ def test_client_full_request_with_the_longest_bounds_fits_the_line(shared_server
     srv = shared_server
     srv.store = store = PacketStore()
     euis = [f"{k:016x}" for k in range(netserver._EUIS_PER_REQUEST)]
-    store.ingest([PacketRecord(euis[-1], 0, -1.5e308, 7)])
+    ingest_records(store, [PacketRecord(euis[-1], 0, -1.5e308, 7)])
     seen = recorded_requests(monkeypatch)
     with NetClient(srv.bound_address, TOKEN) as client:
         entries = client.query(euis, lo, hi)
     assert seen == [euis]
-    assert entries == [[]] * (len(euis) - 1) + [[PacketRecord(euis[-1], 0, -1.5e308, 7)]]
+    assert list(map(as_lists, entries)) == [columns([])] * (len(euis) - 1) + [
+        columns([PacketRecord(euis[-1], 0, -1.5e308, 7)])]
 
 
 eui_pool_st = st.lists(st.from_regex(r"[0-9a-f]{16}", fullmatch=True), min_size=1, max_size=6,
@@ -867,7 +927,8 @@ def test_client_batch_agrees_with_store(shared_server, known, stamps, picks, win
     spans several requests, the client gets what the store answers per
     EUI."""
     store = PacketStore()
-    store.ingest([PacketRecord(known[k % len(known)], f, ts, sf) for k, f, ts, sf in stamps])
+    ingest_records(store, [PacketRecord(known[k % len(known)], f, ts, sf)
+                           for k, f, ts, sf in stamps])
     euis = known + [f"{0xffff0000 + k:016x}" for k in range(10 - len(known))]
     batch = [euis[k] for k in picks]
     lo, hi = window
@@ -879,8 +940,36 @@ def test_client_batch_agrees_with_store(shared_server, known, stamps, picks, win
         answer = netserver._answer
         mp.setattr(netserver, "_answer", lambda s, msg: seen.append(msg) or answer(s, msg))
         with NetClient(srv.bound_address, TOKEN) as client:
-            assert client.query(batch, lo, hi) == [store.query(e, lo, hi) for e in batch]
+            assert list(map(as_lists, client.query(batch, lo, hi))) == [
+                as_lists(store.window(e, lo, hi)) for e in batch]
     assert len(seen) >= 3
+
+
+# any finite float, with integral and negative values drawn often
+finite_ts_st = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-10**6, 10**6).map(float))
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from(STORE_EUIS), finite_ts_st,
+                               st.integers(-(2**63), 2**63 - 1), st.integers(7, 12)),
+                     max_size=40),
+       window=st.lists(finite_ts_st, min_size=2, max_size=2).map(sorted))
+@settings(max_examples=100, deadline=None)
+def test_client_columns_equal_the_store_window(shared_server, rows, window):
+    """The columns the client decodes from a reply are the server store's
+    ``window`` slices, value for value and bit for bit, in the store's
+    column types."""
+    store = PacketStore()
+    ingest_records(store, [PacketRecord(eui, f, ts, sf) for eui, ts, f, sf in rows])
+    shared_server.store = store
+    euis = [*STORE_EUIS, "00000000000000ff"]
+    with NetClient(shared_server.bound_address, TOKEN) as client:
+        for lo, hi in (window, (-sys.float_info.max, sys.float_info.max)):
+            for eui, got in zip(euis, client.query(euis, lo, hi), strict=True):
+                ts, fcnt, sf = store.window(eui, lo, hi)
+                assert (type(got[0]), type(got[1]), type(got[2])) == (array, array, bytearray)
+                assert got[0].tobytes() == array("d", ts).tobytes()
+                assert got[1] == array("q", fcnt) and got[2] == bytearray(sf)
 
 
 # --- message round-trips -------------------------------------------------------
@@ -906,14 +995,22 @@ def test_serialize_parse_identity(message):
     assert json.loads(json.dumps(message)) == message
 
 
+def in_store_order(packets):
+    """(fcnt, ts, sf) packets as a store holds them: by time, then counter."""
+    return sorted(packets, key=lambda p: (p[1], p[0]))
+
+
+# one packet per (ts, fcnt) key, as the store keeps them
 packet_tuples_st = st.lists(
-    st.tuples(st.integers(0, 2**32), st.floats(0, 1e9), st.integers(7, 12)), max_size=20)
+    st.tuples(st.integers(0, 2**32), st.floats(0, 1e9), st.integers(7, 12)), max_size=20,
+    unique_by=lambda p: (p[1], p[0])).map(in_store_order)
 
 
-@given(devices=st.lists(st.tuples(eui_st, packet_tuples_st), min_size=1, max_size=4))
+@given(devices=st.lists(st.tuples(eui_st, packet_tuples_st), min_size=1, max_size=4,
+                        unique_by=lambda d: d[0]))
 def test_packets_message_roundtrip(devices):
     got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in packets]) for eui, packets in devices]
-    back = json.loads(encode_packets(got))
+    back = json.loads(served_line(got))
     assert back["type"] == "packets"
     rebuilt = [(e["dev_eui"], [PacketRecord(e["dev_eui"], p["fcnt"], p["ts"], p["sf"])
                                for p in e["packets"]]) for e in back["devices"]]
@@ -929,15 +1026,18 @@ any_eui_st = st.one_of(st.from_regex(r"[0-9a-fA-F]{16}", fullmatch=True), st.tex
     devices=st.lists(
         st.tuples(
             any_eui_st,
-            st.lists(st.tuples(st.integers(0, 2**32), ts_st, st.integers(7, 12)), max_size=20),
+            st.lists(st.tuples(st.integers(0, 2**32), ts_st, st.integers(7, 12)), max_size=20,
+                     unique_by=lambda p: (p[1], p[0])).map(in_store_order),
         ),
-        max_size=5,
+        min_size=1, max_size=5, unique_by=lambda d: d[0],
     ),
 )
 @settings(max_examples=300)
 def test_packets_reply_bytes_match_json_dumps(devices):
+    """The server's reply, formatted from the store's columns, is byte for
+    byte ``json.dumps`` of the records it lists."""
     got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in entry]) for eui, entry in devices]
-    assert encode_packets(got) == reference_packets_line(got)
+    assert served_line(got) == reference_packets_line(got)
 
 
 
@@ -951,7 +1051,7 @@ def test_server_reply_bytes_match_json_dumps_of_the_store_records(records, euis,
     records; its bytes are ``json.dumps`` of the records the store's own
     query returns."""
     store = PacketStore()
-    store.ingest(records)
+    ingest_records(store, records)
     lo, hi = window
     msg = {"type": "query", "dev_euis": euis, "from": lo, "to": hi}
     assert netserver._answer(store, msg) == reference_packets_line(

@@ -10,6 +10,7 @@ from lorascale import kernels, netserver, world as world_module
 from lorascale.netserver import PacketRecord, PacketStore
 from lorascale.simulator import AnyOverlap, DeviceSpec, VulnerabilityWindow, run, write_packet_log
 from lorascale.world import SimWorld
+from record_oracle import as_lists, ingest_records, records_of
 from world_oracle import ReferenceWorld
 
 
@@ -23,7 +24,7 @@ def specs(n, period=5.0, airtime=0.2, **kwargs):
 def delivered(world, devices):
     """Every record the world delivered, in ReferenceWorld.delivered_records order."""
     per_device = world.query([d.dev_eui for d in devices], -math.inf, math.inf)
-    return sorted((r for records in per_device for r in records),
+    return sorted((r for d, got in zip(devices, per_device) for r in records_of(d.dev_eui, got)),
                   key=lambda r: (r.received_ts, r.dev_eui, r.fcnt))
 
 
@@ -115,8 +116,8 @@ def test_query_window_closed_and_sorted():
     world.set_active("d0", True)
     world.advance(100.0)
     eui = "000000000000aa00"
-    records, = world.query([eui], 1.5, 6.5)
-    assert [r.received_ts for r in records] == [1.5, 6.5]
+    (ts, _, _), = world.query([eui], 1.5, 6.5)
+    assert list(ts) == [1.5, 6.5]
     with pytest.raises(ValueError):
         world.query([eui], 5.0, 1.0)
 
@@ -218,7 +219,8 @@ def assert_worlds_agree(world, reference, devices):
                     (stamps[-1], stamps[-1])]
     for lo, hi in windows:
         assert world.ground_truth(lo, hi) == reference.ground_truth(lo, hi)
-        assert world.query([d.dev_eui for d in devices], lo, hi) == [
+        got = world.query([d.dev_eui for d in devices], lo, hi)
+        assert [records_of(d.dev_eui, cols) for d, cols in zip(devices, got)] == [
             reference.query(d.dev_eui, lo, hi) for d in devices]
 
 
@@ -266,11 +268,29 @@ def test_world_batch_query_matches_store(scenario, seed, picks, window):
         else:
             world.advance(step[1])
     store = PacketStore()
-    store.ingest(delivered(world, devices))
+    ingest_records(store, delivered(world, devices))
     euis = [d.dev_eui for d in devices] + ["00000000000000ff", "unknown"]
     batch = [euis[k % len(euis)] for k in picks]
     lo, hi = window
-    assert world.query(batch, lo, hi) == [store.query(eui, lo, hi) for eui in batch]
+    assert list(map(as_lists, world.query(batch, lo, hi))) == [
+        as_lists(store.window(eui, lo, hi)) for eui in batch]
+
+
+def test_world_query_returns_its_store_window():
+    """The world answers a query with its store's ``window`` slices, known,
+    unknown and repeated EUIs alike, typed columns and all."""
+    fleet = specs(4, period=5.0, airtime=0.3)
+    world = SimWorld(fleet, seed=8)
+    for d in fleet:
+        world.set_active(d.device_id, True)
+        world.advance(1.3)
+    world.advance(60.0)
+    batch = [d.dev_eui for d in fleet] + ["00000000000000ff", fleet[1].dev_eui]
+    for lo, hi in [(0.0, world.now), (12.5, 30.0), (40.0, 40.0), (math.nan, 5.0),
+                   (-math.inf, math.inf)]:
+        got = world.query(batch, lo, hi)
+        assert got == [world._store.window(eui, lo, hi) for eui in batch]
+    assert sum(len(ts) for ts, _, _ in world.query(batch, 0.0, world.now)) > 0
 
 
 # --- the batch run, the live world and the server's log agree ---------------
@@ -348,7 +368,8 @@ def test_run_world_and_packet_log_agree(fleet, model, seed, picks, window):
         def inside(records):
             return [r for r in records if lo <= r.received_ts <= hi]
 
-        assert world.query(batch, lo, hi) == [inside(expected.get(eui, [])) for eui in batch]
+        assert [records_of(eui, got) for eui, got in zip(batch, world.query(batch, lo, hi))] == [
+            inside(expected.get(eui, [])) for eui in batch]
         assert [store.query(eui, lo, hi) for eui in batch] == [
             inside(logged.get(eui, [])) for eui in batch]
         tried = np.bincount(result.dev[(result.end >= lo) & (result.end <= hi)],
@@ -402,8 +423,8 @@ def test_advance_resolves_each_event_a_bounded_number_of_times(monkeypatch):
 
 
 def test_ground_truth_builds_no_records(monkeypatch):
-    """Ground truth counts each device's deliveries in the store's columns;
-    only a query builds records, one per packet it returns."""
+    """Ground truth counts each device's deliveries in the store's columns,
+    and a query returns slices of them; neither builds a record."""
     built = []
     record = netserver.PacketRecord
 
@@ -421,8 +442,8 @@ def test_ground_truth_builds_no_records(monkeypatch):
     truth = world.ground_truth(10.0, 150.0)
     assert built == []
     got = world.query([d.dev_eui for d in fleet], 10.0, 150.0)
-    assert [len(records) for records in got] == [truth[d.device_id][0] for d in fleet]
-    assert len(built) == sum(len(records) for records in got) > 0
+    assert [len(ts) for ts, _, _ in got] == [truth[d.device_id][0] for d in fleet]
+    assert built == [] and sum(len(ts) for ts, _, _ in got) > 0
 
 
 def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
@@ -450,7 +471,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
             world.advance(1.0)
         assert calls == []
         eui = fleet[0].dev_eui
-        assert world.query([eui], 0.0, world.now) != [[]]
+        assert len(world.query([eui], 0.0, world.now)[0][0]) > 0
         assert sorted(calls) == sorted(["attempts", kernel, kernel, "ingest_columns"])  # one per SF
         calls.clear()
         world.query([eui], 0.0, world.now)
