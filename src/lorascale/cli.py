@@ -32,18 +32,28 @@ from .controller import (
 )
 
 
+# Every key that ``simulate`` or ``run-experiment`` reads from a config.
+CONFIG_KEYS = frozenset((
+    "devices", "roster", "mapping", "period", "period_spread", "airtime", "sf8_devices",
+    "sf8_airtime", "duration", "seed", "model", "window_factor", "name", "turnon_step",
+    "probe_window", "recheck_window", "server", "token", "auto_operator", "report",
+    "timestamps",
+))
+
+
 def load_config(path) -> dict[str, str]:
-    """Parse a line-oriented ``key = value`` config file."""
+    """Parse a line-oriented ``key = value`` config file, each key one
+    of :data:`CONFIG_KEYS` and given once."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for number, line in controller.numbered_lines(path):
+        key, eq, value = map(str.strip, line.partition("="))
+        if not eq:
+            raise ValueError(f"{path}:{number}: expected 'key = value'")
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}:{number}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{number}: key {key!r} is given twice")
+        values[key] = value
     return values
 
 
@@ -66,6 +76,11 @@ def _required(args, config: dict[str, str], key: str, cast):
     return value
 
 
+# An operator's answers, at the terminal prompt and in a reply script alike.
+ANSWERS = {"y": True, "yes": True, "confirm": True, "n": False, "no": False, "s": False,
+           "skip": False}
+
+
 class InteractiveOperator:
     """Terminal prompt loop; one y/n answer per device toggle."""
 
@@ -76,28 +91,29 @@ class InteractiveOperator:
                 reply = input(f"turn {kind} device {action.device_id}? [y/n] ")
             except EOFError:
                 raise OrchestrationError("operator input ended before all prompts were answered")
-            answer = reply.strip().lower()
-            if answer in ("y", "yes"):
-                return True
-            if answer in ("n", "no", "s", "skip"):
-                return False
+            answer = ANSWERS.get(reply.strip().lower())
+            if answer is not None:
+                return answer
             print("please answer y or n", file=sys.stderr)
 
 
 def load_operator_script(path) -> list[bool]:
+    """One :data:`ANSWERS` reply per data line."""
     replies = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip().lower()
-            if not line or line.startswith("#"):
-                continue
-            if line in ("y", "yes", "confirm"):
-                replies.append(True)
-            elif line in ("n", "no", "skip"):
-                replies.append(False)
-            else:
-                raise ValueError(f"unrecognized operator reply {line!r}")
+    for number, line in controller.numbered_lines(path):
+        reply = ANSWERS.get(line.lower())
+        if reply is None:
+            raise ValueError(f"{path}:{number}: unrecognized operator reply {line!r}")
+        replies.append(reply)
     return replies
+
+
+def address(text: str) -> tuple[str, int]:
+    """A ``HOST:PORT`` socket address; an empty host is 127.0.0.1."""
+    host, colon, port = text.rpartition(":")
+    if not (colon and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"expected HOST:PORT, got {text!r}")
+    return host or "127.0.0.1", int(port)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -157,40 +173,17 @@ def device_period(base: float, index: int, total: int, spread: float) -> float:
     return base * (1.0 + spread * (index / (total - 1) - 0.5))
 
 
-def _fleet(entries, period: float, spread: float, step: float, horizon: float, sf: int,
-           airtime_sf7: float, sf8_count: int, airtime_sf8: float | None):
-    """One device per roster entry, switched on ``step`` seconds apart
-    and off at ``horizon``; the last ``sf8_count`` devices use SF8."""
-    from . import simulator
-
-    n = len(entries)
-    specs = []
-    for k, entry in enumerate(entries):
-        on_sf8 = k >= n - sf8_count
-        specs.append(simulator.DeviceSpec(
-            device_id=entry.device_id,
-            dev_eui=entry.dev_eui,
-            sf=8 if on_sf8 else sf,
-            period=device_period(period, k, n, spread),
-            airtime=airtime_sf8 if on_sf8 else airtime_sf7,
-            active_from=k * step,
-            active_until=horizon,
-        ))
-    return specs
-
-
 def _experiment(args, config: dict[str, str]):
     """Device matrix and settings of the roster experiment that flags and
     config define; ``simulate --out`` and ``run-experiment`` both read
     it here, so the traffic simulated is the traffic orchestrated."""
     matrix = load_roster(_required(args, config, "roster", str),
                          _required(args, config, "mapping", str))
-    duration = _required(args, config, "duration", float)
     period = _setting(args, config, "period", float)
     default_window = 3 * period if period else 0.0
     settings = ExperimentSettings(
         name=_setting(args, config, "name", str, "experiment"),
-        duration=duration,
+        duration=_required(args, config, "duration", float),
         probe_window=_setting(args, config, "probe_window", float, default_window),
         recheck_window=_setting(args, config, "recheck_window", float, default_window),
         turnon_step=_setting(args, config, "turnon_step", float, 0.0),
@@ -198,25 +191,60 @@ def _experiment(args, config: dict[str, str]):
     return matrix, settings
 
 
-def _roster_fleet(args, config: dict[str, str]):
-    """Fleet and horizon of a roster experiment: every device from its
-    turn-on through the probe and experiment windows."""
-    for flag, key in (("devices", "roster"), ("airtime", "airtime_sf7"),
-                      ("sf8_devices", "sf8_count"), ("sf8_airtime", "airtime_sf8")):
-        if getattr(args, flag, None) is not None:
-            raise ValueError(f"--{flag.replace('_', '-')} does not apply to a roster "
-                             f"experiment; set '{key}' in the config")
-    matrix, settings = _experiment(args, config)
-    step = settings.turnon_step
-    horizon = len(matrix) * step + settings.probe_window + settings.duration
-    sf8_count = _setting(args, config, "sf8_count", int, 0)
-    if not 0 <= sf8_count <= len(matrix):
-        raise ValueError(f"sf8_count must lie between 0 and the roster size {len(matrix)}, "
-                         f"got {sf8_count}")
-    airtime_sf8 = _required(args, config, "airtime_sf8", float) if sf8_count else None
-    specs = _fleet(matrix, _required(args, config, "period", float),
-                   _setting(args, config, "period_spread", float, 0.0), step, horizon, args.sf,
-                   _required(args, config, "airtime_sf7", float), sf8_count, airtime_sf8)
+def _traffic(args, config: dict[str, str], devices: int):
+    """The fleet values that flags and config keys share: period,
+    duration, airtime, and the SF8 device count and airtime of a fleet
+    of ``devices``, whose last ``sf8_devices`` use SF8."""
+    period = _required(args, config, "period", float)
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and positive, got {period}")
+    # the default duration, and with it the estimator's round count, follows the period
+    duration = _setting(args, config, "duration", float, 10_000 * period)
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
+    sf8_devices = _setting(args, config, "sf8_devices", int, 0)
+    if not 0 <= sf8_devices <= devices:
+        raise ValueError(f"sf8_devices must lie between 0 and the fleet size {devices}, "
+                         f"got {sf8_devices}")
+    sf8_airtime = _required(args, config, "sf8_airtime", float) if sf8_devices else None
+    return period, duration, _required(args, config, "airtime", float), sf8_devices, sf8_airtime
+
+
+def _fleet(args, config: dict[str, str]):
+    """Devices and horizon of a ``simulate --out`` run.  A roster
+    experiment switches its devices on ``turnon_step`` seconds apart and
+    keeps them on through the probe and experiment windows; without a
+    roster, ``devices`` devices run from 0 to ``duration``."""
+    from . import simulator
+
+    if _setting(args, config, "roster", str):
+        if _setting(args, config, "devices", int) is not None:
+            raise ValueError("--devices or 'devices' does not apply to a roster experiment, "
+                             "whose devices are the 'roster' entries")
+        matrix, settings = _experiment(args, config)
+        entries, step = matrix.entries, settings.turnon_step
+        period, duration, airtime, sf8_devices, sf8_airtime = _traffic(args, config, len(entries))
+        horizon = len(entries) * step + settings.probe_window + duration
+    else:
+        devices = _required(args, config, "devices", int)
+        period, duration, airtime, sf8_devices, sf8_airtime = _traffic(args, config, devices)
+        entries = [controller.RosterEntry(f"dev{i:03d}", f"{i:016x}")
+                   for i in range(1, devices + 1)]
+        step, horizon = 0.0, duration
+    spread = _setting(args, config, "period_spread", float, 0.0)
+    n = len(entries)
+    specs = []
+    for k, entry in enumerate(entries):
+        on_sf8 = k >= n - sf8_devices
+        specs.append(simulator.DeviceSpec(
+            device_id=entry.device_id,
+            dev_eui=entry.dev_eui,
+            sf=8 if on_sf8 else args.sf,
+            period=device_period(period, k, n, spread),
+            airtime=sf8_airtime if on_sf8 else airtime,
+            active_from=k * step,
+            active_until=horizon,
+        ))
     return specs, horizon
 
 
@@ -226,56 +254,34 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config) if args.config else {}
     seed = _setting(args, config, "seed", int, 0)
     model = _model_from(args, config)
+    if args.out:
+        specs, horizon = _fleet(args, config)
+        result = simulator.run(specs, horizon, model=model, seed=seed)
+        n = simulator.write_packet_log(result, args.out)
+        print(f"wrote {n} packet records to {args.out}")
+        if not _setting(args, config, "roster", str):
+            print(f"pdr {result.network_pdr:.6f}")
+        return 0
 
-    roster = args.out and _setting(args, config, "roster", str)
-    if roster:
-        specs, horizon = _roster_fleet(args, config)
-    else:
-        devices = _required(args, config, "devices", int)
-        period = _required(args, config, "period", float)
-        t_sf7 = _required(args, config, "airtime", float)
-        # the default duration and the round count are derived from the period
-        if not (math.isfinite(period) and period > 0):
-            raise ValueError(f"period must be finite and positive, got {period}")
-        duration = _setting(args, config, "duration", float, 10_000 * period)
-        if not (math.isfinite(duration) and duration > 0):
-            raise ValueError(f"duration must be finite and positive, got {duration}")
-        sf8_devices = _setting(args, config, "sf8_devices", int, 0)
-        if not 0 <= sf8_devices <= devices:
-            raise ValueError(f"sf8_devices must lie between 0 and devices ({devices}), "
-                             f"got {sf8_devices}")
-        t_sf8 = _required(args, config, "sf8_airtime", float) if sf8_devices else None
-
-        if not args.out:
-            rounds = max(1, int(duration / period))
-            groups = [simulator.SfGroup(args.sf, devices - sf8_devices, t_sf7)]
-            if sf8_devices:
-                groups.append(simulator.SfGroup(8, sf8_devices, t_sf8))
-            estimate = simulator.estimate_pdr(groups, period, rounds, model=model, seed=seed)
-            print(f"pdr {estimate.pdr:.6f}")
-            print(f"stderr {estimate.stderr:.6f}")
-            print(f"sent {estimate.sent} delivered {estimate.delivered}")
-            return 0
-        entries = [controller.RosterEntry(f"dev{i:03d}", f"{i:016x}")
-                   for i in range(1, devices + 1)]
-        specs, horizon = _fleet(entries, period, 0.0, 0.0, duration, args.sf, t_sf7,
-                                sf8_devices, t_sf8), duration
-
-    result = simulator.run(specs, horizon, model=model, seed=seed)
-    n = simulator.write_packet_log(result, args.out)
-    print(f"wrote {n} packet records to {args.out}")
-    if not roster:
-        print(f"pdr {result.network_pdr:.6f}")
+    devices = _required(args, config, "devices", int)
+    period, duration, airtime, sf8_devices, sf8_airtime = _traffic(args, config, devices)
+    rounds = max(1, int(duration / period))
+    groups = [simulator.SfGroup(args.sf, devices - sf8_devices, airtime)]
+    if sf8_devices:
+        groups.append(simulator.SfGroup(8, sf8_devices, sf8_airtime))
+    estimate = simulator.estimate_pdr(groups, period, rounds, model=model, seed=seed)
+    print(f"pdr {estimate.pdr:.6f}")
+    print(f"stderr {estimate.stderr:.6f}")
+    print(f"sent {estimate.sent} delivered {estimate.delivered}")
     return 0
 
 
 def _cmd_serve(args) -> int:
-    host, _, port = args.bind.rpartition(":")
     store = netserver.PacketStore()
     if args.log:
         ingested, skipped = store.ingest_file(args.log)
         print(f"ingested {ingested} records from {args.log} ({skipped} malformed lines skipped)")
-    server = netserver.PacketServer((host or "127.0.0.1", int(port)), store, args.token)
+    server = netserver.PacketServer(address(args.bind), store, args.token)
     # flushed, so a script that reads the port from a pipe or file sees it
     print(f"serving on {server.bound_address[0]}:{server.bound_address[1]}", flush=True)
     try:
@@ -295,22 +301,19 @@ def _cmd_run_experiment(args) -> int:
     auto = _setting(args, config, "auto_operator", str)
     if auto is None:
         operator = InteractiveOperator()
-        clock = RealClock()
     elif auto == "sim":
         operator = SimulatedOperator()
-        clock = VirtualClock(0.0)
     else:
         operator = ScriptedOperator(load_operator_script(auto))
-        clock = VirtualClock(0.0)
+    clock = RealClock() if auto is None else VirtualClock(0.0)
 
-    server_addr = _required(args, config, "server", str)
+    server = address(_required(args, config, "server", str))
     token = _required(args, config, "token", str)
-    host, _, port = server_addr.rpartition(":")
 
     report_path = _setting(args, config, "report", str, "report.txt")
     ts_path = _setting(args, config, "timestamps", str, "timestamps.txt")
 
-    with netserver.NetClient((host or "127.0.0.1", int(port)), token) as client:
+    with netserver.NetClient(server, token) as client:
         result = run_experiment(matrix, operator, client, clock, settings)
     write_output(result, report_path, ts_path)
     total_sent = sum(r.sent for r in result.reports.values())
@@ -338,15 +341,11 @@ def _cmd_analyze(args) -> int:
 
     empirical: dict[int, float] = {}
     for spec in args.point or []:
-        moved_s, colon, path = spec.partition(":")
-        try:
-            n_moved = int(moved_s)
-        except ValueError:
-            n_moved = None
-        if n_moved is None or not colon or not path:
+        n_moved, colon, path = spec.partition(":")
+        if not (colon and path and n_moved.isdecimal()):
             raise ValueError(f"--point takes N_MOVED:REPORT, got {spec!r}")
         network, _ = analysis.pdr_aggregate(controller.parse_report(path).values())
-        empirical[n_moved] = network
+        empirical[int(n_moved)] = network
 
     for n_moved, lower, upper in curve.points:
         line = f"{n_moved} {lower:.6f} {upper:.6f}"

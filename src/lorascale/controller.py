@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .netserver import EUI_PATTERN, Columns, ProtocolError
 
@@ -125,10 +125,7 @@ class SimulatedOperator:
 
     def prompt(self, action: TurnOn | TurnOff) -> bool:
         if self._world is not None:
-            if isinstance(action, TurnOn):
-                self._world.set_active(action.device_id, True)
-            else:
-                self._world.set_active(action.device_id, False)
+            self._world.set_active(action.device_id, isinstance(action, TurnOn))
         self.transcript.append((action, True))
         return True
 
@@ -178,40 +175,47 @@ class DeviceMatrix:
         return self._eui_by_id[device_id]
 
 
-def _data_lines(path) -> list[list[str]]:
-    rows = []
+def numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """The data lines of a line file, stripped, with their line numbers
+    from 1; blank lines and ``#`` comment lines are skipped.  Rosters,
+    mappings, configs, operator scripts and reports all read this way,
+    and each refusal of a line names it as ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([f.strip() for f in line.split(",")])
-    return rows
+            if line and line[0] != "#":
+                yield number, line
 
 
 def load_roster(experiment_table, mapping_table) -> DeviceMatrix:
     """Build the device matrix from the two roster files.
 
-    The experiment table lists the ids taking part, one per line; the
-    mapping table holds ``id,eui`` lines for the whole fleet.  The
+    The experiment table lists the ids taking part, one per line; an
+    empty field after a comma, as a spreadsheet exports it, is allowed.
+    The mapping table holds ``id,eui`` lines for the whole fleet.  The
     matrix keeps the experiment table's order.
     """
-    wanted = [row[0] for row in _data_lines(experiment_table)]
-    if not wanted:
-        raise OrchestrationError(f"experiment table {experiment_table} lists no devices")
     mapping: dict[str, str] = {}
-    for row in _data_lines(mapping_table):
-        if len(row) != 2:
-            raise OrchestrationError(f"mapping line needs 'id,eui', got {','.join(row)!r}")
-        device_id, eui = row
+    for number, line in numbered_lines(mapping_table):
+        device_id, _, eui = line.partition(",")
+        device_id, eui = device_id.strip(), eui.strip()
+        if not eui or "," in eui:
+            raise OrchestrationError(f"{mapping_table}:{number}: expected 'id,eui', got {line!r}")
         if device_id in mapping:
-            raise OrchestrationError(f"duplicate device id {device_id} in mapping table")
+            raise OrchestrationError(f"{mapping_table}:{number}: duplicate device id {device_id}")
         mapping[device_id] = eui
     entries = []
-    for device_id in wanted:
+    for number, line in numbered_lines(experiment_table):
+        device_id, _, rest = line.partition(",")
+        device_id = device_id.strip()
+        if rest.replace(",", "").strip():
+            raise OrchestrationError(
+                f"{experiment_table}:{number}: expected one device id, got {line!r}")
         if device_id not in mapping:
-            raise OrchestrationError(f"unmapped id {device_id}")
+            raise OrchestrationError(f"{experiment_table}:{number}: unmapped id {device_id}")
         entries.append(RosterEntry(device_id, mapping[device_id]))
+    if not entries:
+        raise OrchestrationError(f"experiment table {experiment_table} lists no devices")
     return DeviceMatrix(entries)
 
 
@@ -520,19 +524,15 @@ def parse_report(path) -> dict[str, DeviceReport]:
     record, or that repeats an earlier line's id, is a ``ValueError``
     that names it as ``path:line``."""
     reports: dict[str, DeviceReport] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                device_id, delivered, sent = line.split()
-                report = DeviceReport(device_id, int(delivered), int(sent))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: not an 'id delivered sent' line: {exc}")
-            if device_id in reports:
-                raise ValueError(f"{path}:{number}: device {device_id} is listed twice")
-            reports[device_id] = report
+    for number, line in numbered_lines(path):
+        try:
+            device_id, delivered, sent = line.split()
+            report = DeviceReport(device_id, int(delivered), int(sent))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: not an 'id delivered sent' line: {exc}")
+        if device_id in reports:
+            raise ValueError(f"{path}:{number}: device {device_id} is listed twice")
+        reports[device_id] = report
     return reports
 
 

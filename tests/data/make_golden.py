@@ -22,7 +22,7 @@ CONFIG = {
     "name": "golden",
     "period": "5",
     "period_spread": "0.06",
-    "airtime_sf7": "0.05",
+    "airtime": "0.05",
     "duration": "200",
     "turnon_step": "1",
     "probe_window": "15",
@@ -45,7 +45,7 @@ def candidate(seed: int):
     config = dict(CONFIG)
     config["roster"] = str(DATA / "roster8.csv")
     config["mapping"] = str(DATA / "mapping8.csv")
-    specs, horizon = cli._roster_fleet(cli.build_parser().parse_args(["simulate"]), config)
+    specs, horizon = cli._fleet(cli.build_parser().parse_args(["simulate"]), config)
     result = simulator.run(specs, horizon, seed=seed)
     n = len(specs)
     w0 = n * 1.0 + 15.0

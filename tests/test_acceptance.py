@@ -104,7 +104,7 @@ def test_c4_end_to_end_pipeline_exactness(tmp_path):
     seed = int(config["seed"])
 
     # simulate and export
-    specs, horizon = cli._roster_fleet(cli.build_parser().parse_args(["simulate"]), config)
+    specs, horizon = cli._fleet(cli.build_parser().parse_args(["simulate"]), config)
     sim = simulator.run(specs, horizon, seed=seed)
     log_path = tmp_path / "pipeline.log"
     simulator.write_packet_log(sim, log_path)

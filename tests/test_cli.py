@@ -1,4 +1,5 @@
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -146,10 +147,11 @@ def test_simulate_rejects_non_positive_duration(tmp_path, capsys, out):
     assert capsys.readouterr().err.startswith("error: duration must be finite and positive")
 
 
-def roster_config(tmp_path, name="experiment.cfg", drop=(), **values):
-    """The golden run definition with absolute roster paths, some keys
-    dropped and some replaced."""
-    config = cli.load_config(DATA / "golden.cfg")
+def roster_config(tmp_path, name="experiment.cfg", drop=(), source=DATA / "golden.cfg",
+                  **values):
+    """The golden run definition, or the one in ``source``, with
+    absolute roster paths, some keys dropped and some replaced."""
+    config = cli.load_config(source)
     config.update(roster=str(DATA / "roster8.csv"), mapping=str(DATA / "mapping8.csv"))
     config.update(values)
     path = tmp_path / name
@@ -185,7 +187,7 @@ def test_roster_turnon_step_defaults_to_zero_in_simulate(tmp_path):
 @pytest.mark.parametrize("key, message, flag", [
     ("duration", "simulate needs --duration", ("--duration", "200")),
     ("period", "simulate needs --period", ("--period", "5")),
-    ("airtime_sf7", "simulate needs 'airtime_sf7' in the config", ()),
+    ("airtime", "simulate needs --airtime", ("--airtime", "0.05")),
 ])
 def test_roster_simulate_missing_setting_is_an_error(tmp_path, capsys, key, message, flag):
     config = roster_config(tmp_path, drop=(key,))
@@ -196,10 +198,8 @@ def test_roster_simulate_missing_setting_is_an_error(tmp_path, capsys, key, mess
         assert simulate_log(tmp_path, config, *flag) == (DATA / "golden.log").read_bytes()
 
 
-@pytest.mark.parametrize("flag, value, key", [
-    ("--devices", "8", "roster"), ("--airtime", "0.05", "airtime_sf7"),
-    ("--sf8-devices", "1", "sf8_count"), ("--sf8-airtime", "0.1", "airtime_sf8"),
-])
+# the roster lists the devices; every other fleet flag applies to a roster too
+@pytest.mark.parametrize("flag, value, key", [("--devices", "8", "roster")])
 def test_roster_simulate_rejects_synthetic_fleet_flags(tmp_path, capsys, flag, value, key):
     rc = cli.main(["simulate", "--config", str(roster_config(tmp_path)),
                    "--out", str(tmp_path / "x.log"), flag, value])
@@ -208,17 +208,74 @@ def test_roster_simulate_rejects_synthetic_fleet_flags(tmp_path, capsys, flag, v
     assert err.startswith("error:") and flag in err and f"'{key}'" in err
 
 
+def test_roster_simulate_rejects_devices_key(tmp_path, capsys):
+    log = tmp_path / "x.log"
+    rc = cli.main(["simulate", "--config", str(roster_config(tmp_path, devices=8)),
+                   "--out", str(log)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'devices'" in err and "'roster'" in err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("flag, value, key, base", [
+    ("--airtime", "0.06", "airtime", {}),
+    ("--sf8-devices", "2", "sf8_devices", {"sf8_airtime": 0.09}),
+    ("--sf8-airtime", "0.1", "sf8_airtime", {"sf8_devices": 2, "sf8_airtime": 0.09}),
+], ids=["airtime", "sf8_devices", "sf8_airtime"])
+def test_roster_simulate_fleet_flags_win_over_config(tmp_path, flag, value, key, base):
+    flagged = simulate_log(tmp_path, roster_config(tmp_path, "base.cfg", **base), flag, value)
+    assert flagged == simulate_log(tmp_path, roster_config(tmp_path, "set.cfg",
+                                                           **{**base, key: value}))
+    assert flagged != simulate_log(tmp_path, roster_config(tmp_path, "base.cfg", **base))
+
+
 @pytest.mark.parametrize("count", ["-1", "9", "20"])
 def test_roster_simulate_rejects_sf8_count_outside_roster(tmp_path, capsys, count):
     log = tmp_path / "x.log"
-    config = roster_config(tmp_path, sf8_count=count, airtime_sf8=0.09)
+    config = roster_config(tmp_path, sf8_devices=count, sf8_airtime=0.09)
     rc = cli.main(["simulate", "--config", str(config), "--out", str(log)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: sf8_count") and count in err
+    assert err.startswith("error: sf8_devices") and count in err
     assert not log.exists()
     # the whole roster of 8 may move to SF8
-    simulate_log(tmp_path, roster_config(tmp_path, "all8.cfg", sf8_count=8, airtime_sf8=0.09))
+    simulate_log(tmp_path, roster_config(tmp_path, "all8.cfg", sf8_devices=8, sf8_airtime=0.09))
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("period_sprad = 0.06", "unknown key 'period_sprad'"),
+    ("airtime_sf7 = 0.05", "unknown key 'airtime_sf7'"),
+    ("sf8_count = 1", "unknown key 'sf8_count'"),
+    ("airtime_sf8 = 0.09", "unknown key 'airtime_sf8'"),
+    ("period = 6", "key 'period' is given twice"),
+])
+def test_config_refuses_unknown_and_repeated_keys(tmp_path, capsys, line, fault):
+    config = roster_config(tmp_path)
+    text = config.read_text() + f"# a comment\n{line}\n"
+    config.write_text(text)
+    log = tmp_path / "x.log"
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(log)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {config}:{text.count(chr(10))}: {fault}\n"
+    assert not log.exists()
+    with pytest.raises(ValueError, match=fault):
+        cli.load_config(config)
+
+
+def test_config_keys_are_the_keys_the_cli_reads():
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    read = set(re.findall(r'_(?:setting|required)\(args, config, "(\w+)"', source))
+    assert read == cli.CONFIG_KEYS
+    assert len(read) == 21
+
+
+def test_readme_experiment_config_reproduces_golden_log(tmp_path):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = tmp_path / "readme.cfg"
+    block.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    config = roster_config(tmp_path, source=block)
+    assert simulate_log(tmp_path, config) == (DATA / "golden.log").read_bytes()
 
 
 @pytest.mark.parametrize("count", ["-1", "4"])
@@ -302,6 +359,53 @@ def test_operator_script_parsing(tmp_path):
     script.write_text("hmm\n")
     with pytest.raises(ValueError):
         cli.load_operator_script(script)
+
+
+OPERATOR_WORDS = ["y", "Yes", "confirm", "n", "NO", "s", "skip"]
+OPERATOR_REPLIES = [True, True, True, False, False, False, False]
+
+
+def test_script_and_prompt_take_the_same_answers(tmp_path, monkeypatch):
+    script = tmp_path / "replies.txt"
+    script.write_text("".join(f"  {word}\n" for word in OPERATOR_WORDS))
+    assert cli.load_operator_script(script) == OPERATOR_REPLIES
+    answers = iter(OPERATOR_WORDS)
+    monkeypatch.setattr("builtins.input", lambda prompt: next(answers))
+    operator = cli.InteractiveOperator()
+    assert [operator.prompt(TurnOn("d1")) for _ in OPERATOR_WORDS] == OPERATOR_REPLIES
+
+
+def test_operator_script_names_a_bad_line(tmp_path):
+    script = tmp_path / "replies.txt"
+    script.write_text("y\n\n# then\nmaybe\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(script))}:4: .*'maybe'"):
+        cli.load_operator_script(script)
+
+
+@pytest.mark.parametrize("text, host, port", [
+    (":8700", "127.0.0.1", 8700), ("127.0.0.1:0", "127.0.0.1", 0),
+    ("example.org:65535", "example.org", 65535),
+])
+def test_address_reads_host_port(text, host, port):
+    assert cli.address(text) == (host, port)
+
+
+@pytest.mark.parametrize("text", ["localhost", "localhost:", "host:port", "host:65536",
+                                  "host:-1", "host: 80", "host:8O", "host:\u00b2"])
+def test_address_refuses_what_is_no_host_port(text):
+    with pytest.raises(ValueError, match="expected HOST:PORT"):
+        cli.address(text)
+
+
+def test_serve_and_run_experiment_name_a_bad_address(tmp_path, capsys):
+    assert cli.main(["serve", "--bind", "localhost", "--token", "t"]) == 1
+    assert capsys.readouterr().err == "error: expected HOST:PORT, got 'localhost'\n"
+    rc = cli.main(["run-experiment", "--config", str(roster_config(tmp_path)),
+                   "--server", "localhost", "--token", "t", "--auto-operator", "sim",
+                   "--report", str(tmp_path / "report.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: expected HOST:PORT, got 'localhost'\n"
+    assert not (tmp_path / "report.txt").exists()
 
 
 def run_golden(report, operator_arg="sim"):

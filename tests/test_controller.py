@@ -117,6 +117,38 @@ def test_load_roster_refuses_an_id_or_eui_the_run_cannot_use(tmp_path, device_id
         load_roster(exp, mapping)
 
 
+@pytest.mark.parametrize("line", ["g01,g02", "g01,,g02", "g01, g02,"])
+def test_load_roster_refuses_a_second_id(tmp_path, line):
+    exp = tmp_path / "exp.csv"
+    mapping = tmp_path / "map.csv"
+    exp.write_text(f"# ids\ng03,\n\n{line}\n")
+    mapping.write_text("".join(f"g0{i},00000000000000a{i}\n" for i in (1, 2, 3)))
+    with pytest.raises(OrchestrationError, match=f"^{re.escape(str(exp))}:4: .*one device id"):
+        load_roster(exp, mapping)
+
+
+@pytest.mark.parametrize("line", ["d9", "d9,", "d9 , ", "d9,00000000000000a9,x"])
+def test_load_roster_refuses_a_mapping_line_without_one_eui(tmp_path, line):
+    exp = tmp_path / "exp.csv"
+    mapping = tmp_path / "map.csv"
+    exp.write_text("d1\n")
+    mapping.write_text(f"# id,eui\nd1,00000000000000a1\n{line}\n")
+    with pytest.raises(OrchestrationError, match=f"^{re.escape(str(mapping))}:3: .*'id,eui'"):
+        load_roster(exp, mapping)
+
+
+def test_load_roster_names_the_line_of_an_unmapped_or_repeated_id(tmp_path):
+    exp = tmp_path / "exp.csv"
+    mapping = tmp_path / "map.csv"
+    exp.write_text("d1\nd9\n")
+    mapping.write_text("d1,00000000000000a1\n")
+    with pytest.raises(OrchestrationError, match=f"^{re.escape(str(exp))}:2: unmapped id d9"):
+        load_roster(exp, mapping)
+    mapping.write_text("d1,00000000000000a1\n\nd1,00000000000000a2\n")
+    with pytest.raises(OrchestrationError, match=f"^{re.escape(str(mapping))}:3: duplicate"):
+        load_roster(exp, mapping)
+
+
 def test_load_roster_41_entry_fixture():
     matrix = load_roster("tests/data/roster41.csv", "tests/data/mapping41.csv")
     assert len(matrix) == 41
