@@ -156,11 +156,16 @@ class DeviceMatrix:
             if not EUI_PATTERN.fullmatch(e.dev_eui):
                 raise OrchestrationError(
                     f"device {e.device_id!r}: EUI {e.dev_eui!r} is not 16 hex digits")
-        self._eui_by_id = {e.device_id: e.dev_eui for e in self.entries}
-        if len(self._eui_by_id) != len(self.entries):
-            raise OrchestrationError("duplicate device id in matrix")
-        if len({e.dev_eui.lower() for e in self.entries}) != len(self.entries):
-            raise OrchestrationError("duplicate device EUI in matrix")
+        self._eui_by_id: dict[str, str] = {}
+        id_by_eui: dict[str, str] = {}
+        for e in self.entries:
+            if e.device_id in self._eui_by_id:
+                raise OrchestrationError(f"duplicate device id {e.device_id} in matrix")
+            other = id_by_eui.setdefault(e.dev_eui.lower(), e.device_id)
+            if other != e.device_id:
+                raise OrchestrationError(f"duplicate device EUI {e.dev_eui} in matrix:"
+                                         f" devices {other} and {e.device_id}")
+            self._eui_by_id[e.device_id] = e.dev_eui
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -179,9 +184,16 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
     """The data lines of a line file, stripped, with their line numbers
     from 1; blank lines and ``#`` comment lines are skipped.  Rosters,
     mappings, configs, operator scripts and reports all read this way,
-    and each refusal of a line names it as ``path:line``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    and each refusal of a line names it as ``path:line``, as is a line
+    that is not UTF-8 text (a ``ValueError``)."""
+    # undecodable bytes become lone surrogates, which only a bad line holds
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, raw in enumerate(fh, 1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{number}: not UTF-8 text") from None
             line = raw.strip()
             if line and line[0] != "#":
                 yield number, line
@@ -205,6 +217,7 @@ def load_roster(experiment_table, mapping_table) -> DeviceMatrix:
             raise OrchestrationError(f"{mapping_table}:{number}: duplicate device id {device_id}")
         mapping[device_id] = eui
     entries = []
+    listed: set[str] = set()
     for number, line in numbered_lines(experiment_table):
         device_id, _, rest = line.partition(",")
         device_id = device_id.strip()
@@ -213,6 +226,10 @@ def load_roster(experiment_table, mapping_table) -> DeviceMatrix:
                 f"{experiment_table}:{number}: expected one device id, got {line!r}")
         if device_id not in mapping:
             raise OrchestrationError(f"{experiment_table}:{number}: unmapped id {device_id}")
+        if device_id in listed:
+            raise OrchestrationError(
+                f"{experiment_table}:{number}: duplicate device id {device_id}")
+        listed.add(device_id)
         entries.append(RosterEntry(device_id, mapping[device_id]))
     if not entries:
         raise OrchestrationError(f"experiment table {experiment_table} lists no devices")

@@ -282,16 +282,20 @@ def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
     the ordinary linear-time kernels can mark.
 
     Each round's phases are sorted on their own and laid out as a row:
-    the real starts, then a ghost of each one period later, so that
-    collisions across the wraparound are seen.  Only ghosts of phases
-    below one airtime are kept.  Under both models two events meet only
-    if their starts lie less than one airtime apart (a window of
-    ``factor <= 2`` airtimes ends one airtime after its packet's start,
-    so it opens at most one airtime before that start), and the
-    ghost of phase ``p`` starts more than ``p`` after every real start
-    of its round; two ghosts repeat what their real events show.  Kept
-    events of a row are in order, so the timeline needs no global sort.
-    A device's packet is lost when its real event or its ghost is.
+    the real starts, then ghosts one period later, so that collisions
+    across the wraparound are seen.  Only ghosts of phases below one
+    airtime are kept.  Under both models two events meet only if their
+    starts lie less than one airtime apart (a window of ``factor <= 2``
+    airtimes ends one airtime after its packet's start, so it opens at
+    most one airtime before that start), and the ghost of phase ``p``
+    starts more than ``p`` after every real start of its round; two
+    ghosts repeat what their real events show.  The kept ghosts of a
+    sorted row are a prefix of it, so a chunk's rows hold ghost columns
+    only as wide as its widest prefix, ``g``; the columns past a row's
+    own prefix are dropped with the other ghosts, and the ghost flags
+    fold onto the first ``g`` devices.  Kept events of a row are in
+    order, so the timeline needs no global sort.  A device's packet is
+    lost when its real event or its ghost is.
 
     Rounds are drawn and marked in chunks of about ``_CHUNK_EVENTS``
     events (at least one round each).  Consecutive draws continue one
@@ -302,13 +306,20 @@ def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
     lost = 0
     for first in range(0, rounds, per_chunk):
         n = min(per_chunk, rounds - first)
-        phases = np.sort(rng.uniform(0.0, period, size=(n, count)), axis=1)
-        real = (stride * np.arange(first, first + n))[:, None] + phases
-        keep = np.hstack((np.ones_like(phases, dtype=bool), phases < airtime))
-        s = np.hstack((real, real + period))[keep]
-        flags = np.zeros(keep.shape, dtype=bool)
+        phases = rng.uniform(0.0, period, size=(n, count))
+        phases.sort(axis=1)
+        ghost = phases < airtime  # a prefix of each sorted row
+        g = int(np.count_nonzero(ghost.any(axis=0)))  # the widest prefix
+        rows = np.empty((n, count + g))
+        np.add((stride * np.arange(first, first + n))[:, None], phases, out=rows[:, :count])
+        np.add(rows[:, :g], period, out=rows[:, count:])
+        keep = np.ones(rows.shape, dtype=bool)
+        keep[:, count:] = ghost[:, :g]
+        s = rows[keep]
+        flags = np.zeros(rows.shape, dtype=bool)
         flags[keep] = model.mark(s, s + airtime)
-        lost += int(np.count_nonzero(flags[:, :count] | flags[:, count:]))
+        flags[:, :g] |= flags[:, count:]
+        lost += int(np.count_nonzero(flags[:, :count]))
     return lost
 
 

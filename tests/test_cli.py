@@ -59,6 +59,19 @@ def test_simulate_estimator_output(capsys):
     assert other != out
 
 
+# the README's paper-experiment line under each collision model
+@pytest.mark.parametrize("model, first_line", [
+    ((), "pdr 0.256188"),
+    (("--model", "window", "--window-factor", "1"), "pdr 0.508722"),
+], ids=["any", "window"])
+def test_simulate_pins_the_paper_estimate(capsys, model, first_line):
+    rc, out = run_cli(capsys, "simulate", "--devices", "41", "--period", "7",
+                      "--airtime", "0.11729", "--sf", "7", "--duration", "70000",
+                      "--seed", "1", *model)
+    assert rc == 0
+    assert out.splitlines()[0] == first_line
+
+
 def test_simulate_log_mode_feeds_server(tmp_path, capsys):
     log = tmp_path / "run.log"
     rc, out = run_cli(capsys, "simulate", "--devices", "3", "--period", "5",
@@ -261,6 +274,43 @@ def test_config_refuses_unknown_and_repeated_keys(tmp_path, capsys, line, fault)
     assert not log.exists()
     with pytest.raises(ValueError, match=fault):
         cli.load_config(config)
+
+
+@pytest.mark.parametrize("where", ["config", "roster", "mapping"])
+def test_simulate_names_the_line_that_is_not_utf8(tmp_path, capsys, where):
+    config = roster_config(tmp_path)
+    bad = {"config": config, "roster": tmp_path / "roster.csv",
+           "mapping": tmp_path / "mapping.csv"}[where]
+    if where != "config":
+        bad.write_bytes((DATA / f"{where}8.csv").read_bytes())
+        config = roster_config(tmp_path, **{where: bad})
+    lines = bad.read_bytes().count(b"\n")
+    with bad.open("ab") as fh:
+        fh.write({"config": b"name = x\xff\n", "roster": b"g09\xff\n",
+                  "mapping": b"g09\xff,00000000feed0009\n"}[where])
+    log = tmp_path / "x.log"
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(log)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}:{lines + 1}: not UTF-8 text\n"
+    assert not log.exists()
+
+
+def test_analyze_names_the_report_line_that_is_not_utf8(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    report.write_bytes(b"# experiment x start 0 end 1 duration 1\nd0 1 2\n# \xc3(\n")
+    rc = cli.main(["analyze", "--total", "10", "--period", "7", "--airtime-sf7", "0.04",
+                   "--point", f"0:{report}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {report}:3: not UTF-8 text\n"
+
+
+def test_simulate_names_a_repeated_roster_id(tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text("# golden run devices\ng01\ng02\ng01\n")
+    config = roster_config(tmp_path, roster=roster)
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.log")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {roster}:4: duplicate device id g01\n"
 
 
 def test_config_keys_are_the_keys_the_cli_reads():

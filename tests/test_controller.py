@@ -100,6 +100,15 @@ def test_load_roster_rejects_duplicates(tmp_path):
         load_roster(exp, mapping)
 
 
+def test_device_matrix_names_a_repeated_id_or_eui():
+    g01, g02 = RosterEntry("g01", "00000000feed0001"), RosterEntry("g02", "00000000feed0002")
+    with pytest.raises(OrchestrationError, match="^duplicate device id g01 in matrix$"):
+        DeviceMatrix([g01, g02, g01])
+    with pytest.raises(OrchestrationError, match="^duplicate device EUI 00000000FEED0001"
+                                                 " in matrix: devices g01 and g03$"):
+        DeviceMatrix([g01, g02, RosterEntry("g03", "00000000FEED0001")])
+
+
 @pytest.mark.parametrize("device_id, eui, fault", [
     ("", "00000000000000a1", "empty"),
     ("d 1", "00000000000000a1", "whitespace"),  # would split the report line
@@ -146,6 +155,11 @@ def test_load_roster_names_the_line_of_an_unmapped_or_repeated_id(tmp_path):
         load_roster(exp, mapping)
     mapping.write_text("d1,00000000000000a1\n\nd1,00000000000000a2\n")
     with pytest.raises(OrchestrationError, match=f"^{re.escape(str(mapping))}:3: duplicate"):
+        load_roster(exp, mapping)
+    exp.write_text("d1\n\nd1,\n")
+    mapping.write_text("d1,00000000000000a1\n")
+    with pytest.raises(OrchestrationError,
+                       match=f"^{re.escape(str(exp))}:3: duplicate device id d1$"):
         load_roster(exp, mapping)
 
 

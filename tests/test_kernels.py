@@ -143,3 +143,46 @@ def test_window_matches_search_oracle(n, grid, slots_per_event, durations, seed,
     assert np.array_equal(kernels.mark_window(starts, ends, factor),
                           reference_window(starts, ends, factor))
 
+
+
+def assert_matches_every_reference(starts, ends, factors=(0.3, 0.5, 1.0, 1.5, 2.0)):
+    starts, ends = np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64)
+    lost = kernels.mark_any_overlap(starts, ends)
+    assert np.array_equal(lost, brute_any_overlap(starts, ends))
+    assert np.array_equal(lost, reference_any_overlap(starts, ends))
+    for factor in factors:
+        lost = kernels.mark_window(starts, ends, factor)
+        assert np.array_equal(lost, brute_window(starts, ends, factor))
+        assert np.array_equal(lost, reference_window(starts, ends, factor))
+
+
+# more than _NEIGHBOURS starts in one window: mark_window's neighbour
+# compares leave these events to its search
+def test_equal_starts_beyond_the_neighbour_compares():
+    assert kernels._NEIGHBOURS < 6
+    starts = np.full(6, 1.0)
+    assert_matches_every_reference(starts, starts + 1.0)
+    # at factor 1 an equal start sits on the window's open floor
+    assert not kernels.mark_window(starts, starts + 1.0, 1.0).any()
+    assert kernels.mark_window(starts, starts + 1.0, 1.5).all()
+
+
+def test_long_event_covering_many_short_ones():
+    shorts = 1.0 + np.arange(kernels._NEIGHBOURS + 6)
+    starts = np.concatenate(([0.0], shorts))
+    ends = np.concatenate(([shorts[-1] + 0.25], shorts + 0.5))
+    assert_matches_every_reference(starts, ends)
+    # the long event's window holds only the last shorts, past every compared neighbour
+    assert kernels.mark_window(starts, ends, 0.3)[0]
+    # the same shape after other events, and a short one that ends the timeline
+    starts = np.concatenate(([-9.0, -8.0], starts, [starts[-1] + 0.1]))
+    ends = np.concatenate(([-8.5, -7.5], ends, [ends[-1] + 0.1]))
+    assert_matches_every_reference(starts, ends)
+
+
+def test_mixed_airtimes_whose_ends_decrease():
+    # event 2 is overlapped by event 0 but not by event 1, which ends first
+    starts = np.array([0.0, 1.0, 3.0, 3.5, 20.0])
+    ends = np.array([10.0, 2.0, 4.0, 3.6, 21.0])
+    assert_matches_every_reference(starts, ends)
+    assert kernels.mark_any_overlap(starts, ends).tolist() == [True, True, True, True, False]

@@ -19,7 +19,7 @@ from lorascale.simulator import (
     run,
     write_packet_log,
 )
-from mc_oracle import reference_estimate_pdr
+from mc_oracle import reference_estimate_pdr, reference_loss_rounds
 from record_oracle import export_packet_log, reference_write_packet_log
 
 
@@ -462,6 +462,22 @@ def test_loss_rounds_ghosts_every_phase_below_one_airtime(model, lost):
     # - phases 3.0 and 3.5 overlap inside the round.
     rounds = [[0.995, 9.999], [9.6, 0.5], [3.0, 3.5]]
     assert simulator._loss_rounds(2, 10.0, 1.0, 3, model, FixedPhases(rounds)) == lost
+
+
+@pytest.mark.parametrize("airtime, rounds", [
+    # no phase below one airtime: the widest ghost prefix is 0
+    (0.5, [[0.5, 4.0, 9.8], [7.0, 7.25, 9.9], [0.75, 2.0, 9.6]]),
+    # every phase below one airtime: the widest prefix is the whole row
+    (3.0, [[0.5, 1.0, 2.9], [2.0, 0.25, 2.99], [0.0, 1.5, 2.5]]),
+    # rows of 0, 1 and 3 ghosts
+    (1.0, [[5.0, 9.5, 2.0], [0.5, 9.9, 4.0], [0.1, 0.2, 0.3]]),
+    # phase 0.5 meets 9.8 only across the wraparound, through the one ghost
+    (1.0, [[0.5, 5.0, 9.8], [2.0, 4.0, 6.0], [9.7, 0.9, 3.0]]),
+], ids=["no-ghost", "all-ghosts", "ragged", "one-ghost"])
+def test_loss_rounds_at_the_extremes_of_the_ghost_prefix(airtime, rounds):
+    for model in MODELS:
+        assert (simulator._loss_rounds(3, 10.0, airtime, 3, model, FixedPhases(rounds))
+                == reference_loss_rounds(3, 10.0, airtime, 3, model, FixedPhases(rounds)))
 
 
 def traced_peak(rounds: int) -> int:
