@@ -4,8 +4,13 @@ the packet server's layers.
 
 Generates event sets at a realistic channel load and times both marking
 kernels (best-of CPU time; 65,536 events is the Monte-Carlo estimator's
-chunk size), plus a full simulator run for context, the paper's 100,000-round Monte-Carlo estimate under both
-collision models (CPU time and tracemalloc peak), and a live SimWorld
+chunk size), each on its fast path and its slow one: ``mark_any_overlap``
+on one airtime and on two mixed airtimes, whose decreasing ends take the
+running maximum, and ``mark_window`` at factor 1.0 and at 0.5, which
+sends some events through the search fallback.  Then a full simulator
+run for context, the paper's 100,000-round Monte-Carlo estimate under
+any-overlap and under vulnerability windows of factor 1.0 and 0.5 (CPU
+time and tracemalloc peak), and a live SimWorld
 series (41 devices, growing numbers of 7 s advances, each series ended
 by one ``attempt_counts`` call, which generates and resolves every
 attempt the advances passed over: the advances themselves only move
@@ -16,8 +21,8 @@ The server rows use the fleet10k log: 10,000 devices, period 600 s with
 a 6% spread, airtime 0.04122 s, switched on 1 s apart, about 144k
 delivered records.  They time ``PacketStore.ingest_file`` of that log,
 give the bytes the loaded store holds per record (tracemalloc), time
-``PacketStore.query`` (records) and ``PacketStore.window`` (column
-slices, as the server's replies use) on the loaded 10k-EUI store, and
+``PacketStore.window`` (the column slices the server's replies are
+formatted from) on the loaded 10k-EUI store, and
 time batch ``NetClient.query`` round trips over local TCP to a server
 thread in the same process (CPU of both ends) in the pipeline's three
 kinds of poll, each as best-of CPU time per round trip and per device,
@@ -43,14 +48,15 @@ from lorascale.simulator import (AnyOverlap, DeviceSpec, SfGroup, VulnerabilityW
 from lorascale.world import SimWorld
 
 
-def make_events(n_events: int, load: float = 0.687, seed: int = 0):
-    """Sorted start/end arrays resembling a busy single-SF channel."""
+def make_events(n_events: int, load: float = 0.687, seed: int = 0,
+                airtimes: tuple[float, ...] = (0.11729,)):
+    """Sorted start/end arrays resembling a busy single-SF channel, each
+    event drawing one of ``airtimes``."""
     rng = np.random.default_rng(seed)
-    airtime = 0.11729
     # event density fixed by the load: n_events over the matching horizon
-    horizon = n_events * airtime / load
+    horizon = n_events * float(np.mean(airtimes)) / load
     starts = np.sort(rng.uniform(0.0, horizon, n_events))
-    return starts, starts + airtime
+    return starts, starts + rng.choice(airtimes, n_events)
 
 
 def best_of(fn, repeats: int = 5, clock=time.perf_counter) -> float:
@@ -136,22 +142,18 @@ def server_rows(repeats: int) -> None:
     rechecks = [(dead, lo, lo + 1_800.0)
                 for lo in (rnd.uniform(0.0, 11_800.0) for _ in range(1_000))]
 
-    # query builds a record per packet; window, which the server's replies
-    # use, returns the column slices
-    for name in ("query", "window"):
-        def queries():
-            ask = getattr(store, name)
-            for batch, lo, hi in (collect, probe):
-                for eui in batch:
-                    ask(eui, lo, hi)
+    def windows():
+        for batch, lo, hi in (collect, probe):
+            for eui in batch:
+                store.window(eui, lo, hi)
 
-        t = best_of(queries, repeats, clock=time.process_time)
-        print(f"PacketStore.{name}: 10k-EUI store, the collect and probe batches' 2,000"
-              f" windows of a known EUI: {t / 2_000 * 1e6:5.2f} us CPU per call")
+    t = best_of(windows, repeats, clock=time.process_time)
+    print(f"PacketStore.window: 10k-EUI store, the collect and probe batches' 2,000"
+          f" windows of a known EUI: {t / 2_000 * 1e6:5.2f} us CPU per call")
 
     server, thread = netserver.start_server(store, "bench")
     try:
-        with netserver.NetClient(server.bound_address, "bench") as client:
+        with netserver.NetClient(server.server_address, "bench") as client:
             for name, polls in (("collect", [collect]), ("probe", [probe]),
                                 ("recheck", rechecks)):
                 def round_trips():
@@ -179,18 +181,21 @@ def main() -> None:
     parser.add_argument("--advances", type=int, nargs="+", default=[100, 200, 400, 800])
     args = parser.parse_args()
 
-    header = f"{'kernel (CPU)':<14}{'events':>10}{'time':>12}"
+    header = f"{'kernel (CPU)':<24}{'events':>10}{'time':>12}"
     print(header)
     print("-" * len(header))
 
     for n in args.sizes:
         starts, ends = make_events(n)
+        mixed = make_events(n, airtimes=(0.04122, 0.11729))
         for name, call in (
             ("any-overlap", lambda: kernels.mark_any_overlap(starts, ends)),
+            ("any-overlap, 2 airtimes", lambda: kernels.mark_any_overlap(*mixed)),
             ("window(1.0)", lambda: kernels.mark_window(starts, ends, 1.0)),
+            ("window(0.5)", lambda: kernels.mark_window(starts, ends, 0.5)),
         ):
             t = best_of(call, args.repeats, clock=time.process_time)
-            print(f"{name:<14}{n:>10}{t * 1e3:>10.2f}ms")
+            print(f"{name:<24}{n:>10}{t * 1e3:>10.2f}ms")
 
     # whole-run context: 41 devices for 10,000 periods
     fleet = [DeviceSpec(f"dev{i:03d}", f"{i + 1:016x}", 7, 7.0, 0.11729)
@@ -202,7 +207,7 @@ def main() -> None:
     # Monte-Carlo estimate: the paper's 41 devices for 100,000 rounds
     print()
     groups = [SfGroup(7, 41, 0.11729)]
-    for model in (AnyOverlap(), VulnerabilityWindow(1.0)):
+    for model in (AnyOverlap(), VulnerabilityWindow(1.0), VulnerabilityWindow(0.5)):
         def estimate():
             estimate_pdr(groups, 7.0, 100_000, model=model, seed=1)
 

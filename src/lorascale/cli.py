@@ -145,6 +145,7 @@ def _cmd_scale(args) -> int:
     print(f"experiment load = {exp_load:.6f}")
     print(f"device ratio = {ratio:.1f} per 1000")
     print(f"success bounds lower = {lower:.6f} upper = {upper:.6f}")
+    print(f"experiment duty cycle = {experiment.airtime / experiment.period:.6f}")
     return 0
 
 
@@ -283,7 +284,7 @@ def _cmd_serve(args) -> int:
         print(f"ingested {ingested} records from {args.log} ({skipped} malformed lines skipped)")
     server = netserver.PacketServer(address(args.bind), store, args.token)
     # flushed, so a script that reads the port from a pipe or file sees it
-    print(f"serving on {server.bound_address[0]}:{server.bound_address[1]}", flush=True)
+    print(f"serving on {server.server_address[0]}:{server.server_address[1]}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

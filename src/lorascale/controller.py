@@ -32,7 +32,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Protocol
 
-from .netserver import EUI_PATTERN, Columns, ProtocolError
+from .netserver import EUI_PATTERN, NO_PACKETS, Columns, ProtocolError
 
 
 class OrchestrationError(Exception):
@@ -259,10 +259,6 @@ class ShutdownRecord:
 
 # --- phases ----------------------------------------------------------------
 
-# The packets of a device whose query failed.
-_NO_PACKETS: Columns = ((), (), ())
-
-
 def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
           ) -> tuple[dict[str, Columns], dict[str, str]]:
     """One batch query for every entry, in order, over one window.
@@ -283,7 +279,7 @@ def _poll(entries: Iterable[RosterEntry], from_ts: float, to_ts: float, client
         answers = [exc] * len(entries)
     for entry, got in zip(entries, answers, strict=True):
         if isinstance(got, Exception):  # the exception that failed this device
-            packets[entry.device_id] = _NO_PACKETS
+            packets[entry.device_id] = NO_PACKETS
             failures[entry.device_id] = str(got)
         else:
             packets[entry.device_id] = got
@@ -527,7 +523,7 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
 
     stamped = []
     for device_id in result.matrix.ids():
-        ts, fcnt, _ = result.packets.get(device_id, _NO_PACKETS)
+        ts, fcnt, _ = result.packets.get(device_id, NO_PACKETS)
         stamped += zip(ts, repeat(result.matrix.eui_for(device_id)), fcnt)
     stamped.sort()
     with open(timestamp_path, "w", encoding="utf-8") as fh:

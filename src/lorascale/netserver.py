@@ -16,14 +16,14 @@ A reply holds one entry per requested EUI, in request order, all over
 the one window.  The client writes each request with ``json.dumps``, a
 fixed number of EUIs at a time, and leaves judging it to the server.
 Any protocol violation is answered with {"type": "error", "reason": ...}:
-a ``dev_euis`` that is not a non-empty list of strings and a bad window
-refuse the whole request.  Violations before authentication, unparseable
-frames and lines longer than ``MAX_LINE_BYTES`` additionally close the
-connection.  Query windows are closed intervals with finite bounds, and
-an unknown EUI yields an empty packet list.  A reply is formatted
-straight from the store's column slices, and the client decodes each
-entry straight into columns of the same types; no record object is built
-on either side.  Persistence is an append-only log file (the simulator's
+a ``dev_euis`` that is not a non-empty list of distinct strings and a
+bad window refuse the whole request.  Violations before authentication,
+unparseable frames and lines longer than ``MAX_LINE_BYTES`` additionally
+close the connection.  Query windows are closed intervals with finite
+bounds, and an unknown EUI yields an empty packet list.  A reply is
+formatted straight from the store's column slices, and the client
+decodes each entry straight into columns of the same types; no record
+object is built on either side.  Persistence is an append-only log file (the simulator's
 export format) replayed at startup, parsed straight into columns.
 """
 
@@ -101,7 +101,8 @@ def _log_fields(line: str) -> tuple[str, float, int, int]:
 # One EUI's packets: receive times, frame counters and SFs, row by row.
 Columns = tuple[Sequence[float], Sequence[int], Sequence[int]]
 
-_NO_ROWS: Columns = ((), (), ())
+# Columns with no packet: an empty window, an unknown EUI, a failed query.
+NO_PACKETS: Columns = ((), (), ())
 
 
 def _typed_columns(eui: str, ts: Iterable[float], fcnt: Iterable[int], sf: Iterable[int]
@@ -119,25 +120,6 @@ def _typed_columns(eui: str, ts: Iterable[float], fcnt: Iterable[int], sf: Itera
     if not all(map(isfinite, typed[0])):
         raise ValueError(f"non-finite timestamp among the packets of {eui!r}")
     return typed
-
-
-def _grouped(rows: Iterable[tuple[str, float, int, int]]
-             ) -> list[tuple[str, array, array, bytearray]]:
-    """``(dev_eui, ts, fcnt, sf)`` rows as per-EUI typed columns, each in
-    the rows' order; a row the columns cannot hold is a ``ValueError``."""
-    by_eui: dict[str, tuple[array, array, bytearray]] = {}
-    for row in rows:
-        eui, ts, fcnt, sf = row
-        columns = by_eui.get(eui)
-        if columns is None:
-            by_eui[eui] = columns = (array("d"), array("q"), bytearray())
-        try:
-            columns[0].append(ts)
-            columns[1].append(fcnt)
-            columns[2].append(sf)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{row!r} does not fit the store's columns: {exc}") from None
-    return [(eui, *columns) for eui, columns in by_eui.items()]
 
 
 class PacketStore:
@@ -202,7 +184,7 @@ class PacketStore:
             return len(ts)
         # sort the batch into the stored rows; stable, so of two duplicates,
         # now neighbours, the stored one (or the earlier in the batch) leads
-        stored = stored or _NO_ROWS
+        stored = stored or NO_PACKETS
         rows = sorted(chain(zip(*stored), zip(ts, fcnt, sf)), key=_KEY)
         rows = [row for prev, row in zip([(None, None), *rows], rows) if _KEY(prev) != _KEY(row)]
         ts, fcnt, sf = zip(*rows)
@@ -214,21 +196,26 @@ class PacketStore:
 
         Blank lines are ignored; every other line that is no
         :data:`LOG_LINE`, or whose timestamp digits overflow to infinity or
-        whose frame counter does not fit an int64, is skipped.
+        whose frame counter does not fit an int64, is skipped.  Each
+        line's fields, which always fit the columns, go onto its EUI's
+        columns, stored through :meth:`ingest_columns`.
         """
+        by_eui: dict[str, tuple[array, array, bytearray]] = {}
         skipped = 0
-
-        def rows():
-            nonlocal skipped
-            for line in lines:
-                try:
-                    yield _log_fields(line)
-                except ValueError:
-                    if line and not line.isspace():
-                        skipped += 1
-
-        batches = _grouped(rows())
-        return self.ingest_columns(batches), skipped
+        for line in lines:
+            try:
+                eui, ts, fcnt, sf = _log_fields(line)
+            except ValueError:
+                if line and not line.isspace():
+                    skipped += 1
+                continue
+            columns = by_eui.get(eui)
+            if columns is None:
+                by_eui[eui] = columns = (array("d"), array("q"), bytearray())
+            columns[0].append(ts)
+            columns[1].append(fcnt)
+            columns[2].append(sf)
+        return self.ingest_columns((eui, *c) for eui, c in by_eui.items()), skipped
 
     def ingest_file(self, path) -> tuple[int, int]:
         # a byte outside ASCII becomes U+FFFD, which no log line holds, so
@@ -243,11 +230,11 @@ class PacketStore:
         if not from_ts <= to_ts:
             if from_ts > to_ts:
                 raise ValueError("query window is empty (from > to)")
-            return _NO_ROWS  # a NaN bound, which no timestamp lies within
+            return NO_PACKETS  # a NaN bound, which no timestamp lies within
         with self._lock:
             stored = self._by_eui.get(dev_eui)
             if stored is None:
-                return _NO_ROWS
+                return NO_PACKETS
             ts, fcnt, sf = stored
             lo, hi = bisect_left(ts, from_ts), bisect_right(ts, to_ts)
             return ts[lo:hi], fcnt[lo:hi], sf[lo:hi]
@@ -301,6 +288,8 @@ def _answer(store: PacketStore, msg: dict) -> bytes:
     euis, lo, hi = msg.get("dev_euis"), msg.get("from"), msg.get("to")
     if type(euis) is not list or not euis or not all(type(e) is str for e in euis):
         return _error("query needs a non-empty dev_euis list of strings")
+    if len(set(euis)) < len(euis):
+        return _error("query needs distinct dev_euis")
     # JSON numbers decode to exact ints and floats; a bool is no number
     if type(lo) is not float or type(hi) is not float:
         if type(lo) not in (int, float) or type(hi) not in (int, float):
@@ -369,10 +358,6 @@ class PacketServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _Handler)
         self.store = store
         self.token = token
-
-    @property
-    def bound_address(self) -> tuple[str, int]:
-        return self.socket.getsockname()[:2]
 
 
 # How often, in seconds, a server thread from ``start_server`` checks for a
@@ -458,8 +443,8 @@ class NetClient:
         without a packets list, or with a packet the store's columns could
         not hold, fails its device; a reply that is no list of
         one entry per EUI fails each EUI of its request.  The server alone
-        judges a request: a bad bound, a non-string EUI or an over-long line
-        gets its ``error`` reply, which raises (the last also closes the
+        judges a request: a bad bound, a non-string or repeated EUI or an
+        over-long line gets its ``error`` reply, which raises (the last also closes the
         connection).  A value JSON cannot write, a closed connection and a
         socket error raise too; each fails the whole call.
         """

@@ -88,7 +88,7 @@ def main() -> None:
     store = netserver.PacketStore()
     store.ingest_file(DATA / "golden.log")
     server, thread = netserver.start_server(store, "golden-token")
-    host, port = server.bound_address
+    host, port = server.server_address
     try:
         rc = cli.main([
             "run-experiment",

@@ -125,7 +125,7 @@ def test_c4_end_to_end_pipeline_exactness(tmp_path):
     ingested, skipped = store.ingest_file(log_path)
     assert skipped == 0 and ingested == int(np.count_nonzero(sim.delivered))
     server, thread = start_server(store, "golden-token")
-    host, port = server.bound_address
+    host, port = server.server_address
     report_path = tmp_path / "report.txt"
     try:
         rc = cli.main([
@@ -289,7 +289,7 @@ def test_c9_protocol_conformance():
     try:
         # auth must precede queries
         import socket
-        sock = socket.create_connection(server.bound_address, timeout=5)
+        sock = socket.create_connection(server.server_address, timeout=5)
         rfile = sock.makefile("rb")
         sock.sendall((json.dumps(
             {"type": "query", "dev_euis": [euis[0]], "from": 0, "to": 1}) + "\n").encode())
@@ -299,7 +299,7 @@ def test_c9_protocol_conformance():
         sock.close()
 
         with pytest.raises(netserver.AuthError):
-            NetClient(server.bound_address, "wrong-token")
+            NetClient(server.server_address, "wrong-token")
 
         # windowing against the linear-scan oracle, one EUI and a whole
         # batch (with an unknown EUI) per window
@@ -308,7 +308,7 @@ def test_c9_protocol_conformance():
                           key=lambda r: (r.received_ts, r.fcnt))
 
         batch = [*euis, "00000000000000ff"]
-        with NetClient(server.bound_address, "acceptance-token") as client:
+        with NetClient(server.server_address, "acceptance-token") as client:
             for _ in range(60):
                 eui = rnd.choice(euis)
                 a, b = sorted((rnd.uniform(0, 100), rnd.uniform(0, 100)))

@@ -41,6 +41,18 @@ def test_scale_subcommand_reports_published_sizing(capsys):
     assert "real load = 0.687000" in out
 
 
+@pytest.mark.parametrize("exp_period, devices, duty", [("7", 41, "0.016756"),
+                                                       ("12", 70, "0.009774")])
+def test_scale_ends_with_the_experiment_duty_cycle(capsys, exp_period, devices, duty):
+    rc, out = run_cli(capsys, "scale", "--real-n", "10000", "--real-period", "600",
+                      "--real-airtime", "0.04122", "--exp-period", exp_period,
+                      "--exp-airtime", "0.11729")
+    assert rc == 0
+    lines = out.splitlines()
+    assert f"experiment devices = {devices}" in lines
+    assert lines[-1] == f"experiment duty cycle = {duty}"
+
+
 def test_simulate_estimator_output(capsys):
     rc, out = run_cli(capsys, "simulate", "--devices", "41", "--period", "7",
                       "--airtime", "0.11729", "--sf", "7", "--duration", "70000",
@@ -462,7 +474,7 @@ def run_golden(report, operator_arg="sim"):
     store = netserver.PacketStore()
     store.ingest_file(DATA / "golden.log")
     server, thread = netserver.start_server(store, "golden-token")
-    host, port = server.bound_address
+    host, port = server.server_address
     try:
         return cli.main([
             "run-experiment",

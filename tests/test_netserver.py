@@ -49,7 +49,7 @@ def server():
 
 
 def raw_connection(srv):
-    sock = socket.create_connection(srv.bound_address, timeout=5)
+    sock = socket.create_connection(srv.server_address, timeout=5)
     return sock, sock.makefile("rb")
 
 
@@ -460,7 +460,7 @@ def test_ingest_lines_matches_reference_parser(lines, again):
 def test_auth_ok_then_query(server):
     srv, store = server
     ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
-    with NetClient(srv.bound_address, TOKEN) as client:
+    with NetClient(srv.server_address, TOKEN) as client:
         entries = client.query(["00000000000000aa", "00000000000000bb"], 0.0, 2.0)
     assert list(map(as_lists, entries)) == [columns([PacketRecord("00000000000000aa", 0, 1.0, 7)]),
                                             columns([])]
@@ -469,7 +469,7 @@ def test_auth_ok_then_query(server):
 def test_bad_token_rejected_and_closed(server):
     srv, _ = server
     with pytest.raises(AuthError):
-        NetClient(srv.bound_address, "wrong")
+        NetClient(srv.server_address, "wrong")
     sock, rfile = raw_connection(srv)
     send_json(sock, {"type": "auth", "token": "wrong"})
     assert read_json(rfile)["type"] == "auth_fail"
@@ -561,6 +561,18 @@ def test_server_refuses_a_non_string_eui_and_keeps_connection(server):
     sock.close()
 
 
+def test_server_refuses_a_repeated_eui_and_keeps_connection(server):
+    srv, store = server
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    sock, rfile = authed_connection(srv)
+    # a reply would format the EUI's window once per mention
+    for euis in (["00000000000000aa"] * 3_000,
+                 ["00000000000000aa", "00000000000000bb", "00000000000000aa"],
+                 ["00000000000000cc", "00000000000000cc"]):
+        assert_refused_then_usable(sock, rfile, {"dev_euis": euis})
+    sock.close()
+
+
 def assert_refused_then_usable(sock, rfile, fields):
     send_json(sock, {"type": "query", **fields, "from": 0, "to": 2})
     reply = read_json(rfile)
@@ -591,7 +603,7 @@ def assert_refused_then_answered(server, queries):
     the same client still answers."""
     srv, store = server
     ingest_records(store, [PacketRecord(AA, 0, 0.5, 7)])
-    with NetClient(srv.bound_address, TOKEN) as client:
+    with NetClient(srv.server_address, TOKEN) as client:
         for euis, lo, hi, word in queries:
             with pytest.raises(ProtocolError, match=word):
                 client.query(euis, lo, hi)
@@ -627,7 +639,7 @@ def test_client_non_string_eui_fails_the_whole_call(server):
 
 def test_client_over_long_request_raises(server):
     srv, _ = server
-    with NetClient(srv.bound_address, TOKEN) as client:
+    with NetClient(srv.server_address, TOKEN) as client:
         with pytest.raises(ProtocolError, match=str(MAX_LINE_BYTES)):
             client.query(["x" * MAX_LINE_BYTES], 0.0, 1.0)
 
@@ -803,7 +815,7 @@ def test_client_unparseable_auth_reply_is_protocol_error(auth_reply):
 def test_concurrent_clients(server):
     srv, store = server
     ingest_records(store, [PacketRecord("00000000000000aa", i, float(i), 7) for i in range(10)])
-    clients = [NetClient(srv.bound_address, TOKEN) for _ in range(5)]
+    clients = [NetClient(srv.server_address, TOKEN) for _ in range(5)]
     try:
         for i, client in enumerate(clients):
             (got, _, _), = client.query(["00000000000000aa"], 0.0, float(i))
@@ -831,7 +843,7 @@ def test_windowing_matches_linear_scan_oracle(server):
         if key not in seen:
             seen.add(key)
             stored.append(rec)
-    with NetClient(srv.bound_address, TOKEN) as client:
+    with NetClient(srv.server_address, TOKEN) as client:
         for _ in range(50):
             eui = rnd.choice(euis)
             a, b = sorted((rnd.uniform(0, 100), rnd.uniform(0, 100)))
@@ -878,7 +890,7 @@ def test_client_splits_a_batch_at_the_line_limit(shared_server, monkeypatch):
     lo, hi = 0.0, 61.0
     monkeypatch.setattr(netserver, "_EUIS_PER_REQUEST", 3)
     seen = recorded_requests(monkeypatch)
-    with NetClient(srv.bound_address, TOKEN) as client:
+    with NetClient(srv.server_address, TOKEN) as client:
         assert list(map(as_lists, client.query(euis, lo, hi))) == [
             as_lists(store.window(e, lo, hi)) for e in euis]
         assert seen == [euis[0:3], euis[3:6], euis[6:]]
@@ -902,7 +914,7 @@ def test_client_full_request_with_the_longest_bounds_fits_the_line(shared_server
     euis = [f"{k:016x}" for k in range(netserver._EUIS_PER_REQUEST)]
     ingest_records(store, [PacketRecord(euis[-1], 0, -1.5e308, 7)])
     seen = recorded_requests(monkeypatch)
-    with NetClient(srv.bound_address, TOKEN) as client:
+    with NetClient(srv.server_address, TOKEN) as client:
         entries = client.query(euis, lo, hi)
     assert seen == [euis]
     assert list(map(as_lists, entries)) == [columns([])] * (len(euis) - 1) + [
@@ -917,7 +929,7 @@ eui_pool_st = st.lists(st.from_regex(r"[0-9a-f]{16}", fullmatch=True), min_size=
     known=eui_pool_st,
     stamps=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 50), st.floats(-1e3, 1e3),
                               st.integers(7, 12)), max_size=60),
-    picks=st.lists(st.integers(0, 9), min_size=6, max_size=20),
+    picks=st.lists(st.integers(0, 9), min_size=6, max_size=10, unique=True),
     window=st.lists(st.floats(-2e3, 2e3) | st.floats(allow_nan=False, allow_infinity=False),
                     min_size=2, max_size=2).map(sorted),
 )
@@ -939,7 +951,7 @@ def test_client_batch_agrees_with_store(shared_server, known, stamps, picks, win
         seen = []
         answer = netserver._answer
         mp.setattr(netserver, "_answer", lambda s, msg: seen.append(msg) or answer(s, msg))
-        with NetClient(srv.bound_address, TOKEN) as client:
+        with NetClient(srv.server_address, TOKEN) as client:
             assert list(map(as_lists, client.query(batch, lo, hi))) == [
                 as_lists(store.window(e, lo, hi)) for e in batch]
     assert len(seen) >= 3
@@ -963,7 +975,7 @@ def test_client_columns_equal_the_store_window(shared_server, rows, window):
     ingest_records(store, [PacketRecord(eui, f, ts, sf) for eui, ts, f, sf in rows])
     shared_server.store = store
     euis = [*STORE_EUIS, "00000000000000ff"]
-    with NetClient(shared_server.bound_address, TOKEN) as client:
+    with NetClient(shared_server.server_address, TOKEN) as client:
         for lo, hi in (window, (-sys.float_info.max, sys.float_info.max)):
             for eui, got in zip(euis, client.query(euis, lo, hi), strict=True):
                 ts, fcnt, sf = store.window(eui, lo, hi)
@@ -1042,7 +1054,8 @@ def test_packets_reply_bytes_match_json_dumps(devices):
 
 
 @given(records=st.lists(record_st, max_size=30),
-       euis=st.lists(st.one_of(store_eui_st, any_eui_st), min_size=1, max_size=5),
+       euis=st.lists(st.one_of(store_eui_st, any_eui_st), min_size=1, max_size=5,
+                     unique=True),
        window=st.lists(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 2.0, 7.0, 9.0]) | ts_st,
                        min_size=2, max_size=2).map(sorted))
 @settings(max_examples=200)
