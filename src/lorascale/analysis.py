@@ -1,79 +1,57 @@
 """Spreading-factor mix analysis and PDR aggregation.
 
-For a fleet split between SF7 and SF8 the per-SF channels carry
+A mix is the list of :class:`~lorascale.scaling.SfGroup` that the
+Monte-Carlo estimator takes too.  Each SF is its own channel with
 independent load, so the network-wide delivery bounds are the
 device-count-weighted average of the per-SF analytic bounds.  Sweeping
-the split produces the capacity curve used to pick how many devices to
-move to SF8; experiment-scale and real-scale mixes map onto each other
-through a device-count ratio that preserves per-SF load.
+how many of a fleet's devices move from SF7 to SF8 produces the
+capacity curve used to pick that number; experiment-scale and
+real-scale mixes map onto each other through a device-count ratio that
+preserves per-SF load.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .airtime import RadioConfig, time_on_air
 from .controller import DeviceReport
-from .scaling import success_bounds
+from .scaling import SfGroup, sf_channels, success_bounds
 
 
-@dataclass(frozen=True)
-class SfMixConfig:
-    """A two-SF fleet: device counts, shared period, per-SF airtimes."""
+def network_bounds(groups: Iterable[SfGroup], period: float) -> tuple[float, float]:
+    """(lower, upper) network delivery bounds for an SF mix whose devices
+    all send once per ``period`` seconds.
 
-    n_sf7: int
-    n_sf8: int
-    period: float
-    airtime_sf7: float
-    airtime_sf8: float
-
-    def __post_init__(self) -> None:
-        if self.n_sf7 < 0 or self.n_sf8 < 0:
-            raise ValueError("device counts cannot be negative")
-        if self.n_sf7 + self.n_sf8 < 1:
-            raise ValueError("mix needs at least one device")
-        for name in ("period", "airtime_sf7", "airtime_sf8"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.airtime_sf8 <= self.airtime_sf7:
-            raise ValueError("SF8 airtime must exceed SF7 airtime")
-
-
-@dataclass(frozen=True)
-class BoundsCurve:
-    """Lower/upper delivery-probability bounds vs devices moved to SF8."""
-
-    points: list[tuple[int, float, float]]
-
-    def __post_init__(self) -> None:
-        for n_moved, lower, upper in self.points:
-            if lower > upper:
-                raise ValueError(f"crossed bounds at n_moved={n_moved}")
-
-
-def network_bounds(mix: SfMixConfig) -> tuple[float, float]:
-    """(lower, upper) network delivery bounds for a two-SF mix.
-
-    Each SF is a separate channel with load n * t / T; a device's
-    bounds depend only on its own channel, so the network value is the
-    device-weighted mean of the per-SF bounds.
+    Each SF is a separate channel with load count * airtime / period; a
+    device's bounds depend only on its own channel, so the network value
+    is the device-weighted mean of the per-SF bounds.
     """
-    total = mix.n_sf7 + mix.n_sf8
-    load7 = mix.n_sf7 * mix.airtime_sf7 / mix.period
-    load8 = mix.n_sf8 * mix.airtime_sf8 / mix.period
-    lo7, up7 = success_bounds(load7)
-    lo8, up8 = success_bounds(load8)
-    lower = (mix.n_sf7 * lo7 + mix.n_sf8 * lo8) / total
-    upper = (mix.n_sf7 * up7 + mix.n_sf8 * up8) / total
-    return lower, upper
+    groups = sf_channels(groups)
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and positive, got {period}")
+    lower = upper = 0.0
+    for g in groups:
+        lo, up = success_bounds(g.count * g.airtime / period)
+        lower += g.count * lo
+        upper += g.count * up
+    total = sum(g.count for g in groups)
+    return lower / total, upper / total
+
+
+def sf8_mix(total: int, moved: int, airtime_sf7: float, airtime_sf8: float) -> list[SfGroup]:
+    """A fleet of ``total`` devices with ``moved`` of them on SF8."""
+    groups = [SfGroup(7, total - moved, airtime_sf7), SfGroup(8, moved, airtime_sf8)]
+    if airtime_sf8 <= airtime_sf7:
+        raise ValueError("SF8 airtime must exceed SF7 airtime")
+    return groups
 
 
 def bounds_curve(total_devices: int, period: float, airtime_sf7: float,
-                 airtime_sf8: float, step: int = 1) -> BoundsCurve:
-    """Sweep the number of devices moved to SF8 from 0 to all of them."""
+                 airtime_sf8: float, step: int = 1) -> list[tuple[int, float, float]]:
+    """``(moved, lower, upper)`` network bounds as the number of devices
+    moved to SF8 goes from 0 to all of them."""
     if total_devices < 1:
         raise ValueError("need at least one device")
     if step < 1:
@@ -81,12 +59,8 @@ def bounds_curve(total_devices: int, period: float, airtime_sf7: float,
     moved = list(range(0, total_devices + 1, step))
     if moved[-1] != total_devices:
         moved.append(total_devices)
-    points = []
-    for m in moved:
-        mix = SfMixConfig(total_devices - m, m, period, airtime_sf7, airtime_sf8)
-        lower, upper = network_bounds(mix)
-        points.append((m, lower, upper))
-    return BoundsCurve(points)
+    return [(m, *network_bounds(sf8_mix(total_devices, m, airtime_sf7, airtime_sf8), period))
+            for m in moved]
 
 
 def scale_mix(n_sf7: int, n_sf8: int, ratio: float) -> tuple[int, int]:

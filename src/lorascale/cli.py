@@ -340,22 +340,28 @@ def _cmd_analyze(args) -> int:
         t_sf8 = analysis.sf8_airtime_for(t_sf7)
     curve = analysis.bounds_curve(args.total, args.period, t_sf7, t_sf8, args.step)
 
-    empirical: dict[int, float] = {}
+    reports: dict[int, str] = {}
     for spec in args.point or []:
         n_moved, colon, path = spec.partition(":")
         if not (colon and path and n_moved.isdecimal()):
             raise ValueError(f"--point takes N_MOVED:REPORT, got {spec!r}")
-        network, _ = analysis.pdr_aggregate(controller.parse_report(path).values())
-        empirical[int(n_moved)] = network
+        n_moved = int(n_moved)
+        if n_moved > args.total:
+            raise ValueError(f"--point {spec!r} moves more than --total {args.total} devices")
+        if n_moved in reports:
+            raise ValueError(f"--point gives N_MOVED {n_moved} twice: {reports[n_moved]} and {path}")
+        reports[n_moved] = path
+    empirical = {n_moved: analysis.pdr_aggregate(controller.parse_report(path).values())[0]
+                 for n_moved, path in reports.items()}
 
-    for n_moved, lower, upper in curve.points:
+    for n_moved, lower, upper in curve:
         line = f"{n_moved} {lower:.6f} {upper:.6f}"
         if n_moved in empirical:
             line += f" {empirical.pop(n_moved):.6f}"
         print(line)
     for n_moved, value in sorted(empirical.items()):
-        mix = analysis.SfMixConfig(args.total - n_moved, n_moved, args.period, t_sf7, t_sf8)
-        lower, upper = analysis.network_bounds(mix)
+        mix = analysis.sf8_mix(args.total, n_moved, t_sf7, t_sf8)
+        lower, upper = analysis.network_bounds(mix, args.period)
         print(f"{n_moved} {lower:.6f} {upper:.6f} {value:.6f}")
     return 0
 

@@ -13,8 +13,8 @@ querying:
     entry  =  {"dev_eui": "...", "packets": [...]}
 
 A reply holds one entry per requested EUI, in request order, all over
-the one window.  The client writes each request with ``json.dumps``, a
-fixed number of EUIs at a time, and leaves judging it to the server.
+the one window.  The client refuses a repeated EUI, then writes each request
+with ``json.dumps``, a fixed number of EUIs at a time, for the server to judge.
 Any protocol violation is answered with {"type": "error", "reason": ...}:
 a ``dev_euis`` that is not a non-empty list of distinct strings and a
 bad window refuse the whole request.  Violations before authentication,
@@ -442,12 +442,16 @@ class NetClient:
         the server's line limit when every EUI is 16 hex digits.  An entry
         without a packets list, or with a packet the store's columns could
         not hold, fails its device; a reply that is no list of
-        one entry per EUI fails each EUI of its request.  The server alone
-        judges a request: a bad bound, a non-string or repeated EUI or an
-        over-long line gets its ``error`` reply, which raises (the last also closes the
-        connection).  A value JSON cannot write, a closed connection and a
-        socket error raise too; each fails the whole call.
+        one entry per EUI fails each EUI of its request.  An EUI given twice
+        raises before anything is sent.  The server judges the rest: a bad
+        bound, a non-string EUI or an over-long line gets its ``error`` reply,
+        which raises (the last also closes the connection).  A value JSON
+        cannot write, a closed connection and a socket error raise too; each
+        fails the whole call.
         """
+        strings = [e for e in dev_euis if isinstance(e, str)]
+        if len(set(strings)) < len(strings):
+            raise ProtocolError("query needs distinct dev_euis")
         entries: list[Columns | ProtocolError] = []
         for start in range(0, len(dev_euis), _EUIS_PER_REQUEST):
             entries += self._request(dev_euis[start:start + _EUIS_PER_REQUEST], from_ts, to_ts)

@@ -3,7 +3,10 @@
 A population of periodic transmitters is summarized by a
 :class:`TrafficProfile`; the dimensionless channel load ``N * t / T``
 is the quantity preserved when a large deployment is replaced by a
-small experiment with longer packets and a shorter period.  The module
+small experiment with longer packets and a shorter period.  A fleet
+spread over spreading factors is a list of :class:`SfGroup`, one
+channel each; the Monte-Carlo estimator and the analytic SF-mix bounds
+both take that list and check it with :func:`sf_channels`.  The module
 also provides the analytic delivery-probability bounds for a load and
 the exact no-collision law for random-phase periodic transmitters,
 which serves as the simulator's oracle.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,36 @@ class TrafficProfile:
             raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
         if self.airtime >= self.period:
             raise ValueError("airtime must be shorter than the period")
+
+
+@dataclass(frozen=True)
+class SfGroup:
+    """``count`` devices on spreading factor ``sf``, each sending packets
+    of ``airtime`` seconds: one channel of an SF mix."""
+
+    sf: int
+    count: int
+    airtime: float
+
+    def __post_init__(self) -> None:
+        if not 7 <= self.sf <= 12:
+            raise ValueError(f"spreading factor must be 7..12, got {self.sf}")
+        if self.count < 0:
+            raise ValueError("group device count cannot be negative")
+        if not (math.isfinite(self.airtime) and self.airtime > 0):
+            raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
+
+
+def sf_channels(groups: Iterable[SfGroup]) -> list[SfGroup]:
+    """The non-empty groups of a mix, refused if there are none or two
+    share a spreading factor: the estimate and the bounds treat each
+    group as its own channel, which two groups on one SF are not."""
+    groups = [g for g in groups if g.count > 0]
+    if not groups:
+        raise ValueError("need at least one non-empty device group")
+    if len({g.sf for g in groups}) != len(groups):
+        raise ValueError("one group per spreading factor")
+    return groups
 
 
 def channel_load(profile: TrafficProfile) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernels
 from .netserver import EUI_PATTERN
+from .scaling import SfGroup, sf_channels
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -230,23 +231,6 @@ def run(devices: Iterable[DeviceSpec], duration: float,
 
 
 @dataclass(frozen=True)
-class SfGroup:
-    """A same-configuration device group for Monte-Carlo estimation."""
-
-    sf: int
-    count: int
-    airtime: float
-
-    def __post_init__(self) -> None:
-        if not 7 <= self.sf <= 12:
-            raise ValueError(f"spreading factor must be 7..12, got {self.sf}")
-        if self.count < 0:
-            raise ValueError("group device count cannot be negative")
-        if not (math.isfinite(self.airtime) and self.airtime > 0):
-            raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
-
-
-@dataclass(frozen=True)
 class PdrEstimate:
     """Monte-Carlo delivery estimate with its binomial standard error."""
 
@@ -333,13 +317,9 @@ def estimate_pdr(groups: Iterable[SfGroup], period: float, rounds: int,
     honest uncertainty.  Groups on different spreading factors never
     interact and are simulated separately.
     """
-    groups = [g for g in groups if g.count > 0]
-    if not groups:
-        raise ValueError("need at least one non-empty device group")
+    groups = sf_channels(groups)
     if rounds < 1:
         raise ValueError("need at least one round")
-    if len({g.sf for g in groups}) != len(groups):
-        raise ValueError("one group per spreading factor")
     if not math.isfinite(period):
         raise ValueError(f"period must be finite, got {period}")
     for g in groups:

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from lorascale import cli, netserver, simulator
 from lorascale.analysis import (
-    SfMixConfig,
     bounds_curve,
     network_bounds,
     scale_mix,
@@ -228,7 +227,7 @@ def test_c7_sf_mix_qualitative_reproduction():
     t7_real = 0.04122
     t8_real = sf8_airtime_for(t7_real)
     curve = bounds_curve(8835, 600.0, t7_real, t8_real, step=5)
-    lowers = [lower for _, lower, _ in curve.points]
+    lowers = [lower for _, lower, _ in curve]
     best = max(range(len(lowers)), key=lowers.__getitem__)
     assert 0 < best < len(lowers) - 1
     assert lowers[best] > lowers[0]  # moving devices to SF8 helps
@@ -248,12 +247,12 @@ def test_c7_sf_mix_qualitative_reproduction():
     for k, ((e7, e8), (r7, r8)) in enumerate(pairs):
         groups = [g for g in (SfGroup(7, e7, t7_exp), SfGroup(8, e8, t8_exp)) if g.count]
         est = estimate_pdr(groups, 7.0, rounds=3000, seed=7000 + k)
-        lower, upper = network_bounds(SfMixConfig(r7, r8, 600.0, t7_real, t8_real))
+        lower, upper = network_bounds([SfGroup(7, r7, t7_real), SfGroup(8, r8, t8_real)], 600.0)
         assert lower - 3 * est.stderr <= est.pdr <= upper + 3 * est.stderr, (
             f"mix {e7}/{e8}: pdr={est.pdr:.4f} outside [{lower:.4f}, {upper:.4f}]"
         )
     ok("7 sf-mix-reproduction",
-       f"interior optimum at {curve.points[best][0]} moved devices; 5/5 mixes in band")
+       f"interior optimum at {curve[best][0]} moved devices; 5/5 mixes in band")
 
 
 def test_c8_table_consistency():

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import re
 import subprocess
@@ -389,6 +390,53 @@ def test_analyze_names_a_malformed_report_line(tmp_path, capsys, line):
                    "--point", f"0:{report}"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {report}:3: ")
+
+
+README_ANALYZE = "analyze --total 8835 --period 600 --airtime-sf7 0.04122 --step 250"
+
+
+def test_readme_analyze_example_output_is_pinned(capsys):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"lorascale {README_ANALYZE}\n" in readme
+    rc, out = run_cli(capsys, *README_ANALYZE.split())
+    assert rc == 0
+    assert out.splitlines()[12] == "3000 0.445139 0.667177"  # interior maximum of the lower bound
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "d1844fff33f4e1d256d67fc54472438092d748f2a6f17941b7963c775854af3d")
+
+
+ANALYZE_8 = ["analyze", "--total", "8", "--period", "5", "--airtime-sf7", "0.05",
+             "--airtime-sf8", "0.1", "--step", "4"]
+
+
+def test_analyze_prints_off_grid_points_after_the_grid(tmp_path, capsys):
+    other = tmp_path / "other.txt"
+    other.write_text("# experiment x start 0 end 1 duration 1\nd0 1 4\n")
+    rc, out = run_cli(capsys, *ANALYZE_8, "--point", f"3:{DATA / 'golden_report.txt'}",
+                      "--point", f"1:{other}", "--point", f"4:{other}")
+    assert rc == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert [r[0] for r in rows] == ["0", "4", "8", "1", "3"]
+    assert [len(r) for r in rows] == [3, 4, 3, 4, 4]
+    assert rows[3][3] == "0.250000" and rows[4][3] == f"{279 / 320:.6f}"
+
+
+def test_analyze_refuses_a_repeated_point(tmp_path, capsys):
+    golden, other = DATA / "golden_report.txt", tmp_path / "other.txt"
+    other.write_text("# experiment x start 0 end 1 duration 1\nd0 1 4\n")
+    rc = cli.main([*ANALYZE_8, "--point", f"0:{golden}", "--point", f"0:{other}"])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: --point gives N_MOVED 0 twice: {golden} and {other}\n")
+
+
+@pytest.mark.parametrize("moved", ["9", "100"])
+def test_analyze_refuses_a_point_beyond_the_fleet_before_printing(capsys, moved):
+    spec = f"{moved}:{DATA / 'golden_report.txt'}"
+    rc = cli.main([*ANALYZE_8, "--point", spec])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: --point {spec!r} moves more than --total 8 devices\n")
 
 
 def test_analyze_default_sf8_airtime(capsys):

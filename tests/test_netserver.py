@@ -901,6 +901,27 @@ def test_client_splits_a_batch_at_the_line_limit(shared_server, monkeypatch):
         assert seen == [euis[0:2], euis[2:4], euis[4:6], euis[6:]]
 
 
+def test_client_refuses_a_repeated_eui_across_requests(shared_server, monkeypatch):
+    """A repeated EUI fails the call before anything is sent, even when its
+    copies would go in two requests; a non-string EUI is still the server's
+    to refuse, as a ProtocolError, and the connection stays usable."""
+    srv = shared_server
+    srv.store = store = split_store()
+    monkeypatch.setattr(netserver, "_EUIS_PER_REQUEST", 1)
+    seen = recorded_requests(monkeypatch)
+    eui = f"{2:016x}"
+    with NetClient(srv.server_address, TOKEN) as client:
+        for euis in ([eui, eui], [eui, f"{0:016x}", eui]):
+            with pytest.raises(ProtocolError, match="query needs distinct dev_euis"):
+                client.query(euis, 0.0, 61.0)
+        assert seen == []
+        with pytest.raises(ProtocolError, match="dev_euis list of strings"):
+            client.query([["x"]], 0.0, 61.0)
+        assert list(map(as_lists, client.query([eui], 0.0, 61.0))) == [
+            as_lists(store.window(eui, 0.0, 61.0))]
+    assert seen == [[["x"]], [eui]]
+
+
 @pytest.mark.parametrize("lo, hi", [(-1.7976931348623157e308, -(10**308)),
                                     (-(2**1024 - 2**970 - 1), -(10**308))],
                          ids=["float-int", "int-int"])

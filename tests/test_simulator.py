@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lorascale import kernels, simulator
+from lorascale import kernels, scaling, simulator
 from lorascale.scaling import TrafficProfile, success_exact_periodic
 from lorascale.simulator import (
     AnyOverlap,
@@ -273,6 +273,17 @@ def test_estimator_validation():
         estimate_pdr([SfGroup(7, 2, 0.1), SfGroup(7, 3, 0.2)], 5.0, 100)
     with pytest.raises(ValueError):
         estimate_pdr([SfGroup(7, 2, 6.0)], 5.0, 100)
+
+
+def test_estimator_and_bounds_share_one_group_type_and_rule():
+    """``simulator.SfGroup`` is the scaling type the analytic bounds take,
+    and the estimator refuses a mix through the same rule."""
+    assert SfGroup is scaling.SfGroup
+    for groups in ([SfGroup(7, 0, 0.1)], [SfGroup(7, 2, 0.1), SfGroup(7, 3, 0.2)]):
+        with pytest.raises(ValueError) as bounds_error:
+            scaling.sf_channels(groups)
+        with pytest.raises(ValueError, match=f"^{bounds_error.value}$"):
+            estimate_pdr(groups, 5.0, 100)
 
 
 # --- vectorized timeline build against a per-device reference -------------------
