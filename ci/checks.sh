@@ -1,0 +1,98 @@
+#!/usr/bin/env bash
+# Every CI check, one step per name; the workflow runs one step at a time.
+#
+#     ci/checks.sh [STEP...]
+#
+# With no STEP every step runs, in order, and the first failure stops the
+# run.  Steps: console, golden-run, golden-sync, tier1, socket-dev,
+# perfbench-selftest, bench-smoke.
+#
+# LORASCALE_CLI is the command the CLI steps run, by default the installed
+# `lorascale` console script.  To check a checkout that is not installed:
+#
+#     LORASCALE_CLI="python -m lorascale.cli" ci/checks.sh
+set -eo pipefail
+
+cd "$(dirname "$0")/.."
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+read -r -a cli <<< "${LORASCALE_CLI:-lorascale}"
+
+lorascale() { command "${cli[@]}" "$@"; }
+
+step_console() {
+  test "$(lorascale airtime --sf 7 --bw 125000 --payload 51 --cr 5)" = "0.102656"
+  lorascale scale --real-n 10000 --real-period 600 --real-airtime 0.04122 \
+      --exp-period 7 --exp-airtime 0.11729 | grep -qx "experiment devices = 41"
+  test "$(lorascale simulate --devices 41 --period 7 --airtime 0.11729 --sf 7 \
+      --duration 70000 --seed 1 | head -n 1)" = "pdr 0.256188"
+  test "$(lorascale simulate --devices 41 --period 7 --airtime 0.11729 --sf 7 \
+      --duration 70000 --seed 1 --model window --window-factor 1 | head -n 1)" \
+      = "pdr 0.508722"
+  test "$(lorascale analyze --total 8835 --period 600 --airtime-sf7 0.04122 --step 250 \
+      | sed -n 13p)" = "3000 0.445139 0.667177"
+}
+
+# A subshell, so that its EXIT trap stops the server and removes the
+# files however the step ends.  Job control gives the server its own
+# process group, which the trap stops whole, wrapper processes included.
+step_golden_run() (
+  set -m
+  out=$(mktemp -d)
+  server=
+  trap 'test -z "$server" || kill -- "-$server" 2>/dev/null; rm -rf "$out"' EXIT
+  lorascale simulate --config tests/data/golden.cfg --out "$out/packets.log"
+  cmp "$out/packets.log" tests/data/golden.log
+  "${cli[@]}" serve --bind 127.0.0.1:0 --token golden-token \
+      --log "$out/packets.log" > "$out/serve.txt" &
+  server=$!
+  for _ in $(seq 100); do
+    grep -qs '^serving on ' "$out/serve.txt" && break
+    sleep 0.1
+  done
+  addr=$(sed -n 's/^serving on //p' "$out/serve.txt")
+  test -n "$addr"
+  grep -qxF "ingested 307 records from $out/packets.log (0 malformed lines skipped)" \
+      "$out/serve.txt"
+  lorascale run-experiment --config tests/data/golden.cfg --auto-operator sim \
+      --server "$addr" --token golden-token \
+      --report "$out/report.txt" --timestamps "$out/timestamps.txt" > "$out/run.txt"
+  grep -qxF "network pdr 0.871875 (279/320)" "$out/run.txt"
+  cmp "$out/report.txt" tests/data/golden_report.txt
+  cmp "$out/timestamps.txt" tests/data/golden_timestamps.txt
+)
+
+step_golden_sync() {
+  python tests/data/make_golden.py
+  git diff --exit-code -- tests/data
+}
+
+step_tier1() {
+  python -m pytest -q --continue-on-collection-errors
+}
+
+step_socket_dev() {
+  python -X dev -W error::ResourceWarning -m pytest -q \
+      -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning \
+      tests/test_netserver.py tests/test_cli.py tests/test_acceptance.py
+}
+
+step_perfbench_selftest() {
+  python3 perfbench/selftest.py
+}
+
+step_bench_smoke() {
+  python benchmarks/bench_kernels.py --sizes 1000 --repeats 1 --advances 10
+}
+
+steps=(console golden-run golden-sync tier1 socket-dev perfbench-selftest bench-smoke)
+if [ $# -eq 0 ]; then
+  set -- "${steps[@]}"
+fi
+for step in "$@"; do
+  case " ${steps[*]} " in
+    *" $step "*) ;;
+    *) echo "unknown step '$step'; steps: ${steps[*]}" >&2; exit 2 ;;
+  esac
+  echo "== $step"
+  "step_${step//-/_}"
+done

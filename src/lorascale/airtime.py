@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .scaling import check_sf
+
 MAX_PAYLOAD_BYTES = 255
 
 
@@ -36,8 +38,7 @@ class RadioConfig:
     low_data_rate_optimize: bool | None = None
 
     def __post_init__(self) -> None:
-        if not 7 <= self.spreading_factor <= 12:
-            raise ValueError(f"spreading factor must be 7..12, got {self.spreading_factor}")
+        check_sf(self.spreading_factor)
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         if not 1 <= self.coding_rate_index <= 4:

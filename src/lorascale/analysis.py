@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .airtime import RadioConfig, time_on_air
 from .controller import DeviceReport
-from .scaling import SfGroup, sf_channels, success_bounds
+from .scaling import SfGroup, check_period, sf_channels, success_bounds
 
 
 def network_bounds(groups: Iterable[SfGroup], period: float) -> tuple[float, float]:
@@ -29,8 +29,7 @@ def network_bounds(groups: Iterable[SfGroup], period: float) -> tuple[float, flo
     is the device-weighted mean of the per-SF bounds.
     """
     groups = sf_channels(groups)
-    if not (math.isfinite(period) and period > 0):
-        raise ValueError(f"period must be finite and positive, got {period}")
+    check_period(period)
     lower = upper = 0.0
     for g in groups:
         lo, up = success_bounds(g.count * g.airtime / period)

@@ -197,8 +197,7 @@ def _traffic(args, config: dict[str, str], devices: int):
     duration, airtime, and the SF8 device count and airtime of a fleet
     of ``devices``, whose last ``sf8_devices`` use SF8."""
     period = _required(args, config, "period", float)
-    if not (math.isfinite(period) and period > 0):
-        raise ValueError(f"period must be finite and positive, got {period}")
+    scaling.check_period(period)
     # the default duration, and with it the estimator's round count, follows the period
     duration = _setting(args, config, "duration", float, 10_000 * period)
     if not (math.isfinite(duration) and duration > 0):
@@ -331,6 +330,10 @@ def _cmd_run_experiment(args) -> int:
     unconfirmed = sum(1 for r in result.shutdown_log if not r.confirmed)
     if unconfirmed:
         print(f"{unconfirmed} devices not confirmed off (see report)")
+    if result.turn_off_aborted:
+        print(f"error: turn-off aborted after {len(result.shutdown_log)} shutdowns: "
+              f"{result.turn_off_aborted}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -23,7 +23,6 @@ works as the clock.
 from __future__ import annotations
 
 import math
-import re
 import time
 from bisect import bisect_left
 from collections import deque
@@ -32,11 +31,20 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Protocol
 
-from .netserver import EUI_PATTERN, NO_PACKETS, Columns, ProtocolError
+from .netserver import NO_PACKETS, Columns, ProtocolError, check_devices
 
 
 class OrchestrationError(Exception):
     """The experiment cannot proceed (bad roster, dead server, ...)."""
+
+
+class TurnOffAborted(OrchestrationError):
+    """The turn-off stopped early; ``done`` holds what
+    :func:`turn_off_sequence` returns, as far as it got."""
+
+    def __init__(self, reason: str, done: tuple) -> None:
+        super().__init__(reason)
+        self.done = done
 
 
 # --- clocks ---------------------------------------------------------------
@@ -138,34 +146,17 @@ class RosterEntry:
     dev_eui: str
 
 
-# A device id is one token, so the report's ``id delivered sent`` line splits in three.
-_DEVICE_ID = re.compile(r"\S+")
-
-
 class DeviceMatrix:
-    """Ordered id <-> EUI mapping for the experiment's devices; ids and
-    EUIs (case-blind) are unique, and each EUI is 16 hex digits."""
+    """Ordered id <-> EUI mapping, held to :func:`~lorascale.netserver.check_devices`."""
 
     def __init__(self, entries: Iterable[RosterEntry]):
         self.entries = list(entries)
         if not self.entries:
             raise OrchestrationError("device matrix is empty")
-        for e in self.entries:
-            if not _DEVICE_ID.fullmatch(e.device_id):
-                raise OrchestrationError(f"device {e.device_id!r}: id is empty or holds whitespace")
-            if not EUI_PATTERN.fullmatch(e.dev_eui):
-                raise OrchestrationError(
-                    f"device {e.device_id!r}: EUI {e.dev_eui!r} is not 16 hex digits")
-        self._eui_by_id: dict[str, str] = {}
-        id_by_eui: dict[str, str] = {}
-        for e in self.entries:
-            if e.device_id in self._eui_by_id:
-                raise OrchestrationError(f"duplicate device id {e.device_id} in matrix")
-            other = id_by_eui.setdefault(e.dev_eui.lower(), e.device_id)
-            if other != e.device_id:
-                raise OrchestrationError(f"duplicate device EUI {e.dev_eui} in matrix:"
-                                         f" devices {other} and {e.device_id}")
-            self._eui_by_id[e.device_id] = e.dev_eui
+        try:
+            self._eui_by_id = check_devices((e.device_id, e.dev_eui) for e in self.entries)
+        except ValueError as exc:
+            raise OrchestrationError(str(exc)) from None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -199,41 +190,53 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
                 yield number, line
 
 
+def _device_table(path, pair) -> dict[str, str]:
+    """:func:`~lorascale.netserver.check_devices` of the pairs that ``pair``
+    reads from the data lines of ``path``; a line that ``pair`` refuses
+    with a ``ValueError``, or whose device breaks the rule, names ``path:line``."""
+    # read first, so a line that is not UTF-8 keeps numbered_lines' own message
+    lines = list(numbered_lines(path))
+    number = 0
+
+    def pairs():
+        nonlocal number
+        for number, line in lines:
+            yield pair(line)
+
+    try:
+        return check_devices(pairs())
+    except ValueError as exc:
+        raise OrchestrationError(f"{path}:{number}: {exc}") from None
+
+
 def load_roster(experiment_table, mapping_table) -> DeviceMatrix:
     """Build the device matrix from the two roster files.
 
     The experiment table lists the ids taking part, one per line; an
     empty field after a comma, as a spreadsheet exports it, is allowed.
-    The mapping table holds ``id,eui`` lines for the whole fleet.  The
-    matrix keeps the experiment table's order.
+    The mapping table holds ``id,eui`` lines for the whole fleet, held to
+    the matrix's rule.  The matrix keeps the experiment table's order.
     """
-    mapping: dict[str, str] = {}
-    for number, line in numbered_lines(mapping_table):
+    def mapped(line: str) -> tuple[str, str]:
         device_id, _, eui = line.partition(",")
-        device_id, eui = device_id.strip(), eui.strip()
-        if not eui or "," in eui:
-            raise OrchestrationError(f"{mapping_table}:{number}: expected 'id,eui', got {line!r}")
-        if device_id in mapping:
-            raise OrchestrationError(f"{mapping_table}:{number}: duplicate device id {device_id}")
-        mapping[device_id] = eui
-    entries = []
-    listed: set[str] = set()
-    for number, line in numbered_lines(experiment_table):
+        if not eui.strip() or "," in eui:
+            raise ValueError(f"expected 'id,eui', got {line!r}")
+        return device_id.strip(), eui.strip()
+
+    def listed(line: str) -> tuple[str, str]:
         device_id, _, rest = line.partition(",")
         device_id = device_id.strip()
         if rest.replace(",", "").strip():
-            raise OrchestrationError(
-                f"{experiment_table}:{number}: expected one device id, got {line!r}")
+            raise ValueError(f"expected one device id, got {line!r}")
         if device_id not in mapping:
-            raise OrchestrationError(f"{experiment_table}:{number}: unmapped id {device_id}")
-        if device_id in listed:
-            raise OrchestrationError(
-                f"{experiment_table}:{number}: duplicate device id {device_id}")
-        listed.add(device_id)
-        entries.append(RosterEntry(device_id, mapping[device_id]))
-    if not entries:
+            raise ValueError(f"unmapped id {device_id}")
+        return device_id, mapping[device_id]
+
+    mapping = _device_table(mapping_table, mapped)
+    listed_devices = _device_table(experiment_table, listed)
+    if not listed_devices:
         raise OrchestrationError(f"experiment table {experiment_table} lists no devices")
-    return DeviceMatrix(entries)
+    return DeviceMatrix(RosterEntry(*pair) for pair in listed_devices.items())
 
 
 # --- report records ---------------------------------------------------------
@@ -384,7 +387,9 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
     retried once at the end of its tier, then logged as an unconfirmed
     shutdown.  A failed settle is skipped and its windows are not asked
     about again; each device's first reason is returned with the log and
-    the late responders (detection order).
+    the late responders (detection order).  An operator that stops the
+    sequence, with an :class:`OrchestrationError` or a
+    ``KeyboardInterrupt``, makes it raise :class:`TurnOffAborted`.
     """
     high = deque(e.device_id for e in matrix if reports[e.device_id].delivered > 0)
     # still-silent devices not yet shut down, in matrix order
@@ -454,10 +459,13 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
             if len(windows) >= _SETTLE_WINDOWS:
                 settle(middle_open)
 
-    drain(high, "high", middle_open=True)
-    drain(middle, "middle", middle_open=True)
-    logged = {r.device_id for r in log}
-    drain(deque(d for d in matrix.ids() if d not in logged), "low", middle_open=False)
+    try:
+        drain(high, "high", middle_open=True)
+        drain(middle, "middle", middle_open=True)
+        logged = {r.device_id for r in log}
+        drain(deque(d for d in matrix.ids() if d not in logged), "low", middle_open=False)
+    except (OrchestrationError, KeyboardInterrupt) as exc:
+        raise TurnOffAborted(str(exc) or "interrupted", (log, late, failures)) from exc
     return log, late, failures
 
 
@@ -470,7 +478,8 @@ class ExperimentResult:
     or ``query_failures`` (id -> reason).  A device that delivered
     nothing and is no late responder never responded.  ``packets`` holds
     each device's collected packets as the client's columns, an empty
-    triple for a failed query."""
+    triple for a failed query.  ``turn_off_aborted`` is why the turn-off
+    stopped early, or empty when it ran to the end."""
 
     name: str
     matrix: DeviceMatrix
@@ -482,6 +491,7 @@ class ExperimentResult:
     start_ts: float
     end_ts: float
     packets: dict[str, Columns]
+    turn_off_aborted: str = ""
 
 
 def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
@@ -492,8 +502,10 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
     trailer line per late responder, then ``# query-failed id reason``
     per failed device in matrix order, each whitespace run of the
     outside reason written as one space so the record stays one line,
+    then ``# turn-off-aborted reason`` if the turn-off stopped early,
     then ``# shutdown-unconfirmed id`` per device whose shutdown the
-    operator never confirmed, in matrix order.
+    operator never confirmed, in matrix order; after an aborted turn-off
+    that includes each device never shut down.
     The timestamp file lists every collected packet as ``eui fcnt ts``,
     ascending in time.
     """
@@ -514,9 +526,12 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
         if device_id in result.query_failures:
             reason = result.query_failures[device_id].split()
             lines.append(" ".join(["# query-failed", device_id, *reason]))
-    unconfirmed = {r.device_id for r in result.shutdown_log if not r.confirmed}
+    if result.turn_off_aborted:
+        lines.append(" ".join(["# turn-off-aborted", *result.turn_off_aborted.split()]))
+    # a device the turn-off never reached is unconfirmed only when it stopped early
+    confirmed = {r.device_id: r.confirmed for r in result.shutdown_log}
     for device_id in result.matrix.ids():
-        if device_id in unconfirmed:
+        if not confirmed.get(device_id, not result.turn_off_aborted):
             lines.append(f"# shutdown-unconfirmed {device_id}")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -571,7 +586,8 @@ class ExperimentSettings:
 
 def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Clock,
                    settings: ExperimentSettings) -> ExperimentResult:
-    """Execute every phase in order and return the assembled result."""
+    """Execute every phase in order and return the assembled result,
+    also when the turn-off stops early."""
     probe_silent = turn_on_sequence(
         matrix, operator, client, clock, settings.probe_window, settings.turnon_step
     )
@@ -581,9 +597,13 @@ def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Cloc
     packets, collect_failures = collect(matrix, start_ts, end_ts, client)
     reports = {device_id: DeviceReport(device_id, *compute_counts(got))
                for device_id, got in packets.items()}
-    shutdown_log, late, recheck_failures = turn_off_sequence(
-        matrix, reports, operator, client, clock, settings.recheck_window, collect_failures
-    )
+    aborted = ""
+    try:
+        shutdown_log, late, recheck_failures = turn_off_sequence(
+            matrix, reports, operator, client, clock, settings.recheck_window, collect_failures
+        )
+    except TurnOffAborted as exc:
+        (shutdown_log, late, recheck_failures), aborted = exc.done, str(exc)
     return ExperimentResult(
         name=settings.name,
         matrix=matrix,
@@ -597,4 +617,5 @@ def run_experiment(matrix: DeviceMatrix, operator: Operator, client, clock: Cloc
         start_ts=start_ts,
         end_ts=end_ts,
         packets=packets,
+        turn_off_aborted=aborted,
     )

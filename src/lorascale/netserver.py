@@ -12,19 +12,22 @@ querying:
     server -> {"type": "packets", "devices": [entry, ...]}
     entry  =  {"dev_eui": "...", "packets": [...]}
 
-A reply holds one entry per requested EUI, in request order, all over
-the one window.  The client refuses a repeated EUI, then writes each request
-with ``json.dumps``, a fixed number of EUIs at a time, for the server to judge.
-Any protocol violation is answered with {"type": "error", "reason": ...}:
-a ``dev_euis`` that is not a non-empty list of distinct strings and a
-bad window refuse the whole request.  Violations before authentication,
-unparseable frames and lines longer than ``MAX_LINE_BYTES`` additionally
-close the connection.  Query windows are closed intervals with finite
-bounds, and an unknown EUI yields an empty packet list.  A reply is
-formatted straight from the store's column slices, and the client
-decodes each entry straight into columns of the same types; no record
-object is built on either side.  Persistence is an append-only log file (the simulator's
-export format) replayed at startup, parsed straight into columns.
+Devices obey :func:`check_devices`, and the store keys each by its
+lower-case EUI, so either case finds it.  A reply holds one entry per
+requested EUI, named as asked, in request order, all over the one window.
+The client refuses an EUI repeated in any case, then writes each request
+with ``json.dumps``, a fixed number of EUIs at a time, for the server to
+judge.  Any protocol violation is answered with {"type": "error",
+"reason": ...}: a ``dev_euis`` that is not a non-empty list of distinct
+(case-blind) strings and a bad window refuse the whole request.
+Violations before authentication, unparseable frames and lines longer
+than ``MAX_LINE_BYTES`` additionally close the connection.  Query windows
+are closed intervals with finite bounds, and an unknown EUI yields an
+empty packet list.  A reply is formatted straight from the store's column
+slices, and the client decodes each entry straight into columns of the
+same types; no record object is built on either side.  Persistence is an
+append-only log file (the simulator's export format) replayed at startup,
+parsed straight into columns.
 """
 
 from __future__ import annotations
@@ -47,6 +50,26 @@ from typing import Iterable, Sequence
 
 # A device EUI: 16 hex digits, matched with ``fullmatch``.
 EUI_PATTERN = re.compile(r"[0-9a-fA-F]{16}")
+
+
+def check_devices(devices: Iterable[tuple[str, str]], forms: bool = True) -> dict[str, str]:
+    """Check ``(id, EUI)`` pairs in order: ids are one token and unique, EUIs
+    16 hex digits (unless ``forms=False``) and unique in any case; id -> EUI."""
+    eui_by_id, id_by_key = {}, {}  # id -> EUI, lower-case EUI -> id
+    for device_id, eui in devices:
+        # one token, so that the report's ``id delivered sent`` line splits in three
+        if forms and device_id.split() != [device_id]:
+            raise ValueError(f"device {device_id!r}: id is empty or holds whitespace")
+        if forms and not EUI_PATTERN.fullmatch(eui):
+            raise ValueError(f"device {device_id!r}: EUI {eui!r} is not 16 hex digits")
+        if device_id in eui_by_id:
+            raise ValueError(f"duplicate device id {device_id}")
+        other = id_by_key.setdefault(eui.lower(), device_id)
+        if other != device_id:
+            raise ValueError(f"duplicate device EUI {eui}: devices {other} and {device_id}")
+        eui_by_id[device_id] = eui
+    return eui_by_id
+
 
 # One packet-log line, matched with ``fullmatch``: the receive time (an
 # optional minus, digits and an optional fraction), the EUI, the frame
@@ -127,19 +150,20 @@ class PacketStore:
 
     Each EUI's packets are kept as three columns in (timestamp, counter)
     order: an ``array('d')`` of receive times, an ``array('q')`` of frame
-    counters and a ``bytearray`` of SFs, with the EUI stored once as the
-    key, about 17 bytes per packet.  A query is two bisections of the
-    timestamp column and a slice: :meth:`window` returns the slices, which
-    the server formats its replies from and the live world answers with.
-    :meth:`query` builds one record per packet of the slice; no product
-    path calls it.  Queries see a consistent snapshot under a
-    single-writer lock.
+    counters and a ``bytearray`` of SFs, with the lower-case EUI stored
+    once as the key, about 17 bytes per packet.  A query is two
+    bisections of the timestamp column and a slice: :meth:`window` returns
+    the slices, which the server formats its replies from and the live
+    world answers with.  :meth:`query` builds one record per packet of the
+    slice; no product path calls it.  Queries see a consistent snapshot
+    under a single-writer lock.
 
-    Every batch goes in through :meth:`ingest_columns`, one EUI's columns
-    at a time.  A batch whose timestamps rise strictly, starting after the
-    last one stored for its EUI (as on every resolution of a live world,
-    and for each EUI of a log ``write_packet_log`` wrote), is appended in
-    place, at a cost that grows with the batch and not with the history.
+    Batches go in through :meth:`ingest_columns` or :meth:`ingest_lines`,
+    one EUI's columns at a time.  A batch whose timestamps rise strictly,
+    starting after the last one stored for its EUI (as on every resolution
+    of a live world, and for each EUI of a log ``write_packet_log``
+    wrote), is appended in place, at a cost that grows with the batch and
+    not with the history.
     Any other batch is sorted together with the EUI's stored rows by
     (timestamp, counter), stably, so of two exact duplicates (same EUI,
     timestamp and counter) the one stored first is kept.
@@ -171,6 +195,7 @@ class PacketStore:
         return added
 
     def _put(self, eui: str, ts: array, fcnt: array, sf: bytearray) -> int:
+        eui = eui.lower()
         stored = self._by_eui.get(eui)
         # timestamps that rise strictly past the stored ones leave every key
         # new and in order
@@ -198,7 +223,7 @@ class PacketStore:
         :data:`LOG_LINE`, or whose timestamp digits overflow to infinity or
         whose frame counter does not fit an int64, is skipped.  Each
         line's fields, which always fit the columns, go onto its EUI's
-        columns, stored through :meth:`ingest_columns`.
+        columns, which are stored as they are, with no second check.
         """
         by_eui: dict[str, tuple[array, array, bytearray]] = {}
         skipped = 0
@@ -215,7 +240,9 @@ class PacketStore:
             columns[0].append(ts)
             columns[1].append(fcnt)
             columns[2].append(sf)
-        return self.ingest_columns((eui, *c) for eui, c in by_eui.items()), skipped
+        with self._lock:
+            added = sum(self._put(eui, *columns) for eui, columns in by_eui.items())
+        return added, skipped
 
     def ingest_file(self, path) -> tuple[int, int]:
         # a byte outside ASCII becomes U+FFFD, which no log line holds, so
@@ -232,7 +259,7 @@ class PacketStore:
                 raise ValueError("query window is empty (from > to)")
             return NO_PACKETS  # a NaN bound, which no timestamp lies within
         with self._lock:
-            stored = self._by_eui.get(dev_eui)
+            stored = self._by_eui.get(dev_eui.lower())
             if stored is None:
                 return NO_PACKETS
             ts, fcnt, sf = stored
@@ -288,7 +315,7 @@ def _answer(store: PacketStore, msg: dict) -> bytes:
     euis, lo, hi = msg.get("dev_euis"), msg.get("from"), msg.get("to")
     if type(euis) is not list or not euis or not all(type(e) is str for e in euis):
         return _error("query needs a non-empty dev_euis list of strings")
-    if len(set(euis)) < len(euis):
+    if len(set(map(str.lower, euis))) < len(euis):
         return _error("query needs distinct dev_euis")
     # JSON numbers decode to exact ints and floats; a bool is no number
     if type(lo) is not float or type(hi) is not float:
@@ -443,14 +470,14 @@ class NetClient:
         without a packets list, or with a packet the store's columns could
         not hold, fails its device; a reply that is no list of
         one entry per EUI fails each EUI of its request.  An EUI given twice
-        raises before anything is sent.  The server judges the rest: a bad
-        bound, a non-string EUI or an over-long line gets its ``error`` reply,
-        which raises (the last also closes the connection).  A value JSON
-        cannot write, a closed connection and a socket error raise too; each
-        fails the whole call.
+        (in either case) raises before anything is sent.  The server judges
+        the rest: a bad bound, a non-string EUI or an over-long line gets its
+        ``error`` reply, which raises (the last also closes the connection).
+        A value JSON cannot write, a closed connection and a socket error
+        raise too; each fails the whole call.
         """
-        strings = [e for e in dev_euis if isinstance(e, str)]
-        if len(set(strings)) < len(strings):
+        keys = [e.lower() for e in dev_euis if isinstance(e, str)]
+        if len(set(keys)) < len(keys):
             raise ProtocolError("query needs distinct dev_euis")
         entries: list[Columns | ProtocolError] = []
         for start in range(0, len(dev_euis), _EUIS_PER_REQUEST):

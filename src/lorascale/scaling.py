@@ -19,6 +19,26 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+def check_sf(sf: int) -> None:
+    """Refuse a spreading factor outside 7..12."""
+    if not 7 <= sf <= 12:
+        raise ValueError(f"spreading factor must be 7..12, got {sf}")
+
+
+def check_period(period: float) -> None:
+    """Refuse a period that is not finite and positive."""
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and positive, got {period}")
+
+
+def check_airtime(airtime: float, period: float = math.inf) -> None:
+    """Refuse an airtime that is not finite, positive and below ``period``."""
+    if not (math.isfinite(airtime) and airtime > 0):
+        raise ValueError(f"airtime must be finite and positive, got {airtime}")
+    if airtime >= period:
+        raise ValueError("airtime must be shorter than the period")
+
+
 @dataclass(frozen=True)
 class TrafficProfile:
     """Offered load of one device population.
@@ -34,12 +54,8 @@ class TrafficProfile:
     def __post_init__(self) -> None:
         if self.num_devices < 1:
             raise ValueError("profile needs at least one device")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"period must be finite and positive, got {self.period}")
-        if not (math.isfinite(self.airtime) and self.airtime > 0):
-            raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
-        if self.airtime >= self.period:
-            raise ValueError("airtime must be shorter than the period")
+        check_period(self.period)
+        check_airtime(self.airtime, self.period)
 
 
 @dataclass(frozen=True)
@@ -52,12 +68,10 @@ class SfGroup:
     airtime: float
 
     def __post_init__(self) -> None:
-        if not 7 <= self.sf <= 12:
-            raise ValueError(f"spreading factor must be 7..12, got {self.sf}")
+        check_sf(self.sf)
         if self.count < 0:
             raise ValueError("group device count cannot be negative")
-        if not (math.isfinite(self.airtime) and self.airtime > 0):
-            raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
+        check_airtime(self.airtime)
 
 
 def sf_channels(groups: Iterable[SfGroup]) -> list[SfGroup]:
@@ -122,10 +136,8 @@ def derive_equivalent(
     smaller device count: N_exp = round(L * T_exp / t_exp).  Relative
     load mismatch after rounding is at most ~1/(2 * N_exp).
     """
-    if not (math.isfinite(experiment_airtime) and experiment_airtime > 0):
-        raise ValueError("experiment airtime must be finite and positive")
-    if not experiment_airtime < experiment_period < math.inf:
-        raise ValueError("experiment period must be finite and exceed the airtime")
+    check_period(experiment_period)
+    check_airtime(experiment_airtime, experiment_period)
     load = channel_load(real)
     exact = load * experiment_period / experiment_airtime
     n_exp = round(exact)

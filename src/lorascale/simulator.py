@@ -17,8 +17,8 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from . import kernels
-from .netserver import EUI_PATTERN
-from .scaling import SfGroup, sf_channels
+from .netserver import check_devices
+from .scaling import SfGroup, check_airtime, check_period, check_sf, sf_channels
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -70,18 +70,10 @@ class DeviceSpec:
     active_until: float = math.inf
 
     def __post_init__(self) -> None:
-        if not self.device_id:
-            raise ValueError("device id must be non-empty")
-        if not EUI_PATTERN.fullmatch(self.dev_eui):
-            raise ValueError(f"device EUI must be 16 hex characters, got {self.dev_eui!r}")
-        if not 7 <= self.sf <= 12:
-            raise ValueError(f"spreading factor must be 7..12, got {self.sf}")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ValueError(f"period must be finite and positive, got {self.period}")
-        if not (math.isfinite(self.airtime) and self.airtime > 0):
-            raise ValueError(f"airtime must be finite and positive, got {self.airtime}")
-        if self.airtime >= self.period:
-            raise ValueError("airtime must be shorter than the period")
+        check_devices([(self.device_id, self.dev_eui)])
+        check_sf(self.sf)
+        check_period(self.period)
+        check_airtime(self.airtime, self.period)
         if self.phase != "random":
             p = float(self.phase)
             if not 0.0 <= p < self.period:
@@ -135,12 +127,8 @@ class Roster(NamedTuple):
 
 
 def roster(devices: list[DeviceSpec]) -> Roster:
-    """The columns of ``devices``; their ids must be unique, and so must
-    their EUIs whatever their case."""
-    if len({d.device_id for d in devices}) != len(devices):
-        raise ValueError("device ids must be unique")
-    if len({d.dev_eui.lower() for d in devices}) != len(devices):
-        raise ValueError("device EUIs must be unique")
+    """The columns of ``devices``, whose specs each checked their own id and EUI."""
+    check_devices(((d.device_id, d.dev_eui) for d in devices), forms=False)
     return Roster(np.array([d.period for d in devices], dtype=np.float64),
                   np.array([d.airtime for d in devices], dtype=np.float64),
                   np.array([d.sf for d in devices], dtype=np.int16),
@@ -320,11 +308,8 @@ def estimate_pdr(groups: Iterable[SfGroup], period: float, rounds: int,
     groups = sf_channels(groups)
     if rounds < 1:
         raise ValueError("need at least one round")
-    if not math.isfinite(period):
-        raise ValueError(f"period must be finite, got {period}")
-    for g in groups:
-        if g.airtime >= period:
-            raise ValueError("airtime must be shorter than the period")
+    check_period(period)
+    check_airtime(max(g.airtime for g in groups), period)
     rng = np.random.default_rng(seed & _U64)
     sent = rounds * sum(g.count for g in groups)
     lost = 0

@@ -2,9 +2,10 @@
 
 :func:`reference_parse_log_line` converts each field with ``float`` and
 ``int``, and :class:`ReferenceStore` keeps a set of the keys it has seen
-and answers a query by scanning the device's whole bucket.  They are
-slow but easy to check by eye, so :class:`lorascale.netserver.PacketStore`
-is tested against them.
+and answers a query by scanning the device's whole bucket; like the
+store, it keys a device by its lower-case EUI and names the records of a
+query by the EUI asked.  They are slow but easy to check by eye, so
+:class:`lorascale.netserver.PacketStore` is tested against them.
 
 The reference parser is more lenient than :data:`lorascale.netserver.LOG_LINE`
 on purpose: ``float`` and ``int`` also take signs, surrounding
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import replace
 from typing import Iterable
 
 from lorascale.netserver import EUI_PATTERN, PacketRecord
@@ -78,11 +80,11 @@ class ReferenceStore:
         added = 0
         with self._lock:
             for rec in records:
-                key = (rec.dev_eui, rec.fcnt, rec.received_ts)
+                key = (rec.dev_eui.lower(), rec.fcnt, rec.received_ts)
                 if key in self._seen:
                     continue
                 self._seen.add(key)
-                self._by_eui.setdefault(rec.dev_eui, []).append(rec)
+                self._by_eui.setdefault(key[0], []).append(rec)
                 added += 1
             for bucket in self._by_eui.values():
                 bucket.sort(key=lambda r: (r.received_ts, r.fcnt))
@@ -104,8 +106,9 @@ class ReferenceStore:
         if from_ts > to_ts:
             raise ValueError("query window is empty (from > to)")
         with self._lock:
-            bucket = self._by_eui.get(dev_eui, [])
-            return [r for r in bucket if from_ts <= r.received_ts <= to_ts]
+            bucket = self._by_eui.get(dev_eui.lower(), [])
+            return [replace(r, dev_eui=dev_eui) for r in bucket
+                    if from_ts <= r.received_ts <= to_ts]
 
     def __len__(self) -> int:
         with self._lock:

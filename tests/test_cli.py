@@ -518,7 +518,7 @@ def test_serve_and_run_experiment_name_a_bad_address(tmp_path, capsys):
     assert not (tmp_path / "report.txt").exists()
 
 
-def run_golden(report, operator_arg="sim"):
+def run_golden(report, operator_arg="sim", mapping=DATA / "mapping8.csv"):
     store = netserver.PacketStore()
     store.ingest_file(DATA / "golden.log")
     server, thread = netserver.start_server(store, "golden-token")
@@ -528,7 +528,7 @@ def run_golden(report, operator_arg="sim"):
             "run-experiment",
             "--config", str(DATA / "golden.cfg"),
             "--roster", str(DATA / "roster8.csv"),
-            "--mapping", str(DATA / "mapping8.csv"),
+            "--mapping", str(mapping),
             "--server", f"{host}:{port}",
             "--token", "golden-token",
             "--auto-operator", operator_arg,
@@ -569,6 +569,66 @@ def test_run_experiment_reports_unconfirmed_shutdowns(tmp_path, capsys):
     assert lines[-1] == "1 devices not confirmed off (see report)"
     golden = (DATA / "golden_report.txt").read_text().splitlines()
     assert report.read_text().splitlines() == golden + ["# shutdown-unconfirmed g03"]
+
+
+def test_upper_case_mapping_reads_the_lower_case_log(tmp_path, capsys):
+    """The store finds each device whatever the case of its EUI, and the
+    timestamp file keeps the case the mapping gave."""
+    mapping = tmp_path / "mapping8.csv"
+    mapping.write_text(re.sub(r",(\w+)", lambda m: "," + m[1].upper(),
+                              (DATA / "mapping8.csv").read_text()))
+    assert "FEED0001" in mapping.read_text()
+    report = tmp_path / "report.txt"
+    assert run_golden(report, mapping=mapping) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "network pdr 0.871875 (279/320)"
+    assert report.read_bytes() == (DATA / "golden_report.txt").read_bytes()
+    stamps = (tmp_path / "report.txt.ts").read_text()
+    assert stamps == (DATA / "golden_timestamps.txt").read_text().upper()
+
+
+def golden_trailer(reason, unconfirmed):
+    return [f"# turn-off-aborted {reason}", *(f"# shutdown-unconfirmed {d}" for d in unconfirmed)]
+
+
+def assert_report_kept(capsys, report, trailer):
+    """``report`` holds the golden counts and then ``trailer``; the
+    timestamps are the golden ones, and the report reads as a point."""
+    golden = (DATA / "golden_report.txt").read_text().splitlines()
+    assert report.read_text().splitlines() == golden + trailer
+    assert pathlib.Path(f"{report}.ts").read_bytes() == (
+        DATA / "golden_timestamps.txt").read_bytes()
+    rc, out = run_cli(capsys, "analyze", "--total", "8", "--period", "5", "--airtime-sf7",
+                      "0.05", "--point", f"8:{report}")
+    assert rc == 0 and out.splitlines()[-1].endswith(" 0.871875")
+
+
+def test_run_experiment_keeps_the_report_when_the_script_runs_out(tmp_path, capsys):
+    script = tmp_path / "ten.txt"
+    script.write_text("y\n" * 10)  # 8 turn-ons and 2 of the 8 turn-offs
+    report = tmp_path / "report.txt"
+    assert run_golden(report, str(script)) == 1
+    reason = ("operator script exhausted after 10 replies, "
+              "but TurnOff(device_id='g03') still needs an answer")
+    captured = capsys.readouterr()
+    assert captured.err == f"error: turn-off aborted after 2 shutdowns: {reason}\n"
+    assert captured.out.splitlines()[-1] == "network pdr 0.871875 (279/320)"
+    unconfirmed = [f"g0{i}" for i in range(3, 9)]
+    assert_report_kept(capsys, report, golden_trailer(reason, unconfirmed))
+
+
+def test_run_experiment_keeps_the_report_on_an_interrupt(tmp_path, capsys, monkeypatch):
+    class Interrupted(cli.SimulatedOperator):
+        def prompt(self, action):
+            if isinstance(action, TurnOff):
+                raise KeyboardInterrupt
+            return super().prompt(action)
+
+    monkeypatch.setattr(cli, "SimulatedOperator", Interrupted)
+    report = tmp_path / "report.txt"
+    assert run_golden(report) == 1
+    assert capsys.readouterr().err == "error: turn-off aborted after 0 shutdowns: interrupted\n"
+    unconfirmed = [f"g0{i}" for i in range(1, 9)]
+    assert_report_kept(capsys, report, golden_trailer("interrupted", unconfirmed))
 
 
 GOLDEN_EUI_G03 = "00000000feed0003"

@@ -102,10 +102,10 @@ def test_load_roster_rejects_duplicates(tmp_path):
 
 def test_device_matrix_names_a_repeated_id_or_eui():
     g01, g02 = RosterEntry("g01", "00000000feed0001"), RosterEntry("g02", "00000000feed0002")
-    with pytest.raises(OrchestrationError, match="^duplicate device id g01 in matrix$"):
+    with pytest.raises(OrchestrationError, match="^duplicate device id g01$"):
         DeviceMatrix([g01, g02, g01])
     with pytest.raises(OrchestrationError, match="^duplicate device EUI 00000000FEED0001"
-                                                 " in matrix: devices g01 and g03$"):
+                                                 ": devices g01 and g03$"):
         DeviceMatrix([g01, g02, RosterEntry("g03", "00000000FEED0001")])
 
 
@@ -116,13 +116,15 @@ def test_device_matrix_names_a_repeated_id_or_eui():
     ("d1", "00000000000000g1", "16 hex digits"),
     ("d1", "0000000000000a1", "16 hex digits"),
     ("d1", "0x000000000000a1", "16 hex digits"),
+    ("g01", "00000000feed00zz", "16 hex digits"),
 ])
 def test_load_roster_refuses_an_id_or_eui_the_run_cannot_use(tmp_path, device_id, eui, fault):
     exp = tmp_path / "exp.csv"
     mapping = tmp_path / "map.csv"
     exp.write_text(f"d0\n{device_id},\n", encoding="utf-8")
     mapping.write_text(f"d0,00000000000000a0\n{device_id},{eui}\n", encoding="utf-8")
-    with pytest.raises(OrchestrationError, match=f"device {re.escape(repr(device_id))}: .*{fault}"):
+    with pytest.raises(OrchestrationError, match=f"^{re.escape(str(mapping))}:2: "
+                                                 f"device {re.escape(repr(device_id))}: .*{fault}"):
         load_roster(exp, mapping)
 
 

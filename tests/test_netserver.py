@@ -189,6 +189,26 @@ def test_store_ingest_dedupe_and_skip_counting():
     assert len(store) == 2
 
 
+def test_store_keys_a_device_by_its_lower_case_eui():
+    """A log may name one device in either case: its lines go under one
+    key, duplicates across the cases are dropped, and a query in either
+    case finds them, named as it asked."""
+    store = PacketStore()
+    lines = [
+        "1.000000\t00000000000000aa\t0\t7",
+        "2.000000\t00000000000000AA\t1\t7",
+        "2.000000\t00000000000000aA\t1\t7",  # a duplicate of the line above
+        "1.000000\t00000000000000Aa\t0\t7",  # and of the first line
+        "3.000000\t00000000000000Aa\t2\t7",
+    ]
+    assert store.ingest_lines(lines) == (3, 0)
+    assert len(store) == 3
+    for eui in ("00000000000000aa", "00000000000000AA", "00000000000000aA"):
+        assert as_lists(store.window(eui, 0.0, 9.0)) == ([1.0, 2.0, 3.0], [0, 1, 2], [7, 7, 7])
+        assert [r.dev_eui for r in store.query(eui, 0.0, 9.0)] == [eui] * 3
+    assert ingest_records(store, [PacketRecord("00000000000000AA", 2, 3.0, 7)]) == 0
+
+
 def test_store_holds_only_finite_timestamps():
     eui = "00000000000000aa"
     store = PacketStore()
@@ -568,7 +588,8 @@ def test_server_refuses_a_repeated_eui_and_keeps_connection(server):
     # a reply would format the EUI's window once per mention
     for euis in (["00000000000000aa"] * 3_000,
                  ["00000000000000aa", "00000000000000bb", "00000000000000aa"],
-                 ["00000000000000cc", "00000000000000cc"]):
+                 ["00000000000000cc", "00000000000000cc"],
+                 ["00000000000000aa", "00000000000000AA"]):  # one device, in two cases
         assert_refused_then_usable(sock, rfile, {"dev_euis": euis})
     sock.close()
 
@@ -911,7 +932,7 @@ def test_client_refuses_a_repeated_eui_across_requests(shared_server, monkeypatc
     seen = recorded_requests(monkeypatch)
     eui = f"{2:016x}"
     with NetClient(srv.server_address, TOKEN) as client:
-        for euis in ([eui, eui], [eui, f"{0:016x}", eui]):
+        for euis in ([eui, eui], [eui, f"{0:016x}", eui], [AA, AA.upper()]):
             with pytest.raises(ProtocolError, match="query needs distinct dev_euis"):
                 client.query(euis, 0.0, 61.0)
         assert seen == []
@@ -1088,5 +1109,8 @@ def test_server_reply_bytes_match_json_dumps_of_the_store_records(records, euis,
     ingest_records(store, records)
     lo, hi = window
     msg = {"type": "query", "dev_euis": euis, "from": lo, "to": hi}
+    if len({eui.lower() for eui in euis}) < len(euis):  # case variants name one device
+        assert netserver._answer(store, msg) == netserver._error("query needs distinct dev_euis")
+        return
     assert netserver._answer(store, msg) == reference_packets_line(
         [(eui, store.query(eui, lo, hi)) for eui in euis])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lorascale import kernels, scaling, simulator
+from lorascale.controller import DeviceMatrix, OrchestrationError, RosterEntry
 from lorascale.scaling import TrafficProfile, success_exact_periodic
 from lorascale.simulator import (
     AnyOverlap,
@@ -210,6 +211,23 @@ def test_spec_validation_errors():
         VulnerabilityWindow(0.0)
     with pytest.raises(ValueError):
         VulnerabilityWindow(2.5)
+
+
+def test_spec_and_run_refuse_an_identity_as_the_matrix_does():
+    """A spec and a run hold ids and EUIs to the roster's rule, with its messages."""
+    bad = [("a b", "00000000000000aa", "^device 'a b': id is empty or holds whitespace$"),
+           ("", "00000000000000aa", "^device '': id is empty or holds whitespace$"),
+           ("a", "00000000000000az", "^device 'a': EUI '00000000000000az' is not 16 hex digits$")]
+    for device_id, eui, message in bad:
+        with pytest.raises(ValueError, match=message):
+            DeviceSpec(device_id, eui, 7, 7.0, 0.1)
+        with pytest.raises(OrchestrationError, match=message):
+            DeviceMatrix([RosterEntry(device_id, eui)])
+    a = DeviceSpec("a", "00000000000000aa", 7, 7.0, 0.1)
+    with pytest.raises(ValueError, match="^duplicate device id a$"):
+        run([a, DeviceSpec("a", "00000000000000bb", 7, 7.0, 0.1)], 100.0)
+    with pytest.raises(ValueError, match="^duplicate device EUI 00000000000000AA: devices a and b$"):
+        run([a, DeviceSpec("b", "00000000000000AA", 7, 7.0, 0.1)], 100.0)
 
 
 def test_run_validation_errors():

@@ -122,6 +122,21 @@ def test_query_window_closed_and_sorted():
         world.query([eui], 5.0, 1.0)
 
 
+def test_world_finds_a_device_whatever_the_case_of_its_eui():
+    fleet = [DeviceSpec("up", "00000000000000AB", 7, 5.0, 0.2),
+             DeviceSpec("low", "00000000000000cd", 7, 5.0, 0.2)]
+    world = SimWorld(fleet, seed=3)
+    for d in fleet:
+        world.set_active(d.device_id, True)
+    world.advance(100.0)
+    lower = world.query(["00000000000000ab", "00000000000000cd"], 0.0, 100.0)
+    upper = world.query(["00000000000000AB", "00000000000000CD"], 0.0, 100.0)
+    assert list(map(as_lists, lower)) == list(map(as_lists, upper))
+    truth = world.ground_truth(0.0, 100.0)
+    assert [len(ts) for ts, _, _ in upper] == [truth["up"][0], truth["low"][0]]
+    assert min(truth["up"][0], truth["low"][0]) > 0
+
+
 def test_world_validation():
     with pytest.raises(ValueError):
         SimWorld(specs(2) + specs(1))  # duplicate ids
