@@ -19,7 +19,10 @@ read -r -a cli <<< "${LORASCALE_CLI:-lorascale}"
 
 lorascale() { command "${cli[@]}" "$@"; }
 
-step_console() {
+# A subshell, so that its EXIT trap removes the logs however the step ends.
+step_console() (
+  out=$(mktemp -d)
+  trap 'rm -rf "$out"' EXIT
   test "$(lorascale airtime --sf 7 --bw 125000 --payload 51 --cr 5)" = "0.102656"
   lorascale scale --real-n 10000 --real-period 600 --real-airtime 0.04122 \
       --exp-period 7 --exp-airtime 0.11729 | grep -qx "experiment devices = 41"
@@ -30,7 +33,17 @@ step_console() {
       = "pdr 0.508722"
   test "$(lorascale analyze --total 8835 --period 600 --airtime-sf7 0.04122 --step 250 \
       | sed -n 13p)" = "3000 0.445139 0.667177"
-}
+  # packet logs that a run writes in many blocks
+  test "$(lorascale simulate --devices 41 --period 7 --airtime 0.11729 --sf 7 \
+      --duration 70000 --seed 1 --out "$out/any.log")" \
+      = "$(printf 'wrote 90000 packet records to %s\npdr 0.219512' "$out/any.log")"
+  test "$(md5sum < "$out/any.log")" = "9cefe43880445b6142c50750bb39eff7  -"
+  test "$(lorascale simulate --devices 41 --period 7 --airtime 0.11729 --sf 7 \
+      --duration 70000 --seed 1 --sf8-devices 10 --sf8-airtime 0.21094 --model window \
+      --window-factor 0.5 --out "$out/mixed.log")" \
+      = "$(printf 'wrote 320000 packet records to %s\npdr 0.780488' "$out/mixed.log")"
+  test "$(md5sum < "$out/mixed.log")" = "4d3372c665a12b989915b3400f190f44  -"
+)
 
 # A subshell, so that its EXIT trap stops the server and removes the
 # files however the step ends.  Job control gives the server its own

@@ -256,11 +256,14 @@ def _cmd_simulate(args) -> int:
     model = _model_from(args, config)
     if args.out:
         specs, horizon = _fleet(args, config)
-        result = simulator.run(specs, horizon, model=model, seed=seed)
-        n = simulator.write_packet_log(result, args.out)
+        # streamed block by block: no whole-run arrays
+        timeline = simulator.Timeline(specs, horizon, model=model, seed=seed)
+        n = simulator.write_packet_log(timeline, args.out)
         print(f"wrote {n} packet records to {args.out}")
         if not _setting(args, config, "roster", str):
-            print(f"pdr {result.network_pdr:.6f}")
+            if not timeline.counts.any():
+                raise ValueError("no transmissions in this run")
+            print(f"pdr {n / int(timeline.counts.sum()):.6f}")
         return 0
 
     devices = _required(args, config, "devices", int)
@@ -458,6 +461,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OrchestrationError, netserver.ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

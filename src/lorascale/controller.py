@@ -158,6 +158,14 @@ class DeviceMatrix:
         except ValueError as exc:
             raise OrchestrationError(str(exc)) from None
 
+    @classmethod
+    def _checked(cls, eui_by_id: dict[str, str]) -> DeviceMatrix:
+        """The matrix of an ``id -> EUI`` table that already obeys the rule."""
+        matrix = cls.__new__(cls)
+        matrix.entries = [RosterEntry(*pair) for pair in eui_by_id.items()]
+        matrix._eui_by_id = eui_by_id
+        return matrix
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -190,7 +198,7 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
                 yield number, line
 
 
-def _device_table(path, pair) -> dict[str, str]:
+def _device_table(path, pair, forms: bool = True) -> dict[str, str]:
     """:func:`~lorascale.netserver.check_devices` of the pairs that ``pair``
     reads from the data lines of ``path``; a line that ``pair`` refuses
     with a ``ValueError``, or whose device breaks the rule, names ``path:line``."""
@@ -204,7 +212,7 @@ def _device_table(path, pair) -> dict[str, str]:
             yield pair(line)
 
     try:
-        return check_devices(pairs())
+        return check_devices(pairs(), forms)
     except ValueError as exc:
         raise OrchestrationError(f"{path}:{number}: {exc}") from None
 
@@ -233,10 +241,11 @@ def load_roster(experiment_table, mapping_table) -> DeviceMatrix:
         return device_id, mapping[device_id]
 
     mapping = _device_table(mapping_table, mapped)
-    listed_devices = _device_table(experiment_table, listed)
+    # listed pairs come from the checked mapping, so their forms are not checked again
+    listed_devices = _device_table(experiment_table, listed, forms=False)
     if not listed_devices:
         raise OrchestrationError(f"experiment table {experiment_table} lists no devices")
-    return DeviceMatrix(RosterEntry(*pair) for pair in listed_devices.items())
+    return DeviceMatrix._checked(listed_devices)
 
 
 # --- report records ---------------------------------------------------------

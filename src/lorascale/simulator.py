@@ -6,13 +6,15 @@ same spreading factor collide according to the configured model.
 Different spreading factors never interact.  A run is deterministic for
 a fixed seed, and per-device outcomes do not depend on which other
 devices share the run unless they share a spreading factor.
+One resolver, :class:`Edge`, marks every timeline: :class:`Timeline` steps
+it through a run, and :class:`lorascale.world.SimWorld` through its clock.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -161,6 +163,15 @@ def attempts(base, period, k0, limit):
         k = k + short - over
 
 
+def _timeline_order(start: np.ndarray, dev: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Indices that order events by start, equal starts by device id: one
+    sort by start, and the id key only when two starts are equal."""
+    order = np.argsort(start)
+    if not np.diff(start[order]).all():
+        order = np.lexsort((id_rank[dev], start))
+    return order
+
+
 def lattice_events(columns: Roster, dev: np.ndarray, base: np.ndarray, k0: np.ndarray,
                    counts: np.ndarray, fcnt0: np.ndarray):
     """The events of lattice intervals as timeline-ordered ``start, end,
@@ -176,7 +187,7 @@ def lattice_events(columns: Roster, dev: np.ndarray, base: np.ndarray, k0: np.nd
     start = base[interval] + k * columns.period[dev]
     fcnt = fcnt0[interval] + k
     del interval, k  # bounds the peak memory of a large run
-    order = np.lexsort((columns.id_rank[dev], start))
+    order = _timeline_order(start, dev, columns.id_rank)
     start, dev, fcnt = start[order], dev[order], fcnt[order]
     del order
     return start, start + columns.airtime[dev], columns.sf[dev], dev, fcnt
@@ -192,30 +203,109 @@ def resolve(starts: np.ndarray, ends: np.ndarray, sfs: np.ndarray,
     return lost
 
 
-def run(devices: Iterable[DeviceSpec], duration: float,
-        model: CollisionModel = AnyOverlap(), seed: int = 0) -> SimResult:
-    """Simulate all devices for ``duration`` seconds of channel time.
+# Events drawn and marked at a time by the Monte-Carlo estimator and by a
+# timeline step; memory is bounded by this, not by the length of the run.
+_CHUNK_EVENTS = 1 << 16
+
+
+class Edge:
+    """The open edge of a timeline, resolved one step at a time.
+
+    An event is final once it has ended (``end <= now``): every later
+    event starts at or after ``now``, after it is over.  A same-SF event
+    can only be hit by events that start less than one airtime before it,
+    under either collision model, so the edge keeps the events that are
+    still open plus the final ones that start within a look-back of twice
+    the longest airtime before the earliest open start (or before
+    ``now``, when nothing is open); older events leave it.  However time
+    is cut into steps, the events, their floats and their outcomes are
+    those of marking the whole timeline at once.
+    """
+
+    def __init__(self, columns: Roster, model: CollisionModel):
+        self._model = model
+        self._lookback = 2.0 * float(columns.airtime.max(initial=0.0))
+        self._events = lattice_events(columns, *[np.empty(0, dtype=np.int64)] * 5)
+        self.now = -math.inf
+
+    def step(self, events, now: float):
+        """Append ``events``, :func:`lattice_events` columns that start at or
+        after ``self.now`` (so the buffer stays sorted), and move to ``now``;
+        returns the columns of the events that ended in between, in timeline
+        order, and their delivered flags.  A step that raises changes nothing."""
+        buffer = tuple(map(np.concatenate, zip(self._events, events)))
+        start, end, sf = buffer[:3]
+        fresh = np.flatnonzero((end > self.now) & (end <= now))
+        if fresh.size and fresh[-1] - fresh[0] == fresh.size - 1:
+            fresh = slice(fresh[0], fresh[-1] + 1)  # one run of events: views, not copies
+        block = tuple(column[fresh] for column in buffer)
+        lost = resolve(start, end, sf, self._model)[fresh] if block[0].size else np.zeros(0, bool)
+        open_starts = start[end > now]
+        edge = open_starts[0] if open_starts.size else now
+        keep = int(np.searchsorted(start, edge - self._lookback, side="left"))
+        self._events, self.now = tuple(column[keep:] for column in buffer), now
+        return block, ~lost
+
+
+class Timeline:
+    """A run as :class:`SimResult` blocks, one per step of an :class:`Edge`.
 
     Attempt ``k`` of a device starts at ``active_from + phase + k * period``
     and is made if it starts no later than ``horizon - airtime``, where the
-    horizon is the earlier of ``duration`` and ``active_until``; counted
-    and expanded as :class:`lorascale.world.SimWorld` does.
+    horizon is the earlier of ``duration`` and ``active_until``.  The span
+    of starts is cut into equal steps of ``_CHUNK_EVENTS`` events on average.
     """
-    devices = list(devices)
-    if not devices:
-        raise ValueError("device set must be non-empty")
-    if not (math.isfinite(duration) and duration > 0):
-        raise ValueError(f"duration must be finite and positive, got {duration}")
-    columns = roster(devices)
-    first = np.array([d.active_from + draw_phase(d, seed) for d in devices], dtype=np.float64)
-    horizon = np.minimum(np.array([d.active_until for d in devices], dtype=np.float64),
-                         duration)
-    # a float start no later than x is one below the next float after x
-    counts = attempts(first, columns.period, 0, np.nextafter(horizon - columns.airtime, np.inf))
-    zeros = np.zeros(len(devices), dtype=np.int64)
-    start, end, sf, dev, fcnt = lattice_events(columns, np.arange(len(devices)), first, zeros,
-                                               counts, zeros)
-    return SimResult(devices, start, end, sf, dev, fcnt, ~resolve(start, end, sf, model))
+
+    def __init__(self, devices: Iterable[DeviceSpec], duration: float,
+                 model: CollisionModel = AnyOverlap(), seed: int = 0):
+        self.devices, self.model = list(devices), model
+        if not self.devices:
+            raise ValueError("device set must be non-empty")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"duration must be finite and positive, got {duration}")
+        self.columns = roster(self.devices)
+        self.first = np.array([d.active_from + draw_phase(d, seed) for d in self.devices])
+        horizon = np.minimum([d.active_until for d in self.devices], duration)
+        # a float start no later than x is one below the next float after x
+        self.limit = np.nextafter(horizon - self.columns.airtime, np.inf)
+        self.counts = attempts(self.first, self.columns.period, 0, self.limit)
+
+    def __iter__(self) -> Iterator[SimResult]:
+        steps = max(1, -(-int(self.counts.sum()) // _CHUNK_EVENTS))
+        lo, hi = float(self.first.min()), float(self.limit.max())
+        dev, edge = np.arange(len(self.devices)), Edge(self.columns, self.model)
+        k = zeros = np.zeros(dev.size, dtype=np.int64)
+        for i in range(1, steps + 1):
+            now = lo + (hi - lo) * i / steps if i < steps else math.inf  # the last ends all
+            counts = attempts(self.first, self.columns.period, k, np.minimum(self.limit, now))
+            events = lattice_events(self.columns, dev, self.first, k, counts, zeros)
+            k = k + counts
+            block, delivered = edge.step(events, now)
+            yield SimResult(self.devices, *block, delivered)
+
+
+def run(devices: Iterable[DeviceSpec], duration: float,
+        model: CollisionModel = AnyOverlap(), seed: int = 0) -> SimResult:
+    """Simulate all devices for ``duration`` seconds of channel time: the
+    blocks of their :class:`Timeline`, joined in arrays sized by its count."""
+    timeline = Timeline(devices, duration, model, seed)
+    total, rank = int(timeline.counts.sum()), timeline.columns.id_rank
+    joined, at, seams = None, 0, []
+    for block in timeline:
+        parts = [block.start, block.end, block.sf, block.dev, block.fcnt, block.delivered]
+        joined = joined or [np.empty(total, dtype=part.dtype) for part in parts]
+        for column, part in zip(joined, parts):
+            column[at:at + part.size] = part
+        if at and part.size:
+            seams.append(at)
+        at += part.size
+    # each block is in order, so the whole is unless mixed airtimes cross a seam
+    start, dev, b = joined[0], joined[3], np.array(seams, dtype=np.int64)
+    a = b - 1
+    if not np.all((start[a] < start[b]) | (start[a] == start[b]) & (rank[dev[a]] < rank[dev[b]])):
+        order = _timeline_order(start, dev, rank)
+        joined = [column[order] for column in joined]
+    return SimResult(timeline.devices, *joined)
 
 
 @dataclass(frozen=True)
@@ -235,11 +325,6 @@ class PdrEstimate:
     def stderr(self) -> float:
         p = self.pdr
         return math.sqrt(p * (1.0 - p) / self.sent)
-
-
-# Events the Monte-Carlo estimator draws and marks at a time; its memory
-# is bounded by this, not by the number of rounds.
-_CHUNK_EVENTS = 1 << 16
 
 
 def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
@@ -323,26 +408,31 @@ def estimate_pdr(groups: Iterable[SfGroup], period: float, rounds: int,
 _LOG_CHUNK = 1 << 14
 
 
-def write_packet_log(result: SimResult, path) -> int:
-    """Write the delivered-packet log; returns the record count.
+def write_packet_log(result: SimResult | Timeline, path) -> int:
+    """Write the delivered-packet log of a result or of a :class:`Timeline`,
+    block by block; returns the record count.
 
     One ``ts<TAB>eui<TAB>fcnt<TAB>sf`` line per delivered event, with the
     event end as the receive time to six decimals; lost events produce
     no line.  Lines are ordered by receive time, then EUI, then frame
-    counter, and formatted from the result's columns ``_LOG_CHUNK`` at a
-    time.
+    counter: each block is sorted alone, as an end time falls in one
+    block only, and formatted from its columns ``_LOG_CHUNK`` at a time.
     """
     euis = [d.dev_eui for d in result.devices]
-    good = np.flatnonzero(result.delivered)
     # EUIs are unique, so their ranks sort like the strings themselves
     eui_rank = np.argsort(np.argsort(np.array(euis)))
-    rows = good[np.lexsort((result.fcnt[good], eui_rank[result.dev[good]], result.end[good]))]
+    written = 0
     with open(path, "w", encoding="ascii") as fh:
-        for lo in range(0, rows.size, _LOG_CHUNK):
-            chunk = rows[lo:lo + _LOG_CHUNK]
-            fh.write("".join([
-                f"{ts:.6f}\t{euis[d]}\t{fcnt}\t{sf}\n"
-                for ts, d, fcnt, sf in zip(result.end[chunk].tolist(), result.dev[chunk].tolist(),
-                                           result.fcnt[chunk].tolist(), result.sf[chunk].tolist())
-            ]))
-    return int(rows.size)
+        for block in [result] if isinstance(result, SimResult) else result:
+            end, dev, fcnt = block.end, block.dev, block.fcnt
+            good = np.flatnonzero(block.delivered)
+            rows = good[np.lexsort((fcnt[good], eui_rank[dev[good]], end[good]))]
+            for lo in range(0, rows.size, _LOG_CHUNK):
+                chunk = rows[lo:lo + _LOG_CHUNK]
+                fh.write("".join([
+                    f"{ts:.6f}\t{euis[d]}\t{n}\t{sf}\n"
+                    for ts, d, n, sf in zip(end[chunk].tolist(), dev[chunk].tolist(),
+                                            fcnt[chunk].tolist(), block.sf[chunk].tolist())
+                ]))
+            written += rows.size
+    return written

@@ -12,23 +12,15 @@ attempt not yet generated and the time it was switched off, if it was)
 and resolves the timeline on demand: :meth:`SimWorld.query`,
 :meth:`SimWorld.ground_truth` and :meth:`SimWorld.attempt_counts` first
 generate every attempt that starts before ``now`` and has not been
-generated yet, all devices at once, then finalize the batch.  The
-attempts are counted by :func:`lorascale.simulator.attempts` and
-expanded by :func:`lorascale.simulator.lattice_events`, as in
-:func:`lorascale.simulator.run`.  A count too large for an int64 raises
-``ValueError``; a resolution that fails before it stores its events
-leaves the world as it was.  An event is final once it has ended
-(``end <= now``): every later transmission starts after it is over.
-A same-SF event can only be hit by events that start less than one
-airtime before it, under either collision model, so the event buffer
-keeps the events that are still open plus the final ones that start
-within a look-back of twice the longest airtime before the earliest
-open start (or before ``now``, when nothing is open); older events
-leave it.  Once final, an event's end time and device join the world's
-attempt arrays, one chunk per resolution, and the delivered events,
-grouped by device with NumPy, go into a :class:`PacketStore` as column
-lists, with no record object per packet.  The world thus answers a query
-exactly as the network server's store does, with its
+generated yet, all devices at once, as :func:`lorascale.simulator.run`
+counts and expands them, then make one step of the run's resolver,
+:class:`~lorascale.simulator.Edge`.  A count too large for an int64
+raises ``ValueError``; a resolution that fails before it stores its
+events leaves the world as it was.  The events the step finalizes join
+the world's attempt arrays, one chunk per resolution, and the delivered
+ones, grouped by device with NumPy, go into a :class:`PacketStore` as
+column lists, with no record object per packet.  The world thus answers
+a query exactly as the network server's store does, with its
 :meth:`~lorascale.netserver.PacketStore.window` slices, the columns the
 network-server client decodes; :meth:`SimWorld.ground_truth` counts each
 device's deliveries with one bisection of its timestamp column.  However
@@ -43,8 +35,8 @@ import math
 import numpy as np
 
 from .netserver import Columns, PacketStore
-from .simulator import (AnyOverlap, CollisionModel, attempts, device_rng, lattice_events,
-                        resolve, roster)
+from .simulator import (AnyOverlap, CollisionModel, Edge, attempts, device_rng,
+                        lattice_events, roster)
 
 
 class SimWorld:
@@ -59,12 +51,10 @@ class SimWorld:
     def __init__(self, devices, model: CollisionModel = AnyOverlap(), seed: int = 0):
         devices = list(devices)
         self._columns = roster(devices)
-        self._model = model
         self._devices = devices
         self._index = {d.device_id: i for i, d in enumerate(devices)}
         self._rngs = [device_rng(seed, d.dev_eui) for d in devices]
         self._euis = [d.dev_eui for d in devices]
-        self._lookback = 2.0 * max((d.airtime for d in devices), default=0.0)
         self._now = 0.0
         # each device's current on-interval: attempt k starts at base + k *
         # period (not an accumulated sum, so long runs produce the batch
@@ -78,11 +68,7 @@ class SimWorld:
         # frame counter of attempt 0 in each device's earliest interval
         # not yet counted: its first one in _closed, else its current one
         self._fcnt0 = np.zeros(len(devices), dtype=np.int64)
-        self._resolved = 0.0  # the clock at the last resolution
-        # the open edge of the timeline: unfinished events plus the final
-        # ones that may still hit them, as lattice_events columns
-        none = np.empty(0, dtype=np.int64)
-        self._edge = lattice_events(self._columns, none, none, none, none, none)
+        self._edge = Edge(self._columns, model)  # stepped to the clock at each resolution
         # finalized attempts: end times and roster positions, one chunk
         # per resolution; the delivered ones are rows in the store
         self._attempt_end = [np.empty(0)]
@@ -119,9 +105,9 @@ class SimWorld:
 
     def _catch_up(self) -> None:
         """Generate every attempt that starts before ``now`` and is not
-        generated yet, then finalize the events that ended since the
-        last resolution."""
-        if self._resolved == self._now:
+        generated yet, then record the events that ended since the last
+        resolution."""
+        if self._edge.now == self._now:
             return
         on = np.flatnonzero(self._on)
         c_dev, c_base, c_lo, c_off = zip(*self._closed) if self._closed else ((),) * 4
@@ -139,28 +125,17 @@ class SimWorld:
             fcnt0_next[i] += stop
         fcnt0 = np.concatenate((np.array(c_fcnt0, dtype=np.int64), fcnt0_next[on]))
         events = lattice_events(self._columns, dev, base, lo, counts, fcnt0)
-        # the world changes only from here on, so a refused count or a
-        # failed expansion leaves it as it was; every new event starts at
-        # or after the last resolution, past all buffered starts, so
-        # appending keeps the buffer sorted
+        # new events start at or after the last resolution, as a step needs;
+        # the world changes only from here on, so a failed step changes nothing
+        (_, end, sf, dev, fcnt), delivered = self._edge.step(events, self._now)
         self._closed.clear()
         self._k[on] = hi[len(c_dev):]
         self._fcnt0 = fcnt0_next
-        self._edge = tuple(map(np.concatenate, zip(self._edge, events)))
-        previous, self._resolved = self._resolved, self._now
-        self._finalize(previous)
-
-    def _finalize(self, previous: float) -> None:
-        """Record the events that ended since ``previous``, then drop the
-        final events that no open or future event can reach."""
-        start, end, sf, dev, fcnt = self._edge
-        fresh = np.flatnonzero((end > previous) & (end <= self._now))
-        if fresh.size:
-            lost = resolve(start, end, sf, self._model)[fresh]
-            self._attempt_end.append(end[fresh])
-            self._attempt_dev.append(dev[fresh])
+        if dev.size:
+            self._attempt_end.append(end)
+            self._attempt_dev.append(dev)
             # the delivered events as per-device columns, each in start order
-            good = fresh[~lost]
+            good = np.flatnonzero(delivered)
             good = good[np.argsort(dev[good], kind="stable")]
             owner = dev[good]
             firsts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
@@ -170,11 +145,6 @@ class SimWorld:
                 (euis[i], ts[a:b], counters[a:b], sfs[a:b])
                 for i, a, b in zip(owner[firsts].tolist(), firsts, [*firsts[1:], good.size])
             ])
-        open_starts = start[end > self._now]
-        edge = open_starts[0] if open_starts.size else self._now
-        keep = int(np.searchsorted(start, edge - self._lookback, side="left"))
-        if keep:
-            self._edge = tuple(column[keep:] for column in self._edge)
 
     def query(self, dev_euis: list[str], from_ts: float, to_ts: float) -> list[Columns]:
         """Delivered packets of each device in the closed time window, one

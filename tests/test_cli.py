@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lorascale import cli, netserver
+from lorascale import analysis, cli, netserver, simulator
 from lorascale.controller import OrchestrationError, TurnOff, TurnOn
 from batch_adapter import batch_query
 
@@ -629,6 +629,41 @@ def test_run_experiment_keeps_the_report_on_an_interrupt(tmp_path, capsys, monke
     assert capsys.readouterr().err == "error: turn-off aborted after 0 shutdowns: interrupted\n"
     unconfirmed = [f"g0{i}" for i in range(1, 9)]
     assert_report_kept(capsys, report, golden_trailer("interrupted", unconfirmed))
+
+
+def test_run_experiment_interrupted_at_a_turn_on_prompt_writes_nothing(tmp_path, capsys,
+                                                                       monkeypatch):
+    """A Ctrl-C before collect is one error line and exit 130, with no file
+    written; the interrupt does not escape ``cli.main``."""
+    class Interrupted(cli.SimulatedOperator):
+        def prompt(self, action):
+            if action == TurnOn("g03"):
+                raise KeyboardInterrupt
+            return super().prompt(action)
+
+    monkeypatch.setattr(cli, "SimulatedOperator", Interrupted)
+    assert run_golden(tmp_path / "report.txt") == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.28 TiB for an array", "error: out of memory: Unable to allocate "
+                                                 "7.28 TiB for an array\n"),
+    ("", "error: out of memory\n"),
+])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, message, line):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(analysis, "bounds_curve", exhausted)
+    rc = cli.main(["analyze", "--total", "1000000000000", "--period", "600",
+                   "--airtime-sf7", "0.04122"])
+    assert rc == 1 and capsys.readouterr().err == line
+    monkeypatch.setattr(simulator, "lattice_events", exhausted)
+    rc = cli.main(["simulate", "--devices", "3", "--period", "5", "--airtime", "0.05",
+                   "--out", str(tmp_path / "x.log")])
+    assert rc == 1 and capsys.readouterr().err == line
 
 
 GOLDEN_EUI_G03 = "00000000feed0003"

@@ -2,12 +2,13 @@ import hashlib
 import math
 import re
 from array import array
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from lorascale import controller
+from lorascale import controller, netserver
 from lorascale.cli import device_period
 from lorascale.controller import (
     DeviceMatrix,
@@ -163,6 +164,30 @@ def test_load_roster_names_the_line_of_an_unmapped_or_repeated_id(tmp_path):
     with pytest.raises(OrchestrationError,
                        match=f"^{re.escape(str(exp))}:3: duplicate device id d1$"):
         load_roster(exp, mapping)
+
+
+def test_load_roster_checks_each_form_once(tmp_path, monkeypatch):
+    """Each mapped EUI meets the form check once on its way from the files
+    to the matrix, listed or not; a matrix built from entries checks its own."""
+    checked = Counter()
+    pattern = netserver.EUI_PATTERN
+
+    class CountingPattern:
+        def fullmatch(self, eui):
+            checked[eui] += 1
+            return pattern.fullmatch(eui)
+
+    monkeypatch.setattr(netserver, "EUI_PATTERN", CountingPattern())
+    exp, mapping = tmp_path / "exp.csv", tmp_path / "map.csv"
+    euis = [f"{0xa0 + i:016x}" for i in range(6)]
+    mapping.write_text("".join(f"d{i},{eui}\n" for i, eui in enumerate(euis)))
+    exp.write_text("d4\nd1,\nd2\n")
+    matrix = load_roster(exp, mapping)
+    assert matrix.ids() == ["d4", "d1", "d2"] and matrix.eui_for("d1") == euis[1]
+    assert checked == Counter(euis)
+    checked.clear()
+    assert DeviceMatrix(matrix.entries).ids() == matrix.ids()
+    assert checked == Counter([euis[4], euis[1], euis[2]])
 
 
 def test_load_roster_41_entry_fixture():

@@ -1091,6 +1091,9 @@ def test_packets_reply_bytes_match_json_dumps(devices):
     """The server's reply, formatted from the store's columns, is byte for
     byte ``json.dumps`` of the records it lists."""
     got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in entry]) for eui, entry in devices]
+    if len({eui.lower() for eui, _ in devices}) < len(devices):  # case variants name one device
+        assert served_line(got) == netserver._error("query needs distinct dev_euis")
+        return
     assert served_line(got) == reference_packets_line(got)
 
 

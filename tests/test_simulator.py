@@ -1,12 +1,14 @@
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lorascale import kernels, scaling, simulator
+from lorascale import cli, kernels, scaling, simulator
 from lorascale.controller import DeviceMatrix, OrchestrationError, RosterEntry
 from lorascale.scaling import TrafficProfile, success_exact_periodic
 from lorascale.simulator import (
@@ -398,6 +400,77 @@ def device_sets(draw):
          duration=20.782548329474153, model=AnyOverlap(), seed=0)
 def test_run_matches_per_device_reference(devices, duration, model, seed):
     assert_run_matches_reference(devices, duration, model, seed)
+
+
+# --- the timeline in blocks against the whole run --------------------------------
+
+@st.composite
+def bursts(draw):
+    """Devices on one period and a few fixed phases, so that many start
+    together; their mixed airtimes end a burst in different blocks."""
+    n = draw(st.integers(2, 8))
+    period = draw(st.sampled_from([1.0, 2.5, 7.0]))
+    ids = draw(st.permutations(range(n)))
+    return [DeviceSpec(f"b{ids[i]}", f"{0xbe00 + i:016x}", draw(st.sampled_from([7, 8])), period,
+                       period * draw(st.sampled_from([0.01, 0.1, 0.3])),
+                       phase=period * draw(st.sampled_from([0.0, 0.25])),
+                       active_from=draw(st.sampled_from([0.0, period, 2.5 * period])),
+                       active_until=draw(st.sampled_from([math.inf, 20.0 * period])))
+            for i in range(n)]
+
+
+@given(
+    devices=st.one_of(device_sets(), bursts()),
+    duration=st.floats(0.5, 150.0),
+    model=st.sampled_from([AnyOverlap(), VulnerabilityWindow(0.5), VulnerabilityWindow(1.0)]),
+    seed=st.integers(0, 2**64 - 1),
+    chunk=st.integers(1, 64),
+)
+@settings(max_examples=100, deadline=None)
+def test_timeline_blocks_join_to_the_whole_run(tmp_path_factory, devices, duration, model, seed,
+                                               chunk):
+    """However small the steps, the blocks cover rising, disjoint ranges of
+    end times, each in (start, id) order; joined they are the run, and the
+    log streamed from them is the run's log, byte for byte."""
+    directory = tmp_path_factory.mktemp("logs")
+    whole = run(devices, duration, model=model, seed=seed)  # one block at these sizes
+    n = write_packet_log(whole, directory / "whole.log")
+    with mock.patch.object(simulator, "_CHUNK_EVENTS", chunk):
+        blocks = list(simulator.Timeline(devices, duration, model, seed))
+        assert_run_matches_reference(devices, duration, model, seed)
+        timeline = simulator.Timeline(devices, duration, model, seed)
+        assert write_packet_log(timeline, directory / "streamed.log") == n
+    assert (directory / "streamed.log").read_bytes() == (directory / "whole.log").read_bytes()
+    rank = np.argsort(np.argsort([d.device_id for d in devices]))
+    ends = [block.end for block in blocks if block.end.size]
+    assert all(a.max() < b.min() for a, b in zip(ends, ends[1:]))
+    for block in blocks:
+        assert np.array_equal(np.lexsort((rank[block.dev], block.start)), np.arange(block.dev.size))
+    names = ["start", "end", "sf", "dev", "fcnt", "delivered"]
+    joined = [np.concatenate([getattr(block, name) for block in blocks]) for name in names]
+    order = np.lexsort((rank[joined[3]], joined[0]))
+    for name, column in zip(names, joined):
+        assert np.array_equal(column[order], getattr(whole, name)), name
+
+
+def streamed_peak(duration: float) -> int:
+    """tracemalloc peak of ``simulate --out`` for 41 devices over ``duration``."""
+    with tempfile.TemporaryDirectory() as directory:
+        argv = ["simulate", "--devices", "41", "--period", "7",
+                "--airtime", "0.11729", "--duration", str(duration), "--seed", "1",
+                "--out", str(Path(directory) / "packets.log")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_streamed_log_memory_does_not_grow_with_the_duration():
+    with mock.patch.object(simulator, "_CHUNK_EVENTS", 1024):
+        small, large = streamed_peak(2800.0), streamed_peak(28000.0)
+    assert large <= 1.2 * small
 
 
 # --- chunked Monte-Carlo estimator against the whole-timeline reference ----------
