@@ -165,10 +165,15 @@ def attempts(base, period, k0, limit):
 
 def _timeline_order(start: np.ndarray, dev: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
     """Indices that order events by start, equal starts by device id: one
-    sort by start, and the id key only when two starts are equal."""
+    unstable sort by start, then the events that share a start (usually
+    none) sorted by (start, id) among the places they hold."""
     order = np.argsort(start)
-    if not np.diff(start[order]).all():
-        order = np.lexsort((id_rank[dev], start))
+    s = start[order]
+    tie = np.zeros(s.size, dtype=bool)  # starts equal to a neighbour's
+    tie[1:] = s[1:] == s[:-1]
+    tie[:-1] |= tie[1:]
+    sub = order[tie]
+    order[tie] = sub[np.lexsort((id_rank[dev[sub]], s[tie]))]
     return order
 
 
@@ -217,7 +222,8 @@ class Edge:
     under either collision model, so the edge keeps the events that are
     still open plus the final ones that start within a look-back of twice
     the longest airtime before the earliest open start (or before
-    ``now``, when nothing is open); older events leave it.  However time
+    ``now``, when nothing is open); older events leave it, and memory, as
+    the kept ones are copied out of the step's buffer.  However time
     is cut into steps, the events, their floats and their outcomes are
     those of marking the whole timeline at once.
     """
@@ -232,19 +238,17 @@ class Edge:
         """Append ``events``, :func:`lattice_events` columns that start at or
         after ``self.now`` (so the buffer stays sorted), and move to ``now``;
         returns the columns of the events that ended in between, in timeline
-        order, and their delivered flags.  A step that raises changes nothing."""
+        order, then their delivered flags.  A step that raises changes nothing."""
         buffer = tuple(map(np.concatenate, zip(self._events, events)))
         start, end, sf = buffer[:3]
-        fresh = np.flatnonzero((end > self.now) & (end <= now))
-        if fresh.size and fresh[-1] - fresh[0] == fresh.size - 1:
-            fresh = slice(fresh[0], fresh[-1] + 1)  # one run of events: views, not copies
+        fresh = (end > self.now) & (end <= now)
         block = tuple(column[fresh] for column in buffer)
         lost = resolve(start, end, sf, self._model)[fresh] if block[0].size else np.zeros(0, bool)
         open_starts = start[end > now]
         edge = open_starts[0] if open_starts.size else now
         keep = int(np.searchsorted(start, edge - self._lookback, side="left"))
-        self._events, self.now = tuple(column[keep:] for column in buffer), now
-        return block, ~lost
+        self._events, self.now = tuple(column[keep:].copy() for column in buffer), now
+        return (*block, ~lost)
 
 
 class Timeline:
@@ -253,7 +257,8 @@ class Timeline:
     Attempt ``k`` of a device starts at ``active_from + phase + k * period``
     and is made if it starts no later than ``horizon - airtime``, where the
     horizon is the earlier of ``duration`` and ``active_until``.  The span
-    of starts is cut into equal steps of ``_CHUNK_EVENTS`` events on average.
+    of starts is cut into steps equal in time, not in events, of
+    ``_CHUNK_EVENTS`` events on average.
     """
 
     def __init__(self, devices: Iterable[DeviceSpec], duration: float,
@@ -280,8 +285,7 @@ class Timeline:
             counts = attempts(self.first, self.columns.period, k, np.minimum(self.limit, now))
             events = lattice_events(self.columns, dev, self.first, k, counts, zeros)
             k = k + counts
-            block, delivered = edge.step(events, now)
-            yield SimResult(self.devices, *block, delivered)
+            yield SimResult(self.devices, *edge.step(events, now))
 
 
 def run(devices: Iterable[DeviceSpec], duration: float,
@@ -294,11 +298,13 @@ def run(devices: Iterable[DeviceSpec], duration: float,
     for block in timeline:
         parts = [block.start, block.end, block.sf, block.dev, block.fcnt, block.delivered]
         joined = joined or [np.empty(total, dtype=part.dtype) for part in parts]
+        size = block.dev.size
         for column, part in zip(joined, parts):
-            column[at:at + part.size] = part
-        if at and part.size:
+            column[at:at + size] = part
+        if at and size:
             seams.append(at)
-        at += part.size
+        at += size
+        del block, parts, part  # the next step need not hold this block
     # each block is in order, so the whole is unless mixed airtimes cross a seam
     start, dev, b = joined[0], joined[3], np.array(seams, dtype=np.int64)
     a = b - 1

@@ -127,7 +127,7 @@ class SimWorld:
         events = lattice_events(self._columns, dev, base, lo, counts, fcnt0)
         # new events start at or after the last resolution, as a step needs;
         # the world changes only from here on, so a failed step changes nothing
-        (_, end, sf, dev, fcnt), delivered = self._edge.step(events, self._now)
+        _, end, sf, dev, fcnt, delivered = self._edge.step(events, self._now)
         self._closed.clear()
         self._k[on] = hi[len(c_dev):]
         self._fcnt0 = fcnt0_next
