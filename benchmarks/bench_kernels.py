@@ -7,10 +7,11 @@ kernels (best-of CPU time; 65,536 events is the Monte-Carlo estimator's
 chunk size), each on its fast path and its slow one: ``mark_any_overlap``
 on one airtime and on two mixed airtimes, whose decreasing ends take the
 running maximum, and ``mark_window`` at factor 1.0 and at 0.5, which
-sends some events through the search fallback.  Then a full simulator
-run for context, the paper's 100,000-round Monte-Carlo estimate under
-any-overlap and under vulnerability windows of factor 1.0 and 0.5 (CPU
-time and tracemalloc peak), and a live SimWorld
+sends some events through the search fallback.  Then full simulator
+runs for context (41 devices, and the 10,000 devices of the fleet10k log
+below in best-of CPU time), the paper's 100,000-round Monte-Carlo
+estimate under any-overlap and under vulnerability windows of factor 1.0
+and 0.5 (CPU time and tracemalloc peak), and a live SimWorld
 series (41 devices, growing numbers of 7 s advances, each series ended
 by one ``attempt_counts`` call, which generates and resolves every
 attempt the advances passed over: the advances themselves only move
@@ -97,16 +98,22 @@ def per_call(fn, repeats: int, min_s: float = 0.2) -> float:
     return best_of(lambda: [fn() for _ in range(calls)], repeats, time.process_time) / calls
 
 
-def fleet_log(path: Path, n: int = 10_000) -> list[str]:
-    """Write the fleet10k packet log to ``path``; returns the EUIs."""
+def fleet10k(n: int = 10_000) -> tuple[list[DeviceSpec], float]:
+    """The fleet10k devices, all with random phases, and their horizon."""
     period, spread, airtime, step = 600.0, 0.06, 0.04122, 1.0
     horizon = n * step + 1_800.0 + 40 * period
-    euis = [f"{0x1000_0000 + 7919 * k:016x}" for k in range(n)]
-    fleet = [DeviceSpec(f"dev{k:05d}", euis[k], 7, device_period(period, k, n, spread), airtime,
+    fleet = [DeviceSpec(f"dev{k:05d}", f"{0x1000_0000 + 7919 * k:016x}", 7,
+                        device_period(period, k, n, spread), airtime,
                         active_from=k * step, active_until=horizon)
              for k in range(n)]
+    return fleet, horizon
+
+
+def fleet_log(path: Path) -> list[str]:
+    """Write the fleet10k packet log to ``path``; returns the EUIs."""
+    fleet, horizon = fleet10k()
     write_packet_log(run(fleet, horizon, seed=1), path)
-    return euis
+    return [d.dev_eui for d in fleet]
 
 
 def server_rows(repeats: int) -> None:
@@ -203,6 +210,10 @@ def main() -> None:
     print()
     t = best_of(lambda: run(fleet, 70_000.0, seed=1), repeats=3)
     print(f"run(): 41 devices x 10,000 periods: {t * 1e3:7.1f} ms")
+    # the fleet10k log's run: every device draws its random phase
+    big, horizon = fleet10k()
+    t = best_of(lambda: run(big, horizon, seed=1), args.repeats, clock=time.process_time)
+    print(f"run(): fleet10k, 10,000 devices: {t * 1e3:7.1f} ms CPU")
 
     # Monte-Carlo estimate: the paper's 41 devices for 100,000 rounds
     print()

@@ -202,6 +202,8 @@ def _traffic(args, config: dict[str, str], devices: int):
     duration = _setting(args, config, "duration", float, 10_000 * period)
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be finite and positive, got {duration}")
+    if devices < 1:
+        raise ValueError(f"devices must be at least 1, got {devices}")
     sf8_devices = _setting(args, config, "sf8_devices", int, 0)
     if not 0 <= sf8_devices <= devices:
         raise ValueError(f"sf8_devices must lie between 0 and the fleet size {devices}, "

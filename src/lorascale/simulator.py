@@ -108,14 +108,91 @@ class SimResult:
 
 
 def device_rng(seed: int, dev_eui: str) -> np.random.Generator:
-    """Per-device random stream, independent of the rest of the fleet."""
+    """Per-device random stream, independent of the rest of the fleet.
+
+    Its first ``uniform(0.0, period)`` is the device's random phase;
+    :func:`draw_phases` computes that one draw for many devices at once.
+    """
     return np.random.default_rng([seed & _U64, int(dev_eui, 16)])
 
 
-def draw_phase(spec: DeviceSpec, seed: int) -> float:
-    if spec.phase == "random":
-        return float(device_rng(seed, spec.dev_eui).uniform(0.0, spec.period))
-    return float(spec.phase)
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier as high and low 64-bit words
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix of uint32 arrays; each call moves the constant on."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays."""
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ result >> 16
+
+
+def _mul64(a, b):
+    """The 128-bit products of uint64 values as high and low words, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), mid << 32 | p00 & _M32
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, ``state * multiplier + inc`` modulo 2**128, on word arrays."""
+    top, lo_product = _mul64(lo, _PCG_LO)
+    lo_sum = lo_product + inc_lo
+    return top + hi * _PCG_LO + lo * _PCG_HI + inc_hi + (lo_sum < inc_lo), lo_sum
+
+
+def draw_phases(seed: int, dev_euis: list[str], periods: np.ndarray) -> np.ndarray:
+    """Each device's ``device_rng(seed, eui).uniform(0.0, period)``, bit for
+    bit, for all devices in one pass of integer arrays and no ``Generator``.
+
+    This replays NumPy: SeedSequence pools the entropy words, the seed's
+    and then the EUI's little-endian uint32 words (0 is one word ``[0]``;
+    a pool slot past them hashes as 0, as a zero word does), and expands
+    the pool into four uint64 words; PCG64 seeds its 128-bit state with
+    them and steps once more for the draw, whose XSL-RR output gives the
+    double ``(x >> 11) * 2**-53`` that scales the period.
+    """
+    seed &= _U64
+    eui = np.array([int(e, 16) for e in dev_euis], dtype=np.uint64)
+    words = [np.full(eui.size, w, dtype=np.uint32) for w in ([seed & _M32, seed >> 32]
+                                                            if seed >> 32 else [seed])]
+    words += [(eui & _M32).astype(np.uint32), (eui >> 32).astype(np.uint32)]
+    words += [np.zeros(eui.size, dtype=np.uint32)] * (4 - len(words))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    half = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    w0, w1, w2, w3 = (half[2 * j] | half[2 * j + 1] << 32 for j in range(4))
+    # initstate is (w0, w1) and initseq (w2, w3), high word first; the first
+    # step from state 0 leaves inc, to which initstate is added
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < inc_lo)
+    for _ in range(2):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return periods * ((x >> 11).astype(np.float64) * 2.0 ** -53)
 
 
 class Roster(NamedTuple):
@@ -269,7 +346,11 @@ class Timeline:
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"duration must be finite and positive, got {duration}")
         self.columns = roster(self.devices)
-        self.first = np.array([d.active_from + draw_phase(d, seed) for d in self.devices])
+        drawn = [i for i, d in enumerate(self.devices) if d.phase == "random"]
+        phase = np.array([0.0 if d.phase == "random" else float(d.phase) for d in self.devices])
+        phase[drawn] = draw_phases(seed, [self.devices[i].dev_eui for i in drawn],
+                                   self.columns.period[drawn])
+        self.first = np.array([d.active_from for d in self.devices]) + phase
         horizon = np.minimum([d.active_until for d in self.devices], duration)
         # a float start no later than x is one below the next float after x
         self.limit = np.nextafter(horizon - self.columns.airtime, np.inf)

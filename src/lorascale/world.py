@@ -36,7 +36,7 @@ import numpy as np
 
 from .netserver import Columns, PacketStore
 from .simulator import (AnyOverlap, CollisionModel, Edge, attempts, device_rng,
-                        lattice_events, roster)
+                        draw_phases, lattice_events, roster)
 
 
 class SimWorld:
@@ -53,8 +53,14 @@ class SimWorld:
         self._columns = roster(devices)
         self._devices = devices
         self._index = {d.device_id: i for i, d in enumerate(devices)}
-        self._rngs = [device_rng(seed, d.dev_eui) for d in devices]
         self._euis = [d.dev_eui for d in devices]
+        # a random-phase device's first switch-on takes the first draw of its
+        # stream, drawn here for all devices at once; the second builds the
+        # stream's generator past that draw, and later ones continue it.
+        # A device switched on once maps to None.
+        self._seed = seed
+        self._first_phase = draw_phases(seed, self._euis, self._columns.period)
+        self._rngs: dict[int, np.random.Generator | None] = {}
         self._now = 0.0
         # each device's current on-interval: attempt k starts at base + k *
         # period (not an accumulated sum, so long runs produce the batch
@@ -87,9 +93,16 @@ class SimWorld:
         self._on[i] = active
         if active:
             spec = self._devices[i]
-            phase = spec.phase if spec.phase != "random" else float(
-                self._rngs[i].uniform(0.0, spec.period)
-            )
+            phase = spec.phase
+            if phase == "random" and i not in self._rngs:
+                self._rngs[i] = None
+                phase = self._first_phase[i]
+            elif phase == "random":
+                rng = self._rngs[i]
+                if rng is None:
+                    rng = self._rngs[i] = device_rng(self._seed, spec.dev_eui)
+                    rng.uniform()  # the first draw, taken from draw_phases
+                phase = rng.uniform(0.0, spec.period)
             self._base[i] = self._now + float(phase)
             self._k[i] = 0
         else:

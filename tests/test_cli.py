@@ -352,7 +352,18 @@ def test_simulate_rejects_sf8_devices_outside_fleet(tmp_path, capsys, count, out
     assert err.startswith("error: sf8_devices") and count in err
 
 
-@pytest.mark.parametrize("point", ["foo", "x:report.txt", "1.5:report.txt", ":report.txt", "3:"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("out", [False, True])
+def test_simulate_rejects_a_fleet_without_devices(tmp_path, capsys, count, out):
+    log = tmp_path / "x.log"
+    rc = cli.main(["simulate", "--devices", count, "--period", "5", "--airtime", "0.05",
+                   "--duration", "50", *(["--out", str(log)] if out else [])])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: devices must be at least 1, got {count}\n"
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("point",["foo", "x:report.txt", "1.5:report.txt", ":report.txt", "3:"])
 def test_analyze_rejects_bad_point_syntax(capsys, point):
     rc = cli.main(["analyze", "--total", "10", "--period", "7", "--airtime-sf7", "0.04",
                    "--point", point])

@@ -17,7 +17,6 @@ from lorascale.simulator import (
     SfGroup,
     VulnerabilityWindow,
     attempts,
-    draw_phase,
     estimate_pdr,
     run,
     write_packet_log,
@@ -307,6 +306,51 @@ def test_estimator_and_bounds_share_one_group_type_and_rule():
 
 
 # --- vectorized timeline build against a per-device reference -------------------
+
+def draw_phase(spec, seed):
+    """One device's phase, from a generator of its own stream: the reference
+    for the fleet-wide ``simulator.draw_phases``."""
+    if spec.phase == "random":
+        return float(simulator.device_rng(seed, spec.dev_eui).uniform(0.0, spec.period))
+    return float(spec.phase)
+
+
+# EUIs of one word, of exactly 2**32 and up to the top of the uint64 range
+EUI_VALUES = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1),
+                       st.integers(2**63, 2**64 - 1), st.sampled_from([0, 2**32, 2**64 - 1]))
+
+
+@given(
+    # seeds outside 0 .. 2**64 - 1 are masked to 64 bits
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(max_value=-1),
+                   st.integers(min_value=2**64)),
+    devices=st.lists(st.tuples(EUI_VALUES, st.booleans(), st.floats(1e-300, 1e300)),
+                     max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+@example(seed=2**32, devices=[(0, False, 7.0), (2**32, True, 600.0), (2**64 - 1, True, 1e-9)])
+def test_draw_phases_is_each_device_streams_first_draw(seed, devices):
+    euis = [f"{eui:016X}" if upper else f"{eui:016x}" for eui, upper, _ in devices]
+    periods = np.array([period for *_, period in devices], dtype=np.float64)
+    got = simulator.draw_phases(seed, euis, periods)
+    assert got.dtype == np.float64
+    assert got.tolist() == [float(simulator.device_rng(seed, eui).uniform(0.0, period))
+                            for eui, period in zip(euis, periods.tolist())]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32, 2**64 - 1, -5, 2**64 + 3])
+def test_run_draws_random_phases_from_each_device_stream(seed):
+    euis = ["0000000000000000", "00000000FFFFFFFF", "0000000100000000", "8000000000000000",
+            "FFFFFFFFFFFFFFFF", "00000000000000a1", "DEADBEEFcafe0001"]
+    devices = [DeviceSpec(f"d{i}", eui, 7 + i % 2, 5.0 + i, 0.3, active_from=3.0 * i,
+                          phase=1.25 if i % 3 == 0 else "random")
+               for i, eui in enumerate(euis)]
+    for model in (AnyOverlap(), VulnerabilityWindow(1.0)):
+        assert_run_matches_reference(devices, 200.0, model, seed)
+    # the phases come from one array pass, not a generator per device
+    with mock.patch("numpy.random.default_rng", side_effect=AssertionError("a Generator")):
+        simulator.Timeline(devices, 200.0, seed=seed)
+
 
 def reference_run_arrays(devices, duration, model, seed):
     """The timeline built one device at a time, one array per attempt list."""

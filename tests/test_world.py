@@ -171,6 +171,23 @@ def test_attempt_count_beyond_int64_is_refused():
             world.attempt_counts()
 
 
+@pytest.mark.parametrize("seed", [0, 2**40 + 7, -3])
+def test_random_phases_continue_each_stream_across_switch_ons(seed):
+    """A device's first switch-on takes its stream's first draw, drawn for
+    the whole fleet at once; each later one continues the same stream."""
+    devices = specs(3) + [DeviceSpec("f", "ffffffffffffffff", 7, 5.0, 0.2, phase=1.0)]
+    world, reference = SimWorld(devices, seed=seed), ReferenceWorld(devices, AnyOverlap(), seed)
+    for w in (world, reference):
+        for cycle in range(4):
+            for d in devices[cycle % 2:]:
+                w.set_active(d.device_id, True)
+            w.advance(7.0 + cycle)
+            for d in devices:
+                w.set_active(d.device_id, False)
+            w.advance(2.5)
+    assert_worlds_agree(world, reference, devices)
+
+
 def test_failed_expansion_leaves_the_world_as_it_was(monkeypatch):
     """A resolution that fails after counting changes nothing: asked again,
     the world matches the reference."""
