@@ -18,12 +18,13 @@ attempt the advances passed over: the advances themselves only move
 the clock).  Its time per advance stays flat because one resolution is
 linear in the attempts it finalizes.
 
-The server rows use the fleet10k log: 10,000 devices, period 600 s with
-a 6% spread, airtime 0.04122 s, switched on 1 s apart, about 144k
-delivered records.  They time ``PacketStore.ingest_file`` of that log,
-give the bytes the loaded store holds per record (tracemalloc), time
-``PacketStore.window`` (the column slices the server's replies are
-formatted from) on the loaded 10k-EUI store, and
+The log and server rows use the fleet10k log: 10,000 devices, period
+600 s with a 6% spread, airtime 0.04122 s, switched on 1 s apart, about
+144k delivered records.  They time ``write_packet_log`` of the run that
+makes the log and ``PacketStore.ingest_file`` of it (best-of CPU time,
+also per record and per line), give the bytes the loaded store holds per
+record (tracemalloc), time ``PacketStore.window`` (the column slices the
+server's replies are formatted from) on the loaded 10k-EUI store, and
 time batch ``NetClient.query`` round trips over local TCP to a server
 thread in the same process (CPU of both ends) in the pipeline's three
 kinds of poll, each as best-of CPU time per round trip and per device,
@@ -109,17 +110,17 @@ def fleet10k(n: int = 10_000) -> tuple[list[DeviceSpec], float]:
     return fleet, horizon
 
 
-def fleet_log(path: Path) -> list[str]:
-    """Write the fleet10k packet log to ``path``; returns the EUIs."""
-    fleet, horizon = fleet10k()
-    write_packet_log(run(fleet, horizon, seed=1), path)
-    return [d.dev_eui for d in fleet]
-
-
 def server_rows(repeats: int) -> None:
+    fleet, horizon = fleet10k()
+    euis = [d.dev_eui for d in fleet]
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "packets.log"
-        euis = fleet_log(log)
+        result = run(fleet, horizon, seed=1)
+        records = write_packet_log(result, log)
+        t = best_of(lambda: write_packet_log(result, log), repeats, clock=time.process_time)
+        del result
+        print(f"write_packet_log: fleet10k run, {records:,} records: {t * 1e3:7.1f} ms CPU"
+              f" ({t / records * 1e6:4.2f} us per record)")
         with log.open() as fh:
             lines = sum(1 for _ in fh)
         store = netserver.PacketStore()

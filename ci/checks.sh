@@ -46,26 +46,40 @@ step_console() (
 )
 
 # A subshell, so that its EXIT trap stops the server and removes the
-# files however the step ends.  Job control gives the server its own
-# process group, which the trap stops whole, wrapper processes included.
+# files however the step ends.  Job control gives each server its own
+# process group, which is stopped whole, wrapper processes included.
 step_golden_run() (
   set -m
   out=$(mktemp -d)
   server=
   trap 'test -z "$server" || kill -- "-$server" 2>/dev/null; rm -rf "$out"' EXIT
+  # serve LOG: start a server that replays LOG, its output in LOG.serve,
+  # and wait until it serves; sets addr
+  serve() {
+    "${cli[@]}" serve --bind 127.0.0.1:0 --token golden-token --log "$1" > "$1.serve" &
+    server=$!
+    for _ in $(seq 100); do
+      grep -qs '^serving on ' "$1.serve" && break
+      sleep 0.1
+    done
+    addr=$(sed -n 's/^serving on //p' "$1.serve")
+    test -n "$addr"
+  }
+  # the console step's seed-1 log, which the server reads in many blocks
+  lorascale simulate --devices 41 --period 7 --airtime 0.11729 --sf 7 \
+      --duration 70000 --seed 1 --out "$out/any.log" > /dev/null
+  test "$(md5sum < "$out/any.log")" = "9cefe43880445b6142c50750bb39eff7  -"
+  serve "$out/any.log"
+  grep -qxF "ingested 90000 records from $out/any.log (0 malformed lines skipped)" \
+      "$out/any.log.serve"
+  kill -- "-$server"
+  wait "$server" || true
+  server=
   lorascale simulate --config tests/data/golden.cfg --out "$out/packets.log"
   cmp "$out/packets.log" tests/data/golden.log
-  "${cli[@]}" serve --bind 127.0.0.1:0 --token golden-token \
-      --log "$out/packets.log" > "$out/serve.txt" &
-  server=$!
-  for _ in $(seq 100); do
-    grep -qs '^serving on ' "$out/serve.txt" && break
-    sleep 0.1
-  done
-  addr=$(sed -n 's/^serving on //p' "$out/serve.txt")
-  test -n "$addr"
+  serve "$out/packets.log"
   grep -qxF "ingested 307 records from $out/packets.log (0 malformed lines skipped)" \
-      "$out/serve.txt"
+      "$out/packets.log.serve"
   lorascale run-experiment --config tests/data/golden.cfg --auto-operator sim \
       --server "$addr" --token golden-token \
       --report "$out/report.txt" --timestamps "$out/timestamps.txt" > "$out/run.txt"

@@ -27,7 +27,8 @@ empty packet list.  A reply is formatted straight from the store's column
 slices, and the client decodes each entry straight into columns of the
 same types; no record object is built on either side.  Persistence is an
 append-only log file (the simulator's export format) replayed at startup,
-parsed straight into columns.
+parsed straight into columns a block of lines at a time, so that parsing
+holds O(block) memory beyond the store.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import itemgetter, lt
@@ -71,13 +72,26 @@ def check_devices(devices: Iterable[tuple[str, str]], forms: bool = True) -> dic
     return eui_by_id
 
 
-# One packet-log line, matched with ``fullmatch``: the receive time (an
+# The fields of a packet-log line, tab separated: the receive time (an
 # optional minus, digits and an optional fraction), the EUI, the frame
-# counter and the SF (7-12), tab separated, with an optional line end.
-# This is exactly what ``simulator.write_packet_log`` writes; signs,
-# spaces, underscores, exponents, NaN and infinities are malformed.
-LOG_LINE = re.compile(r"(-?[0-9]+(?:\.[0-9]+)?)\t(" + EUI_PATTERN.pattern
-                      + r")\t([0-9]+)\t([7-9]|1[0-2])\r?\n?")
+# counter and the SF (7-12).  This is exactly what
+# ``simulator.write_packet_log`` writes; signs, spaces, underscores,
+# exponents, NaN and infinities are malformed.
+_LOG_FIELDS = (r"-?[0-9]+(?:\.[0-9]+)?", EUI_PATTERN.pattern, r"[0-9]+", r"[7-9]|1[0-2]")
+
+# One packet-log line, matched with ``fullmatch``: the fields, each
+# captured, with an optional line end.
+LOG_LINE = re.compile("\t".join(f"({field})" for field in _LOG_FIELDS) + r"\r?\n?")
+
+# A block of log lines joined by single spaces, matched with ``fullmatch``:
+# each line the fields and one ``\n``.  The repeat is possessive, so a long
+# block keeps no backtracking state.  Whitespace separates every field, so
+# ``str.split`` of a matching block gives four fields per line.
+_LOG_BLOCK = re.compile("(?:{0}\n )*+{0}\n".format(
+    "\t".join(f"(?:{field})" for field in _LOG_FIELDS)))
+
+# Log lines that ``PacketStore.ingest_lines`` checks and converts at a time.
+_INGEST_BLOCK = 1 << 14
 
 _INF = math.inf
 # A stored row's key, (timestamp, frame counter): each EUI's rows rise in it.
@@ -119,6 +133,32 @@ def _log_fields(line: str) -> tuple[str, float, int, int]:
     if fcnt > _FCNT_MAX:
         raise ValueError(f"frame counter {fcnt_s!r} does not fit an int64")
     return eui, ts, fcnt, int(sf)
+
+
+def _block_fields(block: list[str]):
+    """The EUIs, timestamps, counters and SFs of a block of log lines, as
+    :func:`_log_fields` reads them, column by column; or ``None`` unless
+    each line is one :data:`LOG_LINE` ended by exactly one ``\\n`` and
+    every timestamp and counter fits its column.
+
+    The block is one string, the lines joined by spaces: it matches
+    :data:`_LOG_BLOCK` with as many lines as the block has elements only
+    if no element holds a space, so the joining spaces are the only ones
+    and each element is one line and its ``\\n``.
+    """
+    text = " ".join(block)
+    if _LOG_BLOCK.fullmatch(text) is None:
+        return None
+    fields = text.split()
+    if len(fields) != 4 * len(block):
+        return None
+    try:
+        ts, fcnt = list(map(float, fields[0::4])), list(map(int, fields[2::4]))
+    except ValueError:  # a counter longer than ``int`` reads
+        return None
+    if not (-_INF < min(ts) and max(ts) < _INF and max(fcnt) <= _FCNT_MAX):
+        return None
+    return fields[1::4], ts, fcnt, map(int, fields[3::4])
 
 
 # One EUI's packets: receive times, frame counters and SFs, row by row.
@@ -224,22 +264,35 @@ class PacketStore:
         whose frame counter does not fit an int64, is skipped.  Each
         line's fields, which always fit the columns, go onto its EUI's
         columns, which are stored as they are, with no second check.
+
+        Lines are taken ``_INGEST_BLOCK`` at a time, and a block is checked
+        and converted whole (:func:`_block_fields`); a block that holds a
+        line to skip or to ignore, a line end other than one ``\\n``, or a
+        value no column holds is read line by line instead, so either way
+        every line is read as :func:`_log_fields` reads it.
         """
         by_eui: dict[str, tuple[array, array, bytearray]] = {}
         skipped = 0
-        for line in lines:
-            try:
-                eui, ts, fcnt, sf = _log_fields(line)
-            except ValueError:
-                if line and not line.isspace():
-                    skipped += 1
-                continue
-            columns = by_eui.get(eui)
-            if columns is None:
-                by_eui[eui] = columns = (array("d"), array("q"), bytearray())
-            columns[0].append(ts)
-            columns[1].append(fcnt)
-            columns[2].append(sf)
+        lines = iter(lines)
+        while block := list(islice(lines, _INGEST_BLOCK)):
+            fields = _block_fields(block)
+            if fields is not None:
+                rows = zip(*fields)
+            else:
+                rows = []
+                for line in block:
+                    try:
+                        rows.append(_log_fields(line))
+                    except ValueError:
+                        if line and not line.isspace():
+                            skipped += 1
+            for eui, ts, fcnt, sf in rows:
+                columns = by_eui.get(eui)
+                if columns is None:
+                    by_eui[eui] = columns = (array("d"), array("q"), bytearray())
+                columns[0].append(ts)
+                columns[1].append(fcnt)
+                columns[2].append(sf)
         with self._lock:
             added = sum(self._put(eui, *columns) for eui, columns in by_eui.items())
         return added, skipped

@@ -240,18 +240,24 @@ def attempts(base, period, k0, limit):
         k = k + short - over
 
 
-def _timeline_order(start: np.ndarray, dev: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
-    """Indices that order events by start, equal starts by device id: one
-    unstable sort by start, then the events that share a start (usually
-    none) sorted by (start, id) among the places they hold."""
-    order = np.argsort(start)
-    s = start[order]
-    tie = np.zeros(s.size, dtype=bool)  # starts equal to a neighbour's
-    tie[1:] = s[1:] == s[:-1]
+def _tie_order(key: np.ndarray, minor) -> np.ndarray:
+    """Indices that order rows by ``key``, equal keys by the ``np.lexsort``
+    keys (least significant first) that ``minor(rows)`` gives for the
+    indexed rows: one unstable sort by key, then the rows that share a key
+    (usually none) sorted by (key, minor keys) among the places they hold."""
+    order = np.argsort(key)
+    k = key[order]
+    tie = np.zeros(k.size, dtype=bool)  # keys equal to a neighbour's
+    tie[1:] = k[1:] == k[:-1]
     tie[:-1] |= tie[1:]
     sub = order[tie]
-    order[tie] = sub[np.lexsort((id_rank[dev[sub]], s[tie]))]
+    order[tie] = sub[np.lexsort((*minor(sub), k[tie]))]
     return order
+
+
+def _timeline_order(start: np.ndarray, dev: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Indices that order events by start, equal starts by device id."""
+    return _tie_order(start, lambda rows: (id_rank[dev[rows]],))
 
 
 def lattice_events(columns: Roster, dev: np.ndarray, base: np.ndarray, k0: np.ndarray,
@@ -494,6 +500,9 @@ def estimate_pdr(groups: Iterable[SfGroup], period: float, rounds: int,
 # memory is bounded by this, not by the length of the log.
 _LOG_CHUNK = 1 << 14
 
+# One packet-log line: receive time, EUI, frame counter and SF.
+_LOG_FORMAT = "%.6f\t%s\t%d\t%d\n"
+
 
 def write_packet_log(result: SimResult | Timeline, path) -> int:
     """Write the delivered-packet log of a result or of a :class:`Timeline`,
@@ -503,23 +512,28 @@ def write_packet_log(result: SimResult | Timeline, path) -> int:
     event end as the receive time to six decimals; lost events produce
     no line.  Lines are ordered by receive time, then EUI, then frame
     counter: each block is sorted alone, as an end time falls in one
-    block only, and formatted from its columns ``_LOG_CHUNK`` at a time.
+    block only, by end and then, among equal ends only, by EUI and
+    counter.  Its lines are formatted ``_LOG_CHUNK`` at a time, by one
+    ``%`` of the repeated line format over the chunk's interleaved
+    columns.
     """
-    euis = [d.dev_eui for d in result.devices]
+    euis = np.array([d.dev_eui for d in result.devices], dtype=object)
     # EUIs are unique, so their ranks sort like the strings themselves
-    eui_rank = np.argsort(np.argsort(np.array(euis)))
+    eui_rank = np.argsort(np.argsort(euis.astype(str)))
     written = 0
     with open(path, "w", encoding="ascii") as fh:
         for block in [result] if isinstance(result, SimResult) else result:
             end, dev, fcnt = block.end, block.dev, block.fcnt
             good = np.flatnonzero(block.delivered)
-            rows = good[np.lexsort((fcnt[good], eui_rank[dev[good]], end[good]))]
+            rows = good[_tie_order(end[good], lambda tied: (fcnt[good[tied]],
+                                                             eui_rank[dev[good[tied]]]))]
             for lo in range(0, rows.size, _LOG_CHUNK):
                 chunk = rows[lo:lo + _LOG_CHUNK]
-                fh.write("".join([
-                    f"{ts:.6f}\t{euis[d]}\t{n}\t{sf}\n"
-                    for ts, d, n, sf in zip(end[chunk].tolist(), dev[chunk].tolist(),
-                                            fcnt[chunk].tolist(), block.sf[chunk].tolist())
-                ]))
+                fields = [None] * (4 * chunk.size)
+                fields[0::4] = end[chunk].tolist()
+                fields[1::4] = euis[dev[chunk]].tolist()
+                fields[2::4] = fcnt[chunk].tolist()
+                fields[3::4] = block.sf[chunk].tolist()
+                fh.write(_LOG_FORMAT * chunk.size % tuple(fields))
             written += rows.size
     return written

@@ -2,8 +2,10 @@
 and the record helpers of the tests.
 
 The straightforward forms of the record path:
-:func:`reference_write_packet_log` builds a :class:`PacketRecord` for
-each delivered event and formats it with :func:`format_log_line`, and
+:func:`reference_write_packet_log` sorts the delivered events of a
+result, or of each block of a timeline, with one ``np.lexsort`` by
+receive time, EUI and counter, builds a :class:`PacketRecord` for each
+and formats it with :func:`format_log_line`, an f-string, and
 the wire lines are ``json.dumps`` of the message dicts.  They cost an
 object and a generic encoder call per record, but each step is easy to
 check by eye, so :func:`lorascale.simulator.write_packet_log` and the
@@ -28,7 +30,7 @@ import numpy as np
 
 from lorascale import netserver
 from lorascale.netserver import PacketRecord, PacketStore
-from lorascale.simulator import SimResult
+from lorascale.simulator import SimResult, Timeline
 
 
 def format_log_line(record: PacketRecord) -> str:
@@ -56,13 +58,15 @@ def export_packet_log(result: SimResult) -> Iterator[PacketRecord]:
         )
 
 
-def reference_write_packet_log(result: SimResult, path) -> int:
-    """Write the delivered-packet log; returns the record count."""
+def reference_write_packet_log(result: SimResult | Timeline, path) -> int:
+    """Write the delivered-packet log of a result, or of each block of a
+    timeline in turn, one record at a time; returns the record count."""
     n = 0
     with open(path, "w", encoding="ascii") as fh:
-        for record in export_packet_log(result):
-            fh.write(format_log_line(record) + "\n")
-            n += 1
+        for block in [result] if isinstance(result, SimResult) else result:
+            for record in export_packet_log(block):
+                fh.write(format_log_line(record) + "\n")
+                n += 1
     return n
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 from array import array
 from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -436,8 +437,10 @@ ENDING_ST = st.sampled_from(["", "\n", "\r\n"])
 
 
 @st.composite
-def log_line_st(draw):
-    kind = draw(st.sampled_from(["written", "written", "short", "blank", "corrupt"]))
+def log_line_st(draw, clean=False):
+    """A log line; a ``clean`` one is written or short and ends in ``\\n``."""
+    kind = draw(st.sampled_from(["written", "short"] if clean else
+                                ["written", "written", "short", "blank", "corrupt"]))
     if kind == "blank":
         return draw(st.sampled_from(["", "\n", "  \n", "\t\r\n", "\r"]))
     rec = draw(record_st)
@@ -450,29 +453,80 @@ def log_line_st(draw):
         at = draw(st.integers(0, len(line)))
         cut = draw(st.integers(0, 2))
         line = line[:at] + draw(CORRUPTION_ST) + line[at + cut:]
-    return line + draw(ENDING_ST)
+    return line + ("\n" if clean else draw(ENDING_ST))
 
 
-@given(lines=st.lists(log_line_st(), max_size=30), again=st.lists(log_line_st(), max_size=8))
+# Lines with runs of clean ones, so that whole blocks of a few lines are too.
+log_lines_st = st.lists(st.one_of(log_line_st().map(lambda line: [line]),
+                                  st.lists(log_line_st(clean=True), min_size=1, max_size=7)),
+                        max_size=10).map(lambda runs: [line for run in runs for line in run])
+
+
+@given(lines=log_lines_st, again=st.lists(log_line_st(), max_size=8),
+       block=st.sampled_from([1, 2, 3, netserver._INGEST_BLOCK]))
 @settings(max_examples=400)
-def test_ingest_lines_matches_reference_parser(lines, again):
+def test_ingest_lines_matches_reference_parser(lines, again, block):
+    """Whatever the block size, so also across the seams of blocks checked
+    whole and blocks read line by line."""
+    with mock.patch.object(netserver, "_INGEST_BLOCK", block):
+        store, reference = PacketStore(), ReferenceStore()
+        for batch in (lines, lines[:3] + again):  # the second batch repeats lines
+            # the reference reads some lines the log grammar rejects on purpose
+            lenient = []
+            for line in batch:
+                try:
+                    reference_parse_log_line(line)
+                except ValueError:
+                    continue
+                if not written_form(line):
+                    lenient.append(line)
+            kept = [line for line in batch if line not in lenient]
+            ingested, skipped = reference.ingest_lines(kept)
+            assert store.ingest_lines(batch) == (ingested, skipped + len(lenient))
+        for eui in ("00000000000000aa", "00000000000000bb", "00000000000000CC", "00000000000000cc"):
+            assert store.query(eui, -10.0, 10.0) == reference.query(eui, -10.0, 10.0)
+            assert store.query(eui, 0.0, 2.0) == reference.query(eui, 0.0, 2.0)
+
+
+def test_ingest_lines_reads_each_element_as_one_line():
+    """Elements that join into well-formed lines are still read one by one:
+    two lines in one element are one malformed line."""
+    a, b = f"1.000000\t{AA}\t0\t7\n", f"2.000000\t{AA}\t1\t7\n"
+    for lines in ([a + " " + b, a], [a, a + " " + b], [a, b + b]):
+        assert PacketStore().ingest_lines(lines) == (1, 1)
+
+
+def test_ingest_file_reads_each_block_whole_or_line_by_line(tmp_path, monkeypatch):
+    """A log of ten 4-line blocks: an overflowing timestamp, a counter
+    beyond int64, a non-ASCII byte and an unfinished last line each send
+    their block line by line, and the store matches the reference; CRLF
+    and CR line ends read as ``\\n``, so their blocks stay whole."""
+    monkeypatch.setattr(netserver, "_INGEST_BLOCK", 4)
+    lines = [f"{k}.{k:06d}\t{STORE_EUIS[k % 3]}\t{k}\t{7 + k % 6}\n" for k in range(40)]
+    lines[5] = "9" * 400 + ".5\t00000000000000aa\t5\t7\n"  # block 1
+    lines[10] = f"10.5\t00000000000000bb\t{2**63}\t7\n"  # block 2
+    lines[13] = lines[13].replace("\n", "\r\n")  # block 3
+    lines[17] = lines[17].replace("\n", "\r")  # block 4
+    lines[26] = lines[26].replace("\t", "\xff\t", 1)  # block 6
+    lines[39] = lines[39].rstrip("\n")  # block 9
+    log = tmp_path / "packets.log"
+    log.write_bytes("".join(lines).encode("latin-1"))
+    with open(log, encoding="ascii", errors="replace") as fh:
+        read = list(fh)
+    assert len(read) == 40 and "\r" not in "".join(read)
+
+    by_line = []
+    log_fields = netserver._log_fields
+    monkeypatch.setattr(netserver, "_log_fields", lambda line: by_line.append(line)
+                        or log_fields(line))
     store, reference = PacketStore(), ReferenceStore()
-    for batch in (lines, lines[:3] + again):  # the second batch repeats lines
-        # the reference reads some lines the log grammar rejects on purpose
-        lenient = []
-        for line in batch:
-            try:
-                reference_parse_log_line(line)
-            except ValueError:
-                continue
-            if not written_form(line):
-                lenient.append(line)
-        kept = [line for line in batch if line not in lenient]
-        ingested, skipped = reference.ingest_lines(kept)
-        assert store.ingest_lines(batch) == (ingested, skipped + len(lenient))
-    for eui in ("00000000000000aa", "00000000000000bb", "00000000000000CC", "00000000000000cc"):
-        assert store.query(eui, -10.0, 10.0) == reference.query(eui, -10.0, 10.0)
-        assert store.query(eui, 0.0, 2.0) == reference.query(eui, 0.0, 2.0)
+    # the reference stores any counter; the store's log parser skips one
+    # beyond int64
+    ingested, skipped = reference.ingest_lines(read[:10] + read[11:])
+    assert store.ingest_file(log) == (ingested, skipped + 1) == (37, 3)
+    assert by_line == read[4:12] + read[24:28] + read[36:]
+    for eui in STORE_EUIS:
+        assert store.query(eui, -math.inf, math.inf) == reference.query(eui, -math.inf, math.inf)
 
 
 # --- wire protocol ------------------------------------------------------------

@@ -185,6 +185,62 @@ def test_packet_log_bytes_match_reference_at_chunk_edges(tmp_path, records):
     assert assert_log_matches_reference(result, tmp_path) == records
 
 
+# EUIs whose string order (upper case before lower, shorter hex values
+# first) is not the devices' order
+ORDER_EUIS = ["00000000000000ff", "00000000000000AB", "00000000000000aa", "0000000000000100"]
+
+
+def hand_made(rows, airtimes=(0.5, 3.0, 0.5, 1.25)) -> simulator.SimResult:
+    """A result of ``(dev, start, fcnt, delivered)`` rows, in the order
+    given, on four devices on SF 7 to 10 with the EUIs above; an event
+    ends one airtime of its device after its start."""
+    devices = [DeviceSpec(f"d{i}", eui, 7 + i, 10.0, airtime)
+               for i, (eui, airtime) in enumerate(zip(ORDER_EUIS, airtimes))]
+    dev, start, fcnt, delivered = (np.array(column) for column in zip(*rows))
+    end = start + np.array(airtimes)[dev]
+    return simulator.SimResult(devices, start, end, (7 + dev).astype(np.int16), dev, fcnt,
+                               delivered)
+
+
+@pytest.mark.parametrize("rows", [
+    # equal ends across all four devices, given in reverse EUI order
+    [(0, 4.5, 0, True), (1, 2.0, 1, True), (2, 4.5, 2, True), (3, 3.75, 3, True)],
+    # equal ends on one device, told apart by the counter alone
+    [(1, 2.0, 9, True), (1, 2.0, 4, True), (0, 4.5, 7, True), (1, 2.0, 5, False)],
+    # mixed airtimes: the ends are out of start order, lost events between
+    [(1, 0.1, 0, True), (0, 0.2, 0, True), (2, 0.3, 0, False), (3, 0.4, 0, True),
+     (0, 1.0, 1, True), (1, 1.1, 1, False), (2, 2.9, 1, True), (0, 3.35, 2, True)],
+    # ends one float apart, which print alike and sort by the float
+    [(0, 1.0 + 2e-16, 3, True), (2, 1.0, 1, True), (0, 1.0, 2, True), (3, 0.25, 0, True)],
+    # nothing delivered
+    [(0, 1.0, 0, False), (1, 1.0, 0, False)],
+])
+@pytest.mark.parametrize("chunk", [1, 2, 3, simulator._LOG_CHUNK])
+def test_packet_log_order_matches_reference_on_hand_made_results(tmp_path, rows, chunk):
+    result = hand_made(rows)
+    with mock.patch.object(simulator, "_LOG_CHUNK", chunk):
+        n = assert_log_matches_reference(result, tmp_path)
+    assert n == sum(delivered for *_, delivered in rows)
+
+
+def test_packet_log_of_a_many_block_timeline_matches_reference(tmp_path):
+    """A timeline streamed in many blocks: equal ends across devices on
+    four SFs, mixed airtimes on SF 7 and EUIs out of device order."""
+    specs = [DeviceSpec(f"d{i}", eui, 7 + i, 1.0, 0.25, phase=0.5)
+             for i, eui in enumerate(ORDER_EUIS)]
+    specs += [DeviceSpec(f"m{i}", f"{0xfff0 - i:016X}", 7, period, airtime)
+              for i, (period, airtime) in enumerate([(3.0, 0.05), (2.0, 0.4), (5.0, 0.9)])]
+    with mock.patch.object(simulator, "_CHUNK_EVENTS", 7), \
+            mock.patch.object(simulator, "_LOG_CHUNK", 5):
+        timeline = simulator.Timeline(specs, 200.0, seed=4)
+        assert sum(1 for _ in timeline) > 50
+        fast, ref = tmp_path / "fast.log", tmp_path / "ref.log"
+        n = write_packet_log(timeline, fast)
+        assert n == reference_write_packet_log(timeline, ref)
+    assert n > 600
+    assert fast.read_bytes() == ref.read_bytes()
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         DeviceSpec("x", "zz00000000000000", 7, 7.0, 0.1)  # bad EUI

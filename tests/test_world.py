@@ -235,9 +235,17 @@ def world_scenarios(draw):
         st.floats(0.0, 20.0),                 # up to many periods
     ).map(lambda dt: ("advance", dt))
     toggle = st.tuples(st.just("toggle"), st.integers(0, n - 1), st.booleans())
+    # a device on (if it was not), then off and on again with the clock
+    # moved in between: a random-phase device, when there is one, which
+    # draws a new phase at each switch-on after its first
+    drawn = [i for i, d in enumerate(devices) if d.phase == "random"] or range(n)
+    cycle = st.tuples(st.sampled_from(drawn), advance, advance, advance).map(
+        lambda c: [("toggle", c[0], True), c[1], ("toggle", c[0], False), c[2],
+                   ("toggle", c[0], True), c[3]])
     initially_on = [("toggle", i, True) for i in range(n) if i == 0 or draw(st.booleans())]
-    steps = draw(st.lists(st.one_of(advance, advance, advance, toggle), min_size=1, max_size=80))
-    return devices, initially_on + steps
+    groups = draw(st.lists(st.one_of(advance.map(lambda a: [a]), toggle.map(lambda t: [t]), cycle),
+                           min_size=1, max_size=40))
+    return devices, initially_on + [step for group in groups for step in group]
 
 
 def assert_worlds_agree(world, reference, devices):
