@@ -65,10 +65,10 @@ step_golden_run() (
     addr=$(sed -n 's/^serving on //p' "$1.serve")
     test -n "$addr"
   }
-  # the console step's seed-1 log, which the server reads in many blocks
+  # the seed-1 log whose md5 the console step pins, which the server reads
+  # in many blocks
   lorascale simulate --devices 41 --period 7 --airtime 0.11729 --sf 7 \
       --duration 70000 --seed 1 --out "$out/any.log" > /dev/null
-  test "$(md5sum < "$out/any.log")" = "9cefe43880445b6142c50750bb39eff7  -"
   serve "$out/any.log"
   grep -qxF "ingested 90000 records from $out/any.log (0 malformed lines skipped)" \
       "$out/any.log.serve"

@@ -456,10 +456,13 @@ def log_line_st(draw, clean=False):
     return line + ("\n" if clean else draw(ENDING_ST))
 
 
-# Lines with runs of clean ones, so that whole blocks of a few lines are too.
-log_lines_st = st.lists(st.one_of(log_line_st().map(lambda line: [line]),
-                                  st.lists(log_line_st(clean=True), min_size=1, max_size=7)),
-                        max_size=10).map(lambda runs: [line for run in runs for line in run])
+# Up to 30 lines of any kind, or lines with runs of clean ones, so that
+# whole blocks of a few lines are too.
+log_lines_st = st.one_of(
+    st.lists(log_line_st(), max_size=30),
+    st.lists(st.one_of(log_line_st().map(lambda line: [line]),
+                       st.lists(log_line_st(clean=True), min_size=1, max_size=7)),
+             max_size=10).map(lambda runs: [line for run in runs for line in run]))
 
 
 @given(lines=log_lines_st, again=st.lists(log_line_st(), max_size=8),
