@@ -22,13 +22,16 @@ The log and server rows use the fleet10k log: 10,000 devices, period
 600 s with a 6% spread, airtime 0.04122 s, switched on 1 s apart, about
 144k delivered records.  They time ``write_packet_log`` of the run that
 makes the log and ``PacketStore.ingest_file`` of it (best-of CPU time,
-also per record and per line), give the bytes the loaded store holds per
-record (tracemalloc), time ``PacketStore.window`` (the column slices the
-server's replies are formatted from) on the loaded 10k-EUI store, and
-time batch ``NetClient.query`` round trips over local TCP to a server
-thread in the same process (CPU of both ends) in the pipeline's three
-kinds of poll, each as best-of CPU time per round trip and per device,
-every sample timing as many polls as take at least 0.2 s.
+also per record and per line), once as written and once with one
+malformed line in each block of lines the store checks whole, which
+sends every block down the line-by-line path.  They give the bytes the
+loaded store holds per record (tracemalloc), time ``PacketStore.window``
+(the column slices the server's replies are formatted from) on the
+loaded 10k-EUI store, and time batch ``NetClient.query`` round trips
+over local TCP to a server thread in the same process (CPU of both
+ends) in the pipeline's three kinds of poll, each as best-of CPU time
+per round trip and per device, every sample timing as many polls as
+take at least 0.2 s.
 
     python benchmarks/bench_kernels.py [--sizes 10000 65536 100000 500000]
                                        [--advances 100 200 400 800]
@@ -122,17 +125,29 @@ def server_rows(repeats: int) -> None:
         print(f"write_packet_log: fleet10k run, {records:,} records: {t * 1e3:7.1f} ms CPU"
               f" ({t / records * 1e6:4.2f} us per record)")
         with log.open() as fh:
-            lines = sum(1 for _ in fh)
+            lines = fh.readlines()
+        # the same records with one malformed line opening each block the
+        # store checks whole, so that every block is read line by line
+        block = netserver._INGEST_BLOCK
+        bad = []
+        for start in range(0, len(lines), block - 1):
+            bad += ["this is not a log line\n", *lines[start:start + block - 1]]
+        bad_log = Path(tmp) / "packets-bad.log"
+        bad_log.write_text("".join(bad))
+        logs = (("", log, len(lines)),
+                (f", one malformed line per {block:,}-line block", bad_log, len(bad)))
+        del lines, bad
         store = netserver.PacketStore()
 
-        def ingest():
+        def ingest(path=log):
             nonlocal store
             store = netserver.PacketStore()
-            store.ingest_file(log)
+            store.ingest_file(path)
 
-        t = best_of(ingest, repeats=3, clock=time.process_time)
-        print(f"PacketStore.ingest_file: {lines:,} lines: {t * 1e3:7.1f} ms CPU"
-              f" ({t / lines * 1e6:4.2f} us per line)")
+        for name, path, n in logs:
+            t = best_of(lambda: ingest(path), repeats=3, clock=time.process_time)
+            print(f"PacketStore.ingest_file{name}: {n:,} lines: {t * 1e3:7.1f} ms CPU"
+                  f" ({t / n * 1e6:4.2f} us per line)")
         held = traced_size(ingest)
         print(f"PacketStore: {len(store):,} records held in {held / 2**20:5.1f} MB"
               f" ({held / len(store):5.1f} bytes per record, tracemalloc)")

@@ -77,8 +77,13 @@ step_golden_run() (
   server=
   lorascale simulate --config tests/data/golden.cfg --out "$out/packets.log"
   cmp "$out/packets.log" tests/data/golden.log
+  # two malformed lines, one a golden device's inside the experiment window
+  # with a counter past int64, and a blank line: the server skips the two,
+  # ignores the blank and serves the golden packets unchanged
+  printf 'this is not a log line\n100.000000\t00000000feed0001\t9223372036854775808\t7\n\n' \
+      >> "$out/packets.log"
   serve "$out/packets.log"
-  grep -qxF "ingested 307 records from $out/packets.log (0 malformed lines skipped)" \
+  grep -qxF "ingested 307 records from $out/packets.log (2 malformed lines skipped)" \
       "$out/packets.log.serve"
   lorascale run-experiment --config tests/data/golden.cfg --auto-operator sim \
       --server "$addr" --token golden-token \

@@ -330,6 +330,11 @@ def _cmd_run_experiment(args) -> int:
               f"({total_delivered}/{total_sent})")
     else:
         print("network pdr undefined (no packets)")
+    # a failed query is reported as such, not as a device that never delivered
+    silent = sum(1 for device_id, report in result.reports.items()
+                 if not report.sent and device_id not in result.query_failures)
+    if silent:
+        print(f"warning: {silent} of {len(result.reports)} switched-on devices never delivered")
     if result.query_failures:
         print(f"query failed for {len(result.query_failures)} devices (see report)")
     unconfirmed = sum(1 for r in result.shutdown_log if not r.confirmed)

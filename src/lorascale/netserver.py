@@ -25,10 +25,11 @@ than ``MAX_LINE_BYTES`` additionally close the connection.  Query windows
 are closed intervals with finite bounds, and an unknown EUI yields an
 empty packet list.  A reply is formatted straight from the store's column
 slices, and the client decodes each entry straight into columns of the
-same types; no record object is built on either side.  Persistence is an
-append-only log file (the simulator's export format) replayed at startup,
-parsed straight into columns a block of lines at a time, so that parsing
-holds O(block) memory beyond the store.
+same types; no record object is built on either side.  Packets enter a
+store only as rows, through :meth:`PacketStore.ingest_rows`, held to one
+value domain.  Persistence is an append-only log file (the simulator's
+export format) replayed at startup, parsed into rows a block of lines at
+a time, so that parsing holds O(block) memory beyond the store.
 """
 
 from __future__ import annotations
@@ -170,23 +171,6 @@ Columns = tuple[Sequence[float], Sequence[int], Sequence[int]]
 NO_PACKETS: Columns = ((), (), ())
 
 
-def _typed_columns(eui: str, ts: Iterable[float], fcnt: Iterable[int], sf: Iterable[int]
-                   ) -> tuple[array, array, bytearray]:
-    """One EUI's packets as the store's columns: an ``array('d')`` of
-    finite timestamps, an ``array('q')`` of counters and a ``bytearray``
-    of SFs.  A value no column holds, a non-finite timestamp and columns
-    of unequal length are each a ``ValueError``."""
-    try:
-        typed = array("d", ts), array("q", fcnt), bytearray(sf)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"packets of {eui!r} do not fit the store's columns: {exc}") from None
-    if not len(typed[0]) == len(typed[1]) == len(typed[2]):
-        raise ValueError(f"columns of {eui!r} differ in length")
-    if not all(map(isfinite, typed[0])):
-        raise ValueError(f"non-finite timestamp among the packets of {eui!r}")
-    return typed
-
-
 class PacketStore:
     """Thread-safe packet storage with duplicate suppression.
 
@@ -200,8 +184,8 @@ class PacketStore:
     slice; no product path calls it.  Queries see a consistent snapshot
     under a single-writer lock.
 
-    Batches go in through :meth:`ingest_columns` or :meth:`ingest_lines`,
-    one EUI's columns at a time.  A batch whose timestamps rise strictly,
+    Packets go in only through :meth:`ingest_rows`, which makes each EUI's
+    rows of a call one batch.  A batch whose timestamps rise strictly,
     starting after the last one stored for its EUI (as on every resolution
     of a live world, and for each EUI of a log ``write_packet_log``
     wrote), is appended in place, at a cost that grows with the batch and
@@ -210,84 +194,30 @@ class PacketStore:
     (timestamp, counter), stably, so of two exact duplicates (same EUI,
     timestamp and counter) the one stored first is kept.
 
-    The columns pin what a packet may hold: a finite timestamp (an ``int``
-    one is stored, and returned, as the float ``float()`` gives), a frame
-    counter that fits an int64 and an SF that fits a byte.  A batch with
-    any other value is a ``ValueError``, and then none of it is stored.
-    The client holds each reply entry to the same domain.
+    The columns pin what a packet may hold, one rule for every caller: a
+    finite timestamp (an ``int`` one is stored, and returned, as the float
+    ``float()`` gives), a frame counter that fits an int64, an SF that
+    fits a byte, and four fields to a row.  A call with any other row is
+    a ``ValueError``, and then none of it is stored.  The client holds
+    each reply entry to the same domain.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._by_eui: dict[str, tuple[array, array, bytearray]] = {}
 
-    def ingest_columns(self, batches: Iterable[tuple[str, Sequence[float], Sequence[int],
-                                                     Sequence[int]]]) -> int:
-        """Store ``(dev_eui, timestamps, counters, SFs)`` batches, one row
-        per packet; returns how many packets were new."""
-        typed = []
-        for eui, ts, fcnt, sf in batches:
-            ts, fcnt, sf = _typed_columns(eui, ts, fcnt, sf)
-            if ts:
-                typed.append((eui, ts, fcnt, sf))
-        added = 0
-        with self._lock:
-            for batch in typed:
-                added += self._put(*batch)
-        return added
+    def ingest_rows(self, rows: Iterable[tuple[str, float, int, int]]) -> int:
+        """Store ``(dev_eui, timestamp, counter, SF)`` rows, in any mix of
+        EUIs, each onto its EUI's columns in order; returns how many were
+        new.  A row outside the domain is a ``ValueError`` and stores none
+        of the call.
 
-    def _put(self, eui: str, ts: array, fcnt: array, sf: bytearray) -> int:
-        eui = eui.lower()
-        stored = self._by_eui.get(eui)
-        # timestamps that rise strictly past the stored ones leave every key
-        # new and in order
-        if (stored is None or stored[0][-1] < ts[0]) and all(map(lt, ts, ts[1:])):
-            if stored is None:
-                self._by_eui[eui] = ts, fcnt, sf
-            else:
-                stored[0].extend(ts)
-                stored[1].extend(fcnt)
-                stored[2].extend(sf)
-            return len(ts)
-        # sort the batch into the stored rows; stable, so of two duplicates,
-        # now neighbours, the stored one (or the earlier in the batch) leads
-        stored = stored or NO_PACKETS
-        rows = sorted(chain(zip(*stored), zip(ts, fcnt, sf)), key=_KEY)
-        rows = [row for prev, row in zip([(None, None), *rows], rows) if _KEY(prev) != _KEY(row)]
-        ts, fcnt, sf = zip(*rows)
-        self._by_eui[eui] = array("d", ts), array("q", fcnt), bytearray(sf)
-        return len(rows) - len(stored[0])
-
-    def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
-        """Parse and store log lines; returns (ingested, skipped).
-
-        Blank lines are ignored; every other line that is no
-        :data:`LOG_LINE`, or whose timestamp digits overflow to infinity or
-        whose frame counter does not fit an int64, is skipped.  Each
-        line's fields, which always fit the columns, go onto its EUI's
-        columns, which are stored as they are, with no second check.
-
-        Lines are taken ``_INGEST_BLOCK`` at a time, and a block is checked
-        and converted whole (:func:`_block_fields`); a block that holds a
-        line to skip or to ignore, a line end other than one ``\\n``, or a
-        value no column holds is read line by line instead, so either way
-        every line is read as :func:`_log_fields` reads it.
+        Finiteness is free where a batch is appended: a strictly rising
+        column holds no NaN, so it is finite when its two ends are; only a
+        batch sorted into the stored rows has each timestamp tested.
         """
         by_eui: dict[str, tuple[array, array, bytearray]] = {}
-        skipped = 0
-        lines = iter(lines)
-        while block := list(islice(lines, _INGEST_BLOCK)):
-            fields = _block_fields(block)
-            if fields is not None:
-                rows = zip(*fields)
-            else:
-                rows = []
-                for line in block:
-                    try:
-                        rows.append(_log_fields(line))
-                    except ValueError:
-                        if line and not line.isspace():
-                            skipped += 1
+        try:
             for eui, ts, fcnt, sf in rows:
                 columns = by_eui.get(eui)
                 if columns is None:
@@ -295,8 +225,72 @@ class PacketStore:
                 columns[0].append(ts)
                 columns[1].append(fcnt)
                 columns[2].append(sf)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"a row does not fit the store's columns: {exc}") from None
+        keys, rising = [], []
+        for eui, (ts, _, _) in by_eui.items():
+            up = all(map(lt, ts, ts[1:]))
+            if not (-_INF < ts[0] and ts[-1] < _INF if up else all(map(isfinite, ts))):
+                raise ValueError(f"non-finite timestamp among the packets of {eui!r}")
+            keys.append(eui.lower())
+            rising.append(up)
         with self._lock:
-            added = sum(self._put(eui, *columns) for eui, columns in by_eui.items())
+            return sum(map(self._put, keys, by_eui.values(), rising))
+
+    def _put(self, key: str, columns: tuple[array, array, bytearray], rising: bool) -> int:
+        stored = self._by_eui.get(key)
+        ts = columns[0]
+        # timestamps that rise strictly past the stored ones leave every key
+        # new and in order
+        if rising and (stored is None or stored[0][-1] < ts[0]):
+            if stored is None:
+                self._by_eui[key] = columns
+            else:
+                for column, new in zip(stored, columns):
+                    column.extend(new)
+            return len(ts)
+        # sort the batch into the stored rows; stable, so of two duplicates,
+        # now neighbours, the stored one (or the earlier in the batch) leads
+        stored = stored or NO_PACKETS
+        rows = sorted(chain(zip(*stored), zip(*columns)), key=_KEY)
+        rows = [row for prev, row in zip([(None, None), *rows], rows) if _KEY(prev) != _KEY(row)]
+        ts, fcnt, sf = zip(*rows)
+        self._by_eui[key] = array("d", ts), array("q", fcnt), bytearray(sf)
+        return len(rows) - len(stored[0])
+
+    def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
+        """Parse and store log lines; returns (ingested, skipped).
+
+        Blank lines are ignored; every other line that is no
+        :data:`LOG_LINE`, or whose timestamp digits overflow to infinity or
+        whose frame counter does not fit an int64, is skipped.  The other
+        lines' fields go to :meth:`ingest_rows` as rows.
+
+        Lines are taken ``_INGEST_BLOCK`` at a time, and a block is checked
+        and converted whole (:func:`_block_fields`); a block that holds a
+        line to skip or to ignore, a line end other than one ``\\n``, or a
+        value no column holds is read line by line instead, so either way
+        every line is read as :func:`_log_fields` reads it.
+        """
+        skipped = 0
+
+        def blocks(lines=iter(lines)):
+            nonlocal skipped
+            while block := list(islice(lines, _INGEST_BLOCK)):
+                fields = _block_fields(block)
+                if fields is not None:
+                    yield zip(*fields)
+                    continue
+                rows = []
+                for line in block:
+                    try:
+                        rows.append(_log_fields(line))
+                    except ValueError:
+                        if line and not line.isspace():
+                            skipped += 1
+                yield rows
+
+        added = self.ingest_rows(chain.from_iterable(blocks()))
         return added, skipped
 
     def ingest_file(self, path) -> tuple[int, int]:
@@ -481,8 +475,11 @@ def _device_reply(item, dev_eui: str) -> Columns | ProtocolError:
         ts, fcnt, sf = ([p[key] for p in packets] for key in ("ts", "fcnt", "sf"))
         if bool in set(map(type, chain(ts, fcnt, sf))):
             raise TypeError("a packet value is a bool")
-        return _typed_columns(dev_eui, ts, fcnt, sf)
-    except (KeyError, TypeError, ValueError) as exc:
+        columns = array("d", ts), array("q", fcnt), bytearray(sf)
+        if not all(map(isfinite, columns[0])):
+            raise ValueError("a timestamp is not finite")
+        return columns
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return ProtocolError(f"malformed packet in query reply: {exc!r}")
 
 

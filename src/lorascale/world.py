@@ -18,8 +18,10 @@ counts and expands them, then make one step of the run's resolver,
 raises ``ValueError``; a resolution that fails before it stores its
 events leaves the world as it was.  The events the step finalizes join
 the world's attempt arrays, one chunk per resolution, and the delivered
-ones, grouped by device with NumPy, go into a :class:`PacketStore` as
-column lists, with no record object per packet.  The world thus answers
+ones go into a :class:`PacketStore` through its one entry,
+:meth:`~lorascale.netserver.PacketStore.ingest_rows`, as ``(EUI,
+timestamp, counter, SF)`` rows in timeline order, with no record object
+per packet; the store builds each device's columns.  The world thus answers
 a query exactly as the network server's store does, with its
 :meth:`~lorascale.netserver.PacketStore.window` slices, the columns the
 network-server client decodes; :meth:`SimWorld.ground_truth` counts each
@@ -53,7 +55,7 @@ class SimWorld:
         self._columns = roster(devices)
         self._devices = devices
         self._index = {d.device_id: i for i, d in enumerate(devices)}
-        self._euis = [d.dev_eui for d in devices]
+        self._euis = np.array([d.dev_eui for d in devices], dtype=object)
         # a random-phase device's first switch-on takes the first draw of its
         # stream, drawn here for all devices at once; the second builds the
         # stream's generator past that draw, and later ones continue it.
@@ -147,17 +149,10 @@ class SimWorld:
         if dev.size:
             self._attempt_end.append(end)
             self._attempt_dev.append(dev)
-            # the delivered events as per-device columns, each in start order
+            # the delivered events as store rows, in start order
             good = np.flatnonzero(delivered)
-            good = good[np.argsort(dev[good], kind="stable")]
-            owner = dev[good]
-            firsts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
-            ts, counters, sfs = end[good].tolist(), fcnt[good].tolist(), sf[good].tolist()
-            euis = self._euis
-            self._store.ingest_columns([
-                (euis[i], ts[a:b], counters[a:b], sfs[a:b])
-                for i, a, b in zip(owner[firsts].tolist(), firsts, [*firsts[1:], good.size])
-            ])
+            self._store.ingest_rows(zip(self._euis[dev[good]].tolist(), end[good].tolist(),
+                                        fcnt[good].tolist(), sf[good].tolist()))
 
     def query(self, dev_euis: list[str], from_ts: float, to_ts: float) -> list[Columns]:
         """Delivered packets of each device in the closed time window, one

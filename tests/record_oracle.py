@@ -15,8 +15,8 @@ byte.
 The product passes packets as columns, ``(timestamps, counters, SFs)``
 triples; :func:`columns`, :func:`as_lists` and :func:`records_of` turn
 records and triples into one another, :func:`ingest_records` stores
-records through :meth:`PacketStore.ingest_columns`, and
-:func:`parse_log_line` reads one log line as a record.
+records as rows through :meth:`PacketStore.ingest_rows`, the store's one
+entry, and :func:`parse_log_line` reads one log line as a record.
 """
 
 from __future__ import annotations
@@ -113,13 +113,9 @@ def records_of(dev_eui: str, packets) -> list[PacketRecord]:
 
 
 def ingest_records(store: PacketStore, records: Iterable[PacketRecord]) -> int:
-    """Store records through ``ingest_columns``, one batch per EUI in the
-    order the EUIs first appear, each in the records' order; returns how
-    many were new."""
-    by_eui: dict[str, list[PacketRecord]] = {}
-    for rec in records:
-        by_eui.setdefault(rec.dev_eui, []).append(rec)
-    return store.ingest_columns([(eui, *columns(got)) for eui, got in by_eui.items()])
+    """Store records through ``ingest_rows``, one row each, in the
+    records' order; returns how many were new."""
+    return store.ingest_rows((r.dev_eui, r.received_ts, r.fcnt, r.sf) for r in records)
 
 
 def served_line(devices: list[tuple[str, list[PacketRecord]]]) -> bytes:

@@ -529,9 +529,10 @@ def test_serve_and_run_experiment_name_a_bad_address(tmp_path, capsys):
     assert not (tmp_path / "report.txt").exists()
 
 
-def run_golden(report, operator_arg="sim", mapping=DATA / "mapping8.csv"):
+def run_golden(report, operator_arg="sim", mapping=DATA / "mapping8.csv",
+               log=DATA / "golden.log"):
     store = netserver.PacketStore()
-    store.ingest_file(DATA / "golden.log")
+    store.ingest_file(log)
     server, thread = netserver.start_server(store, "golden-token")
     host, port = server.server_address
     try:
@@ -716,6 +717,21 @@ def test_run_experiment_summary_counts_failed_queries(tmp_path, capsys, monkeypa
     assert lines[-1] == "query failed for 1 devices (see report)"
     assert report.read_text().splitlines()[-1] == "# query-failed g03 no such window"
     assert "\ng03 0 0\n" in report.read_text()
+
+
+def test_run_experiment_warns_of_devices_that_never_delivered(tmp_path, capsys):
+    """A device the store holds no packet of reads ``0 0`` in the report
+    without a query failure, and the summary counts it against the roster."""
+    log = tmp_path / "golden-without-g03.log"
+    with open(DATA / "golden.log", encoding="ascii") as fh:
+        log.write_text("".join(line for line in fh if GOLDEN_EUI_G03 not in line))
+    report = tmp_path / "report.txt"
+    assert run_golden(report, log=log) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("network pdr ")
+    assert lines[-1] == "warning: 1 of 8 switched-on devices never delivered"
+    assert "\ng03 0 0\n" in report.read_text()
+    assert "# query-failed" not in report.read_text()
 
 
 def test_cli_imports_no_numpy():

@@ -317,17 +317,45 @@ def test_store_refuses_a_batch_with_a_value_no_column_holds(bad):
     with pytest.raises(ValueError):
         ingest_records(store, [PacketRecord(AA, 1, 1.0, 7), PacketRecord(BB, 0, 1.0, 7), bad])
     with pytest.raises(ValueError):
-        store.ingest_columns([(BB, [1.0], [0], [7]),
-                              (bad.dev_eui, [bad.received_ts], [bad.fcnt], [bad.sf])])
+        store.ingest_rows([(BB, 1.0, 0, 7), (bad.dev_eui, bad.received_ts, bad.fcnt, bad.sf)])
     assert store.query(AA, -1e300, 1e300) == [PacketRecord(AA, 0, 0.0, 7)]
     assert len(store) == 1  # none of either batch was stored
 
 
 def test_store_refuses_columns_of_unequal_length():
+    """A row short of a field, or with one too many, would leave the
+    columns of unequal length: the call stores none of its rows."""
     store = PacketStore()
-    with pytest.raises(ValueError):
-        store.ingest_columns([(AA, [1.0, 2.0], [0, 1], [7])])
+    for row in [(AA, 2.0, 1), (AA, 2.0, 1, 7, 0)]:
+        with pytest.raises(ValueError):
+            store.ingest_rows([(AA, 1.0, 0, 7), (BB, 1.0, 0, 7), row])
     assert len(store) == 0
+
+
+NO_ROWS = ([], [], [])
+
+
+@pytest.mark.parametrize("held", [[], [(AA, 0.0, 0, 7)]], ids=["empty-store", "eui-held"])
+@pytest.mark.parametrize("bad", [
+    [(AA, math.nan, 1, 7)],
+    [(AA, math.inf, 1, 7)],
+    [(AA, -math.inf, 1, 7)],
+    [(AA, 1.0, 1, 7), (AA, math.nan, 2, 7), (AA, 3.0, 3, 7)],
+], ids=["nan", "inf", "minus-inf", "nan-inside-rising"])
+def test_ingest_rows_refuses_a_non_finite_timestamp(held, bad):
+    """A lone non-finite timestamp is a rising batch of one, and a NaN
+    between finite ends leaves a batch not rising: each is refused, on
+    the append path and the merge path alike, and another EUI's good rows
+    of the call are not stored either."""
+    store = PacketStore()
+    assert store.ingest_rows(held) == len(held)
+    for rows in ([(BB, 1.0, 0, 7), *bad], [*bad, (BB, 1.0, 0, 7)]):
+        with pytest.raises(ValueError):
+            store.ingest_rows(rows)
+        assert as_lists(store.window(BB, -math.inf, math.inf)) == NO_ROWS
+        assert as_lists(store.window(AA, -math.inf, math.inf)) == (
+            ([0.0], [0], [7]) if held else NO_ROWS)
+        assert len(store) == len(held)
 
 
 def test_store_holds_the_ends_of_each_column_domain():

@@ -499,7 +499,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         return wrapped
 
     for module, name in [(kernels, "mark_any_overlap"), (kernels, "mark_window"),
-                         (world_module, "attempts"), (PacketStore, "ingest_columns")]:
+                         (world_module, "attempts"), (PacketStore, "ingest_rows")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     fleet = [DeviceSpec(f"dev{i:02d}", f"{0xbb00 + i:016x}", 7 + i % 2,
                         7.0 * (1.0 + 0.06 * (i / 40 - 0.5)), 0.11729) for i in range(41)]
@@ -512,7 +512,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         assert calls == []
         eui = fleet[0].dev_eui
         assert len(world.query([eui], 0.0, world.now)[0][0]) > 0
-        assert sorted(calls) == sorted(["attempts", kernel, kernel, "ingest_columns"])  # one per SF
+        assert sorted(calls) == sorted(["attempts", kernel, kernel, "ingest_rows"])  # one per SF
         calls.clear()
         world.query([eui], 0.0, world.now)
         world.attempt_counts()
@@ -522,7 +522,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         world.set_active(fleet[0].device_id, False)
         assert calls == []
         world.attempt_counts()
-        assert "attempts" in calls and "ingest_columns" in calls
+        assert "attempts" in calls and "ingest_rows" in calls
         calls.clear()
 
 
