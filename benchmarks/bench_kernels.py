@@ -23,8 +23,8 @@ The log and server rows use the fleet10k log: 10,000 devices, period
 144k delivered records.  They time ``write_packet_log`` of the run that
 makes the log and ``PacketStore.ingest_file`` of it (best-of CPU time,
 also per record and per line), once as written and once with one
-malformed line in each block of lines the store checks whole, which
-sends every block down the line-by-line path.  They give the bytes the
+malformed line in each block of lines the store parses at a time, so
+that every block has a line to skip.  They give the bytes the
 loaded store holds per record (tracemalloc), time ``PacketStore.window``
 (the column slices the server's replies are formatted from) on the
 loaded 10k-EUI store, and time batch ``NetClient.query`` round trips
@@ -127,7 +127,7 @@ def server_rows(repeats: int) -> None:
         with log.open() as fh:
             lines = fh.readlines()
         # the same records with one malformed line opening each block the
-        # store checks whole, so that every block is read line by line
+        # store parses at a time, so that every block has a line to skip
         block = netserver._INGEST_BLOCK
         bad = []
         for start in range(0, len(lines), block - 1):

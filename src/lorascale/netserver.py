@@ -28,8 +28,12 @@ slices, and the client decodes each entry straight into columns of the
 same types; no record object is built on either side.  Packets enter a
 store only as rows, through :meth:`PacketStore.ingest_rows`, held to one
 value domain.  Persistence is an append-only log file (the simulator's
-export format) replayed at startup, parsed into rows a block of lines at
-a time, so that parsing holds O(block) memory beyond the store.
+export format) replayed at startup, parsed into rows a block of 4,096
+lines at a time, so that parsing holds O(block) memory beyond the store.
+Every block takes one path: its lines are joined by spaces, and one
+pattern cuts out each stretch between two spaces that is not one log
+line.  No log line holds a space, so a line that holds one is skipped
+before the join, and each space is a seam between two lines.
 """
 
 from __future__ import annotations
@@ -80,21 +84,18 @@ def check_devices(devices: Iterable[tuple[str, str]], forms: bool = True) -> dic
 # exponents, NaN and infinities are malformed.
 _LOG_FIELDS = (r"-?[0-9]+(?:\.[0-9]+)?", EUI_PATTERN.pattern, r"[0-9]+", r"[7-9]|1[0-2]")
 
-# One packet-log line, matched with ``fullmatch``: the fields, each
-# captured, with an optional line end.
-LOG_LINE = re.compile("\t".join(f"({field})" for field in _LOG_FIELDS) + r"\r?\n?")
-
-# A block of log lines joined by single spaces, matched with ``fullmatch``:
-# each line the fields and one ``\n``.  The grammar leaves the repeat one
-# way to match a clean block; a block that fails is given back one line at a
-# time, which about doubles the cost of the check.  Whitespace separates
-# every field, so ``str.split`` of a matching block gives four fields per
-# line.
-_LOG_BLOCK = re.compile("(?:{0}\n )*{0}\n".format(
+# A stretch of a block of lines, joined by single spaces with one more
+# space at each end, that is not one packet-log line: a space that the
+# fields, an optional line end and the next space do not follow, and what
+# lies up to that next space.  No field holds a space, so once the lines
+# that hold one are dropped every space is a seam between two lines, and
+# ``sub`` of this pattern leaves the packet-log lines and no other.  A
+# match never repeats a line, so the search keeps no state per line.
+_NOT_A_LOG_LINE = re.compile(r" (?!{}\r?\n?(?= ))[^ ]*".format(
     "\t".join(f"(?:{field})" for field in _LOG_FIELDS)))
 
-# Log lines that ``PacketStore.ingest_lines`` checks and converts at a time.
-_INGEST_BLOCK = 1 << 14
+# Log lines that ``PacketStore.ingest_lines`` parses at a time.
+_INGEST_BLOCK = 1 << 12
 
 _INF = math.inf
 # A stored row's key, (timestamp, frame counter): each EUI's rows rise in it.
@@ -124,44 +125,40 @@ class PacketRecord:
 _FCNT_MAX = 2**63 - 1
 
 
-def _log_fields(line: str) -> tuple[str, float, int, int]:
-    """The EUI, timestamp, frame counter and SF of one log line."""
-    match = LOG_LINE.fullmatch(line)
-    if match is None:
-        raise ValueError(f"not a packet-log line: {line!r}")
-    ts_s, eui, fcnt_s, sf = match.groups()
-    ts, fcnt = float(ts_s), int(fcnt_s)
-    if not -_INF < ts < _INF:
-        raise ValueError(f"timestamp {ts_s!r} overflows")
-    if fcnt > _FCNT_MAX:
-        raise ValueError(f"frame counter {fcnt_s!r} does not fit an int64")
-    return eui, ts, fcnt, int(sf)
+def _fits(ts: str, fcnt: str) -> bool:
+    """Whether a log line's timestamp and counter fit their columns."""
+    try:
+        return -_INF < float(ts) < _INF and int(fcnt) <= _FCNT_MAX
+    except ValueError:  # a counter longer than ``int`` reads
+        return False
 
 
-def _block_fields(block: list[str]):
-    """The EUIs, timestamps, counters and SFs of a block of log lines, as
-    :func:`_log_fields` reads them, column by column; or ``None`` unless
-    each line is one :data:`LOG_LINE` ended by exactly one ``\\n`` and
-    every timestamp and counter fits its column.
+def _block_rows(block: list[str]) -> tuple[int, Iterable[tuple[str, float, int, int]]]:
+    """How many, and which, ``(EUI, timestamp, counter, SF)`` rows the log
+    lines of a block give: one for each line that is a packet-log line
+    whose timestamp and counter fit their columns, in order.
 
-    The block is one string, the lines joined by spaces: it matches
-    :data:`_LOG_BLOCK` with as many lines as the block has elements only
-    if no element holds a space, so the joining spaces are the only ones
-    and each element is one line and its ``\\n``.
+    The lines that hold no space are joined by single spaces, with one
+    more space at each end, and every stretch between two spaces that is
+    not one packet-log line is cut out (:data:`_NOT_A_LOG_LINE`).  What is
+    left is split once and converted a column at a time; only a block with
+    a value no column holds is filtered row by row.
     """
     text = " ".join(block)
-    if _LOG_BLOCK.fullmatch(text) is None:
-        return None
-    fields = text.split()
-    if len(fields) != 4 * len(block):
-        return None
+    if text.count(" ") != len(block) - 1:  # a line holds a space, as no log line does
+        text = " ".join([line for line in block if " " not in line])
+    fields = _NOT_A_LOG_LINE.sub("", f" {text} ").split()
+    ts_s, euis, fcnt_s, sfs = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
     try:
-        ts, fcnt = list(map(float, fields[0::4])), list(map(int, fields[2::4]))
+        ts, fcnt = list(map(float, ts_s)), list(map(int, fcnt_s))
+        fits = not ts or (-_INF < min(ts) and max(ts) < _INF and max(fcnt) <= _FCNT_MAX)
     except ValueError:  # a counter longer than ``int`` reads
-        return None
-    if not (-_INF < min(ts) and max(ts) < _INF and max(fcnt) <= _FCNT_MAX):
-        return None
-    return fields[1::4], ts, fcnt, map(int, fields[3::4])
+        fits = False
+    if fits:
+        return len(ts), zip(euis, ts, fcnt, map(int, sfs))
+    rows = [(eui, float(t), int(c), int(sf))
+            for t, eui, c, sf in zip(ts_s, euis, fcnt_s, sfs) if _fits(t, c)]
+    return len(rows), rows
 
 
 # One EUI's packets: receive times, frame counters and SFs, row by row.
@@ -261,33 +258,27 @@ class PacketStore:
     def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
         """Parse and store log lines; returns (ingested, skipped).
 
-        Blank lines are ignored; every other line that is no
-        :data:`LOG_LINE`, or whose timestamp digits overflow to infinity or
+        Blank lines are ignored; every other line that is not a packet-log
+        line (:data:`_LOG_FIELDS`, tab separated, and an optional ``\\r``
+        and ``\\n``), or whose timestamp digits overflow to infinity or
         whose frame counter does not fit an int64, is skipped.  The other
         lines' fields go to :meth:`ingest_rows` as rows.
 
-        Lines are taken ``_INGEST_BLOCK`` at a time, and a block is checked
-        and converted whole (:func:`_block_fields`); a block that holds a
-        line to skip or to ignore, a line end other than one ``\\n``, or a
-        value no column holds is read line by line instead, so either way
-        every line is read as :func:`_log_fields` reads it.
+        Every block of ``_INGEST_BLOCK`` (4,096) lines takes one path,
+        :func:`_block_rows`: its lines are joined by spaces, and each
+        stretch between two spaces that is not one packet-log line is cut
+        out.  A line that holds a space is skipped before the join, so each
+        space of the joined text is a seam between two lines, and a line is
+        never read across a seam.
         """
         skipped = 0
 
         def blocks(lines=iter(lines)):
             nonlocal skipped
             while block := list(islice(lines, _INGEST_BLOCK)):
-                fields = _block_fields(block)
-                if fields is not None:
-                    yield zip(*fields)
-                    continue
-                rows = []
-                for line in block:
-                    try:
-                        rows.append(_log_fields(line))
-                    except ValueError:
-                        if line and not line.isspace():
-                            skipped += 1
+                kept, rows = _block_rows(block)
+                if kept < len(block):  # every line not kept is skipped, but a blank one
+                    skipped += len(block) - kept - block.count("") - sum(map(str.isspace, block))
                 yield rows
 
         added = self.ingest_rows(chain.from_iterable(blocks()))

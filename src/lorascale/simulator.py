@@ -100,12 +100,6 @@ class SimResult:
     fcnt: np.ndarray
     delivered: np.ndarray
 
-    @property
-    def network_pdr(self) -> float:
-        if self.dev.size == 0:
-            raise ValueError("no transmissions in this run")
-        return float(np.count_nonzero(self.delivered)) / self.dev.size
-
 
 def device_rng(seed: int, dev_eui: str) -> np.random.Generator:
     """Per-device random stream, independent of the rest of the fleet.

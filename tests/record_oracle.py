@@ -22,6 +22,7 @@ entry, and :func:`parse_log_line` reads one log line as a record.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -87,9 +88,15 @@ def reference_packets_line(devices: list[tuple[str, list[PacketRecord]]]) -> byt
 
 
 def parse_log_line(line: str) -> PacketRecord:
-    """The record of one packet-log line as the store's log parser reads
-    it; a line it would skip is a ``ValueError``."""
-    dev_eui, ts, fcnt, sf = netserver._log_fields(line)
+    """The record of one packet-log line as the server reads it: the line
+    ingested alone into a fresh store and read back from its window, named
+    by the EUI as the line spells it.  A line the store does not keep is a
+    ``ValueError``."""
+    store = PacketStore()
+    if store.ingest_lines([line]) != (1, 0):
+        raise ValueError(f"not a packet-log line: {line!r}")
+    dev_eui = line.split("\t")[1]  # a kept line is four tab-separated fields
+    ((ts,), (fcnt,), (sf,)) = store.window(dev_eui, -math.inf, math.inf)
     return PacketRecord(dev_eui, fcnt, ts, sf)
 
 

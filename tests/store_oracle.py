@@ -7,9 +7,10 @@ store, it keys a device by its lower-case EUI and names the records of a
 query by the EUI asked.  They are slow but easy to check by eye, so
 :class:`lorascale.netserver.PacketStore` is tested against them.
 
-The reference parser is more lenient than :data:`lorascale.netserver.LOG_LINE`
-on purpose: ``float`` and ``int`` also take signs, surrounding
-whitespace, underscores, exponents and non-ASCII digits.
+The reference parser is more lenient than the log grammar
+(:data:`lorascale.netserver._LOG_FIELDS`) on purpose: ``float`` and
+``int`` also take signs, surrounding whitespace, underscores, exponents
+and non-ASCII digits.
 :func:`written_form` tells those lines apart.
 """
 

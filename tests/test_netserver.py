@@ -1,5 +1,8 @@
+import importlib
 import json
 import math
+import pkgutil
+import re
 import socket
 import sys
 import threading
@@ -12,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lorascale
 from lorascale import netserver
 from lorascale.controller import DeviceMatrix, RosterEntry, collect
 from lorascale.simulator import DeviceSpec, run, write_packet_log
@@ -300,6 +304,34 @@ def test_log_line_counter_beyond_int64_is_malformed():
     assert store.query(AA, 0.0, 5.0) == [PacketRecord(AA, 2**63 - 1, 1.0, 7)]
 
 
+@pytest.fixture()
+def int_reads_4300_digits():
+    """``int`` with its default digit limit (Python 3.11 on): a string of
+    more than 4,300 digits is a ``ValueError``."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int() reads any number of digits")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_counter_longer_than_int_reads_costs_only_its_line(int_reads_4300_digits):
+    """Counters of 5,000 digits, one of them zeros and a 1, mid-block next
+    to an overflowing timestamp and a counter beyond int64: each is
+    skipped alone, and the block's other lines are stored."""
+    good = [f"{k}.000000\t{AA}\t{k}\t7" for k in range(3)]
+    lines = [good[0], f"0.500000\t{AA}\t{'1' * 5000}\t7", good[1],
+             f"1.500000\t{AA}\t{'0' * 5000}1\t7", "9" * 400 + f"\t{AA}\t9\t7",
+             f"1.750000\t{AA}\t{2**63}\t7", good[2]]
+    store = PacketStore()
+    assert store.ingest_lines(lines) == (3, 4)
+    assert store.query(AA, -math.inf, math.inf) == [PacketRecord(AA, k, float(k), 7)
+                                                    for k in range(3)]
+
+
 @pytest.mark.parametrize("bad", [
     PacketRecord(AA, 2**63, 3.0, 7),
     PacketRecord(AA, -(2**63) - 1, 3.0, 7),
@@ -406,6 +438,25 @@ def test_store_holds_at_most_50_bytes_per_record(tmp_path):
     assert held / ingested <= 50
 
 
+def test_ingest_parses_in_memory_bounded_by_the_block(tmp_path):
+    """Parsing a clean log of three blocks holds under 5 MB beyond the
+    store it fills: its memory grows with the block, not with the log or
+    with per-line matching state."""
+    log = tmp_path / "packets.log"
+    n = 3 * netserver._INGEST_BLOCK
+    log.write_text("".join(f"{k / 100:.6f}\t{0x1000_0000 + k % 97:016x}\t{k // 97}\t7\n"
+                           for k in range(n)))
+    tracemalloc.start()
+    try:
+        store = PacketStore()
+        counts = store.ingest_file(log)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == (n, 0)
+    assert peak - held < 5 * 2**20
+
+
 # a few EUIs and coarse timestamps, so that batches collide, tie and interleave
 STORE_EUIS = ["00000000000000aa", "00000000000000bb", "00000000000000CC"]
 store_eui_st = st.sampled_from(STORE_EUIS)
@@ -497,8 +548,7 @@ log_lines_st = st.one_of(
        block=st.sampled_from([1, 2, 3, netserver._INGEST_BLOCK]))
 @settings(max_examples=400)
 def test_ingest_lines_matches_reference_parser(lines, again, block):
-    """Whatever the block size, so also across the seams of blocks checked
-    whole and blocks read line by line."""
+    """Whatever the block size, so also across the seams of blocks."""
     with mock.patch.object(netserver, "_INGEST_BLOCK", block):
         store, reference = PacketStore(), ReferenceStore()
         for batch in (lines, lines[:3] + again):  # the second batch repeats lines
@@ -527,11 +577,11 @@ def test_ingest_lines_reads_each_element_as_one_line():
         assert PacketStore().ingest_lines(lines) == (1, 1)
 
 
-def test_ingest_file_reads_each_block_whole_or_line_by_line(tmp_path, monkeypatch):
+def test_ingest_file_skips_only_the_bad_lines_of_a_block(tmp_path, monkeypatch):
     """A log of ten 4-line blocks: an overflowing timestamp, a counter
-    beyond int64, a non-ASCII byte and an unfinished last line each send
-    their block line by line, and the store matches the reference; CRLF
-    and CR line ends read as ``\\n``, so their blocks stay whole."""
+    beyond int64 and a non-ASCII byte each cost their own line and no
+    other line of their block, and the store matches the reference; CRLF
+    and CR line ends read as ``\\n``, and an unfinished last line is read."""
     monkeypatch.setattr(netserver, "_INGEST_BLOCK", 4)
     lines = [f"{k}.{k:06d}\t{STORE_EUIS[k % 3]}\t{k}\t{7 + k % 6}\n" for k in range(40)]
     lines[5] = "9" * 400 + ".5\t00000000000000aa\t5\t7\n"  # block 1
@@ -546,18 +596,42 @@ def test_ingest_file_reads_each_block_whole_or_line_by_line(tmp_path, monkeypatc
         read = list(fh)
     assert len(read) == 40 and "\r" not in "".join(read)
 
-    by_line = []
-    log_fields = netserver._log_fields
-    monkeypatch.setattr(netserver, "_log_fields", lambda line: by_line.append(line)
-                        or log_fields(line))
     store, reference = PacketStore(), ReferenceStore()
     # the reference stores any counter; the store's log parser skips one
     # beyond int64
     ingested, skipped = reference.ingest_lines(read[:10] + read[11:])
     assert store.ingest_file(log) == (ingested, skipped + 1) == (37, 3)
-    assert by_line == read[4:12] + read[24:28] + read[36:]
     for eui in STORE_EUIS:
         assert store.query(eui, -math.inf, math.inf) == reference.query(eui, -math.inf, math.inf)
+
+
+def regex_syntax(pattern: re.Pattern, parser) -> set[str]:
+    """The names of every opcode of a compiled pattern, nested ones too."""
+    names, nodes = set(), [parser.parse(pattern.pattern, pattern.flags)]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, parser.SubPattern):
+            nodes += node.data
+        elif isinstance(node, (list, tuple)):
+            nodes += node
+        elif hasattr(node, "name"):  # an opcode
+            names.add(node.name)
+    return names
+
+
+def test_no_pattern_needs_python_3_11():
+    """Atomic groups and possessive repeats compile only from Python 3.11
+    on, and the package supports 3.10: no pattern a module of the package
+    holds may use either."""
+    parser = pytest.importorskip("re._parser")  # Python 3.11 on
+    newer = {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
+    assert regex_syntax(re.compile(r"(?>a|b)c*+"), parser) >= newer  # the check sees both
+    patterns = [value for module in pkgutil.iter_modules(lorascale.__path__)
+                for value in vars(importlib.import_module(f"lorascale.{module.name}")).values()
+                if isinstance(value, re.Pattern)]
+    assert {netserver.EUI_PATTERN, netserver._NOT_A_LOG_LINE} <= set(patterns)
+    for pattern in patterns:
+        assert not regex_syntax(pattern, parser) & newer, pattern.pattern
 
 
 # --- wire protocol ------------------------------------------------------------
