@@ -23,15 +23,17 @@ The log and server rows use the fleet10k log: 10,000 devices, period
 144k delivered records.  They time ``write_packet_log`` of the run that
 makes the log and ``PacketStore.ingest_file`` of it (best-of CPU time,
 also per record and per line), once as written and once with one
-malformed line in each block of lines the store parses at a time, so
-that every block has a line to skip.  They give the bytes the
+malformed line opening each 4,096 lines, a fixed spacing that is the
+store's parse block when written, so that every block of the parse has
+a line to skip.  They give the bytes the
 loaded store holds per record (tracemalloc), time ``PacketStore.window``
 (the column slices the server's replies are formatted from) on the
 loaded 10k-EUI store, and time batch ``NetClient.query`` round trips
 over local TCP to a server thread in the same process (CPU of both
 ends) in the pipeline's three kinds of poll, each as best-of CPU time
 per round trip and per device, every sample timing as many polls as
-take at least 0.2 s.
+take at least 0.2 s, with the bytes of the server's reply line per
+round trip.
 
     python benchmarks/bench_kernels.py [--sizes 10000 65536 100000 500000]
                                        [--advances 100 200 400 800]
@@ -126,16 +128,17 @@ def server_rows(repeats: int) -> None:
               f" ({t / records * 1e6:4.2f} us per record)")
         with log.open() as fh:
             lines = fh.readlines()
-        # the same records with one malformed line opening each block the
-        # store parses at a time, so that every block has a line to skip
-        block = netserver._INGEST_BLOCK
+        # the same records with one malformed line opening each 4,096 lines;
+        # fixed here, so that the input stays the same when the store's parse
+        # block changes
+        block = 4_096
         bad = []
         for start in range(0, len(lines), block - 1):
             bad += ["this is not a log line\n", *lines[start:start + block - 1]]
         bad_log = Path(tmp) / "packets-bad.log"
         bad_log.write_text("".join(bad))
         logs = (("", log, len(lines)),
-                (f", one malformed line per {block:,}-line block", bad_log, len(bad)))
+                (f", one malformed line per {block:,} lines", bad_log, len(bad)))
         del lines, bad
         store = netserver.PacketStore()
 
@@ -185,11 +188,14 @@ def server_rows(repeats: int) -> None:
 
                 t = per_call(round_trips, repeats)
                 devices = sum(len(batch) for batch, _, _ in polls)
+                reply = sum(len(netserver._answer(store, {"dev_euis": b, "from": lo, "to": hi}))
+                            for b, lo, hi in polls)
                 batches = f"{len(polls):,} batch" + ("es" if len(polls) > 1 else "")
                 print(f"NetClient.query {name}: {batches} of {len(polls[0][0]):,} EUIs"
                       f" over local TCP, both ends in one process:"
                       f" {t / len(polls) * 1e6:8.1f} us CPU per round trip,"
-                      f" {t / devices * 1e6:5.2f} us per device")
+                      f" {t / devices * 1e6:5.2f} us per device,"
+                      f" {reply / len(polls):,.0f} reply bytes per round trip")
     finally:
         server.shutdown()
         server.server_close()

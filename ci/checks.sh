@@ -53,10 +53,11 @@ step_golden_run() (
   out=$(mktemp -d)
   server=
   trap 'test -z "$server" || kill -- "-$server" 2>/dev/null; rm -rf "$out"' EXIT
-  # serve LOG: start a server that replays LOG, its output in LOG.serve,
-  # and wait until it serves; sets addr
+  # serve LOG: start a server that replays LOG, its output in LOG.serve
+  # and its stderr in LOG.serve.err, and wait until it serves; sets addr
   serve() {
-    "${cli[@]}" serve --bind 127.0.0.1:0 --token golden-token --log "$1" > "$1.serve" &
+    "${cli[@]}" serve --bind 127.0.0.1:0 --token golden-token --log "$1" \
+        > "$1.serve" 2> "$1.serve.err" &
     server=$!
     for _ in $(seq 100); do
       grep -qs '^serving on ' "$1.serve" && break
@@ -91,6 +92,13 @@ step_golden_run() (
   grep -qxF "network pdr 0.871875 (279/320)" "$out/run.txt"
   cmp "$out/report.txt" tests/data/golden_report.txt
   cmp "$out/timestamps.txt" tests/data/golden_timestamps.txt
+  kill -- "-$server"
+  wait "$server" || true
+  server=
+  # a server that wrote to stderr, such as a traceback, fails the step
+  for err in "$out"/*.serve.err; do
+    test ! -s "$err" || { cat "$err" >&2; exit 1; }
+  done
 )
 
 step_golden_sync() {

@@ -10,7 +10,7 @@ querying:
     server -> {"type": "auth_ok"} | {"type": "auth_fail", "reason": "..."}
     client -> {"type": "query", "dev_euis": ["...", ...], "from": t0, "to": t1}
     server -> {"type": "packets", "devices": [entry, ...]}
-    entry  =  {"dev_eui": "...", "packets": [...]}
+    entry  =  {"dev_eui": "...", "ts": [...], "fcnt": [...], "sf": [...]}
 
 Devices obey :func:`check_devices`, and the store keys each by its
 lower-case EUI, so either case finds it.  A reply holds one entry per
@@ -22,14 +22,15 @@ judge.  Any protocol violation is answered with {"type": "error",
 (case-blind) strings and a bad window refuse the whole request.
 Violations before authentication, unparseable frames and lines longer
 than ``MAX_LINE_BYTES`` additionally close the connection.  Query windows
-are closed intervals with finite bounds, and an unknown EUI yields an
-empty packet list.  A reply is formatted straight from the store's column
-slices, and the client decodes each entry straight into columns of the
-same types; no record object is built on either side.  Packets enter a
-store only as rows, through :meth:`PacketStore.ingest_rows`, held to one
-value domain.  Persistence is an append-only log file (the simulator's
-export format) replayed at startup, parsed into rows a block of 4,096
-lines at a time, so that parsing holds O(block) memory beyond the store.
+are closed intervals with finite bounds.  An entry holds the device's
+packets as the store does, as three columns of one length (an unknown EUI
+has empty ones): the server writes the store's slices straight to the
+wire, and the client decodes them straight into the store's types.
+Packets enter a store only as rows, through
+:meth:`PacketStore.ingest_rows`, held to one value domain.  Persistence
+is an append-only log file (the simulator's export format) replayed at
+startup, parsed into rows a block of 4,096 lines at a time, so that
+parsing holds O(block) memory beyond the store.
 Every block takes one path: its lines are joined by spaces, and one
 pattern cuts out each stretch between two spaces that is not one log
 line.  No log line holds a space, so a line that holds one is skipped
@@ -335,13 +336,8 @@ def _line(message: dict) -> bytes:
 
 def _entry(dev_eui: str, ts: Iterable[float], fcnt: Iterable[int], sf: Iterable[int]) -> str:
     """One reply entry, as ``json.dumps`` writes it, from the device's columns."""
-    packets = ", ".join([f'{{"fcnt": {f!r}, "ts": {t!r}, "sf": {s!r}}}'
-                         for t, f, s in zip(ts, fcnt, sf)])
-    return f'{{"dev_eui": {encode_basestring_ascii(dev_eui)}, "packets": [{packets}]}}'
-
-
-def _packets_line(entries: list[str]) -> bytes:
-    return f'{{"type": "packets", "devices": [{", ".join(entries)}]}}\n'.encode("ascii")
+    return (f'{{"dev_eui": {encode_basestring_ascii(dev_eui)}, "ts": {list(ts)!r}, '
+            f'"fcnt": {list(fcnt)!r}, "sf": {list(sf)!r}}}')
 
 
 def _answer(store: PacketStore, msg: dict) -> bytes:
@@ -349,8 +345,8 @@ def _answer(store: PacketStore, msg: dict) -> bytes:
 
     The ``packets`` line is byte for byte what ``json.dumps`` writes:
     frame counters and SFs are ints and timestamps finite floats (the
-    store holds no others), which JSON writes as their ``repr``, and EUIs
-    go through JSON's own string encoder.
+    store holds no others), so a column is written as the ``repr`` of its
+    list, and EUIs go through JSON's own string encoder.
     """
     euis, lo, hi = msg.get("dev_euis"), msg.get("from"), msg.get("to")
     if type(euis) is not list or not euis or not all(type(e) is str for e in euis):
@@ -369,8 +365,8 @@ def _answer(store: PacketStore, msg: dict) -> bytes:
         return _error("query needs finite from/to")
     if lo > hi:
         return _error("empty window (from > to)")
-    window = store.window
-    return _packets_line([_entry(eui, *window(eui, lo, hi)) for eui in euis])
+    entries = ", ".join([_entry(eui, *store.window(eui, lo, hi)) for eui in euis])
+    return f'{{"type": "packets", "devices": [{entries}]}}\n'.encode("ascii")
 
 
 def _error(reason: str) -> bytes:
@@ -382,35 +378,38 @@ class _Handler(socketserver.StreamRequestHandler):
         server: PacketServer = self.server  # type: ignore[assignment]
         send = self.request.sendall
         authed = False
-        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-            if len(raw) > MAX_LINE_BYTES:
-                send(_error(f"message longer than {MAX_LINE_BYTES} bytes"))
-                return
-            try:
-                msg = _decode(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                send(_error("unparseable message"))
-                return
-            # json.loads makes plain dicts, lists, strs, ints, floats, bools
-            kind = msg.get("type") if type(msg) is dict else None
-            if type(kind) is not str:
-                send(_error("message must be an object with a type"))
-                return
-            if kind == "query" and authed:
-                send(_answer(server.store, msg))
-            elif kind == "auth":
-                token = msg.get("token")
-                if type(token) is str and hmac.compare_digest(token, server.token):
-                    authed = True
-                    send(_line({"type": "auth_ok"}))
-                else:
-                    send(_line({"type": "auth_fail", "reason": "bad token"}))
+        try:
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                if len(raw) > MAX_LINE_BYTES:
+                    send(_error(f"message longer than {MAX_LINE_BYTES} bytes"))
                     return
-            elif not authed:
-                send(_error("authentication required"))
-                return
-            else:
-                send(_error(f"unknown message type {kind!r}"))
+                try:
+                    msg = _decode(raw.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    send(_error("unparseable message"))
+                    return
+                # json.loads makes plain dicts, lists, strs, ints, floats, bools
+                kind = msg.get("type") if type(msg) is dict else None
+                if type(kind) is not str:
+                    send(_error("message must be an object with a type"))
+                    return
+                if kind == "query" and authed:
+                    send(_answer(server.store, msg))
+                elif kind == "auth":
+                    token = msg.get("token")
+                    if type(token) is str and hmac.compare_digest(token, server.token):
+                        authed = True
+                        send(_line({"type": "auth_ok"}))
+                    else:
+                        send(_line({"type": "auth_fail", "reason": "bad token"}))
+                        return
+                elif not authed:
+                    send(_error("authentication required"))
+                    return
+                else:
+                    send(_error(f"unknown message type {kind!r}"))
+        except OSError:  # the client reset or dropped the connection
+            return
 
 
 class PacketServer(socketserver.ThreadingTCPServer):
@@ -459,18 +458,17 @@ def _device_reply(item, dev_eui: str) -> Columns | ProtocolError:
     named = item.get("dev_eui") if type(item) is dict else None
     if named != dev_eui:
         return ProtocolError(f"reply names device {named!r}, not the {dev_eui!r} asked for")
-    packets = item.get("packets")
-    if type(packets) is not list:
-        return ProtocolError(f"reply entry for {dev_eui!r} holds no packets list")
+    ts, fcnt, sf = item.get("ts"), item.get("fcnt"), item.get("sf")
+    if not (type(ts) is type(fcnt) is type(sf) is list and len(ts) == len(fcnt) == len(sf)):
+        return ProtocolError(f"reply entry for {dev_eui!r} holds no three columns of one length")
     try:
-        ts, fcnt, sf = ([p[key] for p in packets] for key in ("ts", "fcnt", "sf"))
         if bool in set(map(type, chain(ts, fcnt, sf))):
             raise TypeError("a packet value is a bool")
         columns = array("d", ts), array("q", fcnt), bytearray(sf)
         if not all(map(isfinite, columns[0])):
             raise ValueError("a timestamp is not finite")
         return columns
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return ProtocolError(f"malformed packet in query reply: {exc!r}")
 
 
@@ -510,8 +508,9 @@ class NetClient:
 
         The EUIs go in requests of ``_EUIS_PER_REQUEST`` each, which fit
         the server's line limit when every EUI is 16 hex digits.  An entry
-        without a packets list, or with a packet the store's columns could
-        not hold, fails its device; a reply that is no list of
+        that does not name its EUI and hold a ``ts``, an ``fcnt`` and an
+        ``sf`` list of one length, or whose lists hold a value the store's
+        columns could not, fails its device; a reply that is no list of
         one entry per EUI fails each EUI of its request.  An EUI given twice
         (in either case) raises before anything is sent.  The server judges
         the rest: a bad bound, a non-string EUI or an over-long line gets its

@@ -6,11 +6,11 @@ The straightforward forms of the record path:
 result, or of each block of a timeline, with one ``np.lexsort`` by
 receive time, EUI and counter, builds a :class:`PacketRecord` for each
 and formats it with :func:`format_log_line`, an f-string, and
-the wire lines are ``json.dumps`` of the message dicts.  They cost an
-object and a generic encoder call per record, but each step is easy to
-check by eye, so :func:`lorascale.simulator.write_packet_log` and the
-server's replies (:func:`served_line`) are tested against them byte for
-byte.
+the wire lines are ``json.dumps`` of the message dicts, whose columns
+are gathered record by record.  They cost an object and a generic
+encoder call per record, but each step is easy to check by eye, so
+:func:`lorascale.simulator.write_packet_log` and the server's replies
+(:func:`served_line`) are tested against them byte for byte.
 
 The product passes packets as columns, ``(timestamps, counters, SFs)``
 triples; :func:`columns`, :func:`as_lists` and :func:`records_of` turn
@@ -72,14 +72,12 @@ def reference_write_packet_log(result: SimResult | Timeline, path) -> int:
 
 
 def packets_message(devices: list[tuple[str, list[PacketRecord]]]) -> dict:
-    """The ``packets`` reply: one entry per ``(dev_eui, records)`` pair."""
+    """The ``packets`` reply: one entry per ``(dev_eui, records)`` pair,
+    holding the records' timestamp, counter and SF columns as lists."""
     return {
         "type": "packets",
-        "devices": [
-            {"dev_eui": eui,
-             "packets": [{"fcnt": r.fcnt, "ts": r.received_ts, "sf": r.sf} for r in got]}
-            for eui, got in devices
-        ],
+        "devices": [dict(zip(("dev_eui", "ts", "fcnt", "sf"), (eui, *columns(got))))
+                    for eui, got in devices],
     }
 
 

@@ -4,6 +4,7 @@ import math
 import pkgutil
 import re
 import socket
+import struct
 import sys
 import threading
 import tracemalloc
@@ -415,8 +416,8 @@ def test_store_keeps_int_timestamps_as_floats():
     assert ingest_records(store, [PacketRecord(AA, 0, 5.0, 8)]) == 0
     msg = {"type": "query", "dev_euis": [AA], "from": 0, "to": 10}
     assert netserver._answer(store, msg) == (
-        b'{"type": "packets", "devices": [{"dev_eui": "00000000000000aa", "packets": '
-        b'[{"fcnt": 0, "ts": 5.0, "sf": 7}]}]}\n')
+        b'{"type": "packets", "devices": [{"dev_eui": "00000000000000aa", "ts": [5.0], '
+        b'"fcnt": [0], "sf": [7]}]}\n')
 
 
 def test_store_holds_at_most_50_bytes_per_record(tmp_path):
@@ -697,7 +698,7 @@ def authed_connection(srv):
     return sock, rfile
 
 
-AA_ENTRY = {"dev_eui": "00000000000000aa", "packets": [{"fcnt": 0, "ts": 1.0, "sf": 7}]}
+AA_ENTRY = {"dev_eui": "00000000000000aa", "ts": [1.0], "fcnt": [0], "sf": [7]}
 
 
 def test_semantic_errors_keep_connection(server):
@@ -760,7 +761,7 @@ def assert_refused_then_usable(sock, rfile, fields):
     send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa", "00000000000000bb"],
                      "from": 0, "to": 2})
     assert read_json(rfile) == {"type": "packets", "devices": [
-        AA_ENTRY, {"dev_eui": "00000000000000bb", "packets": []}]}
+        AA_ENTRY, {"dev_eui": "00000000000000bb", "ts": [], "fcnt": [], "sf": []}]}
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf"), 10**400])
@@ -860,22 +861,31 @@ class GarbageServer:
 
 
 EUI_A, EUI_B = "00000000000000a1", "00000000000000a2"
-GOOD_B = {"dev_eui": EUI_B, "packets": [{"fcnt": 4, "ts": 12.0, "sf": 7}]}
+GOOD_B = {"dev_eui": EUI_B, "ts": [12.0], "fcnt": [4], "sf": [7]}
 
 
 def packets_line(**fields) -> bytes:
     return (json.dumps({"type": "packets", **fields}) + "\n").encode()
 
 
+# (ts, fcnt, sf) columns of one packet that the client cannot decode: a
+# short column, a quoted counter, a null timestamp, a list SF, junk.
 MALFORMED_PACKETS = [
-    {"ts": 1.0, "sf": 7},
-    {"fcnt": 0, "sf": 7},
-    {"fcnt": 0, "ts": 1.0},
-    {"fcnt": "x", "ts": 1.0, "sf": 7},
-    {"fcnt": 0, "ts": None, "sf": 7},
-    {"fcnt": 0, "ts": 1.0, "sf": [7]},
-    "junk",
+    ([1.0], [], [7]),
+    ([], [0], [7]),
+    ([1.0], [0], []),
+    ([1.0], ["x"], [7]),
+    ([None], [0], [7]),
+    ([1.0], [0], [[7]]),
+    (["junk"], ["junk"], ["junk"]),
 ]
+
+
+def entry(dev_eui=EUI_A, ts=(1.0,), fcnt=(0,), sf=(7,)) -> dict:
+    """A reply entry with the given columns; a column given as ``None``
+    is left out."""
+    given = {"ts": ts, "fcnt": fcnt, "sf": sf}
+    return {"dev_eui": dev_eui, **{k: list(v) for k, v in given.items() if v is not None}}
 
 
 def collect_a_and_b(reply: bytes):
@@ -893,12 +903,21 @@ def collect_a_and_b(reply: bytes):
 
 
 @pytest.mark.parametrize("entry_a", [
-    *({"dev_eui": EUI_A, "packets": [p]} for p in MALFORMED_PACKETS),
+    *(entry(ts=ts, fcnt=fcnt, sf=sf) for ts, fcnt, sf in MALFORMED_PACKETS),
     {"dev_eui": EUI_A},
-    {"dev_eui": EUI_A, "packets": "none"},
-    {"dev_eui": EUI_A, "error": "no such device"},  # no packets list
-    {"dev_eui": EUI_B, "packets": [{"fcnt": 0, "ts": 1.0, "sf": 7}]},
+    {"dev_eui": EUI_A, "ts": "none", "fcnt": "none", "sf": "none"},
+    {"dev_eui": EUI_A, "error": "no such device"},  # no columns
+    entry(EUI_B),
     "junk",
+    # cases only a column entry has: unequal lengths, a missing column, a
+    # column that is no list, and an entry in the old per-packet form
+    pytest.param(entry(ts=[1.0, 2.0, 3.0], fcnt=[0, 1]), id="unequal-lengths"),
+    *(pytest.param(entry(**{key: None}), id=f"no-{key}") for key in ("ts", "fcnt", "sf")),
+    pytest.param({**entry(), "ts": "1.0"}, id="string-column"),
+    pytest.param({**entry(), "fcnt": {"0": 0}}, id="object-column"),
+    pytest.param({**entry(), "sf": None}, id="null-column"),
+    pytest.param({"dev_eui": EUI_A, "packets": [{"fcnt": 0, "ts": 1.0, "sf": 7}]},
+                 id="packets-form"),
 ])
 def test_client_malformed_reply_flags_only_that_device(entry_a):
     entries, packets, failures = collect_a_and_b(packets_line(devices=[entry_a, GOOD_B]))
@@ -927,23 +946,24 @@ def test_client_unreadable_reply_flags_every_device_of_its_request(reply):
     assert {d: as_lists(got) for d, got in packets.items()} == {"a": columns([]), "b": columns([])}
 
 
-# One packet each whose value the store's columns do not hold: JSON's
-# bools, a fractional or quoted or int64-overflowing counter, non-finite
-# or quoted timestamps, SFs beyond a byte.
+# One packet each, as its (ts, fcnt, sf) JSON values, whose value the
+# store's columns do not hold: JSON's bools, a fractional or quoted or
+# int64-overflowing counter, non-finite or quoted timestamps, SFs beyond
+# a byte.
 OUT_OF_DOMAIN = {
-    "true-fcnt": '{"fcnt": true, "ts": 1.0, "sf": 7}',
-    "fractional-fcnt": '{"fcnt": 2.9, "ts": 1.0, "sf": 7}',
-    "quoted-fcnt": '{"fcnt": "12", "ts": 1.0, "sf": 7}',
-    "fcnt-over-int64": '{"fcnt": 9223372036854775808, "ts": 1.0, "sf": 7}',
-    "nan-ts": '{"fcnt": 1, "ts": NaN, "sf": 7}',
-    "infinite-ts": '{"fcnt": 1, "ts": Infinity, "sf": 7}',
-    "negative-infinite-ts": '{"fcnt": 1, "ts": -Infinity, "sf": 7}',
-    "overflowing-ts": '{"fcnt": 1, "ts": 1e400, "sf": 7}',
-    "quoted-ts": '{"fcnt": 1, "ts": "1e400", "sf": 7}',
-    "true-ts": '{"fcnt": 1, "ts": true, "sf": 7}',
-    "sf-over-byte": '{"fcnt": 1, "ts": 1.0, "sf": 99999}',
-    "negative-sf": '{"fcnt": 1, "ts": 1.0, "sf": -1}',
-    "false-sf": '{"fcnt": 1, "ts": 1.0, "sf": false}',
+    "true-fcnt": ("1.0", "true", "7"),
+    "fractional-fcnt": ("1.0", "2.9", "7"),
+    "quoted-fcnt": ("1.0", '"12"', "7"),
+    "fcnt-over-int64": ("1.0", "9223372036854775808", "7"),
+    "nan-ts": ("NaN", "1", "7"),
+    "infinite-ts": ("Infinity", "1", "7"),
+    "negative-infinite-ts": ("-Infinity", "1", "7"),
+    "overflowing-ts": ("1e400", "1", "7"),
+    "quoted-ts": ('"1e400"', "1", "7"),
+    "true-ts": ("true", "1", "7"),
+    "sf-over-byte": ("1.0", "1", "99999"),
+    "negative-sf": ("1.0", "1", "-1"),
+    "false-sf": ("1.0", "1", "false"),
 }
 
 
@@ -959,8 +979,9 @@ def decoded(entry_a: str) -> list:
 def test_client_refuses_a_packet_value_no_store_column_holds(packet):
     """A reply packet is decoded through the store's own column conversion:
     a value outside the store's domain fails its device alone."""
-    a, b = decoded(f'{{"dev_eui": "{EUI_A}", "packets": [{{"fcnt": 0, "ts": 0.5, "sf": 7}}, '
-                   f'{packet}]}}')
+    ts, fcnt, sf = packet
+    a, b = decoded(f'{{"dev_eui": "{EUI_A}", "ts": [0.5, {ts}], "fcnt": [0, {fcnt}], '
+                   f'"sf": [7, {sf}]}}')
     assert isinstance(a, ProtocolError)
     assert as_lists(b) == columns([PacketRecord(EUI_B, 4, 12.0, 7)])
 
@@ -968,14 +989,13 @@ def test_client_refuses_a_packet_value_no_store_column_holds(packet):
 def test_client_decodes_the_ends_of_each_column_domain():
     """The extreme values the store holds decode into the store's column
     types, bit for bit; an int timestamp becomes its float."""
-    packets = [{"fcnt": -(2**63), "ts": -1.5e308, "sf": 0},
-               {"fcnt": 2**63 - 1, "ts": -0.0, "sf": 255},
-               {"fcnt": 0, "ts": 5, "sf": 12}]
-    (ts, fcnt, sf), _ = decoded(json.dumps({"dev_eui": EUI_A, "packets": packets}))
+    (ts, fcnt, sf), _ = decoded(json.dumps(entry(ts=[-1.5e308, -0.0, 5],
+                                                 fcnt=[-(2**63), 2**63 - 1, 0],
+                                                 sf=[0, 255, 12])))
     assert (type(ts), type(fcnt), type(sf)) == (array, array, bytearray)
     assert ts.tobytes() == array("d", [-1.5e308, -0.0, 5.0]).tobytes()
     assert list(fcnt) == [-(2**63), 2**63 - 1, 0] and list(sf) == [0, 255, 12]
-    empty, _ = decoded(json.dumps({"dev_eui": EUI_A, "packets": []}))
+    empty, _ = decoded(json.dumps(entry(ts=[], fcnt=[], sf=[])))
     assert empty == (array("d"), array("q"), bytearray())
 
 
@@ -990,6 +1010,31 @@ def test_client_unparseable_auth_reply_is_protocol_error(auth_reply):
         assert fake.client_gone(), excinfo
     finally:
         fake.close()
+
+
+def test_server_ends_a_reset_connection_quietly(server, capfd):
+    """A client that resets its connection right after a large query ends
+    that connection alone: no traceback reaches stderr, and the server
+    answers the next client."""
+    srv, store = server
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    before = set(threading.enumerate())
+    sock, rfile = authed_connection(srv)
+    send_json(sock, {"type": "query", "dev_euis": [f"{k:016x}" for k in range(3_000)],
+                     "from": 0, "to": 2})
+    # a zero linger time makes close send a reset instead of a FIN
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    rfile.close()
+    sock.close()
+    for handler in set(threading.enumerate()) - before:
+        handler.join(timeout=5)
+        assert not handler.is_alive()
+    assert capfd.readouterr().err == ""
+    sock, rfile = authed_connection(srv)
+    send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": 0, "to": 2})
+    assert read_json(rfile) == {"type": "packets", "devices": [AA_ENTRY]}
+    rfile.close()
+    sock.close()
 
 
 def test_concurrent_clients(server):
@@ -1225,8 +1270,9 @@ def test_packets_message_roundtrip(devices):
     got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in packets]) for eui, packets in devices]
     back = json.loads(served_line(got))
     assert back["type"] == "packets"
-    rebuilt = [(e["dev_eui"], [PacketRecord(e["dev_eui"], p["fcnt"], p["ts"], p["sf"])
-                               for p in e["packets"]]) for e in back["devices"]]
+    assert all(list(e) == ["dev_eui", "ts", "fcnt", "sf"] for e in back["devices"])
+    rebuilt = [(e["dev_eui"], records_of(e["dev_eui"], (e["ts"], e["fcnt"], e["sf"])))
+               for e in back["devices"]]
     assert rebuilt == got
 
 
