@@ -43,6 +43,12 @@ step_console() (
       --window-factor 0.5 --out "$out/mixed.log")" \
       = "$(printf 'wrote 320000 packet records to %s\npdr 0.780488' "$out/mixed.log")"
   test "$(md5sum < "$out/mixed.log")" = "4d3372c665a12b989915b3400f190f44  -"
+  # a config value that does not read as its key's type is named by path and line
+  echo "period = abc" > "$out/bad.cfg"
+  rc=0
+  err=$(lorascale simulate --config "$out/bad.cfg" 2>&1 > /dev/null) || rc=$?
+  test "$rc" = 1
+  test "$err" = "error: $out/bad.cfg:1: period: could not convert string to float: 'abc'"
 )
 
 # A subshell, so that its EXIT trap stops the server and removes the

@@ -3,10 +3,10 @@
 Subcommands: ``airtime`` (time-on-air), ``scale`` (experiment sizing),
 ``simulate`` (Monte-Carlo PDR or packet-log generation), ``serve``
 (mock network server), ``run-experiment`` (orchestration) and
-``analyze`` (SF-mix bounds curve).  Long experiment definitions can
-live in a ``key = value`` config file; explicit flags win on conflict.
-The simulator, and with it NumPy, is imported only by the subcommands
-that simulate, so ``serve`` starts without it.
+``analyze`` (SF-mix bounds curve).  :data:`SETTINGS` gives each experiment
+setting's type and static default; the ``key = value`` config, the setting
+flags and the merge (flag over config over default) all read it.  Only the
+subcommands that simulate import NumPy, so ``serve`` starts without it.
 """
 
 from __future__ import annotations
@@ -32,48 +32,73 @@ from .controller import (
 )
 
 
-# Every key that ``simulate`` or ``run-experiment`` reads from a config.
-CONFIG_KEYS = frozenset((
-    "devices", "roster", "mapping", "period", "period_spread", "airtime", "sf8_devices",
-    "sf8_airtime", "duration", "seed", "model", "window_factor", "name", "turnon_step",
-    "probe_window", "recheck_window", "server", "token", "auto_operator", "report",
-    "timestamps",
-))
+class OneOf(tuple):
+    """Reader of a setting that names one of a few choices."""
+
+    def __call__(self, text: str) -> str:
+        if text not in self:
+            raise ValueError(f"expected one of {', '.join(self)}, got {text!r}")
+        return text
 
 
-def load_config(path) -> dict[str, str]:
+# Every experiment setting, the one place that names it: the reader of its config
+# text and flag, and its static default (None: none, or one computed from ``period``).
+SETTINGS = {
+    "devices": (int, None), "roster": (str, None), "mapping": (str, None),
+    "period": (float, None), "period_spread": (float, 0.0), "airtime": (float, None),
+    "sf8_devices": (int, 0), "sf8_airtime": (float, None), "duration": (float, None),
+    "seed": (int, 0), "model": (OneOf(("any", "any-overlap", "window")), "any"),
+    "window_factor": (float, 1.0), "name": (str, "experiment"), "turnon_step": (float, 0.0),
+    "probe_window": (float, None), "recheck_window": (float, None), "server": (str, None),
+    "token": (str, None), "auto_operator": (str, None), "report": (str, "report.txt"),
+    "timestamps": (str, "timestamps.txt"),
+}
+
+# The settings that each command also takes as flags.
+FLAGS = {
+    "simulate": "devices period airtime duration seed model window_factor sf8_devices "
+                "sf8_airtime".split(),
+    "run-experiment": "roster mapping duration server token auto_operator name period "
+                      "turnon_step probe_window recheck_window report timestamps".split(),
+}
+
+
+def load_config(path) -> dict:
     """Parse a line-oriented ``key = value`` config file, each key one
-    of :data:`CONFIG_KEYS` and given once."""
-    values: dict[str, str] = {}
+    of :data:`SETTINGS`, given once and read as its row reads it."""
+    values = {}
     for number, line in controller.numbered_lines(path):
         key, eq, value = map(str.strip, line.partition("="))
         if not eq:
             raise ValueError(f"{path}:{number}: expected 'key = value'")
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ValueError(f"{path}:{number}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{number}: key {key!r} is given twice")
-        values[key] = value
+        try:
+            values[key] = SETTINGS[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {key}: {exc}") from None
     return values
 
 
-def _setting(args, config: dict[str, str], key: str, cast, default=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return cast(config[key])
-    return default
+class Settings(dict):
+    """A command's experiment settings: each static default, replaced by the config's
+    value, replaced by a flag that was given.  A key with no value is absent."""
 
+    def __init__(self, args, config: dict):
+        super().__init__({k: d for k, (_, d) in SETTINGS.items() if d is not None}, **config)
+        self.command = args.command
+        self.update((key, getattr(args, key)) for key in FLAGS[self.command]
+                    if getattr(args, key) is not None)
 
-def _required(args, config: dict[str, str], key: str, cast):
-    """Flag value if given, else config value; an error if neither is."""
-    value = _setting(args, config, key, cast)
-    if value in (None, ""):
-        where = f"--{key.replace('_', '-')}" if hasattr(args, key) else f"'{key}' in the config"
-        raise ValueError(f"{args.command} needs {where}")
-    return value
+    def required(self, key: str):
+        """The value of ``key``; an error if neither flag nor config gives it."""
+        if self.get(key) in (None, ""):
+            where = (f"--{key.replace('_', '-')}" if key in FLAGS[self.command]
+                     else f"'{key}' in the config")
+            raise ValueError(f"{self.command} needs {where}")
+        return self[key]
 
 
 # An operator's answers, at the terminal prompt and in a reply script alike.
@@ -149,16 +174,12 @@ def _cmd_scale(args) -> int:
     return 0
 
 
-def _model_from(args, config: dict[str, str]):
+def _model_from(settings: Settings):
     from . import simulator
 
-    model = _setting(args, config, "model", str, "any")
-    if model in ("any", "any-overlap"):
-        return simulator.AnyOverlap()
-    if model == "window":
-        factor = _setting(args, config, "window_factor", float, 1.0)
-        return simulator.VulnerabilityWindow(factor)
-    raise ValueError(f"unknown collision model {model!r}")
+    if settings["model"] == "window":
+        return simulator.VulnerabilityWindow(settings["window_factor"])
+    return simulator.AnyOverlap()
 
 
 def device_period(base: float, index: int, total: int, spread: float) -> float:
@@ -174,66 +195,63 @@ def device_period(base: float, index: int, total: int, spread: float) -> float:
     return base * (1.0 + spread * (index / (total - 1) - 0.5))
 
 
-def _experiment(args, config: dict[str, str]):
+def _experiment(settings: Settings):
     """Device matrix and settings of the roster experiment that flags and
     config define; ``simulate --out`` and ``run-experiment`` both read
     it here, so the traffic simulated is the traffic orchestrated."""
-    matrix = load_roster(_required(args, config, "roster", str),
-                         _required(args, config, "mapping", str))
-    period = _setting(args, config, "period", float)
-    default_window = 3 * period if period else 0.0
-    settings = ExperimentSettings(
-        name=_setting(args, config, "name", str, "experiment"),
-        duration=_required(args, config, "duration", float),
-        probe_window=_setting(args, config, "probe_window", float, default_window),
-        recheck_window=_setting(args, config, "recheck_window", float, default_window),
-        turnon_step=_setting(args, config, "turnon_step", float, 0.0),
-    )
-    return matrix, settings
+    matrix = load_roster(settings.required("roster"), settings.required("mapping"))
+    period = settings.get("period")
+    if period is not None:
+        scaling.check_period(period)
+    window = 3 * period if period else 0.0
+    return matrix, ExperimentSettings(
+        name=settings["name"], duration=settings.required("duration"),
+        probe_window=settings.get("probe_window", window),
+        recheck_window=settings.get("recheck_window", window),
+        turnon_step=settings["turnon_step"])
 
 
-def _traffic(args, config: dict[str, str], devices: int):
+def _traffic(settings: Settings, devices: int):
     """The fleet values that flags and config keys share: period,
     duration, airtime, and the SF8 device count and airtime of a fleet
     of ``devices``, whose last ``sf8_devices`` use SF8."""
-    period = _required(args, config, "period", float)
+    period = settings.required("period")
     scaling.check_period(period)
     # the default duration, and with it the estimator's round count, follows the period
-    duration = _setting(args, config, "duration", float, 10_000 * period)
+    duration = settings.get("duration", 10_000 * period)
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be finite and positive, got {duration}")
     if devices < 1:
         raise ValueError(f"devices must be at least 1, got {devices}")
-    sf8_devices = _setting(args, config, "sf8_devices", int, 0)
+    sf8_devices = settings["sf8_devices"]
     if not 0 <= sf8_devices <= devices:
         raise ValueError(f"sf8_devices must lie between 0 and the fleet size {devices}, "
                          f"got {sf8_devices}")
-    sf8_airtime = _required(args, config, "sf8_airtime", float) if sf8_devices else None
-    return period, duration, _required(args, config, "airtime", float), sf8_devices, sf8_airtime
+    sf8_airtime = settings.required("sf8_airtime") if sf8_devices else None
+    return period, duration, settings.required("airtime"), sf8_devices, sf8_airtime
 
 
-def _fleet(args, config: dict[str, str]):
-    """Devices and horizon of a ``simulate --out`` run.  A roster
-    experiment switches its devices on ``turnon_step`` seconds apart and
-    keeps them on through the probe and experiment windows; without a
-    roster, ``devices`` devices run from 0 to ``duration``."""
+def _fleet(settings: Settings, sf: int):
+    """Devices and horizon of a ``simulate --out`` run, all on SF ``sf`` save
+    the SF8 ones.  A roster experiment switches its devices on ``turnon_step``
+    seconds apart and keeps them on through the probe and experiment windows;
+    without a roster, ``devices`` devices run from 0 to ``duration``."""
     from . import simulator
 
-    if _setting(args, config, "roster", str):
-        if _setting(args, config, "devices", int) is not None:
+    if settings.get("roster"):
+        if "devices" in settings:
             raise ValueError("--devices or 'devices' does not apply to a roster experiment, "
                              "whose devices are the 'roster' entries")
-        matrix, settings = _experiment(args, config)
-        entries, step = matrix.entries, settings.turnon_step
-        period, duration, airtime, sf8_devices, sf8_airtime = _traffic(args, config, len(entries))
-        horizon = len(entries) * step + settings.probe_window + duration
+        matrix, experiment = _experiment(settings)
+        entries, step = matrix.entries, experiment.turnon_step
+        period, duration, airtime, sf8_devices, sf8_airtime = _traffic(settings, len(entries))
+        horizon = len(entries) * step + experiment.probe_window + duration
     else:
-        devices = _required(args, config, "devices", int)
-        period, duration, airtime, sf8_devices, sf8_airtime = _traffic(args, config, devices)
+        devices = settings.required("devices")
+        period, duration, airtime, sf8_devices, sf8_airtime = _traffic(settings, devices)
         entries = [controller.RosterEntry(f"dev{i:03d}", f"{i:016x}")
                    for i in range(1, devices + 1)]
         step, horizon = 0.0, duration
-    spread = _setting(args, config, "period_spread", float, 0.0)
     n = len(entries)
     specs = []
     for k, entry in enumerate(entries):
@@ -241,8 +259,8 @@ def _fleet(args, config: dict[str, str]):
         specs.append(simulator.DeviceSpec(
             device_id=entry.device_id,
             dev_eui=entry.dev_eui,
-            sf=8 if on_sf8 else args.sf,
-            period=device_period(period, k, n, spread),
+            sf=8 if on_sf8 else sf,
+            period=device_period(period, k, n, settings["period_spread"]),
             airtime=sf8_airtime if on_sf8 else airtime,
             active_from=k * step,
             active_until=horizon,
@@ -253,23 +271,22 @@ def _fleet(args, config: dict[str, str]):
 def _cmd_simulate(args) -> int:
     from . import simulator
 
-    config = load_config(args.config) if args.config else {}
-    seed = _setting(args, config, "seed", int, 0)
-    model = _model_from(args, config)
+    settings = Settings(args, load_config(args.config) if args.config else {})
+    seed, model = settings["seed"], _model_from(settings)
     if args.out:
-        specs, horizon = _fleet(args, config)
+        specs, horizon = _fleet(settings, args.sf)
         # streamed block by block: no whole-run arrays
         timeline = simulator.Timeline(specs, horizon, model=model, seed=seed)
         n = simulator.write_packet_log(timeline, args.out)
         print(f"wrote {n} packet records to {args.out}")
-        if not _setting(args, config, "roster", str):
+        if not settings.get("roster"):
             if not timeline.counts.any():
                 raise ValueError("no transmissions in this run")
             print(f"pdr {n / int(timeline.counts.sum()):.6f}")
         return 0
 
-    devices = _required(args, config, "devices", int)
-    period, duration, airtime, sf8_devices, sf8_airtime = _traffic(args, config, devices)
+    devices = settings.required("devices")
+    period, duration, airtime, sf8_devices, sf8_airtime = _traffic(settings, devices)
     rounds = max(1, int(duration / period))
     groups = [simulator.SfGroup(args.sf, devices - sf8_devices, airtime)]
     if sf8_devices:
@@ -299,11 +316,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_run_experiment(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    matrix, settings = _experiment(args, config)
+    settings = Settings(args, load_config(args.config) if args.config else {})
+    matrix, experiment = _experiment(settings)
 
     operator: Operator
-    auto = _setting(args, config, "auto_operator", str)
+    auto = settings.get("auto_operator")
     if auto is None:
         operator = InteractiveOperator()
     elif auto == "sim":
@@ -312,14 +329,10 @@ def _cmd_run_experiment(args) -> int:
         operator = ScriptedOperator(load_operator_script(auto))
     clock = RealClock() if auto is None else VirtualClock(0.0)
 
-    server = address(_required(args, config, "server", str))
-    token = _required(args, config, "token", str)
-
-    report_path = _setting(args, config, "report", str, "report.txt")
-    ts_path = _setting(args, config, "timestamps", str, "timestamps.txt")
-
-    with netserver.NetClient(server, token) as client:
-        result = run_experiment(matrix, operator, client, clock, settings)
+    report_path, ts_path = settings["report"], settings["timestamps"]
+    with netserver.NetClient(address(settings.required("server")),
+                             settings.required("token")) as client:
+        result = run_experiment(matrix, operator, client, clock, experiment)
     write_output(result, report_path, ts_path)
     total_sent = sum(r.sent for r in result.reports.values())
     total_delivered = sum(r.delivered for r in result.reports.values())
@@ -335,6 +348,16 @@ def _cmd_run_experiment(args) -> int:
                  if not report.sent and device_id not in result.query_failures)
     if silent:
         print(f"warning: {silent} of {len(result.reports)} switched-on devices never delivered")
+        spread = abs(settings["period_spread"])
+        if "period" in settings and spread < 2:
+            # no device's period lies below the low end of device_period's range, so
+            # none made more attempts in the window than one at that period.  Every
+            # device counts them: a delivering one's sent misses its edge losses.
+            attempts = math.ceil(experiment.duration / (settings["period"] * (1 - spread / 2)))
+            sent = sum(max(report.sent, attempts) for device_id, report in result.reports.items()
+                       if device_id not in result.query_failures)
+            print(f"pdr lower bound {total_delivered / sent:.6f} ({total_delivered}/{sent}), "
+                  f"counting {attempts} attempts for each device")
     if result.query_failures:
         print(f"query failed for {len(result.query_failures)} devices (see report)")
     unconfirmed = sum(1 for r in result.shutdown_log if not r.confirmed)
@@ -381,6 +404,14 @@ def _cmd_analyze(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+def _add_setting_flags(parser, command: str, **help_texts) -> None:
+    """A flag for each of ``FLAGS[command]``, read as its config value is."""
+    for key in FLAGS[command]:
+        read = SETTINGS[key][0]
+        kind = {"choices": read} if isinstance(read, OneOf) else {"type": read}
+        parser.add_argument(f"--{key.replace('_', '-')}", help=help_texts.get(key), **kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorascale",
@@ -409,16 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("simulate", help="Monte-Carlo PDR or packet-log generation")
-    p.add_argument("--devices", type=int)
-    p.add_argument("--period", type=float)
-    p.add_argument("--airtime", type=float)
+    _add_setting_flags(p, "simulate")
     p.add_argument("--sf", type=int, default=7)
-    p.add_argument("--duration", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--model", choices=("any", "any-overlap", "window"))
-    p.add_argument("--window-factor", type=float, dest="window_factor")
-    p.add_argument("--sf8-devices", type=int, dest="sf8_devices")
-    p.add_argument("--sf8-airtime", type=float, dest="sf8_airtime")
     p.add_argument("--out", help="write a packet log from a full timeline run")
     p.add_argument("--config", help="key = value experiment definition")
     p.set_defaults(func=_cmd_simulate)
@@ -430,20 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("run-experiment", help="orchestrate a full experiment")
-    p.add_argument("--roster")
-    p.add_argument("--mapping")
-    p.add_argument("--duration", type=float)
-    p.add_argument("--server", help="network server host:port")
-    p.add_argument("--token")
-    p.add_argument("--auto-operator", dest="auto_operator",
-                   help="'sim' or a path to a scripted reply file")
-    p.add_argument("--name")
-    p.add_argument("--period", type=float, help="device period, sets default windows")
-    p.add_argument("--turnon-step", type=float, dest="turnon_step")
-    p.add_argument("--probe-window", type=float, dest="probe_window")
-    p.add_argument("--recheck-window", type=float, dest="recheck_window")
-    p.add_argument("--report")
-    p.add_argument("--timestamps")
+    _add_setting_flags(p, "run-experiment", server="network server host:port",
+                       auto_operator="'sim' or a path to a scripted reply file",
+                       period="device period, sets default windows")
     p.add_argument("--config", help="key = value experiment definition")
     p.set_defaults(func=_cmd_run_experiment)
 

@@ -42,10 +42,11 @@ def write_rosters() -> None:
 
 
 def candidate(seed: int):
-    config = dict(CONFIG)
+    config = {key: cli.SETTINGS[key][0](value) for key, value in CONFIG.items()}
     config["roster"] = str(DATA / "roster8.csv")
     config["mapping"] = str(DATA / "mapping8.csv")
-    specs, horizon = cli._fleet(cli.build_parser().parse_args(["simulate"]), config)
+    args = cli.build_parser().parse_args(["simulate"])
+    specs, horizon = cli._fleet(cli.Settings(args, config), args.sf)
     result = simulator.run(specs, horizon, seed=seed)
     n = len(specs)
     w0 = n * 1.0 + 15.0

@@ -103,7 +103,8 @@ def test_c4_end_to_end_pipeline_exactness(tmp_path):
     seed = int(config["seed"])
 
     # simulate and export
-    specs, horizon = cli._fleet(cli.build_parser().parse_args(["simulate"]), config)
+    args = cli.build_parser().parse_args(["simulate"])
+    specs, horizon = cli._fleet(cli.Settings(args, config), args.sf)
     sim = simulator.run(specs, horizon, seed=seed)
     log_path = tmp_path / "pipeline.log"
     simulator.write_packet_log(sim, log_path)
@@ -154,6 +155,73 @@ def test_c4_end_to_end_pipeline_exactness(tmp_path):
     assert (tmp_path / "ts.txt").read_bytes() == (DATA / "golden_timestamps.txt").read_bytes()
     ok("4 end-to-end-exactness",
        f"8 devices exact, {losses} interior losses, report byte-identical")
+
+
+# The paper41 roster at zero period spread, where many devices lose every
+# packet to the same neighbours for the whole run.
+ZERO_SPREAD_41 = {"name": "zero-spread", "roster": DATA / "roster41.csv",
+                  "mapping": DATA / "mapping41.csv", "period": 7, "period_spread": 0,
+                  "airtime": 0.11729, "duration": 700, "turnon_step": 1,
+                  "probe_window": 21, "recheck_window": 21}
+
+
+def zero_spread_run(tmp_path, capsys, seed):
+    """Simulate, serve and orchestrate the zero-spread roster; return the
+    run's summary lines and the true (delivered, sent) over its window."""
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value
+                              in {**ZERO_SPREAD_41, "seed": seed}.items()))
+    log, report = tmp_path / "run.log", tmp_path / "report.txt"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(log)]) == 0
+    store = PacketStore()
+    store.ingest_file(log)
+    server, thread = start_server(store, "tok")
+    host, port = server.server_address
+    try:
+        rc = cli.main(["run-experiment", "--config", str(config), "--server", f"{host}:{port}",
+                       "--token", "tok", "--auto-operator", "sim", "--report", str(report),
+                       "--timestamps", str(tmp_path / "ts.txt")])
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert rc == 0
+    # after simulate's line and the two "written to" lines
+    summary = capsys.readouterr().out.splitlines()[3:]
+
+    args = cli.build_parser().parse_args(["simulate"])
+    specs, horizon = cli._fleet(cli.Settings(args, cli.load_config(config)), args.sf)
+    sim = simulator.run(specs, horizon, seed=seed)
+    header = report.read_text().split("\n", 1)[0].split()
+    start, end = float(header[4]), float(header[6])
+    in_window = (sim.end >= start) & (sim.end <= end)
+    return summary, (int(sim.delivered[in_window].sum()), int(in_window.sum()))
+
+
+def counts_of(line):
+    """The ``(delivered, sent)`` that a summary line gives as ``(d/s)``."""
+    delivered, sent = line.split("(", 1)[1].split(")", 1)[0].split("/")
+    return int(delivered), int(sent)
+
+
+@pytest.mark.parametrize("seed", [4601, 4602, 4603])
+def test_silent_device_bound_brackets_the_ground_truth(tmp_path, capsys, seed):
+    """With devices that never deliver, the truth lies between the lower
+    bound and the network PDR, within one attempt per silent device."""
+    summary, (delivered, sent) = zero_spread_run(tmp_path, capsys, seed)
+    network, warning, bound = summary
+    silent = int(warning.split()[1])
+    assert warning == f"warning: {silent} of 41 switched-on devices never delivered"
+    assert silent > 0
+    assert bound.startswith("pdr lower bound ")
+    assert bound.endswith(", counting 100 attempts for each device")
+    assert network.startswith("network pdr ")
+    (main_delivered, main_sent), (bound_delivered, bound_sent) = counts_of(network), counts_of(bound)
+    assert main_delivered == bound_delivered == delivered
+    assert bound_sent == 41 * 100
+    assert main_sent <= sent <= bound_sent + silent
+    ok("silent-device bound", f"seed {seed}: {delivered}/{bound_sent} <= {delivered}/{sent} "
+                              f"<= {delivered}/{main_sent}, {silent} silent")
 
 
 def test_c5_counter_gap_arithmetic():

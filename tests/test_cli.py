@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import pathlib
 import re
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from lorascale import analysis, cli, netserver, simulator
+from lorascale import analysis, cli, controller, netserver, simulator
 from lorascale.controller import OrchestrationError, TurnOff, TurnOn
 from batch_adapter import batch_query
 
@@ -136,6 +137,11 @@ NON_FINITE_BASE = {
                 "--airtime-sf8": "0.08"},
     "scale": {"--real-n": "10000", "--real-period": "600", "--real-airtime": "0.04122",
               "--exp-period": "7", "--exp-airtime": "0.11729"},
+    # windows of their own, so that a bad period cannot be caught as a bad window
+    "run-experiment": {"--roster": str(DATA / "roster8.csv"),
+                       "--mapping": str(DATA / "mapping8.csv"), "--duration": "200",
+                       "--probe-window": "15", "--recheck-window": "15",
+                       "--server": "127.0.0.1:9", "--token": "t"},
 }
 
 
@@ -147,6 +153,8 @@ NON_FINITE_BASE = {
     ("analyze", "--airtime-sf7", "inf"), ("analyze", "--airtime-sf8", "nan"),
     ("scale", "--real-period", "nan"), ("scale", "--real-airtime", "nan"),
     ("scale", "--exp-period", "nan"), ("scale", "--exp-period", "inf"),
+    ("run-experiment", "--period", "0"), ("run-experiment", "--period", "-5"),
+    ("run-experiment", "--period", "nan"),
 ])
 def test_non_finite_setting_exits_cleanly(capsys, command, flag, value):
     settings = {**NON_FINITE_BASE[command], flag: value}
@@ -275,9 +283,15 @@ def test_roster_simulate_rejects_sf8_count_outside_roster(tmp_path, capsys, coun
     ("sf8_count = 1", "unknown key 'sf8_count'"),
     ("airtime_sf8 = 0.09", "unknown key 'airtime_sf8'"),
     ("period = 6", "key 'period' is given twice"),
+    # a value that does not read as its key's type
+    ("period = abc", "period: could not convert string to float: 'abc'"),
+    ("devices = 2.5", "devices: invalid literal for int() with base 10: '2.5'"),
+    ("model = bogus", "model: expected one of any, any-overlap, window, got 'bogus'"),
 ])
 def test_config_refuses_unknown_and_repeated_keys(tmp_path, capsys, line, fault):
-    config = roster_config(tmp_path)
+    # the line takes the place of the config's own line for its key, but in the repeat case
+    key = line.partition(" = ")[0]
+    config = roster_config(tmp_path, drop=() if fault.endswith("twice") else (key,))
     text = config.read_text() + f"# a comment\n{line}\n"
     config.write_text(text)
     log = tmp_path / "x.log"
@@ -285,7 +299,7 @@ def test_config_refuses_unknown_and_repeated_keys(tmp_path, capsys, line, fault)
     assert rc == 1
     assert capsys.readouterr().err == f"error: {config}:{text.count(chr(10))}: {fault}\n"
     assert not log.exists()
-    with pytest.raises(ValueError, match=fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
         cli.load_config(config)
 
 
@@ -328,9 +342,15 @@ def test_simulate_names_a_repeated_roster_id(tmp_path, capsys):
 
 def test_config_keys_are_the_keys_the_cli_reads():
     source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
-    read = set(re.findall(r'_(?:setting|required)\(args, config, "(\w+)"', source))
-    assert read == cli.CONFIG_KEYS
+    read = set(re.findall(r'settings(?:\[|\.get\(|\.required\()"(\w+)"', source))
+    assert read == set(cli.SETTINGS)
     assert len(read) == 21
+    # every setting flag is generated from a table key
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, keys in cli.FLAGS.items():
+        flags = {a.dest for a in commands[command]._actions} - {"help", "sf", "out", "config"}
+        assert flags == set(keys) <= set(cli.SETTINGS)
 
 
 def test_readme_experiment_config_reproduces_golden_log(tmp_path):
@@ -728,8 +748,13 @@ def test_run_experiment_warns_of_devices_that_never_delivered(tmp_path, capsys):
     report = tmp_path / "report.txt"
     assert run_golden(report, log=log) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2].startswith("network pdr ")
-    assert lines[-1] == "warning: 1 of 8 switched-on devices never delivered"
+    assert lines[-3].startswith("network pdr ")
+    assert lines[-2] == "warning: 1 of 8 switched-on devices never delivered"
+    # no golden period (5 s, spread 0.06) is below 4.85 s, so no device made more
+    # than ceil(200 / 4.85) = 42 attempts in the 200 s window
+    delivered = sum(c.delivered for c in controller.parse_report(report).values())
+    assert lines[-1] == (f"pdr lower bound {delivered / 336:.6f} ({delivered}/336), "
+                         "counting 42 attempts for each device")
     assert "\ng03 0 0\n" in report.read_text()
     assert "# query-failed" not in report.read_text()
 
