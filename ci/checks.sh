@@ -49,6 +49,12 @@ step_console() (
   err=$(lorascale simulate --config "$out/bad.cfg" 2>&1 > /dev/null) || rc=$?
   test "$rc" = 1
   test "$err" = "error: $out/bad.cfg:1: period: could not convert string to float: 'abc'"
+  # a period spread outside [0, 2) is refused where the config gives it
+  echo "period_spread = 3" > "$out/spread.cfg"
+  rc=0
+  err=$(lorascale simulate --config "$out/spread.cfg" 2>&1 > /dev/null) || rc=$?
+  test "$rc" = 1
+  test "$err" = "error: $out/spread.cfg:1: period_spread: expected a spread in [0, 2), got '3'"
 )
 
 # A subshell, so that its EXIT trap stops the server and removes the

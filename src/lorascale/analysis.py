@@ -89,16 +89,16 @@ def pdr_aggregate(reports: Iterable[DeviceReport]) -> tuple[float, float]:
     return network, sum(ratios) / len(ratios)
 
 
-def matching_payload(sf7_airtime: float, config: RadioConfig | None = None) -> int:
+def matching_payload(sf7_airtime: float) -> int:
     """Payload size whose SF7 time-on-air is closest to ``sf7_airtime``.
 
     The airtime formula is a step function of the payload, so several
     sizes can tie; the largest one is returned.
     """
-    cfg = config or RadioConfig(spreading_factor=7)
+    sf7 = RadioConfig(spreading_factor=7)
     best, best_err = 0, math.inf
     for payload in range(0, 256):
-        err = abs(time_on_air(cfg, payload) - sf7_airtime)
+        err = abs(time_on_air(sf7, payload) - sf7_airtime)
         if err <= best_err:
             best, best_err = payload, err
     return best

@@ -41,11 +41,18 @@ class OneOf(tuple):
         return text
 
 
+def spread(text: str) -> float:
+    """Reader of ``period_spread``, in [0, 2) so that every :func:`device_period` is positive."""
+    if not 0.0 <= (value := float(text)) < 2.0:
+        raise ValueError(f"expected a spread in [0, 2), got {text!r}")
+    return value
+
+
 # Every experiment setting, the one place that names it: the reader of its config
 # text and flag, and its static default (None: none, or one computed from ``period``).
 SETTINGS = {
     "devices": (int, None), "roster": (str, None), "mapping": (str, None),
-    "period": (float, None), "period_spread": (float, 0.0), "airtime": (float, None),
+    "period": (float, None), "period_spread": (spread, 0.0), "airtime": (float, None),
     "sf8_devices": (int, 0), "sf8_airtime": (float, None), "duration": (float, None),
     "seed": (int, 0), "model": (OneOf(("any", "any-overlap", "window")), "any"),
     "window_factor": (float, 1.0), "name": (str, "experiment"), "turnon_step": (float, 0.0),
@@ -348,12 +355,12 @@ def _cmd_run_experiment(args) -> int:
                  if not report.sent and device_id not in result.query_failures)
     if silent:
         print(f"warning: {silent} of {len(result.reports)} switched-on devices never delivered")
-        spread = abs(settings["period_spread"])
-        if "period" in settings and spread < 2:
+        if "period" in settings:
             # no device's period lies below the low end of device_period's range, so
             # none made more attempts in the window than one at that period.  Every
             # device counts them: a delivering one's sent misses its edge losses.
-            attempts = math.ceil(experiment.duration / (settings["period"] * (1 - spread / 2)))
+            low = settings["period"] * (1 - settings["period_spread"] / 2)
+            attempts = math.ceil(experiment.duration / low)
             sent = sum(max(report.sent, attempts) for device_id, report in result.reports.items()
                        if device_id not in result.query_failures)
             print(f"pdr lower bound {total_delivered / sent:.6f} ({total_delivered}/{sent}), "

@@ -10,14 +10,13 @@ The controller is transport-agnostic: any object with a batch
 ``query(dev_euis, from_ts, to_ts)`` method works as the server client
 (TCP client or a simulated world).  It returns one entry per EUI, in
 request order, over the one closed window: the device's packets as
-:data:`~lorascale.netserver.Columns`, a ``(timestamps, counters, SFs)``
-triple of equal-length sequences in time order, or the
+:data:`~lorascale.netserver.Columns`, a ``(timestamps, counters)`` pair
+of equal-length sequences in time order, or the
 ``ProtocolError``/``OSError`` that failed that device alone; raising
-fails every device of the call.  The triples go through to the report
-as they came: a failed device gets an empty one, and its reason is a
-string from there to the report.  The controller reads only the
-timestamps and the counters.  Any object with ``now()``/``sleep(dt)``
-works as the clock.
+fails every device of the call.  The pairs go through to the report as
+they came: a failed device gets an empty one, and its reason is a string
+from there to the report.  Any object with ``now()``/``sleep(dt)`` works
+as the clock.
 """
 
 from __future__ import annotations
@@ -325,8 +324,8 @@ def turn_on_sequence(matrix: DeviceMatrix, operator: Operator, client, clock: Cl
     if failures:
         first = next(iter(failures.values()))
         raise OrchestrationError(f"server unreachable during turn-on probe: {first}")
-    # a triple is never empty: silence is an empty timestamp column
-    return {device_id for device_id, (ts, _, _) in packets.items() if not len(ts)}
+    # a pair is never empty: silence is an empty timestamp column
+    return {device_id for device_id, (ts, _) in packets.items() if not len(ts)}
 
 
 def collect(matrix: DeviceMatrix, start_ts: float, end_ts: float, client
@@ -427,7 +426,7 @@ def turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceReport],
             # the poll is lost, not the run; the report keeps the reason
             failures.setdefault(device_id, f"turn-off recheck: {reason}")
         found = []
-        for device_id, (ts, _, _) in fresh.items():
+        for device_id, (ts, _) in fresh.items():
             first = min(map(window_of, ts), default=len(windows))
             if first < len(windows):
                 found.append((first, device_id))
@@ -487,7 +486,7 @@ class ExperimentResult:
     or ``query_failures`` (id -> reason).  A device that delivered
     nothing and is no late responder never responded.  ``packets`` holds
     each device's collected packets as the client's columns, an empty
-    triple for a failed query.  ``turn_off_aborted`` is why the turn-off
+    pair for a failed query.  ``turn_off_aborted`` is why the turn-off
     stopped early, or empty when it ran to the end."""
 
     name: str
@@ -547,7 +546,7 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
 
     stamped = []
     for device_id in result.matrix.ids():
-        ts, fcnt, _ = result.packets.get(device_id, NO_PACKETS)
+        ts, fcnt = result.packets.get(device_id, NO_PACKETS)
         stamped += zip(ts, repeat(result.matrix.eui_for(device_id)), fcnt)
     stamped.sort()
     with open(timestamp_path, "w", encoding="utf-8") as fh:

@@ -10,7 +10,7 @@ querying:
     server -> {"type": "auth_ok"} | {"type": "auth_fail", "reason": "..."}
     client -> {"type": "query", "dev_euis": ["...", ...], "from": t0, "to": t1}
     server -> {"type": "packets", "devices": [entry, ...]}
-    entry  =  {"dev_eui": "...", "ts": [...], "fcnt": [...], "sf": [...]}
+    entry  =  {"dev_eui": "...", "ts": [...], "fcnt": [...]}
 
 Devices obey :func:`check_devices`, and the store keys each by its
 lower-case EUI, so either case finds it.  A reply holds one entry per
@@ -23,14 +23,15 @@ judge.  Any protocol violation is answered with {"type": "error",
 Violations before authentication, unparseable frames and lines longer
 than ``MAX_LINE_BYTES`` additionally close the connection.  Query windows
 are closed intervals with finite bounds.  An entry holds the device's
-packets as the store does, as three columns of one length (an unknown EUI
-has empty ones): the server writes the store's slices straight to the
-wire, and the client decodes them straight into the store's types.
-Packets enter a store only as rows, through
-:meth:`PacketStore.ingest_rows`, held to one value domain.  Persistence
-is an append-only log file (the simulator's export format) replayed at
-startup, parsed into rows a block of 4,096 lines at a time, so that
-parsing holds O(block) memory beyond the store.
+packets as the store does, as two columns of one length, receive times
+and frame counters (an unknown EUI has empty ones): the server writes the
+store's slices straight to the wire, and the client decodes them straight
+into the store's types.  Packets enter a store only as ``(EUI, receive
+time, frame counter)`` rows, through :meth:`PacketStore.ingest_rows`,
+held to one value domain.  Persistence is an append-only log file (the
+simulator's export format) replayed at startup, parsed into rows a block
+of 4,096 lines at a time, so that parsing holds O(block) memory beyond
+the store.
 Every block takes one path: its lines are joined by spaces, and one
 pattern cuts out each stretch between two spaces that is not one log
 line.  No log line holds a space, so a line that holds one is skipped
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import itemgetter, lt
+from operator import lt
 from typing import Iterable, Sequence
 
 # A device EUI: 16 hex digits, matched with ``fullmatch``.
@@ -99,8 +100,6 @@ _NOT_A_LOG_LINE = re.compile(r" (?!{}\r?\n?(?= ))[^ ]*".format(
 _INGEST_BLOCK = 1 << 12
 
 _INF = math.inf
-# A stored row's key, (timestamp, frame counter): each EUI's rows rise in it.
-_KEY = itemgetter(0, 1)
 _decode = json.JSONDecoder().decode  # what json.loads runs for a str
 
 
@@ -114,12 +113,11 @@ class AuthError(ProtocolError):
 
 @dataclass(frozen=True, slots=True)
 class PacketRecord:
-    """One stored uplink: device EUI, frame counter, receive time, SF."""
+    """One stored uplink: device EUI, frame counter, receive time."""
 
     dev_eui: str
     fcnt: int
     received_ts: float
-    sf: int
 
 
 # Largest frame counter a counter column (int64) holds.
@@ -134,10 +132,11 @@ def _fits(ts: str, fcnt: str) -> bool:
         return False
 
 
-def _block_rows(block: list[str]) -> tuple[int, Iterable[tuple[str, float, int, int]]]:
-    """How many, and which, ``(EUI, timestamp, counter, SF)`` rows the log
+def _block_rows(block: list[str]) -> tuple[int, Iterable[tuple[str, float, int]]]:
+    """How many, and which, ``(EUI, timestamp, counter)`` rows the log
     lines of a block give: one for each line that is a packet-log line
-    whose timestamp and counter fit their columns, in order.
+    whose timestamp and counter fit their columns, in order; each line's
+    SF, held to the grammar, is dropped.
 
     The lines that hold no space are joined by single spaces, with one
     more space at each end, and every stretch between two spaces that is
@@ -149,36 +148,34 @@ def _block_rows(block: list[str]) -> tuple[int, Iterable[tuple[str, float, int, 
     if text.count(" ") != len(block) - 1:  # a line holds a space, as no log line does
         text = " ".join([line for line in block if " " not in line])
     fields = _NOT_A_LOG_LINE.sub("", f" {text} ").split()
-    ts_s, euis, fcnt_s, sfs = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    ts_s, euis, fcnt_s = fields[0::4], fields[1::4], fields[2::4]
     try:
         ts, fcnt = list(map(float, ts_s)), list(map(int, fcnt_s))
         fits = not ts or (-_INF < min(ts) and max(ts) < _INF and max(fcnt) <= _FCNT_MAX)
     except ValueError:  # a counter longer than ``int`` reads
         fits = False
     if fits:
-        return len(ts), zip(euis, ts, fcnt, map(int, sfs))
-    rows = [(eui, float(t), int(c), int(sf))
-            for t, eui, c, sf in zip(ts_s, euis, fcnt_s, sfs) if _fits(t, c)]
+        return len(ts), zip(euis, ts, fcnt)
+    rows = [(eui, float(t), int(c)) for t, eui, c in zip(ts_s, euis, fcnt_s) if _fits(t, c)]
     return len(rows), rows
 
 
-# One EUI's packets: receive times, frame counters and SFs, row by row.
-Columns = tuple[Sequence[float], Sequence[int], Sequence[int]]
+# One EUI's packets: receive times and frame counters, row by row.
+Columns = tuple[Sequence[float], Sequence[int]]
 
 # Columns with no packet: an empty window, an unknown EUI, a failed query.
-NO_PACKETS: Columns = ((), (), ())
+NO_PACKETS: Columns = ((), ())
 
 
 class PacketStore:
     """Thread-safe packet storage with duplicate suppression.
 
-    Each EUI's packets are kept as three columns in (timestamp, counter)
-    order: an ``array('d')`` of receive times, an ``array('q')`` of frame
-    counters and a ``bytearray`` of SFs, with the lower-case EUI stored
-    once as the key, about 17 bytes per packet.  A query is two
-    bisections of the timestamp column and a slice: :meth:`window` returns
-    the slices, which the server formats its replies from and the live
-    world answers with.  :meth:`query` builds one record per packet of the
+    Each EUI's packets are kept as two columns in (timestamp, counter)
+    order: an ``array('d')`` of receive times and an ``array('q')`` of
+    frame counters, with the lower-case EUI stored once as the key, 16
+    bytes per packet.  A query is two bisections of the timestamp column
+    and a slice: :meth:`window` returns the slices, which the server
+    formats its replies from and the live world answers with.  :meth:`query` builds one record per packet of the
     slice; no product path calls it.  Queries see a consistent snapshot
     under a single-writer lock.
 
@@ -194,18 +191,18 @@ class PacketStore:
 
     The columns pin what a packet may hold, one rule for every caller: a
     finite timestamp (an ``int`` one is stored, and returned, as the float
-    ``float()`` gives), a frame counter that fits an int64, an SF that
-    fits a byte, and four fields to a row.  A call with any other row is
-    a ``ValueError``, and then none of it is stored.  The client holds
+    ``float()`` gives), a frame counter that fits an int64, and three
+    fields to a row.  A call with any other row is a ``ValueError``, and
+    then none of it is stored.  The client holds
     each reply entry to the same domain.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._by_eui: dict[str, tuple[array, array, bytearray]] = {}
+        self._by_eui: dict[str, tuple[array, array]] = {}
 
-    def ingest_rows(self, rows: Iterable[tuple[str, float, int, int]]) -> int:
-        """Store ``(dev_eui, timestamp, counter, SF)`` rows, in any mix of
+    def ingest_rows(self, rows: Iterable[tuple[str, float, int]]) -> int:
+        """Store ``(dev_eui, timestamp, counter)`` rows, in any mix of
         EUIs, each onto its EUI's columns in order; returns how many were
         new.  A row outside the domain is a ``ValueError`` and stores none
         of the call.
@@ -214,19 +211,17 @@ class PacketStore:
         column holds no NaN, so it is finite when its two ends are; only a
         batch sorted into the stored rows has each timestamp tested.
         """
-        by_eui: dict[str, tuple[array, array, bytearray]] = {}
+        by_eui: dict[str, tuple[array, array]] = {}
         try:
-            for eui, ts, fcnt, sf in rows:
-                columns = by_eui.get(eui)
-                if columns is None:
-                    by_eui[eui] = columns = (array("d"), array("q"), bytearray())
+            for eui, ts, fcnt in rows:
+                if (columns := by_eui.get(eui)) is None:
+                    by_eui[eui] = columns = (array("d"), array("q"))
                 columns[0].append(ts)
                 columns[1].append(fcnt)
-                columns[2].append(sf)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"a row does not fit the store's columns: {exc}") from None
         keys, rising = [], []
-        for eui, (ts, _, _) in by_eui.items():
+        for eui, (ts, _) in by_eui.items():
             up = all(map(lt, ts, ts[1:]))
             if not (-_INF < ts[0] and ts[-1] < _INF if up else all(map(isfinite, ts))):
                 raise ValueError(f"non-finite timestamp among the packets of {eui!r}")
@@ -235,7 +230,7 @@ class PacketStore:
         with self._lock:
             return sum(map(self._put, keys, by_eui.values(), rising))
 
-    def _put(self, key: str, columns: tuple[array, array, bytearray], rising: bool) -> int:
+    def _put(self, key: str, columns: tuple[array, array], rising: bool) -> int:
         stored = self._by_eui.get(key)
         ts = columns[0]
         # timestamps that rise strictly past the stored ones leave every key
@@ -250,10 +245,10 @@ class PacketStore:
         # sort the batch into the stored rows; stable, so of two duplicates,
         # now neighbours, the stored one (or the earlier in the batch) leads
         stored = stored or NO_PACKETS
-        rows = sorted(chain(zip(*stored), zip(*columns)), key=_KEY)
-        rows = [row for prev, row in zip([(None, None), *rows], rows) if _KEY(prev) != _KEY(row)]
-        ts, fcnt, sf = zip(*rows)
-        self._by_eui[key] = array("d", ts), array("q", fcnt), bytearray(sf)
+        rows = sorted(chain(zip(*stored), zip(*columns)))
+        rows = [row for prev, row in zip([None, *rows], rows) if prev != row]
+        ts, fcnt = zip(*rows)
+        self._by_eui[key] = array("d", ts), array("q", fcnt)
         return len(rows) - len(stored[0])
 
     def ingest_lines(self, lines: Iterable[str]) -> tuple[int, int]:
@@ -293,29 +288,27 @@ class PacketStore:
 
     def window(self, dev_eui: str, from_ts: float, to_ts: float) -> Columns:
         """Columns of one device's rows with from_ts <= ts <= to_ts, in
-        time order: copies of the slices of its timestamps, counters and
-        SFs."""
+        time order: copies of the slices of its timestamps and counters."""
         if not from_ts <= to_ts:
             if from_ts > to_ts:
                 raise ValueError("query window is empty (from > to)")
             return NO_PACKETS  # a NaN bound, which no timestamp lies within
         with self._lock:
-            stored = self._by_eui.get(dev_eui.lower())
-            if stored is None:
+            if (stored := self._by_eui.get(dev_eui.lower())) is None:
                 return NO_PACKETS
-            ts, fcnt, sf = stored
+            ts, fcnt = stored
             lo, hi = bisect_left(ts, from_ts), bisect_right(ts, to_ts)
-            return ts[lo:hi], fcnt[lo:hi], sf[lo:hi]
+            return ts[lo:hi], fcnt[lo:hi]
 
     def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
         """Records of one device with from_ts <= ts <= to_ts, time-ordered:
         :meth:`window`'s rows, one record object each."""
-        ts, fcnt, sf = self.window(dev_eui, from_ts, to_ts)
-        return list(map(PacketRecord, repeat(dev_eui), fcnt, ts, sf))
+        ts, fcnt = self.window(dev_eui, from_ts, to_ts)
+        return list(map(PacketRecord, repeat(dev_eui), fcnt, ts))
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(ts) for ts, _, _ in self._by_eui.values())
+            return sum(len(ts) for ts, _ in self._by_eui.values())
 
 
 # Longest request line, newline included, that the server reads; a client
@@ -334,19 +327,19 @@ def _line(message: dict) -> bytes:
     return (json.dumps(message) + "\n").encode("utf-8")
 
 
-def _entry(dev_eui: str, ts: Iterable[float], fcnt: Iterable[int], sf: Iterable[int]) -> str:
+def _entry(dev_eui: str, ts: Iterable[float], fcnt: Iterable[int]) -> str:
     """One reply entry, as ``json.dumps`` writes it, from the device's columns."""
     return (f'{{"dev_eui": {encode_basestring_ascii(dev_eui)}, "ts": {list(ts)!r}, '
-            f'"fcnt": {list(fcnt)!r}, "sf": {list(sf)!r}}}')
+            f'"fcnt": {list(fcnt)!r}}}')
 
 
 def _answer(store: PacketStore, msg: dict) -> bytes:
     """The reply line to one query: an entry per EUI, or why it is refused.
 
     The ``packets`` line is byte for byte what ``json.dumps`` writes:
-    frame counters and SFs are ints and timestamps finite floats (the
-    store holds no others), so a column is written as the ``repr`` of its
-    list, and EUIs go through JSON's own string encoder.
+    frame counters are ints and timestamps finite floats (the store holds
+    no others), so a column is written as the ``repr`` of its list, and
+    EUIs go through JSON's own string encoder.
     """
     euis, lo, hi = msg.get("dev_euis"), msg.get("from"), msg.get("to")
     if type(euis) is not list or not euis or not all(type(e) is str for e in euis):
@@ -458,13 +451,13 @@ def _device_reply(item, dev_eui: str) -> Columns | ProtocolError:
     named = item.get("dev_eui") if type(item) is dict else None
     if named != dev_eui:
         return ProtocolError(f"reply names device {named!r}, not the {dev_eui!r} asked for")
-    ts, fcnt, sf = item.get("ts"), item.get("fcnt"), item.get("sf")
-    if not (type(ts) is type(fcnt) is type(sf) is list and len(ts) == len(fcnt) == len(sf)):
-        return ProtocolError(f"reply entry for {dev_eui!r} holds no three columns of one length")
+    ts, fcnt = item.get("ts"), item.get("fcnt")
+    if not (type(ts) is type(fcnt) is list and len(ts) == len(fcnt)):
+        return ProtocolError(f"reply entry for {dev_eui!r} holds no two columns of one length")
     try:
-        if bool in set(map(type, chain(ts, fcnt, sf))):
+        if bool in set(map(type, chain(ts, fcnt))):
             raise TypeError("a packet value is a bool")
-        columns = array("d", ts), array("q", fcnt), bytearray(sf)
+        columns = array("d", ts), array("q", fcnt)
         if not all(map(isfinite, columns[0])):
             raise ValueError("a timestamp is not finite")
         return columns
@@ -501,22 +494,22 @@ class NetClient:
 
     def query(self, dev_euis: list[str], from_ts: float, to_ts: float
               ) -> list[Columns | ProtocolError]:
-        """One entry per EUI, in order: the device's columns in the closed
-        window, an ``array('d')``, an ``array('q')`` and a ``bytearray``
+        """One entry per EUI, in order: the device's ``(timestamps, counters)``
+        columns in the closed window, an ``array('d')`` and an ``array('q')``
         holding the rows of the server store's :meth:`PacketStore.window`,
         or the :class:`ProtocolError` that fails that device alone.
 
         The EUIs go in requests of ``_EUIS_PER_REQUEST`` each, which fit
         the server's line limit when every EUI is 16 hex digits.  An entry
-        that does not name its EUI and hold a ``ts``, an ``fcnt`` and an
-        ``sf`` list of one length, or whose lists hold a value the store's
-        columns could not, fails its device; a reply that is no list of
-        one entry per EUI fails each EUI of its request.  An EUI given twice
-        (in either case) raises before anything is sent.  The server judges
-        the rest: a bad bound, a non-string EUI or an over-long line gets its
-        ``error`` reply, which raises (the last also closes the connection).
-        A value JSON cannot write, a closed connection and a socket error
-        raise too; each fails the whole call.
+        that does not name its EUI and hold a ``ts`` and an ``fcnt`` list
+        of one length, or whose lists hold a value the store's columns
+        could not, fails its device (any other key is ignored); a reply
+        that is no list of one entry per EUI fails each EUI of its request.
+        An EUI given twice (in either case) raises before anything is
+        sent.  The server judges the rest: a bad bound, a non-string EUI or
+        an over-long line gets its ``error`` reply, which raises (the last
+        also closes the connection).  A value JSON cannot write, a closed
+        connection and a socket error raise too; each fails the whole call.
         """
         keys = [e.lower() for e in dev_euis if isinstance(e, str)]
         if len(set(keys)) < len(keys):

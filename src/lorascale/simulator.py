@@ -454,9 +454,8 @@ def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
         phases.sort(axis=1)
         ghost = phases < airtime  # a prefix of each sorted row
         g = int(np.count_nonzero(ghost.any(axis=0)))  # the widest prefix
-        rows = np.empty((n, count + g))
-        np.add((stride * np.arange(first, first + n))[:, None], phases, out=rows[:, :count])
-        np.add(rows[:, :g], period, out=rows[:, count:])
+        phases += (stride * np.arange(first, first + n))[:, None]  # each round's offset
+        rows = np.concatenate((phases, phases[:, :g] + period), axis=1)
         keep = np.ones(rows.shape, dtype=bool)
         keep[:, count:] = ghost[:, :g]
         s = rows[keep]

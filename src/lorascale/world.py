@@ -20,8 +20,8 @@ events leaves the world as it was.  The events the step finalizes join
 the world's attempt arrays, one chunk per resolution, and the delivered
 ones go into a :class:`PacketStore` through its one entry,
 :meth:`~lorascale.netserver.PacketStore.ingest_rows`, as ``(EUI,
-timestamp, counter, SF)`` rows in timeline order, with no record object
-per packet; the store builds each device's columns.  The world thus answers
+timestamp, counter)`` rows in timeline order, with no record object per
+packet; the store builds each device's columns.  The world thus answers
 a query exactly as the network server's store does, with its
 :meth:`~lorascale.netserver.PacketStore.window` slices, the columns the
 network-server client decodes; :meth:`SimWorld.ground_truth` counts each
@@ -142,7 +142,7 @@ class SimWorld:
         events = lattice_events(self._columns, dev, base, lo, counts, fcnt0)
         # new events start at or after the last resolution, as a step needs;
         # the world changes only from here on, so a failed step changes nothing
-        _, end, sf, dev, fcnt, delivered = self._edge.step(events, self._now)
+        _, end, _, dev, fcnt, delivered = self._edge.step(events, self._now)
         self._closed.clear()
         self._k[on] = hi[len(c_dev):]
         self._fcnt0 = fcnt0_next
@@ -152,11 +152,11 @@ class SimWorld:
             # the delivered events as store rows, in start order
             good = np.flatnonzero(delivered)
             self._store.ingest_rows(zip(self._euis[dev[good]].tolist(), end[good].tolist(),
-                                        fcnt[good].tolist(), sf[good].tolist()))
+                                        fcnt[good].tolist()))
 
     def query(self, dev_euis: list[str], from_ts: float, to_ts: float) -> list[Columns]:
         """Delivered packets of each device in the closed time window, one
-        ``(timestamps, counters, SFs)`` triple per EUI in order, as the
+        ``(timestamps, counters)`` pair per EUI in order, as the
         network-server client answers."""
         if from_ts > to_ts:
             raise ValueError("query window is empty (from > to)")

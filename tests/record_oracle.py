@@ -4,7 +4,7 @@ and the record helpers of the tests.
 The straightforward forms of the record path:
 :func:`reference_write_packet_log` sorts the delivered events of a
 result, or of each block of a timeline, with one ``np.lexsort`` by
-receive time, EUI and counter, builds a :class:`PacketRecord` for each
+receive time, EUI and counter, builds a :class:`LogRecord` for each
 and formats it with :func:`format_log_line`, an f-string, and
 the wire lines are ``json.dumps`` of the message dicts, whose columns
 are gathered record by record.  They cost an object and a generic
@@ -12,11 +12,14 @@ encoder call per record, but each step is easy to check by eye, so
 :func:`lorascale.simulator.write_packet_log` and the server's replies
 (:func:`served_line`) are tested against them byte for byte.
 
-The product passes packets as columns, ``(timestamps, counters, SFs)``
-triples; :func:`columns`, :func:`as_lists` and :func:`records_of` turn
-records and triples into one another, :func:`ingest_records` stores
-records as rows through :meth:`PacketStore.ingest_rows`, the store's one
-entry, and :func:`parse_log_line` reads one log line as a record.
+A log line carries the packet's SF, and the store drops it: a
+:class:`LogRecord` is a log line's fields, SF included, and
+:func:`stored` the :class:`PacketRecord` the store keeps of it.  The
+product passes packets as columns, ``(timestamps, counters)`` pairs;
+:func:`columns`, :func:`as_lists` and :func:`records_of` turn records
+and pairs into one another, :func:`ingest_records` stores records as
+rows through :meth:`PacketStore.ingest_rows`, the store's one entry, and
+:func:`parse_log_line` reads one log line as the record the store keeps.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator
 
@@ -34,12 +38,28 @@ from lorascale.netserver import PacketRecord, PacketStore
 from lorascale.simulator import SimResult, Timeline
 
 
-def format_log_line(record: PacketRecord) -> str:
+@dataclass(frozen=True, slots=True)
+class LogRecord:
+    """One packet-log line's fields: device EUI, frame counter, receive
+    time and SF."""
+
+    dev_eui: str
+    fcnt: int
+    received_ts: float
+    sf: int
+
+
+def stored(record: LogRecord) -> PacketRecord:
+    """The record the store keeps of a log record: all but its SF."""
+    return PacketRecord(record.dev_eui, record.fcnt, record.received_ts)
+
+
+def format_log_line(record: LogRecord) -> str:
     """One packet log line: ts, EUI, frame counter and SF, tab separated."""
     return f"{record.received_ts:.6f}\t{record.dev_eui}\t{record.fcnt}\t{record.sf}"
 
 
-def export_packet_log(result: SimResult) -> Iterator[PacketRecord]:
+def export_packet_log(result: SimResult) -> Iterator[LogRecord]:
     """Packet records for the delivered events, ordered by receive time.
 
     Lost events produce no record; the receive timestamp is the event
@@ -51,7 +71,7 @@ def export_packet_log(result: SimResult) -> Iterator[PacketRecord]:
     order = np.lexsort((result.fcnt[good], eui_rank[result.dev[good]], result.end[good]))
     for i in good[order]:
         d = result.devices[result.dev[i]]
-        yield PacketRecord(
+        yield LogRecord(
             dev_eui=d.dev_eui,
             fcnt=int(result.fcnt[i]),
             received_ts=float(result.end[i]),
@@ -73,10 +93,10 @@ def reference_write_packet_log(result: SimResult | Timeline, path) -> int:
 
 def packets_message(devices: list[tuple[str, list[PacketRecord]]]) -> dict:
     """The ``packets`` reply: one entry per ``(dev_eui, records)`` pair,
-    holding the records' timestamp, counter and SF columns as lists."""
+    holding the records' timestamp and counter columns as lists."""
     return {
         "type": "packets",
-        "devices": [dict(zip(("dev_eui", "ts", "fcnt", "sf"), (eui, *columns(got))))
+        "devices": [dict(zip(("dev_eui", "ts", "fcnt"), (eui, *columns(got))))
                     for eui, got in devices],
     }
 
@@ -94,33 +114,32 @@ def parse_log_line(line: str) -> PacketRecord:
     if store.ingest_lines([line]) != (1, 0):
         raise ValueError(f"not a packet-log line: {line!r}")
     dev_eui = line.split("\t")[1]  # a kept line is four tab-separated fields
-    ((ts,), (fcnt,), (sf,)) = store.window(dev_eui, -math.inf, math.inf)
-    return PacketRecord(dev_eui, fcnt, ts, sf)
+    ((ts,), (fcnt,)) = store.window(dev_eui, -math.inf, math.inf)
+    return PacketRecord(dev_eui, fcnt, ts)
 
 
-def columns(records: Iterable[PacketRecord]) -> tuple[list[float], list[int], list[int]]:
-    """The timestamp, counter and SF columns of records, in their order."""
+def columns(records: Iterable[PacketRecord]) -> tuple[list[float], list[int]]:
+    """The timestamp and counter columns of records, in their order."""
     records = list(records)
-    return ([r.received_ts for r in records], [r.fcnt for r in records],
-            [r.sf for r in records])
+    return [r.received_ts for r in records], [r.fcnt for r in records]
 
 
 def as_lists(packets) -> tuple[list, ...]:
-    """A columns triple as three lists, so that triples compare value for
-    value whatever sequence types hold them."""
+    """A columns pair as two lists, so that pairs compare value for value
+    whatever sequence types hold them."""
     return tuple(map(list, packets))
 
 
 def records_of(dev_eui: str, packets) -> list[PacketRecord]:
     """One record per row of a device's columns."""
-    ts, fcnt, sf = packets
-    return list(map(PacketRecord, repeat(dev_eui), fcnt, ts, sf))
+    ts, fcnt = packets
+    return list(map(PacketRecord, repeat(dev_eui), fcnt, ts))
 
 
 def ingest_records(store: PacketStore, records: Iterable[PacketRecord]) -> int:
     """Store records through ``ingest_rows``, one row each, in the
     records' order; returns how many were new."""
-    return store.ingest_rows((r.dev_eui, r.received_ts, r.fcnt, r.sf) for r in records)
+    return store.ingest_rows((r.dev_eui, r.received_ts, r.fcnt) for r in records)
 
 
 def served_line(devices: list[tuple[str, list[PacketRecord]]]) -> bytes:

@@ -3,9 +3,9 @@
 :func:`reference_parse_log_line` converts each field with ``float`` and
 ``int``, and :class:`ReferenceStore` keeps a set of the keys it has seen
 and answers a query by scanning the device's whole bucket; like the
-store, it keys a device by its lower-case EUI and names the records of a
-query by the EUI asked.  They are slow but easy to check by eye, so
-:class:`lorascale.netserver.PacketStore` is tested against them.
+store, it keys a device by its lower-case EUI, keeps no SF, and names the
+records of a query by the EUI asked.  They are slow but easy to check by
+eye, so :class:`lorascale.netserver.PacketStore` is tested against them.
 
 The reference parser is more lenient than the log grammar
 (:data:`lorascale.netserver._LOG_FIELDS`) on purpose: ``float`` and
@@ -22,9 +22,10 @@ from dataclasses import replace
 from typing import Iterable
 
 from lorascale.netserver import EUI_PATTERN, PacketRecord
+from record_oracle import LogRecord, stored
 
 
-def reference_parse_log_line(line: str) -> PacketRecord:
+def reference_parse_log_line(line: str) -> LogRecord:
     """Parse one ``ts<TAB>eui<TAB>fcnt<TAB>sf`` log line; the timestamp
     must be finite."""
     fields = line.rstrip("\n").split("\t")
@@ -42,7 +43,7 @@ def reference_parse_log_line(line: str) -> PacketRecord:
         raise ValueError("negative frame counter")
     if not 7 <= sf <= 12:
         raise ValueError(f"bad SF {sf}")
-    return PacketRecord(dev_eui=eui, fcnt=fcnt, received_ts=ts, sf=sf)
+    return LogRecord(dev_eui=eui, fcnt=fcnt, received_ts=ts, sf=sf)
 
 
 def _ascii_digits(text: str) -> bool:
@@ -98,7 +99,7 @@ class ReferenceStore:
             if not line.strip():
                 continue
             try:
-                good.append(reference_parse_log_line(line))
+                good.append(stored(reference_parse_log_line(line)))
             except ValueError:
                 skipped += 1
         return self._add(good), skipped

@@ -227,7 +227,7 @@ def test_silent_device_bound_brackets_the_ground_truth(tmp_path, capsys, seed):
 def test_c5_counter_gap_arithmetic():
     """The three reference counter sequences resolve exactly."""
     def recs(fcnts):
-        return columns(PacketRecord("00000000000000aa", f, float(i), 7)
+        return columns(PacketRecord("00000000000000aa", f, float(i))
                        for i, f in enumerate(fcnts))
 
     assert compute_counts(recs([0, 1, 2, 3])) == (4, 4)
@@ -245,7 +245,7 @@ class _WakeClient:
         self.wake = wake
 
     def query(self, dev_eui, lo, hi):
-        return columns(PacketRecord(dev_eui, 0, ts, 7)
+        return columns(PacketRecord(dev_eui, 0, ts)
                        for ts in self.wake.get(dev_eui, []) if lo <= ts <= hi)
 
 
@@ -341,7 +341,7 @@ def test_c9_protocol_conformance():
     euis = [f"{i:016x}" for i in range(8)]
     records = [
         PacketRecord(rnd.choice(euis), rnd.randrange(400),
-                     round(rnd.uniform(0.0, 100.0), 6), rnd.randrange(7, 13))
+                     round(rnd.uniform(0.0, 100.0), 6))
         for _ in range(1000)
     ]
     ingest_records(store, records)
@@ -402,8 +402,7 @@ def test_c9_protocol_conformance():
                    "from": rnd.uniform(-1e9, 1e9), "to": rnd.uniform(-1e9, 1e9)}
         elif kind == "packets":
             # each device's records in the order the store keeps them
-            devices = [(eui, sorted([PacketRecord(eui, rnd.randrange(1000), rnd.uniform(0, 1e6),
-                                                  rnd.randrange(7, 13))
+            devices = [(eui, sorted([PacketRecord(eui, rnd.randrange(1000), rnd.uniform(0, 1e6))
                                      for _ in range(rnd.randrange(5))],
                                     key=lambda r: (r.received_ts, r.fcnt)))
                        for eui in rnd.sample(euis, rnd.randrange(1, 9))]

@@ -287,6 +287,10 @@ def test_roster_simulate_rejects_sf8_count_outside_roster(tmp_path, capsys, coun
     ("period = abc", "period: could not convert string to float: 'abc'"),
     ("devices = 2.5", "devices: invalid literal for int() with base 10: '2.5'"),
     ("model = bogus", "model: expected one of any, any-overlap, window, got 'bogus'"),
+    # a spread that leaves some device period at or below zero, or that is negative
+    ("period_spread = 3", "period_spread: expected a spread in [0, 2), got '3'"),
+    ("period_spread = 2", "period_spread: expected a spread in [0, 2), got '2'"),
+    ("period_spread = -0.5", "period_spread: expected a spread in [0, 2), got '-0.5'"),
 ])
 def test_config_refuses_unknown_and_repeated_keys(tmp_path, capsys, line, fault):
     # the line takes the place of the config's own line for its key, but in the repeat case
@@ -794,7 +798,7 @@ def test_serve_subcommand_over_subprocess(tmp_path):
             except OSError:
                 time_mod.sleep(0.1)
         assert client is not None, "server did not come up"
-        (ts, _, _), = client.query([f"{0xfeed0001:016x}"], 0.0, 1e9)
+        (ts, _), = client.query([f"{0xfeed0001:016x}"], 0.0, 1e9)
         client.close()
         assert len(ts) > 0
     finally:

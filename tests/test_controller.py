@@ -40,7 +40,7 @@ from turnoff_oracle import reference_turn_off_sequence
 
 EUIS = {f"d{i}": f"{0xcc00 + i:016x}" for i in range(10)}
 # the packets the controller gives a device whose query failed
-NO_PACKETS = ((), (), ())
+NO_PACKETS = ((), ())
 
 
 def spread_period(base, k, n, spread=0.06):
@@ -200,7 +200,7 @@ def test_load_roster_41_entry_fixture():
 # --- counter arithmetic ---------------------------------------------------------
 
 def records(fcnts):
-    return columns(PacketRecord("00000000000000aa", f, float(i), 7) for i, f in enumerate(fcnts))
+    return columns(PacketRecord("00000000000000aa", f, float(i)) for i, f in enumerate(fcnts))
 
 
 def test_compute_counts_reference_cases():
@@ -227,7 +227,7 @@ def test_compute_counts_same_on_list_and_typed_columns(fcnts):
     """The counts read the counter column alone, whether it is a list or
     the ``array('q')`` the store and the client hand out."""
     ts = [float(i) for i in range(len(fcnts))]
-    typed = (array("d", ts), array("q", fcnts), bytearray([7] * len(fcnts)))
+    typed = (array("d", ts), array("q", fcnts))
     assert compute_counts(typed) == compute_counts(records(fcnts))
 
 
@@ -235,12 +235,12 @@ def test_compute_counts_same_on_list_and_typed_columns(fcnts):
 
 def test_turn_on_flags_devices_with_empty_columns():
     """A device whose reply holds no packet is probe-silent, whether its
-    columns are empty tuples or empty typed arrays: a triple is never
+    columns are empty tuples or empty typed arrays: a pair is never
     empty itself."""
     matrix = DeviceMatrix([RosterEntry(f"d{i}", EUIS[f"d{i}"]) for i in range(3)])
-    replies = {EUIS["d0"]: (array("d", [1.0]), array("q", [0]), bytearray([7])),
-               EUIS["d1"]: ((), (), ()),
-               EUIS["d2"]: (array("d"), array("q"), bytearray())}
+    replies = {EUIS["d0"]: (array("d", [1.0]), array("q", [0])),
+               EUIS["d1"]: ((), ()),
+               EUIS["d2"]: (array("d"), array("q"))}
 
     class Replies:
         def query(self, dev_euis, from_ts, to_ts):
@@ -353,10 +353,10 @@ def test_collect_window_closed_and_all_devices_present():
     store = PacketStore()
     eui1, eui2 = "00000000000000a1", "00000000000000a2"
     ingest_records(store, [
-        PacketRecord(eui1, 0, 10.0, 7),   # exactly at start: included
-        PacketRecord(eui1, 1, 15.0, 7),
-        PacketRecord(eui1, 2, 20.0, 7),   # exactly at end: included
-        PacketRecord(eui1, 3, 20.5, 7),   # outside
+        PacketRecord(eui1, 0, 10.0),   # exactly at start: included
+        PacketRecord(eui1, 1, 15.0),
+        PacketRecord(eui1, 2, 20.0),   # exactly at end: included
+        PacketRecord(eui1, 3, 20.5),   # outside
     ])
     matrix = DeviceMatrix([RosterEntry("a", eui1), RosterEntry("b", eui2)])
     packets, failures = collect(matrix, 10.0, 20.0, Batched(StoreClient(store)))
@@ -373,7 +373,7 @@ def test_collect_protocol_error_flags_device_and_continues():
             from lorascale.netserver import ProtocolError
             if dev_eui == eui1:
                 raise ProtocolError("boom")
-            return columns([PacketRecord(eui2, 0, 12.0, 7)])
+            return columns([PacketRecord(eui2, 0, 12.0)])
 
     matrix = DeviceMatrix([RosterEntry("a", eui1), RosterEntry("b", eui2)])
     packets, failures = collect(matrix, 10.0, 20.0, Batched(Flaky()))
@@ -391,7 +391,7 @@ class FakeWakeClient:
 
     def query(self, dev_eui, from_ts, to_ts):
         return columns(
-            PacketRecord(dev_eui, 0, ts, 7)
+            PacketRecord(dev_eui, 0, ts)
             for ts in self.wake.get(dev_eui, [])
             if from_ts <= ts <= to_ts
         )

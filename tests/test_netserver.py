@@ -29,8 +29,9 @@ from lorascale.netserver import (
     ProtocolError,
     start_server,
 )
-from record_oracle import (as_lists, columns, format_log_line, ingest_records, parse_log_line,
-                           records_of, reference_packets_line, served_line)
+from record_oracle import (LogRecord, as_lists, columns, format_log_line, ingest_records,
+                           parse_log_line, records_of, reference_packets_line, served_line,
+                           stored)
 from store_oracle import ReferenceStore, reference_parse_log_line, written_form
 
 TOKEN = "secret-token"
@@ -105,7 +106,7 @@ OVERFLOW_LINE = "1" + "0" * 400 + "\t00000000000000aa\t3\t7"
 
 def test_parse_log_line_roundtrip():
     rec = parse_log_line("12.500000\t00000000000000aa\t3\t7\n")
-    assert rec == PacketRecord("00000000000000aa", 3, 12.5, 7)
+    assert rec == PacketRecord("00000000000000aa", 3, 12.5)
 
 
 @given(
@@ -115,10 +116,12 @@ def test_parse_log_line_roundtrip():
     sf=st.integers(7, 12),
 )
 def test_log_line_format_parse_roundtrip(dev_eui, fcnt, micros, sf):
-    # timestamps already at the log's 6 fractional digits survive exactly
+    # timestamps already at the log's 6 fractional digits survive exactly;
+    # the SF survives the log, and the store drops it
     ts = float(f"{micros // 10**6}.{micros % 10**6:06d}")
-    record = PacketRecord(dev_eui, fcnt, ts, sf)
-    assert parse_log_line(format_log_line(record)) == record
+    record = LogRecord(dev_eui, fcnt, ts, sf)
+    assert reference_parse_log_line(format_log_line(record)) == record
+    assert parse_log_line(format_log_line(record)) == stored(record)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +153,7 @@ def test_parse_log_line_rejects_malformed(line):
     "1" + "0" * 300 + ".25\t00000000000000aa\t3\t7",
 ])
 def test_parse_log_line_accepts_written_forms(line):
-    assert parse_log_line(line) == reference_parse_log_line(line)
+    assert parse_log_line(line) == stored(reference_parse_log_line(line))
 
 
 def test_ingest_skips_lenient_lines():
@@ -159,7 +162,7 @@ def test_ingest_skips_lenient_lines():
     lines = [good, *LENIENT_LINES, "\n", "  \r\n", OVERFLOW_LINE]
     assert store.ingest_lines(lines) == (1, len(LENIENT_LINES) + 1)
     assert store.query("00000000000000aa", -1e300, 1e300) == [
-        PacketRecord("00000000000000aa", 3, 12.5, 7)]
+        PacketRecord("00000000000000aa", 3, 12.5)]
 
 
 def test_ingest_file_skips_only_the_line_with_a_non_ascii_byte(tmp_path):
@@ -210,9 +213,9 @@ def test_store_keys_a_device_by_its_lower_case_eui():
     assert store.ingest_lines(lines) == (3, 0)
     assert len(store) == 3
     for eui in ("00000000000000aa", "00000000000000AA", "00000000000000aA"):
-        assert as_lists(store.window(eui, 0.0, 9.0)) == ([1.0, 2.0, 3.0], [0, 1, 2], [7, 7, 7])
+        assert as_lists(store.window(eui, 0.0, 9.0)) == ([1.0, 2.0, 3.0], [0, 1, 2])
         assert [r.dev_eui for r in store.query(eui, 0.0, 9.0)] == [eui] * 3
-    assert ingest_records(store, [PacketRecord("00000000000000AA", 2, 3.0, 7)]) == 0
+    assert ingest_records(store, [PacketRecord("00000000000000AA", 2, 3.0)]) == 0
 
 
 def test_store_holds_only_finite_timestamps():
@@ -226,17 +229,17 @@ def test_store_holds_only_finite_timestamps():
         (0, 10.0), (4, 20.0), (2, 30.0)]
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            ingest_records(store, [PacketRecord(eui, 9, 1.0, 7), PacketRecord(eui, 8, bad, 7)])
+            ingest_records(store, [PacketRecord(eui, 9, 1.0), PacketRecord(eui, 8, bad)])
     assert len(store) == 3  # a rejected batch stores nothing
 
 
 def test_store_query_windowing_and_order():
     store = PacketStore()
     recs = [
-        PacketRecord("00000000000000aa", 2, 5.0, 7),
-        PacketRecord("00000000000000aa", 1, 5.0, 7),  # ts tie, lower fcnt first
-        PacketRecord("00000000000000aa", 0, 1.0, 7),
-        PacketRecord("00000000000000bb", 0, 5.0, 7),
+        PacketRecord("00000000000000aa", 2, 5.0),
+        PacketRecord("00000000000000aa", 1, 5.0),  # ts tie, lower fcnt first
+        PacketRecord("00000000000000aa", 0, 1.0),
+        PacketRecord("00000000000000bb", 0, 5.0),
     ]
     ingest_records(store, recs)
     hits = store.query("00000000000000aa", 1.0, 5.0)  # closed on both ends
@@ -251,11 +254,11 @@ def test_store_query_windowing_and_order():
 def test_store_two_out_of_order_batches_sorted_and_windowed():
     a, b = "00000000000000aa", "00000000000000bb"
     store = PacketStore()
-    ingest_records(store, [PacketRecord(a, 5, 50.0, 7), PacketRecord(a, 1, 10.0, 7),
-                           PacketRecord(b, 0, 30.0, 8), PacketRecord(a, 3, 30.0, 7)])
+    ingest_records(store, [PacketRecord(a, 5, 50.0), PacketRecord(a, 1, 10.0),
+                           PacketRecord(b, 0, 30.0), PacketRecord(a, 3, 30.0)])
     # the second batch lands between, before and after the first one's records
-    ingest_records(store, [PacketRecord(a, 4, 40.0, 7), PacketRecord(a, 0, 0.0, 7),
-                           PacketRecord(a, 6, 60.0, 7), PacketRecord(a, 2, 30.0, 7)])
+    ingest_records(store, [PacketRecord(a, 4, 40.0), PacketRecord(a, 0, 0.0),
+                           PacketRecord(a, 6, 60.0), PacketRecord(a, 2, 30.0)])
     assert [(r.fcnt, r.received_ts) for r in store.query(a, -1.0, 100.0)] == [
         (0, 0.0), (1, 10.0), (2, 30.0), (3, 30.0), (4, 40.0), (5, 50.0), (6, 60.0)]
     assert [r.fcnt for r in store.query(a, 30.0, 40.0)] == [2, 3, 4]
@@ -267,7 +270,7 @@ def test_store_two_out_of_order_batches_sorted_and_windowed():
 def test_store_query_nan_bound_matches_nothing():
     eui = "00000000000000aa"
     store = PacketStore()
-    ingest_records(store, [PacketRecord(eui, 0, 1.0, 7), PacketRecord(eui, 1, 2.0, 7)])
+    ingest_records(store, [PacketRecord(eui, 0, 1.0), PacketRecord(eui, 1, 2.0)])
     for lo, hi in ((math.nan, 5.0), (0.0, math.nan), (math.nan, math.nan)):
         assert store.query(eui, lo, hi) == []
     with pytest.raises(ValueError):
@@ -278,12 +281,12 @@ def test_store_query_nan_bound_matches_nothing():
 def test_store_later_batch_keeps_timestamps_in_step():
     eui = "00000000000000aa"
     store = PacketStore()
-    assert ingest_records(store, [PacketRecord(eui, 4, 4.0, 7), PacketRecord(eui, 2, 2.0, 7)]) == 2
+    assert ingest_records(store, [PacketRecord(eui, 4, 4.0), PacketRecord(eui, 2, 2.0)]) == 2
     # a later batch with a duplicate, a tie and records on both sides
-    assert ingest_records(store, [PacketRecord(eui, 2, 2.0, 8), PacketRecord(eui, 1, 2.0, 7),
-                                  PacketRecord(eui, 5, 5.0, 7), PacketRecord(eui, 0, 0.5, 7)]) == 3
-    assert store.query(eui, 2.0, 2.0) == [PacketRecord(eui, 1, 2.0, 7),
-                                          PacketRecord(eui, 2, 2.0, 7)]  # first copy kept
+    assert ingest_records(store, [PacketRecord(eui, 2, 2.0), PacketRecord(eui, 1, 2.0),
+                                  PacketRecord(eui, 5, 5.0), PacketRecord(eui, 0, 0.5)]) == 3
+    assert store.query(eui, 2.0, 2.0) == [PacketRecord(eui, 1, 2.0),
+                                          PacketRecord(eui, 2, 2.0)]  # the duplicate once
     assert [r.fcnt for r in store.query(eui, 0.5, 4.0)] == [0, 1, 2, 4]
     assert [r.fcnt for r in store.query(eui, 4.5, 5.0)] == [5]
     assert len(store) == 5
@@ -297,12 +300,12 @@ AA, BB = "00000000000000aa", "00000000000000bb"
 def test_log_line_counter_beyond_int64_is_malformed():
     top = f"1.000000\t{AA}\t{2**63 - 1}\t7"
     over = f"2.000000\t{AA}\t{2**63}\t7"
-    assert parse_log_line(top) == PacketRecord(AA, 2**63 - 1, 1.0, 7)
+    assert parse_log_line(top) == PacketRecord(AA, 2**63 - 1, 1.0)
     with pytest.raises(ValueError):
         parse_log_line(over)
     store = PacketStore()
     assert store.ingest_lines([top, over, f"3.000000\t{AA}\t{10**40}\t7"]) == (1, 2)
-    assert store.query(AA, 0.0, 5.0) == [PacketRecord(AA, 2**63 - 1, 1.0, 7)]
+    assert store.query(AA, 0.0, 5.0) == [PacketRecord(AA, 2**63 - 1, 1.0)]
 
 
 @pytest.fixture()
@@ -329,29 +332,25 @@ def test_counter_longer_than_int_reads_costs_only_its_line(int_reads_4300_digits
              f"1.750000\t{AA}\t{2**63}\t7", good[2]]
     store = PacketStore()
     assert store.ingest_lines(lines) == (3, 4)
-    assert store.query(AA, -math.inf, math.inf) == [PacketRecord(AA, k, float(k), 7)
+    assert store.query(AA, -math.inf, math.inf) == [PacketRecord(AA, k, float(k))
                                                     for k in range(3)]
 
 
 @pytest.mark.parametrize("bad", [
-    PacketRecord(AA, 2**63, 3.0, 7),
-    PacketRecord(AA, -(2**63) - 1, 3.0, 7),
-    PacketRecord(AA, 3, 3.0, 256),
-    PacketRecord(AA, 3, 3.0, -1),
-    PacketRecord(AA, 3, 10**400, 7),
-    PacketRecord(AA, 3.0, 3.0, 7),
-    PacketRecord(AA, 3, "3.0", 7),
-    PacketRecord(AA, 3, 3.0, None),
-], ids=["fcnt-over-int64", "fcnt-under-int64", "sf-over-byte", "negative-sf",
-        "int-ts-over-float", "float-fcnt", "str-ts", "no-sf"])
+    PacketRecord(AA, 2**63, 3.0),
+    PacketRecord(AA, -(2**63) - 1, 3.0),
+    PacketRecord(AA, 3, 10**400),
+    PacketRecord(AA, 3.0, 3.0),
+    PacketRecord(AA, 3, "3.0"),
+], ids=["fcnt-over-int64", "fcnt-under-int64", "int-ts-over-float", "float-fcnt", "str-ts"])
 def test_store_refuses_a_batch_with_a_value_no_column_holds(bad):
     store = PacketStore()
-    ingest_records(store, [PacketRecord(AA, 0, 0.0, 7)])
+    ingest_records(store, [PacketRecord(AA, 0, 0.0)])
     with pytest.raises(ValueError):
-        ingest_records(store, [PacketRecord(AA, 1, 1.0, 7), PacketRecord(BB, 0, 1.0, 7), bad])
+        ingest_records(store, [PacketRecord(AA, 1, 1.0), PacketRecord(BB, 0, 1.0), bad])
     with pytest.raises(ValueError):
-        store.ingest_rows([(BB, 1.0, 0, 7), (bad.dev_eui, bad.received_ts, bad.fcnt, bad.sf)])
-    assert store.query(AA, -1e300, 1e300) == [PacketRecord(AA, 0, 0.0, 7)]
+        store.ingest_rows([(BB, 1.0, 0), (bad.dev_eui, bad.received_ts, bad.fcnt)])
+    assert store.query(AA, -1e300, 1e300) == [PacketRecord(AA, 0, 0.0)]
     assert len(store) == 1  # none of either batch was stored
 
 
@@ -359,21 +358,21 @@ def test_store_refuses_columns_of_unequal_length():
     """A row short of a field, or with one too many, would leave the
     columns of unequal length: the call stores none of its rows."""
     store = PacketStore()
-    for row in [(AA, 2.0, 1), (AA, 2.0, 1, 7, 0)]:
+    for row in [(AA, 2.0), (AA, 2.0, 1, 7)]:
         with pytest.raises(ValueError):
-            store.ingest_rows([(AA, 1.0, 0, 7), (BB, 1.0, 0, 7), row])
+            store.ingest_rows([(AA, 1.0, 0), (BB, 1.0, 0), row])
     assert len(store) == 0
 
 
-NO_ROWS = ([], [], [])
+NO_ROWS = ([], [])
 
 
-@pytest.mark.parametrize("held", [[], [(AA, 0.0, 0, 7)]], ids=["empty-store", "eui-held"])
+@pytest.mark.parametrize("held", [[], [(AA, 0.0, 0)]], ids=["empty-store", "eui-held"])
 @pytest.mark.parametrize("bad", [
-    [(AA, math.nan, 1, 7)],
-    [(AA, math.inf, 1, 7)],
-    [(AA, -math.inf, 1, 7)],
-    [(AA, 1.0, 1, 7), (AA, math.nan, 2, 7), (AA, 3.0, 3, 7)],
+    [(AA, math.nan, 1)],
+    [(AA, math.inf, 1)],
+    [(AA, -math.inf, 1)],
+    [(AA, 1.0, 1), (AA, math.nan, 2), (AA, 3.0, 3)],
 ], ids=["nan", "inf", "minus-inf", "nan-inside-rising"])
 def test_ingest_rows_refuses_a_non_finite_timestamp(held, bad):
     """A lone non-finite timestamp is a rising batch of one, and a NaN
@@ -382,20 +381,20 @@ def test_ingest_rows_refuses_a_non_finite_timestamp(held, bad):
     of the call are not stored either."""
     store = PacketStore()
     assert store.ingest_rows(held) == len(held)
-    for rows in ([(BB, 1.0, 0, 7), *bad], [*bad, (BB, 1.0, 0, 7)]):
+    for rows in ([(BB, 1.0, 0), *bad], [*bad, (BB, 1.0, 0)]):
         with pytest.raises(ValueError):
             store.ingest_rows(rows)
         assert as_lists(store.window(BB, -math.inf, math.inf)) == NO_ROWS
         assert as_lists(store.window(AA, -math.inf, math.inf)) == (
-            ([0.0], [0], [7]) if held else NO_ROWS)
+            ([0.0], [0]) if held else NO_ROWS)
         assert len(store) == len(held)
 
 
 def test_store_holds_the_ends_of_each_column_domain():
-    """The largest and smallest counters and SFs the columns hold come back
-    exactly, and the server writes them as ``json.dumps`` does."""
-    records = [PacketRecord(AA, -(2**63), -1.5e308, 0), PacketRecord(AA, 2**63 - 1, 1.5e308, 255),
-               PacketRecord(AA, 0, -0.0, 12), PacketRecord(AA, 1, 5e-324, 7)]
+    """The largest and smallest counters and timestamps the columns hold
+    come back exactly, and the server writes them as ``json.dumps`` does."""
+    records = [PacketRecord(AA, -(2**63), -1.5e308), PacketRecord(AA, 2**63 - 1, 1.5e308),
+               PacketRecord(AA, 0, -0.0), PacketRecord(AA, 1, 5e-324)]
     store = PacketStore()
     assert ingest_records(store, records) == 4
     got = store.query(AA, -math.inf, math.inf)
@@ -407,21 +406,21 @@ def test_store_holds_the_ends_of_each_column_domain():
 
 def test_store_keeps_int_timestamps_as_floats():
     store = PacketStore()
-    assert ingest_records(store, [PacketRecord(AA, 0, 5, 7),
-                                  PacketRecord(AA, 1, -(2**53), 7)]) == 2
+    assert ingest_records(store, [PacketRecord(AA, 0, 5),
+                                  PacketRecord(AA, 1, -(2**53))]) == 2
     got = store.query(AA, -math.inf, math.inf)
-    assert got == [PacketRecord(AA, 1, -9007199254740992.0, 7), PacketRecord(AA, 0, 5.0, 7)]
+    assert got == [PacketRecord(AA, 1, -9007199254740992.0), PacketRecord(AA, 0, 5.0)]
     assert [type(r.received_ts) for r in got] == [float, float]
     # a later float copy of an int-stamped packet is its duplicate
-    assert ingest_records(store, [PacketRecord(AA, 0, 5.0, 8)]) == 0
+    assert ingest_records(store, [PacketRecord(AA, 0, 5.0)]) == 0
     msg = {"type": "query", "dev_euis": [AA], "from": 0, "to": 10}
     assert netserver._answer(store, msg) == (
         b'{"type": "packets", "devices": [{"dev_eui": "00000000000000aa", "ts": [5.0], '
-        b'"fcnt": [0], "sf": [7]}]}\n')
+        b'"fcnt": [0]}]}\n')
 
 
 def test_store_holds_at_most_50_bytes_per_record(tmp_path):
-    """The columns hold about 17 bytes per packet plus a few hundred per
+    """The columns hold about 16 bytes per packet plus a few hundred per
     EUI; one PacketRecord per packet took about 186."""
     log = tmp_path / "packets.log"
     fleet = [DeviceSpec(f"dev{k:03d}", f"{0x1000_0000 + 7919 * k:016x}", 7,
@@ -461,9 +460,10 @@ def test_ingest_parses_in_memory_bounded_by_the_block(tmp_path):
 # a few EUIs and coarse timestamps, so that batches collide, tie and interleave
 STORE_EUIS = ["00000000000000aa", "00000000000000bb", "00000000000000CC"]
 store_eui_st = st.sampled_from(STORE_EUIS)
-record_st = st.builds(PacketRecord, store_eui_st, st.integers(0, 6),
-                      st.sampled_from([-1.5, 0.0, -0.0, 0.5, 1.0, 2.0, 2.5, 7.0]),
-                      st.integers(7, 12))
+log_record_st = st.builds(LogRecord, store_eui_st, st.integers(0, 6),
+                          st.sampled_from([-1.5, 0.0, -0.0, 0.5, 1.0, 2.0, 2.5, 7.0]),
+                          st.integers(7, 12))
+record_st = log_record_st.map(stored)
 bound_or_nan_st = st.one_of(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 2.0, 2.5, 7.0, 9.0, math.nan]),
                             st.floats(-3.0, 9.0))
 
@@ -472,7 +472,7 @@ def placed(place, batch, reference):
     """The batch as drawn, or with each EUI's timestamps moved relative to
     the last record the reference holds for it: wholly past it, around it
     (ties and boundary duplicates), or past it behind a copy of that
-    record with another SF, which the store must not keep."""
+    record, which the store must not keep."""
     if place == "as drawn":
         return batch
     last = {eui: records[-1] for eui in {r.dev_eui for r in batch}
@@ -482,7 +482,7 @@ def placed(place, batch, reference):
                      + (last[r.dev_eui].received_ts if r.dev_eui in last else 0.0))
              for r in batch]
     if place == "behind a copy of the end":
-        moved += [replace(rec, sf=7 if rec.sf != 7 else 8) for rec in last.values()]
+        moved += last.values()
     return moved
 
 
@@ -523,7 +523,7 @@ def log_line_st(draw, clean=False):
                                 ["written", "written", "short", "blank", "corrupt"]))
     if kind == "blank":
         return draw(st.sampled_from(["", "\n", "  \n", "\t\r\n", "\r"]))
-    rec = draw(record_st)
+    rec = draw(log_record_st)
     if kind == "short":  # the other number forms write_packet_log's grammar allows
         ts = draw(st.sampled_from(["2", "-1.5", "0.50", "007.0", "-0"]))
         line = f"{ts}\t{rec.dev_eui}\t{rec.fcnt}\t{rec.sf}"
@@ -639,10 +639,10 @@ def test_no_pattern_needs_python_3_11():
 
 def test_auth_ok_then_query(server):
     srv, store = server
-    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0)])
     with NetClient(srv.server_address, TOKEN) as client:
         entries = client.query(["00000000000000aa", "00000000000000bb"], 0.0, 2.0)
-    assert list(map(as_lists, entries)) == [columns([PacketRecord("00000000000000aa", 0, 1.0, 7)]),
+    assert list(map(as_lists, entries)) == [columns([PacketRecord("00000000000000aa", 0, 1.0)]),
                                             columns([])]
 
 
@@ -698,12 +698,12 @@ def authed_connection(srv):
     return sock, rfile
 
 
-AA_ENTRY = {"dev_eui": "00000000000000aa", "ts": [1.0], "fcnt": [0], "sf": [7]}
+AA_ENTRY = {"dev_eui": "00000000000000aa", "ts": [1.0], "fcnt": [0]}
 
 
 def test_semantic_errors_keep_connection(server):
     srv, store = server
-    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0)])
     sock, rfile = authed_connection(srv)
     send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": 2, "to": 1})
     assert read_json(rfile)["type"] == "error"
@@ -718,7 +718,7 @@ def test_semantic_errors_keep_connection(server):
 
 def test_server_refuses_request_without_eui_list_and_keeps_connection(server):
     srv, store = server
-    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0)])
     sock, rfile = authed_connection(srv)
     for fields in ({"dev_eui": "00000000000000aa"},  # the single-device form is gone
                    {"dev_euis": "00000000000000aa"},  # not a list
@@ -731,7 +731,7 @@ def test_server_refuses_request_without_eui_list_and_keeps_connection(server):
 
 def test_server_refuses_a_non_string_eui_and_keeps_connection(server):
     srv, store = server
-    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0)])
     sock, rfile = authed_connection(srv)
     # a non-string EUI anywhere in the list refuses the whole request
     for euis in ([170, "00000000000000aa", None],
@@ -743,7 +743,7 @@ def test_server_refuses_a_non_string_eui_and_keeps_connection(server):
 
 def test_server_refuses_a_repeated_eui_and_keeps_connection(server):
     srv, store = server
-    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0)])
     sock, rfile = authed_connection(srv)
     # a reply would format the EUI's window once per mention
     for euis in (["00000000000000aa"] * 3_000,
@@ -761,13 +761,13 @@ def assert_refused_then_usable(sock, rfile, fields):
     send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa", "00000000000000bb"],
                      "from": 0, "to": 2})
     assert read_json(rfile) == {"type": "packets", "devices": [
-        AA_ENTRY, {"dev_eui": "00000000000000bb", "ts": [], "fcnt": [], "sf": []}]}
+        AA_ENTRY, {"dev_eui": "00000000000000bb", "ts": [], "fcnt": []}]}
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf"), 10**400])
 def test_non_finite_window_errors_and_keeps_connection(server, bound):
     srv, store = server
-    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0)])
     sock, rfile = authed_connection(srv)
     for lo, hi in ((bound, 2.0), (0.0, bound), (bound, bound)):
         send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa"], "from": lo, "to": hi})
@@ -783,13 +783,13 @@ def assert_refused_then_answered(server, queries):
     raises ``ProtocolError`` with that reason, and the next good query on
     the same client still answers."""
     srv, store = server
-    ingest_records(store, [PacketRecord(AA, 0, 0.5, 7)])
+    ingest_records(store, [PacketRecord(AA, 0, 0.5)])
     with NetClient(srv.server_address, TOKEN) as client:
         for euis, lo, hi, word in queries:
             with pytest.raises(ProtocolError, match=word):
                 client.query(euis, lo, hi)
             assert list(map(as_lists, client.query([AA], 0.0, 1.0))) == [
-                columns([PacketRecord(AA, 0, 0.5, 7)])], (euis, lo, hi)
+                columns([PacketRecord(AA, 0, 0.5)])], (euis, lo, hi)
 
 
 def test_client_raises_protocol_error_on_bad_query(server):
@@ -861,30 +861,31 @@ class GarbageServer:
 
 
 EUI_A, EUI_B = "00000000000000a1", "00000000000000a2"
-GOOD_B = {"dev_eui": EUI_B, "ts": [12.0], "fcnt": [4], "sf": [7]}
+GOOD_B = {"dev_eui": EUI_B, "ts": [12.0], "fcnt": [4]}
 
 
 def packets_line(**fields) -> bytes:
     return (json.dumps({"type": "packets", **fields}) + "\n").encode()
 
 
-# (ts, fcnt, sf) columns of one packet that the client cannot decode: a
-# short column, a quoted counter, a null timestamp, a list SF, junk.
+# (ts, fcnt) columns of one packet that the client cannot decode: a short
+# column, a list timestamp, a quoted counter, a null timestamp, a list
+# counter, junk.
 MALFORMED_PACKETS = [
-    ([1.0], [], [7]),
-    ([], [0], [7]),
-    ([1.0], [0], []),
-    ([1.0], ["x"], [7]),
-    ([None], [0], [7]),
-    ([1.0], [0], [[7]]),
-    (["junk"], ["junk"], ["junk"]),
+    ([1.0], []),
+    ([], [0]),
+    ([[1.0]], [0]),
+    ([1.0], ["x"]),
+    ([None], [0]),
+    ([1.0], [[0]]),
+    (["junk"], ["junk"]),
 ]
 
 
-def entry(dev_eui=EUI_A, ts=(1.0,), fcnt=(0,), sf=(7,)) -> dict:
+def entry(dev_eui=EUI_A, ts=(1.0,), fcnt=(0,)) -> dict:
     """A reply entry with the given columns; a column given as ``None``
     is left out."""
-    given = {"ts": ts, "fcnt": fcnt, "sf": sf}
+    given = {"ts": ts, "fcnt": fcnt}
     return {"dev_eui": dev_eui, **{k: list(v) for k, v in given.items() if v is not None}}
 
 
@@ -903,29 +904,29 @@ def collect_a_and_b(reply: bytes):
 
 
 @pytest.mark.parametrize("entry_a", [
-    *(entry(ts=ts, fcnt=fcnt, sf=sf) for ts, fcnt, sf in MALFORMED_PACKETS),
+    *(entry(ts=ts, fcnt=fcnt) for ts, fcnt in MALFORMED_PACKETS),
     {"dev_eui": EUI_A},
-    {"dev_eui": EUI_A, "ts": "none", "fcnt": "none", "sf": "none"},
+    {"dev_eui": EUI_A, "ts": "none", "fcnt": "none"},
     {"dev_eui": EUI_A, "error": "no such device"},  # no columns
     entry(EUI_B),
     "junk",
     # cases only a column entry has: unequal lengths, a missing column, a
     # column that is no list, and an entry in the old per-packet form
     pytest.param(entry(ts=[1.0, 2.0, 3.0], fcnt=[0, 1]), id="unequal-lengths"),
-    *(pytest.param(entry(**{key: None}), id=f"no-{key}") for key in ("ts", "fcnt", "sf")),
+    *(pytest.param(entry(**{key: None}), id=f"no-{key}") for key in ("ts", "fcnt")),
     pytest.param({**entry(), "ts": "1.0"}, id="string-column"),
     pytest.param({**entry(), "fcnt": {"0": 0}}, id="object-column"),
-    pytest.param({**entry(), "sf": None}, id="null-column"),
-    pytest.param({"dev_eui": EUI_A, "packets": [{"fcnt": 0, "ts": 1.0, "sf": 7}]},
+    pytest.param({**entry(), "fcnt": None}, id="null-column"),
+    pytest.param({"dev_eui": EUI_A, "packets": [{"fcnt": 0, "ts": 1.0}]},
                  id="packets-form"),
 ])
 def test_client_malformed_reply_flags_only_that_device(entry_a):
     entries, packets, failures = collect_a_and_b(packets_line(devices=[entry_a, GOOD_B]))
     assert isinstance(entries[0], ProtocolError)
-    assert as_lists(entries[1]) == columns([PacketRecord(EUI_B, 4, 12.0, 7)])
+    assert as_lists(entries[1]) == columns([PacketRecord(EUI_B, 4, 12.0)])
     assert set(failures) == {"a"} and isinstance(failures["a"], str)
     assert {d: as_lists(got) for d, got in packets.items()} == {
-        "a": columns([]), "b": columns([PacketRecord(EUI_B, 4, 12.0, 7)])}
+        "a": columns([]), "b": columns([PacketRecord(EUI_B, 4, 12.0)])}
 
 
 @pytest.mark.parametrize("reply", [
@@ -946,24 +947,20 @@ def test_client_unreadable_reply_flags_every_device_of_its_request(reply):
     assert {d: as_lists(got) for d, got in packets.items()} == {"a": columns([]), "b": columns([])}
 
 
-# One packet each, as its (ts, fcnt, sf) JSON values, whose value the
-# store's columns do not hold: JSON's bools, a fractional or quoted or
-# int64-overflowing counter, non-finite or quoted timestamps, SFs beyond
-# a byte.
+# One packet each, as its (ts, fcnt) JSON values, whose value the store's
+# columns do not hold: JSON's bools, a fractional or quoted or
+# int64-overflowing counter, non-finite or quoted timestamps.
 OUT_OF_DOMAIN = {
-    "true-fcnt": ("1.0", "true", "7"),
-    "fractional-fcnt": ("1.0", "2.9", "7"),
-    "quoted-fcnt": ("1.0", '"12"', "7"),
-    "fcnt-over-int64": ("1.0", "9223372036854775808", "7"),
-    "nan-ts": ("NaN", "1", "7"),
-    "infinite-ts": ("Infinity", "1", "7"),
-    "negative-infinite-ts": ("-Infinity", "1", "7"),
-    "overflowing-ts": ("1e400", "1", "7"),
-    "quoted-ts": ('"1e400"', "1", "7"),
-    "true-ts": ("true", "1", "7"),
-    "sf-over-byte": ("1.0", "1", "99999"),
-    "negative-sf": ("1.0", "1", "-1"),
-    "false-sf": ("1.0", "1", "false"),
+    "true-fcnt": ("1.0", "true"),
+    "fractional-fcnt": ("1.0", "2.9"),
+    "quoted-fcnt": ("1.0", '"12"'),
+    "fcnt-over-int64": ("1.0", "9223372036854775808"),
+    "nan-ts": ("NaN", "1"),
+    "infinite-ts": ("Infinity", "1"),
+    "negative-infinite-ts": ("-Infinity", "1"),
+    "overflowing-ts": ("1e400", "1"),
+    "quoted-ts": ('"1e400"', "1"),
+    "true-ts": ("true", "1"),
 }
 
 
@@ -979,24 +976,28 @@ def decoded(entry_a: str) -> list:
 def test_client_refuses_a_packet_value_no_store_column_holds(packet):
     """A reply packet is decoded through the store's own column conversion:
     a value outside the store's domain fails its device alone."""
-    ts, fcnt, sf = packet
-    a, b = decoded(f'{{"dev_eui": "{EUI_A}", "ts": [0.5, {ts}], "fcnt": [0, {fcnt}], '
-                   f'"sf": [7, {sf}]}}')
+    ts, fcnt = packet
+    a, b = decoded(f'{{"dev_eui": "{EUI_A}", "ts": [0.5, {ts}], "fcnt": [0, {fcnt}]}}')
     assert isinstance(a, ProtocolError)
-    assert as_lists(b) == columns([PacketRecord(EUI_B, 4, 12.0, 7)])
+    assert as_lists(b) == columns([PacketRecord(EUI_B, 4, 12.0)])
 
 
 def test_client_decodes_the_ends_of_each_column_domain():
     """The extreme values the store holds decode into the store's column
-    types, bit for bit; an int timestamp becomes its float."""
-    (ts, fcnt, sf), _ = decoded(json.dumps(entry(ts=[-1.5e308, -0.0, 5],
-                                                 fcnt=[-(2**63), 2**63 - 1, 0],
-                                                 sf=[0, 255, 12])))
-    assert (type(ts), type(fcnt), type(sf)) == (array, array, bytearray)
+    types, bit for bit; an int timestamp becomes its float.  An entry that
+    still carries an ``sf`` list decodes to the same two columns as one
+    without it."""
+    (ts, fcnt), _ = decoded(json.dumps(entry(ts=[-1.5e308, -0.0, 5],
+                                             fcnt=[-(2**63), 2**63 - 1, 0])))
+    assert (type(ts), type(fcnt)) == (array, array)
     assert ts.tobytes() == array("d", [-1.5e308, -0.0, 5.0]).tobytes()
-    assert list(fcnt) == [-(2**63), 2**63 - 1, 0] and list(sf) == [0, 255, 12]
-    empty, _ = decoded(json.dumps(entry(ts=[], fcnt=[], sf=[])))
-    assert empty == (array("d"), array("q"), bytearray())
+    assert list(fcnt) == [-(2**63), 2**63 - 1, 0]
+    empty, _ = decoded(json.dumps(entry(ts=[], fcnt=[])))
+    assert empty == (array("d"), array("q"))
+    entries, _, failures = collect_a_and_b(
+        packets_line(devices=[{**entry(), "sf": [7]}, {**GOOD_B, "sf": [12]}]))
+    assert failures == {}
+    assert entries == [(array("d", [1.0]), array("q", [0])), (array("d", [12.0]), array("q", [4]))]
 
 
 @pytest.mark.parametrize("auth_reply", [b"not json\n", b"\xc3\x28\n"])
@@ -1017,7 +1018,7 @@ def test_server_ends_a_reset_connection_quietly(server, capfd):
     that connection alone: no traceback reaches stderr, and the server
     answers the next client."""
     srv, store = server
-    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0, 7)])
+    ingest_records(store, [PacketRecord("00000000000000aa", 0, 1.0)])
     before = set(threading.enumerate())
     sock, rfile = authed_connection(srv)
     send_json(sock, {"type": "query", "dev_euis": [f"{k:016x}" for k in range(3_000)],
@@ -1039,11 +1040,11 @@ def test_server_ends_a_reset_connection_quietly(server, capfd):
 
 def test_concurrent_clients(server):
     srv, store = server
-    ingest_records(store, [PacketRecord("00000000000000aa", i, float(i), 7) for i in range(10)])
+    ingest_records(store, [PacketRecord("00000000000000aa", i, float(i)) for i in range(10)])
     clients = [NetClient(srv.server_address, TOKEN) for _ in range(5)]
     try:
         for i, client in enumerate(clients):
-            (got, _, _), = client.query(["00000000000000aa"], 0.0, float(i))
+            (got, _), = client.query(["00000000000000aa"], 0.0, float(i))
             assert len(got) == i + 1
     finally:
         for client in clients:
@@ -1057,7 +1058,7 @@ def test_windowing_matches_linear_scan_oracle(server):
     rnd = random.Random(12345)
     euis = [f"{i:016x}" for i in range(8)]
     records = [
-        PacketRecord(rnd.choice(euis), rnd.randrange(500), round(rnd.uniform(0, 100), 6), 7)
+        PacketRecord(rnd.choice(euis), rnd.randrange(500), round(rnd.uniform(0, 100), 6))
         for _ in range(1000)
     ]
     ingest_records(store, records)
@@ -1103,7 +1104,7 @@ def recorded_requests(monkeypatch):
 
 def split_store():
     store = PacketStore()
-    ingest_records(store, [PacketRecord(f"{k:016x}", f, 10.0 * k + f, 7)
+    ingest_records(store, [PacketRecord(f"{k:016x}", f, 10.0 * k + f)
                            for k in range(0, 8, 2) for f in range(3)])
     return store
 
@@ -1158,13 +1159,13 @@ def test_client_full_request_with_the_longest_bounds_fits_the_line(shared_server
     srv = shared_server
     srv.store = store = PacketStore()
     euis = [f"{k:016x}" for k in range(netserver._EUIS_PER_REQUEST)]
-    ingest_records(store, [PacketRecord(euis[-1], 0, -1.5e308, 7)])
+    ingest_records(store, [PacketRecord(euis[-1], 0, -1.5e308)])
     seen = recorded_requests(monkeypatch)
     with NetClient(srv.server_address, TOKEN) as client:
         entries = client.query(euis, lo, hi)
     assert seen == [euis]
     assert list(map(as_lists, entries)) == [columns([])] * (len(euis) - 1) + [
-        columns([PacketRecord(euis[-1], 0, -1.5e308, 7)])]
+        columns([PacketRecord(euis[-1], 0, -1.5e308)])]
 
 
 eui_pool_st = st.lists(st.from_regex(r"[0-9a-f]{16}", fullmatch=True), min_size=1, max_size=6,
@@ -1173,8 +1174,8 @@ eui_pool_st = st.lists(st.from_regex(r"[0-9a-f]{16}", fullmatch=True), min_size=
 
 @given(
     known=eui_pool_st,
-    stamps=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 50), st.floats(-1e3, 1e3),
-                              st.integers(7, 12)), max_size=60),
+    stamps=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 50), st.floats(-1e3, 1e3)),
+                    max_size=60),
     picks=st.lists(st.integers(0, 9), min_size=6, max_size=10, unique=True),
     window=st.lists(st.floats(-2e3, 2e3) | st.floats(allow_nan=False, allow_infinity=False),
                     min_size=2, max_size=2).map(sorted),
@@ -1185,8 +1186,8 @@ def test_client_batch_agrees_with_store(shared_server, known, stamps, picks, win
     spans several requests, the client gets what the store answers per
     EUI."""
     store = PacketStore()
-    ingest_records(store, [PacketRecord(known[k % len(known)], f, ts, sf)
-                           for k, f, ts, sf in stamps])
+    ingest_records(store, [PacketRecord(known[k % len(known)], f, ts)
+                           for k, f, ts in stamps])
     euis = known + [f"{0xffff0000 + k:016x}" for k in range(10 - len(known))]
     batch = [euis[k] for k in picks]
     lo, hi = window
@@ -1209,7 +1210,7 @@ finite_ts_st = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 
 @given(rows=st.lists(st.tuples(st.sampled_from(STORE_EUIS), finite_ts_st,
-                               st.integers(-(2**63), 2**63 - 1), st.integers(7, 12)),
+                               st.integers(-(2**63), 2**63 - 1)),
                      max_size=40),
        window=st.lists(finite_ts_st, min_size=2, max_size=2).map(sorted))
 @settings(max_examples=100, deadline=None)
@@ -1218,16 +1219,16 @@ def test_client_columns_equal_the_store_window(shared_server, rows, window):
     ``window`` slices, value for value and bit for bit, in the store's
     column types."""
     store = PacketStore()
-    ingest_records(store, [PacketRecord(eui, f, ts, sf) for eui, ts, f, sf in rows])
+    ingest_records(store, [PacketRecord(eui, f, ts) for eui, ts, f in rows])
     shared_server.store = store
     euis = [*STORE_EUIS, "00000000000000ff"]
     with NetClient(shared_server.server_address, TOKEN) as client:
         for lo, hi in (window, (-sys.float_info.max, sys.float_info.max)):
             for eui, got in zip(euis, client.query(euis, lo, hi), strict=True):
-                ts, fcnt, sf = store.window(eui, lo, hi)
-                assert (type(got[0]), type(got[1]), type(got[2])) == (array, array, bytearray)
+                ts, fcnt = store.window(eui, lo, hi)
+                assert (type(got[0]), type(got[1])) == (array, array)
                 assert got[0].tobytes() == array("d", ts).tobytes()
-                assert got[1] == array("q", fcnt) and got[2] == bytearray(sf)
+                assert got[1] == array("q", fcnt)
 
 
 # --- message round-trips -------------------------------------------------------
@@ -1254,24 +1255,24 @@ def test_serialize_parse_identity(message):
 
 
 def in_store_order(packets):
-    """(fcnt, ts, sf) packets as a store holds them: by time, then counter."""
+    """(fcnt, ts) packets as a store holds them: by time, then counter."""
     return sorted(packets, key=lambda p: (p[1], p[0]))
 
 
 # one packet per (ts, fcnt) key, as the store keeps them
 packet_tuples_st = st.lists(
-    st.tuples(st.integers(0, 2**32), st.floats(0, 1e9), st.integers(7, 12)), max_size=20,
+    st.tuples(st.integers(0, 2**32), st.floats(0, 1e9)), max_size=20,
     unique_by=lambda p: (p[1], p[0])).map(in_store_order)
 
 
 @given(devices=st.lists(st.tuples(eui_st, packet_tuples_st), min_size=1, max_size=4,
                         unique_by=lambda d: d[0]))
 def test_packets_message_roundtrip(devices):
-    got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in packets]) for eui, packets in devices]
+    got = [(eui, [PacketRecord(eui, f, t) for f, t in packets]) for eui, packets in devices]
     back = json.loads(served_line(got))
     assert back["type"] == "packets"
-    assert all(list(e) == ["dev_eui", "ts", "fcnt", "sf"] for e in back["devices"])
-    rebuilt = [(e["dev_eui"], records_of(e["dev_eui"], (e["ts"], e["fcnt"], e["sf"])))
+    assert all(list(e) == ["dev_eui", "ts", "fcnt"] for e in back["devices"])
+    rebuilt = [(e["dev_eui"], records_of(e["dev_eui"], (e["ts"], e["fcnt"])))
                for e in back["devices"]]
     assert rebuilt == got
 
@@ -1285,7 +1286,7 @@ any_eui_st = st.one_of(st.from_regex(r"[0-9a-fA-F]{16}", fullmatch=True), st.tex
     devices=st.lists(
         st.tuples(
             any_eui_st,
-            st.lists(st.tuples(st.integers(0, 2**32), ts_st, st.integers(7, 12)), max_size=20,
+            st.lists(st.tuples(st.integers(0, 2**32), ts_st), max_size=20,
                      unique_by=lambda p: (p[1], p[0])).map(in_store_order),
         ),
         min_size=1, max_size=5, unique_by=lambda d: d[0],
@@ -1295,7 +1296,7 @@ any_eui_st = st.one_of(st.from_regex(r"[0-9a-fA-F]{16}", fullmatch=True), st.tex
 def test_packets_reply_bytes_match_json_dumps(devices):
     """The server's reply, formatted from the store's columns, is byte for
     byte ``json.dumps`` of the records it lists."""
-    got = [(eui, [PacketRecord(eui, f, t, s) for f, t, s in entry]) for eui, entry in devices]
+    got = [(eui, [PacketRecord(eui, f, t) for f, t in entry]) for eui, entry in devices]
     if len({eui.lower() for eui, _ in devices}) < len(devices):  # case variants name one device
         assert served_line(got) == netserver._error("query needs distinct dev_euis")
         return

@@ -116,7 +116,7 @@ def test_query_window_closed_and_sorted():
     world.set_active("d0", True)
     world.advance(100.0)
     eui = "000000000000aa00"
-    (ts, _, _), = world.query([eui], 1.5, 6.5)
+    (ts, _), = world.query([eui], 1.5, 6.5)
     assert list(ts) == [1.5, 6.5]
     with pytest.raises(ValueError):
         world.query([eui], 5.0, 1.0)
@@ -133,7 +133,7 @@ def test_world_finds_a_device_whatever_the_case_of_its_eui():
     upper = world.query(["00000000000000AB", "00000000000000CD"], 0.0, 100.0)
     assert list(map(as_lists, lower)) == list(map(as_lists, upper))
     truth = world.ground_truth(0.0, 100.0)
-    assert [len(ts) for ts, _, _ in upper] == [truth["up"][0], truth["low"][0]]
+    assert [len(ts) for ts, _ in upper] == [truth["up"][0], truth["low"][0]]
     assert min(truth["up"][0], truth["low"][0]) > 0
 
 
@@ -330,7 +330,7 @@ def test_world_query_returns_its_store_window():
                    (-math.inf, math.inf)]:
         got = world.query(batch, lo, hi)
         assert got == [world._store.window(eui, lo, hi) for eui in batch]
-    assert sum(len(ts) for ts, _, _ in world.query(batch, 0.0, world.now)) > 0
+    assert sum(len(ts) for ts, _ in world.query(batch, 0.0, world.now)) > 0
 
 
 # --- the batch run, the live world and the server's log agree ---------------
@@ -377,10 +377,10 @@ def test_run_world_and_packet_log_agree(fleet, model, seed, picks, window):
     for k in np.flatnonzero(result.delivered):
         spec = devices[result.dev[k]]
         expected.setdefault(spec.dev_eui, []).append(
-            PacketRecord(spec.dev_eui, int(result.fcnt[k]), float(result.end[k]), spec.sf))
+            PacketRecord(spec.dev_eui, int(result.fcnt[k]), float(result.end[k])))
     for records in expected.values():
         records.sort(key=lambda r: (r.received_ts, r.fcnt))
-    logged = {eui: [PacketRecord(eui, r.fcnt, float(f"{r.received_ts:.6f}"), r.sf)
+    logged = {eui: [PacketRecord(eui, r.fcnt, float(f"{r.received_ts:.6f}"))
                     for r in records] for eui, records in expected.items()}
 
     world = SimWorld(devices, model, seed=seed)
@@ -482,8 +482,8 @@ def test_ground_truth_builds_no_records(monkeypatch):
     truth = world.ground_truth(10.0, 150.0)
     assert built == []
     got = world.query([d.dev_eui for d in fleet], 10.0, 150.0)
-    assert [len(ts) for ts, _, _ in got] == [truth[d.device_id][0] for d in fleet]
-    assert built == [] and sum(len(ts) for ts, _, _ in got) > 0
+    assert [len(ts) for ts, _ in got] == [truth[d.device_id][0] for d in fleet]
+    assert built == [] and sum(len(ts) for ts, _ in got) > 0
 
 
 def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):

@@ -40,7 +40,7 @@ def reference_turn_off_sequence(matrix: DeviceMatrix, reports: dict[str, DeviceR
         for device_id, reason in lost.items():
             # the poll is lost, not the run; the report keeps the reason
             failures.setdefault(device_id, f"turn-off recheck: {reason}")
-        for device_id, (ts, _, _) in fresh.items():
+        for device_id, (ts, _) in fresh.items():
             if len(ts):
                 late[device_id] = after_id
                 del pending[device_id]

@@ -134,7 +134,6 @@ class ReferenceWorld:
                     dev_eui=spec.dev_eui,
                     fcnt=self._fcnt[i],
                     received_ts=self._end[i],
-                    sf=spec.sf,
                 ))
 
     def query(self, dev_eui: str, from_ts: float, to_ts: float) -> list[PacketRecord]:
