@@ -55,6 +55,19 @@ step_console() (
   err=$(lorascale simulate --config "$out/spread.cfg" 2>&1 > /dev/null) || rc=$?
   test "$rc" = 1
   test "$err" = "error: $out/spread.cfg:1: period_spread: expected a spread in [0, 2), got '3'"
+  # an airtime not below the period is refused by analyze, as by scale and simulate
+  rc=0
+  err=$(lorascale analyze --total 4 --period 600 --airtime-sf7 0.04 --airtime-sf8 700 \
+      2>&1 > /dev/null) || rc=$?
+  test "$rc" = 1
+  test "$err" = "error: airtime must be shorter than the period"
+  # simulate --out holds its fleet to the estimate's rule, and writes no log
+  rc=0
+  err=$(lorascale simulate --devices 3 --period 7 --airtime 0.1 --duration 70 --sf 8 \
+      --sf8-devices 1 --sf8-airtime 0.2 --out "$out/sf8.log" 2>&1 > /dev/null) || rc=$?
+  test "$rc" = 1
+  test "$err" = "error: one group per spreading factor"
+  test ! -e "$out/sf8.log"
 )
 
 # A subshell, so that its EXIT trap stops the server and removes the
@@ -78,16 +91,24 @@ step_golden_run() (
     addr=$(sed -n 's/^serving on //p' "$1.serve")
     test -n "$addr"
   }
-  # the seed-1 log whose md5 the console step pins, which the server reads
-  # in many blocks
+  # serve_whole LOG COUNT: serve LOG, require all COUNT records ingested and
+  # no line skipped, and stop the server
+  serve_whole() {
+    serve "$1"
+    grep -qxF "ingested $2 records from $1 (0 malformed lines skipped)" "$1.serve"
+    kill -- "-$server"
+    wait "$server" || true
+    server=
+  }
+  # the seed-1 logs whose md5s the console step pins, which the server reads
+  # in many blocks; mixed.log has SF8 lines too
   lorascale simulate --devices 41 --period 7 --airtime 0.11729 --sf 7 \
       --duration 70000 --seed 1 --out "$out/any.log" > /dev/null
-  serve "$out/any.log"
-  grep -qxF "ingested 90000 records from $out/any.log (0 malformed lines skipped)" \
-      "$out/any.log.serve"
-  kill -- "-$server"
-  wait "$server" || true
-  server=
+  serve_whole "$out/any.log" 90000
+  lorascale simulate --devices 41 --period 7 --airtime 0.11729 --sf 7 \
+      --duration 70000 --seed 1 --sf8-devices 10 --sf8-airtime 0.21094 --model window \
+      --window-factor 0.5 --out "$out/mixed.log" > /dev/null
+  serve_whole "$out/mixed.log" 320000
   lorascale simulate --config tests/data/golden.cfg --out "$out/packets.log"
   cmp "$out/packets.log" tests/data/golden.log
   # two malformed lines, one a golden device's inside the experiment window

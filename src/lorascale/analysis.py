@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .airtime import RadioConfig, time_on_air
 from .controller import DeviceReport
-from .scaling import SfGroup, check_period, sf_channels, success_bounds
+from .scaling import SfGroup, sf_channels, success_bounds
 
 
 def network_bounds(groups: Iterable[SfGroup], period: float) -> tuple[float, float]:
@@ -26,10 +26,10 @@ def network_bounds(groups: Iterable[SfGroup], period: float) -> tuple[float, flo
 
     Each SF is a separate channel with load count * airtime / period; a
     device's bounds depend only on its own channel, so the network value
-    is the device-weighted mean of the per-SF bounds.
+    is the device-weighted mean of the per-SF bounds.  The mix and
+    ``period`` are checked by :func:`~lorascale.scaling.sf_channels`, as the estimate is.
     """
-    groups = sf_channels(groups)
-    check_period(period)
+    groups = sf_channels(groups, period)
     lower = upper = 0.0
     for g in groups:
         lo, up = success_bounds(g.count * g.airtime / period)

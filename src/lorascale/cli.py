@@ -218,10 +218,11 @@ def _experiment(settings: Settings):
         turnon_step=settings["turnon_step"])
 
 
-def _traffic(settings: Settings, devices: int):
-    """The fleet values that flags and config keys share: period,
-    duration, airtime, and the SF8 device count and airtime of a fleet
-    of ``devices``, whose last ``sf8_devices`` use SF8."""
+def _traffic(settings: Settings, devices: int, sf: int):
+    """The fleet that flags and config keys share: period, duration, and the
+    :class:`~lorascale.scaling.SfGroup` list of ``devices`` on SF ``sf`` save the
+    last ``sf8_devices`` on SF8, checked by :func:`~lorascale.scaling.sf_channels`.
+    Both ``simulate`` modes take that list."""
     period = settings.required("period")
     scaling.check_period(period)
     # the default duration, and with it the estimator's round count, follows the period
@@ -235,14 +236,17 @@ def _traffic(settings: Settings, devices: int):
         raise ValueError(f"sf8_devices must lie between 0 and the fleet size {devices}, "
                          f"got {sf8_devices}")
     sf8_airtime = settings.required("sf8_airtime") if sf8_devices else None
-    return period, duration, settings.required("airtime"), sf8_devices, sf8_airtime
+    groups = [scaling.SfGroup(sf, devices - sf8_devices, settings.required("airtime"))]
+    if sf8_devices:
+        groups.append(scaling.SfGroup(8, sf8_devices, sf8_airtime))
+    return period, duration, scaling.sf_channels(groups, period)
 
 
 def _fleet(settings: Settings, sf: int):
-    """Devices and horizon of a ``simulate --out`` run, all on SF ``sf`` save
-    the SF8 ones.  A roster experiment switches its devices on ``turnon_step``
-    seconds apart and keeps them on through the probe and experiment windows;
-    without a roster, ``devices`` devices run from 0 to ``duration``."""
+    """Devices and horizon of a ``simulate --out`` run, the k-th device in the k-th
+    slot of :func:`_traffic`'s groups.  A roster experiment switches its devices on
+    ``turnon_step`` seconds apart and keeps them on through the probe and experiment
+    windows; without a roster, ``devices`` devices run from 0 to ``duration``."""
     from . import simulator
 
     if settings.get("roster"):
@@ -251,28 +255,19 @@ def _fleet(settings: Settings, sf: int):
                              "whose devices are the 'roster' entries")
         matrix, experiment = _experiment(settings)
         entries, step = matrix.entries, experiment.turnon_step
-        period, duration, airtime, sf8_devices, sf8_airtime = _traffic(settings, len(entries))
+        period, duration, groups = _traffic(settings, len(entries), sf)
         horizon = len(entries) * step + experiment.probe_window + duration
     else:
         devices = settings.required("devices")
-        period, duration, airtime, sf8_devices, sf8_airtime = _traffic(settings, devices)
+        period, duration, groups = _traffic(settings, devices, sf)
         entries = [controller.RosterEntry(f"dev{i:03d}", f"{i:016x}")
                    for i in range(1, devices + 1)]
         step, horizon = 0.0, duration
-    n = len(entries)
-    specs = []
-    for k, entry in enumerate(entries):
-        on_sf8 = k >= n - sf8_devices
-        specs.append(simulator.DeviceSpec(
-            device_id=entry.device_id,
-            dev_eui=entry.dev_eui,
-            sf=8 if on_sf8 else sf,
-            period=device_period(period, k, n, settings["period_spread"]),
-            airtime=sf8_airtime if on_sf8 else airtime,
-            active_from=k * step,
-            active_until=horizon,
-        ))
-    return specs, horizon
+    slots = [g for g in groups for _ in range(g.count)]
+    return [simulator.DeviceSpec(entry.device_id, entry.dev_eui, group.sf,
+                                 device_period(period, k, len(entries), settings["period_spread"]),
+                                 group.airtime, active_from=k * step, active_until=horizon)
+            for k, (entry, group) in enumerate(zip(entries, slots))], horizon
 
 
 def _cmd_simulate(args) -> int:
@@ -292,12 +287,8 @@ def _cmd_simulate(args) -> int:
             print(f"pdr {n / int(timeline.counts.sum()):.6f}")
         return 0
 
-    devices = settings.required("devices")
-    period, duration, airtime, sf8_devices, sf8_airtime = _traffic(settings, devices)
+    period, duration, groups = _traffic(settings, settings.required("devices"), args.sf)
     rounds = max(1, int(duration / period))
-    groups = [simulator.SfGroup(args.sf, devices - sf8_devices, airtime)]
-    if sf8_devices:
-        groups.append(simulator.SfGroup(8, sf8_devices, sf8_airtime))
     estimate = simulator.estimate_pdr(groups, period, rounds, model=model, seed=seed)
     print(f"pdr {estimate.pdr:.6f}")
     print(f"stderr {estimate.stderr:.6f}")
@@ -394,8 +385,13 @@ def _cmd_analyze(args) -> int:
         if n_moved in reports:
             raise ValueError(f"--point gives N_MOVED {n_moved} twice: {reports[n_moved]} and {path}")
         reports[n_moved] = path
-    empirical = {n_moved: analysis.pdr_aggregate(controller.parse_report(path).values())[0]
-                 for n_moved, path in reports.items()}
+    empirical = {}
+    for n_moved, path in reports.items():
+        devices = controller.parse_report(path).values()
+        try:
+            empirical[n_moved] = analysis.pdr_aggregate(devices)[0]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     for n_moved, lower, upper in curve:
         line = f"{n_moved} {lower:.6f} {upper:.6f}"

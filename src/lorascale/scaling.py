@@ -6,7 +6,7 @@ is the quantity preserved when a large deployment is replaced by a
 small experiment with longer packets and a shorter period.  A fleet
 spread over spreading factors is a list of :class:`SfGroup`, one
 channel each; the Monte-Carlo estimator and the analytic SF-mix bounds
-both take that list and check it with :func:`sf_channels`.  The module
+check that list on its period with :func:`sf_channels`.  The module
 also provides the analytic delivery-probability bounds for a load and
 the exact no-collision law for random-phase periodic transmitters,
 which serves as the simulator's oracle.
@@ -74,15 +74,19 @@ class SfGroup:
         check_airtime(self.airtime)
 
 
-def sf_channels(groups: Iterable[SfGroup]) -> list[SfGroup]:
-    """The non-empty groups of a mix, refused if there are none or two
-    share a spreading factor: the estimate and the bounds treat each
-    group as its own channel, which two groups on one SF are not."""
+def sf_channels(groups: Iterable[SfGroup], period: float) -> list[SfGroup]:
+    """The non-empty groups of a mix sent once per ``period`` seconds, refused
+    if there are none, two share a spreading factor (the estimate and the
+    bounds treat each group as its own channel), the period is not finite and
+    positive or an airtime is not below it: the one rule for a mix on its period."""
     groups = [g for g in groups if g.count > 0]
     if not groups:
         raise ValueError("need at least one non-empty device group")
     if len({g.sf for g in groups}) != len(groups):
         raise ValueError("one group per spreading factor")
+    check_period(period)
+    for g in groups:
+        check_airtime(g.airtime, period)
     return groups
 
 

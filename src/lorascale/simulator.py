@@ -474,13 +474,12 @@ def estimate_pdr(groups: Iterable[SfGroup], period: float, rounds: int,
     sampled transmissions independent trials: the estimate converges to
     the closed-form law for the model and the binomial ``stderr`` is an
     honest uncertainty.  Groups on different spreading factors never
-    interact and are simulated separately.
+    interact and are simulated separately.  The mix and ``period`` are
+    checked by :func:`~lorascale.scaling.sf_channels`, as the bounds are.
     """
-    groups = sf_channels(groups)
+    groups = sf_channels(groups, period)
     if rounds < 1:
         raise ValueError("need at least one round")
-    check_period(period)
-    check_airtime(max(g.airtime for g in groups), period)
     rng = np.random.default_rng(seed & _U64)
     sent = rounds * sum(g.count for g in groups)
     lost = 0

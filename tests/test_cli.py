@@ -376,6 +376,23 @@ def test_simulate_rejects_sf8_devices_outside_fleet(tmp_path, capsys, count, out
     assert err.startswith("error: sf8_devices") and count in err
 
 
+@pytest.mark.parametrize("sf, sf8_devices, message", [
+    pytest.param("8", "1", "one group per spreading factor", id="sf8-devices-on-sf8"),
+    # no device is left on the base SF, which is still checked
+    pytest.param("13", "3", "spreading factor must be 7..12, got 13", id="all-sf8-on-sf13"),
+])
+@pytest.mark.parametrize("out", [False, True])
+def test_simulate_holds_both_modes_to_one_mix_rule(tmp_path, capsys, sf, sf8_devices, message,
+                                                   out):
+    log = tmp_path / "x.log"
+    rc = cli.main(["simulate", "--devices", "3", "--period", "7", "--airtime", "0.1",
+                   "--duration", "70", "--sf", sf, "--sf8-devices", sf8_devices,
+                   "--sf8-airtime", "0.2", *(["--out", str(log)] if out else [])])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 @pytest.mark.parametrize("out", [False, True])
 def test_simulate_rejects_a_fleet_without_devices(tmp_path, capsys, count, out):
@@ -472,6 +489,25 @@ def test_analyze_refuses_a_point_beyond_the_fleet_before_printing(capsys, moved)
     assert rc == 1
     assert capsys.readouterr() == (
         "", f"error: --point {spec!r} moves more than --total 8 devices\n")
+
+
+@pytest.mark.parametrize("airtimes", [["--airtime-sf7", "700"],
+                                      ["--airtime-sf7", "0.04", "--airtime-sf8", "700"]],
+                         ids=["sf7", "sf8"])
+def test_analyze_refuses_an_airtime_not_below_the_period(capsys, airtimes):
+    rc = cli.main(["analyze", "--total", "4", "--period", "600", *airtimes])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: airtime must be shorter than the period\n")
+
+
+def test_analyze_names_the_report_whose_pdr_is_undefined(tmp_path, capsys):
+    silent = tmp_path / "silent.txt"
+    silent.write_text("# experiment x start 0 end 1 duration 1\nd0 0 0\nd1 0 0\n")
+    rc = cli.main([*ANALYZE_8, "--point", f"0:{DATA / 'golden_report.txt'}",
+                   "--point", f"3:{silent}"])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: {silent}: PDR is undefined: no device sent any packet\n")
 
 
 def test_analyze_default_sf8_airtime(capsys):

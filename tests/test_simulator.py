@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lorascale import cli, kernels, scaling, simulator
+from lorascale import analysis, cli, kernels, scaling, simulator
 from lorascale.controller import DeviceMatrix, OrchestrationError, RosterEntry
 from lorascale.scaling import TrafficProfile, success_exact_periodic
 from lorascale.simulator import (
@@ -357,13 +357,17 @@ def test_estimator_validation():
 
 def test_estimator_and_bounds_share_one_group_type_and_rule():
     """``simulator.SfGroup`` is the scaling type the analytic bounds take,
-    and the estimator refuses a mix through the same rule."""
+    and the estimator and the bounds refuse a mix on its period through
+    the same rule, an airtime that reaches the period included."""
     assert SfGroup is scaling.SfGroup
-    for groups in ([SfGroup(7, 0, 0.1)], [SfGroup(7, 2, 0.1), SfGroup(7, 3, 0.2)]):
-        with pytest.raises(ValueError) as bounds_error:
-            scaling.sf_channels(groups)
-        with pytest.raises(ValueError, match=f"^{bounds_error.value}$"):
+    for groups in ([SfGroup(7, 0, 0.1)], [SfGroup(7, 2, 0.1), SfGroup(7, 3, 0.2)],
+                   [SfGroup(7, 2, 6.0)], [SfGroup(7, 2, 0.1), SfGroup(8, 3, 5.0)]):
+        with pytest.raises(ValueError) as rule_error:
+            scaling.sf_channels(groups, 5.0)
+        with pytest.raises(ValueError, match=f"^{rule_error.value}$"):
             estimate_pdr(groups, 5.0, 100)
+        with pytest.raises(ValueError, match=f"^{rule_error.value}$"):
+            analysis.network_bounds(groups, 5.0)
 
 
 # --- vectorized timeline build against a per-device reference -------------------
