@@ -9,7 +9,8 @@ on one airtime and on two mixed airtimes, whose decreasing ends take the
 running maximum, and ``mark_window`` at factor 1.0 and at 0.5, which
 sends some events through the search fallback.  Then full simulator
 runs for context (41 devices, and the 10,000 devices of the fleet10k log
-below in best-of CPU time), the paper's 100,000-round Monte-Carlo
+below, on its one airtime and on three mixed ones, in best-of CPU time and
+tracemalloc peak), the paper's 100,000-round Monte-Carlo
 estimate under any-overlap and under vulnerability windows of factor 1.0
 and 0.5 (CPU time and tracemalloc peak), and a live SimWorld
 series (41 devices, growing numbers of 7 s advances, each series ended
@@ -44,6 +45,7 @@ import random
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -232,10 +234,19 @@ def main() -> None:
     print()
     t = best_of(lambda: run(fleet, 70_000.0, seed=1), repeats=3)
     print(f"run(): 41 devices x 10,000 periods: {t * 1e3:7.1f} ms")
-    # the fleet10k log's run: every device draws its random phase
+    # the fleet10k log's run, where every device draws its random phase, and
+    # the same devices on mixed airtimes: a third each on SF7 at 0.04122 s,
+    # SF7 at 0.0741 s and SF8 at 0.21 s
     big, horizon = fleet10k()
-    t = best_of(lambda: run(big, horizon, seed=1), args.repeats, clock=time.process_time)
-    print(f"run(): fleet10k, 10,000 devices: {t * 1e3:7.1f} ms CPU")
+    mixed = [replace(d, sf=(7, 7, 8)[k % 3], airtime=(0.04122, 0.0741, 0.21)[k % 3])
+             for k, d in enumerate(big)]
+    for name, devices in (("10,000 devices", big), ("mixed airtimes", mixed)):
+        def whole_run():
+            run(devices, horizon, seed=1)
+
+        t = best_of(whole_run, args.repeats, clock=time.process_time)
+        peak = traced_peak(whole_run)
+        print(f"run(): fleet10k, {name}: {t * 1e3:7.1f} ms CPU, {peak / 2**20:6.1f} MB peak")
 
     # Monte-Carlo estimate: the paper's 41 devices for 100,000 rounds
     print()

@@ -4,8 +4,8 @@
 #     ci/checks.sh [STEP...]
 #
 # With no STEP every step runs, in order, and the first failure stops the
-# run.  Steps: console, golden-run, golden-sync, tier1, socket-dev,
-# perfbench-selftest, bench-smoke.
+# run.  Steps: console, golden-run, golden-sync, unit-pins, tier1,
+# socket-dev, perfbench-selftest, bench-smoke.
 #
 # LORASCALE_CLI is the command the CLI steps run, by default the installed
 # `lorascale` console script.  To check a checkout that is not installed:
@@ -139,6 +139,47 @@ step_golden_sync() {
   git diff --exit-code -- tests/data
 }
 
+# The files that unit 1 of the benchmark's fleet10k-pipeline and world-paper41
+# workloads write at seed 777, pinned by md5; a pin that moves is named with its
+# old and new value.  The step takes about 2 s on a 2-vCPU host.
+step_unit_pins() (
+  out=$(mktemp -d)
+  trap 'rm -rf "$out"' EXIT
+  python - "$out" <<'PY'
+import hashlib
+import signal
+import sys
+from pathlib import Path
+
+sys.path.insert(0, "perfbench")
+from workloads import FleetPipeline, LiveWorld
+
+out = Path(sys.argv[1])
+# a job started in the background inherits SIGINT as ignored, and so would the
+# server child, which the fleet unit stops with SIGINT
+signal.signal(signal.SIGINT, signal.default_int_handler)
+(out / "world").mkdir()
+for workload in (FleetPipeline(777, False, out / "fleet", False, None),
+                 LiveWorld(777, False, out / "world", False, None)):
+    unit = workload.unit(1)
+    assert unit.failures == [], (workload.name, unit.failures)
+pins = {
+    "fleet/pipeline/packets.log": "dd89941b44d9847a436c5c6ea93f8195",
+    "fleet/pipeline/report.txt": "ab23ea344e1db8d6e4f5c0adfb49c087",
+    "fleet/pipeline/timestamps.txt": "5fd2fc7f8cd957e758d3b4a663d6586c",
+    "world/report.txt": "b2447adc8c7f75afe01337381e99f5f0",
+    "world/timestamps.txt": "4c30375cc0891346c4faad5c7b6bc756",
+}
+moved = 0
+for name, pinned in pins.items():
+    digest = hashlib.md5((out / name).read_bytes()).hexdigest()
+    if digest != pinned:
+        print(f"{name}: pinned {pinned}, got {digest}")
+        moved += 1
+sys.exit(1 if moved else 0)
+PY
+)
+
 step_tier1() {
   python -m pytest -q --continue-on-collection-errors
 }
@@ -157,7 +198,7 @@ step_bench_smoke() {
   python benchmarks/bench_kernels.py --sizes 1000 --repeats 1 --advances 10
 }
 
-steps=(console golden-run golden-sync tier1 socket-dev perfbench-selftest bench-smoke)
+steps=(console golden-run golden-sync unit-pins tier1 socket-dev perfbench-selftest bench-smoke)
 if [ $# -eq 0 ]; then
   set -- "${steps[@]}"
 fi

@@ -39,8 +39,8 @@ class RadioConfig:
 
     def __post_init__(self) -> None:
         check_sf(self.spreading_factor)
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if not 1 <= self.coding_rate_index <= 4:
             raise ValueError(f"coding rate index must be 1..4, got {self.coding_rate_index}")
         if self.preamble_symbols < 1:

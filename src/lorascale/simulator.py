@@ -6,8 +6,9 @@ same spreading factor collide according to the configured model.
 Different spreading factors never interact.  A run is deterministic for
 a fixed seed, and per-device outcomes do not depend on which other
 devices share the run unless they share a spreading factor.
-One resolver, :class:`Edge`, marks every timeline: :class:`Timeline` steps
-it through a run, and :class:`lorascale.world.SimWorld` through its clock.
+:func:`run` marks a whole timeline in one pass.  :class:`Edge` marks one a
+step at a time, with the same outcomes: :class:`Timeline` steps it through
+a run to stream a log, and :class:`lorascale.world.SimWorld` through its clock.
 """
 
 from __future__ import annotations
@@ -249,11 +250,6 @@ def _tie_order(key: np.ndarray, minor) -> np.ndarray:
     return order
 
 
-def _timeline_order(start: np.ndarray, dev: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
-    """Indices that order events by start, equal starts by device id."""
-    return _tie_order(start, lambda rows: (id_rank[dev[rows]],))
-
-
 def lattice_events(columns: Roster, dev: np.ndarray, base: np.ndarray, k0: np.ndarray,
                    counts: np.ndarray, fcnt0: np.ndarray):
     """The events of lattice intervals as timeline-ordered ``start, end,
@@ -269,7 +265,7 @@ def lattice_events(columns: Roster, dev: np.ndarray, base: np.ndarray, k0: np.nd
     start = base[interval] + k * columns.period[dev]
     fcnt = fcnt0[interval] + k
     del interval, k  # bounds the peak memory of a large run
-    order = _timeline_order(start, dev, columns.id_rank)
+    order = _tie_order(start, lambda rows: (columns.id_rank[dev[rows]],))
     start, dev, fcnt = start[order], dev[order], fcnt[order]
     del order
     return start, start + columns.airtime[dev], columns.sf[dev], dev, fcnt
@@ -371,28 +367,14 @@ class Timeline:
 
 def run(devices: Iterable[DeviceSpec], duration: float,
         model: CollisionModel = AnyOverlap(), seed: int = 0) -> SimResult:
-    """Simulate all devices for ``duration`` seconds of channel time: the
-    blocks of their :class:`Timeline`, joined in arrays sized by its count."""
+    """Simulate all devices for ``duration`` seconds of channel time: every
+    attempt their :class:`Timeline` counts, marked in one pass."""
     timeline = Timeline(devices, duration, model, seed)
-    total, rank = int(timeline.counts.sum()), timeline.columns.id_rank
-    joined, at, seams = None, 0, []
-    for block in timeline:
-        parts = [block.start, block.end, block.sf, block.dev, block.fcnt, block.delivered]
-        joined = joined or [np.empty(total, dtype=part.dtype) for part in parts]
-        size = block.dev.size
-        for column, part in zip(joined, parts):
-            column[at:at + size] = part
-        if at and size:
-            seams.append(at)
-        at += size
-        del block, parts, part  # the next step need not hold this block
-    # each block is in order, so the whole is unless mixed airtimes cross a seam
-    start, dev, b = joined[0], joined[3], np.array(seams, dtype=np.int64)
-    a = b - 1
-    if not np.all((start[a] < start[b]) | (start[a] == start[b]) & (rank[dev[a]] < rank[dev[b]])):
-        order = _timeline_order(start, dev, rank)
-        joined = [column[order] for column in joined]
-    return SimResult(timeline.devices, *joined)
+    n = len(timeline.devices)
+    zeros = np.zeros(n, dtype=np.int64)
+    start, end, sf, dev, fcnt = lattice_events(timeline.columns, np.arange(n), timeline.first,
+                                               zeros, timeline.counts, zeros)
+    return SimResult(timeline.devices, start, end, sf, dev, fcnt, ~resolve(start, end, sf, model))
 
 
 @dataclass(frozen=True)

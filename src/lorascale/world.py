@@ -13,7 +13,7 @@ and resolves the timeline on demand: :meth:`SimWorld.query`,
 :meth:`SimWorld.ground_truth` and :meth:`SimWorld.attempt_counts` first
 generate every attempt that starts before ``now`` and has not been
 generated yet, all devices at once, as :func:`lorascale.simulator.run`
-counts and expands them, then make one step of the run's resolver,
+counts and expands them, then make one step of the streamed resolver,
 :class:`~lorascale.simulator.Edge`.  A count too large for an int64
 raises ``ValueError``; a resolution that fails before it stores its
 events leaves the world as it was.  The events the step finalizes join

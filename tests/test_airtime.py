@@ -46,6 +46,8 @@ def test_payload_too_large_rejected():
         {"spreading_factor": 7, "coding_rate_index": 0},
         {"spreading_factor": 7, "coding_rate_index": 5},
         {"spreading_factor": 7, "preamble_symbols": 0},
+        {"spreading_factor": 7, "bandwidth": float("nan")},
+        {"spreading_factor": 7, "bandwidth": float("inf")},
     ],
 )
 def test_invalid_radio_config_rejected(kwargs):

@@ -131,6 +131,7 @@ def test_runtime_error_nonzero_exit(capsys):
 
 
 NON_FINITE_BASE = {
+    "airtime": {"--sf": "7", "--payload": "10"},
     "simulate": {"--devices": "41", "--period": "7", "--duration": "70",
                  "--airtime": "0.11729", "--sf8-devices": "3", "--sf8-airtime": "0.20582"},
     "analyze": {"--total": "10", "--period": "7", "--airtime-sf7": "0.04",
@@ -146,6 +147,7 @@ NON_FINITE_BASE = {
 
 
 @pytest.mark.parametrize("command, flag, value", [
+    ("airtime", "--bw", "nan"), ("airtime", "--bw", "inf"),
     ("simulate", "--period", "inf"), ("simulate", "--period", "-inf"),
     ("simulate", "--duration", "inf"), ("simulate", "--airtime", "nan"),
     ("simulate", "--sf8-airtime", "nan"),

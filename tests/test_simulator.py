@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tempfile
 import tracemalloc
@@ -542,7 +543,7 @@ def test_timeline_blocks_join_to_the_whole_run(tmp_path_factory, devices, durati
     end times, each in (start, id) order; joined they are the run, and the
     log streamed from them is the run's log, byte for byte."""
     directory = tmp_path_factory.mktemp("logs")
-    whole = run(devices, duration, model=model, seed=seed)  # one block at these sizes
+    whole = run(devices, duration, model=model, seed=seed)  # marked in one pass, not stepped
     n = write_packet_log(whole, directory / "whole.log")
     with mock.patch.object(simulator, "_CHUNK_EVENTS", chunk):
         blocks = list(simulator.Timeline(devices, duration, model, seed))
@@ -560,6 +561,22 @@ def test_timeline_blocks_join_to_the_whole_run(tmp_path_factory, devices, durati
     order = np.lexsort((rank[joined[3]], joined[0]))
     for name, column in zip(names, joined):
         assert np.array_equal(column[order], getattr(whole, name)), name
+
+
+def test_run_writes_the_streamed_mixed_log(tmp_path):
+    """``run`` marks the console check's SF7+SF8 fleet (320,000 delivered
+    records over many stream steps, two airtimes) in one pass, and its log
+    is the one that check pins for the streamed ``simulate --out``."""
+    args = cli.build_parser().parse_args([
+        "simulate", "--devices", "41", "--period", "7", "--airtime", "0.11729", "--sf", "7",
+        "--duration", "70000", "--seed", "1", "--sf8-devices", "10", "--sf8-airtime", "0.21094",
+        "--model", "window", "--window-factor", "0.5"])
+    config = cli.Settings(args, {})
+    specs, horizon = cli._fleet(config, args.sf)
+    result = run(specs, horizon, model=cli._model_from(config), seed=config["seed"])
+    assert write_packet_log(result, tmp_path / "mixed.log") == 320_000
+    digest = hashlib.md5((tmp_path / "mixed.log").read_bytes()).hexdigest()
+    assert digest == "4d3372c665a12b989915b3400f190f44"
 
 
 def streamed_peak(duration: float) -> int:
