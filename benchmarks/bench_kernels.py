@@ -27,7 +27,10 @@ also per record and per line), once as written and once with one
 malformed line opening each 4,096 lines, a fixed spacing that is the
 store's parse block when written, so that every block of the parse has
 a line to skip.  They give the bytes the
-loaded store holds per record (tracemalloc), time ``PacketStore.window``
+loaded store holds per record (tracemalloc), time
+``controller.write_output`` of a 10,000-device result holding every
+device's packets of the pipeline's 40-period collect window, about 100k
+(best-of CPU time and tracemalloc peak), time ``PacketStore.window``
 (the column slices the server's replies are formatted from) on the
 loaded 10k-EUI store, and time batch ``NetClient.query`` round trips
 over local TCP to a server thread in the same process (CPU of both
@@ -52,6 +55,8 @@ import numpy as np
 
 from lorascale import kernels, netserver
 from lorascale.cli import device_period
+from lorascale.controller import (DeviceMatrix, DeviceReport, ExperimentResult, RosterEntry,
+                                  compute_counts, write_output)
 from lorascale.simulator import (AnyOverlap, DeviceSpec, SfGroup, VulnerabilityWindow,
                                  estimate_pdr, run, write_packet_log)
 from lorascale.world import SimWorld
@@ -117,6 +122,30 @@ def fleet10k(n: int = 10_000) -> tuple[list[DeviceSpec], float]:
     return fleet, horizon
 
 
+def write_output_row(store: netserver.PacketStore, fleet: list[DeviceSpec],
+                     repeats: int) -> None:
+    """``write_output`` of the result a fleet10k run's collect gives: every
+    device's packets over the pipeline's 40-period experiment window,
+    which opens once the devices are on and the 1,800 s probe is over."""
+    lo = len(fleet) * 1.0 + 1_800.0
+    hi = lo + 40 * 600.0
+    packets = {d.device_id: store.window(d.dev_eui, lo, hi) for d in fleet}
+    result = ExperimentResult(
+        name="fleet10k", matrix=DeviceMatrix(RosterEntry(d.device_id, d.dev_eui) for d in fleet),
+        reports={d: DeviceReport(d, *compute_counts(got)) for d, got in packets.items()},
+        turn_on_failures=set(), late_responders={}, query_failures={}, shutdown_log=[],
+        start_ts=lo, end_ts=hi, packets=packets)
+    n = sum(len(ts) for ts, _ in packets.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        def write():
+            write_output(result, Path(tmp) / "report.txt", Path(tmp) / "timestamps.txt")
+
+        t = best_of(write, repeats, clock=time.process_time)
+        peak = traced_peak(write)
+    print(f"controller.write_output: fleet10k result, {len(fleet):,} devices, {n:,} packets:"
+          f" {t * 1e3:7.1f} ms CPU, {peak / 2**20:6.2f} MB peak")
+
+
 def server_rows(repeats: int) -> None:
     fleet, horizon = fleet10k()
     euis = [d.dev_eui for d in fleet]
@@ -156,6 +185,7 @@ def server_rows(repeats: int) -> None:
         held = traced_size(ingest)
         print(f"PacketStore: {len(store):,} records held in {held / 2**20:5.1f} MB"
               f" ({held / len(store):5.1f} bytes per record, tracemalloc)")
+    write_output_row(store, fleet, repeats)
 
     # the fleet pipeline's polls at a tenth of their count: one collect batch
     # of 1,000 known EUIs (24,000 s), one probe batch of 1,000 known EUIs

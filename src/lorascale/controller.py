@@ -502,6 +502,13 @@ class ExperimentResult:
     turn_off_aborted: str = ""
 
 
+# A timestamp-file line, ``eui fcnt ts``: ``%s`` writes a counter as
+# ``str`` does, and the lines of ``_STAMP_CHUNK`` packets are formatted by
+# one ``%``, which bounds the text held at once.
+_STAMP_FORMAT = "%s %s %.6f\n"
+_STAMP_CHUNK = 1 << 14
+
+
 def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
     """Write the main report and the auxiliary timestamp file.
 
@@ -515,7 +522,11 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
     operator never confirmed, in matrix order; after an aborted turn-off
     that includes each device never shut down.
     The timestamp file lists every collected packet as ``eui fcnt ts``,
-    ascending in time.
+    ascending in time, then EUI, then counter.  Each device's columns are
+    in store order (by time, then counter), as every query returns them,
+    so one stable sort of the packets by time alone, gathered device by
+    device in EUI order, gives that order.  Its lines are formatted
+    ``_STAMP_CHUNK`` at a time, by one ``%`` of the repeated line format.
     """
     duration = result.end_ts - result.start_ts
     lines = [
@@ -544,14 +555,21 @@ def write_output(result: ExperimentResult, report_path, timestamp_path) -> None:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    stamped = []
-    for device_id in result.matrix.ids():
-        ts, fcnt = result.packets.get(device_id, NO_PACKETS)
-        stamped += zip(ts, repeat(result.matrix.eui_for(device_id)), fcnt)
-    stamped.sort()
+    ts, fcnt, euis = [], [], []
+    for device_id in sorted(result.matrix.ids(), key=result.matrix.eui_for):
+        got_ts, got_fcnt = result.packets.get(device_id, NO_PACKETS)
+        ts += got_ts
+        fcnt += got_fcnt
+        euis += repeat(result.matrix.eui_for(device_id), len(got_ts))
+    order = sorted(range(len(ts)), key=ts.__getitem__)
     with open(timestamp_path, "w", encoding="utf-8") as fh:
-        for ts, eui, fcnt in stamped:
-            fh.write(f"{eui} {fcnt} {ts:.6f}\n")
+        for lo in range(0, len(order), _STAMP_CHUNK):
+            chunk = order[lo:lo + _STAMP_CHUNK]
+            fields = [None] * (3 * len(chunk))
+            fields[0::3] = map(euis.__getitem__, chunk)
+            fields[1::3] = map(fcnt.__getitem__, chunk)
+            fields[2::3] = map(ts.__getitem__, chunk)
+            fh.write(_STAMP_FORMAT * len(chunk) % tuple(fields))
 
 
 def parse_report(path) -> dict[str, DeviceReport]:

@@ -10,7 +10,7 @@ querying:
     server -> {"type": "auth_ok"} | {"type": "auth_fail", "reason": "..."}
     client -> {"type": "query", "dev_euis": ["...", ...], "from": t0, "to": t1}
     server -> {"type": "packets", "devices": [entry, ...]}
-    entry  =  {"dev_eui": "...", "ts": [...], "fcnt": [...]}
+    entry  =  {"dev_eui": "...", "ts": "<base64>", "fcnt": "<base64>"}
 
 Devices obey :func:`check_devices`, and the store keys each by its
 lower-case EUI, so either case finds it.  A reply holds one entry per
@@ -24,9 +24,12 @@ Violations before authentication, unparseable frames and lines longer
 than ``MAX_LINE_BYTES`` additionally close the connection.  Query windows
 are closed intervals with finite bounds.  An entry holds the device's
 packets as the store does, as two columns of one length, receive times
-and frame counters (an unknown EUI has empty ones): the server writes the
-store's slices straight to the wire, and the client decodes them straight
-into the store's types.  Packets enter a store only as ``(EUI, receive
+and frame counters (an unknown EUI has empty ones), each the standard
+base64 (with padding) of its values' bytes: little-endian IEEE-754
+binary64 for ``ts``, little-endian two's-complement int64 for ``fcnt``;
+an empty column is ``""``.  The server encodes the store's slices
+straight to the wire, and the client decodes them straight into the
+store's types.  Packets enter a store only as ``(EUI, receive
 time, frame counter)`` rows, through :meth:`PacketStore.ingest_rows`,
 held to one value domain.  Persistence is an append-only log file (the
 simulator's export format) replayed at startup, parsed into rows a block
@@ -46,8 +49,10 @@ import math
 import re
 import socket
 import socketserver
+import sys
 import threading
 from array import array
+from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -327,19 +332,36 @@ def _line(message: dict) -> bytes:
     return (json.dumps(message) + "\n").encode("utf-8")
 
 
-def _entry(dev_eui: str, ts: Iterable[float], fcnt: Iterable[int]) -> str:
-    """One reply entry, as ``json.dumps`` writes it, from the device's columns."""
-    return (f'{{"dev_eui": {encode_basestring_ascii(dev_eui)}, "ts": {list(ts)!r}, '
-            f'"fcnt": {list(fcnt)!r}}}')
+# Whether the host stores a column's values big-endian; the wire's are
+# little-endian, so such a host swaps each column's bytes on both ends.
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _encoded(column: array | tuple) -> str:
+    """A column as the wire carries it: the base64 of its values'
+    little-endian bytes.  :data:`NO_PACKETS` holds tuples, which are no
+    buffers, and comes out as ``""`` like any empty column."""
+    if not column:
+        return ""
+    if _BIG_ENDIAN:
+        column = column[:]  # a copy; the store's slice is not the caller's to swap
+        column.byteswap()
+    return b64encode(column).decode("ascii")
+
+
+def _entry(dev_eui: str, ts: array, fcnt: array) -> str:
+    """One reply entry, as ``json.dumps`` writes it, from the device's
+    columns: each the base64 of its bytes, which needs no JSON escaping."""
+    return (f'{{"dev_eui": {encode_basestring_ascii(dev_eui)}, "ts": "{_encoded(ts)}", '
+            f'"fcnt": "{_encoded(fcnt)}"}}')
 
 
 def _answer(store: PacketStore, msg: dict) -> bytes:
     """The reply line to one query: an entry per EUI, or why it is refused.
 
-    The ``packets`` line is byte for byte what ``json.dumps`` writes:
-    frame counters are ints and timestamps finite floats (the store holds
-    no others), so a column is written as the ``repr`` of its list, and
-    EUIs go through JSON's own string encoder.
+    The ``packets`` line is byte for byte what ``json.dumps`` writes: a
+    column is written as the base64 string of its bytes, which holds no
+    character JSON escapes, and EUIs go through JSON's own string encoder.
     """
     euis, lo, hi = msg.get("dev_euis"), msg.get("from"), msg.get("to")
     if type(euis) is not list or not euis or not all(type(e) is str for e in euis):
@@ -444,25 +466,39 @@ def _message(raw: bytes) -> dict:
     return msg
 
 
+def _decoded(text: str, typecode: str) -> array:
+    """One wire column as the store's column type: base64 of little-endian
+    8-byte values.  A character outside the alphabet, bad padding or a
+    length that is not a whole number of values is a ``ValueError``."""
+    column = array(typecode, b64decode(text, validate=True))
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
+
+
 def _device_reply(item, dev_eui: str) -> Columns | ProtocolError:
     """One reply entry as the device's columns, of the store's types and
-    value domain, or why it fails.  JSON's ``true`` and ``false`` are no
-    numbers, though the columns would take them as 1 and 0."""
+    value domain, or why it fails: two base64 strings that decode to
+    whole 8-byte values, as many counters as timestamps, every timestamp
+    finite.  Any int64 is a counter the store holds."""
     named = item.get("dev_eui") if type(item) is dict else None
     if named != dev_eui:
         return ProtocolError(f"reply names device {named!r}, not the {dev_eui!r} asked for")
     ts, fcnt = item.get("ts"), item.get("fcnt")
-    if not (type(ts) is type(fcnt) is list and len(ts) == len(fcnt)):
-        return ProtocolError(f"reply entry for {dev_eui!r} holds no two columns of one length")
+    if not type(ts) is type(fcnt) is str:
+        return ProtocolError(f"reply entry for {dev_eui!r} holds no two base64 columns")
     try:
-        if bool in set(map(type, chain(ts, fcnt))):
-            raise TypeError("a packet value is a bool")
-        columns = array("d", ts), array("q", fcnt)
-        if not all(map(isfinite, columns[0])):
-            raise ValueError("a timestamp is not finite")
-        return columns
-    except (TypeError, ValueError, OverflowError) as exc:
-        return ProtocolError(f"malformed packet in query reply: {exc!r}")
+        ts, fcnt = _decoded(ts, "d"), _decoded(fcnt, "q")
+    except ValueError as exc:  # binascii.Error is one
+        return ProtocolError(f"malformed column in query reply for {dev_eui!r}: {exc!r}")
+    if len(ts) != len(fcnt):
+        return ProtocolError(f"reply entry for {dev_eui!r} holds no two columns of one length")
+    # a NaN or an infinity makes the sum non-finite; so can a finite column
+    # whose sum overflows, which the full test then clears
+    if not (isfinite(sum(ts)) or all(map(isfinite, ts))):
+        return ProtocolError(f"malformed packet in query reply for {dev_eui!r}: "
+                             "a timestamp is not finite")
+    return ts, fcnt
 
 
 class NetClient:
@@ -500,11 +536,14 @@ class NetClient:
         or the :class:`ProtocolError` that fails that device alone.
 
         The EUIs go in requests of ``_EUIS_PER_REQUEST`` each, which fit
-        the server's line limit when every EUI is 16 hex digits.  An entry
-        that does not name its EUI and hold a ``ts`` and an ``fcnt`` list
-        of one length, or whose lists hold a value the store's columns
-        could not, fails its device (any other key is ignored); a reply
-        that is no list of one entry per EUI fails each EUI of its request.
+        the server's line limit when every EUI is 16 hex digits.  Each
+        column of an entry is decoded from base64 of little-endian 8-byte
+        values with no Python object per value.  An entry that does not
+        name its EUI and hold a ``ts`` and an ``fcnt`` string, whose
+        strings are not valid base64 of whole values, whose columns differ
+        in length, or that holds a timestamp that is not finite, fails its
+        device (any other key is ignored); a reply that is no list of one
+        entry per EUI fails each EUI of its request.
         An EUI given twice (in either case) raises before anything is
         sent.  The server judges the rest: a bad bound, a non-string EUI or
         an over-long line gets its ``error`` reply, which raises (the last

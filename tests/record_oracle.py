@@ -7,7 +7,8 @@ result, or of each block of a timeline, with one ``np.lexsort`` by
 receive time, EUI and counter, builds a :class:`LogRecord` for each
 and formats it with :func:`format_log_line`, an f-string, and
 the wire lines are ``json.dumps`` of the message dicts, whose columns
-are gathered record by record.  They cost an object and a generic
+are gathered record by record and packed value by value with ``struct``
+into little-endian bytes, then base64.  They cost an object and a generic
 encoder call per record, but each step is easy to check by eye, so
 :func:`lorascale.simulator.write_packet_log` and the server's replies
 (:func:`served_line`) are tested against them byte for byte.
@@ -24,8 +25,10 @@ rows through :meth:`PacketStore.ingest_rows`, the store's one entry, and
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -91,14 +94,29 @@ def reference_write_packet_log(result: SimResult | Timeline, path) -> int:
     return n
 
 
+def wire_column(values: list, code: str) -> str:
+    """A column as a reply carries it: the base64 of its values packed
+    little-endian with ``struct`` format ``code``, ``d`` for timestamps
+    and ``q`` for counters."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+
+
+def wire_values(text: str, code: str) -> list:
+    """The values of a column as a reply carries it, unpacked with
+    ``struct``: :func:`wire_column` undone."""
+    raw = base64.b64decode(text, validate=True)
+    return list(struct.unpack(f"<{len(raw) // 8}{code}", raw))
+
+
 def packets_message(devices: list[tuple[str, list[PacketRecord]]]) -> dict:
     """The ``packets`` reply: one entry per ``(dev_eui, records)`` pair,
-    holding the records' timestamp and counter columns as lists."""
-    return {
-        "type": "packets",
-        "devices": [dict(zip(("dev_eui", "ts", "fcnt"), (eui, *columns(got))))
-                    for eui, got in devices],
-    }
+    holding the records' timestamp and counter columns as base64 strings."""
+    entries = []
+    for eui, got in devices:
+        ts, fcnt = columns(got)
+        entries.append({"dev_eui": eui, "ts": wire_column(ts, "d"),
+                        "fcnt": wire_column(fcnt, "q")})
+    return {"type": "packets", "devices": entries}
 
 
 def reference_packets_line(devices: list[tuple[str, list[PacketRecord]]]) -> bytes:

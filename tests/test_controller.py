@@ -36,6 +36,7 @@ from lorascale.simulator import AnyOverlap, DeviceSpec
 from lorascale.world import SimWorld
 from batch_adapter import Batched, batch_query
 from record_oracle import as_lists, columns, ingest_records
+from stamp_oracle import reference_write_timestamps
 from turnoff_oracle import reference_turn_off_sequence
 
 EUIS = {f"d{i}": f"{0xcc00 + i:016x}" for i in range(10)}
@@ -947,6 +948,50 @@ def test_write_output_lists_unconfirmed_shutdowns_last_in_matrix_order(tmp_path)
     assert report_path.read_text().splitlines()[-3:] == [
         "# query-failed d1 boom", "# shutdown-unconfirmed d1", "# shutdown-unconfirmed d2"]
     assert parse_report(report_path) == result.reports
+
+
+# a coarse grid of times shared by every device, so that devices tie;
+# -0.0 and 0.0 tie too, and int times are written as their floats
+stamp_ts_st = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0, 2.25, 1e9]) | st.integers(-2, 3)
+# counters, now and then integral floats, which ``%d`` would write as ints
+stamp_fcnt_st = st.integers(0, 4) | st.integers(0, 2**63 - 1) | st.integers(0, 4).map(float)
+
+
+@st.composite
+def stamp_results(draw):
+    """An experiment result whose devices hold columns in store order
+    (by time, then counter), or none, or a failed query's ``NO_PACKETS``;
+    EUIs in both cases of hex, the matrix in an order of its own."""
+    euis = draw(st.lists(st.from_regex(r"[0-9a-fA-F]{16}", fullmatch=True), min_size=1,
+                         max_size=8, unique_by=str.lower))
+    ids = draw(st.permutations([f"d{k}" for k in range(len(euis))]))
+    matrix = DeviceMatrix(map(RosterEntry, ids, euis))
+    packets = {}
+    for device_id in ids:
+        kind = draw(st.sampled_from(["columns", "columns", "failed", "absent"]))
+        if kind == "failed":
+            packets[device_id] = NO_PACKETS
+        elif kind == "columns":
+            rows = sorted(draw(st.lists(st.tuples(stamp_ts_st, stamp_fcnt_st), max_size=12)))
+            packets[device_id] = ([t for t, _ in rows], [f for _, f in rows])
+    return controller.ExperimentResult(
+        name="x", matrix=matrix, reports={d: DeviceReport(d, 0, 0) for d in ids},
+        turn_on_failures=set(), late_responders={}, query_failures={}, shutdown_log=[],
+        start_ts=0.0, end_ts=1.0, packets=packets)
+
+
+@given(result=stamp_results(), chunk=st.integers(1, 5))
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_timestamp_file_equals_the_tuple_sort_reference(tmp_path, result, chunk):
+    """The timestamp file, sorted by time alone and formatted a chunk at a
+    time, is byte for byte the reference's, which sorts (ts, EUI, counter)
+    tuples: ties across devices go in EUI order, within a device in
+    counter order, whatever the chunk size."""
+    stamps, want = tmp_path / "t.txt", tmp_path / "want.txt"
+    with patch.object(controller, "_STAMP_CHUNK", chunk):
+        write_output(result, tmp_path / "r.txt", stamps)
+    reference_write_timestamps(result, want)
+    assert stamps.read_bytes() == want.read_bytes()
 
 
 PAPER41 = ExperimentSettings(name="paper41", duration=700.0, probe_window=21.0,

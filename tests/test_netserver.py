@@ -1,3 +1,4 @@
+import base64
 import importlib
 import json
 import math
@@ -31,7 +32,7 @@ from lorascale.netserver import (
 )
 from record_oracle import (LogRecord, as_lists, columns, format_log_line, ingest_records,
                            parse_log_line, records_of, reference_packets_line, served_line,
-                           stored)
+                           stored, wire_column, wire_values)
 from store_oracle import ReferenceStore, reference_parse_log_line, written_form
 
 TOKEN = "secret-token"
@@ -415,8 +416,8 @@ def test_store_keeps_int_timestamps_as_floats():
     assert ingest_records(store, [PacketRecord(AA, 0, 5.0)]) == 0
     msg = {"type": "query", "dev_euis": [AA], "from": 0, "to": 10}
     assert netserver._answer(store, msg) == (
-        b'{"type": "packets", "devices": [{"dev_eui": "00000000000000aa", "ts": [5.0], '
-        b'"fcnt": [0]}]}\n')
+        b'{"type": "packets", "devices": [{"dev_eui": "00000000000000aa", "ts": "AAAAAAAAFEA=", '
+        b'"fcnt": "AAAAAAAAAAA="}]}\n')
 
 
 def test_store_holds_at_most_50_bytes_per_record(tmp_path):
@@ -698,7 +699,9 @@ def authed_connection(srv):
     return sock, rfile
 
 
-AA_ENTRY = {"dev_eui": "00000000000000aa", "ts": [1.0], "fcnt": [0]}
+# one packet, ts 1.0 and fcnt 0, as the little-endian bytes of a binary64
+# and an int64 in base64
+AA_ENTRY = {"dev_eui": "00000000000000aa", "ts": "AAAAAAAA8D8=", "fcnt": "AAAAAAAAAAA="}
 
 
 def test_semantic_errors_keep_connection(server):
@@ -761,7 +764,7 @@ def assert_refused_then_usable(sock, rfile, fields):
     send_json(sock, {"type": "query", "dev_euis": ["00000000000000aa", "00000000000000bb"],
                      "from": 0, "to": 2})
     assert read_json(rfile) == {"type": "packets", "devices": [
-        AA_ENTRY, {"dev_eui": "00000000000000bb", "ts": [], "fcnt": []}]}
+        AA_ENTRY, {"dev_eui": "00000000000000bb", "ts": "", "fcnt": ""}]}
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf"), 10**400])
@@ -861,32 +864,36 @@ class GarbageServer:
 
 
 EUI_A, EUI_B = "00000000000000a1", "00000000000000a2"
-GOOD_B = {"dev_eui": EUI_B, "ts": [12.0], "fcnt": [4]}
+GOOD_B = {"dev_eui": EUI_B, "ts": "AAAAAAAAKEA=", "fcnt": "BAAAAAAAAAA="}  # 12.0 and 4
 
 
 def packets_line(**fields) -> bytes:
     return (json.dumps({"type": "packets", **fields}) + "\n").encode()
 
 
-# (ts, fcnt) columns of one packet that the client cannot decode: a short
-# column, a list timestamp, a quoted counter, a null timestamp, a list
-# counter, junk.
+ONE_TS, ONE_FCNT = AA_ENTRY["ts"], AA_ENTRY["fcnt"]
+
+# (ts, fcnt) columns, as JSON values, of one packet that the client cannot
+# decode: a short column on either side, a list timestamp column, a
+# counter column with a character outside base64, a null timestamp
+# column, a list counter column, columns that lack their padding.
 MALFORMED_PACKETS = [
-    ([1.0], []),
-    ([], [0]),
-    ([[1.0]], [0]),
-    ([1.0], ["x"]),
-    ([None], [0]),
-    ([1.0], [[0]]),
-    (["junk"], ["junk"]),
+    (ONE_TS, ""),
+    ("", ONE_FCNT),
+    ([1.0], ONE_FCNT),
+    (ONE_TS, "AAAAAAAA!AA="),
+    (None, ONE_FCNT),
+    (ONE_TS, [0]),
+    (ONE_TS[:-1], ONE_FCNT[:-1]),
 ]
 
 
 def entry(dev_eui=EUI_A, ts=(1.0,), fcnt=(0,)) -> dict:
-    """A reply entry with the given columns; a column given as ``None``
-    is left out."""
-    given = {"ts": ts, "fcnt": fcnt}
-    return {"dev_eui": dev_eui, **{k: list(v) for k, v in given.items() if v is not None}}
+    """A reply entry with the given column values, each written as the
+    wire does; a column given as ``None`` is left out."""
+    given = {"ts": (ts, "d"), "fcnt": (fcnt, "q")}
+    return {"dev_eui": dev_eui, **{k: wire_column(list(v), code)
+                                   for k, (v, code) in given.items() if v is not None}}
 
 
 def collect_a_and_b(reply: bytes):
@@ -904,19 +911,22 @@ def collect_a_and_b(reply: bytes):
 
 
 @pytest.mark.parametrize("entry_a", [
-    *(entry(ts=ts, fcnt=fcnt) for ts, fcnt in MALFORMED_PACKETS),
+    *({"dev_eui": EUI_A, "ts": ts, "fcnt": fcnt} for ts, fcnt in MALFORMED_PACKETS),
     {"dev_eui": EUI_A},
-    {"dev_eui": EUI_A, "ts": "none", "fcnt": "none"},
+    {"dev_eui": EUI_A, "ts": "none", "fcnt": "none"},  # 3 bytes each, no whole value
     {"dev_eui": EUI_A, "error": "no such device"},  # no columns
     entry(EUI_B),
     "junk",
     # cases only a column entry has: unequal lengths, a missing column, a
-    # column that is no list, and an entry in the old per-packet form
+    # column that is no base64 string, and an entry in an older form
     pytest.param(entry(ts=[1.0, 2.0, 3.0], fcnt=[0, 1]), id="unequal-lengths"),
     *(pytest.param(entry(**{key: None}), id=f"no-{key}") for key in ("ts", "fcnt")),
-    pytest.param({**entry(), "ts": "1.0"}, id="string-column"),
+    pytest.param({**entry(), "ts": "1.0"}, id="string-column"),  # decimal text
     pytest.param({**entry(), "fcnt": {"0": 0}}, id="object-column"),
     pytest.param({**entry(), "fcnt": None}, id="null-column"),
+    pytest.param({**entry(), "ts": "AAAAAAAA8D8\u00e9"}, id="non-ascii-column"),
+    pytest.param({**entry(), "fcnt": "AAAA AAAAAA="}, id="space-in-column"),
+    pytest.param({"dev_eui": EUI_A, "ts": [1.0], "fcnt": [0]}, id="list-form"),
     pytest.param({"dev_eui": EUI_A, "packets": [{"fcnt": 0, "ts": 1.0}]},
                  id="packets-form"),
 ])
@@ -947,20 +957,22 @@ def test_client_unreadable_reply_flags_every_device_of_its_request(reply):
     assert {d: as_lists(got) for d, got in packets.items()} == {"a": columns([]), "b": columns([])}
 
 
-# One packet each, as its (ts, fcnt) JSON values, whose value the store's
-# columns do not hold: JSON's bools, a fractional or quoted or
-# int64-overflowing counter, non-finite or quoted timestamps.
+# The (ts, fcnt) columns of an entry, as JSON text, that the store's
+# columns could not take: the bytes of a NaN or infinite timestamp after a
+# good one, JSON's bools or quoted decimal text where a column goes.  No
+# value of a binary column is a bool, a fractional counter, a counter past
+# int64 or a timestamp past the float range, so a bool or quoted text can
+# only stand in for a whole column.
 OUT_OF_DOMAIN = {
-    "true-fcnt": ("1.0", "true"),
-    "fractional-fcnt": ("1.0", "2.9"),
-    "quoted-fcnt": ("1.0", '"12"'),
-    "fcnt-over-int64": ("1.0", "9223372036854775808"),
-    "nan-ts": ("NaN", "1"),
-    "infinite-ts": ("Infinity", "1"),
-    "negative-infinite-ts": ("-Infinity", "1"),
-    "overflowing-ts": ("1e400", "1"),
-    "quoted-ts": ('"1e400"', "1"),
-    "true-ts": ("true", "1"),
+    "true-fcnt": (json.dumps(wire_column([0.5, 1.0], "d")), "true"),
+    "quoted-fcnt": (json.dumps(wire_column([0.5, 1.0], "d")), '"12"'),
+    "nan-ts": (json.dumps(wire_column([0.5, math.nan], "d")), json.dumps(wire_column([0, 1], "q"))),
+    "infinite-ts": (json.dumps(wire_column([0.5, math.inf], "d")),
+                    json.dumps(wire_column([0, 1], "q"))),
+    "negative-infinite-ts": (json.dumps(wire_column([0.5, -math.inf], "d")),
+                             json.dumps(wire_column([0, 1], "q"))),
+    "quoted-ts": ('"1e400"', json.dumps(wire_column([0, 1], "q"))),
+    "true-ts": ("true", json.dumps(wire_column([0, 1], "q"))),
 }
 
 
@@ -974,10 +986,10 @@ def decoded(entry_a: str) -> list:
 
 @pytest.mark.parametrize("packet", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN.keys())
 def test_client_refuses_a_packet_value_no_store_column_holds(packet):
-    """A reply packet is decoded through the store's own column conversion:
-    a value outside the store's domain fails its device alone."""
+    """A reply column is decoded into the store's own column type: a value
+    outside the store's domain fails its device alone."""
     ts, fcnt = packet
-    a, b = decoded(f'{{"dev_eui": "{EUI_A}", "ts": [0.5, {ts}], "fcnt": [0, {fcnt}]}}')
+    a, b = decoded(f'{{"dev_eui": "{EUI_A}", "ts": {ts}, "fcnt": {fcnt}}}')
     assert isinstance(a, ProtocolError)
     assert as_lists(b) == columns([PacketRecord(EUI_B, 4, 12.0)])
 
@@ -994,10 +1006,71 @@ def test_client_decodes_the_ends_of_each_column_domain():
     assert list(fcnt) == [-(2**63), 2**63 - 1, 0]
     empty, _ = decoded(json.dumps(entry(ts=[], fcnt=[])))
     assert empty == (array("d"), array("q"))
+    # finite timestamps whose sum overflows to infinity are still finite
+    (ts, _), _ = decoded(json.dumps(entry(ts=[1.7e308, 1.7e308, -0.0], fcnt=[0, 1, 2])))
+    assert list(ts) == [1.7e308, 1.7e308, -0.0]
     entries, _, failures = collect_a_and_b(
         packets_line(devices=[{**entry(), "sf": [7]}, {**GOOD_B, "sf": [12]}]))
     assert failures == {}
     assert entries == [(array("d", [1.0]), array("q", [0])), (array("d", [12.0]), array("q", [4]))]
+
+
+def test_an_entry_carries_each_column_as_base64_of_little_endian_values():
+    """Pinned by hand: 1.0 is the binary64 bytes 00 .. 00 f0 3f, and 0 the
+    int64 zero; both sides agree with ``struct``."""
+    assert (wire_column([1.0], "d"), wire_column([0], "q")) == ("AAAAAAAA8D8=", "AAAAAAAAAAA=")
+    assert netserver._entry(AA, array("d", [1.0]), array("q", [0])) == json.dumps(
+        {**AA_ENTRY, "dev_eui": AA})
+    assert netserver._entry(AA, *netserver.NO_PACKETS) == json.dumps(
+        {"dev_eui": AA, "ts": "", "fcnt": ""})
+    assert netserver._device_reply(AA_ENTRY, AA) == (array("d", [1.0]), array("q", [0]))
+
+
+def test_a_big_endian_host_swaps_each_column_on_both_ends(monkeypatch):
+    """With the host taken to be big-endian, a column's bytes are swapped
+    on the way out and back, so that the wire stays little-endian; the
+    store's own slice is left as it was."""
+    ts, fcnt = array("d", [1.0, -0.0, 5e-324]), array("q", [0, -(2**63), 2**63 - 1])
+    native = ts.tobytes(), fcnt.tobytes()
+    monkeypatch.setattr(netserver, "_BIG_ENDIAN", True)
+    line = netserver._entry(AA, ts, fcnt)
+    assert (ts.tobytes(), fcnt.tobytes()) == native
+    sent = json.loads(line)
+    for key, column in (("ts", ts), ("fcnt", fcnt)):
+        swapped = array(column.typecode, column)
+        swapped.byteswap()
+        assert base64.b64decode(sent[key]) == swapped.tobytes()
+    got = netserver._device_reply(sent, AA)
+    assert (got[0].tobytes(), got[1].tobytes()) == native
+
+
+extreme_ts_st = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                           1e-310, -1e-310, 1.7e308, -1.7e308,
+                                           sys.float_info.max, -sys.float_info.max]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+extreme_fcnt_st = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 0, -1]),
+                            st.integers(-(2**63), 2**63 - 1))
+
+
+@given(rows=st.lists(st.tuples(store_eui_st, extreme_ts_st, extreme_fcnt_st), max_size=30),
+       euis=st.lists(st.one_of(store_eui_st, st.just("00000000000000ff")), min_size=1,
+                     max_size=4, unique_by=str.lower))
+@settings(max_examples=200)
+def test_store_to_wire_to_columns_is_the_identity(rows, euis):
+    """Store, reply line, decoded columns: each device's columns come back
+    as the store's window, bit for bit, in the store's column types; an
+    EUI with no packets comes back as two empty columns."""
+    store = PacketStore()
+    ingest_records(store, [PacketRecord(eui, f, ts) for eui, ts, f in rows])
+    lo, hi = -sys.float_info.max, sys.float_info.max
+    msg = netserver._message(netserver._answer(
+        store, {"type": "query", "dev_euis": euis, "from": lo, "to": hi}))
+    for eui, item in zip(euis, msg["devices"], strict=True):
+        ts, fcnt = netserver._device_reply(item, eui)
+        want_ts, want_fcnt = store.window(eui, lo, hi)
+        assert (type(ts), type(fcnt)) == (array, array)
+        assert ts.tobytes() == array("d", want_ts).tobytes()
+        assert fcnt.tobytes() == array("q", want_fcnt).tobytes()
 
 
 @pytest.mark.parametrize("auth_reply", [b"not json\n", b"\xc3\x28\n"])
@@ -1272,7 +1345,8 @@ def test_packets_message_roundtrip(devices):
     back = json.loads(served_line(got))
     assert back["type"] == "packets"
     assert all(list(e) == ["dev_eui", "ts", "fcnt"] for e in back["devices"])
-    rebuilt = [(e["dev_eui"], records_of(e["dev_eui"], (e["ts"], e["fcnt"])))
+    rebuilt = [(e["dev_eui"], records_of(e["dev_eui"], (wire_values(e["ts"], "d"),
+                                                        wire_values(e["fcnt"], "q"))))
                for e in back["devices"]]
     assert rebuilt == got
 
