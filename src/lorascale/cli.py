@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import airtime as airtime_mod
@@ -70,9 +71,16 @@ FLAGS = {
 }
 
 
+# The config keys that name an input file, which is read relative to the config's
+# own directory; a flag, and an output path such as ``report``, is read as given.
+CONFIG_INPUTS = ("roster", "mapping")
+
+
 def load_config(path) -> dict:
     """Parse a line-oriented ``key = value`` config file, each key one
-    of :data:`SETTINGS`, given once and read as its row reads it."""
+    of :data:`SETTINGS`, given once and read as its row reads it.  Each
+    :data:`CONFIG_INPUTS` file is resolved against the config's directory
+    and must open."""
     values = {}
     for number, line in controller.numbered_lines(path):
         key, eq, value = map(str.strip, line.partition("="))
@@ -84,7 +92,10 @@ def load_config(path) -> dict:
             raise ValueError(f"{path}:{number}: key {key!r} is given twice")
         try:
             values[key] = SETTINGS[key][0](value)
-        except ValueError as exc:
+            if key in CONFIG_INPUTS and value:
+                values[key] = os.path.join(os.path.dirname(path), value)
+                open(values[key], "rb").close()
+        except (ValueError, OSError) as exc:
             raise ValueError(f"{path}:{number}: {key}: {exc}") from None
     return values
 

@@ -76,8 +76,8 @@ def main() -> None:
         raise SystemExit("no suitable seed found")
 
     CONFIG["seed"] = str(seed)
-    CONFIG["roster"] = "tests/data/roster8.csv"
-    CONFIG["mapping"] = "tests/data/mapping8.csv"
+    CONFIG["roster"] = "roster8.csv"
+    CONFIG["mapping"] = "mapping8.csv"
     with open(DATA / "golden.cfg", "w") as fh:
         fh.write("# golden end-to-end run definition\n")
         for key, value in CONFIG.items():

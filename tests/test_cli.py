@@ -10,6 +10,7 @@ import pytest
 from lorascale import analysis, cli, controller, netserver, simulator
 from lorascale.controller import OrchestrationError, TurnOff, TurnOn
 from batch_adapter import batch_query
+from pins import PINS
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -24,7 +25,7 @@ def test_airtime_subcommand(capsys):
     rc, out = run_cli(capsys, "airtime", "--sf", "7", "--bw", "125000",
                       "--payload", "51", "--cr", "5")
     assert rc == 0
-    assert out.strip() == "0.102656"
+    assert out.strip() == PINS["airtime:1"]
 
 
 def test_airtime_sf8(capsys):
@@ -38,7 +39,7 @@ def test_scale_subcommand_reports_published_sizing(capsys):
                       "--real-airtime", "0.04122", "--exp-period", "7",
                       "--exp-airtime", "0.11729")
     assert rc == 0
-    assert "experiment devices = 41" in out
+    assert PINS["scale:2"] in out
     assert "device ratio = 4.1 per 1000" in out
     assert "real load = 0.687000" in out
 
@@ -75,8 +76,8 @@ def test_simulate_estimator_output(capsys):
 
 # the README's paper-experiment line under each collision model
 @pytest.mark.parametrize("model, first_line", [
-    ((), "pdr 0.256188"),
-    (("--model", "window", "--window-factor", "1"), "pdr 0.508722"),
+    ((), PINS["simulate:1"]),
+    (("--model", "window", "--window-factor", "1"), PINS["simulate-window:1"]),
 ], ids=["any", "window"])
 def test_simulate_pins_the_paper_estimate(capsys, model, first_line):
     rc, out = run_cli(capsys, "simulate", "--devices", "41", "--period", "7",
@@ -363,6 +364,9 @@ def test_readme_experiment_config_reproduces_golden_log(tmp_path):
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = tmp_path / "readme.cfg"
     block.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    # the roster files that the block names, beside it
+    for name in ("roster", "mapping"):
+        (tmp_path / f"{name}.csv").write_bytes((DATA / f"{name}8.csv").read_bytes())
     config = roster_config(tmp_path, source=block)
     assert simulate_log(tmp_path, config) == (DATA / "golden.log").read_bytes()
 
@@ -454,7 +458,7 @@ def test_readme_analyze_example_output_is_pinned(capsys):
     assert f"lorascale {README_ANALYZE}\n" in readme
     rc, out = run_cli(capsys, *README_ANALYZE.split())
     assert rc == 0
-    assert out.splitlines()[12] == "3000 0.445139 0.667177"  # interior maximum of the lower bound
+    assert out.splitlines()[12] == PINS["analyze:13"]  # interior maximum of the lower bound
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "d1844fff33f4e1d256d67fc54472438092d748f2a6f17941b7963c775854af3d")
 
@@ -591,8 +595,9 @@ def test_serve_and_run_experiment_name_a_bad_address(tmp_path, capsys):
     assert not (tmp_path / "report.txt").exists()
 
 
-def run_golden(report, operator_arg="sim", mapping=DATA / "mapping8.csv",
-               log=DATA / "golden.log"):
+def run_golden(report, operator_arg="sim", mapping=None, log=DATA / "golden.log"):
+    """``run-experiment`` on the golden config, which gives the roster and, unless
+    ``mapping`` does, the mapping, against a server that replays ``log``."""
     store = netserver.PacketStore()
     store.ingest_file(log)
     server, thread = netserver.start_server(store, "golden-token")
@@ -601,8 +606,7 @@ def run_golden(report, operator_arg="sim", mapping=DATA / "mapping8.csv",
         return cli.main([
             "run-experiment",
             "--config", str(DATA / "golden.cfg"),
-            "--roster", str(DATA / "roster8.csv"),
-            "--mapping", str(mapping),
+            *(["--mapping", str(mapping)] if mapping else []),
             "--server", f"{host}:{port}",
             "--token", "golden-token",
             "--auto-operator", operator_arg,
@@ -626,7 +630,7 @@ def test_scripted_replay_equals_simulated_operator(tmp_path, capsys):
     script.write_text("y\n" * 16)  # 8 turn-on + 8 turn-off prompts
     via_sim = golden_pipeline(tmp_path, "sim", "sim.txt")
     # the sum of golden_report.txt's counts
-    assert capsys.readouterr().out.splitlines()[-1] == "network pdr 0.871875 (279/320)"
+    assert capsys.readouterr().out.splitlines()[-1] == PINS["run-experiment:3"]
     via_script = golden_pipeline(tmp_path, str(script), "script.txt")
     assert via_sim == via_script
     assert via_sim == (DATA / "golden_report.txt").read_bytes()
@@ -654,10 +658,35 @@ def test_upper_case_mapping_reads_the_lower_case_log(tmp_path, capsys):
     assert "FEED0001" in mapping.read_text()
     report = tmp_path / "report.txt"
     assert run_golden(report, mapping=mapping) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "network pdr 0.871875 (279/320)"
+    assert capsys.readouterr().out.splitlines()[-1] == PINS["run-experiment:3"]
     assert report.read_bytes() == (DATA / "golden_report.txt").read_bytes()
     stamps = (tmp_path / "report.txt.ts").read_text()
     assert stamps == (DATA / "golden_timestamps.txt").read_text().upper()
+
+
+def test_a_config_reads_its_inputs_beside_itself(tmp_path, monkeypatch, capsys):
+    """Run from another directory, the golden config finds its roster and
+    mapping in its own directory, and the outputs go to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["simulate", "--config", str(DATA / "golden.cfg"), "--out", "packets.log"])
+    assert rc == 0
+    assert (tmp_path / "packets.log").read_bytes() == (DATA / "golden.log").read_bytes()
+    assert run_golden(pathlib.Path("report.txt")) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == PINS["run-experiment:3"]
+    assert (tmp_path / "report.txt").read_bytes() == (DATA / "golden_report.txt").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["roster", "mapping"])
+def test_config_names_a_missing_input_file(tmp_path, capsys, key):
+    config = roster_config(tmp_path, **{key: "missing.csv"})
+    number = config.read_text().splitlines().index(f"{key} = missing.csv") + 1
+    log = tmp_path / "x.log"
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(log)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}:{number}: {key}: [Errno 2] No such file or directory: "
+        f"'{tmp_path / 'missing.csv'}'\n")
+    assert not log.exists()
 
 
 def golden_trailer(reason, unconfirmed):
@@ -673,7 +702,7 @@ def assert_report_kept(capsys, report, trailer):
         DATA / "golden_timestamps.txt").read_bytes()
     rc, out = run_cli(capsys, "analyze", "--total", "8", "--period", "5", "--airtime-sf7",
                       "0.05", "--point", f"8:{report}")
-    assert rc == 0 and out.splitlines()[-1].endswith(" 0.871875")
+    assert rc == 0 and out.splitlines()[-1].endswith(" " + PINS["run-experiment:3"].split()[2])
 
 
 def test_run_experiment_keeps_the_report_when_the_script_runs_out(tmp_path, capsys):
@@ -685,7 +714,7 @@ def test_run_experiment_keeps_the_report_when_the_script_runs_out(tmp_path, caps
               "but TurnOff(device_id='g03') still needs an answer")
     captured = capsys.readouterr()
     assert captured.err == f"error: turn-off aborted after 2 shutdowns: {reason}\n"
-    assert captured.out.splitlines()[-1] == "network pdr 0.871875 (279/320)"
+    assert captured.out.splitlines()[-1] == PINS["run-experiment:3"]
     unconfirmed = [f"g0{i}" for i in range(3, 9)]
     assert_report_kept(capsys, report, golden_trailer(reason, unconfirmed))
 

@@ -23,6 +23,7 @@ from lorascale.simulator import (
     write_packet_log,
 )
 from mc_oracle import reference_estimate_pdr, reference_loss_rounds
+from pins import PINS
 from record_oracle import export_packet_log, reference_write_packet_log
 
 
@@ -564,9 +565,9 @@ def test_timeline_blocks_join_to_the_whole_run(tmp_path_factory, devices, durati
 
 
 def test_run_writes_the_streamed_mixed_log(tmp_path):
-    """``run`` marks the console check's SF7+SF8 fleet (320,000 delivered
-    records over many stream steps, two airtimes) in one pass, and its log
-    is the one that check pins for the streamed ``simulate --out``."""
+    """``run`` marks the pinned SF7+SF8 fleet (320,000 delivered records over
+    many stream steps, two airtimes) in one pass, and its log is the
+    ``mixed.log`` that the manifest pins for the streamed ``simulate --out``."""
     args = cli.build_parser().parse_args([
         "simulate", "--devices", "41", "--period", "7", "--airtime", "0.11729", "--sf", "7",
         "--duration", "70000", "--seed", "1", "--sf8-devices", "10", "--sf8-airtime", "0.21094",
@@ -576,7 +577,7 @@ def test_run_writes_the_streamed_mixed_log(tmp_path):
     result = run(specs, horizon, model=cli._model_from(config), seed=config["seed"])
     assert write_packet_log(result, tmp_path / "mixed.log") == 320_000
     digest = hashlib.md5((tmp_path / "mixed.log").read_bytes()).hexdigest()
-    assert digest == "4d3372c665a12b989915b3400f190f44"
+    assert digest == PINS["mixed.log"]
 
 
 def streamed_peak(duration: float) -> int:
