@@ -12,7 +12,9 @@ runs for context (41 devices, and the 10,000 devices of the fleet10k log
 below, on its one airtime and on three mixed ones, in best-of CPU time and
 tracemalloc peak), the paper's 100,000-round Monte-Carlo
 estimate under any-overlap and under vulnerability windows of factor 1.0
-and 0.5 (CPU time and tracemalloc peak), and a live SimWorld
+and 0.5, and at a period of 1 s instead of 7 s (load 4.8) under
+any-overlap and a window of factor 1.0 (CPU time and tracemalloc peak),
+and a live SimWorld
 series (41 devices, growing numbers of 7 s advances, each series ended
 by one ``attempt_counts`` call, which generates and resolves every
 attempt the advances passed over: the advances themselves only move
@@ -278,17 +280,22 @@ def main() -> None:
         peak = traced_peak(whole_run)
         print(f"run(): fleet10k, {name}: {t * 1e3:7.1f} ms CPU, {peak / 2**20:6.1f} MB peak")
 
-    # Monte-Carlo estimate: the paper's 41 devices for 100,000 rounds
+    # Monte-Carlo estimate: the paper's 41 devices for 100,000 rounds, at its
+    # 7 s period and at 1 s (load 4.8), where the estimator's wrap pass, which
+    # marks each round's last two airtimes again, is longest
     print()
     groups = [SfGroup(7, 41, 0.11729)]
-    for model in (AnyOverlap(), VulnerabilityWindow(1.0), VulnerabilityWindow(0.5)):
-        def estimate():
-            estimate_pdr(groups, 7.0, 100_000, model=model, seed=1)
+    for period, models in ((7.0, (AnyOverlap(), VulnerabilityWindow(1.0),
+                                  VulnerabilityWindow(0.5))),
+                           (1.0, (AnyOverlap(), VulnerabilityWindow(1.0)))):
+        for model in models:
+            def estimate():
+                estimate_pdr(groups, period, 100_000, model=model, seed=1)
 
-        cpu = best_of(estimate, repeats=3, clock=time.process_time)
-        peak = traced_peak(estimate)
-        print(f"estimate_pdr: 41 devices x 100,000 rounds, {model!s:<33}"
-              f" {cpu * 1e3:7.1f} ms CPU, {peak / 2**20:6.1f} MB peak")
+            cpu = best_of(estimate, repeats=3, clock=time.process_time)
+            peak = traced_peak(estimate)
+            print(f"estimate_pdr: 41 devices x 100,000 rounds, period {period:g} s,"
+                  f" {model!s:<33} {cpu * 1e3:7.1f} ms CPU, {peak / 2**20:6.1f} MB peak")
 
     # live world: all 41 devices on, the clock moved one period at a time,
     # then one call that generates and resolves what the advances passed

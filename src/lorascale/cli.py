@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import select
 import sys
 
 from . import airtime as airtime_mod
@@ -486,12 +487,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The status a shell reports for a command that SIGPIPE ended (128 + 13).
+_CLOSED_STDOUT_STATUS = 141
+
+
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe or socket whose reader has gone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # none, or not a file, as when captured
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
     except (ValueError, OrchestrationError, netserver.ProtocolError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            # the reader took what it wanted, as `| head` does: stop quietly,
+            # and send the unwritten rest nowhere so that exit has nothing to flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _CLOSED_STDOUT_STATUS
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

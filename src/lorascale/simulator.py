@@ -407,44 +407,67 @@ def _loss_rounds(count: int, period: float, airtime: float, rounds: int,
     none of its packets can reach it, so the rounds form one timeline
     the ordinary linear-time kernels can mark.
 
-    Each round's phases are sorted on their own and laid out as a row:
-    the real starts, then ghosts one period later, so that collisions
-    across the wraparound are seen.  Only ghosts of phases below one
-    airtime are kept.  Under both models two events meet only if their
-    starts lie less than one airtime apart (a window of ``factor <= 2``
-    airtimes ends one airtime after its packet's start, so it opens at
-    most one airtime before that start), and the ghost of phase ``p``
-    starts more than ``p`` after every real start of its round; two
-    ghosts repeat what their real events show.  The kept ghosts of a
-    sorted row are a prefix of it, so a chunk's rows hold ghost columns
-    only as wide as its widest prefix, ``g``; the columns past a row's
-    own prefix are dropped with the other ghosts, and the ghost flags
-    fold onto the first ``g`` devices.  Kept events of a row are in
-    order, so the timeline needs no global sort.  A device's packet is
-    lost when its real event or its ghost is.
+    Collisions across the wraparound are seen through ghosts: a real
+    start repeated one period later.  Under both models an event is lost
+    iff some other event collides with it, and that one starts less than
+    one airtime from it (a window of ``factor <= 2`` airtimes ends one
+    airtime after its packet's start, so it opens at most one airtime
+    before that start): call two such events near.  The ghost of phase
+    ``p`` starts more than ``p`` after every real start of its round, so
+    only phases below one airtime get one; two ghosts repeat what their
+    real events show.
+
+    Each chunk is marked in two passes, neither of which copies a round:
+
+    - The main pass sorts each round's phases, adds the round offsets in
+      place and marks the raveled rows, already one sorted timeline of
+      the real events.
+    - The wrap pass marks a small timeline of each round's tail, its real
+      events of phase above ``period - 2 * airtime``, then its ghosts,
+      which start at or after the round's end: a stable sort merges the
+      two sorted runs.  A ghost's flag folds onto its own device.
+
+    Each pass marks some of the events of one timeline of every real
+    event and every ghost, and fewer events can only clear a flag, so
+    neither pass sets a flag that timeline would not.  The main pass
+    holds every pair of near real events.  The wrap pass holds every
+    ghost with each event near it: a real event is near a ghost only if
+    its phase lies within one airtime of the period's end, and the tail
+    reaches a full airtime further, far past any rounding.  So the ORed
+    flags are those of the whole timeline.
 
     Rounds are drawn and marked in chunks of about ``_CHUNK_EVENTS``
     events (at least one round each).  Consecutive draws continue one
-    stream, so the result does not depend on the chunking.
+    stream, so the result does not depend on the chunking.  ``random``
+    scaled by ``period`` draws the bits of ``uniform(0.0, period)``,
+    which computes ``0.0 + period * random``.
     """
     stride = period + 4.0 * airtime
     per_chunk = max(1, _CHUNK_EVENTS // count)
     lost = 0
+    # one buffer each for the starts and the ends of every chunk, which
+    # saves the page faults of fresh ones
+    drawn = np.empty((min(per_chunk, rounds), count))
+    ended = np.empty(drawn.size)
     for first in range(0, rounds, per_chunk):
         n = min(per_chunk, rounds - first)
-        phases = rng.uniform(0.0, period, size=(n, count))
+        phases = rng.random(out=drawn[:n])
+        phases *= period
         phases.sort(axis=1)
-        ghost = phases < airtime  # a prefix of each sorted row
-        g = int(np.count_nonzero(ghost.any(axis=0)))  # the widest prefix
+        tail = np.flatnonzero(phases > period - 2.0 * airtime)
+        ghost = np.flatnonzero(phases < airtime)
         phases += (stride * np.arange(first, first + n))[:, None]  # each round's offset
-        rows = np.concatenate((phases, phases[:, :g] + period), axis=1)
-        keep = np.ones(rows.shape, dtype=bool)
-        keep[:, count:] = ghost[:, :g]
-        s = rows[keep]
-        flags = np.zeros(rows.shape, dtype=bool)
-        flags[keep] = model.mark(s, s + airtime)
-        flags[:, :g] |= flags[:, count:]
-        lost += int(np.count_nonzero(flags[:, :count]))
+        starts = phases.ravel()
+        flags = model.mark(starts, np.add(starts, airtime, out=ended[:starts.size]))
+        # two sorted runs, merged so that a round's tail precedes its ghosts
+        wrap = np.concatenate((starts[tail], starts[ghost] + period))
+        order = wrap.argsort(kind="stable")
+        wrap = wrap[order]
+        wrapped = np.empty(order.size, dtype=bool)
+        wrapped[order] = model.mark(wrap, wrap + airtime)
+        flags[tail] |= wrapped[:tail.size]
+        flags[ghost] |= wrapped[tail.size:]
+        lost += int(np.count_nonzero(flags))
     return lost
 
 

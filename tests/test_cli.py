@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import pathlib
 import re
+import socket
 import subprocess
 import sys
 
@@ -839,8 +840,54 @@ def test_cli_imports_no_numpy():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+MAIN = "import sys; from lorascale.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_a_closed_stdout_stops_the_command_quietly(lines_read):
+    # as in `lorascale analyze ... | head -1`: the reader leaves before the
+    # command's first write, or after one line of its 202 kB, more than a
+    # pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-c", MAIN, "analyze", "--total", "8835", "--period", "600",
+         "--airtime-sf7", "0.04122", "--step", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141  # as for a command that SIGPIPE ended
+    assert err == b""  # no error line and no "Exception ignored" at exit
+    assert lines == [b"0 0.297028 0.545003\n"][:lines_read]
+
+
+def test_a_command_started_without_stdout_runs():
+    proc = subprocess.run(["sh", "-c", '"$0" -c "$1" airtime --sf 7 --payload 51 >&-',
+                           sys.executable, MAIN], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_a_broken_pipe_on_the_server_socket_is_an_error(tmp_path):
+    # the server socket's writes fail as on a connection the server closed,
+    # while stdout stays open
+    code = ("import socket\n"
+            "def broken(self, data):\n"
+            "    raise BrokenPipeError(32, 'Broken pipe')\n"
+            "socket.socket.sendall = broken\n" + MAIN)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run-experiment", "--config", str(DATA / "golden.cfg"),
+             "--server", f"{host}:{port}", "--token", "golden-token", "--auto-operator", "sim",
+             "--report", str(tmp_path / "report.txt"),
+             "--timestamps", str(tmp_path / "timestamps.txt")],
+            capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert (proc.stdout, proc.stderr) == ("", "error: [Errno 32] Broken pipe\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_serve_subcommand_over_subprocess(tmp_path):
-    import socket
     import time as time_mod
 
     probe = socket.socket()
@@ -849,9 +896,7 @@ def test_serve_subcommand_over_subprocess(tmp_path):
     probe.close()
 
     proc = subprocess.Popen(
-        [sys.executable, "-c",
-         "import sys; from lorascale.cli import main; sys.exit(main(sys.argv[1:]))",
-         "serve", "--bind", f"127.0.0.1:{port}", "--token", "tok",
+        [sys.executable, "-c", MAIN, "serve", "--bind", f"127.0.0.1:{port}", "--token", "tok",
          "--log", str(DATA / "golden.log")],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )

@@ -671,26 +671,35 @@ def test_estimator_rejects_non_finite_period():
 
 
 class FixedPhases:
-    """Stands in for the generator: every draw returns the given phases."""
+    """Stands in for the generator: every draw returns the given phases,
+    ``uniform`` as they are and ``random``, into the array it is given, as
+    fractions of ``period``, which scale back to them exactly."""
 
-    def __init__(self, phases):
+    def __init__(self, phases, period):
         self.phases = np.array(phases, dtype=np.float64)
+        self.fractions = self.phases / period
+        assert (self.fractions * period == self.phases).all()
 
     def uniform(self, low, high, size):
         assert size == self.phases.shape
         return self.phases.copy()
+
+    def random(self, out):
+        assert out.shape == self.fractions.shape
+        out[...] = self.fractions
+        return out
 
 
 @pytest.mark.parametrize("model, lost", [(AnyOverlap(), 6), (VulnerabilityWindow(1.0), 3)])
 def test_loss_rounds_ghosts_every_phase_below_one_airtime(model, lost):
     # period 10, airtime 1; each round's two packets overlap once, which
     # loses both under any-overlap and one under a window of one airtime:
-    # - phase 0.995 (just below one airtime) meets the start at 9.999
+    # - phase 0.99609375 (just below one airtime) meets the start at 9.999
     #   only across the wraparound;
     # - phase 0.5 meets the start at 9.6 across the wraparound;
     # - phases 3.0 and 3.5 overlap inside the round.
-    rounds = [[0.995, 9.999], [9.6, 0.5], [3.0, 3.5]]
-    assert simulator._loss_rounds(2, 10.0, 1.0, 3, model, FixedPhases(rounds)) == lost
+    rounds = [[0.99609375, 9.999], [9.6, 0.5], [3.0, 3.5]]
+    assert simulator._loss_rounds(2, 10.0, 1.0, 3, model, FixedPhases(rounds, 10.0)) == lost
 
 
 @pytest.mark.parametrize("airtime, rounds", [
@@ -701,12 +710,47 @@ def test_loss_rounds_ghosts_every_phase_below_one_airtime(model, lost):
     # rows of 0, 1 and 3 ghosts
     (1.0, [[5.0, 9.5, 2.0], [0.5, 9.9, 4.0], [0.1, 0.2, 0.3]]),
     # phase 0.5 meets 9.8 only across the wraparound, through the one ghost
-    (1.0, [[0.5, 5.0, 9.8], [2.0, 4.0, 6.0], [9.7, 0.9, 3.0]]),
+    (1.0, [[0.5, 5.0, 9.8], [2.0, 4.0, 6.0], [9.7, 0.90625, 3.0]]),
 ], ids=["no-ghost", "all-ghosts", "ragged", "one-ghost"])
 def test_loss_rounds_at_the_extremes_of_the_ghost_prefix(airtime, rounds):
     for model in MODELS:
-        assert (simulator._loss_rounds(3, 10.0, airtime, 3, model, FixedPhases(rounds))
-                == reference_loss_rounds(3, 10.0, airtime, 3, model, FixedPhases(rounds)))
+        assert (simulator._loss_rounds(3, 10.0, airtime, 3, model, FixedPhases(rounds, 10.0))
+                == reference_loss_rounds(3, 10.0, airtime, 3, model,
+                                         FixedPhases(rounds, 10.0)))
+
+
+@given(
+    count=st.integers(1, 3),
+    period=st.floats(0.5, 20.0),
+    share=st.floats(0.001, 0.5, exclude_max=True),
+    model=st.one_of(st.just(AnyOverlap()),
+                    st.floats(0.0, 2.0, exclude_min=True).map(VulnerabilityWindow)),
+    rounds=st.integers(1, 60),
+    chunk=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_loss_rounds_matches_the_reference(count, period, share, model, rounds, chunk, seed):
+    # a few devices, so that many rounds see a packet wrap across the period's
+    # end; airtimes up to just under half the period, so that above a third a
+    # round's tail and its ghosts share devices; and chunks of a few events,
+    # so that rounds cross chunk boundaries
+    airtime = share * period
+    with mock.patch.object(simulator, "_CHUNK_EVENTS", chunk):
+        lost = simulator._loss_rounds(count, period, airtime, rounds, model,
+                                      np.random.default_rng(seed))
+    assert lost == reference_loss_rounds(count, period, airtime, rounds, model,
+                                         np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("period", [2.0**-40, 7.0, 0.11729, 1e300])
+def test_scaled_random_draws_are_the_uniform_draws(period):
+    # the estimator scales ``random`` draws, made into its buffer, by the
+    # period; ``uniform`` draws ``low + (high - low) * random``, the same bits
+    # when low is 0
+    scaled = np.random.default_rng(11).random(out=np.empty((500, 41))) * period
+    uniform = np.random.default_rng(11).uniform(0.0, period, size=(500, 41))
+    assert scaled.tobytes() == uniform.tobytes()
 
 
 def traced_peak(rounds: int) -> int:
