@@ -19,7 +19,9 @@ series (41 devices, growing numbers of 7 s advances, each series ended
 by one ``attempt_counts`` call, which generates and resolves every
 attempt the advances passed over: the advances themselves only move
 the clock).  Its time per advance stays flat because one resolution is
-linear in the attempts it finalizes.
+linear in the attempts it finalizes.  One more world row replays the
+world calls of one paper41 live experiment (best-of CPU time): its
+queries' resolutions and the store feed they make.
 
 The log and server rows use the fleet10k log: 10,000 devices, period
 600 s with a 6% spread, airtime 0.04122 s, switched on 1 s apart, about
@@ -46,6 +48,7 @@ round trip.
 """
 
 import argparse
+import math
 import random
 import tempfile
 import time
@@ -57,8 +60,9 @@ import numpy as np
 
 from lorascale import kernels, netserver
 from lorascale.cli import device_period
-from lorascale.controller import (DeviceMatrix, DeviceReport, ExperimentResult, RosterEntry,
-                                  compute_counts, write_output)
+from lorascale.controller import (DeviceMatrix, DeviceReport, ExperimentResult,
+                                  ExperimentSettings, RosterEntry, SimulatedOperator, WorldClock,
+                                  compute_counts, run_experiment, write_output)
 from lorascale.simulator import (AnyOverlap, DeviceSpec, SfGroup, VulnerabilityWindow,
                                  estimate_pdr, run, write_packet_log)
 from lorascale.world import SimWorld
@@ -122,6 +126,49 @@ def fleet10k(n: int = 10_000) -> tuple[list[DeviceSpec], float]:
                         active_from=k * step, active_until=horizon)
              for k in range(n)]
     return fleet, horizon
+
+
+def live_experiment_row(repeats: int) -> None:
+    """The world's side of one paper41 live experiment: the calls that
+    ``run_experiment`` makes of a ``SimWorld`` (41 devices, period 7 s with
+    a 6% spread, airtime 0.11729 s, switched on 1 s apart, 21 s probe and
+    recheck windows, a 700 s window), recorded once and replayed on fresh
+    worlds.  Its queries make the resolutions and the store feed."""
+    fleet = [DeviceSpec(f"dev{k + 1:02d}", f"{0x4100 + k:016x}", 7,
+                        device_period(7.0, k, 41, 0.06), 0.11729) for k in range(41)]
+    calls = []
+
+    class Recording(SimWorld):
+        def set_active(self, *args):
+            calls.append(("set_active", args))
+            return super().set_active(*args)
+
+        def advance(self, *args):
+            calls.append(("advance", args))
+            return super().advance(*args)
+
+        def query(self, *args):
+            calls.append(("query", args))
+            return super().query(*args)
+
+    world = Recording(fleet, seed=1)
+    run_experiment(DeviceMatrix(RosterEntry(d.device_id, d.dev_eui) for d in fleet),
+                   SimulatedOperator(world), world, WorldClock(world),
+                   ExperimentSettings(name="paper41", duration=700.0, probe_window=21.0,
+                                      recheck_window=21.0, turnon_step=1.0))
+
+    def replay():
+        world = SimWorld(fleet, seed=1)
+        for name, args in calls:
+            getattr(world, name)(*args)
+        return world
+
+    t = best_of(replay, repeats, clock=time.process_time)
+    queries = sum(name == "query" for name, _ in calls)
+    truth = replay().ground_truth(-math.inf, math.inf)
+    delivered = sum(got for got, _ in truth.values())
+    print(f"SimWorld: paper41 live experiment, {len(calls):,} calls replayed, {queries} queries,"
+          f" {delivered:,} packets delivered: {t * 1e3:6.2f} ms CPU")
 
 
 def write_output_row(store: netserver.PacketStore, fleet: list[DeviceSpec],
@@ -313,6 +360,7 @@ def main() -> None:
         print(f"SimWorld: 41 devices, {n:>5} advances of 7 s, then attempt_counts:"
               f" {t * 1e3:8.1f} ms"
               f" ({t / n * 1e6:6.0f} us per advance)")
+    live_experiment_row(args.repeats)
 
     print()
     server_rows(args.repeats)

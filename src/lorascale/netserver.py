@@ -29,12 +29,13 @@ base64 (with padding) of its values' bytes: little-endian IEEE-754
 binary64 for ``ts``, little-endian two's-complement int64 for ``fcnt``;
 an empty column is ``""``.  The server encodes the store's slices
 straight to the wire, and the client decodes them straight into the
-store's types.  Packets enter a store only as ``(EUI, receive
-time, frame counter)`` rows, through :meth:`PacketStore.ingest_rows`,
-held to one value domain.  Persistence is an append-only log file (the
-simulator's export format) replayed at startup, parsed into rows a block
-of 4,096 lines at a time, so that parsing holds O(block) memory beyond
-the store.
+store's types.  Packets enter a store only through
+:meth:`PacketStore.ingest_columns`, each device's as a pair of typed
+columns held to one value domain; :meth:`PacketStore.ingest_rows` groups
+``(EUI, receive time, frame counter)`` rows into such columns for it.
+Persistence is an append-only log file (the simulator's export format)
+replayed at startup, parsed into rows a block of 4,096 lines at a time,
+so that parsing holds O(block) memory beyond the store.
 Every block takes one path: its lines are joined by spaces, and one
 pattern cuts out each stretch between two spaces that is not one log
 line.  No log line holds a space, so a line that holds one is skipped
@@ -184,22 +185,24 @@ class PacketStore:
     slice; no product path calls it.  Queries see a consistent snapshot
     under a single-writer lock.
 
-    Packets go in only through :meth:`ingest_rows`, which makes each EUI's
-    rows of a call one batch.  A batch whose timestamps rise strictly,
-    starting after the last one stored for its EUI (as on every resolution
-    of a live world, and for each EUI of a log ``write_packet_log``
-    wrote), is appended in place, at a cost that grows with the batch and
-    not with the history.
+    Packets go in only through :meth:`ingest_columns`, one batch per EUI
+    of a call, each batch the EUI's columns: the live world builds them
+    from its NumPy columns, and :meth:`ingest_rows`, the front the log
+    reader uses, groups rows into them.  A batch whose timestamps rise
+    strictly, starting after the last one stored for its EUI (as on every
+    resolution of a live world, and for each EUI of a log
+    ``write_packet_log`` wrote), is appended in place, at a cost that
+    grows with the batch and not with the history.
     Any other batch is sorted together with the EUI's stored rows by
     (timestamp, counter), stably, so of two exact duplicates (same EUI,
     timestamp and counter) the one stored first is kept.
 
     The columns pin what a packet may hold, one rule for every caller: a
-    finite timestamp (an ``int`` one is stored, and returned, as the float
-    ``float()`` gives), a frame counter that fits an int64, and three
-    fields to a row.  A call with any other row is a ``ValueError``, and
-    then none of it is stored.  The client holds
-    each reply entry to the same domain.
+    finite timestamp (an ``int`` row's is stored, and returned, as the
+    float ``float()`` gives) and a frame counter that fits an int64, under
+    a ``str`` EUI.  A call with any other packet or EUI is a
+    ``ValueError``, and then none of it is stored.  The client holds each
+    reply entry to the same domain.
     """
 
     def __init__(self) -> None:
@@ -208,13 +211,11 @@ class PacketStore:
 
     def ingest_rows(self, rows: Iterable[tuple[str, float, int]]) -> int:
         """Store ``(dev_eui, timestamp, counter)`` rows, in any mix of
-        EUIs, each onto its EUI's columns in order; returns how many were
-        new.  A row outside the domain is a ``ValueError`` and stores none
-        of the call.
-
-        Finiteness is free where a batch is appended: a strictly rising
-        column holds no NaN, so it is finite when its two ends are; only a
-        batch sorted into the stored rows has each timestamp tested.
+        EUIs; returns how many were new.  Each EUI's rows, in order, become
+        one batch of typed columns, stored by :meth:`ingest_columns`.  A row
+        whose values no column holds, or that is not three fields, is a
+        ``ValueError``, as is anything :meth:`ingest_columns` refuses, and
+        then none of the call is stored.
         """
         by_eui: dict[str, tuple[array, array]] = {}
         try:
@@ -225,15 +226,38 @@ class PacketStore:
                 columns[1].append(fcnt)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"a row does not fit the store's columns: {exc}") from None
-        keys, rising = [], []
-        for eui, (ts, _) in by_eui.items():
+        return self.ingest_columns(by_eui)
+
+    def ingest_columns(self, batches: dict[str, tuple[array, array]]) -> int:
+        """Store a batch of packets for each EUI, ``{dev_eui: (timestamps,
+        counters)}``, each an ``array('d')`` and an ``array('q')`` of one
+        length in the order the packets came; returns how many were new.
+        The store keeps the arrays it is given, with no copy, so the caller
+        hands them over; an empty batch stores nothing.  An EUI that is not
+        a ``str``, a batch of another form, or a timestamp that is not
+        finite is a ``ValueError``, and then none of the call is stored.
+
+        Finiteness is free where a batch is appended: a strictly rising
+        column holds no NaN, so it is finite when its two ends are; only a
+        batch sorted into the stored rows has each timestamp tested.
+        """
+        puts = []
+        for eui, batch in batches.items():
+            ts, fcnt = batch if type(batch) is tuple and len(batch) == 2 else (None, None)
+            if not (type(ts) is type(fcnt) is array and ts.typecode == "d"
+                    and fcnt.typecode == "q" and len(ts) == len(fcnt)):
+                raise ValueError(f"the packets of {eui!r} are no array('d') and array('q')"
+                                 " of one length")
+            if type(eui) is not str:
+                raise ValueError(f"EUI {eui!r} is not a str")
+            if not ts:
+                continue
             up = all(map(lt, ts, ts[1:]))
             if not (-_INF < ts[0] and ts[-1] < _INF if up else all(map(isfinite, ts))):
                 raise ValueError(f"non-finite timestamp among the packets of {eui!r}")
-            keys.append(eui.lower())
-            rising.append(up)
+            puts.append((eui.lower(), batch, up))
         with self._lock:
-            return sum(map(self._put, keys, by_eui.values(), rising))
+            return sum(self._put(*put) for put in puts)
 
     def _put(self, key: str, columns: tuple[array, array], rising: bool) -> int:
         stored = self._by_eui.get(key)
@@ -263,7 +287,7 @@ class PacketStore:
         line (:data:`_LOG_FIELDS`, tab separated, and an optional ``\\r``
         and ``\\n``), or whose timestamp digits overflow to infinity or
         whose frame counter does not fit an int64, is skipped.  The other
-        lines' fields go to :meth:`ingest_rows` as rows.
+        lines' fields go to :meth:`ingest_rows` as rows, all in one call.
 
         Every block of ``_INGEST_BLOCK`` (4,096) lines takes one path,
         :func:`_block_rows`: its lines are joined by spaces, and each

@@ -19,10 +19,13 @@ raises ``ValueError``; a resolution that fails before it stores its
 events leaves the world as it was.  The events the step finalizes join
 the world's attempt arrays, one chunk per resolution, and the delivered
 ones go into a :class:`PacketStore` through its one entry,
-:meth:`~lorascale.netserver.PacketStore.ingest_rows`, as ``(EUI,
-timestamp, counter)`` rows in timeline order, with no record object per
-packet; the store builds each device's columns.  The world thus answers
-a query exactly as the network server's store does, with its
+:meth:`~lorascale.netserver.PacketStore.ingest_columns`, as each
+device's columns: one stable sort of the delivered events by device
+keeps each device's in timeline order, the sorted end times and
+counters become one ``array('d')`` and one ``array('q')`` straight from
+their bytes, and each device's stretch of them is its batch, with no
+Python object per packet.  The world thus answers a query exactly as
+the network server's store does, with its
 :meth:`~lorascale.netserver.PacketStore.window` slices, the columns the
 network-server client decodes; :meth:`SimWorld.ground_truth` counts each
 device's deliveries with one bisection of its timestamp column.  However
@@ -33,6 +36,7 @@ and their collision outcomes are those of resolving after every step.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -78,7 +82,7 @@ class SimWorld:
         self._fcnt0 = np.zeros(len(devices), dtype=np.int64)
         self._edge = Edge(self._columns, model)  # stepped to the clock at each resolution
         # finalized attempts: end times and roster positions, one chunk
-        # per resolution; the delivered ones are rows in the store
+        # per resolution; the delivered ones are in the store
         self._attempt_end = [np.empty(0)]
         self._attempt_dev = [np.empty(0, dtype=np.int64)]
         self._store = PacketStore()
@@ -149,10 +153,18 @@ class SimWorld:
         if dev.size:
             self._attempt_end.append(end)
             self._attempt_dev.append(dev)
-            # the delivered events as store rows, in start order
+            # the delivered events grouped by device, each device's in start
+            # order (a stable sort), cut after each device's count of them
             good = np.flatnonzero(delivered)
-            self._store.ingest_rows(zip(self._euis[dev[good]].tolist(), end[good].tolist(),
-                                        fcnt[good].tolist()))
+            owner = dev[good]
+            good = good[np.argsort(owner, kind="stable")]
+            counts = np.bincount(owner)
+            held = np.flatnonzero(counts)
+            stops = np.cumsum(counts[held]).tolist()
+            ts, fc = array("d", end[good].tobytes()), array("q", fcnt[good].tobytes())
+            self._store.ingest_columns({
+                eui: (ts[lo:hi], fc[lo:hi])
+                for eui, lo, hi in zip(self._euis[held].tolist(), [0, *stops], stops)})
 
     def query(self, dev_euis: list[str], from_ts: float, to_ts: float) -> list[Columns]:
         """Delivered packets of each device in the closed time window, one

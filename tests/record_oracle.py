@@ -19,8 +19,10 @@ A log line carries the packet's SF, and the store drops it: a
 product passes packets as columns, ``(timestamps, counters)`` pairs;
 :func:`columns`, :func:`as_lists` and :func:`records_of` turn records
 and pairs into one another, :func:`ingest_records` stores records as
-rows through :meth:`PacketStore.ingest_rows`, the store's one entry, and
-:func:`parse_log_line` reads one log line as the record the store keeps.
+rows through :meth:`PacketStore.ingest_rows`, which groups them into
+each EUI's columns for :meth:`PacketStore.ingest_columns`, the store's
+one entry, and :func:`parse_log_line` reads one log line as the record
+the store keeps.
 """
 
 from __future__ import annotations

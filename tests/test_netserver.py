@@ -391,6 +391,80 @@ def test_ingest_rows_refuses_a_non_finite_timestamp(held, bad):
         assert len(store) == len(held)
 
 
+def batch(ts, fcnt):
+    """One EUI's packets as the column entry takes them."""
+    return array("d", ts), array("q", fcnt)
+
+
+@pytest.mark.parametrize("bad", [
+    ([1.0], array("q", [1])),
+    (array("d", [1.0]), [1]),
+    (array("f", [1.0]), array("q", [1])),
+    (array("d", [1.0]), array("i", [1])),
+    (array("d", [1.0, 2.0]), array("q", [1])),
+    (array("d", [1.0]), array("q", [1, 2])),
+    [array("d", [1.0]), array("q", [1])],
+    (array("d", [1.0]), array("q", [1]), array("q", [7])),
+    batch([math.nan], [1]),
+    batch([math.inf], [1]),
+    batch([-math.inf], [1]),
+    batch([1.0, math.nan, 3.0], [1, 2, 3]),
+    batch([3.0, math.inf, 1.0], [1, 2, 3]),
+], ids=["list-ts", "list-fcnt", "typecode-ts", "typecode-fcnt", "short-fcnt", "short-ts",
+        "list-pair", "three-columns", "nan", "inf", "minus-inf", "nan-inside-rising",
+        "inf-inside-merged"])
+@pytest.mark.parametrize("held", [False, True], ids=["empty-store", "eui-held"])
+def test_ingest_columns_refuses_a_batch_of_another_form(bad, held):
+    """Each EUI's batch is an ``array('d')`` and an ``array('q')`` of one
+    length with finite timestamps; any other refuses the whole call, and
+    the good batches before and after it are not stored either."""
+    store = PacketStore()
+    if held:
+        assert store.ingest_columns({AA: batch([0.0], [0])}) == 1
+    for batches in ({BB: batch([1.0], [0]), AA: bad}, {AA: bad, BB: batch([1.0], [0])}):
+        with pytest.raises(ValueError):
+            store.ingest_columns(batches)
+        assert as_lists(store.window(BB, -math.inf, math.inf)) == NO_ROWS
+        assert as_lists(store.window(AA, -math.inf, math.inf)) == (
+            ([0.0], [0]) if held else NO_ROWS)
+        assert len(store) == held
+
+
+@pytest.mark.parametrize("eui", [5, None, AA.encode(), (AA,)],
+                         ids=["int", "none", "bytes", "tuple"])
+def test_store_refuses_an_eui_that_is_no_str(eui):
+    """An EUI that is not a ``str``, among good ones, refuses the call by
+    either entry, and nothing of it is stored."""
+    store = PacketStore()
+    with pytest.raises(ValueError):
+        store.ingest_columns({AA: batch([1.0], [0]), eui: batch([1.0], [0]),
+                              BB: batch([2.0], [1])})
+    with pytest.raises(ValueError):
+        store.ingest_rows([(AA, 1.0, 0), (eui, 1.0, 0), (BB, 2.0, 1)])
+    assert len(store) == 0
+
+
+def test_ingest_columns_merges_a_batch_that_does_not_rise():
+    """A batch that does not rise strictly, or does not start past the
+    stored rows, is merged into them by (timestamp, counter) and its exact
+    duplicates dropped, as the same rows through ``ingest_rows`` are."""
+    calls = [
+        {AA: ([2.0, 1.0, 1.0, 3.0], [0, 5, 5, 1]), BB: ([1.0, 2.0], [0, 1])},
+        {AA: ([3.0, 4.0], [1, 2]), BB: ([2.0, 2.0], [1, 0])},
+        {AA: ([0.5, 5.0], [9, 9]), BB: ([], [])},
+    ]
+    store, by_rows = PacketStore(), PacketStore()
+    for call, added in zip(calls, [5, 2, 2]):
+        assert store.ingest_columns({eui: batch(*c) for eui, c in call.items()}) == added
+        assert by_rows.ingest_rows((eui, t, f) for eui, c in call.items()
+                                   for t, f in zip(*c)) == added
+    for eui, want in [(AA, ([0.5, 1.0, 2.0, 3.0, 4.0, 5.0], [9, 5, 0, 1, 2, 9])),
+                      (BB, ([1.0, 2.0, 2.0], [0, 0, 1]))]:
+        got = store.window(eui, -math.inf, math.inf)
+        assert [column.typecode for column in got] == ["d", "q"]
+        assert as_lists(got) == as_lists(by_rows.window(eui, -math.inf, math.inf)) == want
+
+
 def test_store_holds_the_ends_of_each_column_domain():
     """The largest and smallest counters and timestamps the columns hold
     come back exactly, and the server writes them as ``json.dumps`` does."""

@@ -11,7 +11,7 @@ from lorascale.netserver import PacketRecord, PacketStore
 from lorascale.simulator import AnyOverlap, DeviceSpec, VulnerabilityWindow, run, write_packet_log
 from lorascale.world import SimWorld
 from record_oracle import as_lists, ingest_records, records_of
-from world_oracle import ReferenceWorld
+from world_oracle import ReferenceWorld, row_feed
 
 
 def specs(n, period=5.0, airtime=0.2, **kwargs):
@@ -499,7 +499,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         return wrapped
 
     for module, name in [(kernels, "mark_any_overlap"), (kernels, "mark_window"),
-                         (world_module, "attempts"), (PacketStore, "ingest_rows")]:
+                         (world_module, "attempts"), (PacketStore, "ingest_columns")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     fleet = [DeviceSpec(f"dev{i:02d}", f"{0xbb00 + i:016x}", 7 + i % 2,
                         7.0 * (1.0 + 0.06 * (i / 40 - 0.5)), 0.11729) for i in range(41)]
@@ -512,7 +512,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         assert calls == []
         eui = fleet[0].dev_eui
         assert len(world.query([eui], 0.0, world.now)[0][0]) > 0
-        assert sorted(calls) == sorted(["attempts", kernel, kernel, "ingest_rows"])  # one per SF
+        assert sorted(calls) == sorted(["attempts", kernel, kernel, "ingest_columns"])  # one per SF
         calls.clear()
         world.query([eui], 0.0, world.now)
         world.attempt_counts()
@@ -522,7 +522,7 @@ def test_advance_and_set_active_do_no_work_until_asked(monkeypatch):
         world.set_active(fleet[0].device_id, False)
         assert calls == []
         world.attempt_counts()
-        assert "attempts" in calls and "ingest_rows" in calls
+        assert "attempts" in calls and "ingest_columns" in calls
         calls.clear()
 
 
@@ -551,3 +551,51 @@ def test_world_asked_now_and_then_matches_reference(scenario, model, seed, asks)
         if ask:
             assert delivered(world, devices) == reference.delivered_records()
     assert_worlds_agree(world, reference, devices)
+
+
+def as_bytes(batches):
+    """Each EUI's columns of a store feed as typecodes and bytes."""
+    return {eui: [(c.typecode, c.tobytes()) for c in columns] for eui, columns in batches.items()}
+
+
+@given(
+    scenario=world_scenarios(),
+    model=st.sampled_from([AnyOverlap(), VulnerabilityWindow(1.0)]),
+    seed=st.integers(0, 2**64 - 1),
+    asks=st.lists(st.booleans(), min_size=80, max_size=80),
+)
+@settings(max_examples=150, deadline=None)
+def test_world_feeds_its_store_the_columns_of_the_row_path(scenario, model, seed, asks):
+    """Each resolution hands the store, device by device, the columns that
+    its delivered events make as rows in timeline order through
+    ``ingest_rows``, and the world's store ends up holding what a store fed
+    those rows holds."""
+    devices, steps = scenario
+    world = SimWorld(devices, model, seed=seed)
+    euis = np.array([d.dev_eui for d in devices], dtype=object)
+    oracle = PacketStore()
+    fed, want = [], []
+    edge_step, ingest = world._edge.step, world._store.ingest_columns
+
+    def stepped(events, now):
+        _, end, _, dev, fcnt, delivered = got = edge_step(events, now)
+        if dev.size:
+            row_feed(oracle, euis[dev], end, fcnt, delivered)
+        return got
+
+    world._edge.step = stepped
+    # each batch as it is handed over: the store may later extend its arrays
+    world._store.ingest_columns = lambda batches: fed.append(as_bytes(batches)) or ingest(batches)
+    oracle.ingest_columns = lambda batches: (want.append(as_bytes(batches))
+                                             or PacketStore.ingest_columns(oracle, batches))
+    for step, ask in zip(steps, asks + [False] * len(steps)):
+        if step[0] == "toggle":
+            world.set_active(devices[step[1]].device_id, step[2])
+        else:
+            world.advance(step[1])
+        if ask:
+            world.query(list(euis), -math.inf, math.inf)
+    got = world.query(list(euis), -math.inf, math.inf)
+    assert fed == want
+    assert [list(map(bytes, columns)) for columns in got] == [
+        list(map(bytes, oracle.window(eui, -math.inf, math.inf))) for eui in euis]

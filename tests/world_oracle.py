@@ -6,6 +6,12 @@ marks collisions over the whole history and emits the events that have
 become final; queries scan every delivered record.  Its cost grows with
 the square of the run length, but each step is easy to check by eye, so
 the incremental world is tested against it.
+
+:func:`row_feed` is the straightforward form of the world's store feed:
+one resolution's delivered events as ``(EUI, timestamp, counter)`` rows
+in timeline order, through :meth:`PacketStore.ingest_rows`, which groups
+them into each EUI's columns.  The world builds those columns itself and
+is tested to hand the store the same ones.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorascale.netserver import PacketRecord
+from lorascale.netserver import PacketRecord, PacketStore
 from lorascale.simulator import AnyOverlap, CollisionModel, DeviceSpec, device_rng, resolve
 
 
@@ -174,3 +180,11 @@ class ReferenceWorld:
                 got += 1
             truth[device_id] = (got, tried + 1)
         return truth
+
+
+def row_feed(store: PacketStore, euis: np.ndarray, end: np.ndarray, fcnt: np.ndarray,
+             delivered: np.ndarray) -> int:
+    """Store one resolution's delivered events, each event's EUI in
+    ``euis``, as rows in timeline order; returns how many were new."""
+    good = np.flatnonzero(delivered)
+    return store.ingest_rows(zip(euis[good].tolist(), end[good].tolist(), fcnt[good].tolist()))
