@@ -4,8 +4,9 @@
 #     ci/checks.sh [STEP...]
 #
 # With no STEP every step runs, in order, and the first failure stops the
-# run.  Steps: pins, golden-sync, tier1, socket-dev, perfbench-selftest,
-# bench-smoke.
+# run.  Steps: pins, tier1, perfbench-selftest, bench-smoke.  A step stays
+# only for what pytest cannot do: tier1 also checks the golden generator, and
+# fails on a leaked socket, pipe or file through the pyproject.toml filters.
 #
 # The pins step runs every pinned command and compares its outputs with the
 # manifest tests/data/pins.txt, one `NAME VALUE` line per pinned output: an
@@ -217,19 +218,8 @@ PY
   check_pins < "$out/pins.got"
 )
 
-step_golden_sync() {
-  python tests/data/make_golden.py
-  git diff --exit-code -- tests/data
-}
-
 step_tier1() {
   python -m pytest -q --continue-on-collection-errors
-}
-
-step_socket_dev() {
-  python -X dev -W error::ResourceWarning -m pytest -q \
-      -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning \
-      tests/test_netserver.py tests/test_cli.py tests/test_acceptance.py
 }
 
 step_perfbench_selftest() {
@@ -240,7 +230,7 @@ step_bench_smoke() {
   python benchmarks/bench_kernels.py --sizes 1000 --repeats 1 --advances 10
 }
 
-steps=(pins golden-sync tier1 socket-dev perfbench-selftest bench-smoke)
+steps=(pins tier1 perfbench-selftest bench-smoke)
 if [ $# -eq 0 ]; then
   set -- "${steps[@]}"
 fi

@@ -258,7 +258,10 @@ def _fleet(settings: Settings, sf: int):
     """Devices and horizon of a ``simulate --out`` run, the k-th device in the k-th
     slot of :func:`_traffic`'s groups.  A roster experiment switches its devices on
     ``turnon_step`` seconds apart and keeps them on through the probe and experiment
-    windows; without a roster, ``devices`` devices run from 0 to ``duration``."""
+    windows and one longest airtime past the window's end, so the log holds every
+    attempt that a live device starts by then; an attempt that starts later hits no
+    packet that ends inside the window.  Without a roster, ``devices`` devices run
+    from 0 to ``duration``."""
     from . import simulator
 
     if settings.get("roster"):
@@ -268,7 +271,8 @@ def _fleet(settings: Settings, sf: int):
         matrix, experiment = _experiment(settings)
         entries, step = matrix.entries, experiment.turnon_step
         period, duration, groups = _traffic(settings, len(entries), sf)
-        horizon = len(entries) * step + experiment.probe_window + duration
+        horizon = (len(entries) * step + experiment.probe_window + duration
+                   + max(group.airtime for group in groups))
     else:
         devices = settings.required("devices")
         period, duration, groups = _traffic(settings, devices, sf)
@@ -291,11 +295,12 @@ def _cmd_simulate(args) -> int:
         specs, horizon = _fleet(settings, args.sf)
         # streamed block by block: no whole-run arrays
         timeline = simulator.Timeline(specs, horizon, model=model, seed=seed)
+        roster = bool(settings.get("roster"))
+        if not roster and not timeline.counts.any():
+            raise ValueError("no transmissions in this run")
         n = simulator.write_packet_log(timeline, args.out)
         print(f"wrote {n} packet records to {args.out}")
-        if not settings.get("roster"):
-            if not timeline.counts.any():
-                raise ValueError("no transmissions in this run")
+        if not roster:
             print(f"pdr {n / int(timeline.counts.sum()):.6f}")
         return 0
 

@@ -25,7 +25,7 @@ import numpy as np
 _NEIGHBOURS = 2
 
 
-# Constants kept because perfbench records them in its provenance.
+# Kept because perfbench/worker.py records both in its provenance.
 def active_backend() -> str:
     return "python"
 

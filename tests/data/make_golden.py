@@ -3,9 +3,10 @@
 Searches for a seed where every device's first and last experiment-window
 attempts are delivered (so frame-counter gap arithmetic recovers the sent
 count exactly), with real interior losses, then freezes the roster, config,
-packet log, report and timestamp files.  Run from the repository root:
+packet log, report and timestamp files into OUTDIR, by default this file's
+own directory.  Run from the repository root:
 
-    python tests/data/make_golden.py
+    python tests/data/make_golden.py [OUTDIR]
 """
 
 import pathlib
@@ -30,27 +31,27 @@ CONFIG = {
 }
 
 
-def write_rosters() -> None:
-    with open(DATA / "roster8.csv", "w") as fh:
+def write_rosters(out: pathlib.Path) -> None:
+    with open(out / "roster8.csv", "w") as fh:
         fh.write("# golden run devices\n")
         for i in range(1, N_DEVICES + 1):
             fh.write(f"g{i:02d}\n")
-    with open(DATA / "mapping8.csv", "w") as fh:
+    with open(out / "mapping8.csv", "w") as fh:
         fh.write("# id,eui\n")
         for i in range(1, N_DEVICES + 1):
             fh.write(f"g{i:02d},{0xfeed0000 + i:016x}\n")
 
 
-def candidate(seed: int):
+def candidate(seed: int, out: pathlib.Path):
     config = {key: cli.SETTINGS[key][0](value) for key, value in CONFIG.items()}
-    config["roster"] = str(DATA / "roster8.csv")
-    config["mapping"] = str(DATA / "mapping8.csv")
+    config["roster"] = str(out / "roster8.csv")
+    config["mapping"] = str(out / "mapping8.csv")
     args = cli.build_parser().parse_args(["simulate"])
     specs, horizon = cli._fleet(cli.Settings(args, config), args.sf)
     result = simulator.run(specs, horizon, seed=seed)
     n = len(specs)
-    w0 = n * 1.0 + 15.0
-    w1 = w0 + 200.0
+    w0 = n * config["turnon_step"] + config["probe_window"]
+    w1 = w0 + config["duration"]
     probe_ok, boundary_ok, losses = True, True, 0
     for idx, spec in enumerate(specs):
         mask = result.dev == idx
@@ -65,10 +66,10 @@ def candidate(seed: int):
     return probe_ok and boundary_ok and losses >= 5, losses, result
 
 
-def main() -> None:
-    write_rosters()
+def main(out: pathlib.Path) -> None:
+    write_rosters(out)
     for seed in range(500):
-        ok, losses, result = candidate(seed)
+        ok, losses, result = candidate(seed, out)
         if ok:
             print(f"seed {seed}: {losses} interior losses")
             break
@@ -78,37 +79,35 @@ def main() -> None:
     CONFIG["seed"] = str(seed)
     CONFIG["roster"] = "roster8.csv"
     CONFIG["mapping"] = "mapping8.csv"
-    with open(DATA / "golden.cfg", "w") as fh:
+    with open(out / "golden.cfg", "w") as fh:
         fh.write("# golden end-to-end run definition\n")
         for key, value in CONFIG.items():
             fh.write(f"{key} = {value}\n")
 
-    n = simulator.write_packet_log(result, DATA / "golden.log")
+    n = simulator.write_packet_log(result, out / "golden.log")
     print(f"packet log: {n} records")
 
     store = netserver.PacketStore()
-    store.ingest_file(DATA / "golden.log")
+    store.ingest_file(out / "golden.log")
     server, thread = netserver.start_server(store, "golden-token")
     host, port = server.server_address
     try:
         rc = cli.main([
             "run-experiment",
-            "--config", str(DATA / "golden.cfg"),
-            "--roster", str(DATA / "roster8.csv"),
-            "--mapping", str(DATA / "mapping8.csv"),
+            "--config", str(out / "golden.cfg"),
             "--server", f"{host}:{port}",
             "--token", "golden-token",
             "--auto-operator", "sim",
-            "--report", str(DATA / "golden_report.txt"),
-            "--timestamps", str(DATA / "golden_timestamps.txt"),
+            "--report", str(out / "golden_report.txt"),
+            "--timestamps", str(out / "golden_timestamps.txt"),
         ])
         assert rc == 0
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
-    print((DATA / "golden_report.txt").read_text())
+    print((out / "golden_report.txt").read_text())
 
 
 if __name__ == "__main__":
-    main()
+    main(pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else DATA)

@@ -7,6 +7,9 @@ All randomized checks use frozen seeds, so the suite is deterministic.
 import json
 import pathlib
 import random
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +28,15 @@ from lorascale.controller import (
     RosterEntry,
     SimulatedOperator,
     VirtualClock,
+    WorldClock,
     compute_counts,
+    run_experiment,
     turn_off_sequence,
+    write_output,
 )
 from lorascale.netserver import NetClient, PacketRecord, PacketStore, start_server
-from batch_adapter import Batched
+from lorascale.world import SimWorld
+from batch_adapter import Batched, batch_query
 from lorascale.scaling import (
     TrafficProfile,
     channel_load,
@@ -157,6 +164,22 @@ def test_c4_end_to_end_pipeline_exactness(tmp_path):
        f"8 devices exact, {losses} interior losses, report byte-identical")
 
 
+GOLDEN_FILES = ("roster8.csv", "mapping8.csv", "golden.cfg", "golden.log", "golden_report.txt",
+                "golden_timestamps.txt")
+
+
+def test_golden_generator_writes_the_fixtures(tmp_path):
+    """tests/data/make_golden.py, run from the repository root into an empty
+    directory, writes exactly the golden fixtures, byte for byte."""
+    done = subprocess.run([sys.executable, "tests/data/make_golden.py", str(tmp_path)],
+                          cwd=DATA.parents[1], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(GOLDEN_FILES)
+    for name in GOLDEN_FILES:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+    ok("golden-generator", f"{len(GOLDEN_FILES)} fixtures byte-identical")
+
+
 # The paper41 roster at zero period spread, where many devices lose every
 # packet to the same neighbours for the whole run.
 ZERO_SPREAD_41 = {"name": "zero-spread", "roster": DATA / "roster41.csv",
@@ -222,6 +245,41 @@ def test_silent_device_bound_brackets_the_ground_truth(tmp_path, capsys, seed):
     assert main_sent <= sent <= bound_sent + silent
     ok("silent-device bound", f"seed {seed}: {delivered}/{bound_sent} <= {delivered}/{sent} "
                               f"<= {delivered}/{main_sent}, {silent} silent")
+
+
+def served_and_live_outputs(tmp_path, seed):
+    """The 41-device roster at spread 0.06, run once from the log that
+    ``simulate --out`` writes and once live against a SimWorld of the same
+    devices; the report and timestamp bytes of each run, in that order."""
+    args = cli.build_parser().parse_args(["simulate"])
+    settings = cli.Settings(args, {**ZERO_SPREAD_41, "period_spread": 0.06, "seed": seed})
+    specs, horizon = cli._fleet(settings, args.sf)
+    matrix, experiment = cli._experiment(settings)
+    log = tmp_path / "run.log"
+    simulator.write_packet_log(simulator.Timeline(specs, horizon, seed=seed), log)
+    store = PacketStore()
+    store.ingest_file(log)
+    world = SimWorld(specs, seed=seed)
+    outputs = []
+    for name, operator, client, clock in [
+            ("served", SimulatedOperator(), SimpleNamespace(query=batch_query(store.window)),
+             VirtualClock(0.0)),
+            ("live", SimulatedOperator(world), world, WorldClock(world))]:
+        report, stamps = tmp_path / f"{name}.report", tmp_path / f"{name}.stamps"
+        write_output(run_experiment(matrix, operator, client, clock, experiment), report, stamps)
+        outputs.append((report.read_bytes(), stamps.read_bytes()))
+    return outputs
+
+
+def test_served_log_and_live_world_write_the_same_outputs(tmp_path):
+    """A roster device's simulated traffic runs on past the experiment
+    window as a live device's does, so the attempts it starts in the
+    window's last airtime hit the same packets in both runs."""
+    seeds = range(6100, 6140)
+    differ = [seed for seed in seeds
+              if len(set(served_and_live_outputs(tmp_path, seed))) > 1]
+    assert differ == []
+    ok("served-equals-live", f"seeds {seeds.start}-{seeds.stop - 1}: byte-identical outputs")
 
 
 def test_c5_counter_gap_arithmetic():

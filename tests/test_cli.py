@@ -185,6 +185,16 @@ def test_simulate_rejects_non_positive_duration(tmp_path, capsys, out):
     assert capsys.readouterr().err.startswith("error: duration must be finite and positive")
 
 
+def test_simulate_out_without_transmissions_writes_nothing(tmp_path, capsys):
+    """A run too short for any attempt is refused before its log is opened."""
+    log = tmp_path / "x.log"
+    rc = cli.main(["simulate", "--devices", "3", "--period", "7", "--airtime", "0.1",
+                   "--duration", "0.05", "--out", str(log)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: no transmissions in this run\n")
+    assert not log.exists()
+
+
 def roster_config(tmp_path, name="experiment.cfg", drop=(), source=DATA / "golden.cfg",
                   **values):
     """The golden run definition, or the one in ``source``, with

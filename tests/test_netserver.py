@@ -9,6 +9,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import replace
@@ -36,6 +37,16 @@ from record_oracle import (LogRecord, as_lists, columns, format_log_line, ingest
 from store_oracle import ReferenceStore, reference_parse_log_line, written_form
 
 TOKEN = "secret-token"
+
+
+def test_leak_warnings_are_errors():
+    """The ``filterwarnings`` of pyproject.toml: an unclosed socket, pipe or
+    file, also one that only a finalizer finds, fails the test that leaked
+    it.  Without them a leak passes every test."""
+    errors = {category for action, message, category, module, _ in warnings.filters
+              if action == "error" and message is None and module is None}
+    assert ResourceWarning in errors
+    assert pytest.PytestUnraisableExceptionWarning in errors
 
 
 @contextmanager
